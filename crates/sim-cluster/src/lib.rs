@@ -197,19 +197,6 @@ impl ClusterConfig {
         }
     }
 
-    /// The fixed small fleet the bench panel runs (`cluster_small`):
-    /// 8 kernels, 2 simulated seconds of Poisson traffic. Small enough
-    /// for a bench rep, big enough to exercise replication and the
-    /// windowed executor.
-    pub fn bench_small() -> ClusterConfig {
-        ClusterConfig {
-            kernels: 8,
-            duration: SimDuration::from_secs(2),
-            arrival: ArrivalKind::Poisson { rate: 30.0 },
-            ..Default::default()
-        }
-    }
-
     /// Shape the legacy HDFS figure (`fig21`) from this fleet: worker
     /// count and replication flow from the cluster config, making the
     /// paper's fixed 7-node run one point on the fleet-size axis and a

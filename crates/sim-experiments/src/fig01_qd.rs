@@ -93,78 +93,6 @@ pub fn run(cfg: &Config) -> FigResult {
     FigResult { rows, cfg: *cfg }
 }
 
-/// Events processed by one quick CFQ write-burst run — the benchmark
-/// harness divides this by wall-clock time to report events/second for
-/// the serial path (`None`) against queued depths.
-pub fn bench_events(queue_depth: Option<u32>) -> u64 {
-    bench_run(queue_depth).events
-}
-
-/// What one quick write-burst run hands the bench harness: the event
-/// count (throughput) plus every completed fsync latency (simulated-SLO
-/// percentiles). Deterministic for a fixed `queue_depth`.
-#[derive(Debug, Clone)]
-pub struct BenchRun {
-    /// Events the world processed.
-    pub events: u64,
-    /// Completed fsync latencies, milliseconds, in completion order.
-    /// Empty for this workload (the burst writer never fsyncs); the
-    /// `check` bench target supplies fsync-heavy programs.
-    pub fsync_ms: Vec<f64>,
-}
-
-/// Run one quick CFQ write-burst and collect [`BenchRun`] measurements.
-pub fn bench_run(queue_depth: Option<u32>) -> BenchRun {
-    let cfg = fig01_write_burst::Config::quick();
-    let (w, k, _a) = fig01_write_burst::build_burst_world(&cfg, SchedChoice::Cfq, queue_depth);
-    collect_bench(w, k, &cfg)
-}
-
-/// [`bench_run`] with CFQ wrapped in a single catch-all layer. The
-/// workload, kernel flags, and simulated results are byte-identical to
-/// the flat run (the layer plane's degenerate-equivalence property),
-/// so the events/sec gap between the `fig01` and `fig01_layered` panel
-/// targets is purely the arbiter's indirection — the single-layer
-/// overhead the acceptance bar keeps under 10%.
-pub fn bench_run_layered(queue_depth: Option<u32>) -> BenchRun {
-    let cfg = fig01_write_burst::Config::quick();
-    let specs =
-        split_layered::parse_layers("all:default:share:cfq").expect("single-layer tree parses");
-    let arbiter = crate::setup::build_layered(specs, split_layered::LayeredConfig::default())
-        .expect("cfq child resolves");
-    let (w, k, _a) = fig01_write_burst::build_burst_world_with(
-        &cfg,
-        SchedChoice::Cfq,
-        Box::new(arbiter),
-        queue_depth,
-    );
-    collect_bench(w, k, &cfg)
-}
-
-fn collect_bench(
-    mut w: sim_kernel::World,
-    k: sim_core::KernelId,
-    cfg: &fig01_write_burst::Config,
-) -> BenchRun {
-    w.run_for(cfg.duration);
-    let mut fsync_ms: Vec<f64> = Vec::new();
-    let stats = &w.kernel(k).stats;
-    let mut pids: Vec<_> = stats.procs.keys().copied().collect();
-    pids.sort_unstable();
-    for pid in pids {
-        fsync_ms.extend(
-            stats.procs[&pid]
-                .fsyncs
-                .iter()
-                .map(|(_, d)| d.as_millis_f64()),
-        );
-    }
-    BenchRun {
-        events: w.events_processed(),
-        fsync_ms,
-    }
-}
-
 impl std::fmt::Display for FigResult {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
@@ -241,21 +169,40 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bench_helper_counts_events() {
-        let serial = bench_events(None);
-        let depth1 = bench_events(Some(1));
-        assert_eq!(serial, depth1, "depth 1 replays the serial event stream");
-        assert!(serial > 0);
+    /// Run the quick CFQ burst world to its end; events processed and
+    /// A's per-bucket read throughput.
+    fn burst_history(
+        (mut w, k, a): (sim_kernel::World, sim_core::KernelId, sim_core::Pid),
+    ) -> (u64, Vec<f64>) {
+        w.run_for(fig01_write_burst::Config::quick().duration);
+        (w.events_processed(), w.kernel(k).stats.read_ts[&a].mbps())
     }
 
     #[test]
-    fn layered_bench_replays_the_flat_event_stream() {
-        // The overhead pair is only meaningful if both sides simulate
-        // the same history: a single-layer tree must be a pure wrapper.
-        let flat = bench_run(None);
-        let layered = bench_run_layered(None);
-        assert_eq!(flat.events, layered.events);
-        assert_eq!(flat.fsync_ms, layered.fsync_ms);
+    fn depth_1_replays_the_serial_event_stream_on_the_burst_world() {
+        let cfg = fig01_write_burst::Config::quick();
+        let build = |depth| fig01_write_burst::build_burst_world(&cfg, SchedChoice::Cfq, depth);
+        let serial = burst_history(build(None));
+        assert_eq!(serial, burst_history(build(Some(1))));
+        assert!(serial.0 > 0);
+    }
+
+    #[test]
+    fn a_single_catch_all_layer_replays_the_flat_event_stream_on_the_burst_world() {
+        // A single-layer tree must be a pure wrapper: splitbench's
+        // `split-layered.single_layer_vs_flat` is only a dispatch-cost
+        // ratio if both sides simulate the same history.
+        let cfg = fig01_write_burst::Config::quick();
+        let specs = split_layered::parse_layers("all:default:share:cfq").unwrap();
+        let arbiter =
+            crate::setup::build_layered(specs, split_layered::LayeredConfig::default()).unwrap();
+        let flat = fig01_write_burst::build_burst_world(&cfg, SchedChoice::Cfq, None);
+        let layered = fig01_write_burst::build_burst_world_with(
+            &cfg,
+            SchedChoice::Cfq,
+            Box::new(arbiter),
+            None,
+        );
+        assert_eq!(burst_history(flat), burst_history(layered));
     }
 }

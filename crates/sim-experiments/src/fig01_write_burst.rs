@@ -105,10 +105,9 @@ pub fn build_burst_world(
 
 /// [`build_burst_world`] with an explicit scheduler instance. `base`
 /// still drives the kernel flags (pdflush, read gating) and B's
-/// containment attribute, while `instance` is what actually installs —
-/// the bench harness passes CFQ wrapped in a single catch-all layer
-/// here to price the layer plane's indirection against the flat run.
-pub fn build_burst_world_with(
+/// containment attribute, while `instance` is what actually installs
+/// (fig01_qd's tests wrap CFQ in a single catch-all layer here).
+pub(crate) fn build_burst_world_with(
     cfg: &Config,
     base: SchedChoice,
     instance: Box<dyn IoSched>,

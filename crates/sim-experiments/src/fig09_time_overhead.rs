@@ -3,8 +3,9 @@
 //! A no-op scheduler in the split framework (every hook wired) against the
 //! no-op block elevator, with 1–100 threads writing to an SSD. The
 //! simulated results must be identical — the framework adds information,
-//! not policy — and the wall-clock cost of the hooks is measured by the
-//! companion Criterion bench (`fig09_time_overhead` in `crates/bench`).
+//! not policy — and the wall-clock cost of the hooks is measured by
+//! splitbench (`sched.split-noop.ns_per_event` against
+//! `sched.noop.ns_per_event` in `benchmark/`).
 
 use sim_core::SimDuration;
 use sim_workloads::SeqWriter;

@@ -327,29 +327,6 @@ pub fn run(cfg: &Config) -> FigResult {
     }
 }
 
-/// What one quick layered run (SSD, serial plane, all three tenants)
-/// hands the bench harness: total events plus the latency tenant's
-/// fsync latencies. Unlike the `fig01_layered` passthrough probe, this
-/// prices the full arbiter — classification, nested dispatch, cap
-/// charging, dirty budgets, boost windows — plus the layer auditor's
-/// replay, so the regression gate tracks the plane's hot path end to
-/// end.
-pub fn bench_run() -> crate::fig01_qd::BenchRun {
-    let cfg = Config::quick_ssd();
-    let ArmWorld { mut w, k, lat, .. } = build_arm(&cfg, false, true, true);
-    w.run_for(cfg.duration);
-    let fsync_ms = w
-        .kernel(k)
-        .stats
-        .proc(lat)
-        .map(|s| s.fsyncs.iter().map(|(_, d)| d.as_millis_f64()).collect())
-        .unwrap_or_default();
-    crate::fig01_qd::BenchRun {
-        events: w.events_processed(),
-        fsync_ms,
-    }
-}
-
 impl std::fmt::Display for FigResult {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(

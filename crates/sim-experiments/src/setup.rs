@@ -42,6 +42,26 @@ pub enum SchedChoice {
 }
 
 impl SchedChoice {
+    /// Every scheduler with a name of its own, in the check matrix's
+    /// order: `ALL[0]` is the differential reference.
+    pub const ALL: [SchedChoice; 10] = [
+        SchedChoice::Noop,
+        SchedChoice::Cfq,
+        SchedChoice::BlockDeadline,
+        SchedChoice::ScsToken,
+        SchedChoice::Afq,
+        SchedChoice::SplitDeadline,
+        SchedChoice::SplitPdflush,
+        SchedChoice::SplitToken,
+        SchedChoice::SplitNoop,
+        SchedChoice::Layered,
+    ];
+
+    /// The scheduler [`name`](Self::name) spells `name`.
+    pub fn parse(name: &str) -> Option<SchedChoice> {
+        Self::ALL.into_iter().find(|s| s.name() == name)
+    }
+
     /// Instantiate the scheduler (also used by the check harness to pair
     /// each policy with a sabotage wrapper).
     pub fn build(self) -> Box<dyn IoSched> {
@@ -100,19 +120,9 @@ impl SchedChoice {
 /// eligible; "layered" itself is rejected (one level of nesting — the
 /// tree composes flat children).
 pub fn resolve_layer_child(name: &str) -> Option<Box<dyn IoSched>> {
-    let choice = match name {
-        "noop" => SchedChoice::Noop,
-        "cfq" => SchedChoice::Cfq,
-        "block-deadline" => SchedChoice::BlockDeadline,
-        "scs-token" => SchedChoice::ScsToken,
-        "afq" => SchedChoice::Afq,
-        "split-deadline" => SchedChoice::SplitDeadline,
-        "split-pdflush" => SchedChoice::SplitPdflush,
-        "split-token" => SchedChoice::SplitToken,
-        "split-noop" => SchedChoice::SplitNoop,
-        _ => return None,
-    };
-    Some(choice.build())
+    SchedChoice::parse(name)
+        .filter(|&s| s != SchedChoice::Layered)
+        .map(SchedChoice::build)
 }
 
 /// Build a layer tree with children resolved from the flat scheduler
@@ -144,6 +154,22 @@ pub enum DeviceChoice {
 }
 
 impl DeviceChoice {
+    /// Both device models.
+    pub const ALL: [DeviceChoice; 2] = [DeviceChoice::Hdd, DeviceChoice::Ssd];
+
+    /// Short name for labels and the CLI.
+    pub fn name(self) -> &'static str {
+        match self {
+            DeviceChoice::Hdd => "hdd",
+            DeviceChoice::Ssd => "ssd",
+        }
+    }
+
+    /// The device [`name`](Self::name) spells `name`.
+    pub fn parse(name: &str) -> Option<DeviceChoice> {
+        Self::ALL.into_iter().find(|d| d.name() == name)
+    }
+
     /// Instantiate the device model.
     pub fn build(self) -> DeviceKind {
         match self {
@@ -303,6 +329,22 @@ mod tests {
         let (w, k) = build_world(s);
         assert_eq!(w.kernel(k).fs().name(), "xfs");
         assert_eq!(w.kernel(k).sched().name(), "split-token");
+    }
+
+    #[test]
+    fn names_parse_back_and_only_flat_schedulers_nest() {
+        for s in SchedChoice::ALL {
+            assert_eq!(SchedChoice::parse(s.name()), Some(s));
+            assert_eq!(
+                resolve_layer_child(s.name()).is_some(),
+                s != SchedChoice::Layered
+            );
+        }
+        for d in DeviceChoice::ALL {
+            assert_eq!(DeviceChoice::parse(d.name()), Some(d));
+        }
+        assert_eq!(SchedChoice::parse("warp-drive"), None);
+        assert_eq!(DeviceChoice::parse("tape"), None);
     }
 
     #[test]

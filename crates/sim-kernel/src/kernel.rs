@@ -572,7 +572,7 @@ impl Kernel {
     }
 
     /// Snapshot of the recorded block dispatches, if tracing was enabled.
-    pub fn trace_records(&self) -> Option<Vec<crate::trace::TraceRecord>> {
+    pub fn trace_records(&self) -> Option<Vec<sim_trace::TraceRecord>> {
         self.tracer
             .with_block_trace(|t| t.iter().cloned().collect())
     }

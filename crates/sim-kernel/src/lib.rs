@@ -22,12 +22,11 @@ pub mod cpu;
 pub mod kernel;
 pub mod process;
 pub mod stats;
-pub mod trace;
 pub mod world;
 
 pub use cpu::{CpuCosts, CpuModel};
 pub use kernel::{DeviceKind, FsChoice, Kernel, KernelConfig, QueuePlane};
 pub use process::{Outcome, ProcAction, ProcessLogic};
+pub use sim_trace::{RequestTrace, TraceRecord};
 pub use stats::{KernelStats, ProcStats};
-pub use trace::{RequestTrace, TraceRecord};
 pub use world::{AppEvent, Event, InjectTarget, World};

@@ -5,11 +5,14 @@
 //! stddev, and a 95% confidence half-width. The table renders to CSV
 //! and to JSON (hand-rolled — the workspace takes no serialization
 //! dependency); both are deterministic: rows are sorted by label then
-//! metric, and floats print with fixed precision.
+//! metric, and floats print shortest-round-trip the same way in both,
+//! with non-finite values (only possible if every replicate was
+//! dropped) pinned to 0 so the JSON stays valid.
 
 use std::collections::BTreeMap;
 
 use sim_core::stats::{summarize, Summary};
+use sim_trace::json::{escape, num};
 
 /// Aggregated statistics for one metric of one grid cell.
 #[derive(Debug, Clone)]
@@ -55,30 +58,6 @@ pub fn aggregate(samples: &[(String, Vec<(String, f64)>)]) -> SweepReport {
     }
 }
 
-/// Print a float the same way in CSV and JSON: shortest-round-trip,
-/// with non-finite values (only possible if every replicate was
-/// dropped) pinned to 0 so the JSON stays valid.
-fn num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "0".to_string()
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl SweepReport {
     /// Render as CSV: `cell,metric,n,dropped,mean,stddev,ci95`.
     pub fn to_csv(&self) -> String {
@@ -105,8 +84,8 @@ impl SweepReport {
             out.push_str(&format!(
                 "  {{\"cell\": \"{}\", \"metric\": \"{}\", \"n\": {}, \"dropped\": {}, \
                  \"mean\": {}, \"stddev\": {}, \"ci95\": {}}}{}\n",
-                json_escape(&r.label),
-                json_escape(&r.metric),
+                escape(&r.label),
+                escape(&r.metric),
                 r.summary.n,
                 r.summary.dropped,
                 num(r.summary.mean),
@@ -185,5 +164,30 @@ mod tests {
         assert_eq!(json.matches("\"cell\"").count(), rep.rows.len());
         // No trailing comma before the closing bracket.
         assert!(!json.contains(",\n]"));
+    }
+
+    #[test]
+    fn json_round_trips_through_the_parser() {
+        let mut samples = sample();
+        samples.push(("fig\"x\"\t/sched=cfq".into(), vec![("a\\b".into(), 1.5)]));
+        let rep = aggregate(&samples);
+        let doc = sim_trace::json::parse(&rep.to_json()).expect("sweep.json parses");
+        let rows = doc.as_arr().unwrap();
+        assert_eq!(rows.len(), rep.rows.len());
+        for (row, want) in rows.iter().zip(&rep.rows) {
+            assert_eq!(row.get("cell").and_then(|v| v.as_str()), Some(&*want.label));
+            assert_eq!(
+                row.get("metric").and_then(|v| v.as_str()),
+                Some(&*want.metric)
+            );
+            assert_eq!(
+                row.get("n").and_then(|v| v.as_u64()),
+                Some(want.summary.n as u64)
+            );
+            assert_eq!(
+                row.get("mean").and_then(|v| v.as_f64()),
+                Some(want.summary.mean)
+            );
+        }
     }
 }

@@ -7,7 +7,9 @@
 //!              [--sched NAME]... [--device NAME]... [--paper]
 //! runner check [--programs N] [--jobs N] [--root-seed N] [--shrink]
 //!              [--queue-depth N] [--chaos] [--chaos-seed N]
-//!              [--chaos-classes LIST] [--layers SPEC] [--replay FILE]
+//!              [--chaos-classes LIST] [--inject-late] [--layers SPEC]
+//!              [--replay FILE]
+//! runner profile FIGURE [--paper]
 //! runner cluster [--kernels N] [--jobs N] [--arrival NAME] [--rate R]
 //!                [--duration SECS] [--seed N] [--sched NAME] [--csv]
 //! ```
@@ -73,30 +75,20 @@
 //! `--jobs 1` (CI diffs the two). `--csv` writes the raw per-request
 //! samples under `results/`.
 //!
-//! `bench` runs the standard panel (fig01, fig01_qd at depths 1/8/32,
-//! a `check` fuzz batch, the `cluster_small` fleet at 1 and 4 jobs)
-//! `--reps` times each and writes
-//! `BENCH_<git-sha>.json` under `--out` (default `results/bench`). If a
-//! committed baseline exists (`--baseline`, default
-//! `BENCH_baseline.json`) the run is compared against it and exit code
-//! 1 signals an events/sec regression beyond 15% outside the CIs.
-//! `UPDATE_BASELINE=1` rewrites the baseline instead of comparing.
-//! Build with `--features alloc-count` to include peak allocations.
-//!
-//! Unknown targets or flags are an error: usage goes to stderr and the
-//! exit code is 2, so a misspelled `fig99` can't silently run nothing
-//! and exit 0.
+//! Unknown targets or flags, and flags the selected subcommand does not
+//! take, are an error: usage goes to stderr and the exit code is 2, so
+//! a misspelled `fig99` can't silently run nothing and exit 0, and
+//! `fig03 --shrink` can't silently ignore the flag. Host-cost
+//! measurement lives in `benchmark/` (splitbench), not here.
 
 use sim_experiments as exp;
 
-use exp::registry::{FigureId, Profile};
+use exp::registry::FigureId;
 use exp::setup::{DeviceChoice, SchedChoice};
 use sim_core::alloc_count;
 use sim_core::prof::{self, Phase, Profiler};
 use sim_core::{ChaosClass, ChaosConfig};
-use sim_sweep::{
-    bench_batch, run_check, run_figures_with, run_replay, run_sweep, CheckConfig, SweepSpec,
-};
+use sim_sweep::{run_check, run_figures_with, run_replay, run_sweep, CheckConfig, SweepSpec};
 
 const USAGE: &str = "\
 usage: runner [--paper] [--csv] [--trace] [--faults] [--jobs N] [TARGET...]
@@ -107,23 +99,23 @@ usage: runner [--paper] [--csv] [--trace] [--faults] [--jobs N] [TARGET...]
                     [--chaos-classes LIST] [--inject-late] [--layers SPEC]
                     [--replay FILE]
        runner profile FIGURE [--paper]
-       runner bench [--reps N] [--check-programs N] [--root-seed N]
-                    [--out DIR] [--baseline FILE]
        runner cluster [--kernels N] [--jobs N] [--arrival NAME] [--rate R]
                       [--duration SECS] [--seed N] [--sched NAME] [--csv]
 
-targets: fig01 fig03 fig05 fig06 fig09 fig10 fig11 fig12 fig13 fig14
-         fig15 fig16 fig17 fig18 fig19 fig20 fig21 fig_cluster fig_layers
-         ablations breakdown faults all sweep check profile bench cluster
-scheds:  noop cfq block-deadline scs-token afq split-deadline
-         split-pdflush split-token split-noop layered
-devices: hdd ssd
+targets: fig01 fig01_qd fig03 fig05 fig06 fig09 fig10 fig11 fig12 fig13
+         fig14 fig15 fig16 fig17 fig18 fig19 fig20 fig21 fig_cluster
+         fig_layers ablations breakdown faults all sweep check profile
+         cluster
 arrivals: poisson diurnal flash
 chaos classes: wb cpu journal complete";
 
 fn die(msg: &str) -> ! {
     eprintln!("runner: {msg}");
     eprintln!("{USAGE}");
+    let scheds: Vec<_> = SchedChoice::ALL.iter().map(|s| s.name()).collect();
+    let devices: Vec<_> = DeviceChoice::ALL.iter().map(|d| d.name()).collect();
+    eprintln!("scheds: {}", scheds.join(" "));
+    eprintln!("devices: {}", devices.join(" "));
     std::process::exit(2);
 }
 
@@ -138,45 +130,35 @@ fn write_result(dir: &str, name: &str, content: &str) {
     }
 }
 
-fn parse_sched(name: &str) -> Option<SchedChoice> {
-    Some(match name {
-        "noop" => SchedChoice::Noop,
-        "cfq" => SchedChoice::Cfq,
-        "block-deadline" => SchedChoice::BlockDeadline,
-        "scs-token" => SchedChoice::ScsToken,
-        "afq" => SchedChoice::Afq,
-        "split-deadline" => SchedChoice::SplitDeadline,
-        "split-pdflush" => SchedChoice::SplitPdflush,
-        "split-token" => SchedChoice::SplitToken,
-        "split-noop" => SchedChoice::SplitNoop,
-        "layered" => SchedChoice::Layered,
-        _ => return None,
-    })
+/// What a command line selects: one of the four subcommands, or plain
+/// figure targets when it names none.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    Figures,
+    Sweep,
+    Check,
+    Profile,
+    Cluster,
 }
 
-/// Parse and fully validate a `--layers` spec: grammar, tree-level
-/// invariants (unique names, positive caps/weights, trailing default),
-/// and child-scheduler resolution all fail as usage errors (exit 2).
-fn parse_layers_arg(spec: &str) -> Vec<split_layered::LayerSpec> {
-    let specs = split_layered::parse_layers(spec)
-        .unwrap_or_else(|e| die(&format!("invalid --layers spec: {e}")));
-    for s in &specs {
-        if exp::setup::resolve_layer_child(&s.child).is_none() {
-            die(&format!(
-                "invalid --layers spec: layer '{}' names unknown child scheduler '{}'",
-                s.name, s.child
-            ));
+use Mode::{Check, Cluster, Figures, Profile, Sweep};
+
+impl Mode {
+    fn name(self) -> &'static str {
+        match self {
+            Figures => "figure targets",
+            Sweep => "sweep",
+            Check => "check",
+            Profile => "profile",
+            Cluster => "cluster",
         }
     }
-    specs
-}
 
-fn parse_device(name: &str) -> Option<DeviceChoice> {
-    Some(match name {
-        "hdd" => DeviceChoice::Hdd,
-        "ssd" => DeviceChoice::Ssd,
-        _ => return None,
-    })
+    fn parse(name: &str) -> Option<Mode> {
+        [Sweep, Check, Profile, Cluster]
+            .into_iter()
+            .find(|m| m.name() == name)
+    }
 }
 
 #[derive(Default)]
@@ -197,10 +179,6 @@ struct Cli {
     shrink: bool,
     layers: Option<Vec<split_layered::LayerSpec>>,
     replay: Option<String>,
-    reps: Option<usize>,
-    check_programs: Option<usize>,
-    out: Option<String>,
-    baseline: Option<String>,
     kernels: Option<usize>,
     arrival: Option<String>,
     rate: Option<f64>,
@@ -208,185 +186,153 @@ struct Cli {
     seed: Option<u64>,
     scheds: Vec<SchedChoice>,
     devices: Vec<DeviceChoice>,
+    /// Subcommand words, in command-line order.
+    modes: Vec<Mode>,
+    /// Figure names, `all` and `faults`.
     targets: Vec<String>,
 }
 
-fn parse_cli(args: &[String]) -> Cli {
+/// How a flag reads the command line: a bare switch, or a value stored
+/// into the [`Cli`] (`Err` says what was expected instead).
+enum Arg {
+    Switch(fn(&mut Cli)),
+    Value(fn(&mut Cli, &str) -> Result<(), String>),
+}
+use Arg::{Switch, Value};
+
+/// One flag: its name, how it parses, and the subcommands it applies to.
+struct Flag(&'static str, Arg, &'static [Mode]);
+
+/// An integer flag value no smaller than `min`.
+fn at_least<T: std::str::FromStr + PartialOrd + std::fmt::Display>(
+    v: &str,
+    min: T,
+) -> Result<T, String> {
+    let n = v.parse().ok().filter(|n| *n >= min);
+    n.ok_or_else(|| format!("expected an integer >= {min}"))
+}
+
+/// A finite, strictly positive flag value.
+fn positive(v: &str) -> Result<f64, String> {
+    let x = v.parse().ok().filter(|x: &f64| *x > 0.0 && x.is_finite());
+    x.ok_or_else(|| "expected a positive number".to_string())
+}
+
+fn parse_chaos_classes(list: &str) -> Result<Vec<ChaosClass>, String> {
+    list.split(',')
+        .map(|c| ChaosClass::parse(c.trim()).ok_or_else(|| format!("unknown chaos class: {c}")))
+        .collect()
+}
+
+/// Parse and fully validate a `--layers` spec: grammar, tree-level
+/// invariants (unique names, positive caps/weights, trailing default),
+/// and child-scheduler resolution all fail as usage errors (exit 2).
+fn parse_layers_arg(spec: &str) -> Result<Vec<split_layered::LayerSpec>, String> {
+    let specs = split_layered::parse_layers(spec).map_err(|e| e.to_string())?;
+    let orphan = specs
+        .iter()
+        .find(|s| exp::setup::resolve_layer_child(&s.child).is_none());
+    match orphan {
+        Some(s) => Err(format!(
+            "unknown child scheduler '{}' in layer '{}'",
+            s.child, s.name
+        )),
+        None => Ok(specs),
+    }
+}
+
+/// A scheduler, device or arrival looked up by name.
+fn named<T>(found: Option<T>) -> Result<T, String> {
+    found.ok_or_else(|| "not one of the names listed below".to_string())
+}
+
+/// Every flag the runner knows. `main` rejects a flag on any subcommand
+/// its row does not name, so none is ever silently ignored.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag("--paper", Switch(|c| c.paper = true), &[Figures, Sweep, Profile]),
+    Flag("--csv", Switch(|c| c.csv = true), &[Figures, Cluster]),
+    Flag("--trace", Switch(|c| c.trace = true), &[Figures]),
+    Flag("--faults", Switch(|c| c.faults = true), &[Figures]),
+    Flag("--jobs", Value(|c, v| at_least(v, 1).map(|n| c.jobs = Some(n))),
+        &[Figures, Sweep, Check, Cluster]),
+    Flag("--seeds", Value(|c, v| at_least(v, 1).map(|n| c.seeds = Some(n))), &[Sweep]),
+    Flag("--root-seed", Value(|c, v| at_least(v, 0).map(|n| c.root_seed = n)), &[Sweep, Check]),
+    Flag("--sched", Value(|c, v| named(SchedChoice::parse(v)).map(|s| c.scheds.push(s))),
+        &[Sweep, Cluster]),
+    Flag("--device", Value(|c, v| named(DeviceChoice::parse(v)).map(|d| c.devices.push(d))),
+        &[Sweep]),
+    Flag("--programs", Value(|c, v| at_least(v, 1).map(|n| c.programs = Some(n))), &[Check]),
+    Flag("--shrink", Switch(|c| c.shrink = true), &[Check]),
+    Flag("--queue-depth", Value(|c, v| at_least(v, 1).map(|n| c.queue_depth = Some(n))), &[Check]),
+    Flag("--chaos", Switch(|c| c.chaos = true), &[Check]),
+    Flag("--chaos-seed", Value(|c, v| at_least(v, 0).map(|n| c.chaos_seed = Some(n))), &[Check]),
+    Flag("--chaos-classes", Value(|c, v| parse_chaos_classes(v).map(|l| c.chaos_classes = Some(l))),
+        &[Check]),
+    Flag("--inject-late", Switch(|c| c.inject_late = true), &[Check]),
+    Flag("--layers", Value(|c, v| parse_layers_arg(v).map(|l| c.layers = Some(l))), &[Check]),
+    Flag("--replay", Value(|c, v| { c.replay = Some(v.to_string()); Ok(()) }), &[Check]),
+    Flag("--kernels", Value(|c, v| at_least(v, 1).map(|n| c.kernels = Some(n))), &[Cluster]),
+    Flag("--arrival", Value(|c, v| {
+        named(sim_cluster::ArrivalKind::parse(v, 1.0)).map(|_| c.arrival = Some(v.to_string()))
+    }), &[Cluster]),
+    Flag("--rate", Value(|c, v| positive(v).map(|r| c.rate = Some(r))), &[Cluster]),
+    Flag("--duration", Value(|c, v| positive(v).map(|s| c.duration_s = Some(s))), &[Cluster]),
+    Flag("--seed", Value(|c, v| at_least(v, 0).map(|n| c.seed = Some(n))), &[Cluster]),
+];
+
+/// Parse the command line into the [`Cli`] plus the flags it used.
+fn parse_cli(args: &[String]) -> (Cli, Vec<&'static Flag>) {
     let mut cli = Cli::default();
-    let mut it = args.iter().peekable();
-    // Accept both `--flag value` and `--flag=value`.
-    let value = |it: &mut std::iter::Peekable<std::slice::Iter<String>>,
-                 flag: &str,
-                 inline: Option<&str>|
-     -> String {
-        if let Some(v) = inline {
-            return v.to_string();
-        }
-        match it.next() {
-            Some(v) if !v.starts_with("--") => v.clone(),
-            _ => die(&format!("{flag} requires a value")),
-        }
-    };
+    let mut seen = Vec::new();
+    let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let (flag, inline) = match arg.split_once('=') {
+        if !arg.starts_with("--") {
+            match Mode::parse(arg) {
+                Some(m) => cli.modes.push(m),
+                None if FigureId::parse(arg).is_some() || arg == "all" || arg == "faults" => {
+                    cli.targets.push(arg.clone())
+                }
+                None => die(&format!("unknown target: {arg}")),
+            }
+            continue;
+        }
+        // Accept both `--flag value` and `--flag=value`.
+        let (name, inline) = match arg.split_once('=') {
             Some((f, v)) => (f, Some(v)),
             None => (arg.as_str(), None),
         };
-        match flag {
-            "--paper" => cli.paper = true,
-            "--csv" => cli.csv = true,
-            "--trace" => cli.trace = true,
-            "--faults" => cli.faults = true,
-            "--jobs" => {
-                let v = value(&mut it, "--jobs", inline);
-                match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => cli.jobs = Some(n),
-                    _ => die(&format!("invalid --jobs value: {v}")),
+        let Some(flag) = FLAGS.iter().find(|f| f.0 == name) else {
+            die(&format!("unknown flag: {name}"));
+        };
+        seen.push(flag);
+        match flag.1 {
+            Switch(_) if inline.is_some() => die(&format!("{name} takes no value")),
+            Switch(set) => set(&mut cli),
+            Value(set) => {
+                let v = match inline {
+                    Some(v) => v,
+                    None => match it.next() {
+                        Some(v) if !v.starts_with("--") => v,
+                        _ => die(&format!("{name} requires a value")),
+                    },
+                };
+                if let Err(why) = set(&mut cli, v) {
+                    die(&format!("invalid {name} value {v:?}: {why}"));
                 }
-            }
-            "--seeds" => {
-                let v = value(&mut it, "--seeds", inline);
-                match v.parse::<u32>() {
-                    Ok(n) if n >= 1 => cli.seeds = Some(n),
-                    _ => die(&format!("invalid --seeds value: {v}")),
-                }
-            }
-            "--root-seed" => {
-                let v = value(&mut it, "--root-seed", inline);
-                match v.parse::<u64>() {
-                    Ok(n) => cli.root_seed = n,
-                    _ => die(&format!("invalid --root-seed value: {v}")),
-                }
-            }
-            "--programs" => {
-                let v = value(&mut it, "--programs", inline);
-                match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => cli.programs = Some(n),
-                    _ => die(&format!("invalid --programs value: {v}")),
-                }
-            }
-            "--queue-depth" => {
-                let v = value(&mut it, "--queue-depth", inline);
-                match v.parse::<u32>() {
-                    Ok(n) if n >= 1 => cli.queue_depth = Some(n),
-                    _ => die(&format!("invalid --queue-depth value: {v}")),
-                }
-            }
-            "--inject-late" => cli.inject_late = true,
-            "--chaos" => cli.chaos = true,
-            "--chaos-seed" => {
-                let v = value(&mut it, "--chaos-seed", inline);
-                match v.parse::<u64>() {
-                    Ok(n) => cli.chaos_seed = Some(n),
-                    _ => die(&format!("invalid --chaos-seed value: {v}")),
-                }
-            }
-            "--chaos-classes" => {
-                let v = value(&mut it, "--chaos-classes", inline);
-                let classes: Vec<ChaosClass> = v
-                    .split(',')
-                    .map(|c| {
-                        ChaosClass::parse(c.trim())
-                            .unwrap_or_else(|| die(&format!("unknown chaos class: {c}")))
-                    })
-                    .collect();
-                cli.chaos_classes = Some(classes);
-            }
-            "--shrink" => cli.shrink = true,
-            "--layers" => {
-                let v = value(&mut it, "--layers", inline);
-                cli.layers = Some(parse_layers_arg(&v));
-            }
-            "--replay" => {
-                let v = value(&mut it, "--replay", inline);
-                cli.replay = Some(v);
-            }
-            "--reps" => {
-                let v = value(&mut it, "--reps", inline);
-                match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => cli.reps = Some(n),
-                    _ => die(&format!("invalid --reps value: {v}")),
-                }
-            }
-            "--check-programs" => {
-                let v = value(&mut it, "--check-programs", inline);
-                match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => cli.check_programs = Some(n),
-                    _ => die(&format!("invalid --check-programs value: {v}")),
-                }
-            }
-            "--out" => {
-                let v = value(&mut it, "--out", inline);
-                cli.out = Some(v);
-            }
-            "--baseline" => {
-                let v = value(&mut it, "--baseline", inline);
-                cli.baseline = Some(v);
-            }
-            "--kernels" => {
-                let v = value(&mut it, "--kernels", inline);
-                match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => cli.kernels = Some(n),
-                    _ => die(&format!("invalid --kernels value: {v}")),
-                }
-            }
-            "--arrival" => {
-                let v = value(&mut it, "--arrival", inline);
-                if sim_cluster::ArrivalKind::parse(&v, 1.0).is_none() {
-                    die(&format!("unknown arrival process: {v}"));
-                }
-                cli.arrival = Some(v);
-            }
-            "--rate" => {
-                let v = value(&mut it, "--rate", inline);
-                match v.parse::<f64>() {
-                    Ok(r) if r > 0.0 && r.is_finite() => cli.rate = Some(r),
-                    _ => die(&format!("invalid --rate value: {v}")),
-                }
-            }
-            "--duration" => {
-                let v = value(&mut it, "--duration", inline);
-                match v.parse::<f64>() {
-                    Ok(s) if s > 0.0 && s.is_finite() => cli.duration_s = Some(s),
-                    _ => die(&format!("invalid --duration value: {v}")),
-                }
-            }
-            "--seed" => {
-                let v = value(&mut it, "--seed", inline);
-                match v.parse::<u64>() {
-                    Ok(n) => cli.seed = Some(n),
-                    _ => die(&format!("invalid --seed value: {v}")),
-                }
-            }
-            "--sched" => {
-                let v = value(&mut it, "--sched", inline);
-                match parse_sched(&v) {
-                    Some(s) => cli.scheds.push(s),
-                    None => die(&format!("unknown scheduler: {v}")),
-                }
-            }
-            "--device" => {
-                let v = value(&mut it, "--device", inline);
-                match parse_device(&v) {
-                    Some(d) => cli.devices.push(d),
-                    None => die(&format!("unknown device: {v}")),
-                }
-            }
-            f if f.starts_with("--") => die(&format!("unknown flag: {f}")),
-            name => {
-                let known = FigureId::parse(name).is_some()
-                    || matches!(
-                        name,
-                        "all" | "faults" | "sweep" | "check" | "profile" | "bench" | "cluster"
-                    );
-                if !known {
-                    die(&format!("unknown target: {name}"));
-                }
-                cli.targets.push(name.to_string());
             }
         }
     }
-    cli
+    (cli, seen)
+}
+
+/// The configuration scale `--paper` selects.
+fn scale(cli: &Cli) -> exp::registry::Profile {
+    if cli.paper {
+        exp::registry::Profile::Paper
+    } else {
+        exp::registry::Profile::Quick
+    }
 }
 
 fn run_faults(cli: &Cli) {
@@ -426,11 +372,7 @@ fn sweep_main(cli: &Cli) {
             .collect()
     };
     let mut spec = SweepSpec::new(figures);
-    spec.profile = if cli.paper {
-        Profile::Paper
-    } else {
-        Profile::Quick
-    };
+    spec.profile = scale(cli);
     spec.replicates = cli.seeds.unwrap_or(3);
     spec.root_seed = cli.root_seed;
     if !cli.scheds.is_empty() {
@@ -530,8 +472,7 @@ fn cluster_main(cli: &Cli) {
     }
     let rate = cli.rate.unwrap_or(20.0);
     let arrival = cli.arrival.as_deref().unwrap_or("poisson");
-    cfg.arrival = sim_cluster::ArrivalKind::parse(arrival, rate)
-        .unwrap_or_else(|| die(&format!("unknown arrival process: {arrival}")));
+    cfg.arrival = sim_cluster::ArrivalKind::parse(arrival, rate).expect("validated by --arrival");
     match cli.scheds.as_slice() {
         [] => {}
         [s] => {
@@ -576,157 +517,13 @@ fn cluster_main(cli: &Cli) {
     }
 }
 
-/// One fig01 write-burst panel entry at a given queue depth.
-fn burst_target(name: &'static str, depth: Option<u32>) -> bench::BenchTarget {
-    bench::BenchTarget {
-        name,
-        run: Box::new(move || {
-            let r = exp::fig01_qd::bench_run(depth);
-            bench::RunOutput {
-                events: r.events,
-                fsync_ms: r.fsync_ms,
-            }
-        }),
-    }
-}
-
-/// One serving-fleet panel entry at a given worker count. Simulated
-/// output is identical across `jobs`; the panel exists to track
-/// events/sec of the sequential and parallel executors separately.
-fn cluster_target(name: &'static str, jobs: usize) -> bench::BenchTarget {
-    bench::BenchTarget {
-        name,
-        run: Box::new(move || {
-            let r = sim_cluster::run_cluster(&sim_cluster::ClusterConfig::bench_small(), jobs);
-            bench::RunOutput {
-                events: r.events,
-                fsync_ms: r
-                    .samples
-                    .iter()
-                    .filter(|s| s.kind == sim_cluster::ReqKind::Put)
-                    .map(|s| s.service_ms)
-                    .collect(),
-            }
-        }),
-    }
-}
-
-fn bench_main(cli: &Cli) {
-    let reps = cli.reps.unwrap_or(5);
-    let programs = cli.check_programs.unwrap_or(3);
-    let root_seed = cli.root_seed;
-    let targets = vec![
-        burst_target("fig01", None),
-        // The same burst world under a single catch-all layer wrapping
-        // CFQ: byte-identical simulation, so fig01 vs fig01_layered
-        // events/sec is the layer plane's pure dispatch overhead (the
-        // <10% acceptance bar; the delta is printed after the panel).
-        bench::BenchTarget {
-            name: "fig01_layered",
-            run: Box::new(|| {
-                let r = exp::fig01_qd::bench_run_layered(None);
-                bench::RunOutput {
-                    events: r.events,
-                    fsync_ms: r.fsync_ms,
-                }
-            }),
-        },
-        burst_target("fig01_qd_d1", Some(1)),
-        burst_target("fig01_qd_d8", Some(8)),
-        burst_target("fig01_qd_d32", Some(32)),
-        bench::BenchTarget {
-            name: "check",
-            run: Box::new(move || {
-                let b = bench_batch(programs, root_seed);
-                bench::RunOutput {
-                    events: b.events,
-                    fsync_ms: b.fsync_ms,
-                }
-            }),
-        },
-        // The full three-tenant layer plane (SSD serial): prices the
-        // arbiter's whole hot path, auditor replay included.
-        bench::BenchTarget {
-            name: "fig_layers",
-            run: Box::new(|| {
-                let r = exp::fig_layers::bench_run();
-                bench::RunOutput {
-                    events: r.events,
-                    fsync_ms: r.fsync_ms,
-                }
-            }),
-        },
-        cluster_target("cluster_small", 1),
-        cluster_target("cluster_small_j4", 4),
-    ];
-    eprintln!(
-        "bench: {} target(s) x {reps} rep(s), check batch of {programs} program(s), root seed {root_seed}",
-        targets.len()
-    );
-    let report = bench::run_panel(&targets, reps, bench::git_sha());
-    print!("{}", report.render());
-    // The single-layer overhead number the layer plane is held to:
-    // both targets simulate the identical history, so best-of-reps
-    // events/sec is a clean wall-clock comparison.
-    if let (Some(flat), Some(layered)) = (
-        report.targets.iter().find(|t| t.name == "fig01"),
-        report.targets.iter().find(|t| t.name == "fig01_layered"),
-    ) {
-        if layered.best_eps > 0.0 {
-            println!(
-                "single-layer dispatch overhead (fig01 flat vs layered): {:+.1}%",
-                100.0 * (flat.best_eps / layered.best_eps - 1.0)
-            );
-        }
-    }
-    let out_dir = cli.out.as_deref().unwrap_or("results/bench");
-    write_result(
-        out_dir,
-        &format!("BENCH_{}.json", report.git_sha),
-        &report.to_json(),
-    );
-
-    let baseline = cli.baseline.as_deref().unwrap_or("BENCH_baseline.json");
-    if std::env::var("UPDATE_BASELINE")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-    {
-        match std::fs::write(baseline, report.to_json()) {
-            Ok(()) => eprintln!("wrote baseline {baseline}"),
-            Err(e) => die(&format!("cannot write {baseline}: {e}")),
-        }
-        return;
-    }
-    match std::fs::read_to_string(baseline) {
-        Err(_) => {
-            eprintln!("bench: no baseline at {baseline}; set UPDATE_BASELINE=1 to record one");
-        }
-        Ok(text) => {
-            let doc = sim_trace::json::parse(&text)
-                .unwrap_or_else(|e| die(&format!("bad baseline {baseline}: {e}")));
-            let cmp = bench::compare(&report, &doc);
-            print!("{}", cmp.render());
-            if !cmp.passed() {
-                eprintln!("bench: FAIL — events/sec regression vs {baseline}");
-                std::process::exit(1);
-            }
-        }
-    }
-}
-
 fn profile_main(cli: &Cli) {
-    let figs: Vec<&String> = cli.targets.iter().filter(|t| *t != "profile").collect();
-    let name = match figs.as_slice() {
+    let name = match cli.targets.as_slice() {
         [one] => one.as_str(),
         _ => die("profile expects exactly one figure target"),
     };
     let fig = FigureId::parse(name)
         .unwrap_or_else(|| die(&format!("profile expects a figure target, got: {name}")));
-    let profile = if cli.paper {
-        Profile::Paper
-    } else {
-        Profile::Quick
-    };
 
     let p = Profiler::new();
     p.set_enabled(true);
@@ -734,7 +531,7 @@ fn profile_main(cli: &Cli) {
     let t0 = std::time::Instant::now();
     // jobs=1 keeps the figure on this thread, so every world it builds
     // picks up the installed profiler.
-    let outputs = run_figures_with(&[fig], profile, 0, 1, false, false);
+    let outputs = run_figures_with(&[fig], scale(cli), 0, 1, false, false);
     let wall_s = t0.elapsed().as_secs_f64();
     prof::uninstall_thread();
     let snap = p.snapshot();
@@ -743,7 +540,7 @@ fn profile_main(cli: &Cli) {
     for out in &outputs {
         print!("{}", out.summary);
     }
-    print!("{}", bench::render_profile(fig.name(), &snap, &alloc));
+    print!("{}", sim_trace::render_profile(fig.name(), &snap, &alloc));
     // Every pop is one processed event, summed across the figure's worlds.
     let events = snap
         .phases
@@ -763,101 +560,11 @@ fn profile_main(cli: &Cli) {
     write_result(
         "results",
         &format!("profile_{}.json", fig.name()),
-        &bench::profile_json(fig.name(), &snap, &alloc, events, wall_s),
+        &sim_trace::profile_json(fig.name(), &snap, &alloc, events, wall_s),
     );
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = parse_cli(&args);
-
-    let check_mode = cli.targets.iter().any(|t| t == "check");
-    if !check_mode && (cli.chaos || cli.chaos_seed.is_some() || cli.chaos_classes.is_some()) {
-        die("--chaos/--chaos-seed/--chaos-classes only apply to the check target");
-    }
-    if !cli.chaos && (cli.chaos_seed.is_some() || cli.chaos_classes.is_some()) {
-        die("--chaos-seed/--chaos-classes require --chaos");
-    }
-    if !check_mode && cli.layers.is_some() {
-        die("--layers only applies to the check target");
-    }
-
-    let bench_mode = cli.targets.iter().any(|t| t == "bench");
-    if !bench_mode
-        && (cli.reps.is_some()
-            || cli.check_programs.is_some()
-            || cli.out.is_some()
-            || cli.baseline.is_some())
-    {
-        die("--reps/--check-programs/--out/--baseline only apply to the bench target");
-    }
-    if bench_mode {
-        if cli.targets.len() > 1 {
-            die("bench does not combine with other targets");
-        }
-        if cli.paper || cli.csv || cli.trace || cli.faults || cli.jobs.is_some() {
-            die("bench does not combine with --paper/--csv/--trace/--faults/--jobs");
-        }
-        bench_main(&cli);
-        return;
-    }
-
-    let cluster_mode = cli.targets.iter().any(|t| t == "cluster");
-    if !cluster_mode
-        && (cli.kernels.is_some()
-            || cli.arrival.is_some()
-            || cli.rate.is_some()
-            || cli.duration_s.is_some()
-            || cli.seed.is_some())
-    {
-        die("--kernels/--arrival/--rate/--duration/--seed only apply to the cluster target");
-    }
-    if cluster_mode {
-        if cli.targets.len() > 1 {
-            die("cluster does not combine with other targets");
-        }
-        if cli.paper || cli.trace || cli.faults {
-            die("cluster does not combine with --paper/--trace/--faults");
-        }
-        cluster_main(&cli);
-        return;
-    }
-
-    if cli.targets.iter().any(|t| t == "check") {
-        if cli.faults || cli.trace || cli.csv || cli.paper {
-            die("check does not combine with --faults/--csv/--trace/--paper");
-        }
-        if cli.targets.len() > 1 {
-            die("check does not combine with other targets");
-        }
-        check_main(&cli);
-        return;
-    }
-    if cli.queue_depth.is_some() {
-        die("--queue-depth only applies to the check target");
-    }
-    if cli.inject_late {
-        die("--inject-late only applies to the check target");
-    }
-
-    if cli.targets.iter().any(|t| t == "profile") {
-        if cli.csv || cli.trace || cli.faults || cli.jobs.is_some() {
-            die("profile does not combine with --csv/--trace/--faults/--jobs");
-        }
-        profile_main(&cli);
-        return;
-    }
-
-    if cli.targets.iter().any(|t| t == "sweep") {
-        if cli.faults || cli.trace || cli.csv {
-            die("sweep does not combine with --faults/--csv/--trace");
-        }
-        let mut cli = cli;
-        cli.targets.retain(|t| t != "sweep");
-        sweep_main(&cli);
-        return;
-    }
-
+fn figures_main(cli: &Cli) {
     // The fault sweep is opt-in only: `all` keeps producing the
     // fault-free baseline figures, bit-identical run to run.
     let faults = cli.faults || cli.targets.iter().any(|t| t == "faults");
@@ -870,23 +577,61 @@ fn main() {
     let all = (which.is_empty() && !faults) || which.contains(&"all");
 
     if faults {
-        run_faults(&cli);
+        run_faults(cli);
     }
 
-    let profile = if cli.paper {
-        Profile::Paper
-    } else {
-        Profile::Quick
-    };
     let figs: Vec<FigureId> = FigureId::ALL
         .into_iter()
         .filter(|f| all || which.contains(&f.name()))
         .collect();
-    let outputs = run_figures_with(&figs, profile, 0, cli.jobs.unwrap_or(1), cli.csv, cli.trace);
+    let outputs = run_figures_with(
+        &figs,
+        scale(cli),
+        0,
+        cli.jobs.unwrap_or(1),
+        cli.csv,
+        cli.trace,
+    );
     for out in &outputs {
         print!("{}", out.summary);
         for a in &out.artifacts {
             write_result("results", &a.name, &a.content);
         }
+    }
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (cli, seen) = parse_cli(&args);
+    let mode = match cli.modes[..] {
+        [] => Figures,
+        [m] => m,
+        _ => die("subcommands do not combine with each other"),
+    };
+    for Flag(name, _, modes) in seen {
+        if !modes.contains(&mode) {
+            let takers: Vec<_> = modes.iter().map(|m| m.name()).collect();
+            die(&format!(
+                "{name} does not apply to {}; it only applies to: {}",
+                mode.name(),
+                takers.join(", ")
+            ));
+        }
+    }
+    if !cli.chaos && (cli.chaos_seed.is_some() || cli.chaos_classes.is_some()) {
+        die("--chaos-seed/--chaos-classes require --chaos");
+    }
+    if matches!(mode, Check | Cluster) && !cli.targets.is_empty() {
+        die(&format!(
+            "{} does not combine with other targets",
+            mode.name()
+        ));
+    }
+    match mode {
+        Cluster => cluster_main(&cli),
+        Check => check_main(&cli),
+        Profile => profile_main(&cli),
+        Sweep => sweep_main(&cli),
+        Figures => figures_main(&cli),
     }
 }

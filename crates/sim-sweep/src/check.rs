@@ -35,28 +35,10 @@ use split_layered::{LayerRule, LayerSpec, Layered, LayeredConfig};
 use crate::executor::run_indexed;
 
 /// Every scheduler the matrix covers; `ALL_SCHEDS[0]` is the reference.
-pub const ALL_SCHEDS: [SchedChoice; 10] = [
-    SchedChoice::Noop,
-    SchedChoice::Cfq,
-    SchedChoice::BlockDeadline,
-    SchedChoice::ScsToken,
-    SchedChoice::Afq,
-    SchedChoice::SplitDeadline,
-    SchedChoice::SplitPdflush,
-    SchedChoice::SplitToken,
-    SchedChoice::SplitNoop,
-    SchedChoice::Layered,
-];
+pub const ALL_SCHEDS: [SchedChoice; 10] = SchedChoice::ALL;
 
 /// Both device models.
-pub const ALL_DEVICES: [DeviceChoice; 2] = [DeviceChoice::Hdd, DeviceChoice::Ssd];
-
-fn device_name(d: DeviceChoice) -> &'static str {
-    match d {
-        DeviceChoice::Hdd => "hdd",
-        DeviceChoice::Ssd => "ssd",
-    }
-}
+pub const ALL_DEVICES: [DeviceChoice; 2] = DeviceChoice::ALL;
 
 /// A syscall outcome normalized for cross-scheduler comparison: file ids
 /// and cache-hit flags depend on scheduling order, results do not.
@@ -585,11 +567,11 @@ fn check_program_opts(
     for &device in &ALL_DEVICES {
         let reference = run(ALL_SCHEDS[0], device);
         for v in &reference.violations {
-            problems.push(format!("noop/{}: {v}", device_name(device)));
+            problems.push(format!("noop/{}: {v}", device.name()));
         }
         for &sched in &ALL_SCHEDS[1..] {
             let r = run(sched, device);
-            let label = format!("{}/{}", sched.name(), device_name(device));
+            let label = format!("{}/{}", sched.name(), device.name());
             for v in &r.violations {
                 problems.push(format!("{label}: {v}"));
             }
@@ -606,36 +588,6 @@ fn check_program_opts(
         }
     }
     problems
-}
-
-/// What one `bench check` batch measured: total DES events across the
-/// full scheduler × device matrix plus every completed fsync latency.
-#[derive(Debug, Clone)]
-pub struct BenchBatch {
-    /// Events processed, summed over all runs in the batch.
-    pub events: u64,
-    /// Fsync latencies (ms) from every run, in matrix order.
-    pub fsync_ms: Vec<f64>,
-}
-
-/// Run `programs` generated programs through the full
-/// [`ALL_SCHEDS`] × [`ALL_DEVICES`] matrix as a bench workload:
-/// deterministic for a fixed `root_seed`, heavy on fsyncs (generated
-/// programs sync), and exercising every scheduler's decision path.
-pub fn bench_batch(programs: usize, root_seed: u64) -> BenchBatch {
-    let mut events = 0u64;
-    let mut fsync_ms = Vec::new();
-    for idx in 0..programs as u64 {
-        let spec = generate(&mut SimRng::stream(root_seed, idx), &GenConfig::default());
-        for &device in &ALL_DEVICES {
-            for &sched in &ALL_SCHEDS {
-                let r = run_inner(&spec, sched, device, RunOpts::default());
-                events += r.events;
-                fsync_ms.extend(r.fsync_ms);
-            }
-        }
-    }
-    BenchBatch { events, fsync_ms }
 }
 
 /// `runner check` parameters.

@@ -58,24 +58,8 @@ pub struct Cell {
 
 fn sched_name(s: SchedChoice) -> String {
     match s {
-        SchedChoice::Noop => "noop".into(),
-        SchedChoice::Cfq => "cfq".into(),
-        SchedChoice::BlockDeadline => "block-deadline".into(),
         SchedChoice::BlockDeadlineWith(r, w) => format!("block-deadline-{r}-{w}"),
-        SchedChoice::ScsToken => "scs-token".into(),
-        SchedChoice::Afq => "afq".into(),
-        SchedChoice::SplitDeadline => "split-deadline".into(),
-        SchedChoice::SplitPdflush => "split-pdflush".into(),
-        SchedChoice::SplitToken => "split-token".into(),
-        SchedChoice::SplitNoop => "split-noop".into(),
-        SchedChoice::Layered => "layered".into(),
-    }
-}
-
-fn device_name(d: DeviceChoice) -> &'static str {
-    match d {
-        DeviceChoice::Hdd => "hdd",
-        DeviceChoice::Ssd => "ssd",
+        s => s.name().into(),
     }
 }
 
@@ -124,7 +108,7 @@ impl SweepSpec {
                     }
                     if let Some(d) = device {
                         label.push_str("/device=");
-                        label.push_str(device_name(d));
+                        label.push_str(d.name());
                     }
                     for replicate in 0..self.replicates.max(1) {
                         let mut request = CellRequest::new(fig, self.profile, 0);

@@ -7,40 +7,11 @@
 //! Events are emitted sorted by timestamp so consumers that stream the
 //! array (and our own tests) see monotone time.
 
+use crate::json::{escape, num};
 use crate::metrics::Registry;
 use crate::span::SpanRecord;
 use sim_core::{CauseSet, Pid, SimTime};
 use std::collections::HashMap;
-
-/// Escape a string for a JSON string literal (no surrounding quotes).
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render an `f64` as a JSON number. Rust's `Display` for finite
-/// floats is already valid JSON (digits, optional `-`/`.`, no
-/// exponent), but `NaN`/`inf` would come out as bare words and corrupt
-/// the document — a poisoned gauge (e.g. a mean over zero samples)
-/// must not take the whole trace down with it, so those pin to `0`.
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
-}
 
 fn micros(t: SimTime) -> f64 {
     t.as_nanos() as f64 / 1000.0
@@ -84,7 +55,7 @@ pub fn chrome_json(
             format!(
                 r#"{{"ph":"M","name":"thread_name","pid":{process},"tid":{},"args":{{"name":"{}"}}}}"#,
                 pid.raw(),
-                escape_json(&label)
+                escape(&label)
             ),
         ));
     }
@@ -105,7 +76,7 @@ pub fn chrome_json(
             s.start.as_nanos(),
             format!(
                 r#"{{"name":"{}","cat":"{}","ph":"X","ts":{ts:.3},"dur":{dur:.3},"pid":{process},"tid":{},"args":{{"span":{},"parent":{},"causes":"{}"{arg}}}}}"#,
-                escape_json(s.name),
+                escape(s.name),
                 s.layer.name(),
                 s.pid.raw(),
                 s.id.raw(),
@@ -121,9 +92,9 @@ pub fn chrome_json(
                 t.as_nanos(),
                 format!(
                     r#"{{"name":"{}","ph":"C","ts":{:.3},"pid":{process},"tid":0,"args":{{"value":{}}}}}"#,
-                    escape_json(name),
+                    escape(name),
                     micros(t),
-                    json_num(v),
+                    num(v),
                 ),
             ));
         }
@@ -196,12 +167,6 @@ mod tests {
         assert!(json.contains(r#""cat":"syscall""#));
         assert!(json.contains(r#""ph":"C""#));
         assert!(json.contains(r#""arg":9"#));
-    }
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
     }
 
     #[test]

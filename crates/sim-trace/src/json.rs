@@ -1,10 +1,40 @@
 //! A minimal JSON well-formedness checker and value parser (RFC 8259
-//! grammar). The exporters hand-roll their JSON, so tests use
-//! [`validate`] to prove the output parses without pulling a JSON
-//! crate into the offline build, and the bench harness uses [`parse`]
-//! to read committed baselines back. [`validate`] walks the bytes once
-//! and reports the first syntax error with its offset; [`parse`]
-//! builds a [`Value`] tree on top of the same grammar.
+//! grammar), plus the two helpers every hand-rolled emitter in the
+//! workspace writes through ([`escape`], [`num`]). Tests use
+//! [`validate`] and [`parse`] to prove each emitter's output reads back
+//! without pulling a JSON crate into the offline build. [`validate`]
+//! walks the bytes once and reports the first syntax error with its
+//! offset; [`parse`] builds a [`Value`] tree on top of the same grammar.
+
+/// Escape a string for a JSON string literal (no surrounding quotes).
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// Render an `f64` as a JSON number. Rust's `Display` for finite
+/// floats is already valid JSON (digits, optional `-`/`.`, no
+/// exponent), but `NaN`/`inf` would come out as bare words and corrupt
+/// the document — a poisoned gauge (e.g. a mean over zero samples)
+/// must not take the whole document down with it, so those pin to `0`.
+pub fn num(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "0".to_string()
+    }
+}
 
 /// Validate that `s` is a single well-formed JSON value.
 pub fn validate(s: &str) -> Result<(), String> {
@@ -22,8 +52,8 @@ pub fn validate(s: &str) -> Result<(), String> {
 }
 
 /// A parsed JSON value. Objects keep their keys in document order;
-/// lookups are linear scans, which is fine at the sizes the harness
-/// reads (bench reports, trace documents in tests).
+/// lookups are linear scans, which is fine at the sizes read here
+/// (benchmark panels, trace documents in tests).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`.
@@ -434,7 +464,16 @@ impl Checker<'_> {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse, validate, Value};
+    use super::{escape, parse, validate, Value};
+
+    #[test]
+    fn escape_handles_specials_and_round_trips() {
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}"), "\\u0001");
+        let hostile = "q\"\\\n\r\t\u{1}é";
+        let doc = parse(&format!("\"{}\"", escape(hostile))).unwrap();
+        assert_eq!(doc.as_str(), Some(hostile));
+    }
 
     #[test]
     fn parse_builds_the_value_tree() {

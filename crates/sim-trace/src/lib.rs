@@ -35,6 +35,6 @@ pub mod tracer;
 pub use block::{RequestTrace, TraceRecord};
 pub use breakdown::{fsync_breakdown, layer_totals, FsyncBreakdown, FSYNC_COMPONENTS};
 pub use metrics::{Histogram, Registry};
-pub use prof_export::export_profile;
+pub use prof_export::{export_profile, profile_json, render_profile};
 pub use span::{slot_name, Layer, SpanId, SpanRecord};
 pub use tracer::Tracer;
