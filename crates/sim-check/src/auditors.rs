@@ -250,7 +250,8 @@ impl Auditor for JournalOrderAuditor {
 
 /// Scheduler ledgers: surfaces whatever the scheduler's own
 /// [`split_core::IoSched::audit`] reports (Split-Token charge/refund
-/// balance, CFQ slice budgets, token-bucket finiteness).
+/// balance, CFQ slice budgets, token-bucket finiteness, the token gate's
+/// waiter set).
 pub struct SchedLedgerAuditor {
     _priv: (),
 }

@@ -30,7 +30,6 @@ const META_GUESS_BYTES: f64 = 4096.0;
 /// The SCS-Token scheduler.
 pub struct ScsToken {
     buckets: TokenBuckets,
-    held: Vec<Pid>,
     fifo: std::collections::VecDeque<Request>,
     timer_armed: bool,
     tick: SimDuration,
@@ -41,7 +40,6 @@ impl ScsToken {
     pub fn new() -> Self {
         ScsToken {
             buckets: TokenBuckets::new(),
-            held: Vec::new(),
             fifo: std::collections::VecDeque::new(),
             timer_armed: false,
             tick: SimDuration::from_millis(10),
@@ -54,19 +52,10 @@ impl ScsToken {
     }
 
     fn maintenance(&mut self, ctx: &mut SchedCtx<'_>) {
-        let now = ctx.now;
-        let mut kept = Vec::new();
-        for pid in std::mem::take(&mut self.held) {
-            if self.buckets.may_proceed(pid, now) {
-                ctx.wake(pid);
-            } else {
-                kept.push(pid);
-            }
-        }
-        self.held = kept;
-        if !self.held.is_empty() && !self.timer_armed {
+        self.buckets.release_ready(ctx.now, |pid| ctx.wake(pid));
+        if self.buckets.any_held() && !self.timer_armed {
             self.timer_armed = true;
-            ctx.set_timer(now + self.tick);
+            ctx.set_timer(ctx.now + self.tick);
         }
     }
 }
@@ -110,7 +99,7 @@ impl IoSched for ScsToken {
         if self.buckets.may_proceed(sc.pid, ctx.now) {
             return Gate::Proceed;
         }
-        self.held.push(sc.pid);
+        self.buckets.hold(sc.pid);
         if let Some(at) = self.buckets.ready_at(sc.pid, ctx.now) {
             if at < SimTime::MAX {
                 ctx.set_timer(at);
@@ -198,6 +187,24 @@ mod tests {
             Gate::Hold,
             "second 1 MB write exceeds the 1 MB/s budget"
         );
+    }
+
+    #[test]
+    fn audit_surfaces_the_waiter_set_check() {
+        let dev = HddModel::new();
+        let mut s = ScsToken::new();
+        s.configure(Pid(1), SchedAttr::TokenRate(1000));
+        let mut ctx = SchedCtx::new(SimTime::ZERO, &dev);
+        let w = SyscallKind::Write {
+            file: FileId(1),
+            offset: 0,
+            len: 1_000_000,
+        };
+        assert_eq!(s.syscall_enter(&info(1, w, None), &mut ctx), Gate::Hold);
+        assert_eq!(s.audit(false), Vec::<String>::new());
+        // Parking a pid that is already parked breaks the set.
+        s.buckets.hold(Pid(1));
+        assert_eq!(s.audit(false), ["tokens: Pid(1) is held twice"]);
     }
 
     #[test]

@@ -111,7 +111,6 @@ pub struct SplitToken {
     /// Account errors observed (reversals against empty accounts that
     /// would previously have produced NaN balances).
     account_errors: Vec<AccountError>,
-    held: Vec<Pid>,
     // Block level: per-pid read queues (throttled pids are skipped),
     // one write queue (never throttled).
     reads: HashMap<Pid, (SortedQueue, BlockNo)>,
@@ -137,7 +136,6 @@ impl SplitToken {
             prelim: HashMap::new(),
             charged: HashMap::new(),
             account_errors: Vec::new(),
-            held: Vec::new(),
             reads: HashMap::new(),
             writes: SortedQueue::new(),
             write_pos: BlockNo(0),
@@ -179,17 +177,8 @@ impl SplitToken {
     }
 
     fn maintenance(&mut self, ctx: &mut SchedCtx<'_>) {
-        let now = ctx.now;
-        let mut kept = Vec::new();
-        for pid in std::mem::take(&mut self.held) {
-            if self.buckets.may_proceed(pid, now) {
-                ctx.wake(pid);
-            } else {
-                kept.push(pid);
-            }
-        }
-        self.held = kept;
-        if !self.held.is_empty() {
+        self.buckets.release_ready(ctx.now, |pid| ctx.wake(pid));
+        if self.buckets.any_held() {
             self.arm_timer(ctx);
         }
         ctx.kick_dispatch();
@@ -226,7 +215,7 @@ impl IoSched for SplitToken {
         if self.buckets.may_proceed(sc.pid, ctx.now) {
             return Gate::Proceed;
         }
-        self.held.push(sc.pid);
+        self.buckets.hold(sc.pid);
         if let Some(at) = self.buckets.ready_at(sc.pid, ctx.now) {
             if at < SimTime::MAX {
                 ctx.set_timer(at);
@@ -533,6 +522,20 @@ mod tests {
             s.buffer_dirtied(&dirty(1, i * 1000, 1, 4096), &mut ctx);
         }
         assert_eq!(s.syscall_enter(&write_info(1), &mut ctx), Gate::Hold);
+    }
+
+    #[test]
+    fn audit_surfaces_the_waiter_set_check() {
+        let dev = HddModel::new();
+        let mut s = SplitToken::new();
+        s.configure(Pid(1), SchedAttr::TokenRate(1_000_000));
+        let mut ctx = SchedCtx::new(SimTime::ZERO, &dev);
+        s.buckets.charge(Pid(1), 5e6, SimTime::ZERO);
+        assert_eq!(s.syscall_enter(&write_info(1), &mut ctx), Gate::Hold);
+        assert_eq!(s.audit(false), Vec::<String>::new());
+        // Parking a pid that is already parked breaks the set.
+        s.buckets.hold(Pid(1));
+        assert_eq!(s.audit(false), ["tokens: Pid(1) is held twice"]);
     }
 
     #[test]
