@@ -10,7 +10,7 @@
 //! points where every layer's books should agree.
 
 use sim_block::Request;
-use sim_core::{Pid, SimTime, TxnId};
+use sim_core::{Pid, SimDuration, SimTime, TxnId};
 use sim_fault::WriteStep;
 use split_core::SyscallKind;
 
@@ -40,7 +40,9 @@ impl std::fmt::Display for Violation {
 }
 
 /// A cross-layer transition observed by the kernel, with payloads borrowed
-/// from the kernel's own state.
+/// from the kernel's own state. This is the kernel's only outlet for
+/// simulated events: invariant auditors, the span tracer and the block
+/// trace all subscribe to it.
 #[derive(Debug)]
 pub enum AuditEvent<'a> {
     /// A process entered a system call.
@@ -50,10 +52,30 @@ pub enum AuditEvent<'a> {
         /// What it asked for.
         kind: &'a SyscallKind,
     },
-    /// A system call completed (the process was unblocked).
+    /// The scheduler's entry gate parked the caller (`Gate::Hold`).
+    GateHeld {
+        /// The parked process.
+        pid: Pid,
+    },
+    /// A write was parked because dirty pages are over `dirty_ratio`.
+    DirtyThrottled {
+        /// The parked process.
+        pid: Pid,
+    },
+    /// A gate-held or dirty-throttled caller resumed its syscall body.
+    WaitEnded {
+        /// The resumed process.
+        pid: Pid,
+    },
+    /// A system call completed (the process was unblocked). Emitted before
+    /// the scheduler's exit hook runs, so calls the hook wakes exit after it.
     SyscallExit {
         /// The calling process.
         pid: Pid,
+        /// What it had asked for.
+        kind: &'a SyscallKind,
+        /// When it entered.
+        entered: SimTime,
     },
     /// A request entered the block layer, with its write-ahead protocol
     /// role (`step`) as declared by the file system.
@@ -62,22 +84,17 @@ pub enum AuditEvent<'a> {
         req: &'a Request,
         /// Protocol role of the write ([`WriteStep::Untracked`] for reads).
         step: &'a WriteStep,
+        /// Requests the scheduler already held, this one excluded.
+        sched_queued: usize,
     },
     /// The scheduler handed a request to the device.
     BlockDispatched {
         /// The dispatched request.
         req: &'a Request,
     },
-    /// A request left the device.
-    BlockFinished {
-        /// The finished request.
-        req: &'a Request,
-        /// Whether it failed (fault injection) rather than completed.
-        failed: bool,
-    },
     /// The device accepted a request into a hardware-queue slot. The
-    /// legacy serial device reports its single slot as slot 0 with
-    /// depth 1, so the in-flight ledger is audited on every plane.
+    /// single-slot serial and virtio devices report slot 0 with depth 1,
+    /// so the in-flight ledger is audited on every plane.
     SlotAcquired {
         /// The accepted request.
         req: &'a Request,
@@ -87,6 +104,9 @@ pub enum AuditEvent<'a> {
         in_flight: u32,
         /// Configured hardware queue depth.
         depth: u32,
+        /// Whether `slot` is a real tag of the queued plane (at any depth)
+        /// rather than the single-slot device's implicit one.
+        queued_plane: bool,
     },
     /// A request left its hardware-queue slot (completed or failed).
     SlotReleased {
@@ -96,6 +116,27 @@ pub enum AuditEvent<'a> {
         slot: u32,
         /// Requests inside the device after this release.
         in_flight: u32,
+        /// As in [`AuditEvent::SlotAcquired`].
+        queued_plane: bool,
+    },
+    /// A finished request's service time was billed to one of its causes.
+    DiskCharged {
+        /// The billed process.
+        pid: Pid,
+        /// Its cumulative disk time after this charge, seconds.
+        total_s: f64,
+    },
+    /// A request left the device. Emitted before the scheduler and file
+    /// system completion hooks run.
+    BlockFinished {
+        /// The finished request.
+        req: &'a Request,
+        /// Whether it failed (fault injection) rather than completed.
+        failed: bool,
+        /// Time it spent in service (zero on a virtio disk).
+        service: SimDuration,
+        /// Requests the scheduler still holds.
+        sched_queued: usize,
     },
     /// The file system declared a journal transaction durable.
     TxnCommitted {
@@ -144,6 +185,14 @@ pub trait Auditor {
     fn on_checkpoint(&mut self, cp: &AuditCheckpoint<'_>, out: &mut Vec<String>) {
         let _ = (cp, out);
     }
+
+    /// Whether this subscriber reads checkpoints. Event-only probes (span
+    /// tracing, the block trace) say no, so a kernel that is traced but
+    /// not audited never builds the snapshot — the scheduler's self-audit
+    /// and the dirty-extent re-sum are the expensive part of auditing.
+    fn wants_checkpoints(&self) -> bool {
+        true
+    }
 }
 
 /// Cap on recorded violations: a systematically broken invariant fires on
@@ -152,7 +201,10 @@ const MAX_VIOLATIONS: usize = 256;
 
 /// The installed set of auditors plus the violations they have found.
 pub struct AuditPlane {
+    /// Subscribers, run in registration order.
     auditors: Vec<Box<dyn Auditor>>,
+    /// Whether any of them [`Auditor::wants_checkpoints`].
+    checkpoints: bool,
     violations: Vec<Violation>,
     /// Total violations observed, including those dropped past the cap.
     total: u64,
@@ -173,6 +225,7 @@ impl AuditPlane {
     /// A plane running the given auditors.
     pub fn new(auditors: Vec<Box<dyn Auditor>>) -> Self {
         AuditPlane {
+            checkpoints: auditors.iter().any(|a| a.wants_checkpoints()),
             auditors,
             violations: Vec::new(),
             total: 0,
@@ -198,7 +251,28 @@ impl AuditPlane {
     /// check harness adds scheduler-specific batteries (e.g. the
     /// [`crate::LayerAuditor`]) to [`AuditPlane::standard`].
     pub fn push(&mut self, auditor: Box<dyn Auditor>) {
+        self.checkpoints |= auditor.wants_checkpoints();
         self.auditors.push(auditor);
+    }
+
+    /// Append the auditors of `other`, a plane that has not observed
+    /// anything yet, behind this plane's own — installing a second plane
+    /// on a kernel adds subscribers, it does not replace the first.
+    pub fn merge(&mut self, other: AuditPlane) {
+        self.checkpoints |= other.checkpoints;
+        self.auditors.extend(other.auditors);
+    }
+
+    /// Whether any subscriber reads checkpoints (see
+    /// [`Auditor::wants_checkpoints`]).
+    pub fn wants_checkpoints(&self) -> bool {
+        self.checkpoints
+    }
+
+    /// Record a violation found outside the auditors — the kernel's stall
+    /// report names blocked parties this way.
+    pub fn report(&mut self, at: SimTime, auditor: &'static str, message: String) {
+        Self::record(&mut self.violations, &mut self.total, at, auditor, message);
     }
 
     /// Feed one transition to every auditor.

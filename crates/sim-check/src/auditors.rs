@@ -171,7 +171,7 @@ impl Auditor for JournalOrderAuditor {
 
     fn on_event(&mut self, _now: SimTime, ev: &AuditEvent<'_>, out: &mut Vec<String>) {
         match ev {
-            AuditEvent::BlockSubmitted { req, step } => match step {
+            AuditEvent::BlockSubmitted { req, step, .. } => match step {
                 WriteStep::Data { .. } if req.submitter == JOURNAL_PID => {
                     // Part of a commit's ordered-data flush.
                     self.roles.insert(req.id, ReqRole::JournalData);
@@ -209,7 +209,7 @@ impl Auditor for JournalOrderAuditor {
                 }
                 WriteStep::Checkpoint { .. } | WriteStep::Untracked | WriteStep::Data { .. } => {}
             },
-            AuditEvent::BlockFinished { req, failed } => match self.roles.remove(&req.id) {
+            AuditEvent::BlockFinished { req, failed, .. } => match self.roles.remove(&req.id) {
                 Some(ReqRole::JournalData) => {
                     self.inflight_journal_data.remove(&req.id);
                 }
@@ -358,6 +358,7 @@ impl Auditor for InflightAuditor {
                 slot,
                 in_flight,
                 depth,
+                ..
             } => {
                 if *slot >= *depth {
                     out.push(format!(
@@ -396,6 +397,7 @@ impl Auditor for InflightAuditor {
                 req,
                 slot,
                 in_flight,
+                ..
             } => {
                 match self.slot_of.remove(&req.id) {
                     None => out.push(format!(
@@ -441,7 +443,7 @@ pub const PROXY_PIDS: [Pid; 2] = [JOURNAL_PID, WRITEBACK_PID];
 mod tests {
     use super::*;
     use sim_block::Request;
-    use sim_core::{BlockNo, CauseSet, FileId};
+    use sim_core::{BlockNo, CauseSet, FileId, SimDuration};
     use sim_device::IoDir;
 
     fn req(id: u64, causes: CauseSet) -> Request {
@@ -501,6 +503,7 @@ mod tests {
             &AuditEvent::BlockSubmitted {
                 req: &r,
                 step: &step,
+                sched_queued: 0,
             },
             &mut out,
         );
@@ -521,13 +524,19 @@ mod tests {
         };
         let commit = req(3, CauseSet::empty());
         let cstep = WriteStep::CommitRecord { txn: t };
-        let ev = |req, step| AuditEvent::BlockSubmitted { req, step };
+        let ev = |req, step| AuditEvent::BlockSubmitted {
+            req,
+            step,
+            sched_queued: 0,
+        };
         a.on_event(SimTime::ZERO, &ev(&data, &dstep), &mut out);
         a.on_event(
             SimTime::ZERO,
             &AuditEvent::BlockFinished {
                 req: &data,
                 failed: false,
+                service: SimDuration::ZERO,
+                sched_queued: 0,
             },
             &mut out,
         );
@@ -537,6 +546,8 @@ mod tests {
             &AuditEvent::BlockFinished {
                 req: &log,
                 failed: false,
+                service: SimDuration::ZERO,
+                sched_queued: 0,
             },
             &mut out,
         );
@@ -546,6 +557,8 @@ mod tests {
             &AuditEvent::BlockFinished {
                 req: &commit,
                 failed: false,
+                service: SimDuration::ZERO,
+                sched_queued: 0,
             },
             &mut out,
         );
@@ -572,6 +585,7 @@ mod tests {
                 slot: 0,
                 in_flight: 1,
                 depth: 8,
+                queued_plane: true,
             },
             &mut out,
         );
@@ -581,6 +595,7 @@ mod tests {
                 req: &r,
                 slot: 0,
                 in_flight: 0,
+                queued_plane: true,
             },
             &mut out,
         );
@@ -591,6 +606,7 @@ mod tests {
                 req: &r,
                 slot: 0,
                 in_flight: 0,
+                queued_plane: true,
             },
             &mut out,
         );
@@ -611,6 +627,7 @@ mod tests {
                 slot: 0,
                 in_flight: 1,
                 depth: 1,
+                queued_plane: true,
             },
             &mut out,
         );
@@ -623,6 +640,7 @@ mod tests {
                 slot: 0,
                 in_flight: 2,
                 depth: 1,
+                queued_plane: true,
             },
             &mut out,
         );
@@ -645,6 +663,7 @@ mod tests {
                 slot: 3,
                 in_flight: 1,
                 depth: 8,
+                queued_plane: true,
             },
             &mut out,
         );

@@ -159,7 +159,7 @@ impl Auditor for LayerAuditor {
                     ));
                 }
             }
-            AuditEvent::SyscallExit { pid } => {
+            AuditEvent::SyscallExit { pid, .. } => {
                 let Some((i, bytes)) = self.pending.remove(pid) else {
                     out.push(format!("pid {} exited a syscall that never entered", pid.0));
                     return;
@@ -263,7 +263,11 @@ mod tests {
             );
             a.on_event(
                 SimTime::from_nanos(k + 1),
-                &AuditEvent::SyscallExit { pid: Pid(1) },
+                &AuditEvent::SyscallExit {
+                    pid: Pid(1),
+                    kind: &kind,
+                    entered: SimTime::from_nanos(k),
+                },
                 &mut out,
             );
         }
@@ -293,7 +297,15 @@ mod tests {
                 },
                 &mut out,
             );
-            a.on_event(t, &AuditEvent::SyscallExit { pid: Pid(1) }, &mut out);
+            a.on_event(
+                t,
+                &AuditEvent::SyscallExit {
+                    pid: Pid(1),
+                    kind: &kind,
+                    entered: t,
+                },
+                &mut out,
+            );
         }
         assert_eq!(out, Vec::<String>::new());
     }

@@ -5,6 +5,7 @@
 //! exporter, cause-tag round-tripping, the latency decomposition, and
 //! that tracing is pure observation (it never perturbs the simulation).
 
+use sim_check::AuditPlane;
 use sim_core::{KernelId, Pid};
 use sim_core::{SimDuration, SimTime};
 use sim_experiments::{build_world, SchedChoice, Setup, KB, MB};
@@ -15,10 +16,21 @@ use split_core::SchedAttr;
 
 /// Figure-12-shaped world: A appends and fsyncs, B checkpoints.
 fn contention_world(trace: bool) -> (World, KernelId, Pid, Pid) {
-    let (mut w, k) = build_world(Setup::new(SchedChoice::SplitDeadline));
-    if trace {
-        w.enable_tracing(k);
-    }
+    contention_world_on(Setup::new(SchedChoice::SplitDeadline), |w, k| {
+        if trace {
+            w.enable_tracing(k);
+        }
+    })
+}
+
+/// [`contention_world`] on an arbitrary device plane, with `observe`
+/// installing whatever observers the test wants before anything runs.
+fn contention_world_on(
+    setup: Setup,
+    observe: impl FnOnce(&mut World, KernelId),
+) -> (World, KernelId, Pid, Pid) {
+    let (mut w, k) = build_world(setup);
+    observe(&mut w, k);
     let a_file = w.prealloc_file(k, 64 * MB, true);
     let b_file = w.prealloc_file(k, 256 * MB, true);
     let a = w.spawn(
@@ -168,20 +180,48 @@ fn breakdown_components_sum_to_end_to_end() {
 
 #[test]
 fn tracing_is_pure_observation() {
-    // The same workload with tracing on and off must produce bit-equal
-    // simulated outcomes — instrumentation can observe but not perturb.
-    let sample = |traced: bool| -> Vec<(u64, u64)> {
-        let (w, k, a, _) = contention_world(traced);
-        let st = w.kernel(k).stats.proc(a).expect("A ran");
-        st.fsyncs
-            .iter()
-            .map(|(t, d)| (t.as_nanos(), d.as_nanos()))
-            .collect()
+    // The same workload with every observer installed — spans, the block
+    // trace and the standard auditors — and with none must produce
+    // bit-equal simulated outcomes: subscribers can observe but not
+    // perturb, and installing them schedules no event of its own.
+    let sample = |observed: bool| {
+        let (w, k, a, b) = contention_world_on(Setup::new(SchedChoice::SplitDeadline), |w, k| {
+            if observed {
+                w.enable_tracing(k);
+                w.kernel_mut(k).enable_trace(1 << 16);
+                w.kernel_mut(k).install_audit_plane(AuditPlane::standard());
+            }
+        });
+        let kernel = w.kernel(k);
+        if observed {
+            assert!(!w.tracer(k).spans().is_empty());
+            assert!(!kernel.trace_records().expect("installed").is_empty());
+            let plane = kernel.audit_plane().expect("installed");
+            assert_eq!(plane.violations().len(), 0, "{:?}", plane.violations());
+        }
+        let procs = [a, b].map(|pid| {
+            let st = kernel.stats.proc(pid).expect("ran");
+            let fsyncs: Vec<(u64, u64)> = st
+                .fsyncs
+                .iter()
+                .map(|(t, d)| (t.as_nanos(), d.as_nanos()))
+                .collect();
+            (st.writes, st.write_bytes, st.gated_time, fsyncs)
+        });
+        (
+            w.events_processed(),
+            kernel.stats.requests_dispatched,
+            kernel.stats.device_bytes,
+            procs,
+        )
     };
-    let traced = sample(true);
-    let plain = sample(false);
-    assert!(!traced.is_empty());
-    assert_eq!(traced, plain, "tracing must not change simulated behavior");
+    let observed = sample(true);
+    assert!(!observed.3[0].3.is_empty(), "A completed fsyncs");
+    assert_eq!(
+        observed,
+        sample(false),
+        "observers must not change simulated behavior"
+    );
 }
 
 #[test]
@@ -232,4 +272,73 @@ fn time_is_simulated_not_wall_clock() {
         }
         assert!(s.start >= SimTime::ZERO);
     }
+}
+
+/// `len:fnv1a64` of an export — enough to pin multi-megabyte traces byte
+/// for byte without committing them.
+fn digest(s: &str) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in s.bytes() {
+        h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+    }
+    format!("{}:{h:016x}", s.len())
+}
+
+/// Every export the kernel-side tracing feeds, digested. Span ids are
+/// allocation-ordered and histogram sums are float-add-ordered, so the
+/// digests pin the *order* of the kernel's probe emissions, not just
+/// their content.
+fn seam_digests() -> String {
+    use sim_experiments::registry::{run_cell, CellRequest, FigureId, Profile};
+    let mut out = String::new();
+    let planes = [
+        ("serial", Setup::new(SchedChoice::SplitDeadline)),
+        (
+            "ssd_qd8",
+            Setup::new(SchedChoice::SplitDeadline)
+                .on_ssd()
+                .queue_depth(8),
+        ),
+    ];
+    for (plane, setup) in planes {
+        let (w, k, _, _) = contention_world_on(setup, |w, k| w.enable_tracing(k));
+        let tr = w.tracer(k);
+        let registry = tr.with_registry(|r| r.summary_csv() + &r.gauges_csv());
+        for (export, text) in [
+            ("chrome_json", tr.chrome_json()),
+            ("spans_csv", tr.spans_csv()),
+            ("registry", registry),
+        ] {
+            out.push_str(&format!("contention/{plane}/{export} {}\n", digest(&text)));
+        }
+    }
+    let traced = run_cell(&CellRequest {
+        trace: true,
+        ..CellRequest::new(FigureId::Fig12, Profile::Quick, 0)
+    });
+    for a in &traced.artifacts {
+        out.push_str(&format!("fig12/{} {}\n", a.name, digest(&a.content)));
+    }
+    let breakdown = run_cell(&CellRequest::new(FigureId::Breakdown, Profile::Quick, 0));
+    out.push_str(&format!(
+        "breakdown/stdout {}\n",
+        digest(&breakdown.summary)
+    ));
+    out
+}
+
+#[test]
+fn trace_exports_match_the_pinned_digests() {
+    // Recorded with the kernel calling the tracer inline, so they hold
+    // `SpanProbe` to that exact call order; regenerate with
+    // UPDATE_GOLDEN=1 only for an intended change to what is traced.
+    let got = seam_digests();
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden/trace_seam_digests.txt");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &got).expect("write digests");
+        return;
+    }
+    let want = std::fs::read_to_string(&path).expect("digest fixture exists");
+    assert_eq!(got, want, "a traced export drifted from its pinned digest");
 }

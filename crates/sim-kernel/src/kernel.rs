@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 
 use sim_block::{Dispatch, IoPrio, MqDispatch, PrioClass, QueueOccupancy, ReqKind, Request};
 use sim_cache::{CacheConfig, PageCache};
-use sim_check::{AuditCheckpoint, AuditEvent, AuditPlane};
+use sim_check::{AuditCheckpoint, AuditEvent, AuditPlane, Auditor};
 use sim_core::prof::{self, Phase, Profiler};
 use sim_core::stats::TimeSeries;
 use sim_core::{
@@ -17,7 +17,7 @@ use sim_core::{FastMap, FastSet};
 use sim_device::{DiskModel, HddModel, QueuedDevice, QueuedDeviceConfig, SsdModel};
 use sim_fault::{DeviceFaultPlane, Fault, WriteStep};
 use sim_fs::{Extent, FileSystem, FsConfig, FsEvent, FsOutput, IoToken, JournaledFs};
-use sim_trace::{slot_name, Layer, RequestTrace, SpanId, Tracer};
+use sim_trace::{RequestTrace, Tracer};
 use split_core::{
     BufferDirtied, BufferFreed, Gate, IoSched, SchedAttr, SchedCmd, SchedCtx, SyscallInfo,
     SyscallKind,
@@ -25,8 +25,11 @@ use split_core::{
 
 use crate::cpu::{CpuCosts, CpuModel};
 use crate::process::{Outcome, ProcAction, ProcessLogic};
+use crate::span_probe::{BlockTraceProbe, SpanProbe};
 use crate::stats::KernelStats;
 use crate::world::{AppEvent, Bus, CrossAction, Event, InjectTarget};
+
+mod stall;
 
 /// The device backing a kernel's block layer.
 pub enum DeviceKind {
@@ -200,9 +203,6 @@ pub struct KernelConfig {
     /// (the default) keeps the historical on-disk layout; sweeps set it to
     /// vary allocator and metadata placement across replicates.
     pub fs_seed: u64,
-    /// Cross-layer invariant auditors. `None` (the default) keeps every
-    /// hot path free of audit bookkeeping, mirroring the fault plane.
-    pub audit: Option<AuditPlane>,
     /// Adversarial timing perturbation (the chaos plane). `None` (the
     /// default) keeps every run byte-identical to a build without the
     /// plane; `Some` jitters writeback wakeups, CPU slices, journal
@@ -226,7 +226,6 @@ impl Default for KernelConfig {
             wb_batch_pages: 2048,
             wb_tick: SimDuration::from_millis(200),
             fs_seed: 0,
-            audit: None,
             chaos: None,
             queue: QueuePlane::Serial,
         }
@@ -259,10 +258,6 @@ struct CurSyscall {
     gate_since: Option<SimTime>,
     gated: bool,
     pending_io: FastSet<RequestId>,
-    /// The syscall-layer span covering this call.
-    span: SpanId,
-    /// An open gate-wait or dirty-wait child span, if parked.
-    wait_span: SpanId,
     /// First I/O error hit by this call's requests (fault injection); the
     /// call completes with `Outcome::Failed` once its I/O drains.
     error: Option<IoError>,
@@ -282,10 +277,6 @@ struct ReqMeta {
     reader: Option<Pid>,
     fill: Option<(FileId, u64, u64)>,
     dirty_pages: u64,
-    /// Block-layer queue span (submit → dispatch).
-    queue_span: SpanId,
-    /// Device service span (dispatch → completion).
-    device_span: SpanId,
     /// Set at dispatch when the fault plane failed this request; routed to
     /// `io_failed`/`block_failed` instead of the success paths.
     failed: Option<IoError>,
@@ -293,9 +284,6 @@ struct ReqMeta {
     /// queued plane (the device applies it when the request enters
     /// service, which may be later).
     spike: Option<f64>,
-    /// Parent for the per-slot device span on the queued plane, stashed
-    /// at dispatch (the slot span opens at device acceptance).
-    span_parent: SpanId,
 }
 
 /// One simulated machine.
@@ -332,8 +320,10 @@ pub struct Kernel {
     /// Fault-injection plan, if installed. `None` (the default) keeps the
     /// dispatch path byte-for-byte identical to the fault-free build.
     fault_plane: Option<DeviceFaultPlane>,
-    /// Invariant auditors, if installed (same opt-in contract as the
-    /// fault plane).
+    /// Subscribers to the kernel's event stream — invariant auditors,
+    /// the span tracer, the block trace — if any are installed (same
+    /// opt-in contract as the fault plane). The only outlet for simulated
+    /// events: every site below reports through [`emit`], once.
     audit: Option<AuditPlane>,
     /// Chaos plane, if installed (same opt-in contract as the fault
     /// plane). Its completion-jitter stream lives inside the queued
@@ -361,11 +351,10 @@ impl Kernel {
     /// Build a kernel. Called through [`crate::World::add_kernel`].
     pub(crate) fn new(
         id: KernelId,
-        mut cfg: KernelConfig,
+        cfg: KernelConfig,
         device: DeviceKind,
         sched: Box<dyn IoSched>,
     ) -> Self {
-        let audit = cfg.audit.take();
         let journal_pid = Pid(1);
         let writeback_pid = Pid(2);
         let blocks = device.capacity_blocks();
@@ -422,7 +411,7 @@ impl Kernel {
             stats: KernelStats::default(),
             tracer,
             fault_plane: None,
-            audit,
+            audit: None,
             chaos,
             prof: prof::thread_profiler(),
             read_miss_scratch: Vec::new(),
@@ -547,7 +536,10 @@ impl Kernel {
     /// (syscall gate, cache, fs journal, block queue, device service).
     /// Export with [`Kernel::tracer`] (`chrome_json`, `spans_csv`, ...).
     pub fn enable_tracing(&mut self) {
-        self.tracer.set_enabled(true);
+        if !self.tracer.enabled() {
+            self.tracer.set_enabled(true);
+            self.subscribe(Box::new(SpanProbe::new(self.tracer.clone())));
+        }
     }
 
     /// The tracing handle shared by every layer of this kernel.
@@ -557,29 +549,18 @@ impl Kernel {
 
     /// Record every dispatched request into an in-memory trace
     /// (capacity-bounded, oldest kept); retrieve it with
-    /// [`Kernel::trace_records`] or [`Kernel::trace_csv`].
+    /// [`Kernel::trace_records`].
     pub fn enable_trace(&mut self, capacity: usize) {
-        self.tracer
-            .install_block_trace(RequestTrace::with_capacity(capacity));
-    }
-
-    /// Like [`Kernel::enable_trace`], but as a ring buffer that keeps the
-    /// *newest* `capacity` dispatches — for long runs where the interesting
-    /// window is the end.
-    pub fn enable_trace_ring(&mut self, capacity: usize) {
-        self.tracer
-            .install_block_trace(RequestTrace::ring(capacity));
+        let table = RequestTrace::with_capacity(capacity);
+        if !self.tracer.install_block_trace(table) {
+            self.subscribe(Box::new(BlockTraceProbe::new(self.tracer.clone())));
+        }
     }
 
     /// Snapshot of the recorded block dispatches, if tracing was enabled.
     pub fn trace_records(&self) -> Option<Vec<sim_trace::TraceRecord>> {
         self.tracer
             .with_block_trace(|t| t.iter().cloned().collect())
-    }
-
-    /// CSV export of the block trace, if tracing was enabled.
-    pub fn trace_csv(&self) -> Option<String> {
-        self.tracer.with_block_trace(|t| t.to_csv())
     }
 
     /// Install a device fault plan. Only physical devices are affected;
@@ -594,10 +575,18 @@ impl Kernel {
         self.fault_plane.as_ref()
     }
 
-    /// Install an invariant auditor plane (alternative to
-    /// [`KernelConfig::audit`] for kernels built before the plane exists).
+    /// Install an auditor plane. Its auditors join whatever already
+    /// subscribes to the kernel's events (tracing, an earlier plane) and
+    /// run after them, in registration order.
     pub fn install_audit_plane(&mut self, plane: AuditPlane) {
-        self.audit = Some(plane);
+        match self.audit.as_mut() {
+            Some(installed) => installed.merge(plane),
+            None => self.audit = Some(plane),
+        }
+    }
+
+    fn subscribe(&mut self, subscriber: Box<dyn Auditor>) {
+        self.install_audit_plane(AuditPlane::new(vec![subscriber]));
     }
 
     /// The installed auditor plane, if any (inspect its violations).
@@ -622,18 +611,11 @@ impl Kernel {
         self.audit_checkpoint(bus, true);
     }
 
-    /// Feed one audit event to the plane, if installed.
-    fn audit_event(&mut self, now: SimTime, ev: AuditEvent<'_>) {
-        if let Some(plane) = self.audit.as_mut() {
-            plane.observe(now, &ev);
-        }
-    }
-
     /// Snapshot cross-layer counters for the plane's checkpoint auditors.
     fn audit_checkpoint(&mut self, bus: &Bus, quiesced: bool) {
-        if self.audit.is_none() {
+        let Some(plane) = self.audit.as_mut().filter(|p| p.wants_checkpoints()) else {
             return;
-        }
+        };
         let sched_errors = self.sched.audit(quiesced);
         let cp = AuditCheckpoint {
             now: bus.q.now(),
@@ -643,7 +625,7 @@ impl Kernel {
             late_events: bus.q.late_schedules(),
             quiesced,
         };
-        self.audit.as_mut().expect("checked above").checkpoint(&cp);
+        plane.checkpoint(&cp);
     }
 
     /// The writeback daemon's pid.
@@ -742,26 +724,6 @@ impl Kernel {
         }
     }
 
-    /// Completion of a virtual-disk request (host syscall finished).
-    pub(crate) fn virtio_done(&mut self, req_id: RequestId, bus: &mut Bus) {
-        let Some((req, _)) = self.inflight.take() else {
-            return;
-        };
-        debug_assert_eq!(req.id, req_id);
-        if self.audit.is_some() {
-            let now = bus.q.now();
-            self.audit_event(
-                now,
-                AuditEvent::SlotReleased {
-                    req: &req,
-                    slot: 0,
-                    in_flight: 0,
-                },
-            );
-        }
-        self.finish_request(req, SimDuration::ZERO, bus);
-    }
-
     // ---- process scheduling -----------------------------------------------
 
     fn proc_step(&mut self, pid: Pid, bus: &mut Bus) {
@@ -809,55 +771,22 @@ impl Kernel {
         self.attrs.get(&pid).map(|a| a.ioprio).unwrap_or_default()
     }
 
-    fn cur_mut(&mut self, pid: Pid) -> &mut CurSyscall {
-        self.procs
-            .get_mut(&pid)
-            .expect("proc exists")
-            .cur
-            .as_mut()
-            .expect("syscall in flight")
-    }
-
-    /// Close `pid`'s open gate-wait / dirty-wait span, if any.
-    fn end_wait_span(&mut self, pid: Pid, now: SimTime) {
-        let ws = self
-            .procs
-            .get_mut(&pid)
-            .and_then(|p| p.cur.as_mut())
-            .map(|c| std::mem::take(&mut c.wait_span))
-            .unwrap_or(SpanId::NONE);
-        self.tracer.end(ws, now);
-    }
-
     fn begin_syscall(&mut self, pid: Pid, kind: SyscallKind, bus: &mut Bus) {
         let now = bus.q.now();
-        self.audit_event(now, AuditEvent::SyscallEnter { pid, kind: &kind });
-        {
-            let proc = self.procs.get_mut(&pid).expect("proc exists");
-            let gated = kind.is_write_like() || self.cfg.gate_reads;
-            proc.cur = Some(CurSyscall {
-                kind,
-                entered: now,
-                gate_since: None,
-                gated,
-                pending_io: self.pending_io_pool.pop().unwrap_or_default(),
-                span: SpanId::NONE,
-                wait_span: SpanId::NONE,
-                error: None,
-            });
-        }
-        if self.tracer.enabled() {
-            let span = self.tracer.begin_current(
-                Layer::Syscall,
-                kind.name(),
-                pid,
-                &CauseSet::of(pid),
-                now,
-            );
-            self.tracer.count(syscall_count_name(kind), 1);
-            self.cur_mut(pid).span = span;
-        }
+        emit(&mut self.audit, now, || AuditEvent::SyscallEnter {
+            pid,
+            kind: &kind,
+        });
         let gated = kind.is_write_like() || self.cfg.gate_reads;
+        let proc = self.procs.get_mut(&pid).expect("proc exists");
+        proc.cur = Some(CurSyscall {
+            kind,
+            entered: now,
+            gate_since: None,
+            gated,
+            pending_io: self.pending_io_pool.pop().unwrap_or_default(),
+            error: None,
+        });
         if gated {
             let info = SyscallInfo {
                 pid,
@@ -885,13 +814,7 @@ impl Kernel {
                 let proc = self.procs.get_mut(&pid).expect("proc exists");
                 proc.state = PState::GateWait;
                 proc.cur.as_mut().expect("just set").gate_since = Some(now);
-                if self.tracer.enabled() {
-                    let ws =
-                        self.tracer
-                            .begin(Layer::Gate, "gate_wait", pid, &CauseSet::of(pid), now);
-                    self.tracer.count("gate.holds", 1);
-                    self.cur_mut(pid).wait_span = ws;
-                }
+                emit(&mut self.audit, now, || AuditEvent::GateHeld { pid });
                 self.apply_cmds(cmds, bus);
                 self.try_dispatch(bus);
                 return;
@@ -911,17 +834,7 @@ impl Kernel {
                 if self.effective_dirty() >= self.cache.config().dirty_limit_pages() {
                     self.procs.get_mut(&pid).expect("exists").state = PState::DirtyWait;
                     self.dirty_waiters.push_back(pid);
-                    if self.tracer.enabled() && self.cur_mut(pid).wait_span.is_none() {
-                        let ws = self.tracer.begin(
-                            Layer::Cache,
-                            "dirty_wait",
-                            pid,
-                            &CauseSet::of(pid),
-                            now,
-                        );
-                        self.tracer.count("cache.dirty_throttled", 1);
-                        self.cur_mut(pid).wait_span = ws;
-                    }
+                    emit(&mut self.audit, now, || AuditEvent::DirtyThrottled { pid });
                     self.kick_writeback(bus);
                     return;
                 }
@@ -1062,25 +975,19 @@ impl Kernel {
 
     fn complete_syscall(&mut self, pid: Pid, outcome: Outcome, cpu: SimDuration, bus: &mut Bus) {
         let now = bus.q.now();
-        let (kind, entered, gate_since, gated, span, wait_span) = {
+        let (kind, entered, gate_since, gated) = {
             let proc = self.procs.get_mut(&pid).expect("proc exists");
             let cur = proc.cur.take().expect("syscall in flight");
             let mut pio = cur.pending_io;
             pio.clear();
             self.pending_io_pool.push(pio);
-            (
-                cur.kind,
-                cur.entered,
-                cur.gate_since,
-                cur.gated,
-                cur.span,
-                cur.wait_span,
-            )
+            (cur.kind, cur.entered, cur.gate_since, cur.gated)
         };
-        self.tracer.end(wait_span, now);
-        self.tracer.end_current(pid, span, now);
-        self.tracer
-            .observe(syscall_hist_name(kind), now.since(entered));
+        emit(&mut self.audit, now, || AuditEvent::SyscallExit {
+            pid,
+            kind: &kind,
+            entered,
+        });
         // Scheduler bookkeeping runs on every gated call (SCS pays it on
         // reads too; split schedulers only on write-like calls).
         let cpu = if gated {
@@ -1131,7 +1038,6 @@ impl Kernel {
             cached,
         };
         self.with_sched(bus, |s, ctx| s.syscall_exit(&info, ctx));
-        self.audit_event(now, AuditEvent::SyscallExit { pid });
         self.audit_checkpoint(bus, false);
 
         let proc = self.procs.get_mut(&pid).expect("proc exists");
@@ -1158,26 +1064,15 @@ impl Kernel {
     // ---- block layer ------------------------------------------------------
 
     fn add_request(&mut self, req: Request, step: &WriteStep, bus: &mut Bus) {
-        if self.audit.is_some() {
-            let now = bus.q.now();
-            self.audit_event(now, AuditEvent::BlockSubmitted { req: &req, step });
-        }
+        emit(&mut self.audit, bus.q.now(), || {
+            AuditEvent::BlockSubmitted {
+                req: &req,
+                step,
+                sched_queued: self.sched.queued(),
+            }
+        });
         if req.ioprio.class == PrioClass::BestEffort {
             self.stats.req_prio_hist[req.ioprio.level.min(7) as usize] += 1;
-        }
-        if self.tracer.enabled() {
-            let now = bus.q.now();
-            // Parent under the submitter's current span: the syscall for
-            // direct reads/fsync flushes, the commit or writeback-pass
-            // span for delegated I/O — delegation stays visible.
-            let qs = self
-                .tracer
-                .begin(Layer::Block, "queue", req.submitter, &req.causes, now);
-            self.tracer.set_arg(qs, req.id.raw());
-            self.req_meta.entry(req.id).or_default().queue_span = qs;
-            self.tracer.count("block.submitted", 1);
-            self.tracer
-                .gauge("block.queue_depth", now, (self.sched.queued() + 1) as f64);
         }
         self.with_sched(bus, |s, ctx| s.block_add(req, ctx));
     }
@@ -1222,169 +1117,111 @@ impl Kernel {
 
     /// One request leaves the elevator for the device.
     fn issue(&mut self, req: Request, bus: &mut Bus) {
+        let now = bus.q.now();
         self.stats.requests_dispatched += 1;
         self.stats.device_bytes = self.stats.device_bytes.saturating_add(req.bytes());
-        if self.audit.is_some() {
-            let now = bus.q.now();
-            self.audit_event(now, AuditEvent::BlockDispatched { req: &req });
-        }
-        let queued_plane = matches!(self.device, ActiveDevice::Queued { .. });
-        let mut span_parent = SpanId::NONE;
-        if self.tracer.enabled() {
-            let now = bus.q.now();
-            let qs = self
-                .req_meta
-                .get_mut(&req.id)
-                .map(|m| std::mem::take(&mut m.queue_span))
-                .unwrap_or(SpanId::NONE);
-            self.tracer.end(qs, now);
-            // The device span is the queue span's *sibling* (same
-            // parent), so queueing and service read as consecutive
-            // phases of one request. On the queued plane the span opens
-            // later, when the device accepts the request into a slot.
-            span_parent = self.tracer.parent_of(qs);
-            if !queued_plane {
-                let ds = self.tracer.begin_child(
-                    span_parent,
-                    Layer::Device,
-                    "service",
-                    req.submitter,
-                    &req.causes,
-                    now,
-                );
-                self.tracer.set_arg(ds, req.id.raw());
-                self.req_meta.entry(req.id).or_default().device_span = ds;
+        emit(&mut self.audit, now, || AuditEvent::BlockDispatched {
+            req: &req,
+        });
+        // The fault plane rolls at dispatch, in the same per-request order
+        // on both physical planes; a virtual disk's requests fail through
+        // the host's own plane instead.
+        let mut spike = None;
+        if !matches!(self.device, ActiveDevice::Virtual { .. }) {
+            let fault = self
+                .fault_plane
+                .as_mut()
+                .and_then(|plane| plane.on_request(req.id, &req.shape()));
+            let failed = match fault {
+                Some(Fault::Spike { factor }) => {
+                    spike = Some(factor);
+                    None
+                }
+                Some(Fault::Transient) => Some(IoErrorKind::TransientDevice),
+                Some(Fault::Torn { .. }) => Some(IoErrorKind::TornWrite),
+                None => None,
+            };
+            if let Some(kind) = failed {
+                self.req_meta.entry(req.id).or_default().failed =
+                    Some(IoError::for_request(kind, req.id));
             }
-            self.tracer.count("block.dispatched", 1);
-            self.tracer
-                .observe("block.queue_ms", now.since(req.submitted_at));
         }
-        // Pull what the issue needs out of the device in one borrow, so
-        // the audit/tracer calls below can take `&mut self` freely.
-        enum Plan {
-            Serial(SimDuration),
-            Queued,
-            Virtual(KernelId, FileId, Pid),
-        }
-        let plan = match &mut self.device {
-            ActiveDevice::Serial(model) => Plan::Serial(model.service_time(&req.shape())),
-            ActiveDevice::Queued { .. } => Plan::Queued,
-            ActiveDevice::Virtual {
-                host,
-                host_file,
-                host_pid,
-                ..
-            } => Plan::Virtual(*host, *host_file, *host_pid),
-        };
-        match plan {
-            Plan::Serial(mut service) => {
-                if let Some(plane) = self.fault_plane.as_mut() {
-                    match plane.on_request(req.id, &req.shape()) {
-                        Some(Fault::Spike { factor }) => {
-                            service = service.mul_f64(factor.max(1.0));
-                        }
-                        Some(Fault::Transient) => {
-                            self.req_meta.entry(req.id).or_default().failed =
-                                Some(IoError::for_request(IoErrorKind::TransientDevice, req.id));
-                        }
-                        Some(Fault::Torn { .. }) => {
-                            self.req_meta.entry(req.id).or_default().failed =
-                                Some(IoError::for_request(IoErrorKind::TornWrite, req.id));
-                        }
-                        None => {}
-                    }
+        let service = match &mut self.device {
+            ActiveDevice::Queued { mq, .. } => {
+                // A spike is staged on the request and applied when it
+                // enters service, which may be later.
+                if spike.is_some() {
+                    self.req_meta.entry(req.id).or_default().spike = spike;
+                }
+                mq.submit(req);
+                self.pump_queued(bus);
+                return;
+            }
+            ActiveDevice::Serial(model) => {
+                let mut service = model.service_time(&req.shape());
+                if let Some(factor) = spike {
+                    service = service.mul_f64(factor.max(1.0));
                 }
                 if let Some(c) = self.chaos.as_mut() {
                     // Serial-plane completion chaos: stretch the service
                     // time exactly like a fault spike (never shrink).
                     service = service.mul_f64(c.service_stretch().max(1.0));
                 }
-                if self.audit.is_some() {
-                    let now = bus.q.now();
-                    self.audit_event(
-                        now,
-                        AuditEvent::SlotAcquired {
-                            req: &req,
-                            slot: 0,
-                            in_flight: 1,
-                            depth: 1,
-                        },
-                    );
-                }
-                let id = req.id;
-                self.inflight = Some((req, service));
                 bus.q.schedule(
-                    bus.q.now() + service,
+                    now + service,
                     Event::DeviceDone {
                         k: self.id,
-                        req: id,
+                        req: req.id,
                     },
                 );
+                service
             }
-            Plan::Queued => {
-                // The fault plane rolls at dispatch (same per-request
-                // order as the serial plane); a spike is staged on the
-                // request and applied when it enters service.
-                if let Some(plane) = self.fault_plane.as_mut() {
-                    match plane.on_request(req.id, &req.shape()) {
-                        Some(Fault::Spike { factor }) => {
-                            self.req_meta.entry(req.id).or_default().spike = Some(factor);
-                        }
-                        Some(Fault::Transient) => {
-                            self.req_meta.entry(req.id).or_default().failed =
-                                Some(IoError::for_request(IoErrorKind::TransientDevice, req.id));
-                        }
-                        Some(Fault::Torn { .. }) => {
-                            self.req_meta.entry(req.id).or_default().failed =
-                                Some(IoError::for_request(IoErrorKind::TornWrite, req.id));
-                        }
-                        None => {}
-                    }
-                }
-                self.req_meta.entry(req.id).or_default().span_parent = span_parent;
-                let ActiveDevice::Queued { mq, .. } = &mut self.device else {
-                    unreachable!("plan chosen on the queued plane");
-                };
-                mq.submit(req);
-                self.pump_queued(bus);
-            }
-            Plan::Virtual(host, host_file, host_pid) => {
-                let kind = match req.dir {
-                    sim_device::IoDir::Read => SyscallKind::Read {
-                        file: host_file,
-                        offset: req.start.raw().saturating_mul(PAGE_SIZE),
-                        len: req.bytes(),
-                    },
-                    sim_device::IoDir::Write => SyscallKind::Write {
-                        file: host_file,
-                        offset: req.start.raw().saturating_mul(PAGE_SIZE),
-                        len: req.bytes(),
-                    },
-                };
+            ActiveDevice::Virtual {
+                host,
+                host_file,
+                host_pid,
+                ..
+            } => {
+                let (file, offset, len) = (
+                    *host_file,
+                    req.start.raw().saturating_mul(PAGE_SIZE),
+                    req.bytes(),
+                );
                 bus.cross.push(CrossAction::InjectSyscall {
-                    kernel: host,
-                    pid: host_pid,
-                    kind,
+                    kernel: *host,
+                    pid: *host_pid,
+                    kind: match req.dir {
+                        sim_device::IoDir::Read => SyscallKind::Read { file, offset, len },
+                        sim_device::IoDir::Write => SyscallKind::Write { file, offset, len },
+                    },
                     target: InjectTarget::GuestVirtio {
                         guest: self.id,
                         req: req.id,
                     },
                 });
-                if self.audit.is_some() {
-                    let now = bus.q.now();
-                    self.audit_event(
-                        now,
-                        AuditEvent::SlotAcquired {
-                            req: &req,
-                            slot: 0,
-                            in_flight: 1,
-                            depth: 1,
-                        },
-                    );
-                }
-                self.inflight = Some((req, SimDuration::ZERO));
+                SimDuration::ZERO
             }
-        }
+        };
+        self.slot_acquired(&req, 0, 1, 1, now);
+        self.inflight = Some((req, service));
+    }
+
+    /// The device took `req` into `slot`; every device kind reports here.
+    fn slot_acquired(
+        &mut self,
+        req: &Request,
+        slot: u32,
+        in_flight: u32,
+        depth: u32,
+        now: SimTime,
+    ) {
+        emit(&mut self.audit, now, || AuditEvent::SlotAcquired {
+            req,
+            slot,
+            in_flight,
+            depth,
+            queued_plane: matches!(self.device, ActiveDevice::Queued { .. }),
+        });
     }
 
     /// Drain staged requests into free hardware-queue slots, then turn
@@ -1425,36 +1262,7 @@ impl Kernel {
                 mq.note_accepted(req.submitter);
                 (req, slot, started, dev.in_flight() as u32, dev.depth())
             };
-            if self.audit.is_some() {
-                self.audit_event(
-                    now,
-                    AuditEvent::SlotAcquired {
-                        req: &req,
-                        slot,
-                        in_flight,
-                        depth,
-                    },
-                );
-            }
-            if self.tracer.enabled() {
-                self.tracer
-                    .gauge("device.queue_depth", now, in_flight as f64);
-                let parent = self
-                    .req_meta
-                    .get(&req.id)
-                    .map(|m| m.span_parent)
-                    .unwrap_or(SpanId::NONE);
-                let ds = self.tracer.begin_child(
-                    parent,
-                    Layer::Device,
-                    slot_name(slot),
-                    req.submitter,
-                    &req.causes,
-                    now,
-                );
-                self.tracer.set_arg(ds, req.id.raw());
-                self.req_meta.entry(req.id).or_default().device_span = ds;
-            }
+            self.slot_acquired(&req, slot, in_flight, depth, now);
             self.q_inflight.insert(req.id, (req, SimDuration::ZERO));
             self.schedule_started(started, now, bus);
         }
@@ -1477,69 +1285,41 @@ impl Kernel {
         }
     }
 
-    fn device_done(&mut self, req_id: RequestId, bus: &mut Bus) {
-        if matches!(self.device, ActiveDevice::Queued { .. }) {
-            self.device_done_queued(req_id, bus);
-            return;
-        }
-        let Some((req, service)) = self.inflight.take() else {
-            return;
-        };
-        debug_assert_eq!(req.id, req_id);
-        if self.audit.is_some() {
-            let now = bus.q.now();
-            self.audit_event(
-                now,
-                AuditEvent::SlotReleased {
-                    req: &req,
-                    slot: 0,
-                    in_flight: 0,
-                },
-            );
-        }
-        self.finish_request(req, service, bus);
-    }
-
-    fn device_done_queued(&mut self, req_id: RequestId, bus: &mut Bus) {
-        let Some((req, service)) = self.q_inflight.remove(&req_id) else {
-            return;
-        };
+    /// A request left the device — a physical one's `DeviceDone` fired, or
+    /// the host finished the syscall backing a virtual disk's request:
+    /// free its slot, start whatever the queued device moved into service
+    /// behind it, and run the completion path.
+    pub(crate) fn device_done(&mut self, req_id: RequestId, bus: &mut Bus) {
         let now = bus.q.now();
-        let (slot, started, in_flight) = {
-            let ActiveDevice::Queued { dev, mq } = &mut self.device else {
-                unreachable!("routed here on the queued plane");
-            };
-            let (slot, started) = dev.complete(req_id);
-            mq.note_done(req.submitter);
-            (slot, started, dev.in_flight() as u32)
+        let (req, service, slot, in_flight, started) = match &mut self.device {
+            ActiveDevice::Queued { dev, mq } => {
+                let Some((req, service)) = self.q_inflight.remove(&req_id) else {
+                    return;
+                };
+                let (slot, started) = dev.complete(req_id);
+                mq.note_done(req.submitter);
+                (req, service, slot, dev.in_flight() as u32, started)
+            }
+            _ => {
+                let Some((req, service)) = self.inflight.take() else {
+                    return;
+                };
+                debug_assert_eq!(req.id, req_id);
+                (req, service, 0, 0, Vec::new())
+            }
         };
-        if self.audit.is_some() {
-            self.audit_event(
-                now,
-                AuditEvent::SlotReleased {
-                    req: &req,
-                    slot,
-                    in_flight,
-                },
-            );
-        }
-        if self.tracer.enabled() {
-            self.tracer
-                .gauge("device.queue_depth", now, in_flight as f64);
-        }
+        emit(&mut self.audit, now, || AuditEvent::SlotReleased {
+            req: &req,
+            slot,
+            in_flight,
+            queued_plane: matches!(self.device, ActiveDevice::Queued { .. }),
+        });
         self.schedule_started(started, now, bus);
         self.finish_request(req, service, bus);
     }
 
     fn finish_request(&mut self, req: Request, service: SimDuration, bus: &mut Bus) {
         let now = bus.q.now();
-        self.tracer.record_block(&req, service, now);
-        if self.tracer.enabled() {
-            self.tracer.count("block.completed", 1);
-            self.tracer.observe("device.service_ms", service);
-            self.tracer
-                .gauge("block.queue_depth", now, self.sched.queued() as f64);
-        }
         // Charge disk time to the causes (fair-share accounting).
         if service > SimDuration::ZERO {
             let secs = service.as_secs_f64();
@@ -1551,22 +1331,23 @@ impl Kernel {
             for (pid, share) in causes.shares(secs) {
                 let total = self.stats.disk_time.entry(pid).or_insert(0.0);
                 *total += share;
-                let total = *total;
-                self.tracer
-                    .gauge_key("disk.time_s", pid.raw() as u64, now, total);
+                let total_s = *total;
+                emit(&mut self.audit, now, || AuditEvent::DiskCharged {
+                    pid,
+                    total_s,
+                });
             }
         }
         let failed = self.req_meta.get(&req.id).and_then(|m| m.failed);
-        // Audit the completion BEFORE the scheduler and fs hooks run, so a
+        // Report the completion BEFORE the scheduler and fs hooks run, so a
         // TxnCommitted generated by absorbing this request's fs token is
         // observed after its commit record finished.
-        self.audit_event(
-            now,
-            AuditEvent::BlockFinished {
-                req: &req,
-                failed: failed.is_some(),
-            },
-        );
+        emit(&mut self.audit, now, || AuditEvent::BlockFinished {
+            req: &req,
+            failed: failed.is_some(),
+            service,
+            sched_queued: self.sched.queued(),
+        });
         if let Some(err) = failed {
             self.stats.io_errors += 1;
             self.with_sched(bus, |s, ctx| s.block_failed(&req, err, ctx));
@@ -1574,7 +1355,6 @@ impl Kernel {
             self.with_sched(bus, |s, ctx| s.block_completed(&req, ctx));
         }
         if let Some(meta) = self.req_meta.remove(&req.id) {
-            self.tracer.end(meta.device_span, now);
             if meta.dirty_pages > 0 {
                 self.wb_inflight_pages = self.wb_inflight_pages.saturating_sub(meta.dirty_pages);
             }
@@ -1692,7 +1472,9 @@ impl Kernel {
                 .unwrap_or(false)
             {
                 self.procs.get_mut(&pid).expect("exists").state = PState::IoWait;
-                self.end_wait_span(pid, bus.q.now());
+                emit(&mut self.audit, bus.q.now(), || AuditEvent::WaitEnded {
+                    pid,
+                });
                 self.syscall_body(pid, bus);
             }
         }
@@ -1756,7 +1538,9 @@ impl Kernel {
             return;
         }
         self.procs.get_mut(&pid).expect("exists").state = PState::IoWait;
-        self.end_wait_span(pid, bus.q.now());
+        emit(&mut self.audit, bus.q.now(), || AuditEvent::WaitEnded {
+            pid,
+        });
         self.syscall_body(pid, bus);
     }
 
@@ -1810,44 +1594,35 @@ impl Kernel {
             self.add_request(req, &step, bus);
         }
         for ev in out.events {
-            match ev {
-                FsEvent::FsyncDone { waiter, .. } => {
-                    let in_fsync = self
-                        .procs
-                        .get(&waiter)
-                        .and_then(|p| p.cur.as_ref())
-                        .map(|c| matches!(c.kind, SyscallKind::Fsync { .. }))
-                        .unwrap_or(false);
-                    if in_fsync {
-                        let cpu = self.cfg.cpu.syscall_base;
-                        self.complete_syscall(waiter, Outcome::Synced, cpu, bus);
-                    }
-                }
-                FsEvent::FsyncFailed { waiter, error, .. } => {
-                    let in_fsync = self
-                        .procs
-                        .get(&waiter)
-                        .and_then(|p| p.cur.as_ref())
-                        .map(|c| matches!(c.kind, SyscallKind::Fsync { .. }))
-                        .unwrap_or(false);
-                    if in_fsync {
-                        let cpu = self.cfg.cpu.syscall_base;
-                        self.complete_syscall(waiter, Outcome::Failed(error), cpu, bus);
-                    }
-                }
+            let (waiter, outcome) = match ev {
+                FsEvent::FsyncDone { waiter, .. } => (waiter, Outcome::Synced),
+                FsEvent::FsyncFailed { waiter, error, .. } => (waiter, Outcome::Failed(error)),
                 FsEvent::WritebackDone { .. } => {
                     self.wb_active = false;
                     if self.cfg.pdflush && self.cache.over_background() {
                         self.kick_writeback(bus);
                     }
+                    continue;
                 }
                 FsEvent::TxnCommitted { txn } => {
-                    self.audit_event(now, AuditEvent::TxnCommitted { txn });
+                    emit(&mut self.audit, now, || AuditEvent::TxnCommitted { txn });
+                    continue;
                 }
                 FsEvent::JournalAborted { txn, .. } => {
                     self.stats.journal_aborts += 1;
-                    self.audit_event(now, AuditEvent::JournalAborted { txn });
+                    emit(&mut self.audit, now, || AuditEvent::JournalAborted { txn });
+                    continue;
                 }
+            };
+            let in_fsync = self
+                .procs
+                .get(&waiter)
+                .and_then(|p| p.cur.as_ref())
+                .map(|c| matches!(c.kind, SyscallKind::Fsync { .. }))
+                .unwrap_or(false);
+            if in_fsync {
+                let cpu = self.cfg.cpu.syscall_base;
+                self.complete_syscall(waiter, outcome, cpu, bus);
             }
         }
         self.wake_dirty_waiters(bus);
@@ -1855,26 +1630,11 @@ impl Kernel {
     }
 }
 
-/// Per-kind syscall counter names (static, so counting stays alloc-free).
-fn syscall_count_name(kind: SyscallKind) -> &'static str {
-    match kind {
-        SyscallKind::Read { .. } => "syscall.read",
-        SyscallKind::Write { .. } => "syscall.write",
-        SyscallKind::Fsync { .. } => "syscall.fsync",
-        SyscallKind::Create => "syscall.creat",
-        SyscallKind::Mkdir => "syscall.mkdir",
-        SyscallKind::Unlink { .. } => "syscall.unlink",
-    }
-}
-
-/// Per-kind syscall latency histogram names.
-fn syscall_hist_name(kind: SyscallKind) -> &'static str {
-    match kind {
-        SyscallKind::Read { .. } => "syscall.read_ms",
-        SyscallKind::Write { .. } => "syscall.write_ms",
-        SyscallKind::Fsync { .. } => "syscall.fsync_ms",
-        SyscallKind::Create => "syscall.creat_ms",
-        SyscallKind::Mkdir => "syscall.mkdir_ms",
-        SyscallKind::Unlink { .. } => "syscall.unlink_ms",
+/// Feed one event to the kernel's subscribers. `build` runs only when a
+/// plane is installed, so an unobserved kernel pays one branch per site.
+#[inline]
+fn emit<'a>(plane: &mut Option<AuditPlane>, now: SimTime, build: impl FnOnce() -> AuditEvent<'a>) {
+    if let Some(plane) = plane {
+        plane.observe(now, &build());
     }
 }

@@ -21,6 +21,7 @@
 pub mod cpu;
 pub mod kernel;
 pub mod process;
+pub mod span_probe;
 pub mod stats;
 pub mod world;
 

@@ -196,6 +196,13 @@ impl World {
         self.kernels[k.raw() as usize].audit_quiesce(&self.bus);
     }
 
+    /// Diagnose kernel `k` when it will not quiesce: the strict checkpoint
+    /// plus one violation per blocked process and outstanding request
+    /// (see [`Kernel::audit_stalled`]).
+    pub fn audit_stalled(&mut self, k: KernelId) {
+        self.kernels[k.raw() as usize].audit_stalled(&self.bus);
+    }
+
     /// How many events were scheduled in the past and clamped to `now`
     /// (should stay zero; the event-queue auditor reports increases and
     /// the check harness's drain gate fails the run).
@@ -335,7 +342,7 @@ impl World {
                     self.kernels[kernel.raw() as usize].inject(pid, kind, target, &mut self.bus);
                 }
                 CrossAction::VirtioDone { guest, req } => {
-                    self.kernels[guest.raw() as usize].virtio_done(req, &mut self.bus);
+                    self.kernels[guest.raw() as usize].device_done(req, &mut self.bus);
                 }
             }
         }

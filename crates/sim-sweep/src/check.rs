@@ -369,7 +369,7 @@ fn run_inner(
     setup.device = device;
     setup.queue_depth = opts.queue_depth;
     setup.chaos = opts.chaos;
-    let mut cfg = kernel_config(setup);
+    let cfg = kernel_config(setup);
     // The layer plane gets its own auditor battery on top of the
     // standard one: classification replay needs the tree, so the
     // harness mirrors whichever tree the run installs (custom specs,
@@ -389,7 +389,6 @@ fn run_inner(
     if let Some(tree) = audit_tree {
         plane.push(Box::new(LayerAuditor::new(tree)));
     }
-    cfg.audit = Some(plane);
     let base: Box<dyn IoSched> = match (&opts.layers, opts.wrap_single_layer) {
         (Some(specs), _) => {
             let lcfg = LayeredConfig {
@@ -408,8 +407,9 @@ fn run_inner(
     };
     let mut w = World::new();
     let k = w.add_kernel(cfg, device.build(), sched_box);
-    if let Some(plane) = opts.faults {
-        w.kernel_mut(k).install_fault_plane(plane);
+    w.kernel_mut(k).install_audit_plane(plane);
+    if let Some(faults) = opts.faults {
+        w.kernel_mut(k).install_fault_plane(faults);
     }
 
     let shared = Rc::new(
@@ -461,6 +461,8 @@ fn run_inner(
     }
     if quiesced {
         w.audit_quiesce(k);
+    } else {
+        w.audit_stalled(k);
     }
 
     let mut violations: Vec<String> = w

@@ -4,15 +4,13 @@
 //! figures (e.g. Figure 12's latency timeline) and tests use it to
 //! assert on exact I/O interleavings.
 //!
-//! This lives alongside the span layer so block-layer tracing is one
-//! code path: the kernel records each dispatch once through the
-//! [`Tracer`](crate::Tracer), which feeds both the span store and this
-//! flat table.
+//! The table lives inside the [`Tracer`](crate::Tracer) handle beside
+//! the span store; the kernel's block-trace probe feeds it one record
+//! per finished request.
 
 use sim_block::{ReqKind, Request};
 use sim_core::{CauseSet, FileId, Pid, SimDuration, SimTime};
 use sim_device::IoDir;
-use std::collections::VecDeque;
 
 /// One traced block request.
 #[derive(Debug, Clone)]
@@ -46,45 +44,21 @@ impl TraceRecord {
     }
 }
 
-/// What to do once the capacity is reached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum Overflow {
-    /// Keep the oldest records, count the rest as dropped.
-    #[default]
-    KeepOldest,
-    /// Ring buffer: evict the oldest record to admit the newest.
-    KeepNewest,
-}
-
 /// A bounded in-memory trace of dispatched requests.
 #[derive(Debug, Default)]
 pub struct RequestTrace {
-    records: VecDeque<TraceRecord>,
+    records: Vec<TraceRecord>,
     cap: usize,
-    overflow: Overflow,
     dropped: u64,
 }
 
 impl RequestTrace {
     /// A trace holding at most `cap` records; once full, *older* records
-    /// are kept and overflow is counted, not silently ignored. Use
-    /// [`RequestTrace::ring`] to keep the newest instead.
+    /// are kept and overflow is counted, not silently ignored.
     pub fn with_capacity(cap: usize) -> Self {
         RequestTrace {
-            records: VecDeque::new(),
+            records: Vec::new(),
             cap: cap.max(1),
-            overflow: Overflow::KeepOldest,
-            dropped: 0,
-        }
-    }
-
-    /// A ring buffer holding the `cap` *newest* records; each eviction
-    /// is counted in [`RequestTrace::dropped`].
-    pub fn ring(cap: usize) -> Self {
-        RequestTrace {
-            records: VecDeque::new(),
-            cap: cap.max(1),
-            overflow: Overflow::KeepNewest,
             dropped: 0,
         }
     }
@@ -93,14 +67,9 @@ impl RequestTrace {
     pub fn record(&mut self, req: &Request, service: SimDuration, now: SimTime) {
         if self.records.len() >= self.cap {
             self.dropped += 1;
-            match self.overflow {
-                Overflow::KeepOldest => return,
-                Overflow::KeepNewest => {
-                    self.records.pop_front();
-                }
-            }
+            return;
         }
-        self.records.push_back(TraceRecord {
+        self.records.push(TraceRecord {
             dispatched_at: now,
             submitted_at: req.submitted_at,
             service,
@@ -129,12 +98,12 @@ impl RequestTrace {
         self.records.len()
     }
 
-    /// True when nothing was recorded (or everything was evicted).
+    /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
 
-    /// Requests that did not fit in the capacity (dropped or evicted).
+    /// Requests that did not fit in the capacity.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
@@ -212,21 +181,8 @@ mod tests {
         }
         assert_eq!(t.len(), 2);
         assert_eq!(t.dropped(), 3);
-        // KeepOldest: the first two dispatches survive.
+        // The first two dispatches survive.
         assert_eq!(t.records()[0].dispatched_at, SimTime::from_nanos(0));
         assert_eq!(t.records()[1].dispatched_at, SimTime::from_nanos(1));
-    }
-
-    #[test]
-    fn ring_keeps_newest() {
-        let mut t = RequestTrace::ring(2);
-        for i in 0..5 {
-            t.record(&req(i, i * 10), SimDuration::ZERO, SimTime::from_nanos(i));
-        }
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.dropped(), 3);
-        // KeepNewest: the last two dispatches survive, still in order.
-        assert_eq!(t.records()[0].dispatched_at, SimTime::from_nanos(3));
-        assert_eq!(t.records()[1].dispatched_at, SimTime::from_nanos(4));
     }
 }

@@ -17,8 +17,8 @@
 //!   Perfetto / `chrome://tracing`) and CSV exporters.
 //! * [`breakdown`] — per-layer fsync latency decomposition whose
 //!   components sum to the end-to-end latency by construction.
-//! * [`RequestTrace`] — the flat per-request block trace (with an
-//!   optional keep-newest ring mode), folded into the same handle.
+//! * [`RequestTrace`] — the flat per-request block trace, carried by the
+//!   same handle.
 //!
 //! Everything is timestamped on the simulated clock, so traces and
 //! metrics are deterministic outputs of a run, byte-for-byte.

@@ -35,7 +35,6 @@ struct Inner {
 #[derive(Debug, Clone)]
 pub struct Tracer {
     enabled: Rc<Cell<bool>>,
-    block_on: Rc<Cell<bool>>,
     inner: Rc<RefCell<Inner>>,
 }
 
@@ -56,7 +55,6 @@ impl Tracer {
     pub fn for_kernel(process: u32) -> Self {
         Tracer {
             enabled: Rc::new(Cell::new(false)),
-            block_on: Rc::new(Cell::new(false)),
             inner: Rc::new(RefCell::new(Inner {
                 process,
                 span_cap: DEFAULT_SPAN_CAP,
@@ -268,27 +266,16 @@ impl Tracer {
 
     // ---- block-request trace --------------------------------------
 
-    /// Install a flat block-request table (see [`RequestTrace`]); it
-    /// records independently of the span/metric flag, preserving the
-    /// original `Kernel::enable_trace` behavior.
-    pub fn install_block_trace(&self, trace: RequestTrace) {
-        self.inner.borrow_mut().block = Some(trace);
-        self.block_on.set(true);
+    /// Install a flat block-request table (see [`RequestTrace`]),
+    /// replacing any earlier one; it records independently of the
+    /// span/metric flag. Returns whether one was already installed.
+    pub fn install_block_trace(&self, trace: RequestTrace) -> bool {
+        self.inner.borrow_mut().block.replace(trace).is_some()
     }
 
-    /// Is a block-request table installed?
-    #[inline]
-    pub fn block_trace_on(&self) -> bool {
-        self.block_on.get()
-    }
-
-    /// Record one dispatched block request into the flat table (if
-    /// installed) — the single entry point for block-layer tracing.
-    #[inline]
+    /// Record one finished block request into the flat table, if
+    /// installed (`Kernel::enable_trace` subscribes the caller).
     pub fn record_block(&self, req: &Request, service: SimDuration, now: SimTime) {
-        if !self.block_on.get() {
-            return;
-        }
         if let Some(t) = self.inner.borrow_mut().block.as_mut() {
             t.record(req, service, now);
         }

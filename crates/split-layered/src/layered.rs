@@ -690,11 +690,12 @@ impl IoSched for Layered {
             let boosted_past = self.fsync_boost > 0 && !self.layers[i].latency_prio();
             // A parked read goes first once its hold has cleared: the
             // bucket can afford it and no latency fsync is in flight.
-            if let Some(front_bytes) = self.layers[i].parked.front().map(|r| r.bytes()) {
-                if boosted_past {
-                    // Woken by kick_dispatch when the fsync exits.
-                    continue;
-                }
+            // During the boost window the parked queue waits (woken by
+            // kick_dispatch when the fsync exits) but the child is still
+            // polled below: a write queued behind a parked read may be
+            // ordered data the boosted fsync itself is waiting for.
+            let parked_front = self.layers[i].parked.front().map(|r| r.bytes());
+            if let Some(front_bytes) = parked_front.filter(|_| !boosted_past) {
                 match self.layers[i].bucket.as_ref() {
                     Some(b) if !b.affordable(front_bytes) => {
                         let at = b.ready_at(now, front_bytes);
