@@ -15,13 +15,21 @@
 //! so the deltas are attributable to exactly one mechanism.
 
 use sim_block::{Dispatch, Request};
-use sim_core::{Pid, SimDuration, SimTime};
-use sim_workloads::{BurstWriter, RandWriter, SeqReader, SeqWriter};
+use sim_core::{Pid, SimDuration};
+use sim_workloads::{RandWriter, SeqWriter};
 use split_core::{BufferDirtied, BufferFreed, Gate, IoSched, SchedAttr, SchedCtx, SyscallInfo};
 use split_schedulers::{Afq, SplitToken};
 
-use crate::setup::{SchedChoice, Setup};
+use crate::fig01_write_burst;
+use crate::registry::{CellOutput, CellRequest};
+use crate::setup::{build_world_with, SchedChoice, Setup};
 use crate::{GB, KB, MB};
+
+/// Run lengths. Pinned at either `--paper` scale, as the legacy runner
+/// had them, so `all` output is stable.
+const BURST_DURATION: SimDuration = SimDuration::from_secs(20);
+const TAG_DURATION: SimDuration = SimDuration::from_secs(20);
+const GATE_DURATION: SimDuration = SimDuration::from_secs(15);
 
 /// Wraps a scheduler, selectively disabling hooks.
 pub struct Lobotomized<S> {
@@ -140,58 +148,30 @@ pub struct BurstAblation {
     pub before: f64,
 }
 
-/// Figure-1 scenario with and without prompt (memory-level) charging.
-/// `seed` varies the burst's write pattern (0 = historical run).
-pub fn burst_ablation(duration: SimDuration, seed: u64) -> BurstAblation {
-    let run = |prompt: bool| {
-        let mut world = sim_kernel::World::new();
-        let sched: Box<dyn IoSched> = if prompt {
-            Box::new(Lobotomized::new(SplitToken::new()))
-        } else {
-            Box::new(Lobotomized::new(SplitToken::new()).without_memory_hooks())
-        };
-        let k = world.add_kernel(
-            sim_kernel::KernelConfig {
-                cache: sim_cache::CacheConfig {
-                    mem_bytes: 512 * MB,
-                    ..Default::default()
-                },
-                fs_seed: seed,
-                ..Default::default()
-            },
-            sim_kernel::DeviceKind::hdd(),
-            sched,
-        );
-        let a_file = world.prealloc_file(k, 4 * GB, true);
-        let b_file = world.prealloc_file(k, 16 * GB, true);
-        let a = world.spawn(k, Box::new(SeqReader::new(a_file, 4 * GB, MB)));
-        world
-            .kernel_mut(k)
-            .track_read_ts(a, SimDuration::from_secs(1));
-        let b = world.spawn(
-            k,
-            Box::new(BurstWriter::new(
-                b_file,
-                16 * GB,
-                4 * KB,
-                SimTime::ZERO + SimDuration::from_secs(5),
-                SimDuration::from_secs(1),
-                seed ^ 0xab1,
-            )),
-        );
-        world.configure(k, b, SchedAttr::TokenRate(MB));
-        world.run_for(duration);
-        let mbps = world.kernel(k).stats.read_ts[&a].mbps();
-        let before = sim_core::stats::mean(&mbps[..5.min(mbps.len())]);
-        let after: Vec<f64> = mbps.iter().copied().skip(6).take(10).collect();
-        (before, sim_core::stats::mean(&after))
+/// Figure 1's burst world (under its own salt for B's write pattern)
+/// with and without prompt (memory-level) charging. `seed` varies the
+/// burst's write pattern (0 = historical run).
+pub fn burst_ablation(seed: u64) -> BurstAblation {
+    let cfg = fig01_write_burst::Config {
+        duration: BURST_DURATION,
+        seed,
     };
-    let (before, full_after) = run(true);
-    let (_, no_prompt_after) = run(false);
+    let run = |sched: Lobotomized<SplitToken>| {
+        let world = fig01_write_burst::build_burst_world_with(
+            &cfg,
+            SchedChoice::SplitToken,
+            Box::new(sched),
+            None,
+            0xab1,
+        );
+        fig01_write_burst::burst_series(&cfg, "lobotomized", world)
+    };
+    let full = run(Lobotomized::new(SplitToken::new()));
+    let no_prompt = run(Lobotomized::new(SplitToken::new()).without_memory_hooks());
     BurstAblation {
-        full_after,
-        no_prompt_after,
-        before,
+        full_after: full.after,
+        no_prompt_after: no_prompt.after,
+        before: full.before,
     }
 }
 
@@ -207,41 +187,23 @@ pub struct TagAblation {
 /// A throttled buffered writer with and without cause tags: without them,
 /// delegated writeback bills the writeback thread and B escapes its cap.
 /// `seed` varies B's write pattern (0 = historical run).
-pub fn tag_ablation(duration: SimDuration, seed: u64) -> TagAblation {
-    let run = |tags: bool| {
-        let mut world = sim_kernel::World::new();
-        let sched: Box<dyn IoSched> = if tags {
-            Box::new(Lobotomized::new(SplitToken::new()).without_memory_hooks())
-        } else {
-            Box::new(
-                Lobotomized::new(SplitToken::new())
-                    .without_memory_hooks()
-                    .without_cause_tags(),
-            )
-        };
-        let (mut w, k) = {
-            let k = world.add_kernel(
-                sim_kernel::KernelConfig {
-                    fs_seed: seed,
-                    ..Default::default()
-                },
-                sim_kernel::DeviceKind::hdd(),
-                sched,
-            );
-            (world, k)
-        };
+pub fn tag_ablation(seed: u64) -> TagAblation {
+    let run = |sched: Lobotomized<SplitToken>| {
+        let setup = Setup::new(SchedChoice::SplitToken).mem(GB).seed(seed);
+        let (mut w, k) = build_world_with(setup, Box::new(sched));
         let b_file = w.prealloc_file(k, 2 * GB, false);
         let b = w.spawn(
             k,
             Box::new(RandWriter::new(b_file, 2 * GB, 4 * KB, seed ^ 0xab2)),
         );
         w.configure(k, b, SchedAttr::TokenRate(MB));
-        w.run_for(duration);
-        w.kernel(k).stats.write_mbps(b, duration)
+        w.run_for(TAG_DURATION);
+        w.kernel(k).stats.write_mbps(b, TAG_DURATION)
     };
+    let block_level = || Lobotomized::new(SplitToken::new()).without_memory_hooks();
     TagAblation {
-        with_tags_b: run(true),
-        without_tags_b: run(false),
+        with_tags_b: run(block_level()),
+        without_tags_b: run(block_level().without_cause_tags()),
     }
 }
 
@@ -256,49 +218,43 @@ pub struct GateAblation {
 
 /// AFQ's async-write fairness with and without the syscall-level gate.
 /// `seed` varies file-system layout (0 = historical run).
-pub fn gate_ablation(duration: SimDuration, seed: u64) -> GateAblation {
-    let run = |gate: bool| {
-        let sched: Box<dyn IoSched> = if gate {
-            Box::new(Lobotomized::new(Afq::new()))
-        } else {
-            Box::new(Lobotomized::new(Afq::new()).without_syscall_gate())
-        };
-        let (mut w, k) = {
-            let mut world = sim_kernel::World::new();
-            let setup = Setup::new(SchedChoice::Afq);
-            let k = world.add_kernel(
-                sim_kernel::KernelConfig {
-                    cache: sim_cache::CacheConfig {
-                        mem_bytes: setup.mem_bytes,
-                        ..Default::default()
-                    },
-                    fs_seed: seed,
-                    ..Default::default()
-                },
-                sim_kernel::DeviceKind::hdd(),
-                sched,
-            );
-            (world, k)
-        };
-        let mut hi = Pid(0);
-        let mut lo = Pid(0);
-        for level in [0u8, 7] {
+pub fn gate_ablation(seed: u64) -> GateAblation {
+    let run = |sched: Lobotomized<Afq>| {
+        let setup = Setup::new(SchedChoice::Afq).seed(seed);
+        let (mut w, k) = build_world_with(setup, Box::new(sched));
+        let [hi, lo] = [0u8, 7].map(|level| {
             let f = w.prealloc_file(k, 2 * GB, true);
             let pid = w.spawn(k, Box::new(SeqWriter::new(f, 2 * GB, MB)));
             w.set_ioprio(k, pid, sim_block::IoPrio::best_effort(level));
-            if level == 0 {
-                hi = pid;
-            } else {
-                lo = pid;
-            }
-        }
-        w.run_for(duration);
+            pid
+        });
+        w.run_for(GATE_DURATION);
         let stats = &w.kernel(k).stats;
-        stats.write_mbps(hi, duration) / stats.write_mbps(lo, duration).max(0.001)
+        stats.write_mbps(hi, GATE_DURATION) / stats.write_mbps(lo, GATE_DURATION).max(0.001)
     };
     GateAblation {
-        with_gate_ratio: run(true),
-        without_gate_ratio: run(false),
+        with_gate_ratio: run(Lobotomized::new(Afq::new())),
+        without_gate_ratio: run(Lobotomized::new(Afq::new()).without_syscall_gate()),
+    }
+}
+
+/// `runner ablations`: the three blocks, each followed by a blank line.
+pub fn cell(req: &CellRequest) -> CellOutput {
+    let b = burst_ablation(req.seed);
+    let t = tag_ablation(req.seed);
+    let g = gate_ablation(req.seed);
+    CellOutput {
+        summary: format!("{b}\n{t}\n{g}\n"),
+        metrics: vec![
+            ("burst_full_after_mbps".into(), b.full_after),
+            ("burst_no_prompt_after_mbps".into(), b.no_prompt_after),
+            ("tag_with_tags_b_mbps".into(), t.with_tags_b),
+            ("tag_without_tags_b_mbps".into(), t.without_tags_b),
+            ("gate_with_ratio".into(), g.with_gate_ratio),
+            ("gate_without_ratio".into(), g.without_gate_ratio),
+        ],
+        artifacts: Vec::new(),
+        failure: None,
     }
 }
 
@@ -366,7 +322,7 @@ mod tests {
 
     #[test]
     fn prompt_charging_is_what_contains_the_burst() {
-        let r = burst_ablation(SimDuration::from_secs(20), 0);
+        let r = burst_ablation(0);
         assert!(
             r.full_after > 0.8 * r.before,
             "full Split-Token protects A: {} vs {}",
@@ -388,7 +344,7 @@ mod tests {
         // its 1 MB/s cap over a short window — but without tags the
         // delegated writeback bills the writeback thread and B escapes
         // the throttle entirely.
-        let r = tag_ablation(SimDuration::from_secs(20), 0);
+        let r = tag_ablation(0);
         assert!(
             r.without_tags_b > 2.0 * r.with_tags_b.max(0.05),
             "without tags, delegated writeback lets B escape: {} vs {}",
@@ -399,7 +355,7 @@ mod tests {
 
     #[test]
     fn the_syscall_gate_is_what_orders_buffered_writers() {
-        let r = gate_ablation(SimDuration::from_secs(15), 0);
+        let r = gate_ablation(0);
         assert!(
             r.with_gate_ratio > 3.0,
             "with the gate, prio 0 ≫ prio 7: {}",

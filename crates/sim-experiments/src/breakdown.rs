@@ -12,26 +12,20 @@
 //! The components tile each fsync's `[enter, complete]` interval by
 //! construction, so the table always sums to the end-to-end latency.
 
-use sim_core::{SimDuration, SimTime};
-use sim_kernel::{Outcome, ProcAction, ProcessLogic};
+use sim_core::SimDuration;
 use sim_trace::breakdown::{FSYNC_COMPONENTS, FSYNC_COMPONENT_LAYERS};
 use sim_trace::{fsync_breakdown, layer_totals, FsyncBreakdown, Layer};
-use sim_workloads::{BatchRandFsyncer, FsyncAppender};
-use split_core::SchedAttr;
 
-use crate::setup::{build_world, DeviceChoice, SchedChoice, Setup};
+use crate::fig12_fsync_isolation::{Contention, B_BLOCKS, CONTENDERS};
+use crate::registry::{CellOutput, CellRequest, Profile};
+use crate::setup::{DeviceChoice, SchedChoice, Setup};
 use crate::table::Table;
-use crate::{GB, KB, MB};
 
 /// Configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct Config {
     /// Simulated run time.
     pub duration: SimDuration,
-    /// When B's checkpoints start.
-    pub b_start: SimDuration,
-    /// Blocks per B batch.
-    pub b_blocks: u64,
     /// Device.
     pub device: DeviceChoice,
     /// Experiment seed (0 = historical run).
@@ -39,40 +33,13 @@ pub struct Config {
 }
 
 impl Config {
-    /// Quick profile (seconds of simulated time).
-    pub fn quick() -> Self {
+    /// 20 s quick, 60 s at paper scale, on the HDD.
+    pub fn at(profile: Profile, seed: u64) -> Self {
         Config {
-            duration: SimDuration::from_secs(20),
-            b_start: SimDuration::from_secs(5),
-            b_blocks: 1024,
+            duration: profile.secs(20, 60),
             device: DeviceChoice::Hdd,
-            seed: 0,
+            seed,
         }
-    }
-
-    /// Paper-scale profile.
-    pub fn paper() -> Self {
-        Config {
-            duration: SimDuration::from_secs(60),
-            ..Self::quick()
-        }
-    }
-}
-
-/// A delayed-start wrapper (same as fig12's).
-struct DelayedStart<L> {
-    start: SimTime,
-    started: bool,
-    inner: L,
-}
-
-impl<L: ProcessLogic> ProcessLogic for DelayedStart<L> {
-    fn next(&mut self, now: SimTime, last: &Outcome) -> ProcAction {
-        if !self.started {
-            self.started = true;
-            return ProcAction::Sleep(self.start.since(now));
-        }
-        self.inner.next(now, last)
     }
 }
 
@@ -96,61 +63,28 @@ pub struct BreakdownResult {
     pub cfg: Config,
 }
 
+impl BreakdownResult {
+    /// The sweep metrics: mean end-to-end fsync latency per scheduler.
+    pub fn metrics(&self) -> Vec<(String, f64)> {
+        let per_row = |row: &SchedBreakdown| {
+            (
+                format!("{}_fsync_mean_ms", row.sched.replace('-', "_")),
+                row.fsync.mean_ms(),
+            )
+        };
+        self.rows.iter().map(per_row).collect()
+    }
+}
+
 fn run_one(cfg: &Config, sched: SchedChoice) -> SchedBreakdown {
     let setup = Setup {
         device: cfg.device,
         seed: cfg.seed,
         ..Setup::new(sched)
     };
-    let (mut w, k) = build_world(setup);
-    w.enable_tracing(k);
-    let a_file = w.prealloc_file(k, 256 * MB, true);
-    let b_file = w.prealloc_file(k, GB, true);
-    let a = w.spawn(
-        k,
-        Box::new(FsyncAppender::new(
-            a_file,
-            4 * KB,
-            SimDuration::from_millis(20),
-        )),
-    );
-    let b = w.spawn(
-        k,
-        Box::new(DelayedStart {
-            start: SimTime::ZERO + cfg.b_start,
-            started: false,
-            inner: BatchRandFsyncer::new(
-                b_file,
-                GB,
-                cfg.b_blocks,
-                SimDuration::from_millis(100),
-                cfg.seed ^ 0xb12,
-            ),
-        }),
-    );
-    match sched {
-        SchedChoice::SplitDeadline => {
-            w.configure(
-                k,
-                a,
-                SchedAttr::FsyncDeadline(SimDuration::from_millis(100)),
-            );
-            w.configure(
-                k,
-                b,
-                SchedAttr::FsyncDeadline(SimDuration::from_millis(400)),
-            );
-        }
-        _ => {
-            for pid in [a, b] {
-                w.configure(
-                    k,
-                    pid,
-                    SchedAttr::WriteDeadline(SimDuration::from_millis(20)),
-                );
-            }
-        }
-    }
+    // Figure 12's scenario, with the HDD deadlines on either device.
+    let scenario = Contention::fig12(DeviceChoice::Hdd);
+    let (mut w, k, _, _) = scenario.world(setup, |w, k| w.enable_tracing(k));
     w.run_for(cfg.duration);
     let spans = w.tracer(k).spans();
     SchedBreakdown {
@@ -163,12 +97,17 @@ fn run_one(cfg: &Config, sched: SchedChoice) -> SchedBreakdown {
 /// Run the decomposition under Block-Deadline and Split-Deadline.
 pub fn run(cfg: &Config) -> BreakdownResult {
     BreakdownResult {
-        rows: vec![
-            run_one(cfg, SchedChoice::BlockDeadlineWith(20, 20)),
-            run_one(cfg, SchedChoice::SplitDeadline),
-        ],
+        rows: CONTENDERS.map(|sched| run_one(cfg, sched)).into(),
         cfg: *cfg,
     }
+}
+
+/// `runner breakdown`.
+pub fn cell(req: &CellRequest) -> CellOutput {
+    let mut cfg = Config::at(req.profile, req.seed);
+    cfg.device = req.device.unwrap_or(cfg.device);
+    let r = run(&cfg);
+    CellOutput::of(&r, r.metrics())
 }
 
 impl std::fmt::Display for BreakdownResult {
@@ -176,7 +115,7 @@ impl std::fmt::Display for BreakdownResult {
         writeln!(
             f,
             "fsync latency breakdown ({:?}, B: {} random blocks + fsync)",
-            self.cfg.device, self.cfg.b_blocks
+            self.cfg.device, B_BLOCKS
         )?;
         for row in &self.rows {
             writeln!(
@@ -224,7 +163,7 @@ mod tests {
 
     #[test]
     fn components_sum_to_end_to_end() {
-        let mut cfg = Config::quick();
+        let mut cfg = Config::at(Profile::Quick, 0);
         cfg.duration = SimDuration::from_secs(8);
         let r = run(&cfg);
         for row in &r.rows {

@@ -27,6 +27,7 @@ use sim_fs::{FileSystem, FsEvent, FsOutput, IoReq, JournaledFs};
 use sim_kernel::{DeviceKind, KernelConfig, Outcome, ProcAction, World};
 use split_core::{BlockOnly, SyscallKind};
 
+use crate::registry::{CellOutput, CellRequest, Profile};
 use crate::table::Table;
 use crate::{KB, MB};
 
@@ -40,19 +41,12 @@ pub struct Config {
 }
 
 impl Config {
-    /// Seconds-scale profile for tests and the default runner.
-    pub fn quick() -> Self {
+    /// 8 fault points of 500 ms quick, 24 of 2 s at paper scale. The
+    /// sweep is exhaustive, not sampled, so it takes no seed.
+    pub fn at(profile: Profile) -> Self {
         Config {
-            fault_points: 8,
-            duration: SimDuration::from_millis(500),
-        }
-    }
-
-    /// Longer profile for `--paper`.
-    pub fn paper() -> Self {
-        Config {
-            fault_points: 24,
-            duration: SimDuration::from_secs(2),
+            fault_points: profile.pick(8, 24),
+            duration: SimDuration::from_millis(profile.pick(500, 2_000)),
         }
     }
 }
@@ -312,6 +306,26 @@ pub fn run(cfg: &Config) -> FaultSweepResult {
     }
 }
 
+/// `runner faults` / `--faults`: both sweeps; `--csv` adds the
+/// device-fault points, and any ordered-mode violation fails the run.
+pub fn cell(req: &CellRequest) -> CellOutput {
+    let r = run(&Config::at(req.profile));
+    let mut out = CellOutput::of(&r, Vec::new());
+    if req.csv {
+        let mut csv = String::from("nth_write,io_errors,journal_aborts,fsyncs_ok,fsyncs_eio\n");
+        for p in &r.fault_points {
+            csv.push_str(&format!(
+                "{},{},{},{},{}\n",
+                p.nth_write, p.io_errors, p.journal_aborts, p.fsyncs_ok, p.fsyncs_failed
+            ));
+        }
+        out.push_artifact("fault_sweep.csv", csv);
+    }
+    let violations = r.total_violations();
+    out.failure = (violations > 0).then(|| format!("{violations} consistency violation(s)"));
+    out
+}
+
 impl fmt::Display for FaultSweepResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -362,7 +376,7 @@ mod tests {
 
     #[test]
     fn crash_sweep_passes_the_checker_at_every_injection_point() {
-        let r = run(&Config::quick());
+        let r = run(&Config::at(Profile::Quick));
         assert_eq!(r.total_violations(), 0, "{r}");
         assert!(r.crash_points.len() >= 20, "sweep must cover the protocol");
         let last = r.crash_points[r.crash_points.len() / 2 - 1];
@@ -371,7 +385,7 @@ mod tests {
 
     #[test]
     fn every_device_fault_point_degrades_without_wedging() {
-        let r = run(&Config::quick());
+        let r = run(&Config::at(Profile::Quick));
         for p in &r.fault_points {
             assert_eq!(p.io_errors, 1, "exactly the planned failure: {p:?}");
             assert!(

@@ -14,35 +14,16 @@
 //! Depth 1 reproduces the legacy serial-device numbers exactly, tying
 //! this figure back to the original `fig01` table.
 
-use crate::fig01_write_burst::{self, Series};
+use crate::fig01_write_burst::{self, Series, BURST_AT, BURST_LEN};
+use crate::registry::{CellOutput, CellRequest};
 use crate::setup::SchedChoice;
 use crate::table::{f1, Table};
 
 /// Queue depths the sweep visits.
 pub const DEPTHS: [u32; 6] = [1, 2, 4, 8, 16, 32];
 
-/// Configuration: the underlying write-burst scenario.
-#[derive(Debug, Clone, Copy)]
-pub struct Config {
-    /// The fig01 workload parameters shared by every depth.
-    pub burst: fig01_write_burst::Config,
-}
-
-impl Config {
-    /// Small run for tests.
-    pub fn quick() -> Self {
-        Config {
-            burst: fig01_write_burst::Config::quick(),
-        }
-    }
-
-    /// Longer run matching the paper's recovery window.
-    pub fn paper() -> Self {
-        Config {
-            burst: fig01_write_burst::Config::paper(),
-        }
-    }
-}
+/// The fig01 workload parameters, shared by every depth.
+pub use crate::fig01_write_burst::Config;
 
 /// Both schedulers' outcomes at one queue depth.
 #[derive(Debug, Clone)]
@@ -72,25 +53,42 @@ impl DepthRow {
 pub struct FigResult {
     /// One row per depth, in [`DEPTHS`] order.
     pub rows: Vec<DepthRow>,
-    /// Config used.
-    pub cfg: Config,
+}
+
+impl FigResult {
+    /// The sweep metrics: per depth, A's after-burst rate under each
+    /// system and CFQ's loss factor.
+    pub fn metrics(&self) -> Vec<(String, f64)> {
+        let per_depth = |row: &DepthRow| {
+            let d = row.depth;
+            [
+                (format!("cfq_after_mbps_d{d}"), row.cfq.after),
+                (format!("cfq_loss_d{d}"), row.cfq_degradation()),
+                (format!("split_after_mbps_d{d}"), row.split.after),
+            ]
+        };
+        self.rows.iter().flat_map(per_depth).collect()
+    }
 }
 
 /// Run the sweep.
 pub fn run(cfg: &Config) -> FigResult {
+    let run_one = |sched, depth| fig01_write_burst::run_one_with(cfg, sched, Some(depth));
     let rows = DEPTHS
         .iter()
         .map(|&depth| DepthRow {
             depth,
-            cfq: fig01_write_burst::run_one_with(&cfg.burst, SchedChoice::Cfq, Some(depth)),
-            split: fig01_write_burst::run_one_with(
-                &cfg.burst,
-                SchedChoice::SplitToken,
-                Some(depth),
-            ),
+            cfq: run_one(SchedChoice::Cfq, depth),
+            split: run_one(SchedChoice::SplitToken, depth),
         })
         .collect();
-    FigResult { rows, cfg: *cfg }
+    FigResult { rows }
+}
+
+/// `runner fig01_qd`.
+pub fn cell(req: &CellRequest) -> CellOutput {
+    let r = run(&Config::at(req.profile, req.seed));
+    CellOutput::of(&r, r.metrics())
 }
 
 impl std::fmt::Display for FigResult {
@@ -98,8 +96,8 @@ impl std::fmt::Display for FigResult {
         writeln!(
             f,
             "Figure 1 (queue-depth sweep) — Write Burst vs NCQ depth (burst at t={}s for {}s)",
-            self.cfg.burst.burst_at.as_secs_f64(),
-            self.cfg.burst.burst_len.as_secs_f64()
+            BURST_AT.as_secs_f64(),
+            BURST_LEN.as_secs_f64()
         )?;
         let mut t = Table::new([
             "depth",
@@ -126,13 +124,15 @@ impl std::fmt::Display for FigResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::Profile;
 
     #[test]
     fn cfq_collapse_deepens_with_queue_depth_while_split_token_stays_flat() {
-        let r = run(&Config::quick());
+        let cfg = Config::at(Profile::Quick, 0);
+        let r = run(&cfg);
         assert_eq!(r.rows.len(), DEPTHS.len());
         // Depth 1 reproduces the serial fig01 numbers.
-        let serial = fig01_write_burst::run_one_with(&r.cfg.burst, SchedChoice::Cfq, None);
+        let serial = fig01_write_burst::run_one_with(&cfg, SchedChoice::Cfq, None);
         assert_eq!(
             r.rows[0].cfq.a_mbps, serial.a_mbps,
             "depth 1 must be byte-identical to the serial device"
@@ -174,13 +174,13 @@ mod tests {
     fn burst_history(
         (mut w, k, a): (sim_kernel::World, sim_core::KernelId, sim_core::Pid),
     ) -> (u64, Vec<f64>) {
-        w.run_for(fig01_write_burst::Config::quick().duration);
+        w.run_for(Config::at(Profile::Quick, 0).duration);
         (w.events_processed(), w.kernel(k).stats.read_ts[&a].mbps())
     }
 
     #[test]
     fn depth_1_replays_the_serial_event_stream_on_the_burst_world() {
-        let cfg = fig01_write_burst::Config::quick();
+        let cfg = Config::at(Profile::Quick, 0);
         let build = |depth| fig01_write_burst::build_burst_world(&cfg, SchedChoice::Cfq, depth);
         let serial = burst_history(build(None));
         assert_eq!(serial, burst_history(build(Some(1))));
@@ -192,7 +192,7 @@ mod tests {
         // A single-layer tree must be a pure wrapper: splitbench's
         // `split-layered.single_layer_vs_flat` is only a dispatch-cost
         // ratio if both sides simulate the same history.
-        let cfg = fig01_write_burst::Config::quick();
+        let cfg = Config::at(Profile::Quick, 0);
         let specs = split_layered::parse_layers("all:default:share:cfq").unwrap();
         let arbiter =
             crate::setup::build_layered(specs, split_layered::LayeredConfig::default()).unwrap();
@@ -202,6 +202,7 @@ mod tests {
             SchedChoice::Cfq,
             Box::new(arbiter),
             None,
+            fig01_write_burst::BURST_SALT,
         );
         assert_eq!(burst_history(flat), burst_history(layered));
     }

@@ -13,51 +13,28 @@ use sim_core::{SimDuration, SimTime};
 use sim_workloads::{BurstWriter, SeqReader};
 use split_core::{IoSched, SchedAttr};
 
+use crate::registry::{CellOutput, CellRequest, Timed};
 use crate::setup::{build_world_with, SchedChoice, Setup};
 use crate::table::{f1, Table};
 use crate::{GB, KB, MB};
 
-/// Configuration for the write-burst experiment.
-#[derive(Debug, Clone, Copy)]
-pub struct Config {
-    /// Total simulated time.
-    pub duration: SimDuration,
-    /// When B's burst starts.
-    pub burst_at: SimDuration,
-    /// Burst length.
-    pub burst_len: SimDuration,
-    /// Size of the file A streams.
-    pub a_file: u64,
-    /// Size of the file B scribbles into.
-    pub b_file: u64,
-    /// Throughput-series bucket.
-    pub bucket: SimDuration,
-    /// Experiment seed (0 = historical run).
-    pub seed: u64,
-}
+/// When B's burst starts.
+pub const BURST_AT: SimDuration = SimDuration::from_secs(5);
+/// Burst length.
+pub const BURST_LEN: SimDuration = SimDuration::from_secs(1);
+/// Size of the file A streams.
+const A_FILE: u64 = 4 * GB;
+/// Size of the file B scribbles into.
+const B_FILE: u64 = 16 * GB;
+/// Throughput-series bucket.
+const BUCKET: SimDuration = SimDuration::from_secs(1);
+/// Salt of B's write pattern in the figure itself (the burst ablation
+/// replays the same world under its own).
+pub(crate) const BURST_SALT: u64 = 0xb0b;
 
-impl Config {
-    /// Small run for tests.
-    pub fn quick() -> Self {
-        Config {
-            duration: SimDuration::from_secs(30),
-            burst_at: SimDuration::from_secs(5),
-            burst_len: SimDuration::from_secs(1),
-            a_file: 4 * GB,
-            b_file: 16 * GB,
-            bucket: SimDuration::from_secs(1),
-            seed: 0,
-        }
-    }
-
-    /// Longer run matching the paper's several-minute recovery window.
-    pub fn paper() -> Self {
-        Config {
-            duration: SimDuration::from_secs(120),
-            ..Self::quick()
-        }
-    }
-}
+/// Configuration: 30 s quick, 120 s at paper scale (matching the paper's
+/// several-minute recovery window).
+pub type Config = Timed<30, 120>;
 
 /// One scheduler's outcome.
 #[derive(Debug, Clone)]
@@ -82,55 +59,77 @@ pub struct FigResult {
     pub cfq_idle: Series,
     /// Split-Token with B throttled to 1 MB/s.
     pub split_token: Series,
-    /// Config used.
-    pub cfg: Config,
 }
 
-fn run_one(cfg: &Config, sched: SchedChoice) -> Series {
-    run_one_with(cfg, sched, None)
+impl FigResult {
+    /// The sweep metrics: A's rate before and after the burst, per system.
+    pub fn metrics(&self) -> Vec<(String, f64)> {
+        vec![
+            ("cfq_before_mbps".into(), self.cfq_idle.before),
+            ("cfq_after_mbps".into(), self.cfq_idle.after),
+            ("split_before_mbps".into(), self.split_token.before),
+            ("split_after_mbps".into(), self.split_token.after),
+        ]
+    }
+
+    /// `--csv`: both throughput series, one row per bucket.
+    fn csv(&self) -> String {
+        let (cfq, split) = (&self.cfq_idle.a_mbps, &self.split_token.a_mbps);
+        let mut out = String::from("second,cfq_mbps,split_mbps\n");
+        for i in 0..cfq.len().max(split.len()) {
+            out.push_str(&format!(
+                "{},{:.2},{:.2}\n",
+                i,
+                cfq.get(i).copied().unwrap_or(0.0),
+                split.get(i).copied().unwrap_or(0.0)
+            ));
+        }
+        out
+    }
 }
 
 /// Build the write-burst world: A streaming reads, B a one-second burst,
 /// B contained per the scheduler's mechanism. `queue_depth` of `None`
 /// keeps the legacy serial device; `Some(d)` runs the queued plane
-/// (shared with the fig01_qd sweep, the dispatch benchmarks, and the
-/// zero-allocation steady-state audit).
+/// (shared with the fig01_qd sweep and the zero-allocation steady-state
+/// audit).
 pub fn build_burst_world(
     cfg: &Config,
     sched: SchedChoice,
     queue_depth: Option<u32>,
 ) -> (sim_kernel::World, sim_core::KernelId, sim_core::Pid) {
-    build_burst_world_with(cfg, sched, sched.build(), queue_depth)
+    build_burst_world_with(cfg, sched, sched.build(), queue_depth, BURST_SALT)
 }
 
-/// [`build_burst_world`] with an explicit scheduler instance. `base`
-/// still drives the kernel flags (pdflush, read gating) and B's
-/// containment attribute, while `instance` is what actually installs
-/// (fig01_qd's tests wrap CFQ in a single catch-all layer here).
+/// [`build_burst_world`] with an explicit scheduler instance and seed
+/// salt for B's write pattern. `base` still drives the kernel flags
+/// (pdflush, read gating) and B's containment attribute, while
+/// `instance` is what actually installs (fig01_qd's tests wrap CFQ in a
+/// single catch-all layer here; the burst ablation installs a
+/// lobotomized Split-Token).
 pub(crate) fn build_burst_world_with(
     cfg: &Config,
     base: SchedChoice,
     instance: Box<dyn IoSched>,
     queue_depth: Option<u32>,
+    salt: u64,
 ) -> (sim_kernel::World, sim_core::KernelId, sim_core::Pid) {
     let mut setup = Setup::new(base).seed(cfg.seed);
-    if let Some(d) = queue_depth {
-        setup = setup.queue_depth(d);
-    }
+    setup.queue_depth = queue_depth;
     let (mut w, k) = build_world_with(setup, instance);
-    let a_file = w.prealloc_file(k, cfg.a_file, true);
-    let b_file = w.prealloc_file(k, cfg.b_file, true);
-    let a = w.spawn(k, Box::new(SeqReader::new(a_file, cfg.a_file, MB)));
-    w.kernel_mut(k).track_read_ts(a, cfg.bucket);
+    let a_file = w.prealloc_file(k, A_FILE, true);
+    let b_file = w.prealloc_file(k, B_FILE, true);
+    let a = w.spawn(k, Box::new(SeqReader::new(a_file, A_FILE, MB)));
+    w.kernel_mut(k).track_read_ts(a, BUCKET);
     let b = w.spawn(
         k,
         Box::new(BurstWriter::new(
             b_file,
-            cfg.b_file,
+            B_FILE,
             4 * KB,
-            SimTime::ZERO + cfg.burst_at,
-            cfg.burst_len,
-            cfg.seed ^ 0xb0b,
+            SimTime::ZERO + BURST_AT,
+            BURST_LEN,
+            cfg.seed ^ salt,
         )),
     );
     match base {
@@ -141,12 +140,15 @@ pub(crate) fn build_burst_world_with(
     (w, k, a)
 }
 
-/// [`run_one`] generalized over the device plane.
-pub(crate) fn run_one_with(cfg: &Config, sched: SchedChoice, queue_depth: Option<u32>) -> Series {
-    let (mut w, k, a) = build_burst_world(cfg, sched, queue_depth);
+/// Run one burst world to the end and summarize A's throughput.
+pub(crate) fn burst_series(
+    cfg: &Config,
+    sched: &'static str,
+    (mut w, k, a): (sim_kernel::World, sim_core::KernelId, sim_core::Pid),
+) -> Series {
     w.run_for(cfg.duration);
     let a_mbps = w.kernel(k).stats.read_ts[&a].mbps();
-    let burst_bucket = (cfg.burst_at.as_nanos() / cfg.bucket.as_nanos()) as usize;
+    let burst_bucket = (BURST_AT.as_nanos() / BUCKET.as_nanos()) as usize;
     let before_slice = &a_mbps[..burst_bucket.max(1).min(a_mbps.len())];
     let before = sim_core::stats::mean(before_slice);
     let after_slice: Vec<f64> = a_mbps
@@ -161,7 +163,7 @@ pub(crate) fn run_one_with(cfg: &Config, sched: SchedChoice, queue_depth: Option
         .skip(burst_bucket + 1)
         .position(|&x| x >= 0.8 * before);
     Series {
-        sched: sched.name(),
+        sched,
         a_mbps,
         before,
         after,
@@ -169,13 +171,31 @@ pub(crate) fn run_one_with(cfg: &Config, sched: SchedChoice, queue_depth: Option
     }
 }
 
+/// One scheduler's run on the serial device or a queued plane.
+pub(crate) fn run_one_with(cfg: &Config, sched: SchedChoice, queue_depth: Option<u32>) -> Series {
+    burst_series(
+        cfg,
+        sched.name(),
+        build_burst_world(cfg, sched, queue_depth),
+    )
+}
+
 /// Run the experiment.
 pub fn run(cfg: &Config) -> FigResult {
     FigResult {
-        cfq_idle: run_one(cfg, SchedChoice::Cfq),
-        split_token: run_one(cfg, SchedChoice::SplitToken),
-        cfg: *cfg,
+        cfq_idle: run_one_with(cfg, SchedChoice::Cfq, None),
+        split_token: run_one_with(cfg, SchedChoice::SplitToken, None),
     }
+}
+
+/// `runner fig01`.
+pub fn cell(req: &CellRequest) -> CellOutput {
+    let r = run(&Config::at(req.profile, req.seed));
+    let mut out = CellOutput::of(&r, r.metrics());
+    if req.csv {
+        out.push_artifact("fig01_write_burst.csv", r.csv());
+    }
+    out
 }
 
 impl std::fmt::Display for FigResult {
@@ -183,8 +203,8 @@ impl std::fmt::Display for FigResult {
         writeln!(
             f,
             "Figure 1 — Write Burst (B bursts at t={}s for {}s)",
-            self.cfg.burst_at.as_secs_f64(),
-            self.cfg.burst_len.as_secs_f64()
+            BURST_AT.as_secs_f64(),
+            BURST_LEN.as_secs_f64()
         )?;
         let mut t = Table::new(["scheduler", "A before", "A after-burst", "recovered"]);
         for s in [&self.cfq_idle, &self.split_token] {
@@ -205,10 +225,11 @@ impl std::fmt::Display for FigResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::Profile;
 
     #[test]
     fn cfq_idle_class_cannot_contain_the_burst_but_split_token_can() {
-        let r = run(&Config::quick());
+        let r = run(&Config::at(Profile::Quick, 0));
         // A streams near device bandwidth before the burst in both runs.
         assert!(
             r.cfq_idle.before > 80.0,

@@ -8,45 +8,21 @@
 //! submitter-priority histogram.
 
 use sim_block::IoPrio;
-use sim_core::{Pid, SimDuration};
+use sim_core::Pid;
 use sim_workloads::SeqWriter;
 
+use crate::registry::{CellOutput, CellRequest, Timed};
 use crate::setup::{build_world, SchedChoice, Setup};
 use crate::table::{f1, Table};
 use crate::{GB, MB};
 
-/// Configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct Config {
-    /// Simulated run time.
-    pub duration: SimDuration,
-    /// Per-thread file size region.
-    pub file_bytes: u64,
-    /// Write syscall size.
-    pub req: u64,
-    /// Experiment seed (0 = historical run).
-    pub seed: u64,
-}
+/// Per-thread file size region.
+const FILE_BYTES: u64 = 2 * GB;
+/// Write syscall size.
+const REQ: u64 = MB;
 
-impl Config {
-    /// Small run for tests.
-    pub fn quick() -> Self {
-        Config {
-            duration: SimDuration::from_secs(20),
-            file_bytes: 2 * GB,
-            req: MB,
-            seed: 0,
-        }
-    }
-
-    /// Paper-scale run.
-    pub fn paper() -> Self {
-        Config {
-            duration: SimDuration::from_secs(60),
-            ..Self::quick()
-        }
-    }
-}
+/// Configuration: 20 s quick, 60 s at paper scale.
+pub type Config = Timed<20, 60>;
 
 /// Result of the experiment.
 #[derive(Debug, Clone)]
@@ -71,6 +47,12 @@ pub fn goal_shares() -> [f64; 8] {
     g
 }
 
+/// Each count as a percentage of their total.
+pub fn shares_pct(counts: [u64; 8]) -> [f64; 8] {
+    let total = counts.iter().sum::<u64>().max(1);
+    counts.map(|c| c as f64 / total as f64 * 100.0)
+}
+
 /// Mean relative deviation between achieved and goal shares.
 pub fn mean_deviation(actual: &[f64; 8], goal: &[f64; 8]) -> f64 {
     let mut dev = 0.0;
@@ -83,37 +65,39 @@ pub fn mean_deviation(actual: &[f64; 8], goal: &[f64; 8]) -> f64 {
 /// Run the experiment (CFQ).
 pub fn run(cfg: &Config) -> FigResult {
     let (mut w, k) = build_world(Setup::new(SchedChoice::Cfq).seed(cfg.seed));
-    let mut pids: Vec<Pid> = Vec::new();
-    for level in 0..8u8 {
-        let file = w.prealloc_file(k, cfg.file_bytes, true);
-        let pid = w.spawn(k, Box::new(SeqWriter::new(file, cfg.file_bytes, cfg.req)));
-        w.set_ioprio(k, pid, IoPrio::best_effort(level));
-        pids.push(pid);
-    }
+    let pids: [Pid; 8] = std::array::from_fn(|level| {
+        let file = w.prealloc_file(k, FILE_BYTES, true);
+        let pid = w.spawn(k, Box::new(SeqWriter::new(file, FILE_BYTES, REQ)));
+        w.set_ioprio(k, pid, IoPrio::best_effort(level as u8));
+        pid
+    });
     w.run_for(cfg.duration);
     let stats = &w.kernel(k).stats;
-    let bytes: Vec<u64> = pids
-        .iter()
-        .map(|p| stats.proc(*p).map(|s| s.write_bytes).unwrap_or(0))
-        .collect();
-    let total: u64 = bytes.iter().sum::<u64>().max(1);
-    let mut share_pct = [0.0; 8];
-    for (i, b) in bytes.iter().enumerate() {
-        share_pct[i] = *b as f64 / total as f64 * 100.0;
-    }
-    let hist = stats.req_prio_hist;
-    let hist_total: u64 = hist.iter().sum::<u64>().max(1);
-    let mut observed_prio_pct = [0.0; 8];
-    for (i, h) in hist.iter().enumerate() {
-        observed_prio_pct[i] = *h as f64 / hist_total as f64 * 100.0;
-    }
+    let share_pct = shares_pct(pids.map(|p| stats.proc(p).map_or(0, |s| s.write_bytes)));
     let goal_pct = goal_shares();
     FigResult {
         share_pct,
         goal_pct,
-        observed_prio_pct,
+        observed_prio_pct: shares_pct(stats.req_prio_hist),
         deviation: mean_deviation(&share_pct, &goal_pct),
     }
+}
+
+impl FigResult {
+    /// The sweep metrics: the deviation from the goal, and how much of
+    /// the request stream CFQ saw at the writeback thread's priority 4.
+    pub fn metrics(&self) -> Vec<(String, f64)> {
+        vec![
+            ("deviation".into(), self.deviation),
+            ("observed_prio4_pct".into(), self.observed_prio_pct[4]),
+        ]
+    }
+}
+
+/// `runner fig03`.
+pub fn cell(req: &CellRequest) -> CellOutput {
+    let r = run(&Config::at(req.profile, req.seed));
+    CellOutput::of(&r, r.metrics())
 }
 
 impl std::fmt::Display for FigResult {
@@ -140,10 +124,11 @@ impl std::fmt::Display for FigResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::Profile;
 
     #[test]
     fn cfq_ignores_write_priorities_because_of_delegation() {
-        let r = run(&Config::quick());
+        let r = run(&Config::at(Profile::Quick, 0));
         // All eight threads end up roughly equal...
         let max = r.share_pct.iter().cloned().fold(f64::MIN, f64::max);
         let min = r.share_pct.iter().cloned().fold(f64::MAX, f64::min);

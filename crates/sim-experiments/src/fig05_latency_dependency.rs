@@ -8,45 +8,20 @@
 use sim_core::{SimDuration, SimTime};
 use sim_workloads::{BatchRandFsyncer, FsyncAppender};
 
+use crate::registry::{CellOutput, CellRequest, Timed};
 use crate::setup::{build_world, SchedChoice, Setup};
 use crate::table::{ms, Table};
 use crate::{GB, KB};
 
-/// Configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct Config {
-    /// Simulated run time per point.
-    pub duration: SimDuration,
-    /// B's flush sizes, in 4 KB blocks (the paper sweeps 16 KB..4 MB).
-    pub b_blocks: [u64; 5],
-    /// Block deadline applied to both threads.
-    pub deadline: SimDuration,
-    /// File B scribbles into.
-    pub b_file: u64,
-    /// Experiment seed (0 = historical run).
-    pub seed: u64,
-}
+/// B's flush sizes, in 4 KB blocks (the paper sweeps 16 KB..4 MB).
+pub const B_BLOCKS: [u64; 5] = [4, 16, 64, 256, 1024];
+/// Block deadline applied to both threads.
+const DEADLINE: SimDuration = SimDuration::from_millis(20);
+/// File B scribbles into.
+const B_FILE: u64 = GB;
 
-impl Config {
-    /// Small run for tests.
-    pub fn quick() -> Self {
-        Config {
-            duration: SimDuration::from_secs(10),
-            b_blocks: [4, 16, 64, 256, 1024],
-            deadline: SimDuration::from_millis(20),
-            b_file: GB,
-            seed: 0,
-        }
-    }
-
-    /// Paper-scale run.
-    pub fn paper() -> Self {
-        Config {
-            duration: SimDuration::from_secs(30),
-            ..Self::quick()
-        }
-    }
-}
+/// Configuration: 10 s per point quick, 30 s at paper scale.
+pub type Config = Timed<10, 30>;
 
 /// One point of the sweep.
 #[derive(Debug, Clone, Copy)]
@@ -72,7 +47,7 @@ pub struct FigResult {
 pub fn run_point(cfg: &Config, nblocks: u64, sched: SchedChoice) -> Point {
     let (mut w, k) = build_world(Setup::new(sched).seed(cfg.seed));
     let a_file = w.prealloc_file(k, 64 * crate::MB, true);
-    let b_file = w.prealloc_file(k, cfg.b_file, true);
+    let b_file = w.prealloc_file(k, B_FILE, true);
     let a = w.spawn(
         k,
         Box::new(FsyncAppender::new(
@@ -85,7 +60,7 @@ pub fn run_point(cfg: &Config, nblocks: u64, sched: SchedChoice) -> Point {
         k,
         Box::new(BatchRandFsyncer::new(
             b_file,
-            cfg.b_file,
+            B_FILE,
             nblocks,
             SimDuration::from_millis(50),
             cfg.seed ^ 0x5ee,
@@ -94,7 +69,7 @@ pub fn run_point(cfg: &Config, nblocks: u64, sched: SchedChoice) -> Point {
     // The paper sets per-process block deadlines (their Block-Deadline
     // extension): apply to both threads' block writes.
     for pid in [a, _b] {
-        w.configure(k, pid, split_core::SchedAttr::WriteDeadline(cfg.deadline));
+        w.configure(k, pid, split_core::SchedAttr::WriteDeadline(DEADLINE));
     }
     w.run_for(cfg.duration);
     let st = w.kernel(k).stats.proc(a).expect("A ran");
@@ -115,12 +90,31 @@ pub fn run_point(cfg: &Config, nblocks: u64, sched: SchedChoice) -> Point {
 
 /// Run the full sweep under Block-Deadline.
 pub fn run(cfg: &Config) -> FigResult {
-    let points = cfg
-        .b_blocks
+    let points = B_BLOCKS
         .iter()
         .map(|&n| run_point(cfg, n, SchedChoice::BlockDeadlineWith(20, 20)))
         .collect();
     FigResult { points }
+}
+
+impl FigResult {
+    /// The sweep metrics: A's mean and p95 fsync latency per B flush size.
+    pub fn metrics(&self) -> Vec<(String, f64)> {
+        let per_point = |p: &Point| {
+            let kb = p.b_bytes / KB;
+            [
+                (format!("a_mean_ms_{kb}kb"), p.a_mean_ms),
+                (format!("a_p95_ms_{kb}kb"), p.a_p95_ms),
+            ]
+        };
+        self.points.iter().flat_map(per_point).collect()
+    }
+}
+
+/// `runner fig05`.
+pub fn cell(req: &CellRequest) -> CellOutput {
+    let r = run(&Config::at(req.profile, req.seed));
+    CellOutput::of(&r, r.metrics())
 }
 
 impl std::fmt::Display for FigResult {
@@ -145,20 +139,13 @@ impl std::fmt::Display for FigResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::Profile;
 
     #[test]
     fn a_latency_grows_with_b_flush_size() {
-        let cfg = Config::quick();
-        let small = run_point(
-            &cfg,
-            cfg.b_blocks[0],
-            SchedChoice::BlockDeadlineWith(20, 20),
-        );
-        let large = run_point(
-            &cfg,
-            *cfg.b_blocks.last().unwrap(),
-            SchedChoice::BlockDeadlineWith(20, 20),
-        );
+        let cfg = Config::at(Profile::Quick, 0);
+        let small = run_point(&cfg, B_BLOCKS[0], SchedChoice::BlockDeadlineWith(20, 20));
+        let large = run_point(&cfg, B_BLOCKS[4], SchedChoice::BlockDeadlineWith(20, 20));
         assert!(small.a_count > 5, "A must make progress: {small:?}");
         assert!(large.a_count > 1, "A must make progress: {large:?}");
         assert!(

@@ -7,53 +7,27 @@
 //! because bytes are a poor proxy for device time. Split-Token on ext4
 //! (Figure 13) and on XFS (Figure 16) reproduce the isolation.
 
-use sim_core::{Pid, SimDuration};
+use sim_core::Pid;
 use sim_kernel::FsChoice;
 use sim_workloads::{RunPattern, SeqReader};
 use split_core::SchedAttr;
 
+use crate::registry::{CellOutput, CellRequest, Timed};
 use crate::setup::{build_world, SchedChoice, Setup};
 use crate::table::{f1, Table};
 use crate::{GB, KB, MB};
 
-/// Configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct Config {
-    /// Simulated time per workload point.
-    pub duration: SimDuration,
-    /// Run sizes for B.
-    pub runs: [u64; 7],
-    /// B's throttle (bytes/second of accounted cost).
-    pub b_rate: u64,
-    /// A's file size (must exceed memory to keep A streaming).
-    pub a_file: u64,
-    /// B's file size (the paper uses 10 GB).
-    pub b_file: u64,
-    /// Experiment seed (0 = historical run).
-    pub seed: u64,
-}
+/// Run sizes for B.
+pub const RUNS: [u64; 7] = [4 * KB, 16 * KB, 64 * KB, 256 * KB, MB, 4 * MB, 16 * MB];
+/// B's throttle (bytes/second of accounted cost).
+const B_RATE: u64 = 10 * MB;
+/// A's file size (must exceed memory to keep A streaming).
+const A_FILE: u64 = 4 * GB;
+/// B's file size (the paper uses 10 GB).
+const B_FILE: u64 = 2 * GB;
 
-impl Config {
-    /// Small run for tests.
-    pub fn quick() -> Self {
-        Config {
-            duration: SimDuration::from_secs(10),
-            runs: [4 * KB, 16 * KB, 64 * KB, 256 * KB, MB, 4 * MB, 16 * MB],
-            b_rate: 10 * MB,
-            a_file: 4 * GB,
-            b_file: 2 * GB,
-            seed: 0,
-        }
-    }
-
-    /// Paper-scale run.
-    pub fn paper() -> Self {
-        Config {
-            duration: SimDuration::from_secs(30),
-            ..Self::quick()
-        }
-    }
-}
+/// Configuration: 10 s per point quick, 30 s at paper scale.
+pub type Config = Timed<10, 30>;
 
 /// One workload point.
 #[derive(Debug, Clone, Copy)]
@@ -93,26 +67,26 @@ pub fn run_point(
     run: u64,
     b_writes: bool,
 ) -> Point {
-    let setup = match fs {
-        FsChoice::Ext4 => Setup::new(sched),
-        FsChoice::Xfs => Setup::new(sched).on_xfs(),
+    let setup = Setup {
+        fs,
+        ..Setup::new(sched)
     };
     let (mut w, k) = build_world(setup.seed(cfg.seed));
-    let a_file = w.prealloc_file(k, cfg.a_file, true);
+    let a_file = w.prealloc_file(k, A_FILE, true);
     // B's file is aged/fragmented, as a long-lived 10 GB file would be.
-    let b_file = w.prealloc_file(k, cfg.b_file, false);
-    let a = w.spawn(k, Box::new(SeqReader::new(a_file, cfg.a_file, MB)));
+    let b_file = w.prealloc_file(k, B_FILE, false);
+    let a = w.spawn(k, Box::new(SeqReader::new(a_file, A_FILE, MB)));
     let b: Pid = w.spawn(
         k,
         Box::new(RunPattern::new(
             b_file,
-            cfg.b_file,
+            B_FILE,
             run,
             b_writes,
             cfg.seed ^ 0xBEE,
         )),
     );
-    w.configure(k, b, SchedAttr::TokenRate(cfg.b_rate));
+    w.configure(k, b, SchedAttr::TokenRate(B_RATE));
     w.run_for(cfg.duration);
     let stats = &w.kernel(k).stats;
     let a_mbps = stats.read_mbps(a, cfg.duration);
@@ -129,11 +103,13 @@ pub fn run_point(
     }
 }
 
-/// Run the 14-workload sweep for one scheduler/fs combination.
-pub fn run_with(cfg: &Config, sched: SchedChoice, fs: FsChoice) -> FigResult {
+/// Run the sweep for one scheduler/fs combination: every size in
+/// `runs`, as reads and then as writes (the figures use all of [`RUNS`],
+/// 14 workloads).
+pub fn run_with(cfg: &Config, sched: SchedChoice, fs: FsChoice, runs: &[u64]) -> FigResult {
     let mut points = Vec::new();
     for &b_writes in &[false, true] {
-        for &run in &cfg.runs {
+        for &run in runs {
             points.push(run_point(cfg, sched, fs, run, b_writes));
         }
     }
@@ -150,19 +126,38 @@ pub fn run_with(cfg: &Config, sched: SchedChoice, fs: FsChoice) -> FigResult {
     }
 }
 
-/// Figure 6: SCS-Token on ext4.
-pub fn run(cfg: &Config) -> FigResult {
-    run_with(cfg, SchedChoice::ScsToken, FsChoice::Ext4)
+impl FigResult {
+    /// The sweep metrics: mean and spread of A's throughput over the
+    /// workloads (the spread is the paper's isolation metric).
+    pub fn metrics(&self) -> Vec<(String, f64)> {
+        vec![
+            ("a_mean_mbps".into(), self.a_mean),
+            ("a_stddev_mbps".into(), self.a_stddev),
+        ]
+    }
 }
 
-/// Figure 13: Split-Token on ext4.
-pub fn run_fig13(cfg: &Config) -> FigResult {
-    run_with(cfg, SchedChoice::SplitToken, FsChoice::Ext4)
+/// One cell of the family: the sweep's `--sched` axis overrides the
+/// figure's own scheduler.
+fn family_cell(req: &CellRequest, default: SchedChoice, fs: FsChoice) -> CellOutput {
+    let cfg = Config::at(req.profile, req.seed);
+    let r = run_with(&cfg, req.sched.unwrap_or(default), fs, &RUNS);
+    CellOutput::of(&r, r.metrics())
 }
 
-/// Figure 16: Split-Token on XFS.
-pub fn run_fig16(cfg: &Config) -> FigResult {
-    run_with(cfg, SchedChoice::SplitToken, FsChoice::Xfs)
+/// `runner fig06`: SCS-Token on ext4.
+pub fn cell(req: &CellRequest) -> CellOutput {
+    family_cell(req, SchedChoice::ScsToken, FsChoice::Ext4)
+}
+
+/// `runner fig13`: Split-Token on ext4.
+pub fn cell_fig13(req: &CellRequest) -> CellOutput {
+    family_cell(req, SchedChoice::SplitToken, FsChoice::Ext4)
+}
+
+/// `runner fig16`: Split-Token on XFS.
+pub fn cell_fig16(req: &CellRequest) -> CellOutput {
+    family_cell(req, SchedChoice::SplitToken, FsChoice::Xfs)
 }
 
 impl std::fmt::Display for FigResult {
@@ -194,16 +189,17 @@ impl std::fmt::Display for FigResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::Profile;
 
     #[test]
     fn scs_token_fails_isolation_where_split_token_succeeds() {
-        let mut cfg = Config::quick();
-        cfg.duration = SimDuration::from_secs(8);
+        let mut cfg = Config::at(Profile::Quick, 0);
+        cfg.duration = sim_core::SimDuration::from_secs(8);
         // A reduced sweep keeps the test fast but spans the failure modes:
         // tiny random runs vs large sequential runs, reads and writes.
-        cfg.runs = [4 * KB, 4 * KB, 64 * KB, 64 * KB, 4 * MB, 4 * MB, 16 * MB];
-        let scs = run_with(&cfg, SchedChoice::ScsToken, FsChoice::Ext4);
-        let split = run_with(&cfg, SchedChoice::SplitToken, FsChoice::Ext4);
+        let runs = [4 * KB, 4 * KB, 64 * KB, 64 * KB, 4 * MB, 4 * MB, 16 * MB];
+        let scs = run_with(&cfg, SchedChoice::ScsToken, FsChoice::Ext4, &runs);
+        let split = run_with(&cfg, SchedChoice::SplitToken, FsChoice::Ext4, &runs);
         assert!(
             scs.a_stddev > 2.0 * split.a_stddev,
             "SCS stddev {} should dwarf Split stddev {}",
@@ -221,7 +217,7 @@ mod tests {
 
     #[test]
     fn b_random_reads_crush_a_under_scs() {
-        let cfg = Config::quick();
+        let cfg = Config::at(Profile::Quick, 0);
         let p = run_point(&cfg, SchedChoice::ScsToken, FsChoice::Ext4, 4 * KB, false);
         // 10 MB/s of 4 KB random reads ≈ thousands of seeks per second:
         // far more device time than the throttle intends.

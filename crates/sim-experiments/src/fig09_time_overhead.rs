@@ -7,42 +7,18 @@
 //! splitbench (`sched.split-noop.ns_per_event` against
 //! `sched.noop.ns_per_event` in `benchmark/`).
 
-use sim_core::SimDuration;
 use sim_workloads::SeqWriter;
 
+use crate::registry::{CellOutput, CellRequest, Timed};
 use crate::setup::{build_world, SchedChoice, Setup};
 use crate::table::{f1, Table};
 use crate::{GB, KB};
 
-/// Configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct Config {
-    /// Simulated run time.
-    pub duration: SimDuration,
-    /// Thread counts to sweep.
-    pub threads: [usize; 3],
-    /// Experiment seed (0 = historical run).
-    pub seed: u64,
-}
+/// Thread counts to sweep.
+const THREADS: [usize; 3] = [1, 10, 100];
 
-impl Config {
-    /// Small run for tests.
-    pub fn quick() -> Self {
-        Config {
-            duration: SimDuration::from_secs(5),
-            threads: [1, 10, 100],
-            seed: 0,
-        }
-    }
-
-    /// Paper-scale run.
-    pub fn paper() -> Self {
-        Config {
-            duration: SimDuration::from_secs(20),
-            ..Self::quick()
-        }
-    }
-}
+/// Configuration: 5 s quick, 20 s at paper scale.
+pub type Config = Timed<5, 20>;
 
 /// One sweep point.
 #[derive(Debug, Clone, Copy)]
@@ -80,8 +56,7 @@ fn throughput(cfg: &Config, sched: SchedChoice, threads: usize) -> f64 {
 
 /// Run the sweep.
 pub fn run(cfg: &Config) -> FigResult {
-    let points = cfg
-        .threads
+    let points = THREADS
         .iter()
         .map(|&n| Point {
             threads: n,
@@ -90,6 +65,25 @@ pub fn run(cfg: &Config) -> FigResult {
         })
         .collect();
     FigResult { points }
+}
+
+impl FigResult {
+    /// The sweep metrics: both no-ops' aggregate throughput per thread count.
+    pub fn metrics(&self) -> Vec<(String, f64)> {
+        let per_point = |p: &Point| {
+            [
+                (format!("block_mbps_{}t", p.threads), p.block_mbps),
+                (format!("split_mbps_{}t", p.threads), p.split_mbps),
+            ]
+        };
+        self.points.iter().flat_map(per_point).collect()
+    }
+}
+
+/// `runner fig09`.
+pub fn cell(req: &CellRequest) -> CellOutput {
+    let r = run(&Config::at(req.profile, req.seed));
+    CellOutput::of(&r, r.metrics())
 }
 
 impl std::fmt::Display for FigResult {
@@ -115,10 +109,11 @@ impl std::fmt::Display for FigResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::Profile;
 
     #[test]
     fn split_framework_adds_no_simulated_overhead() {
-        let r = run(&Config::quick());
+        let r = run(&Config::at(Profile::Quick, 0));
         for p in &r.points {
             let rel = (p.split_mbps - p.block_mbps).abs() / p.block_mbps;
             assert!(

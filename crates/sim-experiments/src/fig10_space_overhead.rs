@@ -8,19 +8,21 @@
 use sim_core::SimDuration;
 use sim_workloads::SeqWriter;
 
+use crate::registry::{CellOutput, CellRequest, Profile};
 use crate::setup::{build_world, SchedChoice, Setup};
 use crate::table::{f1, Table};
 use crate::{GB, MB};
+
+/// Dirty ratios to sweep (background ratio tracks at half).
+const RATIOS: [f64; 4] = [0.10, 0.20, 0.35, 0.50];
+/// Writer thread count.
+const WRITERS: usize = 8;
 
 /// Configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct Config {
     /// Simulated run time per ratio.
     pub duration: SimDuration,
-    /// Dirty ratios to sweep (background ratio tracks at half).
-    pub ratios: [f64; 4],
-    /// Writer thread count.
-    pub writers: usize,
     /// Modeled RAM.
     pub mem: u64,
     /// Experiment seed (0 = historical run).
@@ -28,23 +30,13 @@ pub struct Config {
 }
 
 impl Config {
-    /// Small run for tests.
-    pub fn quick() -> Self {
+    /// 10 s per ratio on a 512 MB machine quick; 30 s on a 2 GB machine
+    /// at paper scale (the paper's worker has 8 GB).
+    pub fn at(profile: Profile, seed: u64) -> Self {
         Config {
-            duration: SimDuration::from_secs(10),
-            ratios: [0.10, 0.20, 0.35, 0.50],
-            writers: 8,
-            mem: 512 * MB,
-            seed: 0,
-        }
-    }
-
-    /// Paper-scale run (8 GB worker).
-    pub fn paper() -> Self {
-        Config {
-            duration: SimDuration::from_secs(30),
-            mem: 2 * GB,
-            ..Self::quick()
+            duration: profile.secs(10, 30),
+            mem: profile.pick(512 * MB, 2 * GB),
+            seed,
         }
     }
 }
@@ -72,14 +64,14 @@ pub struct FigResult {
 /// Run the sweep.
 pub fn run(cfg: &Config) -> FigResult {
     let mut points = Vec::new();
-    for &ratio in &cfg.ratios {
+    for ratio in RATIOS {
         let (mut w, k) = build_world(
             Setup::new(SchedChoice::SplitToken)
                 .mem(cfg.mem)
                 .dirty_ratio(ratio)
                 .seed(cfg.seed),
         );
-        for _ in 0..cfg.writers {
+        for _ in 0..WRITERS {
             let file = w.prealloc_file(k, 4 * GB, true);
             w.spawn(k, Box::new(SeqWriter::new(file, 4 * GB, MB)));
         }
@@ -93,6 +85,25 @@ pub fn run(cfg: &Config) -> FigResult {
         });
     }
     FigResult { points }
+}
+
+impl FigResult {
+    /// The sweep metrics: peak live tag memory (KB) per dirty ratio.
+    pub fn metrics(&self) -> Vec<(String, f64)> {
+        let per_point = |p: &Point| {
+            (
+                format!("max_tag_kb_r{:02.0}", p.ratio * 100.0),
+                p.max_bytes as f64 / 1024.0,
+            )
+        };
+        self.points.iter().map(per_point).collect()
+    }
+}
+
+/// `runner fig10`.
+pub fn cell(req: &CellRequest) -> CellOutput {
+    let r = run(&Config::at(req.profile, req.seed));
+    CellOutput::of(&r, r.metrics())
 }
 
 impl std::fmt::Display for FigResult {
@@ -117,7 +128,7 @@ mod tests {
 
     #[test]
     fn tag_memory_is_small_and_grows_with_dirty_ratio() {
-        let r = run(&Config::quick());
+        let r = run(&Config::at(Profile::Quick, 0));
         // Overhead stays well under 1% of RAM at every ratio (the paper
         // reports 0.2–0.6%).
         for p in &r.points {

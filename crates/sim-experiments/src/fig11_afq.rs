@@ -12,7 +12,8 @@ use sim_block::IoPrio;
 use sim_core::{Pid, SimDuration};
 use sim_workloads::{BatchRandFsyncer, MemOverwriter, SeqReader, SeqWriter};
 
-use crate::fig03_cfq_async_unfair::{goal_shares, mean_deviation};
+use crate::fig03_cfq_async_unfair::{goal_shares, mean_deviation, shares_pct};
+use crate::registry::{CellOutput, CellRequest, Profile};
 use crate::setup::{build_world, SchedChoice, Setup};
 use crate::table::{f1, Table};
 use crate::{GB, KB, MB};
@@ -54,21 +55,13 @@ pub struct Config {
 }
 
 impl Config {
-    /// Small run for tests.
-    pub fn quick() -> Self {
+    /// 15 s per panel with 2 sync threads per level quick; 60 s with
+    /// the paper's 5 at paper scale.
+    pub fn at(profile: Profile, seed: u64) -> Self {
         Config {
-            duration: SimDuration::from_secs(15),
-            sync_threads_per_prio: 2,
-            seed: 0,
-        }
-    }
-
-    /// Paper-scale run.
-    pub fn paper() -> Self {
-        Config {
-            duration: SimDuration::from_secs(60),
-            sync_threads_per_prio: 5,
-            seed: 0,
+            duration: profile.secs(15, 60),
+            sync_threads_per_prio: profile.pick(2, 5),
+            seed,
         }
     }
 }
@@ -152,10 +145,7 @@ pub fn run_panel(cfg: &Config, sched: SchedChoice, wl: Workload) -> PanelResult 
         }
     }
     let total: u64 = bytes.iter().sum::<u64>().max(1);
-    let mut share_pct = [0.0; 8];
-    for (i, b) in bytes.iter().enumerate() {
-        share_pct[i] = *b as f64 / total as f64 * 100.0;
-    }
+    let share_pct = shares_pct(bytes);
     PanelResult {
         sched: sched.name(),
         workload: wl,
@@ -179,6 +169,24 @@ pub fn run(cfg: &Config) -> FigResult {
         }
     }
     FigResult { panels }
+}
+
+impl FigResult {
+    /// The sweep metrics: each panel's deviation from the goal, per scheduler.
+    pub fn metrics(&self) -> Vec<(String, f64)> {
+        let per_panel = |p: &PanelResult| {
+            // "(b) async write" → "async_write".
+            let panel = p.workload.label()[4..].replace(' ', "_");
+            (format!("dev_{}_{panel}", p.sched), p.deviation)
+        };
+        self.panels.iter().map(per_panel).collect()
+    }
+}
+
+/// `runner fig11`.
+pub fn cell(req: &CellRequest) -> CellOutput {
+    let r = run(&Config::at(req.profile, req.seed));
+    CellOutput::of(&r, r.metrics())
 }
 
 impl std::fmt::Display for FigResult {
@@ -227,7 +235,7 @@ mod tests {
 
     #[test]
     fn panel_a_both_respect_read_priorities() {
-        let cfg = Config::quick();
+        let cfg = Config::at(Profile::Quick, 0);
         for sched in [SchedChoice::Cfq, SchedChoice::Afq] {
             let p = run_panel(&cfg, sched, Workload::SeqRead);
             assert!(
@@ -241,7 +249,7 @@ mod tests {
 
     #[test]
     fn panel_b_afq_respects_async_write_priorities_cfq_does_not() {
-        let cfg = Config::quick();
+        let cfg = Config::at(Profile::Quick, 0);
         let cfq = run_panel(&cfg, SchedChoice::Cfq, Workload::AsyncWrite);
         let afq = run_panel(&cfg, SchedChoice::Afq, Workload::AsyncWrite);
         assert!(
@@ -259,7 +267,7 @@ mod tests {
 
     #[test]
     fn panel_c_afq_respects_sync_write_priorities() {
-        let cfg = Config::quick();
+        let cfg = Config::at(Profile::Quick, 0);
         let cfq = run_panel(&cfg, SchedChoice::Cfq, Workload::SyncRandWrite);
         let afq = run_panel(&cfg, SchedChoice::Afq, Workload::SyncRandWrite);
         assert!(
@@ -277,7 +285,7 @@ mod tests {
 
     #[test]
     fn panel_d_memory_overwrites_fast_on_both() {
-        let cfg = Config::quick();
+        let cfg = Config::at(Profile::Quick, 0);
         let cfq = run_panel(&cfg, SchedChoice::Cfq, Workload::MemOverwrite);
         let afq = run_panel(&cfg, SchedChoice::Afq, Workload::MemOverwrite);
         assert!(cfq.total_mbps > 500.0, "cfq mem total: {}", cfq.total_mbps);

@@ -7,14 +7,18 @@
 //! expensive fsync is held at the syscall gate and its data is drained by
 //! asynchronous writeback.
 
-use sim_core::{SimDuration, SimTime};
-use sim_kernel::{ProcAction, ProcessLogic};
+use sim_core::{KernelId, Pid, SimDuration, SimTime};
+use sim_kernel::{ProcAction, ProcessLogic, World};
 use sim_workloads::{BatchRandFsyncer, FsyncAppender};
 use split_core::SchedAttr;
 
+use crate::registry::{CellOutput, CellRequest, Profile};
 use crate::setup::{build_world, DeviceChoice, SchedChoice, Setup};
 use crate::table::{ms, Table};
-use crate::{GB, KB};
+use crate::{GB, KB, MB};
+
+/// Blocks per B batch (the paper's 1024 = 4 MB).
+pub const B_BLOCKS: u64 = 1024;
 
 /// Deadline settings (Table 3): `(A, B)` per level.
 #[derive(Debug, Clone, Copy)]
@@ -27,59 +31,130 @@ pub struct Deadlines {
     pub b_fsync: SimDuration,
 }
 
+/// The fsync-contention scenario: A appends 4 KB and fsyncs every
+/// 20 ms (a database log); B writes a batch of random 4 KB blocks and
+/// fsyncs (a checkpoint). Shared by this figure, `runner breakdown` and
+/// the tracing integration tests.
+#[derive(Debug, Clone, Copy)]
+pub struct Contention {
+    /// Size of A's log file.
+    pub a_file: u64,
+    /// Size of the file B scribbles over.
+    pub b_file: u64,
+    /// Blocks per B batch.
+    pub b_blocks: u64,
+    /// When B starts issuing its big fsyncs (zero: with A).
+    pub b_start: SimDuration,
+    /// Deadlines (Table 3).
+    pub deadlines: Deadlines,
+}
+
+impl Contention {
+    /// Figure 12's scenario with Table 3's deadlines for `device`.
+    pub fn fig12(device: DeviceChoice) -> Self {
+        let (block_write, a_fsync, b_fsync) = match device {
+            DeviceChoice::Hdd => (20, 100, 400),
+            DeviceChoice::Ssd => (5, 20, 100),
+        };
+        Contention {
+            a_file: 256 * MB,
+            b_file: GB,
+            b_blocks: B_BLOCKS,
+            b_start: SimDuration::from_secs(5),
+            deadlines: Deadlines {
+                block_write: SimDuration::from_millis(block_write),
+                a_fsync: SimDuration::from_millis(a_fsync),
+                b_fsync: SimDuration::from_millis(b_fsync),
+            },
+        }
+    }
+
+    /// Build the world (not yet run) on `setup`'s machine and return A's
+    /// and B's pids. `observe` installs whatever observers the caller
+    /// wants before anything is spawned. Split-Deadline gets the fsync
+    /// deadlines; every other scheduler the block-write deadline.
+    pub fn world(
+        &self,
+        setup: Setup,
+        observe: impl FnOnce(&mut World, KernelId),
+    ) -> (World, KernelId, Pid, Pid) {
+        let (mut w, k) = build_world(setup);
+        observe(&mut w, k);
+        let a_file = w.prealloc_file(k, self.a_file, true);
+        let b_file = w.prealloc_file(k, self.b_file, true);
+        let a = w.spawn(
+            k,
+            Box::new(FsyncAppender::new(
+                a_file,
+                4 * KB,
+                SimDuration::from_millis(20),
+            )),
+        );
+        let checkpoints = BatchRandFsyncer::new(
+            b_file,
+            self.b_file,
+            self.b_blocks,
+            SimDuration::from_millis(100),
+            setup.seed ^ 0xb12,
+        );
+        let b = if self.b_start == SimDuration::ZERO {
+            w.spawn(k, Box::new(checkpoints))
+        } else {
+            w.spawn(
+                k,
+                Box::new(DelayedStart {
+                    start: SimTime::ZERO + self.b_start,
+                    started: false,
+                    inner: checkpoints,
+                }),
+            )
+        };
+        match setup.sched {
+            SchedChoice::SplitDeadline => {
+                w.configure(k, a, SchedAttr::FsyncDeadline(self.deadlines.a_fsync));
+                w.configure(k, b, SchedAttr::FsyncDeadline(self.deadlines.b_fsync));
+            }
+            _ => {
+                for pid in [a, b] {
+                    w.configure(k, pid, SchedAttr::WriteDeadline(self.deadlines.block_write));
+                }
+            }
+        }
+        (w, k, a, b)
+    }
+}
+
+/// The schedulers the contention scenario compares: Block-Deadline at
+/// 20 ms expiries, then Split-Deadline.
+pub const CONTENDERS: [SchedChoice; 2] = [
+    SchedChoice::BlockDeadlineWith(20, 20),
+    SchedChoice::SplitDeadline,
+];
+
 /// Configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct Config {
     /// Simulated run time.
     pub duration: SimDuration,
-    /// When B starts issuing its big fsyncs.
-    pub b_start: SimDuration,
-    /// Blocks per B batch (the paper uses 1024 = 4 MB).
-    pub b_blocks: u64,
     /// Device.
     pub device: DeviceChoice,
-    /// Deadlines (Table 3).
-    pub deadlines: Deadlines,
     /// Experiment seed (0 = historical run).
     pub seed: u64,
 }
 
 impl Config {
-    /// HDD run (quick).
-    pub fn quick_hdd() -> Self {
+    /// The HDD run: 20 s quick, 60 s at paper scale.
+    pub fn at(profile: Profile, seed: u64) -> Self {
         Config {
-            duration: SimDuration::from_secs(20),
-            b_start: SimDuration::from_secs(5),
-            b_blocks: 1024,
+            duration: profile.secs(20, 60),
             device: DeviceChoice::Hdd,
-            deadlines: Deadlines {
-                block_write: SimDuration::from_millis(20),
-                a_fsync: SimDuration::from_millis(100),
-                b_fsync: SimDuration::from_millis(400),
-            },
-            seed: 0,
+            seed,
         }
     }
 
-    /// SSD run (quick).
-    pub fn quick_ssd() -> Self {
-        Config {
-            device: DeviceChoice::Ssd,
-            deadlines: Deadlines {
-                block_write: SimDuration::from_millis(5),
-                a_fsync: SimDuration::from_millis(20),
-                b_fsync: SimDuration::from_millis(100),
-            },
-            ..Self::quick_hdd()
-        }
-    }
-
-    /// Paper-scale HDD run.
-    pub fn paper_hdd() -> Self {
-        Config {
-            duration: SimDuration::from_secs(60),
-            ..Self::quick_hdd()
-        }
+    /// The same run on `device`.
+    pub fn on(self, device: DeviceChoice) -> Self {
+        Config { device, ..self }
     }
 }
 
@@ -126,60 +201,24 @@ pub struct FigResult {
     pub cfg: Config,
 }
 
-fn run_one(cfg: &Config, sched: SchedChoice) -> Series {
-    run_one_inner(cfg, sched, false).0
-}
-
-fn run_one_inner(cfg: &Config, sched: SchedChoice, trace: bool) -> (Series, Option<String>) {
+/// One scheduler's run; with `trace`, also its Chrome trace-event JSON.
+fn run_one(cfg: &Config, sched: SchedChoice, trace: bool) -> (Series, Option<String>) {
     let setup = Setup {
         device: cfg.device,
         seed: cfg.seed,
         ..Setup::new(sched)
     };
-    let (mut w, k) = build_world(setup);
-    if trace {
-        w.enable_tracing(k);
-    }
-    let a_file = w.prealloc_file(k, 256 * crate::MB, true);
-    let b_file = w.prealloc_file(k, GB, true);
-    let a = w.spawn(
-        k,
-        Box::new(FsyncAppender::new(
-            a_file,
-            4 * KB,
-            SimDuration::from_millis(20),
-        )),
-    );
-    let b = w.spawn(
-        k,
-        Box::new(DelayedStart {
-            start: SimTime::ZERO + cfg.b_start,
-            started: false,
-            inner: BatchRandFsyncer::new(
-                b_file,
-                GB,
-                cfg.b_blocks,
-                SimDuration::from_millis(100),
-                cfg.seed ^ 0xb12,
-            ),
-        }),
-    );
-    match sched {
-        SchedChoice::SplitDeadline => {
-            w.configure(k, a, SchedAttr::FsyncDeadline(cfg.deadlines.a_fsync));
-            w.configure(k, b, SchedAttr::FsyncDeadline(cfg.deadlines.b_fsync));
+    let scenario = Contention::fig12(cfg.device);
+    let (mut w, k, a, b) = scenario.world(setup, |w, k| {
+        if trace {
+            w.enable_tracing(k);
         }
-        _ => {
-            for pid in [a, b] {
-                w.configure(k, pid, SchedAttr::WriteDeadline(cfg.deadlines.block_write));
-            }
-        }
-    }
+    });
     w.run_for(cfg.duration);
     let stats = &w.kernel(k).stats;
     let a_st = stats.proc(a).expect("A ran");
     let b_st = stats.proc(b);
-    let b_start_s = cfg.b_start.as_secs_f64();
+    let b_start_s = scenario.b_start.as_secs_f64();
     let a_latencies: Vec<(f64, f64)> = a_st
         .fsyncs
         .iter()
@@ -209,26 +248,61 @@ fn run_one_inner(cfg: &Config, sched: SchedChoice, trace: bool) -> (Series, Opti
 
 /// Run the experiment on the configured device.
 pub fn run(cfg: &Config) -> FigResult {
-    FigResult {
-        block: run_one(cfg, SchedChoice::BlockDeadlineWith(20, 20)),
-        split: run_one(cfg, SchedChoice::SplitDeadline),
-        cfg: *cfg,
-    }
+    run_traced(cfg, false).0
 }
 
-/// Like [`run`], but with span tracing on; also returns the Chrome
-/// trace-event JSON for each scheduler's run (block, then split).
-pub fn run_traced(cfg: &Config) -> (FigResult, [String; 2]) {
-    let (block, bj) = run_one_inner(cfg, SchedChoice::BlockDeadlineWith(20, 20), true);
-    let (split, sj) = run_one_inner(cfg, SchedChoice::SplitDeadline, true);
-    (
-        FigResult {
-            block,
-            split,
-            cfg: *cfg,
-        },
-        [bj.expect("traced"), sj.expect("traced")],
-    )
+/// [`run`], with span tracing on if `trace`; then also returns each
+/// scheduler's Chrome trace-event JSON (block, then split).
+fn run_traced(cfg: &Config, trace: bool) -> (FigResult, [Option<String>; 2]) {
+    let [(block, bj), (split, sj)] = CONTENDERS.map(|sched| run_one(cfg, sched, trace));
+    let r = FigResult {
+        block,
+        split,
+        cfg: *cfg,
+    };
+    (r, [bj, sj])
+}
+
+/// `runner fig12`: the table on the requested device. The SSD run is
+/// quick at either scale, and without a device override it follows the
+/// HDD table (the legacy composite).
+pub fn cell(req: &CellRequest) -> CellOutput {
+    let ssd = Config::at(Profile::Quick, req.seed).on(DeviceChoice::Ssd);
+    let cfg = match req.device {
+        Some(DeviceChoice::Ssd) => ssd,
+        _ => Config::at(req.profile, req.seed),
+    };
+    let (r, traces) = run_traced(&cfg, req.trace);
+    let metrics = vec![
+        ("block_before_ms".into(), r.block.a_before_ms),
+        ("block_p95_during_ms".into(), r.block.a_during_p95_ms),
+        ("split_before_ms".into(), r.split.a_before_ms),
+        ("split_p95_during_ms".into(), r.split.a_during_p95_ms),
+    ];
+    let mut out = CellOutput::of(&r, metrics);
+    for (label, json) in ["block", "split"].into_iter().zip(traces) {
+        if let Some(json) = json {
+            out.push_artifact(format!("fig12_{label}_trace.json"), json);
+        }
+    }
+    if req.csv {
+        for (label, s) in [("block", &r.block), ("split", &r.split)] {
+            let mut csv = String::from("t_s,latency_ms\n");
+            for (t, l) in &s.a_latencies {
+                csv.push_str(&format!("{t:.3},{l:.3}\n"));
+            }
+            out.push_artifact(format!("fig12_hdd_{label}_timeline.csv"), csv);
+        }
+    }
+    if req.device.is_none() {
+        let rs = run(&ssd);
+        out.metrics.extend([
+            ("ssd_block_p95_during_ms".into(), rs.block.a_during_p95_ms),
+            ("ssd_split_p95_during_ms".into(), rs.split.a_during_p95_ms),
+        ]);
+        out.summary.push_str(&format!("{rs}\n\n"));
+    }
+    out
 }
 
 impl std::fmt::Display for FigResult {
@@ -236,7 +310,7 @@ impl std::fmt::Display for FigResult {
         writeln!(
             f,
             "Figure 12 — fsync latency isolation ({:?}, B: {} random blocks + fsync)",
-            self.cfg.device, self.cfg.b_blocks
+            self.cfg.device, B_BLOCKS
         )?;
         let mut t = Table::new(["scheduler", "A before B", "A p95 during B", "B fsyncs"]);
         for s in [&self.block, &self.split] {
@@ -257,7 +331,7 @@ mod tests {
 
     #[test]
     fn split_deadline_isolates_a_on_hdd() {
-        let r = run(&Config::quick_hdd());
+        let r = run(&Config::at(Profile::Quick, 0));
         // Block-Deadline: A's tail latency explodes while B checkpoints.
         assert!(
             r.block.a_during_p95_ms > 4.0 * r.block.a_before_ms.max(1.0),
@@ -266,7 +340,10 @@ mod tests {
             r.block.a_during_p95_ms
         );
         // Split-Deadline: A's p95 stays in the vicinity of its deadline.
-        let budget = r.cfg.deadlines.a_fsync.as_millis_f64();
+        let budget = Contention::fig12(r.cfg.device)
+            .deadlines
+            .a_fsync
+            .as_millis_f64();
         assert!(
             r.split.a_during_p95_ms < 2.5 * budget,
             "split-deadline p95 {} must stay near the {} ms goal",
@@ -286,7 +363,7 @@ mod tests {
 
     #[test]
     fn split_deadline_isolates_a_on_ssd() {
-        let r = run(&Config::quick_ssd());
+        let r = run(&Config::at(Profile::Quick, 0).on(DeviceChoice::Ssd));
         assert!(
             r.block.a_during_p95_ms > 1.5 * r.split.a_during_p95_ms,
             "split {} vs block {} on SSD",

@@ -8,13 +8,19 @@
 //! SCS-Token loses by orders of magnitude on "write-mem").
 
 use sim_core::{Pid, SimDuration};
-use sim_kernel::World;
+use sim_kernel::{KernelStats, World};
 use sim_workloads::{MemOverwriter, RandReader, RandWriter, SeqReader, SeqWriter};
 use split_core::SchedAttr;
 
+use crate::registry::{CellOutput, CellRequest, Timed};
 use crate::setup::{build_world, SchedChoice, Setup};
 use crate::table::{f1, Table};
 use crate::{GB, KB, MB};
+
+/// B's throttle (normalized bytes/second).
+const B_RATE: u64 = MB;
+/// A's file size.
+const A_FILE: u64 = 4 * GB;
 
 /// The six B workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,16 +41,14 @@ pub enum BWorkload {
 
 impl BWorkload {
     /// All six, in the paper's order.
-    pub fn all() -> [BWorkload; 6] {
-        [
-            BWorkload::ReadRand,
-            BWorkload::ReadSeq,
-            BWorkload::ReadMem,
-            BWorkload::WriteRand,
-            BWorkload::WriteSeq,
-            BWorkload::WriteMem,
-        ]
-    }
+    pub const ALL: [BWorkload; 6] = [
+        BWorkload::ReadRand,
+        BWorkload::ReadSeq,
+        BWorkload::ReadMem,
+        BWorkload::WriteRand,
+        BWorkload::WriteSeq,
+        BWorkload::WriteMem,
+    ];
 
     /// Label used in the figure.
     pub fn label(self) -> &'static str {
@@ -66,16 +70,22 @@ impl BWorkload {
         )
     }
 
-    /// Spawn the workload on `k`, returning B's pid. `seed` varies the
-    /// random-access streams (0 = historical run).
-    pub fn spawn(self, w: &mut World, k: sim_core::KernelId, seed: u64) -> Pid {
+    /// B's throughput (MB/s) in the metric the workload is judged by.
+    pub fn mbps(self, stats: &KernelStats, b: Pid, window: SimDuration) -> f64 {
+        if self.is_write() {
+            stats.write_mbps(b, window)
+        } else {
+            stats.read_mbps(b, window)
+        }
+    }
+
+    /// Spawn the workload on `k`, returning B's pid. `rng_seed` seeds
+    /// the random-access streams.
+    pub fn spawn(self, w: &mut World, k: sim_core::KernelId, rng_seed: u64) -> Pid {
         match self {
             BWorkload::ReadRand => {
                 let f = w.prealloc_file(k, 2 * GB, false);
-                w.spawn(
-                    k,
-                    Box::new(RandReader::new(f, 2 * GB, 4 * KB, seed ^ 0xb14)),
-                )
+                w.spawn(k, Box::new(RandReader::new(f, 2 * GB, 4 * KB, rng_seed)))
             }
             BWorkload::ReadSeq => {
                 let f = w.prealloc_file(k, 2 * GB, true);
@@ -92,10 +102,7 @@ impl BWorkload {
             }
             BWorkload::WriteRand => {
                 let f = w.prealloc_file(k, 2 * GB, false);
-                w.spawn(
-                    k,
-                    Box::new(RandWriter::new(f, 2 * GB, 4 * KB, seed ^ 0xb14)),
-                )
+                w.spawn(k, Box::new(RandWriter::new(f, 2 * GB, 4 * KB, rng_seed)))
             }
             BWorkload::WriteSeq => {
                 let f = w.prealloc_file(k, 2 * GB, true);
@@ -109,38 +116,8 @@ impl BWorkload {
     }
 }
 
-/// Configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct Config {
-    /// Simulated time per point.
-    pub duration: SimDuration,
-    /// B's throttle (normalized bytes/second).
-    pub b_rate: u64,
-    /// A's file size.
-    pub a_file: u64,
-    /// Experiment seed (0 = historical run).
-    pub seed: u64,
-}
-
-impl Config {
-    /// Small run for tests.
-    pub fn quick() -> Self {
-        Config {
-            duration: SimDuration::from_secs(10),
-            b_rate: MB,
-            a_file: 4 * GB,
-            seed: 0,
-        }
-    }
-
-    /// Paper-scale run.
-    pub fn paper() -> Self {
-        Config {
-            duration: SimDuration::from_secs(30),
-            ..Self::quick()
-        }
-    }
-}
+/// Configuration: 10 s per point quick, 30 s at paper scale.
+pub type Config = Timed<10, 30>;
 
 /// One (scheduler, workload) outcome.
 #[derive(Debug, Clone, Copy)]
@@ -167,8 +144,8 @@ pub struct FigResult {
 /// Measure A alone (no B).
 pub fn a_alone(cfg: &Config) -> f64 {
     let (mut w, k) = build_world(Setup::new(SchedChoice::SplitToken).seed(cfg.seed));
-    let a_file = w.prealloc_file(k, cfg.a_file, true);
-    let a = w.spawn(k, Box::new(SeqReader::new(a_file, cfg.a_file, MB)));
+    let a_file = w.prealloc_file(k, A_FILE, true);
+    let a = w.spawn(k, Box::new(SeqReader::new(a_file, A_FILE, MB)));
     w.run_for(cfg.duration);
     w.kernel(k).stats.read_mbps(a, cfg.duration)
 }
@@ -176,39 +153,57 @@ pub fn a_alone(cfg: &Config) -> f64 {
 /// Run one point.
 pub fn run_point(cfg: &Config, sched: SchedChoice, wl: BWorkload) -> Point {
     let (mut w, k) = build_world(Setup::new(sched).seed(cfg.seed));
-    let a_file = w.prealloc_file(k, cfg.a_file, true);
-    let a = w.spawn(k, Box::new(SeqReader::new(a_file, cfg.a_file, MB)));
-    let b = wl.spawn(&mut w, k, cfg.seed);
-    w.configure(k, b, SchedAttr::TokenRate(cfg.b_rate));
+    let a_file = w.prealloc_file(k, A_FILE, true);
+    let a = w.spawn(k, Box::new(SeqReader::new(a_file, A_FILE, MB)));
+    let b = wl.spawn(&mut w, k, cfg.seed ^ 0xb14);
+    w.configure(k, b, SchedAttr::TokenRate(B_RATE));
     w.run_for(cfg.duration);
     let stats = &w.kernel(k).stats;
     Point {
         workload: wl,
         a_mbps: stats.read_mbps(a, cfg.duration),
-        b_mbps: if wl.is_write() {
-            stats.write_mbps(b, cfg.duration)
-        } else {
-            stats.read_mbps(b, cfg.duration)
-        },
+        b_mbps: wl.mbps(stats, b, cfg.duration),
     }
 }
 
 /// Run the full comparison.
 pub fn run(cfg: &Config) -> FigResult {
-    let a_alone_mbps = a_alone(cfg);
-    let scs = BWorkload::all()
-        .iter()
-        .map(|&wl| run_point(cfg, SchedChoice::ScsToken, wl))
-        .collect();
-    let split = BWorkload::all()
-        .iter()
-        .map(|&wl| run_point(cfg, SchedChoice::SplitToken, wl))
-        .collect();
+    let sweep = |sched| BWorkload::ALL.map(|wl| run_point(cfg, sched, wl)).to_vec();
     FigResult {
-        a_alone_mbps,
-        scs,
-        split,
+        a_alone_mbps: a_alone(cfg),
+        scs: sweep(SchedChoice::ScsToken),
+        split: sweep(SchedChoice::SplitToken),
     }
+}
+
+impl FigResult {
+    /// The sweep metrics: A alone, then A's and B's throughput per
+    /// system and B workload.
+    pub fn metrics(&self) -> Vec<(String, f64)> {
+        let mut out = vec![("a_alone_mbps".into(), self.a_alone_mbps)];
+        out.extend(point_metrics(&self.scs, &self.split));
+        out
+    }
+}
+
+/// A's and B's throughput per system and B workload, as sweep metrics
+/// (Figure 20 reports the same pairs from inside its guests).
+pub(crate) fn point_metrics(scs: &[Point], split: &[Point]) -> Vec<(String, f64)> {
+    let mut out = Vec::new();
+    for (sys, points) in [("scs", scs), ("split", split)] {
+        for p in points {
+            let wl = p.workload.label().replace('-', "_");
+            out.push((format!("{sys}_a_mbps_{wl}"), p.a_mbps));
+            out.push((format!("{sys}_b_mbps_{wl}"), p.b_mbps));
+        }
+    }
+    out
+}
+
+/// `runner fig14`.
+pub fn cell(req: &CellRequest) -> CellOutput {
+    let r = run(&Config::at(req.profile, req.seed));
+    CellOutput::of(&r, r.metrics())
 }
 
 impl std::fmt::Display for FigResult {
@@ -242,10 +237,11 @@ impl std::fmt::Display for FigResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::Profile;
 
     #[test]
     fn split_token_isolates_a_where_scs_fails_on_random_reads() {
-        let cfg = Config::quick();
+        let cfg = Config::at(Profile::Quick, 0);
         let scs = run_point(&cfg, SchedChoice::ScsToken, BWorkload::ReadRand);
         let split = run_point(&cfg, SchedChoice::SplitToken, BWorkload::ReadRand);
         assert!(
@@ -258,7 +254,7 @@ mod tests {
 
     #[test]
     fn write_mem_is_orders_of_magnitude_faster_under_split_token() {
-        let cfg = Config::quick();
+        let cfg = Config::at(Profile::Quick, 0);
         let scs = run_point(&cfg, SchedChoice::ScsToken, BWorkload::WriteMem);
         let split = run_point(&cfg, SchedChoice::SplitToken, BWorkload::WriteMem);
         // SCS charges every overwrite its raw bytes → B pinned to ~1 MB/s.
@@ -278,7 +274,7 @@ mod tests {
 
     #[test]
     fn read_mem_not_throttled_by_either_but_faster_under_split() {
-        let cfg = Config::quick();
+        let cfg = Config::at(Profile::Quick, 0);
         let scs = run_point(&cfg, SchedChoice::ScsToken, BWorkload::ReadMem);
         let split = run_point(&cfg, SchedChoice::SplitToken, BWorkload::ReadMem);
         assert!(
@@ -297,7 +293,7 @@ mod tests {
 
     #[test]
     fn throttled_b_stays_near_its_budget_for_disk_workloads_under_split() {
-        let cfg = Config::quick();
+        let cfg = Config::at(Profile::Quick, 0);
         let p = run_point(&cfg, SchedChoice::SplitToken, BWorkload::WriteSeq);
         // 1 MB/s normalized budget → B's sequential writes land near 1
         // MB/s (within a generous factor for bucket burst).

@@ -7,14 +7,21 @@
 //! but from CPU contention, which an I/O scheduler cannot fix (the paper
 //! confirms this with the spin-loop line).
 
-use sim_core::SimDuration;
 use sim_kernel::World;
 use sim_workloads::{MemOverwriter, SeqReader, Spinner};
 use split_core::SchedAttr;
 
+use crate::registry::{CellOutput, CellRequest, Timed};
 use crate::setup::{build_world, SchedChoice, Setup};
 use crate::table::{f1, Table};
 use crate::{GB, KB, MB};
+
+/// Thread counts to sweep.
+const THREADS: [usize; 4] = [1, 16, 256, 1024];
+/// Cores on the machine (the paper uses a 32-core node).
+const CORES: u32 = 32;
+/// B group throttle.
+const B_RATE: u64 = MB;
 
 /// B's activity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,14 +38,12 @@ pub enum BActivity {
 
 impl BActivity {
     /// All activities.
-    pub fn all() -> [BActivity; 4] {
-        [
-            BActivity::SeqRead,
-            BActivity::ReadMem,
-            BActivity::WriteMem,
-            BActivity::Spin,
-        ]
-    }
+    pub const ALL: [BActivity; 4] = [
+        BActivity::SeqRead,
+        BActivity::ReadMem,
+        BActivity::WriteMem,
+        BActivity::Spin,
+    ];
 
     /// Label.
     pub fn label(self) -> &'static str {
@@ -51,41 +56,8 @@ impl BActivity {
     }
 }
 
-/// Configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct Config {
-    /// Simulated time per point.
-    pub duration: SimDuration,
-    /// Thread counts to sweep.
-    pub threads: [usize; 4],
-    /// Cores on the machine (the paper uses a 32-core node).
-    pub cores: u32,
-    /// B group throttle.
-    pub b_rate: u64,
-    /// Experiment seed (0 = historical run).
-    pub seed: u64,
-}
-
-impl Config {
-    /// Small run for tests.
-    pub fn quick() -> Self {
-        Config {
-            duration: SimDuration::from_secs(5),
-            threads: [1, 16, 256, 1024],
-            cores: 32,
-            b_rate: MB,
-            seed: 0,
-        }
-    }
-
-    /// Paper-scale run.
-    pub fn paper() -> Self {
-        Config {
-            duration: SimDuration::from_secs(20),
-            ..Self::quick()
-        }
-    }
-}
+/// Configuration: 5 s per point quick, 20 s at paper scale.
+pub type Config = Timed<5, 20>;
 
 /// One point: A's throughput with n B threads of one activity.
 #[derive(Debug, Clone, Copy)]
@@ -110,7 +82,6 @@ fn spawn_b(
     k: sim_core::KernelId,
     act: BActivity,
     shared_mem_file: sim_core::FileId,
-    i: usize,
 ) -> sim_core::Pid {
     match act {
         BActivity::SeqRead => {
@@ -127,10 +98,7 @@ fn spawn_b(
             k,
             Box::new(MemOverwriter::new(shared_mem_file, 2 * MB, 64 * KB)),
         ),
-        BActivity::Spin => {
-            let _ = i;
-            w.spawn(k, Box::new(Spinner))
-        }
+        BActivity::Spin => w.spawn(k, Box::new(Spinner)),
     }
 }
 
@@ -138,7 +106,7 @@ fn spawn_b(
 pub fn run_point(cfg: &Config, act: BActivity, threads: usize) -> Point {
     let (mut w, k) = build_world(
         Setup::new(SchedChoice::SplitToken)
-            .cores(cfg.cores)
+            .cores(CORES)
             .seed(cfg.seed),
     );
     let a_file = w.prealloc_file(k, 4 * GB, true);
@@ -148,12 +116,12 @@ pub fn run_point(cfg: &Config, act: BActivity, threads: usize) -> Point {
         .cache_mut()
         .fill(shared_mem_file, 0, 8 * MB / sim_core::PAGE_SIZE);
     for i in 0..threads {
-        let b = spawn_b(&mut w, k, act, shared_mem_file, i);
+        let b = spawn_b(&mut w, k, act, shared_mem_file);
         // All B threads share one bucket (the paper: "all threads of B
         // share the same I/O limit").
         w.configure(k, b, SchedAttr::TokenGroup(1));
         if i == 0 {
-            w.configure(k, b, SchedAttr::TokenRate(cfg.b_rate));
+            w.configure(k, b, SchedAttr::TokenRate(B_RATE));
         }
     }
     w.run_for(cfg.duration);
@@ -167,12 +135,29 @@ pub fn run_point(cfg: &Config, act: BActivity, threads: usize) -> Point {
 /// Run the full sweep.
 pub fn run(cfg: &Config) -> FigResult {
     let mut points = Vec::new();
-    for act in BActivity::all() {
-        for &n in &cfg.threads {
+    for act in BActivity::ALL {
+        for n in THREADS {
             points.push(run_point(cfg, act, n));
         }
     }
     FigResult { points }
+}
+
+impl FigResult {
+    /// The sweep metrics: A's throughput per B activity and thread count.
+    pub fn metrics(&self) -> Vec<(String, f64)> {
+        let per_point = |p: &Point| {
+            let act = p.activity.label().replace('-', "_");
+            (format!("a_mbps_{act}_{}t", p.threads), p.a_mbps)
+        };
+        self.points.iter().map(per_point).collect()
+    }
+}
+
+/// `runner fig15`.
+pub fn cell(req: &CellRequest) -> CellOutput {
+    let r = run(&Config::at(req.profile, req.seed));
+    CellOutput::of(&r, r.metrics())
 }
 
 impl std::fmt::Display for FigResult {
@@ -196,10 +181,11 @@ impl std::fmt::Display for FigResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::Profile;
 
     #[test]
     fn disk_bound_b_threads_do_not_hurt_a() {
-        let cfg = Config::quick();
+        let cfg = Config::at(Profile::Quick, 0);
         let one = run_point(&cfg, BActivity::SeqRead, 1);
         let many = run_point(&cfg, BActivity::SeqRead, 64);
         assert!(
@@ -212,7 +198,7 @@ mod tests {
 
     #[test]
     fn spinning_threads_hurt_a_via_cpu_not_io() {
-        let cfg = Config::quick();
+        let cfg = Config::at(Profile::Quick, 0);
         let few = run_point(&cfg, BActivity::Spin, 1);
         let some = run_point(&cfg, BActivity::Spin, 256);
         let many = run_point(&cfg, BActivity::Spin, 1024);
@@ -232,7 +218,7 @@ mod tests {
 
     #[test]
     fn mem_bound_b_only_hurts_beyond_core_count() {
-        let cfg = Config::quick();
+        let cfg = Config::at(Profile::Quick, 0);
         let small = run_point(&cfg, BActivity::WriteMem, 16);
         let large = run_point(&cfg, BActivity::WriteMem, 1024);
         assert!(

@@ -13,42 +13,18 @@ use sim_kernel::FsChoice;
 use sim_workloads::{CreatFsyncLoop, SeqReader};
 use split_core::SchedAttr;
 
+use crate::registry::{CellOutput, CellRequest, Timed};
 use crate::setup::{build_world, SchedChoice, Setup};
 use crate::table::{f1, Table};
 use crate::{GB, MB};
 
-/// Configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct Config {
-    /// Simulated time per point.
-    pub duration: SimDuration,
-    /// B's sleep between creates, sweep (ms).
-    pub sleeps_ms: [u64; 4],
-    /// B's token rate (normalized bytes/second).
-    pub b_rate: u64,
-    /// Experiment seed (0 = historical run).
-    pub seed: u64,
-}
+/// B's sleep between creates, sweep (ms).
+const SLEEPS_MS: [u64; 4] = [0, 10, 50, 200];
+/// B's token rate (normalized bytes/second).
+const B_RATE: u64 = MB / 2;
 
-impl Config {
-    /// Small run for tests.
-    pub fn quick() -> Self {
-        Config {
-            duration: SimDuration::from_secs(10),
-            sleeps_ms: [0, 10, 50, 200],
-            b_rate: MB / 2,
-            seed: 0,
-        }
-    }
-
-    /// Paper-scale run.
-    pub fn paper() -> Self {
-        Config {
-            duration: SimDuration::from_secs(30),
-            ..Self::quick()
-        }
-    }
-}
+/// Configuration: 10 s per point quick, 30 s at paper scale.
+pub type Config = Timed<10, 30>;
 
 /// One (fs, sleep) point.
 #[derive(Debug, Clone, Copy)]
@@ -72,9 +48,9 @@ pub struct FigResult {
 
 /// Run one point.
 pub fn run_point(cfg: &Config, fs: FsChoice, sleep_ms: u64) -> Point {
-    let setup = match fs {
-        FsChoice::Ext4 => Setup::new(SchedChoice::SplitToken),
-        FsChoice::Xfs => Setup::new(SchedChoice::SplitToken).on_xfs(),
+    let setup = Setup {
+        fs,
+        ..Setup::new(SchedChoice::SplitToken)
     };
     let (mut w, k) = build_world(setup.seed(cfg.seed));
     let a_file = w.prealloc_file(k, 4 * GB, true);
@@ -83,7 +59,7 @@ pub fn run_point(cfg: &Config, fs: FsChoice, sleep_ms: u64) -> Point {
         k,
         Box::new(CreatFsyncLoop::new(SimDuration::from_millis(sleep_ms))),
     );
-    w.configure(k, b, SchedAttr::TokenRate(cfg.b_rate));
+    w.configure(k, b, SchedAttr::TokenRate(B_RATE));
     w.run_for(cfg.duration);
     let stats = &w.kernel(k).stats;
     let creates = stats.proc(b).map(|s| s.meta_ops.len()).unwrap_or(0);
@@ -97,7 +73,7 @@ pub fn run_point(cfg: &Config, fs: FsChoice, sleep_ms: u64) -> Point {
 /// Run the full sweep on both file systems.
 pub fn run(cfg: &Config) -> FigResult {
     let sweep = |fs| {
-        cfg.sleeps_ms
+        SLEEPS_MS
             .iter()
             .map(|&s| run_point(cfg, fs, s))
             .collect::<Vec<_>>()
@@ -106,6 +82,30 @@ pub fn run(cfg: &Config) -> FigResult {
         ext4: sweep(FsChoice::Ext4),
         xfs: sweep(FsChoice::Xfs),
     }
+}
+
+impl FigResult {
+    /// The sweep metrics: A's throughput and B's create rate per file
+    /// system and sleep time.
+    pub fn metrics(&self) -> Vec<(String, f64)> {
+        let mut out = Vec::new();
+        for (fs, points) in [("ext4", &self.ext4), ("xfs", &self.xfs)] {
+            for p in points {
+                out.push((format!("{fs}_a_mbps_{}ms", p.sleep_ms), p.a_mbps));
+                out.push((
+                    format!("{fs}_creates_per_sec_{}ms", p.sleep_ms),
+                    p.b_creates_per_sec,
+                ));
+            }
+        }
+        out
+    }
+}
+
+/// `runner fig17`.
+pub fn cell(req: &CellRequest) -> CellOutput {
+    let r = run(&Config::at(req.profile, req.seed));
+    CellOutput::of(&r, r.metrics())
 }
 
 impl std::fmt::Display for FigResult {
@@ -137,10 +137,11 @@ impl std::fmt::Display for FigResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::Profile;
 
     #[test]
     fn ext4_throttles_creates_but_xfs_does_not() {
-        let cfg = Config::quick();
+        let cfg = Config::at(Profile::Quick, 0);
         let e = run_point(&cfg, FsChoice::Ext4, 0);
         let x = run_point(&cfg, FsChoice::Xfs, 0);
         // XFS's untagged log lets B create far faster than ext4's
@@ -155,7 +156,7 @@ mod tests {
 
     #[test]
     fn a_is_isolated_on_ext4_regardless_of_b_sleep() {
-        let cfg = Config::quick();
+        let cfg = Config::at(Profile::Quick, 0);
         let busy = run_point(&cfg, FsChoice::Ext4, 0);
         let idle = run_point(&cfg, FsChoice::Ext4, 200);
         assert!(
@@ -168,7 +169,7 @@ mod tests {
 
     #[test]
     fn a_suffers_on_xfs_when_b_is_busy() {
-        let cfg = Config::quick();
+        let cfg = Config::at(Profile::Quick, 0);
         let busy = run_point(&cfg, FsChoice::Xfs, 0);
         let idle = run_point(&cfg, FsChoice::Xfs, 200);
         assert!(

@@ -11,42 +11,18 @@ use sim_apps::minidb::{Checkpointer, MiniDbConfig, MiniDbShared, TxnWorker};
 use sim_core::{SimDuration, SimTime};
 use split_core::SchedAttr;
 
+use crate::registry::{CellOutput, CellRequest, Timed};
 use crate::setup::{build_world, SchedChoice, Setup};
 use crate::table::{ms, Table};
 use crate::MB;
 
-/// Configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct Config {
-    /// Simulated run time per point.
-    pub duration: SimDuration,
-    /// Checkpoint thresholds to sweep (dirty buffers).
-    pub thresholds: [u64; 3],
-    /// Database size.
-    pub db_bytes: u64,
-    /// Experiment seed (0 = historical run).
-    pub seed: u64,
-}
+/// Checkpoint thresholds to sweep (dirty buffers).
+pub const THRESHOLDS: [u64; 3] = [200, 800, 2000];
+/// Database size.
+const DB_BYTES: u64 = 256 * MB;
 
-impl Config {
-    /// Small run for tests.
-    pub fn quick() -> Self {
-        Config {
-            duration: SimDuration::from_secs(25),
-            thresholds: [200, 800, 2000],
-            db_bytes: 256 * MB,
-            seed: 0,
-        }
-    }
-
-    /// Paper-scale run.
-    pub fn paper() -> Self {
-        Config {
-            duration: SimDuration::from_secs(60),
-            ..Self::quick()
-        }
-    }
-}
+/// Configuration: 25 s per point quick, 60 s at paper scale.
+pub type Config = Timed<25, 60>;
 
 /// One (scheduler, threshold) outcome.
 #[derive(Debug, Clone, Copy)]
@@ -77,11 +53,11 @@ pub struct FigResult {
 /// Run one point.
 pub fn run_point(cfg: &Config, sched: SchedChoice, threshold: u64) -> Point {
     let (mut w, k) = build_world(Setup::new(sched).seed(cfg.seed));
-    let db_file = w.prealloc_file(k, cfg.db_bytes, true);
+    let db_file = w.prealloc_file(k, DB_BYTES, true);
     let wal_file = w.prealloc_file(k, 64 * MB, true);
     let shared = MiniDbShared::new();
     let db_cfg = MiniDbConfig {
-        db_bytes: cfg.db_bytes,
+        db_bytes: DB_BYTES,
         checkpoint_threshold: threshold,
         seed: cfg.seed,
         ..Default::default()
@@ -141,7 +117,7 @@ pub fn run_point(cfg: &Config, sched: SchedChoice, threshold: u64) -> Point {
 /// Run both sweeps.
 pub fn run(cfg: &Config) -> FigResult {
     let sweep = |sched| {
-        cfg.thresholds
+        THRESHOLDS
             .iter()
             .map(|&t| run_point(cfg, sched, t))
             .collect::<Vec<_>>()
@@ -150,6 +126,26 @@ pub fn run(cfg: &Config) -> FigResult {
         block: sweep(SchedChoice::BlockDeadline),
         split: sweep(SchedChoice::SplitDeadline),
     }
+}
+
+impl FigResult {
+    /// The sweep metrics: the p99 and p99.9 per system and threshold.
+    pub fn metrics(&self) -> Vec<(String, f64)> {
+        let mut out = Vec::new();
+        for (sys, points) in [("block", &self.block), ("split", &self.split)] {
+            for p in points {
+                out.push((format!("{sys}_p99_ms_t{}", p.threshold), p.p99_ms));
+                out.push((format!("{sys}_p999_ms_t{}", p.threshold), p.p999_ms));
+            }
+        }
+        out
+    }
+}
+
+/// `runner fig18`.
+pub fn cell(req: &CellRequest) -> CellOutput {
+    let r = run(&Config::at(req.profile, req.seed));
+    CellOutput::of(&r, r.metrics())
 }
 
 impl std::fmt::Display for FigResult {
@@ -178,11 +174,12 @@ impl std::fmt::Display for FigResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::Profile;
 
     #[test]
     fn split_deadline_cuts_the_tail() {
-        let cfg = Config::quick();
-        let threshold = cfg.thresholds[1]; // ~1 K buffers, the paper's 4x point
+        let cfg = Config::at(Profile::Quick, 0);
+        let threshold = THRESHOLDS[1]; // ~1 K buffers, the paper's 4x point
         let block = run_point(&cfg, SchedChoice::BlockDeadline, threshold);
         let split = run_point(&cfg, SchedChoice::SplitDeadline, threshold);
         assert!(block.txns > 100, "block txns: {}", block.txns);
@@ -197,9 +194,9 @@ mod tests {
 
     #[test]
     fn bigger_thresholds_concentrate_the_tail_under_block_deadline() {
-        let cfg = Config::quick();
-        let small = run_point(&cfg, SchedChoice::BlockDeadline, cfg.thresholds[0]);
-        let large = run_point(&cfg, SchedChoice::BlockDeadline, cfg.thresholds[2]);
+        let cfg = Config::at(Profile::Quick, 0);
+        let small = run_point(&cfg, SchedChoice::BlockDeadline, THRESHOLDS[0]);
+        let large = run_point(&cfg, SchedChoice::BlockDeadline, THRESHOLDS[2]);
         // Rarer checkpoints, worse extremes.
         assert!(
             large.p999_ms > small.p999_ms,

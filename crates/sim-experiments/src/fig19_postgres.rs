@@ -10,49 +10,38 @@ use sim_apps::pgsim::{PgCheckpointer, PgConfig, PgShared, PgWorker};
 use sim_core::{SimDuration, SimTime};
 use split_core::SchedAttr;
 
+use crate::registry::{CellOutput, CellRequest, Profile};
 use crate::setup::{build_world, SchedChoice, Setup};
 use crate::table::{f1, ms, Table};
 use crate::MB;
+
+/// Worker thread count.
+const WORKERS: usize = 4;
+/// The latency target the paper uses (15 ms).
+const TARGET_MS: f64 = 15.0;
 
 /// Configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct Config {
     /// Simulated run time.
     pub duration: SimDuration,
-    /// Worker thread count.
-    pub workers: usize,
     /// Database workload parameters.
     pub pg: PgConfig,
-    /// The latency target the paper uses (15 ms).
-    pub target_ms: f64,
     /// Experiment seed (0 = historical run).
     pub seed: u64,
 }
 
 impl Config {
-    /// Small run for tests.
-    pub fn quick() -> Self {
+    /// 25 s with a checkpoint every 8 s quick; 90 s with one every 30 s
+    /// at paper scale.
+    pub fn at(profile: Profile, seed: u64) -> Self {
         Config {
-            duration: SimDuration::from_secs(25),
-            workers: 4,
+            duration: profile.secs(25, 90),
             pg: PgConfig {
-                checkpoint_interval: SimDuration::from_secs(8),
+                checkpoint_interval: profile.secs(8, 30),
                 ..Default::default()
             },
-            target_ms: 15.0,
-            seed: 0,
-        }
-    }
-
-    /// Paper-scale run.
-    pub fn paper() -> Self {
-        Config {
-            duration: SimDuration::from_secs(90),
-            pg: PgConfig {
-                checkpoint_interval: SimDuration::from_secs(30),
-                ..Default::default()
-            },
-            ..Self::quick()
+            seed,
         }
     }
 }
@@ -101,7 +90,7 @@ fn run_one(cfg: &Config, sched: SchedChoice) -> Series {
     let wal_file = w.prealloc_file(k, 128 * MB, true);
     let shared = PgShared::new();
     let mut workers = Vec::new();
-    for i in 0..cfg.workers {
+    for i in 0..WORKERS {
         let pid = w.spawn(
             k,
             Box::new(PgWorker::new(
@@ -170,7 +159,7 @@ fn run_one(cfg: &Config, sched: SchedChoice) -> Series {
         p99_ms: pcts.p99(),
         p999_ms: pcts.p(99.9),
         max_ms: lat_ms.iter().cloned().fold(0.0, f64::max),
-        miss_pct: lat_ms.iter().filter(|&&l| l > cfg.target_ms).count() as f64 / n * 100.0,
+        miss_pct: lat_ms.iter().filter(|&&l| l > TARGET_MS).count() as f64 / n * 100.0,
         over_100ms_pct: lat_ms.iter().filter(|&&l| l > 100.0).count() as f64 / n * 100.0,
         txns: lat_ms.len(),
     }
@@ -184,6 +173,31 @@ pub fn run(cfg: &Config) -> FigResult {
         split: run_one(cfg, SchedChoice::SplitDeadline),
         cfg: *cfg,
     }
+}
+
+impl FigResult {
+    /// The sweep metrics: the tail, the worst transaction and the
+    /// target-miss rate per system.
+    pub fn metrics(&self) -> Vec<(String, f64)> {
+        let per_system = |s: &Series| {
+            let sys = s.sched.replace('-', "_");
+            [
+                (format!("{sys}_p999_ms"), s.p999_ms),
+                (format!("{sys}_max_ms"), s.max_ms),
+                (format!("{sys}_miss_pct"), s.miss_pct),
+            ]
+        };
+        [&self.block, &self.split_pdflush, &self.split]
+            .into_iter()
+            .flat_map(per_system)
+            .collect()
+    }
+}
+
+/// `runner fig19`.
+pub fn cell(req: &CellRequest) -> CellOutput {
+    let r = run(&Config::at(req.profile, req.seed));
+    CellOutput::of(&r, r.metrics())
 }
 
 impl std::fmt::Display for FigResult {
@@ -218,7 +232,7 @@ mod tests {
 
     #[test]
     fn split_deadline_fixes_the_fsync_freeze() {
-        let r = run(&Config::quick());
+        let r = run(&Config::at(Profile::Quick, 0));
         assert!(r.block.txns > 500, "block txns {}", r.block.txns);
         assert!(r.split.txns > 500, "split txns {}", r.split.txns);
         // The freeze: under Block-Deadline some transactions stall for

@@ -8,88 +8,35 @@
 //! workloads — the buffering layer position is what matters (§7.2).
 
 use sim_apps::vmm::{launch_guest, GuestConfig};
-use sim_core::SimDuration;
-use sim_workloads::{MemOverwriter, RandReader, SeqReader};
+use sim_workloads::SeqReader;
 use split_core::SchedAttr;
 
+use crate::fig14_token_comparison::{point_metrics, BWorkload, Point};
+use crate::registry::{CellOutput, CellRequest, Timed};
 use crate::setup::{build_world, SchedChoice, Setup};
 use crate::table::{f1, Table};
-use crate::{GB, KB, MB};
+use crate::{GB, MB};
 
-/// B's workload inside its VM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GuestWorkload {
-    /// 4 KB random reads from the virtual disk.
-    ReadRand,
-    /// Cached overwrites (guest page cache).
-    WriteMem,
-    /// Sequential reads from the virtual disk.
-    ReadSeq,
-}
+/// B's workloads inside its VM: the three of Figure 14's six that §7.2
+/// repeats.
+const WORKLOADS: [BWorkload; 3] = [BWorkload::ReadRand, BWorkload::ReadSeq, BWorkload::WriteMem];
+/// B VM's throttle on the host.
+const B_RATE: u64 = MB;
 
-impl GuestWorkload {
-    /// Label.
-    pub fn label(self) -> &'static str {
-        match self {
-            GuestWorkload::ReadRand => "read-rand",
-            GuestWorkload::WriteMem => "write-mem",
-            GuestWorkload::ReadSeq => "read-seq",
-        }
-    }
-}
-
-/// Configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct Config {
-    /// Simulated time per point.
-    pub duration: SimDuration,
-    /// B VM's throttle on the host.
-    pub b_rate: u64,
-    /// Experiment seed (0 = historical run).
-    pub seed: u64,
-}
-
-impl Config {
-    /// Small run for tests.
-    pub fn quick() -> Self {
-        Config {
-            duration: SimDuration::from_secs(10),
-            b_rate: MB,
-            seed: 0,
-        }
-    }
-
-    /// Paper-scale run.
-    pub fn paper() -> Self {
-        Config {
-            duration: SimDuration::from_secs(30),
-            ..Self::quick()
-        }
-    }
-}
-
-/// One point.
-#[derive(Debug, Clone, Copy)]
-pub struct Point {
-    /// B's in-guest workload.
-    pub workload: GuestWorkload,
-    /// A's throughput (MB/s), measured inside its guest.
-    pub a_mbps: f64,
-    /// B's throughput (MB/s), measured inside its guest.
-    pub b_mbps: f64,
-}
+/// Configuration: 10 s per point quick, 30 s at paper scale.
+pub type Config = Timed<10, 30>;
 
 /// Full figure.
 #[derive(Debug, Clone)]
 pub struct FigResult {
-    /// SCS-Token on the host.
+    /// SCS-Token on the host; throughputs are measured inside the guests.
     pub scs: Vec<Point>,
     /// Split-Token on the host.
     pub split: Vec<Point>,
 }
 
 /// Run one point: two guests on one host, B's VMM throttled.
-pub fn run_point(cfg: &Config, host_sched: SchedChoice, wl: GuestWorkload) -> Point {
+pub fn run_point(cfg: &Config, host_sched: SchedChoice, wl: BWorkload) -> Point {
     let (mut w, host) = build_world(Setup::new(host_sched).seed(cfg.seed));
     let ga = launch_guest(&mut w, host, GuestConfig::default());
     let gb = launch_guest(&mut w, host, GuestConfig::default());
@@ -97,61 +44,38 @@ pub fn run_point(cfg: &Config, host_sched: SchedChoice, wl: GuestWorkload) -> Po
     let a_file = w.prealloc_file(ga.kernel, 2 * GB, true);
     let a = w.spawn(ga.kernel, Box::new(SeqReader::new(a_file, 2 * GB, MB)));
     // B: its workload inside its VM.
-    let b = match wl {
-        GuestWorkload::ReadRand => {
-            let f = w.prealloc_file(gb.kernel, 2 * GB, false);
-            w.spawn(
-                gb.kernel,
-                Box::new(RandReader::new(f, 2 * GB, 4 * KB, cfg.seed ^ 0x20)),
-            )
-        }
-        GuestWorkload::ReadSeq => {
-            let f = w.prealloc_file(gb.kernel, 2 * GB, true);
-            w.spawn(gb.kernel, Box::new(SeqReader::new(f, 2 * GB, 256 * KB)))
-        }
-        GuestWorkload::WriteMem => {
-            let f = w.prealloc_file(gb.kernel, 32 * MB, true);
-            w.spawn(gb.kernel, Box::new(MemOverwriter::new(f, 4 * MB, 64 * KB)))
-        }
-    };
+    let b = wl.spawn(&mut w, gb.kernel, cfg.seed ^ 0x20);
     // Throttle the *whole B VM* on the host.
-    w.configure(host, gb.vmm_pid, SchedAttr::TokenRate(cfg.b_rate));
+    w.configure(host, gb.vmm_pid, SchedAttr::TokenRate(B_RATE));
     w.run_for(cfg.duration);
     Point {
         workload: wl,
         a_mbps: w.kernel(ga.kernel).stats.read_mbps(a, cfg.duration),
-        b_mbps: {
-            let st = w.kernel(gb.kernel).stats.proc(b);
-            let bytes = st
-                .map(|s| {
-                    if wl == GuestWorkload::WriteMem {
-                        s.write_bytes
-                    } else {
-                        s.read_bytes
-                    }
-                })
-                .unwrap_or(0);
-            bytes as f64 / 1e6 / cfg.duration.as_secs_f64()
-        },
+        b_mbps: wl.mbps(&w.kernel(gb.kernel).stats, b, cfg.duration),
     }
 }
 
 /// Run the comparison.
 pub fn run(cfg: &Config) -> FigResult {
-    let sweep = |sched| {
-        [
-            GuestWorkload::ReadRand,
-            GuestWorkload::ReadSeq,
-            GuestWorkload::WriteMem,
-        ]
-        .iter()
-        .map(|&wl| run_point(cfg, sched, wl))
-        .collect::<Vec<_>>()
-    };
+    let sweep = |sched| WORKLOADS.map(|wl| run_point(cfg, sched, wl)).to_vec();
     FigResult {
         scs: sweep(SchedChoice::ScsToken),
         split: sweep(SchedChoice::SplitToken),
     }
+}
+
+impl FigResult {
+    /// The sweep metrics: both guests' throughput per host scheduler
+    /// and B workload.
+    pub fn metrics(&self) -> Vec<(String, f64)> {
+        point_metrics(&self.scs, &self.split)
+    }
+}
+
+/// `runner fig20`.
+pub fn cell(req: &CellRequest) -> CellOutput {
+    let r = run(&Config::at(req.profile, req.seed));
+    CellOutput::of(&r, r.metrics())
 }
 
 impl std::fmt::Display for FigResult {
@@ -180,12 +104,13 @@ impl std::fmt::Display for FigResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::Profile;
 
     #[test]
     fn split_token_isolates_vms_where_scs_fails_on_random_io() {
-        let cfg = Config::quick();
-        let scs = run_point(&cfg, SchedChoice::ScsToken, GuestWorkload::ReadRand);
-        let split = run_point(&cfg, SchedChoice::SplitToken, GuestWorkload::ReadRand);
+        let cfg = Config::at(Profile::Quick, 0);
+        let scs = run_point(&cfg, SchedChoice::ScsToken, BWorkload::ReadRand);
+        let split = run_point(&cfg, SchedChoice::SplitToken, BWorkload::ReadRand);
         assert!(
             split.a_mbps > 1.5 * scs.a_mbps,
             "split A {} vs scs A {}",
@@ -198,9 +123,9 @@ mod tests {
     fn guest_page_cache_makes_write_mem_fast_even_under_scs() {
         // §7.2's observation: with the cache *above* the throttle (in the
         // guest), memory-bound workloads are fast under both schedulers.
-        let cfg = Config::quick();
-        let scs = run_point(&cfg, SchedChoice::ScsToken, GuestWorkload::WriteMem);
-        let split = run_point(&cfg, SchedChoice::SplitToken, GuestWorkload::WriteMem);
+        let cfg = Config::at(Profile::Quick, 0);
+        let scs = run_point(&cfg, SchedChoice::ScsToken, BWorkload::WriteMem);
+        let split = run_point(&cfg, SchedChoice::SplitToken, BWorkload::WriteMem);
         assert!(scs.b_mbps > 50.0, "scs write-mem in VM: {}", scs.b_mbps);
         assert!(
             split.b_mbps > 50.0,

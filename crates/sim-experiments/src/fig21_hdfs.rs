@@ -12,6 +12,7 @@ use sim_apps::dfs::{DfsCluster, DfsConfig};
 use sim_core::SimDuration;
 use sim_kernel::World;
 
+use crate::registry::{CellOutput, CellRequest, Profile};
 use crate::table::{f1, Table};
 use crate::MB;
 
@@ -31,18 +32,19 @@ pub struct Config {
 }
 
 impl Config {
-    /// Small run for tests.
-    pub fn quick() -> Self {
+    /// Quick: 10 s per point, 5 workers, 2+2 writers, 32 MB blocks.
+    /// Paper scale: 30 s, 7 workers, 4+4 writers, 64 MB blocks.
+    pub fn at(profile: Profile, seed: u64) -> Self {
         Config {
-            duration: SimDuration::from_secs(10),
-            rate_caps: [4 * MB, 8 * MB, 16 * MB],
-            writers_per_group: 2,
+            duration: profile.secs(10, 30),
+            rate_caps: profile.pick([4 * MB, 8 * MB, 16 * MB], [8 * MB, 16 * MB, 32 * MB]),
+            writers_per_group: profile.pick(2, 4),
             cluster: DfsConfig {
-                workers: 5,
-                block_bytes: 32 * MB,
+                workers: profile.pick(5, 7),
+                block_bytes: profile.pick(32 * MB, 64 * MB),
                 ..Default::default()
             },
-            seed: 0,
+            seed,
         }
     }
 
@@ -51,28 +53,13 @@ impl Config {
     /// paper's fixed 7-node run is just one point on the fleet-size
     /// axis and a 1-kernel fleet degenerates to a single local worker.
     pub fn with_fleet(fleet: &sim_cluster::ClusterConfig) -> Self {
-        let base = Config::quick();
+        let base = Config::at(Profile::Quick, 0);
         Config {
             cluster: DfsConfig {
                 block_bytes: base.cluster.block_bytes,
                 ..fleet.dfs()
             },
             ..base
-        }
-    }
-
-    /// Paper-scale run (7 workers, 4+4 writers, 64 MB blocks).
-    pub fn paper() -> Self {
-        Config {
-            duration: SimDuration::from_secs(30),
-            rate_caps: [8 * MB, 16 * MB, 32 * MB],
-            writers_per_group: 4,
-            cluster: DfsConfig {
-                workers: 7,
-                block_bytes: 64 * MB,
-                ..Default::default()
-            },
-            seed: 0,
         }
     }
 }
@@ -148,6 +135,30 @@ pub fn run(cfg: &Config) -> FigResult {
     }
 }
 
+impl FigResult {
+    /// The sweep metrics: both accounts' throughput per block size and cap.
+    pub fn metrics(&self) -> Vec<(String, f64)> {
+        let mut out = Vec::new();
+        for (blocks, points) in [("large", &self.large_blocks), ("small", &self.small_blocks)] {
+            for p in points {
+                let cap = format!("cap{:.0}", p.cap_mbps);
+                out.push((format!("{blocks}_throttled_mbps_{cap}"), p.throttled_mbps));
+                out.push((
+                    format!("{blocks}_unthrottled_mbps_{cap}"),
+                    p.unthrottled_mbps,
+                ));
+            }
+        }
+        out
+    }
+}
+
+/// `runner fig21`.
+pub fn cell(req: &CellRequest) -> CellOutput {
+    let r = run(&Config::at(req.profile, req.seed));
+    CellOutput::of(&r, r.metrics())
+}
+
 impl std::fmt::Display for FigResult {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
@@ -185,7 +196,7 @@ mod tests {
 
     #[test]
     fn smaller_caps_give_unthrottled_writers_more() {
-        let cfg = Config::quick();
+        let cfg = Config::at(Profile::Quick, 0);
         let small_cap = run_point(&cfg, cfg.cluster.block_bytes, cfg.rate_caps[0]);
         let big_cap = run_point(&cfg, cfg.cluster.block_bytes, cfg.rate_caps[2]);
         assert!(
@@ -204,7 +215,7 @@ mod tests {
 
     #[test]
     fn throttled_account_stays_at_or_under_its_bound() {
-        let cfg = Config::quick();
+        let cfg = Config::at(Profile::Quick, 0);
         let p = run_point(&cfg, cfg.cluster.block_bytes, cfg.rate_caps[1]);
         assert!(
             p.throttled_mbps <= 1.15 * p.bound_mbps,
@@ -246,7 +257,7 @@ mod tests {
 
     #[test]
     fn smaller_blocks_improve_load_balance() {
-        let cfg = Config::quick();
+        let cfg = Config::at(Profile::Quick, 0);
         let cap = cfg.rate_caps[0];
         let large = run_point(&cfg, cfg.cluster.block_bytes, cap);
         let small = run_point(&cfg, cfg.cluster.block_bytes / 4, cap);

@@ -17,6 +17,7 @@ use sim_cluster::{
 };
 use sim_core::{SimDuration, SimTime};
 
+use crate::registry::{CellOutput, CellRequest, Profile};
 use crate::table::{f1, Table};
 
 /// Configuration.
@@ -27,55 +28,31 @@ pub struct Config {
     /// Seconds to discard at the front of the "before" phase (cache and
     /// queue warm-up).
     pub warmup_s: f64,
-    /// Worker threads for the parallel executor (output is identical at
-    /// any value; >1 only helps wall-clock on multi-core hosts).
-    pub jobs: usize,
     /// Experiment seed (0 = historical run).
     pub seed: u64,
 }
 
 impl Config {
-    /// Small fleet for tests: 6 kernels, ~4 simulated seconds.
-    pub fn quick() -> Self {
+    /// Quick: 6 kernels for 4 simulated seconds, the crowd arriving at
+    /// 1.5 s. Paper scale: 64 kernels for 12 s, the crowd at 4 s.
+    pub fn at(profile: Profile, seed: u64) -> Self {
+        let ms = |quick, paper| SimDuration::from_millis(profile.pick(quick, paper));
         Config {
             fleet: ClusterConfig {
-                kernels: 6,
-                duration: SimDuration::from_secs(4),
+                kernels: profile.pick(6, 64),
+                duration: profile.secs(4, 12),
                 arrival: ArrivalKind::FlashCrowd {
                     base: 20.0,
                     peak: 4.0,
-                    start: SimTime::from_nanos(1_500_000_000),
-                    ramp: SimDuration::from_millis(300),
-                    hold: SimDuration::from_millis(1_500),
-                    decay: SimDuration::from_millis(400),
+                    start: SimTime::ZERO + ms(1_500, 4_000),
+                    ramp: ms(300, 500),
+                    hold: ms(1_500, 4_000),
+                    decay: ms(400, 1_000),
                 },
                 ..Default::default()
             },
-            warmup_s: 0.5,
-            jobs: 1,
-            seed: 0,
-        }
-    }
-
-    /// Paper-scale fleet: 64 kernels, 12 simulated seconds.
-    pub fn paper() -> Self {
-        Config {
-            fleet: ClusterConfig {
-                kernels: 64,
-                duration: SimDuration::from_secs(12),
-                arrival: ArrivalKind::FlashCrowd {
-                    base: 20.0,
-                    peak: 4.0,
-                    start: SimTime::from_nanos(4_000_000_000),
-                    ramp: SimDuration::from_millis(500),
-                    hold: SimDuration::from_millis(4_000),
-                    decay: SimDuration::from_millis(1_000),
-                },
-                ..Default::default()
-            },
-            warmup_s: 1.0,
-            jobs: 1,
-            seed: 0,
+            warmup_s: profile.pick(0.5, 1.0),
+            seed,
         }
     }
 
@@ -148,7 +125,8 @@ fn run_sched(cfg: &Config, sched: ClusterSched) -> SchedRun {
         seed: cfg.fleet.seed ^ cfg.seed,
         ..cfg.fleet
     };
-    let report = run_cluster(&fleet, cfg.jobs.max(1));
+    // One worker: the output is identical at any width.
+    let report = run_cluster(&fleet, 1);
     let ((b0, b1), (d0, d1)) = cfg.phases();
     let phase = |label, from, to| {
         let samples = samples_between(&report.samples, from, to);
@@ -172,6 +150,30 @@ pub fn run(cfg: &Config) -> FigResult {
         split: run_sched(cfg, ClusterSched::SplitToken),
         cfq: run_sched(cfg, ClusterSched::Cfq),
     }
+}
+
+impl FigResult {
+    /// The sweep metrics: put and get p99 per scheduler and phase, and
+    /// each scheduler's put-p99 blow-up under the crowd.
+    pub fn metrics(&self) -> Vec<(String, f64)> {
+        let mut out = Vec::new();
+        for run in [&self.split, &self.cfq] {
+            let sys = run.sched.replace('-', "_");
+            for phase in [&run.before, &run.during] {
+                let label = phase.label;
+                out.push((format!("{sys}_{label}_put_p99_ms"), phase.slo.put_e2e.p99));
+                out.push((format!("{sys}_{label}_get_p99_ms"), phase.slo.get_e2e.p99));
+            }
+            out.push((format!("{sys}_put_p99_blowup"), run.put_p99_blowup()));
+        }
+        out
+    }
+}
+
+/// `runner fig_cluster`.
+pub fn cell(req: &CellRequest) -> CellOutput {
+    let r = run(&Config::at(req.profile, req.seed));
+    CellOutput::of(&r, r.metrics())
 }
 
 impl std::fmt::Display for FigResult {
@@ -218,7 +220,7 @@ mod tests {
 
     #[test]
     fn split_token_holds_the_fleet_p99_flatter_than_cfq() {
-        let r = run(&Config::quick());
+        let r = run(&Config::at(Profile::Quick, 0));
         for run in [&r.split, &r.cfq] {
             assert!(
                 run.before.count > 20 && run.during.count > 50,
@@ -256,7 +258,7 @@ mod tests {
 
     #[test]
     fn crowd_multiplies_arrivals_in_the_during_phase() {
-        let cfg = Config::quick();
+        let cfg = Config::at(Profile::Quick, 0);
         let r = run(&cfg);
         let ((b0, b1), (d0, d1)) = cfg.phases();
         let before_rate = r.split.before.count as f64 / (b1 - b0);
@@ -269,7 +271,7 @@ mod tests {
 
     #[test]
     fn figure_is_deterministic() {
-        let cfg = Config::quick();
+        let cfg = Config::at(Profile::Quick, 0);
         let a = format!("{}", run(&cfg));
         let b = format!("{}", run(&cfg));
         assert_eq!(a, b);

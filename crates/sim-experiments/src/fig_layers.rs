@@ -22,72 +22,57 @@ use sim_core::{stats::Percentiles, SimDuration};
 use sim_workloads::{FsyncAppender, RandReader, SeqWriter};
 use split_layered::{parse_layers, LayerSpec, LayeredConfig};
 
+use crate::registry::{CellOutput, CellRequest, Profile};
 use crate::setup::{
     build_layered, build_world, build_world_with, DeviceChoice, SchedChoice, Setup,
 };
 use crate::table::{f1, ms, Table};
 use crate::{GB, KB, MB};
 
+/// Batch tenant's bandwidth cap (bytes/second of admitted writes).
+const CAP: u64 = 4 * MB;
+/// Latency tenant's append size per fsync (a WAL group commit).
+/// Large enough that the 1.5× solo SLO leaves headroom above a
+/// single device service quantum — on a non-preemptible device any
+/// scheduler eats up to one in-flight request of blocking.
+const LAT_APPEND: u64 = 256 * KB;
+/// Batch tenant's write block size. Small blocks keep the ordered
+/// entanglement residual (dirty batch data a shared commit must
+/// flush) to a fraction of the SLO headroom.
+const BATCH_BLOCK: u64 = 64 * KB;
+/// Noisy neighbor's request size (random reads).
+const NOISY_REQ: u64 = 64 * KB;
+/// Arbiter-wide dirty budget, split across layers by share. Keeps
+/// the noisy layer's write-behind from saturating the shared dirty
+/// pool (global threshold is ~102 MB at the default 512 MB / 0.20).
+const DIRTY_BUDGET: u64 = 48 * MB;
+/// NCQ depth for the queued plane.
+const QUEUE_DEPTH: u32 = 8;
+
 /// Configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct Config {
     /// Simulated time per arm.
     pub duration: SimDuration,
-    /// Batch tenant's bandwidth cap (bytes/second of admitted writes).
-    pub cap: u64,
-    /// Latency tenant's append size per fsync (a WAL group commit).
-    /// Large enough that the 1.5× solo SLO leaves headroom above a
-    /// single device service quantum — on a non-preemptible device any
-    /// scheduler eats up to one in-flight request of blocking.
-    pub lat_append: u64,
-    /// Batch tenant's write block size. Small blocks keep the ordered
-    /// entanglement residual (dirty batch data a shared commit must
-    /// flush) to a fraction of the SLO headroom.
-    pub batch_block: u64,
-    /// Noisy neighbor's request size (random reads).
-    pub noisy_req: u64,
-    /// Arbiter-wide dirty budget, split across layers by share. Keeps
-    /// the noisy layer's write-behind from saturating the shared dirty
-    /// pool (global threshold is ~102 MB at the default 512 MB / 0.20).
-    pub dirty_budget: u64,
     /// Device plane.
     pub device: DeviceChoice,
-    /// NCQ depth for the queued plane.
-    pub queue_depth: u32,
     /// Experiment seed (0 = historical run).
     pub seed: u64,
 }
 
 impl Config {
-    /// HDD run (quick).
-    pub fn quick_hdd() -> Self {
+    /// The HDD run: 10 s per arm quick, 30 s at paper scale.
+    pub fn at(profile: Profile, seed: u64) -> Self {
         Config {
-            duration: SimDuration::from_secs(10),
-            cap: 4 * MB,
-            lat_append: 256 * KB,
-            batch_block: 64 * KB,
-            noisy_req: 64 * KB,
-            dirty_budget: 48 * MB,
+            duration: profile.secs(10, 30),
             device: DeviceChoice::Hdd,
-            queue_depth: 8,
-            seed: 0,
+            seed,
         }
     }
 
-    /// SSD run (quick).
-    pub fn quick_ssd() -> Self {
-        Config {
-            device: DeviceChoice::Ssd,
-            ..Self::quick_hdd()
-        }
-    }
-
-    /// Paper-scale HDD run.
-    pub fn paper_hdd() -> Self {
-        Config {
-            duration: SimDuration::from_secs(30),
-            ..Self::quick_hdd()
-        }
+    /// The same run on `device`.
+    pub fn on(self, device: DeviceChoice) -> Self {
+        Config { device, ..self }
     }
 }
 
@@ -161,7 +146,7 @@ impl PlaneResult {
 pub struct FigResult {
     /// Serial plane.
     pub serial: PlaneResult,
-    /// Queued plane (NCQ depth `cfg.queue_depth`).
+    /// Queued plane (NCQ depth 8).
     pub queued: PlaneResult,
     /// Whether the tree's guarantees were feasible as requested.
     pub solver_feasible: bool,
@@ -176,22 +161,13 @@ impl FigResult {
     /// plus the bucket's one-second burst, amortized over the run, with
     /// 5% measurement slack.
     pub fn cap_bound_mbps(&self) -> f64 {
-        let rate = self.cfg.cap as f64 / MB as f64;
+        let rate = CAP as f64 / MB as f64;
         let dur = self.cfg.duration.as_secs_f64();
         rate * (1.0 + 1.0 / dur) * 1.05
     }
 }
 
-/// A built (not yet run) arm: the world plus the tenant pids the
-/// measurements key on.
-struct ArmWorld {
-    w: sim_kernel::World,
-    k: sim_core::KernelId,
-    lat: sim_core::Pid,
-    tenants: Option<(sim_core::Pid, sim_core::Pid)>,
-}
-
-fn build_arm(cfg: &Config, queued: bool, layered: bool, with_noise: bool) -> ArmWorld {
+fn run_arm(cfg: &Config, queued: bool, layered: bool, with_noise: bool) -> TenantRun {
     let sched = if layered {
         SchedChoice::Layered
     } else {
@@ -203,12 +179,12 @@ fn build_arm(cfg: &Config, queued: bool, layered: bool, with_noise: bool) -> Arm
         ..Setup::new(sched)
     };
     if queued {
-        setup = setup.queue_depth(cfg.queue_depth);
+        setup = setup.queue_depth(QUEUE_DEPTH);
     }
-    let specs = tenant_tree(cfg.cap);
+    let specs = tenant_tree(CAP);
     let lcfg = LayeredConfig {
-        dirty_budget: Some(cfg.dirty_budget),
-        eager_wb_bytes: Some(cfg.batch_block),
+        dirty_budget: Some(DIRTY_BUDGET),
+        eager_wb_bytes: Some(BATCH_BLOCK),
         ..LayeredConfig::default()
     };
     let (mut w, k) = if layered {
@@ -226,7 +202,7 @@ fn build_arm(cfg: &Config, queued: bool, layered: bool, with_noise: bool) -> Arm
         k,
         Box::new(FsyncAppender::new(
             lat_file,
-            cfg.lat_append,
+            LAT_APPEND,
             SimDuration::from_millis(20),
         )),
     );
@@ -239,27 +215,14 @@ fn build_arm(cfg: &Config, queued: bool, layered: bool, with_noise: bool) -> Arm
             Box::new(RandReader::new(
                 noisy_file,
                 GB,
-                cfg.noisy_req,
+                NOISY_REQ,
                 cfg.seed ^ 0x0151,
             )),
         );
-        let capped = w.spawn(
-            k,
-            Box::new(SeqWriter::new(capped_file, GB, cfg.batch_block)),
-        );
+        let capped = w.spawn(k, Box::new(SeqWriter::new(capped_file, GB, BATCH_BLOCK)));
         assert_eq!(capped.0, CAPPED_PID, "spawn order fixes the batch pid");
         (noisy, capped)
     });
-    ArmWorld { w, k, lat, tenants }
-}
-
-fn run_arm(cfg: &Config, queued: bool, layered: bool, with_noise: bool) -> TenantRun {
-    let ArmWorld {
-        mut w,
-        k,
-        lat,
-        tenants,
-    } = build_arm(cfg, queued, layered, with_noise);
     w.run_for(cfg.duration);
     let stats = &w.kernel(k).stats;
     let lat_ms: Vec<f64> = stats
@@ -302,7 +265,7 @@ fn run_arm(cfg: &Config, queued: bool, layered: bool, with_noise: bool) -> Tenan
 fn run_plane(cfg: &Config, queued: bool) -> PlaneResult {
     PlaneResult {
         plane: if queued {
-            format!("qd={}", cfg.queue_depth)
+            format!("qd={QUEUE_DEPTH}")
         } else {
             "serial".to_string()
         },
@@ -314,7 +277,7 @@ fn run_plane(cfg: &Config, queued: bool) -> PlaneResult {
 
 /// Run both planes on the configured device.
 pub fn run(cfg: &Config) -> FigResult {
-    let feas = build_layered(tenant_tree(cfg.cap), LayeredConfig::default())
+    let feas = build_layered(tenant_tree(CAP), LayeredConfig::default())
         .expect("tenant tree children resolve")
         .feasibility()
         .clone();
@@ -327,13 +290,53 @@ pub fn run(cfg: &Config) -> FigResult {
     }
 }
 
+impl FigResult {
+    /// The sweep metrics: the cap bound and the solver's repairs, then
+    /// per plane every arm's p99, the batch tenant's throughput under
+    /// both schedulers and the auditor's verdict.
+    pub fn metrics(&self) -> Vec<(String, f64)> {
+        let mut out = vec![
+            ("cap_bound_mbps".into(), self.cap_bound_mbps()),
+            ("solver_adjustments".into(), self.solver_adjustments as f64),
+        ];
+        for p in [&self.serial, &self.queued] {
+            let plane = p.plane.replace('=', "");
+            out.extend([
+                (format!("{plane}_solo_p99_ms"), p.solo.lat_p99_ms),
+                (format!("{plane}_layered_p99_ms"), p.layered.lat_p99_ms),
+                (format!("{plane}_flat_p99_ms"), p.flat.lat_p99_ms),
+                (
+                    format!("{plane}_layered_capped_mbps"),
+                    p.layered.capped_mbps,
+                ),
+                (format!("{plane}_flat_capped_mbps"), p.flat.capped_mbps),
+                (
+                    format!("{plane}_audit_violations"),
+                    p.layered.audit_violations as f64,
+                ),
+            ]);
+        }
+        out
+    }
+}
+
+/// `runner fig_layers`, on the requested device (HDD by default). The
+/// SSD run is quick at either scale.
+pub fn cell(req: &CellRequest) -> CellOutput {
+    let r = run(&match req.device {
+        Some(DeviceChoice::Ssd) => Config::at(Profile::Quick, req.seed).on(DeviceChoice::Ssd),
+        _ => Config::at(req.profile, req.seed),
+    });
+    CellOutput::of(&r, r.metrics())
+}
+
 impl std::fmt::Display for FigResult {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
             "fig_layers — multi-tenant layer plane ({:?}, cap {} MB/s)",
             self.cfg.device,
-            self.cfg.cap / MB
+            CAP / MB
         )?;
         let bound = self.cap_bound_mbps();
         for p in [&self.serial, &self.queued] {
@@ -418,7 +421,7 @@ mod tests {
 
     #[test]
     fn layer_plane_holds_bounds_on_ssd() {
-        let r = run(&Config::quick_ssd());
+        let r = run(&Config::at(Profile::Quick, 0).on(DeviceChoice::Ssd));
         // The 4 MB/s cap is far below the batch layer's weighted
         // entitlement: the solver must clip it and say so.
         assert!(!r.solver_feasible, "expected a DominantCapped repair");
@@ -428,7 +431,7 @@ mod tests {
 
     #[test]
     fn layer_plane_holds_bounds_on_hdd() {
-        let r = run(&Config::quick_hdd());
+        let r = run(&Config::at(Profile::Quick, 0));
         assert_bounds(&r);
     }
 }

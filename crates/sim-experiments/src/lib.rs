@@ -1,8 +1,17 @@
 #![warn(missing_docs)]
 //! Experiment harness: one module per table/figure of the paper's
-//! evaluation. Every module exposes a `Config` (with `quick()` for tests
-//! and `paper()` for full runs), a `run(&Config) -> …Result` function, and
-//! a `Display` impl that prints the same rows/series the paper plots.
+//! evaluation, and one row per `runner` target in [`registry::FIGURES`].
+//!
+//! A figure module states its numbers once: the constants of its
+//! scenario, a `Config` holding only what actually varies (built by the
+//! single constructor `Config::at(profile, seed)`), a
+//! `run(&Config) -> …Result`, the result's `Display` (the rows/series
+//! the paper plots) and `metrics()` (the named scalars a sweep
+//! aggregates), and `cell(&CellRequest) -> CellOutput`, which the
+//! module's row points at. `ablations` has no `Config` (its run lengths
+//! are pinned) and `fault_sweep` takes no seed (it is exhaustive).
+//! Adding a figure is one such module, its `mod` line below and one row
+//! of the table.
 //!
 //! The absolute numbers differ from the paper's 2015 testbed — the
 //! substrate here is a simulator — but the *shapes* (who wins, by what

@@ -1,151 +1,167 @@
-//! Figure registry: one uniform entry point over every experiment.
+//! The figure table: every `runner` target is one row of [`FIGURES`].
 //!
-//! The runner's per-figure match and the sweep engine both go through
-//! [`run_cell`], so a figure runs identically whether it is printed
-//! sequentially, executed on a worker thread, or replicated across
-//! seeds. A cell returns the exact text the sequential runner would
-//! have printed (so parallel `runner all` output can be byte-identical
-//! to the sequential path), a flat list of named scalar metrics for
-//! statistical aggregation, and any raw artifacts (CSV series, Chrome
-//! traces) for the caller to write to disk.
+//! A row names the target, points at its module's `cell` function and
+//! declares which sweep axes and artifact flags the target takes and
+//! whether `all` includes it. Everything that enumerates targets — the
+//! runner's usage text and argument check, `runner all`, the sweep
+//! engine's axis collapsing, the golden digests — reads this table, so
+//! adding a figure is one module plus one row.
+//!
+//! A cell returns the exact text the sequential runner prints (so
+//! parallel `runner all` output is byte-identical to the sequential
+//! path), a flat list of named scalar metrics for statistical
+//! aggregation, and any raw artifacts (CSV series, Chrome traces) for
+//! the caller to write to disk. Cells are pure apart from the
+//! simulation itself: no printing, no file writes, no global state.
 
 use crate::setup::{DeviceChoice, SchedChoice};
-use crate::{ablations, breakdown, fig06_scs_isolation, fig12_fsync_isolation, KB};
+// Every figure module, so that a new figure's row is the only edit here.
+use crate::*;
 use sim_core::SimDuration;
-use sim_kernel::FsChoice;
 
-/// Every runnable target of the figure suite, in `runner all` order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FigureId {
-    /// Figure 1 — write burst under CFQ-idle vs Split-Token.
-    Fig01,
-    /// Figure 1 queue-depth sweep — the write burst vs NCQ depth 1→32.
-    Fig01Qd,
-    /// Figure 3 — CFQ async-write unfairness.
-    Fig03,
-    /// Figure 5 — fsync latency dependencies.
-    Fig05,
-    /// Figure 6 — SCS-Token isolation failure.
-    Fig06,
-    /// Figure 9 — framework time overhead.
-    Fig09,
-    /// Figure 10 — tag-memory overhead.
-    Fig10,
-    /// Figure 11 — AFQ vs CFQ priorities.
-    Fig11,
-    /// Figure 12 — fsync isolation (HDD + SSD).
-    Fig12,
-    /// Figure 13 — Split-Token isolation on ext4.
-    Fig13,
-    /// Figure 14 — Split-Token vs SCS-Token workloads.
-    Fig14,
-    /// Figure 15 — thread-count scalability.
-    Fig15,
-    /// Figure 16 — Split-Token isolation on XFS.
-    Fig16,
-    /// Figure 17 — metadata workloads, full vs partial integration.
-    Fig17,
-    /// Figure 18 — SQLite transaction tails.
-    Fig18,
-    /// Figure 19 — PostgreSQL fsync freeze.
-    Fig19,
-    /// Figure 20 — QEMU guest isolation.
-    Fig20,
-    /// Mechanism ablations.
-    Ablations,
-    /// fsync latency breakdown.
-    Breakdown,
-    /// Figure 21 — HDFS isolation.
-    Fig21,
-    /// Cluster figure — fleet-wide SLOs under a flash crowd.
-    FigCluster,
-    /// Layer-plane figure — multi-tenant SLOs under the layer tree.
-    FigLayers,
+/// What a target can take beyond a profile and a seed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Takes {
+    /// The sweep's `--sched` axis ([`CellRequest::sched`]).
+    SchedAxis,
+    /// The sweep's `--device` axis ([`CellRequest::device`]).
+    DeviceAxis,
+    /// `--csv`: raw series as CSV artifacts.
+    Csv,
+    /// `--trace`: span tracing, Chrome trace-event JSON artifacts.
+    Trace,
+}
+use Takes::{Csv, DeviceAxis, SchedAxis, Trace};
+
+/// One runnable target.
+#[derive(Debug)]
+pub struct Figure {
+    /// CLI name (`fig01`, `ablations`, ...).
+    pub name: &'static str,
+    /// The module's entry point.
+    pub cell: fn(&CellRequest) -> CellOutput,
+    /// The axes and artifact flags the target takes; it ignores the rest.
+    pub takes: &'static [Takes],
+    /// Part of `runner all`.
+    pub in_all: bool,
 }
 
-impl FigureId {
-    /// All targets in the order `runner all` prints them.
-    pub const ALL: [FigureId; 22] = [
-        FigureId::Fig01,
-        FigureId::Fig01Qd,
-        FigureId::Fig03,
-        FigureId::Fig05,
-        FigureId::Fig06,
-        FigureId::Fig09,
-        FigureId::Fig10,
-        FigureId::Fig11,
-        FigureId::Fig12,
-        FigureId::Fig13,
-        FigureId::Fig14,
-        FigureId::Fig15,
-        FigureId::Fig16,
-        FigureId::Fig17,
-        FigureId::Fig18,
-        FigureId::Fig19,
-        FigureId::Fig20,
-        FigureId::Ablations,
-        FigureId::Breakdown,
-        FigureId::Fig21,
-        FigureId::FigCluster,
-        FigureId::FigLayers,
-    ];
-
-    /// CLI name (`fig01`, `ablations`, ...).
-    pub fn name(self) -> &'static str {
-        match self {
-            FigureId::Fig01 => "fig01",
-            FigureId::Fig01Qd => "fig01_qd",
-            FigureId::Fig03 => "fig03",
-            FigureId::Fig05 => "fig05",
-            FigureId::Fig06 => "fig06",
-            FigureId::Fig09 => "fig09",
-            FigureId::Fig10 => "fig10",
-            FigureId::Fig11 => "fig11",
-            FigureId::Fig12 => "fig12",
-            FigureId::Fig13 => "fig13",
-            FigureId::Fig14 => "fig14",
-            FigureId::Fig15 => "fig15",
-            FigureId::Fig16 => "fig16",
-            FigureId::Fig17 => "fig17",
-            FigureId::Fig18 => "fig18",
-            FigureId::Fig19 => "fig19",
-            FigureId::Fig20 => "fig20",
-            FigureId::Ablations => "ablations",
-            FigureId::Breakdown => "breakdown",
-            FigureId::Fig21 => "fig21",
-            FigureId::FigCluster => "fig_cluster",
-            FigureId::FigLayers => "fig_layers",
-        }
+impl Figure {
+    /// Whether the target takes `what`.
+    pub fn takes(&self, what: Takes) -> bool {
+        self.takes.contains(&what)
     }
+}
 
-    /// Parse a CLI target name.
-    pub fn parse(s: &str) -> Option<FigureId> {
-        FigureId::ALL.iter().copied().find(|f| f.name() == s)
+/// A row that `all` includes.
+const fn row(
+    name: &'static str,
+    cell: fn(&CellRequest) -> CellOutput,
+    takes: &'static [Takes],
+) -> Figure {
+    Figure {
+        name,
+        cell,
+        takes,
+        in_all: true,
     }
+}
 
-    /// Whether the sweep's scheduler axis applies: the fig06 family runs
-    /// the same 14-workload sweep under any scheduler.
-    pub fn supports_sched_axis(self) -> bool {
-        matches!(self, FigureId::Fig06 | FigureId::Fig13 | FigureId::Fig16)
-    }
+/// Every target, in the order the runner prints them. The fault sweep
+/// is opt-in (`faults` / `--faults`): `all` stays the fault-free,
+/// bit-reproducible baseline, and it is the one row that can fail a run.
+pub static FIGURES: &[Figure] = &[
+    Figure {
+        in_all: false,
+        ..row("faults", fault_sweep::cell, &[Csv])
+    },
+    row("fig01", fig01_write_burst::cell, &[Csv]),
+    row("fig01_qd", fig01_qd::cell, &[]),
+    row("fig03", fig03_cfq_async_unfair::cell, &[]),
+    row("fig05", fig05_latency_dependency::cell, &[]),
+    row("fig06", fig06_scs_isolation::cell, &[SchedAxis]),
+    row("fig09", fig09_time_overhead::cell, &[]),
+    row("fig10", fig10_space_overhead::cell, &[]),
+    row("fig11", fig11_afq::cell, &[]),
+    row(
+        "fig12",
+        fig12_fsync_isolation::cell,
+        &[DeviceAxis, Csv, Trace],
+    ),
+    row("fig13", fig06_scs_isolation::cell_fig13, &[SchedAxis]),
+    row("fig14", fig14_token_comparison::cell, &[]),
+    row("fig15", fig15_thread_scaling::cell, &[]),
+    row("fig16", fig06_scs_isolation::cell_fig16, &[SchedAxis]),
+    row("fig17", fig17_metadata::cell, &[]),
+    row("fig18", fig18_sqlite::cell, &[]),
+    row("fig19", fig19_postgres::cell, &[]),
+    row("fig20", fig20_qemu::cell, &[]),
+    row("ablations", ablations::cell, &[]),
+    row("breakdown", breakdown::cell, &[DeviceAxis]),
+    row("fig21", fig21_hdfs::cell, &[]),
+    row("fig_cluster", fig_cluster::cell, &[]),
+    row("fig_layers", fig_layers::cell, &[DeviceAxis]),
+];
 
-    /// Whether the sweep's device axis applies (figures that carry a
-    /// `DeviceChoice` in their config).
-    pub fn supports_device_axis(self) -> bool {
-        matches!(
-            self,
-            FigureId::Fig12 | FigureId::Breakdown | FigureId::FigLayers
-        )
-    }
+/// The row a CLI target name selects.
+pub fn parse(name: &str) -> Option<&'static Figure> {
+    FIGURES.iter().find(|f| f.name == name)
+}
+
+/// The rows `runner all` runs, in order.
+pub fn all() -> impl Iterator<Item = &'static Figure> {
+    FIGURES.iter().filter(|f| f.in_all)
+}
+
+/// The `targets:` line of the runner's usage text.
+pub fn usage_targets() -> String {
+    let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+    format!("targets: {} all", names.join(" "))
 }
 
 /// Which configuration scale to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Profile {
-    /// `Config::quick()` — seconds per figure.
+    /// Seconds per figure.
     Quick,
-    /// `Config::paper()` — the paper-scale runs.
+    /// The paper-scale runs.
     Paper,
+}
+
+impl Profile {
+    /// The value this scale selects.
+    pub fn pick<T>(self, quick: T, paper: T) -> T {
+        match self {
+            Profile::Quick => quick,
+            Profile::Paper => paper,
+        }
+    }
+
+    /// The simulated run time, in seconds, this scale selects.
+    pub fn secs(self, quick: u64, paper: u64) -> SimDuration {
+        SimDuration::from_secs(self.pick(quick, paper))
+    }
+}
+
+/// The configuration of a figure whose scenario is otherwise fixed: how
+/// long each run lasts — `QUICK` seconds, `PAPER` at paper scale — and
+/// its seed. Such a module names its instance `Config`.
+#[derive(Debug, Clone, Copy)]
+pub struct Timed<const QUICK: u64, const PAPER: u64> {
+    /// Simulated run time (per point, where the figure is a sweep).
+    pub duration: SimDuration,
+    /// Experiment seed (0 = historical run).
+    pub seed: u64,
+}
+
+impl<const QUICK: u64, const PAPER: u64> Timed<QUICK, PAPER> {
+    /// The configuration at `profile`'s scale.
+    pub fn at(profile: Profile, seed: u64) -> Self {
+        Timed {
+            duration: profile.secs(QUICK, PAPER),
+            seed,
+        }
+    }
 }
 
 /// One scenario: a figure at a profile and seed, with optional axis
@@ -153,24 +169,24 @@ pub enum Profile {
 #[derive(Debug, Clone, Copy)]
 pub struct CellRequest {
     /// Which figure.
-    pub fig: FigureId,
+    pub fig: &'static Figure,
     /// Configuration scale.
     pub profile: Profile,
     /// Experiment seed (0 reproduces the historical single-seed run).
     pub seed: u64,
-    /// Scheduler override (fig06 family only; ignored elsewhere).
+    /// Scheduler override (rows that take [`SchedAxis`]).
     pub sched: Option<SchedChoice>,
-    /// Device override (fig12 / breakdown only; ignored elsewhere).
+    /// Device override (rows that take [`DeviceAxis`]).
     pub device: Option<DeviceChoice>,
-    /// Also produce CSV artifacts (fig01, fig12), as `--csv` did.
+    /// Also produce CSV artifacts (rows that take [`Csv`]).
     pub csv: bool,
-    /// Run fig12 with span tracing and emit Chrome JSON, as `--trace` did.
+    /// Trace the run and emit Chrome JSON (rows that take [`Trace`]).
     pub trace: bool,
 }
 
 impl CellRequest {
     /// A plain request: no overrides, no artifacts.
-    pub fn new(fig: FigureId, profile: Profile, seed: u64) -> Self {
+    pub fn new(fig: &'static Figure, profile: Profile, seed: u64) -> Self {
         CellRequest {
             fig,
             profile,
@@ -202,573 +218,119 @@ pub struct CellOutput {
     pub metrics: Vec<(String, f64)>,
     /// Raw artifacts (CSV / trace JSON) to write under `results/`.
     pub artifacts: Vec<Artifact>,
+    /// Why the run must exit non-zero (the fault sweep's consistency
+    /// violations); `None` everywhere else.
+    pub failure: Option<String>,
 }
 
-fn m(key: impl Into<String>, value: f64) -> (String, f64) {
-    (key.into(), value)
-}
-
-fn run_fig06_family(req: &CellRequest, default: SchedChoice, fs: FsChoice) -> CellOutput {
-    let mut cfg = match req.profile {
-        Profile::Quick => fig06_scs_isolation::Config::quick(),
-        Profile::Paper => fig06_scs_isolation::Config::paper(),
-    };
-    cfg.seed = req.seed;
-    let sched = req.sched.unwrap_or(default);
-    let r = fig06_scs_isolation::run_with(&cfg, sched, fs);
-    CellOutput {
-        summary: format!("{r}\n\n"),
-        metrics: vec![m("a_mean_mbps", r.a_mean), m("a_stddev_mbps", r.a_stddev)],
-        artifacts: Vec::new(),
-    }
-}
-
-fn run_fig12(req: &CellRequest) -> CellOutput {
-    use fig12_fsync_isolation as fig12;
-    let mut cfg = match (req.device, req.profile) {
-        (Some(DeviceChoice::Ssd), _) => fig12::Config::quick_ssd(),
-        (_, Profile::Quick) => fig12::Config::quick_hdd(),
-        (_, Profile::Paper) => fig12::Config::paper_hdd(),
-    };
-    cfg.seed = req.seed;
-    let mut artifacts = Vec::new();
-    let r = if req.trace {
-        let (r, [block_json, split_json]) = fig12::run_traced(&cfg);
-        artifacts.push(Artifact {
-            name: "fig12_block_trace.json".into(),
-            content: block_json,
-        });
-        artifacts.push(Artifact {
-            name: "fig12_split_trace.json".into(),
-            content: split_json,
-        });
-        r
-    } else {
-        fig12::run(&cfg)
-    };
-    if req.csv {
-        for (label, s) in [("block", &r.block), ("split", &r.split)] {
-            let mut out = String::from("t_s,latency_ms\n");
-            for (t, l) in &s.a_latencies {
-                out.push_str(&format!("{t:.3},{l:.3}\n"));
-            }
-            artifacts.push(Artifact {
-                name: format!("fig12_hdd_{label}_timeline.csv"),
-                content: out,
-            });
+impl CellOutput {
+    /// The usual cell: the result's table followed by a blank line, its
+    /// metrics, no artifacts.
+    pub fn of(result: &impl std::fmt::Display, metrics: Vec<(String, f64)>) -> Self {
+        CellOutput {
+            summary: format!("{result}\n\n"),
+            metrics,
+            artifacts: Vec::new(),
+            failure: None,
         }
     }
-    let mut metrics = vec![
-        m("block_before_ms", r.block.a_before_ms),
-        m("block_p95_during_ms", r.block.a_during_p95_ms),
-        m("split_before_ms", r.split.a_before_ms),
-        m("split_p95_during_ms", r.split.a_during_p95_ms),
-    ];
-    let mut summary = format!("{r}\n\n");
-    // The legacy runner follows the HDD table with a quick SSD run; keep
-    // that composite unless a device override pinned the cell to one.
-    if req.device.is_none() {
-        let mut ssd = fig12::Config::quick_ssd();
-        ssd.seed = req.seed;
-        let rs = fig12::run(&ssd);
-        metrics.push(m("ssd_block_p95_during_ms", rs.block.a_during_p95_ms));
-        metrics.push(m("ssd_split_p95_during_ms", rs.split.a_during_p95_ms));
-        summary.push_str(&format!("{rs}\n\n"));
-    }
-    CellOutput {
-        summary,
-        metrics,
-        artifacts,
+
+    /// Attach an artifact.
+    pub fn push_artifact(&mut self, name: impl Into<String>, content: String) {
+        self.artifacts.push(Artifact {
+            name: name.into(),
+            content,
+        });
     }
 }
 
-/// Run one scenario cell. Pure apart from simulation itself: no printing,
-/// no file writes, no global state.
+/// Run one scenario cell.
 pub fn run_cell(req: &CellRequest) -> CellOutput {
-    let paper = req.profile == Profile::Paper;
-    match req.fig {
-        FigureId::Fig01 => {
-            let mut cfg = if paper {
-                crate::fig01_write_burst::Config::paper()
-            } else {
-                crate::fig01_write_burst::Config::quick()
-            };
-            cfg.seed = req.seed;
-            let r = crate::fig01_write_burst::run(&cfg);
-            let mut artifacts = Vec::new();
-            if req.csv {
-                let mut out = String::from("second,cfq_mbps,split_mbps\n");
-                let n = r.cfq_idle.a_mbps.len().max(r.split_token.a_mbps.len());
-                for i in 0..n {
-                    out.push_str(&format!(
-                        "{},{:.2},{:.2}\n",
-                        i,
-                        r.cfq_idle.a_mbps.get(i).copied().unwrap_or(0.0),
-                        r.split_token.a_mbps.get(i).copied().unwrap_or(0.0)
-                    ));
-                }
-                artifacts.push(Artifact {
-                    name: "fig01_write_burst.csv".into(),
-                    content: out,
-                });
-            }
-            CellOutput {
-                summary: format!("{r}\n\n"),
-                metrics: vec![
-                    m("cfq_before_mbps", r.cfq_idle.before),
-                    m("cfq_after_mbps", r.cfq_idle.after),
-                    m("split_before_mbps", r.split_token.before),
-                    m("split_after_mbps", r.split_token.after),
-                ],
-                artifacts,
-            }
-        }
-        FigureId::Fig01Qd => {
-            let mut cfg = if paper {
-                crate::fig01_qd::Config::paper()
-            } else {
-                crate::fig01_qd::Config::quick()
-            };
-            cfg.burst.seed = req.seed;
-            let r = crate::fig01_qd::run(&cfg);
-            let mut metrics = Vec::new();
-            for row in &r.rows {
-                metrics.push(m(format!("cfq_after_mbps_d{}", row.depth), row.cfq.after));
-                metrics.push(m(format!("cfq_loss_d{}", row.depth), row.cfq_degradation()));
-                metrics.push(m(
-                    format!("split_after_mbps_d{}", row.depth),
-                    row.split.after,
-                ));
-            }
-            CellOutput {
-                summary: format!("{r}\n\n"),
-                metrics,
-                artifacts: Vec::new(),
-            }
-        }
-        FigureId::Fig03 => {
-            let mut cfg = if paper {
-                crate::fig03_cfq_async_unfair::Config::paper()
-            } else {
-                crate::fig03_cfq_async_unfair::Config::quick()
-            };
-            cfg.seed = req.seed;
-            let r = crate::fig03_cfq_async_unfair::run(&cfg);
-            CellOutput {
-                summary: format!("{r}\n\n"),
-                metrics: vec![
-                    m("deviation", r.deviation),
-                    m("observed_prio4_pct", r.observed_prio_pct[4]),
-                ],
-                artifacts: Vec::new(),
-            }
-        }
-        FigureId::Fig05 => {
-            let mut cfg = if paper {
-                crate::fig05_latency_dependency::Config::paper()
-            } else {
-                crate::fig05_latency_dependency::Config::quick()
-            };
-            cfg.seed = req.seed;
-            let r = crate::fig05_latency_dependency::run(&cfg);
-            let metrics = r
-                .points
-                .iter()
-                .flat_map(|p| {
-                    let kb = p.b_bytes / KB;
-                    [
-                        m(format!("a_mean_ms_{kb}kb"), p.a_mean_ms),
-                        m(format!("a_p95_ms_{kb}kb"), p.a_p95_ms),
-                    ]
-                })
-                .collect();
-            CellOutput {
-                summary: format!("{r}\n\n"),
-                metrics,
-                artifacts: Vec::new(),
-            }
-        }
-        FigureId::Fig06 => run_fig06_family(req, SchedChoice::ScsToken, FsChoice::Ext4),
-        FigureId::Fig13 => run_fig06_family(req, SchedChoice::SplitToken, FsChoice::Ext4),
-        FigureId::Fig16 => run_fig06_family(req, SchedChoice::SplitToken, FsChoice::Xfs),
-        FigureId::Fig09 => {
-            let mut cfg = if paper {
-                crate::fig09_time_overhead::Config::paper()
-            } else {
-                crate::fig09_time_overhead::Config::quick()
-            };
-            cfg.seed = req.seed;
-            let r = crate::fig09_time_overhead::run(&cfg);
-            let metrics = r
-                .points
-                .iter()
-                .flat_map(|p| {
-                    [
-                        m(format!("block_mbps_{}t", p.threads), p.block_mbps),
-                        m(format!("split_mbps_{}t", p.threads), p.split_mbps),
-                    ]
-                })
-                .collect();
-            CellOutput {
-                summary: format!("{r}\n\n"),
-                metrics,
-                artifacts: Vec::new(),
-            }
-        }
-        FigureId::Fig10 => {
-            let mut cfg = if paper {
-                crate::fig10_space_overhead::Config::paper()
-            } else {
-                crate::fig10_space_overhead::Config::quick()
-            };
-            cfg.seed = req.seed;
-            let r = crate::fig10_space_overhead::run(&cfg);
-            let metrics = r
-                .points
-                .iter()
-                .map(|p| {
-                    m(
-                        format!("max_tag_kb_r{:02.0}", p.ratio * 100.0),
-                        p.max_bytes as f64 / 1024.0,
-                    )
-                })
-                .collect();
-            CellOutput {
-                summary: format!("{r}\n\n"),
-                metrics,
-                artifacts: Vec::new(),
-            }
-        }
-        FigureId::Fig11 => {
-            let mut cfg = if paper {
-                crate::fig11_afq::Config::paper()
-            } else {
-                crate::fig11_afq::Config::quick()
-            };
-            cfg.seed = req.seed;
-            let r = crate::fig11_afq::run(&cfg);
-            let metrics = r
-                .panels
-                .iter()
-                .map(|p| {
-                    let wl = match p.workload {
-                        crate::fig11_afq::Workload::SeqRead => "seq_read",
-                        crate::fig11_afq::Workload::AsyncWrite => "async_write",
-                        crate::fig11_afq::Workload::SyncRandWrite => "sync_rand_write",
-                        crate::fig11_afq::Workload::MemOverwrite => "mem_overwrite",
-                    };
-                    m(format!("dev_{}_{wl}", p.sched), p.deviation)
-                })
-                .collect();
-            CellOutput {
-                summary: format!("{r}\n\n"),
-                metrics,
-                artifacts: Vec::new(),
-            }
-        }
-        FigureId::Fig12 => run_fig12(req),
-        FigureId::Fig14 => {
-            let mut cfg = if paper {
-                crate::fig14_token_comparison::Config::paper()
-            } else {
-                crate::fig14_token_comparison::Config::quick()
-            };
-            cfg.seed = req.seed;
-            let r = crate::fig14_token_comparison::run(&cfg);
-            let mut metrics = vec![m("a_alone_mbps", r.a_alone_mbps)];
-            for (sys, points) in [("scs", &r.scs), ("split", &r.split)] {
-                for p in points {
-                    let wl = p.workload.label().replace('-', "_");
-                    metrics.push(m(format!("{sys}_a_mbps_{wl}"), p.a_mbps));
-                    metrics.push(m(format!("{sys}_b_mbps_{wl}"), p.b_mbps));
-                }
-            }
-            CellOutput {
-                summary: format!("{r}\n\n"),
-                metrics,
-                artifacts: Vec::new(),
-            }
-        }
-        FigureId::Fig15 => {
-            let mut cfg = if paper {
-                crate::fig15_thread_scaling::Config::paper()
-            } else {
-                crate::fig15_thread_scaling::Config::quick()
-            };
-            cfg.seed = req.seed;
-            let r = crate::fig15_thread_scaling::run(&cfg);
-            let metrics = r
-                .points
-                .iter()
-                .map(|p| {
-                    let act = p.activity.label().replace('-', "_");
-                    m(format!("a_mbps_{act}_{}t", p.threads), p.a_mbps)
-                })
-                .collect();
-            CellOutput {
-                summary: format!("{r}\n\n"),
-                metrics,
-                artifacts: Vec::new(),
-            }
-        }
-        FigureId::Fig17 => {
-            let mut cfg = if paper {
-                crate::fig17_metadata::Config::paper()
-            } else {
-                crate::fig17_metadata::Config::quick()
-            };
-            cfg.seed = req.seed;
-            let r = crate::fig17_metadata::run(&cfg);
-            let mut metrics = Vec::new();
-            for (fs, points) in [("ext4", &r.ext4), ("xfs", &r.xfs)] {
-                for p in points {
-                    metrics.push(m(format!("{fs}_a_mbps_{}ms", p.sleep_ms), p.a_mbps));
-                    metrics.push(m(
-                        format!("{fs}_creates_per_sec_{}ms", p.sleep_ms),
-                        p.b_creates_per_sec,
-                    ));
-                }
-            }
-            CellOutput {
-                summary: format!("{r}\n\n"),
-                metrics,
-                artifacts: Vec::new(),
-            }
-        }
-        FigureId::Fig18 => {
-            let mut cfg = if paper {
-                crate::fig18_sqlite::Config::paper()
-            } else {
-                crate::fig18_sqlite::Config::quick()
-            };
-            cfg.seed = req.seed;
-            let r = crate::fig18_sqlite::run(&cfg);
-            let mut metrics = Vec::new();
-            for (sys, points) in [("block", &r.block), ("split", &r.split)] {
-                for p in points {
-                    metrics.push(m(format!("{sys}_p99_ms_t{}", p.threshold), p.p99_ms));
-                    metrics.push(m(format!("{sys}_p999_ms_t{}", p.threshold), p.p999_ms));
-                }
-            }
-            CellOutput {
-                summary: format!("{r}\n\n"),
-                metrics,
-                artifacts: Vec::new(),
-            }
-        }
-        FigureId::Fig19 => {
-            let mut cfg = if paper {
-                crate::fig19_postgres::Config::paper()
-            } else {
-                crate::fig19_postgres::Config::quick()
-            };
-            cfg.seed = req.seed;
-            let r = crate::fig19_postgres::run(&cfg);
-            let metrics = [&r.block, &r.split_pdflush, &r.split]
-                .iter()
-                .flat_map(|s| {
-                    let sys = s.sched.replace('-', "_");
-                    [
-                        m(format!("{sys}_p999_ms"), s.p999_ms),
-                        m(format!("{sys}_max_ms"), s.max_ms),
-                        m(format!("{sys}_miss_pct"), s.miss_pct),
-                    ]
-                })
-                .collect();
-            CellOutput {
-                summary: format!("{r}\n\n"),
-                metrics,
-                artifacts: Vec::new(),
-            }
-        }
-        FigureId::Fig20 => {
-            let mut cfg = if paper {
-                crate::fig20_qemu::Config::paper()
-            } else {
-                crate::fig20_qemu::Config::quick()
-            };
-            cfg.seed = req.seed;
-            let r = crate::fig20_qemu::run(&cfg);
-            let mut metrics = Vec::new();
-            for (sys, points) in [("scs", &r.scs), ("split", &r.split)] {
-                for p in points {
-                    let wl = p.workload.label().replace('-', "_");
-                    metrics.push(m(format!("{sys}_a_mbps_{wl}"), p.a_mbps));
-                    metrics.push(m(format!("{sys}_b_mbps_{wl}"), p.b_mbps));
-                }
-            }
-            CellOutput {
-                summary: format!("{r}\n\n"),
-                metrics,
-                artifacts: Vec::new(),
-            }
-        }
-        FigureId::Ablations => {
-            // The legacy runner pinned ablation durations regardless of
-            // `--paper`; keep that so `all` output is stable.
-            let b = ablations::burst_ablation(SimDuration::from_secs(20), req.seed);
-            let t = ablations::tag_ablation(SimDuration::from_secs(20), req.seed);
-            let g = ablations::gate_ablation(SimDuration::from_secs(15), req.seed);
-            CellOutput {
-                summary: format!("{b}\n{t}\n{g}\n"),
-                metrics: vec![
-                    m("burst_full_after_mbps", b.full_after),
-                    m("burst_no_prompt_after_mbps", b.no_prompt_after),
-                    m("tag_with_tags_b_mbps", t.with_tags_b),
-                    m("tag_without_tags_b_mbps", t.without_tags_b),
-                    m("gate_with_ratio", g.with_gate_ratio),
-                    m("gate_without_ratio", g.without_gate_ratio),
-                ],
-                artifacts: Vec::new(),
-            }
-        }
-        FigureId::Breakdown => {
-            let mut cfg = if paper {
-                breakdown::Config::paper()
-            } else {
-                breakdown::Config::quick()
-            };
-            cfg.seed = req.seed;
-            if let Some(d) = req.device {
-                cfg.device = d;
-            }
-            let r = breakdown::run(&cfg);
-            let metrics = r
-                .rows
-                .iter()
-                .map(|row| {
-                    m(
-                        format!("{}_fsync_mean_ms", row.sched.replace('-', "_")),
-                        row.fsync.mean_ms(),
-                    )
-                })
-                .collect();
-            CellOutput {
-                summary: format!("{r}\n\n"),
-                metrics,
-                artifacts: Vec::new(),
-            }
-        }
-        FigureId::Fig21 => {
-            let mut cfg = if paper {
-                crate::fig21_hdfs::Config::paper()
-            } else {
-                crate::fig21_hdfs::Config::quick()
-            };
-            cfg.seed = req.seed;
-            let r = crate::fig21_hdfs::run(&cfg);
-            let mut metrics = Vec::new();
-            for (blocks, points) in [("large", &r.large_blocks), ("small", &r.small_blocks)] {
-                for p in points {
-                    metrics.push(m(
-                        format!("{blocks}_throttled_mbps_cap{:.0}", p.cap_mbps),
-                        p.throttled_mbps,
-                    ));
-                    metrics.push(m(
-                        format!("{blocks}_unthrottled_mbps_cap{:.0}", p.cap_mbps),
-                        p.unthrottled_mbps,
-                    ));
-                }
-            }
-            CellOutput {
-                summary: format!("{r}\n\n"),
-                metrics,
-                artifacts: Vec::new(),
-            }
-        }
-        FigureId::FigCluster => {
-            let mut cfg = if paper {
-                crate::fig_cluster::Config::paper()
-            } else {
-                crate::fig_cluster::Config::quick()
-            };
-            cfg.seed = req.seed;
-            let r = crate::fig_cluster::run(&cfg);
-            let mut metrics = Vec::new();
-            for run in [&r.split, &r.cfq] {
-                let sys = run.sched.replace('-', "_");
-                for phase in [&run.before, &run.during] {
-                    metrics.push(m(
-                        format!("{sys}_{}_put_p99_ms", phase.label),
-                        phase.slo.put_e2e.p99,
-                    ));
-                    metrics.push(m(
-                        format!("{sys}_{}_get_p99_ms", phase.label),
-                        phase.slo.get_e2e.p99,
-                    ));
-                }
-                metrics.push(m(format!("{sys}_put_p99_blowup"), run.put_p99_blowup()));
-            }
-            CellOutput {
-                summary: format!("{r}\n\n"),
-                metrics,
-                artifacts: Vec::new(),
-            }
-        }
-        FigureId::FigLayers => {
-            let mut cfg = match (req.device, req.profile) {
-                (Some(DeviceChoice::Ssd), _) => crate::fig_layers::Config::quick_ssd(),
-                (_, Profile::Quick) => crate::fig_layers::Config::quick_hdd(),
-                (_, Profile::Paper) => crate::fig_layers::Config::paper_hdd(),
-            };
-            cfg.seed = req.seed;
-            let r = crate::fig_layers::run(&cfg);
-            let mut metrics = vec![
-                m("cap_bound_mbps", r.cap_bound_mbps()),
-                m("solver_adjustments", r.solver_adjustments as f64),
-            ];
-            for p in [&r.serial, &r.queued] {
-                let plane = p.plane.replace('=', "");
-                metrics.push(m(format!("{plane}_solo_p99_ms"), p.solo.lat_p99_ms));
-                metrics.push(m(format!("{plane}_layered_p99_ms"), p.layered.lat_p99_ms));
-                metrics.push(m(format!("{plane}_flat_p99_ms"), p.flat.lat_p99_ms));
-                metrics.push(m(
-                    format!("{plane}_layered_capped_mbps"),
-                    p.layered.capped_mbps,
-                ));
-                metrics.push(m(format!("{plane}_flat_capped_mbps"), p.flat.capped_mbps));
-                metrics.push(m(
-                    format!("{plane}_audit_violations"),
-                    p.layered.audit_violations as f64,
-                ));
-            }
-            CellOutput {
-                summary: format!("{r}\n\n"),
-                metrics,
-                artifacts: Vec::new(),
-            }
-        }
-    }
+    (req.fig.cell)(req)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `FigureId::ALL` as it stood before the table replaced the enum.
+    const LEGACY_ALL_ORDER: [&str; 22] = [
+        "fig01",
+        "fig01_qd",
+        "fig03",
+        "fig05",
+        "fig06",
+        "fig09",
+        "fig10",
+        "fig11",
+        "fig12",
+        "fig13",
+        "fig14",
+        "fig15",
+        "fig16",
+        "fig17",
+        "fig18",
+        "fig19",
+        "fig20",
+        "ablations",
+        "breakdown",
+        "fig21",
+        "fig_cluster",
+        "fig_layers",
+    ];
+
     #[test]
-    fn every_target_parses_by_name() {
-        for f in FigureId::ALL {
-            assert_eq!(FigureId::parse(f.name()), Some(f));
+    fn the_table_is_self_consistent() {
+        let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+        let unique: std::collections::BTreeSet<&str> = names.iter().copied().collect();
+        assert_eq!(unique.len(), names.len(), "duplicate row name: {names:?}");
+        for f in FIGURES {
+            assert!(std::ptr::eq(parse(f.name).expect("round-trips"), f));
         }
-        assert_eq!(FigureId::parse("fig99"), None);
-        assert_eq!(FigureId::parse("all"), None);
+        assert!(parse("fig99").is_none());
+        assert!(parse("all").is_none(), "`all` is a selector, not a row");
+
+        // Figures added since keep the legacy ones in their legacy order.
+        let in_all: Vec<&str> = all()
+            .map(|f| f.name)
+            .filter(|n| LEGACY_ALL_ORDER.contains(n))
+            .collect();
+        assert_eq!(in_all, LEGACY_ALL_ORDER, "`runner all` order is pinned");
+        assert!(!parse("faults").unwrap().in_all, "`all` stays fault-free");
+
+        let usage = usage_targets();
+        let listed: Vec<&str> = usage
+            .strip_prefix("targets: ")
+            .expect("the line is labelled")
+            .split(' ')
+            .collect();
+        assert_eq!(listed, [&names[..], &["all"]].concat());
     }
 
     #[test]
-    fn axis_support_is_restricted() {
-        assert!(FigureId::Fig06.supports_sched_axis());
-        assert!(FigureId::Fig12.supports_device_axis());
-        assert!(!FigureId::Fig01.supports_sched_axis());
-        assert!(!FigureId::Fig01.supports_device_axis());
+    fn axes_and_artifacts_are_declared_per_row() {
+        let takers = |what| -> Vec<&str> {
+            FIGURES
+                .iter()
+                .filter(|f| f.takes(what))
+                .map(|f| f.name)
+                .collect()
+        };
+        assert_eq!(takers(SchedAxis), ["fig06", "fig13", "fig16"]);
+        assert_eq!(takers(DeviceAxis), ["fig12", "breakdown", "fig_layers"]);
+        assert_eq!(takers(Csv), ["faults", "fig01", "fig12"]);
+        assert_eq!(takers(Trace), ["fig12"]);
     }
 
     #[test]
     fn a_cell_produces_summary_and_metrics() {
         // fig03 is the cheapest deterministic figure.
-        let out = run_cell(&CellRequest::new(FigureId::Fig03, Profile::Quick, 0));
+        let fig03 = parse("fig03").unwrap();
+        let out = run_cell(&CellRequest::new(fig03, Profile::Quick, 0));
         assert!(out.summary.contains("Figure 3"));
         assert!(out.summary.ends_with("\n\n"));
         assert!(out.metrics.iter().any(|(k, _)| k == "deviation"));
         assert!(out.artifacts.is_empty());
+        assert!(out.failure.is_none());
     }
 }

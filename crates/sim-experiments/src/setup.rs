@@ -229,12 +229,6 @@ impl Setup {
         self
     }
 
-    /// Switch to XFS (partial integration).
-    pub fn on_xfs(mut self) -> Self {
-        self.fs = FsChoice::Xfs;
-        self
-    }
-
     /// Override memory size.
     pub fn mem(mut self, bytes: u64) -> Self {
         self.mem_bytes = bytes;
@@ -317,12 +311,14 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let s = Setup::new(SchedChoice::SplitToken)
-            .on_ssd()
-            .on_xfs()
-            .mem(64 * 1024 * 1024)
-            .cores(32)
-            .dirty_ratio(0.5);
+        let s = Setup {
+            fs: FsChoice::Xfs,
+            ..Setup::new(SchedChoice::SplitToken)
+        }
+        .on_ssd()
+        .mem(64 * 1024 * 1024)
+        .cores(32)
+        .dirty_ratio(0.5);
         assert_eq!(s.device, DeviceChoice::Ssd);
         assert_eq!(s.fs, FsChoice::Xfs);
         assert_eq!(s.cores, 32);

@@ -8,11 +8,10 @@
 use sim_check::AuditPlane;
 use sim_core::{KernelId, Pid};
 use sim_core::{SimDuration, SimTime};
-use sim_experiments::{build_world, SchedChoice, Setup, KB, MB};
+use sim_experiments::fig12_fsync_isolation::Contention;
+use sim_experiments::{DeviceChoice, SchedChoice, Setup, MB};
 use sim_kernel::World;
 use sim_trace::{fsync_breakdown, Layer};
-use sim_workloads::{BatchRandFsyncer, FsyncAppender};
-use split_core::SchedAttr;
 
 /// Figure-12-shaped world: A appends and fsyncs, B checkpoints.
 fn contention_world(trace: bool) -> (World, KernelId, Pid, Pid) {
@@ -24,43 +23,21 @@ fn contention_world(trace: bool) -> (World, KernelId, Pid, Pid) {
 }
 
 /// [`contention_world`] on an arbitrary device plane, with `observe`
-/// installing whatever observers the test wants before anything runs.
+/// installing whatever observers the test wants before anything runs:
+/// Figure 12's scenario on smaller files, with half-size checkpoints
+/// that start at once, run for 8 simulated seconds.
 fn contention_world_on(
     setup: Setup,
     observe: impl FnOnce(&mut World, KernelId),
 ) -> (World, KernelId, Pid, Pid) {
-    let (mut w, k) = build_world(setup);
-    observe(&mut w, k);
-    let a_file = w.prealloc_file(k, 64 * MB, true);
-    let b_file = w.prealloc_file(k, 256 * MB, true);
-    let a = w.spawn(
-        k,
-        Box::new(FsyncAppender::new(
-            a_file,
-            4 * KB,
-            SimDuration::from_millis(20),
-        )),
-    );
-    let b = w.spawn(
-        k,
-        Box::new(BatchRandFsyncer::new(
-            b_file,
-            256 * MB,
-            512,
-            SimDuration::from_millis(100),
-            0xb12,
-        )),
-    );
-    w.configure(
-        k,
-        a,
-        SchedAttr::FsyncDeadline(SimDuration::from_millis(100)),
-    );
-    w.configure(
-        k,
-        b,
-        SchedAttr::FsyncDeadline(SimDuration::from_millis(400)),
-    );
+    let scenario = Contention {
+        a_file: 64 * MB,
+        b_file: 256 * MB,
+        b_blocks: 512,
+        b_start: SimDuration::ZERO,
+        ..Contention::fig12(DeviceChoice::Hdd)
+    };
+    let (mut w, k, a, b) = scenario.world(setup, observe);
     w.run_for(SimDuration::from_secs(8));
     (w, k, a, b)
 }
@@ -289,7 +266,7 @@ fn digest(s: &str) -> String {
 /// digests pin the *order* of the kernel's probe emissions, not just
 /// their content.
 fn seam_digests() -> String {
-    use sim_experiments::registry::{run_cell, CellRequest, FigureId, Profile};
+    use sim_experiments::registry::{parse, run_cell, CellRequest, Profile};
     let mut out = String::new();
     let planes = [
         ("serial", Setup::new(SchedChoice::SplitDeadline)),
@@ -314,12 +291,16 @@ fn seam_digests() -> String {
     }
     let traced = run_cell(&CellRequest {
         trace: true,
-        ..CellRequest::new(FigureId::Fig12, Profile::Quick, 0)
+        ..CellRequest::new(parse("fig12").unwrap(), Profile::Quick, 0)
     });
     for a in &traced.artifacts {
         out.push_str(&format!("fig12/{} {}\n", a.name, digest(&a.content)));
     }
-    let breakdown = run_cell(&CellRequest::new(FigureId::Breakdown, Profile::Quick, 0));
+    let breakdown = run_cell(&CellRequest::new(
+        parse("breakdown").unwrap(),
+        Profile::Quick,
+        0,
+    ));
     out.push_str(&format!(
         "breakdown/stdout {}\n",
         digest(&breakdown.summary)

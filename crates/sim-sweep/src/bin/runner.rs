@@ -1,28 +1,22 @@
 //! Experiment runner: regenerates the paper's tables and figures, and
 //! drives parameter sweeps.
 //!
-//! ```text
-//! runner [--paper] [--csv] [--trace] [--faults] [--jobs N] [TARGET...]
-//! runner sweep [FIGURE...] [--seeds N] [--jobs N] [--root-seed N]
-//!              [--sched NAME]... [--device NAME]... [--paper]
-//! runner check [--programs N] [--jobs N] [--root-seed N] [--shrink]
-//!              [--queue-depth N] [--chaos] [--chaos-seed N]
-//!              [--chaos-classes LIST] [--inject-late] [--layers SPEC]
-//!              [--replay FILE]
-//! runner profile FIGURE [--paper]
-//! runner cluster [--kernels N] [--jobs N] [--arrival NAME] [--rate R]
-//!                [--duration SECS] [--seed N] [--sched NAME] [--csv]
-//! ```
+//! The synopsis, the target list (one name per row of
+//! `sim_experiments::registry::FIGURES`, plus `all`, the default) and
+//! the scheduler, device, arrival and chaos-class names are the usage
+//! text, which any usage error prints (there is no `--help` flag, so
+//! `runner --help` is one). What the synopsis cannot say is below.
 //!
-//! Targets are `fig01 … fig21`, `ablations`, `breakdown`, `faults`,
-//! `all` (the default), or `sweep`. `--paper` uses the longer
-//! paper-scale configurations; the default quick profiles finish in
-//! seconds each (release build recommended). `--csv` additionally
-//! writes raw per-figure series under `results/`. `--trace` runs fig12
-//! with span tracing on and writes Chrome trace-event JSON (open in
-//! Perfetto / `chrome://tracing`) under `results/`. `--faults` (or the
-//! `faults` target) runs the fault-injection sweep; it is *not* part of
-//! `all` — the figures stay a fault-free, bit-reproducible baseline.
+//! `--paper` uses the longer paper-scale configurations; the default
+//! quick profiles finish in seconds each (release build recommended).
+//! `--csv` additionally writes raw per-figure series under `results/`.
+//! `--trace` runs fig12 with span tracing on and writes Chrome
+//! trace-event JSON (open in Perfetto / `chrome://tracing`) under
+//! `results/`. Either is refused when no selected target takes it.
+//! `--faults` (or the `faults` target) runs the fault-injection sweep;
+//! it is *not* part of `all` — the figures stay a fault-free,
+//! bit-reproducible baseline — and it is the one target that can fail
+//! the run (exit code 1 on a consistency violation).
 //!
 //! `--jobs N` runs figures on N worker threads. Scenarios are seeded
 //! per cell, not per thread, so the output is byte-identical to
@@ -32,13 +26,16 @@
 //! (default 3) split deterministically from `--root-seed` (default 0),
 //! aggregates every metric to mean / stddev / 95% CI, prints the table,
 //! and writes `results/sweeps/sweep.{csv,json}`. `--sched` / `--device`
-//! add grid axes, applied to the figures that support them.
+//! add grid axes, applied to the figures that support them and refused
+//! when no selected figure does.
 //!
 //! `check` fuzzes `--programs N` generated syscall programs (default 50)
 //! through every scheduler on both devices with the invariant auditors
 //! installed, comparing outcomes against the noop reference. `--shrink`
 //! minimizes any failure to a small replayable spec; `--replay FILE`
-//! re-checks a previously printed spec instead of generating.
+//! re-checks a previously printed spec instead of generating, on the
+//! planes the other flags select (so `--programs`, `--jobs` and
+//! `--root-seed` do not combine with it).
 //! `--queue-depth N` replays the matrix on the queued-device plane at
 //! hardware queue depth N instead of the legacy serial device.
 //! `--chaos` installs the chaos plane: every run's writeback wakeups,
@@ -83,14 +80,14 @@
 
 use sim_experiments as exp;
 
-use exp::registry::FigureId;
+use exp::registry::{self, Figure, Takes, FIGURES};
 use exp::setup::{DeviceChoice, SchedChoice};
 use sim_core::alloc_count;
 use sim_core::prof::{self, Phase, Profiler};
 use sim_core::{ChaosClass, ChaosConfig};
-use sim_sweep::{run_check, run_figures_with, run_replay, run_sweep, CheckConfig, SweepSpec};
+use sim_sweep::{run_check, run_figures, run_replay, run_sweep, CheckConfig, SweepSpec};
 
-const USAGE: &str = "\
+const SYNOPSIS: &str = "\
 usage: runner [--paper] [--csv] [--trace] [--faults] [--jobs N] [TARGET...]
        runner sweep [FIGURE...] [--seeds N] [--jobs N] [--root-seed N]
                     [--sched NAME]... [--device NAME]... [--paper]
@@ -100,20 +97,18 @@ usage: runner [--paper] [--csv] [--trace] [--faults] [--jobs N] [TARGET...]
                     [--replay FILE]
        runner profile FIGURE [--paper]
        runner cluster [--kernels N] [--jobs N] [--arrival NAME] [--rate R]
-                      [--duration SECS] [--seed N] [--sched NAME] [--csv]
-
-targets: fig01 fig01_qd fig03 fig05 fig06 fig09 fig10 fig11 fig12 fig13
-         fig14 fig15 fig16 fig17 fig18 fig19 fig20 fig21 fig_cluster
-         fig_layers ablations breakdown faults all sweep check profile
-         cluster
-arrivals: poisson diurnal flash
-chaos classes: wb cpu journal complete";
+                      [--duration SECS] [--seed N] [--sched NAME] [--csv]";
 
 fn die(msg: &str) -> ! {
     eprintln!("runner: {msg}");
-    eprintln!("{USAGE}");
+    eprintln!("{SYNOPSIS}\n");
+    eprintln!("{}", registry::usage_targets());
+    let subcommands: Vec<_> = Mode::SUBCOMMANDS.iter().map(|m| m.name()).collect();
     let scheds: Vec<_> = SchedChoice::ALL.iter().map(|s| s.name()).collect();
     let devices: Vec<_> = DeviceChoice::ALL.iter().map(|d| d.name()).collect();
+    eprintln!("subcommands: {}", subcommands.join(" "));
+    eprintln!("arrivals: poisson diurnal flash");
+    eprintln!("chaos classes: wb cpu journal complete");
     eprintln!("scheds: {}", scheds.join(" "));
     eprintln!("devices: {}", devices.join(" "));
     std::process::exit(2);
@@ -144,6 +139,8 @@ enum Mode {
 use Mode::{Check, Cluster, Figures, Profile, Sweep};
 
 impl Mode {
+    const SUBCOMMANDS: [Mode; 4] = [Sweep, Check, Profile, Cluster];
+
     fn name(self) -> &'static str {
         match self {
             Figures => "figure targets",
@@ -155,9 +152,7 @@ impl Mode {
     }
 
     fn parse(name: &str) -> Option<Mode> {
-        [Sweep, Check, Profile, Cluster]
-            .into_iter()
-            .find(|m| m.name() == name)
+        Mode::SUBCOMMANDS.into_iter().find(|m| m.name() == name)
     }
 }
 
@@ -169,7 +164,7 @@ struct Cli {
     faults: bool,
     jobs: Option<usize>,
     seeds: Option<u32>,
-    root_seed: u64,
+    root_seed: Option<u64>,
     programs: Option<usize>,
     queue_depth: Option<u32>,
     inject_late: bool,
@@ -188,7 +183,7 @@ struct Cli {
     devices: Vec<DeviceChoice>,
     /// Subcommand words, in command-line order.
     modes: Vec<Mode>,
-    /// Figure names, `all` and `faults`.
+    /// Row names and `all`.
     targets: Vec<String>,
 }
 
@@ -257,7 +252,8 @@ const FLAGS: &[Flag] = &[
     Flag("--jobs", Value(|c, v| at_least(v, 1).map(|n| c.jobs = Some(n))),
         &[Figures, Sweep, Check, Cluster]),
     Flag("--seeds", Value(|c, v| at_least(v, 1).map(|n| c.seeds = Some(n))), &[Sweep]),
-    Flag("--root-seed", Value(|c, v| at_least(v, 0).map(|n| c.root_seed = n)), &[Sweep, Check]),
+    Flag("--root-seed", Value(|c, v| at_least(v, 0).map(|n| c.root_seed = Some(n))),
+        &[Sweep, Check]),
     Flag("--sched", Value(|c, v| named(SchedChoice::parse(v)).map(|s| c.scheds.push(s))),
         &[Sweep, Cluster]),
     Flag("--device", Value(|c, v| named(DeviceChoice::parse(v)).map(|d| c.devices.push(d))),
@@ -290,7 +286,7 @@ fn parse_cli(args: &[String]) -> (Cli, Vec<&'static Flag>) {
         if !arg.starts_with("--") {
             match Mode::parse(arg) {
                 Some(m) => cli.modes.push(m),
-                None if FigureId::parse(arg).is_some() || arg == "all" || arg == "faults" => {
+                None if registry::parse(arg).is_some() || arg == "all" => {
                     cli.targets.push(arg.clone())
                 }
                 None => die(&format!("unknown target: {arg}")),
@@ -335,46 +331,47 @@ fn scale(cli: &Cli) -> exp::registry::Profile {
     }
 }
 
-fn run_faults(cli: &Cli) {
-    let cfg = if cli.paper {
-        exp::fault_sweep::Config::paper()
-    } else {
-        exp::fault_sweep::Config::quick()
-    };
-    let r = exp::fault_sweep::run(&cfg);
-    println!("{r}\n");
-    if cli.csv {
-        let mut out = String::from("nth_write,io_errors,journal_aborts,fsyncs_ok,fsyncs_eio\n");
-        for p in &r.fault_points {
-            out.push_str(&format!(
-                "{},{},{},{},{}\n",
-                p.nth_write, p.io_errors, p.journal_aborts, p.fsyncs_ok, p.fsyncs_failed
-            ));
-        }
-        write_result("results", "fault_sweep.csv", &out);
-    }
-    if r.total_violations() > 0 {
-        eprintln!("FAIL: {} consistency violation(s)", r.total_violations());
-        std::process::exit(1);
+/// Refuse a flag that none of the selected rows takes, so it cannot
+/// silently do nothing.
+fn require_taker(flag: &str, given: bool, figs: &[&'static Figure], what: Takes) {
+    if given && !figs.iter().any(|f| f.takes(what)) {
+        let takers = FIGURES.iter().filter(|f| f.takes(what));
+        let takers: Vec<_> = takers.map(|f| f.name).collect();
+        die(&format!(
+            "{flag} applies to none of the selected targets; it applies to: {}",
+            takers.join(", ")
+        ));
     }
 }
 
 fn sweep_main(cli: &Cli) {
-    let figures: Vec<FigureId> = if cli.targets.is_empty() {
-        FigureId::ALL.to_vec()
+    let figures: Vec<&'static Figure> = if cli.targets.is_empty() {
+        registry::all().collect()
     } else {
         cli.targets
             .iter()
             .map(|t| {
-                FigureId::parse(t)
+                registry::parse(t)
                     .unwrap_or_else(|| die(&format!("sweep expects figure targets, got: {t}")))
             })
             .collect()
     };
+    require_taker(
+        "--sched",
+        !cli.scheds.is_empty(),
+        &figures,
+        Takes::SchedAxis,
+    );
+    require_taker(
+        "--device",
+        !cli.devices.is_empty(),
+        &figures,
+        Takes::DeviceAxis,
+    );
     let mut spec = SweepSpec::new(figures);
     spec.profile = scale(cli);
     spec.replicates = cli.seeds.unwrap_or(3);
-    spec.root_seed = cli.root_seed;
+    spec.root_seed = cli.root_seed.unwrap_or(0);
     if !cli.scheds.is_empty() {
         spec.scheds = std::iter::once(None)
             .chain(cli.scheds.iter().map(|&s| Some(s)))
@@ -418,25 +415,27 @@ fn chaos_config(cli: &Cli) -> Option<ChaosConfig> {
 }
 
 fn check_main(cli: &Cli) {
-    let chaos = chaos_config(cli);
+    let cfg = CheckConfig {
+        programs: cli.programs.unwrap_or(50),
+        jobs: cli.jobs.unwrap_or(1),
+        root_seed: cli.root_seed.unwrap_or(0),
+        shrink: cli.shrink,
+        queue_depth: cli.queue_depth,
+        inject_late: cli.inject_late,
+        chaos: chaos_config(cli),
+        layers: cli.layers.clone(),
+    };
     let report = match &cli.replay {
         Some(path) => {
+            if cli.programs.is_some() || cli.jobs.is_some() || cli.root_seed.is_some() {
+                die("--replay checks the one program in FILE; \
+                     --programs, --jobs and --root-seed do not apply to it");
+            }
             let text = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-            run_replay(&text, cli.shrink, chaos)
-                .unwrap_or_else(|e| die(&format!("bad replay spec: {e}")))
+            run_replay(&text, &cfg).unwrap_or_else(|e| die(&format!("bad replay spec: {e}")))
         }
         None => {
-            let cfg = CheckConfig {
-                programs: cli.programs.unwrap_or(50),
-                jobs: cli.jobs.unwrap_or(1),
-                root_seed: cli.root_seed,
-                shrink: cli.shrink,
-                queue_depth: cli.queue_depth,
-                inject_late: cli.inject_late,
-                chaos,
-                layers: cli.layers.clone(),
-            };
             let plane = match cfg.queue_depth {
                 Some(d) => format!("queued device, depth {d}"),
                 None => "serial device".to_string(),
@@ -455,7 +454,7 @@ fn check_main(cli: &Cli) {
             run_check(&cfg)
         }
     };
-    print!("{}", report.render(cli.root_seed));
+    print!("{}", report.render(cfg.root_seed));
     if !report.failures.is_empty() {
         std::process::exit(1);
     }
@@ -522,7 +521,7 @@ fn profile_main(cli: &Cli) {
         [one] => one.as_str(),
         _ => die("profile expects exactly one figure target"),
     };
-    let fig = FigureId::parse(name)
+    let fig = registry::parse(name)
         .unwrap_or_else(|| die(&format!("profile expects a figure target, got: {name}")));
 
     let p = Profiler::new();
@@ -531,7 +530,7 @@ fn profile_main(cli: &Cli) {
     let t0 = std::time::Instant::now();
     // jobs=1 keeps the figure on this thread, so every world it builds
     // picks up the installed profiler.
-    let outputs = run_figures_with(&[fig], scale(cli), 0, 1, false, false);
+    let outputs = run_figures(&[fig], scale(cli), 0, 1, false, false);
     let wall_s = t0.elapsed().as_secs_f64();
     prof::uninstall_thread();
     let snap = p.snapshot();
@@ -540,7 +539,7 @@ fn profile_main(cli: &Cli) {
     for out in &outputs {
         print!("{}", out.summary);
     }
-    print!("{}", sim_trace::render_profile(fig.name(), &snap, &alloc));
+    print!("{}", sim_trace::render_profile(fig.name, &snap, &alloc));
     // Every pop is one processed event, summed across the figure's worlds.
     let events = snap
         .phases
@@ -554,37 +553,30 @@ fn profile_main(cli: &Cli) {
     sim_trace::export_profile(&mut reg, &snap);
     write_result(
         "results",
-        &format!("profile_{}.csv", fig.name()),
+        &format!("profile_{}.csv", fig.name),
         &reg.summary_csv(),
     );
     write_result(
         "results",
-        &format!("profile_{}.json", fig.name()),
-        &sim_trace::profile_json(fig.name(), &snap, &alloc, events, wall_s),
+        &format!("profile_{}.json", fig.name),
+        &sim_trace::profile_json(fig.name, &snap, &alloc, events, wall_s),
     );
 }
 
 fn figures_main(cli: &Cli) {
-    // The fault sweep is opt-in only: `all` keeps producing the
-    // fault-free baseline figures, bit-identical run to run.
-    let faults = cli.faults || cli.targets.iter().any(|t| t == "faults");
-    let which: Vec<&str> = cli
-        .targets
-        .iter()
-        .map(|s| s.as_str())
-        .filter(|t| *t != "faults")
-        .collect();
-    let all = (which.is_empty() && !faults) || which.contains(&"all");
-
-    if faults {
-        run_faults(cli);
+    let mut named: Vec<&str> = cli.targets.iter().map(|s| s.as_str()).collect();
+    if cli.faults {
+        named.push("faults");
     }
-
-    let figs: Vec<FigureId> = FigureId::ALL
-        .into_iter()
-        .filter(|f| all || which.contains(&f.name()))
+    // No target at all means `all`; rows `all` skips run only by name.
+    let all = named.is_empty() || named.contains(&"all");
+    let figs: Vec<&'static Figure> = FIGURES
+        .iter()
+        .filter(|f| (all && f.in_all) || named.contains(&f.name))
         .collect();
-    let outputs = run_figures_with(
+    require_taker("--csv", cli.csv, &figs, Takes::Csv);
+    require_taker("--trace", cli.trace, &figs, Takes::Trace);
+    let outputs = run_figures(
         &figs,
         scale(cli),
         0,
@@ -592,11 +584,19 @@ fn figures_main(cli: &Cli) {
         cli.csv,
         cli.trace,
     );
+    let mut failed = false;
     for out in &outputs {
         print!("{}", out.summary);
         for a in &out.artifacts {
             write_result("results", &a.name, &a.content);
         }
+        if let Some(why) = &out.failure {
+            eprintln!("FAIL: {why}");
+            failed = true;
+        }
+    }
+    if failed {
+        std::process::exit(1);
     }
 }
 

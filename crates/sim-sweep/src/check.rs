@@ -507,49 +507,24 @@ fn run_inner(
     }
 }
 
-/// Run the full scheduler × device matrix on one program. Returns one
-/// message per problem found (empty means the program checks clean).
-pub fn check_program(spec: &ProgramSpec) -> Vec<String> {
-    check_program_qd(spec, None)
-}
-
-/// [`check_program`] generalized over the device plane: `None` replays on
-/// the legacy serial device, `Some(d)` on the queued plane at hardware
-/// queue depth `d` (`runner check --queue-depth d`). The differential
-/// oracle is unchanged — schedulers may exploit a deep queue but must
-/// never change syscall results.
-pub fn check_program_qd(spec: &ProgramSpec, queue_depth: Option<u32>) -> Vec<String> {
-    check_program_opts(spec, queue_depth, false, None, None)
-}
-
-/// [`check_program_qd`] under the chaos plane (`runner check --chaos`).
-/// The differential oracle survives chaos unchanged: the noop reference
-/// replays under the *same* chaos config, and syscall outcomes are
-/// timing-invariant, so schedulers must still agree with the reference
-/// while the auditors watch every perturbed interleaving.
-pub fn check_program_chaos(
-    spec: &ProgramSpec,
-    queue_depth: Option<u32>,
-    chaos: ChaosConfig,
-) -> Vec<String> {
-    check_program_opts(spec, queue_depth, false, Some(chaos), None)
-}
-
-/// [`check_program_qd`] with the late-schedule probe: `inject_late`
-/// poisons every run in the matrix with one deliberately-late event, so
-/// a passing gate proves `runner check --inject-late` exits nonzero.
-fn check_program_opts(
-    spec: &ProgramSpec,
-    queue_depth: Option<u32>,
-    inject_late: bool,
-    chaos: Option<ChaosConfig>,
-    layers: Option<&[LayerSpec]>,
-) -> Vec<String> {
+/// Run the full scheduler × device matrix on one program, on the planes
+/// `planes` selects (its generation fields — `programs`, `jobs`,
+/// `root_seed`, `shrink` — play no part). Returns one message per problem
+/// found (empty means the program checks clean).
+///
+/// The differential oracle is the same on every plane: a deep queue may
+/// be exploited but must never change syscall results, and under chaos
+/// the noop reference replays under the *same* chaos config — syscall
+/// outcomes are timing-invariant, so schedulers must still agree with it
+/// while the auditors watch every perturbed interleaving. `inject_late`
+/// poisons every run with one deliberately-late event, so a passing gate
+/// proves `runner check --inject-late` exits nonzero.
+pub fn check_program(spec: &ProgramSpec, planes: &CheckConfig) -> Vec<String> {
     let run = |sched: SchedChoice, device| {
         // A custom tree (`--layers`) replaces the default tree on the
         // layered arm of the matrix; flat arms are unaffected.
-        let layers = match (sched, layers) {
-            (SchedChoice::Layered, Some(tree)) => Some(tree.to_vec()),
+        let layers = match (sched, &planes.layers) {
+            (SchedChoice::Layered, Some(tree)) => Some(tree.clone()),
             _ => None,
         };
         run_inner(
@@ -557,9 +532,9 @@ fn check_program_opts(
             sched,
             device,
             RunOpts {
-                queue_depth,
-                inject_late,
-                chaos,
+                queue_depth: planes.queue_depth,
+                inject_late: planes.inject_late,
+                chaos: planes.chaos,
                 layers,
                 ..Default::default()
             },
@@ -692,18 +667,15 @@ fn fail_from(
     spec: &ProgramSpec,
     index: u64,
     problems: Vec<String>,
-    minimize: bool,
-    queue_depth: Option<u32>,
-    chaos: Option<ChaosConfig>,
-    layers: Option<&[LayerSpec]>,
+    cfg: &CheckConfig,
 ) -> CheckFailure {
-    let shrunk = if minimize {
-        // The shrinker replays candidates under the same planes that
-        // caught the failure — a chaos-only bug must stay reproducible
-        // at every shrink step.
-        let small = shrink(spec, |p| {
-            !check_program_opts(p, queue_depth, false, chaos, layers).is_empty()
-        });
+    // Shrinking replays the whole matrix per candidate, under the same
+    // planes that caught the failure — a chaos-only bug must stay
+    // reproducible at every shrink step. Injected late-schedule failures
+    // are in the harness, not the program, so there is nothing for the
+    // shrinker to minimize.
+    let shrunk = if cfg.shrink && !cfg.inject_late {
+        let small = shrink(spec, |p| !check_program(p, cfg).is_empty());
         (small.syscall_count() < spec.syscall_count()).then(|| small.to_string())
     } else {
         None
@@ -724,34 +696,15 @@ pub fn run_check(cfg: &CheckConfig) -> CheckReport {
             &mut SimRng::stream(cfg.root_seed, idx),
             &GenConfig::default(),
         );
-        let problems = check_program_opts(
-            &spec,
-            cfg.queue_depth,
-            cfg.inject_late,
-            cfg.chaos,
-            cfg.layers.as_deref(),
-        );
+        let problems = check_program(&spec, cfg);
         (idx, spec, problems)
     });
-    // Shrinking replays the whole matrix per candidate, so it stays on
-    // the (rare) failure path and out of the parallel section. Injected
-    // late-schedule failures are in the harness, not the program, so
-    // there is nothing for the shrinker to minimize.
-    let minimize = cfg.shrink && !cfg.inject_late;
+    // Shrinking stays on the (rare) failure path and out of the
+    // parallel section.
     let failures = results
         .into_iter()
         .filter(|(_, _, problems)| !problems.is_empty())
-        .map(|(idx, spec, problems)| {
-            fail_from(
-                &spec,
-                idx,
-                problems,
-                minimize,
-                cfg.queue_depth,
-                cfg.chaos,
-                cfg.layers.as_deref(),
-            )
-        })
+        .map(|(idx, spec, problems)| fail_from(&spec, idx, problems, cfg))
         .collect();
     CheckReport {
         programs: cfg.programs,
@@ -759,28 +712,18 @@ pub fn run_check(cfg: &CheckConfig) -> CheckReport {
     }
 }
 
-/// Check one program parsed from a replay file (see [`ProgramSpec::parse`]).
-/// `chaos` replays it under the chaos plane — a reproducer minted by
-/// `check --chaos` needs the same timing to reproduce.
-pub fn run_replay(
-    text: &str,
-    shrink_it: bool,
-    chaos: Option<ChaosConfig>,
-) -> Result<CheckReport, String> {
+/// Check one program parsed from a replay file (see [`ProgramSpec::parse`])
+/// on the planes `cfg` selects — a reproducer minted by `check --chaos`,
+/// `--queue-depth`, `--layers` or `--inject-late` needs the same planes to
+/// reproduce. `cfg`'s generation fields (`programs`, `jobs`, `root_seed`)
+/// do not apply; the runner refuses them beside `--replay`.
+pub fn run_replay(text: &str, cfg: &CheckConfig) -> Result<CheckReport, String> {
     let spec = ProgramSpec::parse(text)?;
-    let problems = check_program_opts(&spec, None, false, chaos, None);
+    let problems = check_program(&spec, cfg);
     let failures = if problems.is_empty() {
         Vec::new()
     } else {
-        vec![fail_from(
-            &spec,
-            u64::MAX,
-            problems,
-            shrink_it,
-            None,
-            chaos,
-            None,
-        )]
+        vec![fail_from(&spec, u64::MAX, problems, cfg)]
     };
     Ok(CheckReport {
         programs: 1,
@@ -865,7 +808,7 @@ mod tests {
              end\n",
         )
         .unwrap();
-        let problems = check_program(&spec);
+        let problems = check_program(&spec, &CheckConfig::default());
         assert_eq!(problems, Vec::<String>::new());
     }
 }

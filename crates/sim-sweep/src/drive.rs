@@ -2,24 +2,20 @@
 //! tests: run a list of figures through the executor, or expand a
 //! [`SweepSpec`], execute it, and aggregate the replicates.
 
-use sim_experiments::registry::{run_cell, CellOutput, CellRequest, FigureId, Profile};
+use sim_experiments::registry::{run_cell, CellOutput, CellRequest, Figure, Profile};
 
 use crate::aggregate::{aggregate, SweepReport};
 use crate::executor::run_indexed;
 use crate::spec::SweepSpec;
 
-/// Run a set of figures (one cell each) at a given width.
+/// Run a set of figures (one cell each) at a given width, with the
+/// `--csv` / `--trace` artifact flags as given.
 ///
 /// Outputs come back in the order of `figs`, regardless of `jobs`, so
 /// concatenating the summaries reproduces the sequential runner's
 /// stdout byte-for-byte.
-pub fn run_figures(figs: &[FigureId], profile: Profile, seed: u64, jobs: usize) -> Vec<CellOutput> {
-    run_figures_with(figs, profile, seed, jobs, false, false)
-}
-
-/// [`run_figures`] with the legacy `--csv` / `--trace` artifact flags.
-pub fn run_figures_with(
-    figs: &[FigureId],
+pub fn run_figures(
+    figs: &[&'static Figure],
     profile: Profile,
     seed: u64,
     jobs: usize,
@@ -28,11 +24,10 @@ pub fn run_figures_with(
 ) -> Vec<CellOutput> {
     let reqs: Vec<CellRequest> = figs
         .iter()
-        .map(|&fig| {
-            let mut r = CellRequest::new(fig, profile, seed);
-            r.csv = csv;
-            r.trace = trace;
-            r
+        .map(|&fig| CellRequest {
+            csv,
+            trace,
+            ..CellRequest::new(fig, profile, seed)
         })
         .collect();
     run_indexed(reqs, jobs, run_cell)

@@ -18,10 +18,9 @@ pub mod spec;
 
 pub use aggregate::{aggregate, MetricRow, SweepReport};
 pub use check::{
-    check_program, check_program_chaos, check_program_qd, run_check, run_one, run_one_chaos,
-    run_one_faulted, run_one_queued, run_one_timing_sabotaged, run_replay, CheckConfig,
-    CheckReport,
+    check_program, run_check, run_one, run_one_chaos, run_one_faulted, run_one_queued,
+    run_one_timing_sabotaged, run_replay, CheckConfig, CheckReport,
 };
-pub use drive::{run_figures, run_figures_with, run_sweep};
+pub use drive::{run_figures, run_sweep};
 pub use executor::run_indexed;
 pub use spec::{cell_seed, Cell, SweepSpec};

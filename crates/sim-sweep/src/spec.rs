@@ -9,14 +9,14 @@
 //! that were already in it.
 
 use sim_core::stream_seed;
-use sim_experiments::registry::{CellRequest, FigureId, Profile};
+use sim_experiments::registry::{CellRequest, Figure, Profile, Takes};
 use sim_experiments::setup::{DeviceChoice, SchedChoice};
 
 /// A declarative sweep: the grid axes plus replication settings.
 #[derive(Debug, Clone)]
 pub struct SweepSpec {
     /// Figures to run.
-    pub figures: Vec<FigureId>,
+    pub figures: Vec<&'static Figure>,
     /// Configuration scale for every cell.
     pub profile: Profile,
     /// Scheduler axis; applied only to figures that support it
@@ -32,7 +32,7 @@ pub struct SweepSpec {
 
 impl SweepSpec {
     /// A spec over `figures` with no axis overrides.
-    pub fn new(figures: Vec<FigureId>) -> Self {
+    pub fn new(figures: Vec<&'static Figure>) -> Self {
         SweepSpec {
             figures,
             profile: Profile::Quick,
@@ -89,19 +89,19 @@ impl SweepSpec {
     pub fn cells(&self) -> Vec<Cell> {
         let mut out = Vec::new();
         for &fig in &self.figures {
-            let scheds: &[Option<SchedChoice>] = if fig.supports_sched_axis() {
+            let scheds: &[Option<SchedChoice>] = if fig.takes(Takes::SchedAxis) {
                 &self.scheds
             } else {
                 &[None]
             };
-            let devices: &[Option<DeviceChoice>] = if fig.supports_device_axis() {
+            let devices: &[Option<DeviceChoice>] = if fig.takes(Takes::DeviceAxis) {
                 &self.devices
             } else {
                 &[None]
             };
             for &sched in scheds {
                 for &device in devices {
-                    let mut label = fig.name().to_string();
+                    let mut label = fig.name.to_string();
                     if let Some(s) = sched {
                         label.push_str("/sched=");
                         label.push_str(&sched_name(s));
@@ -131,10 +131,15 @@ impl SweepSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_experiments::registry::{parse, FIGURES};
+
+    fn figs<const N: usize>(names: [&str; N]) -> Vec<&'static Figure> {
+        names.map(|n| parse(n).expect("a row of the table")).into()
+    }
 
     #[test]
     fn expansion_collapses_unsupported_axes() {
-        let mut spec = SweepSpec::new(vec![FigureId::Fig01, FigureId::Fig06]);
+        let mut spec = SweepSpec::new(figs(["fig01", "fig06"]));
         spec.scheds = vec![None, Some(SchedChoice::Cfq), Some(SchedChoice::SplitToken)];
         spec.replicates = 2;
         let cells = spec.cells();
@@ -146,8 +151,8 @@ mod tests {
 
     #[test]
     fn seeds_are_stable_under_spec_growth() {
-        let small = SweepSpec::new(vec![FigureId::Fig06]);
-        let big = SweepSpec::new(vec![FigureId::Fig01, FigureId::Fig06]);
+        let small = SweepSpec::new(figs(["fig06"]));
+        let big = SweepSpec::new(figs(["fig01", "fig06"]));
         let seed_of = |spec: &SweepSpec| {
             spec.cells()
                 .iter()
@@ -160,7 +165,7 @@ mod tests {
 
     #[test]
     fn seeds_do_not_collide_on_a_realistic_grid() {
-        let mut spec = SweepSpec::new(FigureId::ALL.to_vec());
+        let mut spec = SweepSpec::new(FIGURES.iter().collect());
         spec.scheds = vec![None, Some(SchedChoice::Cfq), Some(SchedChoice::SplitToken)];
         spec.devices = vec![None, Some(DeviceChoice::Hdd), Some(DeviceChoice::Ssd)];
         spec.replicates = 8;

@@ -13,7 +13,7 @@
 use sim_check::{generate, GenConfig, ProgramSpec};
 use sim_core::{ChaosClass, ChaosConfig, SimRng};
 use sim_experiments::{DeviceChoice, SchedChoice};
-use sim_sweep::{check_program_chaos, run_one, run_one_chaos, run_one_queued};
+use sim_sweep::{check_program, run_one, run_one_chaos, run_one_queued, CheckConfig};
 
 fn program(idx: u64) -> ProgramSpec {
     generate(&mut SimRng::stream(0xCA05, idx), &GenConfig::default())
@@ -127,7 +127,12 @@ fn full_differential_matrix_holds_under_chaos() {
     // syscall results.
     for idx in 0..3u64 {
         let spec = program(idx);
-        let violations = check_program_chaos(&spec, Some(8), ChaosConfig::with_seed(idx + 1));
+        let planes = CheckConfig {
+            queue_depth: Some(8),
+            chaos: Some(ChaosConfig::with_seed(idx + 1)),
+            ..CheckConfig::default()
+        };
+        let violations = check_program(&spec, &planes);
         assert_eq!(violations, Vec::<String>::new(), "program {idx}");
     }
 }

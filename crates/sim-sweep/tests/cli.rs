@@ -116,6 +116,104 @@ fn flags_the_target_does_not_take_are_rejected_not_ignored() {
     assert!(stderr.contains("usage:"), "{stderr}");
 }
 
+#[test]
+fn flags_no_selected_target_takes_are_refused_from_the_figure_table() {
+    for (args, flag) in [
+        (&["fig03", "--trace"][..], "--trace"),
+        (&["fig03", "--csv"][..], "--csv"),
+        (&["sweep", "fig01", "--device", "ssd"][..], "--device"),
+        (
+            &["sweep", "fig01", "fig12", "--sched", "cfq"][..],
+            "--sched",
+        ),
+    ] {
+        let out = runner().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "args: {args:?}");
+        assert!(out.stdout.is_empty(), "nothing must run for {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let needle = format!("{flag} applies to none of the selected targets");
+        assert!(stderr.contains(&needle), "args {args:?}: {stderr}");
+    }
+    // One taker among the selected rows is enough: fig01 takes --csv,
+    // fig03 beside it simply has no series to write.
+    let tmp = std::env::temp_dir().join(format!("sim-taker-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&tmp).unwrap();
+    let out = runner()
+        .current_dir(&tmp)
+        .args(["fig01", "fig03", "--csv"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    assert!(tmp.join("results/fig01_write_burst.csv").exists());
+    std::fs::remove_dir_all(&tmp).ok();
+}
+
+#[test]
+fn faults_is_a_row_all_skips_and_it_writes_its_csv() {
+    let tmp = std::env::temp_dir().join(format!("sim-faults-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&tmp).unwrap();
+    let by_flag = runner().current_dir(&tmp).arg("--faults").output().unwrap();
+    let by_name = runner()
+        .current_dir(&tmp)
+        .args(["faults", "--csv"])
+        .output()
+        .unwrap();
+    assert_eq!(by_flag.status.code(), Some(0));
+    assert_eq!(by_name.status.code(), Some(0));
+    assert_eq!(by_flag.stdout, by_name.stdout, "--faults names the row");
+    let stdout = String::from_utf8_lossy(&by_flag.stdout);
+    assert!(stdout.starts_with("Fault sweep:"), "{stdout}");
+    assert!(!stdout.contains("Figure"), "only the named row runs");
+    let csv = std::fs::read_to_string(tmp.join("results/fault_sweep.csv")).unwrap();
+    assert!(csv.starts_with("nth_write,io_errors,"), "{csv}");
+    std::fs::remove_dir_all(&tmp).ok();
+}
+
+#[test]
+fn replay_runs_on_the_planes_the_flags_select_and_refuses_generation_flags() {
+    let tmp = std::env::temp_dir().join(format!("sim-replay-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&tmp).unwrap();
+    let spec = tmp.join("spec.txt");
+    std::fs::write(
+        &spec,
+        "program shared=1 bytes=65536\nproc\nwrite s0 0 8192\nfsync s0\nend\n",
+    )
+    .unwrap();
+    let replay = |extra: &[&str]| {
+        runner()
+            .args(["check", "--replay"])
+            .arg(&spec)
+            .args(extra)
+            .output()
+            .unwrap()
+    };
+    assert_eq!(replay(&[]).status.code(), Some(0), "the program is clean");
+    // The late-schedule probe must reach a replayed program too (it was
+    // dropped, so a reproducer minted with it came back clean).
+    let late = replay(&["--inject-late"]);
+    assert_eq!(late.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&late.stdout).contains("scheduled in the past"));
+    // So must the device plane and a custom tree: both still check clean.
+    assert_eq!(replay(&["--queue-depth", "8"]).status.code(), Some(0));
+    assert_eq!(
+        replay(&["--layers", "a:default:share:noop"]).status.code(),
+        Some(0)
+    );
+    for generation in [
+        &["--programs", "5"][..],
+        &["--jobs", "2"][..],
+        &["--root-seed", "3"][..],
+    ] {
+        let out = replay(generation);
+        assert_eq!(out.status.code(), Some(2), "args: {generation:?}");
+        assert!(out.stdout.is_empty(), "nothing must run for {generation:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("do not apply to it"), "{stderr}");
+        assert!(stderr.contains("usage:"), "{stderr}");
+    }
+    std::fs::remove_dir_all(&tmp).ok();
+}
+
 /// The runner's flag table restated independently: flag, a valid value
 /// if it takes one, and the subcommands that take it (`""` = plain
 /// figure targets).
@@ -151,9 +249,10 @@ fn every_usage_flag_is_taken_by_its_subcommands_and_refused_by_all_others() {
     std::fs::create_dir_all(&tmp).unwrap();
     // Each probe names targets its subcommand refuses *after* the flag
     // check, so an accepted flag costs no simulation; plain figure
-    // targets have no such combination and run the cheap fig03.
+    // targets have no such combination and run fig12, the one cheap row
+    // that takes every artifact flag.
     let probes: [(&str, &[&str]); 5] = [
-        ("", &["fig03"]),
+        ("", &["fig12"]),
         ("sweep", &["sweep", "all"]),
         ("check", &["check", "fig03"]),
         ("profile", &["profile"]),
@@ -194,7 +293,7 @@ fn every_usage_flag_is_taken_by_its_subcommands_and_refused_by_all_others() {
                 assert_eq!(out.status.code(), Some(2), "{flag} on {mode:?}");
                 assert!(out.stdout.is_empty(), "{flag} on {mode:?} ran something");
             } else if mode.is_empty() {
-                assert_eq!(out.status.code(), Some(0), "{flag} on fig03: {stderr}");
+                assert_eq!(out.status.code(), Some(0), "{flag} on fig12: {stderr}");
             }
         }
     }

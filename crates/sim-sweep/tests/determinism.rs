@@ -2,11 +2,18 @@
 //! per-cell seed streams is that a scenario's numbers depend only on
 //! its request, never on which worker ran it or in what order.
 
-use sim_experiments::registry::{FigureId, Profile};
+use sim_experiments::registry::{self, Figure, Profile};
 use sim_sweep::{run_figures, run_sweep, SweepSpec};
 
-fn concat_summaries(figs: &[FigureId], jobs: usize) -> String {
-    run_figures(figs, Profile::Quick, 0, jobs)
+fn figs(names: &[&str]) -> Vec<&'static Figure> {
+    names
+        .iter()
+        .map(|n| registry::parse(n).expect("a row of the table"))
+        .collect()
+}
+
+fn concat_summaries(figs: &[&'static Figure], jobs: usize) -> String {
+    run_figures(figs, Profile::Quick, 0, jobs, false, false)
         .iter()
         .map(|o| o.summary.as_str())
         .collect()
@@ -15,17 +22,12 @@ fn concat_summaries(figs: &[FigureId], jobs: usize) -> String {
 /// A cross-section of the suite cheap enough for tier-1: a plain table
 /// (fig03), the fig06 family (sched-axis figures), the tag-memory sweep
 /// (fig10), and the three-block ablation summary.
-const SUBSET: [FigureId; 4] = [
-    FigureId::Fig03,
-    FigureId::Fig06,
-    FigureId::Fig10,
-    FigureId::Ablations,
-];
+const SUBSET: [&str; 4] = ["fig03", "fig06", "fig10", "ablations"];
 
 #[test]
 fn parallel_figures_match_sequential_bytes() {
-    let seq = concat_summaries(&SUBSET, 1);
-    let par = concat_summaries(&SUBSET, 4);
+    let seq = concat_summaries(&figs(&SUBSET), 1);
+    let par = concat_summaries(&figs(&SUBSET), 4);
     assert_eq!(seq, par, "jobs=4 must reproduce jobs=1 byte-for-byte");
 }
 
@@ -34,14 +36,15 @@ fn parallel_figures_match_sequential_bytes() {
 #[test]
 #[ignore = "minutes-long; the 4-figure subset covers tier-1"]
 fn parallel_all_matches_sequential_bytes() {
-    let seq = concat_summaries(&FigureId::ALL, 1);
-    let par = concat_summaries(&FigureId::ALL, 4);
+    let all: Vec<_> = registry::all().collect();
+    let seq = concat_summaries(&all, 1);
+    let par = concat_summaries(&all, 4);
     assert_eq!(seq, par);
 }
 
 #[test]
 fn sweep_report_is_independent_of_jobs() {
-    let mut spec = SweepSpec::new(vec![FigureId::Fig03, FigureId::Fig06]);
+    let mut spec = SweepSpec::new(figs(&["fig03", "fig06"]));
     spec.replicates = 3;
     spec.root_seed = 42;
     let (seq, n_seq) = run_sweep(&spec, 1);
@@ -56,7 +59,7 @@ fn replicates_actually_vary() {
     // Seed replication is pointless if every seed produces the same
     // numbers; fig06's workload RNG and the fs-layout seed must both
     // feed through.
-    let mut spec = SweepSpec::new(vec![FigureId::Fig06]);
+    let mut spec = SweepSpec::new(figs(&["fig06"]));
     spec.replicates = 3;
     let (report, _) = run_sweep(&spec, 2);
     let row = report
@@ -79,10 +82,10 @@ fn zero_seed_cell_reproduces_the_historical_run() {
     let direct = format!(
         "{}\n\n",
         sim_experiments::fig03_cfq_async_unfair::run(
-            &sim_experiments::fig03_cfq_async_unfair::Config::quick()
+            &sim_experiments::fig03_cfq_async_unfair::Config::at(Profile::Quick, 0)
         )
     );
-    let via_registry = run_figures(&[FigureId::Fig03], Profile::Quick, 0, 1)
+    let via_registry = run_figures(&figs(&["fig03"]), Profile::Quick, 0, 1, false, false)
         .pop()
         .unwrap()
         .summary;

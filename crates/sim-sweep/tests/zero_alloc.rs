@@ -18,11 +18,12 @@
 
 use sim_core::{alloc_count, SimDuration, SimTime};
 use sim_experiments::fig01_write_burst::{build_burst_world, Config};
+use sim_experiments::registry::Profile;
 use sim_experiments::setup::SchedChoice;
 
 #[test]
 fn fig01_steady_state_allocates_nothing() {
-    let cfg = Config::quick();
+    let cfg = Config::at(Profile::Quick, 0);
     let (mut w, _k, _a) = build_burst_world(&cfg, SchedChoice::Cfq, None);
     // Warm up: pre-burst streaming, the 1 s write burst at t = 5 s, and
     // the writeback drain that follows. By t = 25 s every arena has hit
