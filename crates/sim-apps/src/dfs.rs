@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use sim_cache::CacheConfig;
-use sim_core::{FileId, KernelId, Pid, SimDuration, SimRng, SimTime};
+use sim_core::{FileId, KernelId, Pid, SimDuration, SimRng};
 use sim_kernel::{AppEvent, DeviceKind, InjectTarget, KernelConfig, World};
 use split_core::{SchedAttr, SyscallKind};
 use split_schedulers::SplitToken;
@@ -178,11 +178,6 @@ impl DfsCluster {
         Ok(())
     }
 
-    /// Client-visible bytes written by `client`.
-    pub fn bytes_written(&self, client: usize) -> u64 {
-        self.clients[client].bytes_written
-    }
-
     /// Total client-visible bytes for an account.
     pub fn account_bytes(&self, account: u32) -> u64 {
         self.clients
@@ -269,16 +264,6 @@ impl DfsCluster {
     }
 }
 
-/// Convenience: time helper for tests.
-pub fn secs(s: u64) -> SimDuration {
-    SimDuration::from_secs(s)
-}
-
-/// Convenience: a `SimTime` at `s` seconds.
-pub fn at(s: u64) -> SimTime {
-    SimTime::ZERO + SimDuration::from_secs(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,8 +278,8 @@ mod tests {
         };
         let mut cluster = DfsCluster::new(&mut w, cfg);
         let c = cluster.add_client(&mut w, 1).unwrap();
-        cluster.run(&mut w, secs(2));
-        let written = cluster.bytes_written(c);
+        cluster.run(&mut w, SimDuration::from_secs(2));
+        let written = cluster.clients[c].bytes_written;
         assert!(written > 8 * 1024 * 1024, "client wrote {written}");
         // Aggregate handler-level writes are ~3× the client bytes.
         let mut handler_bytes = 0;
@@ -325,9 +310,9 @@ mod tests {
         cluster
             .set_account_rate(&mut w, 1, 2 * 1024 * 1024) // 2 MB/s/worker
             .unwrap();
-        cluster.run(&mut w, secs(4));
-        let s = cluster.bytes_written(slow);
-        let f = cluster.bytes_written(fast);
+        cluster.run(&mut w, SimDuration::from_secs(4));
+        let s = cluster.clients[slow].bytes_written;
+        let f = cluster.clients[fast].bytes_written;
         assert!(
             f as f64 > 2.0 * s as f64,
             "unthrottled {f} should far exceed throttled {s}"

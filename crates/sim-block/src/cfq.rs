@@ -25,7 +25,7 @@ use crate::{Dispatch, Elevator, PrioClass, Request};
 
 /// Tunables for CFQ.
 #[derive(Debug, Clone, Copy)]
-pub struct CfqConfig {
+pub(crate) struct CfqConfig {
     /// Slice length for a weight-4 (default priority) sync queue.
     pub base_slice_sync: SimDuration,
     /// Slice length for a weight-4 async queue.
@@ -91,7 +91,7 @@ impl Cfq {
     ///
     /// Rejects zero-length base slices at construction: a zero slice
     /// would expire the moment it starts and spin the dispatch loop.
-    pub fn with_config(cfg: CfqConfig) -> Self {
+    pub(crate) fn with_config(cfg: CfqConfig) -> Self {
         assert!(
             cfg.base_slice_sync > SimDuration::ZERO && cfg.base_slice_async > SimDuration::ZERO,
             "CFQ base slices must be non-zero"

@@ -14,16 +14,16 @@
 //! (deadline + location queues, extended with per-process deadlines as in
 //! §5.2).
 
-pub mod cfq;
-pub mod deadline;
-pub mod mq;
-pub mod noop;
+mod cfq;
+mod deadline;
+mod mq;
+mod noop;
 pub mod sorted;
 
 use sim_core::{BlockNo, CauseSet, Pid, RequestId, SimTime};
 use sim_device::{DiskModel, DiskRequestShape, IoDir};
 
-pub use cfq::{Cfq, CfqConfig};
+pub use cfq::Cfq;
 pub use deadline::{BlockDeadline, DeadlineConfig};
 pub use mq::{MqDispatch, QueueOccupancy};
 pub use noop::Noop;

@@ -39,11 +39,6 @@ impl QueueOccupancy {
             .map(|(_, n)| *n)
             .unwrap_or(0)
     }
-
-    /// In-flight requests attributed to anyone but `pid`.
-    pub fn of_others(&self, pid: Pid) -> u32 {
-        self.in_flight.saturating_sub(self.of(pid))
-    }
 }
 
 /// Per-process software queues in front of the hardware queue.
@@ -55,11 +50,6 @@ pub struct MqDispatch {
     /// Round-robin cursor into `queues`.
     rr: usize,
     occ: QueueOccupancy,
-    /// Total requests ever staged (observability; never read back by
-    /// dispatch policy).
-    submitted: u64,
-    /// High watermark of `occ.staged` (observability).
-    staged_peak: u32,
 }
 
 impl MqDispatch {
@@ -72,26 +62,12 @@ impl MqDispatch {
                 depth,
                 ..Default::default()
             },
-            submitted: 0,
-            staged_peak: 0,
         }
     }
 
     /// Requests staged in software queues.
     pub fn staged(&self) -> usize {
         self.occ.staged as usize
-    }
-
-    /// Total requests ever staged through [`MqDispatch::submit`].
-    pub fn submitted_total(&self) -> u64 {
-        self.submitted
-    }
-
-    /// High watermark of simultaneously staged requests — how deep the
-    /// software queues ever got before the pump drained them (profiler
-    /// occupancy reporting).
-    pub fn staged_peak(&self) -> u32 {
-        self.staged_peak
     }
 
     /// The live occupancy picture.
@@ -111,25 +87,6 @@ impl MqDispatch {
             }
         }
         self.occ.staged += 1;
-        self.submitted += 1;
-        if self.occ.staged > self.staged_peak {
-            self.staged_peak = self.occ.staged;
-        }
-    }
-
-    /// How many software queues exist (one per process ever seen).
-    pub fn queue_count(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// Advance the round-robin cursor by `by` queues without draining
-    /// anything. The chaos plane uses this to perturb which process's
-    /// software queue feeds the device next; per-process FIFO order
-    /// within each queue is untouched.
-    pub fn rotate(&mut self, by: usize) {
-        if !self.queues.is_empty() {
-            self.rr = (self.rr + by) % self.queues.len();
-        }
     }
 
     /// Take the next staged request, round-robin across processes.
@@ -215,7 +172,6 @@ mod tests {
         mq.note_accepted(b.submitter);
         assert_eq!(mq.occupancy().in_flight, 2);
         assert_eq!(mq.occupancy().of(Pid(10)), 1);
-        assert_eq!(mq.occupancy().of_others(Pid(10)), 1);
         mq.note_done(Pid(10));
         assert_eq!(mq.occupancy().of(Pid(10)), 0);
         assert_eq!(mq.occupancy().in_flight, 1);
@@ -223,44 +179,8 @@ mod tests {
     }
 
     #[test]
-    fn rotate_shifts_which_queue_drains_next_but_keeps_per_pid_fifo() {
-        let mut mq = MqDispatch::new(4);
-        mq.submit(req(1, 10));
-        mq.submit(req(2, 10));
-        mq.submit(req(3, 11));
-        mq.submit(req(4, 11));
-        assert_eq!(mq.queue_count(), 2);
-        mq.rotate(1);
-        let order: Vec<u64> = std::iter::from_fn(|| mq.pop_next().map(|r| r.id.raw())).collect();
-        // Pid 11's queue goes first now, but 1 before 2 and 3 before 4
-        // still hold.
-        assert_eq!(order, vec![3, 1, 4, 2]);
-        // Rotating an empty dispatch is a no-op, not a division by zero.
-        let mut empty = MqDispatch::new(1);
-        empty.rotate(5);
-        assert!(empty.pop_next().is_none());
-    }
-
-    #[test]
     fn empty_pop_is_none() {
         let mut mq = MqDispatch::new(1);
         assert!(mq.pop_next().is_none());
-    }
-
-    #[test]
-    fn staged_peak_holds_the_high_watermark() {
-        let mut mq = MqDispatch::new(4);
-        mq.submit(req(1, 10));
-        mq.submit(req(2, 11));
-        mq.submit(req(3, 10));
-        assert_eq!(mq.staged_peak(), 3);
-        mq.pop_next();
-        mq.pop_next();
-        mq.submit(req(4, 12));
-        // Draining does not lower the watermark; resubmitting below it
-        // does not raise it.
-        assert_eq!(mq.staged_peak(), 3);
-        assert_eq!(mq.submitted_total(), 4);
-        assert_eq!(mq.staged(), 2);
     }
 }

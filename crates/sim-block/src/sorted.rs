@@ -80,24 +80,10 @@ impl SortedQueue {
         Some(if at == self.order.len() { 0 } else { at })
     }
 
-    /// Peek the next request at or after `pos`, wrapping around.
-    pub fn peek_cscan(&self, pos: BlockNo) -> Option<&Request> {
-        let at = self.cscan_at(pos)?;
-        self.slab[self.order[at].2 as usize].as_ref()
-    }
-
     /// Pop the next request at or after `pos`, wrapping around.
     pub fn pop_cscan(&mut self, pos: BlockNo) -> Option<Request> {
         let at = self.cscan_at(pos)?;
         self.take_at(at)
-    }
-
-    /// Pop the lowest-addressed request.
-    pub fn pop_first(&mut self) -> Option<Request> {
-        if self.order.is_empty() {
-            return None;
-        }
-        self.take_at(0)
     }
 
     /// Remove a specific request by id and start block.
@@ -113,59 +99,6 @@ impl SortedQueue {
         let (_, _, i) = self.order.remove(at)?;
         self.free.push(i);
         self.slab[i as usize].take()
-    }
-
-    /// Iterate in block order.
-    pub fn iter(&self) -> impl Iterator<Item = &Request> {
-        self.order.iter().map(|&(_, _, i)| {
-            self.slab[i as usize]
-                .as_ref()
-                .expect("indexed slot is live")
-        })
-    }
-}
-
-/// A FIFO of request ids with their queue-entry deadline, used for the
-/// expiry lists in Block-Deadline.
-#[derive(Debug, Default)]
-pub struct FifoQueue {
-    entries: std::collections::VecDeque<(sim_core::SimTime, BlockNo, RequestId)>,
-}
-
-impl FifoQueue {
-    /// Empty FIFO.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append an entry expiring at `deadline`.
-    pub fn push(&mut self, deadline: sim_core::SimTime, start: BlockNo, id: RequestId) {
-        self.entries.push_back((deadline, start, id));
-    }
-
-    /// The earliest deadline in the FIFO, if any.
-    pub fn front_deadline(&self) -> Option<sim_core::SimTime> {
-        self.entries.front().map(|e| e.0)
-    }
-
-    /// Pop the front entry.
-    pub fn pop(&mut self) -> Option<(sim_core::SimTime, BlockNo, RequestId)> {
-        self.entries.pop_front()
-    }
-
-    /// Drop a specific id (after it was dispatched from the sorted queue).
-    pub fn remove_id(&mut self, id: RequestId) {
-        self.entries.retain(|e| e.2 != id);
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the FIFO is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -214,17 +147,5 @@ mod tests {
         assert!(q.pop_cscan(BlockNo(0)).is_some());
         assert!(q.pop_cscan(BlockNo(0)).is_some());
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn fifo_preserves_order_and_removal() {
-        let mut f = FifoQueue::new();
-        f.push(SimTime::from_nanos(10), BlockNo(5), RequestId(1));
-        f.push(SimTime::from_nanos(20), BlockNo(6), RequestId(2));
-        assert_eq!(f.front_deadline(), Some(SimTime::from_nanos(10)));
-        f.remove_id(RequestId(1));
-        assert_eq!(f.front_deadline(), Some(SimTime::from_nanos(20)));
-        assert_eq!(f.pop().unwrap().2, RequestId(2));
-        assert!(f.is_empty());
     }
 }

@@ -47,7 +47,7 @@ struct FileSlots {
 
 /// LRU-managed set of resident clean pages.
 #[derive(Debug)]
-pub struct CleanCache {
+pub(crate) struct CleanCache {
     capacity_pages: u64,
     /// File -> handle into `files`.
     handles: FastMap<FileId, u32>,
@@ -65,7 +65,7 @@ pub struct CleanCache {
 
 impl CleanCache {
     /// Cache holding at most `capacity_pages` pages.
-    pub fn new(capacity_pages: u64) -> Self {
+    pub(crate) fn new(capacity_pages: u64) -> Self {
         CleanCache {
             capacity_pages: capacity_pages.max(1),
             handles: FastMap::default(),
@@ -76,16 +76,6 @@ impl CleanCache {
             tail: NIL,
             len: 0,
         }
-    }
-
-    /// Resident page count.
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// Whether nothing is resident.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Resolve (or create) the slot-table handle for `file`.
@@ -250,7 +240,7 @@ impl CleanCache {
 
     /// Insert (or refresh) a page, evicting the least-recently-used pages
     /// if over capacity.
-    pub fn insert(&mut self, file: FileId, page: u64) {
+    pub(crate) fn insert(&mut self, file: FileId, page: u64) {
         let fh = self.handle(file);
         self.insert_range_at(fh, page, 1);
     }
@@ -258,7 +248,7 @@ impl CleanCache {
     /// Insert (or refresh) `len` consecutive pages in ascending order —
     /// exactly as repeated [`CleanCache::insert`] calls would, but one
     /// run node per stretch of non-resident pages.
-    pub fn fill_range(&mut self, file: FileId, page: u64, len: u64) {
+    pub(crate) fn fill_range(&mut self, file: FileId, page: u64, len: u64) {
         let fh = self.handle(file);
         self.insert_range_at(fh, page, len);
     }
@@ -306,14 +296,6 @@ impl CleanCache {
         self.len += len;
     }
 
-    /// If resident, refresh recency and return true.
-    pub fn touch(&mut self, file: FileId, page: u64) -> bool {
-        let Some(&fh) = self.handles.get(&file) else {
-            return false;
-        };
-        self.touch_at(fh, page)
-    }
-
     /// Slot-table handle of `file`, if it ever held pages. Lets range
     /// scans pay the file lookup once (see [`CleanCache::touch_at`]).
     pub(crate) fn file_handle(&self, file: FileId) -> Option<u32> {
@@ -341,7 +323,8 @@ impl CleanCache {
         max
     }
 
-    /// [`CleanCache::touch`] through a prefetched handle: no hashing.
+    /// If `page` is resident, refresh its recency and return true (`fh`
+    /// from [`CleanCache::file_handle`]: no hashing).
     pub(crate) fn touch_at(&mut self, fh: u32, page: u64) -> bool {
         let i = self.node_at(fh, page);
         if i == NIL {
@@ -353,7 +336,7 @@ impl CleanCache {
 
     /// Drop all pages of `file`. The slot table is kept (cleared) so a
     /// later re-fill reuses its capacity.
-    pub fn remove_file(&mut self, file: FileId) {
+    pub(crate) fn remove_file(&mut self, file: FileId) {
         let Some(&fh) = self.handles.get(&file) else {
             return;
         };
@@ -379,12 +362,17 @@ mod tests {
     use super::*;
     use sim_core::SimRng;
 
+    /// If resident, refresh recency and return true.
+    fn touch(c: &mut CleanCache, file: FileId, page: u64) -> bool {
+        c.file_handle(file).is_some_and(|fh| c.touch_at(fh, page))
+    }
+
     #[test]
     fn insert_and_touch() {
         let mut c = CleanCache::new(4);
         c.insert(FileId(1), 0);
-        assert!(c.touch(FileId(1), 0));
-        assert!(!c.touch(FileId(1), 1));
+        assert!(touch(&mut c, FileId(1), 0));
+        assert!(!touch(&mut c, FileId(1), 1));
     }
 
     #[test]
@@ -394,12 +382,15 @@ mod tests {
         c.insert(FileId(1), 1);
         c.insert(FileId(1), 2);
         // Touch page 0 so page 1 becomes the LRU victim.
-        c.touch(FileId(1), 0);
+        touch(&mut c, FileId(1), 0);
         c.insert(FileId(1), 3);
-        assert!(c.touch(FileId(1), 0));
-        assert!(!c.touch(FileId(1), 1), "page 1 should have been evicted");
-        assert!(c.touch(FileId(1), 2));
-        assert!(c.touch(FileId(1), 3));
+        assert!(touch(&mut c, FileId(1), 0));
+        assert!(
+            !touch(&mut c, FileId(1), 1),
+            "page 1 should have been evicted"
+        );
+        assert!(touch(&mut c, FileId(1), 2));
+        assert!(touch(&mut c, FileId(1), 3));
     }
 
     #[test]
@@ -408,9 +399,9 @@ mod tests {
         c.insert(FileId(1), 0);
         c.insert(FileId(2), 0);
         c.remove_file(FileId(1));
-        assert!(!c.touch(FileId(1), 0));
-        assert!(c.touch(FileId(2), 0));
-        assert_eq!(c.len(), 1);
+        assert!(!touch(&mut c, FileId(1), 0));
+        assert!(touch(&mut c, FileId(2), 0));
+        assert_eq!(c.len, 1);
     }
 
     #[test]
@@ -419,7 +410,7 @@ mod tests {
         c.insert(FileId(1), 0);
         c.insert(FileId(1), 0);
         c.insert(FileId(1), 1);
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.len, 2);
     }
 
     #[test]
@@ -431,19 +422,23 @@ mod tests {
             b.insert(FileId(1), p);
         }
         for p in 0..20 {
-            assert_eq!(a.touch(FileId(1), p), b.touch(FileId(1), p), "page {p}");
+            assert_eq!(
+                touch(&mut a, FileId(1), p),
+                touch(&mut b, FileId(1), p),
+                "page {p}"
+            );
         }
-        assert_eq!(a.len(), b.len());
+        assert_eq!(a.len, b.len);
     }
 
     #[test]
     fn middle_touch_splits_run_without_losing_pages() {
         let mut c = CleanCache::new(100);
         c.fill_range(FileId(1), 0, 10);
-        assert!(c.touch(FileId(1), 5));
-        assert_eq!(c.len(), 10);
+        assert!(touch(&mut c, FileId(1), 5));
+        assert_eq!(c.len, 10);
         for p in 0..10 {
-            assert!(c.touch(FileId(1), p), "page {p} lost in split");
+            assert!(touch(&mut c, FileId(1), p), "page {p} lost in split");
         }
     }
 
@@ -453,15 +448,15 @@ mod tests {
         for chunk in 0..200u64 {
             c.fill_range(FileId(1), chunk * 256, 256);
         }
-        assert_eq!(c.len(), 512);
+        assert_eq!(c.len, 512);
         assert!(
             c.nodes.len() < 16,
             "node slab grew past a handful of runs: {}",
             c.nodes.len()
         );
         // The newest two chunks are resident, older ones are gone.
-        assert!(c.touch(FileId(1), 199 * 256));
-        assert!(!c.touch(FileId(1), 197 * 256));
+        assert!(touch(&mut c, FileId(1), 199 * 256));
+        assert!(!touch(&mut c, FileId(1), 197 * 256));
     }
 
     /// Exact-LRU reference model: a vector ordered MRU-first.
@@ -526,7 +521,7 @@ mod tests {
                     }
                     5..=7 => {
                         assert_eq!(
-                            real.touch(file, page),
+                            touch(&mut real, file, page),
                             model.touch(file, page),
                             "touch divergence (seed {seed})"
                         );
@@ -536,13 +531,16 @@ mod tests {
                         model.insert(file, page);
                     }
                 }
-                assert_eq!(real.len(), model.order.len() as u64, "len (seed {seed})");
+                assert_eq!(real.len, model.order.len() as u64, "len (seed {seed})");
             }
             // Final sweep: every key agrees. Probe in model order so the
             // touches themselves cannot cause divergence.
             let final_keys = model.order.clone();
             for (f, p) in final_keys {
-                assert!(real.touch(f, p), "page ({f:?},{p}) missing (seed {seed})");
+                assert!(
+                    touch(&mut real, f, p),
+                    "page ({f:?},{p}) missing (seed {seed})"
+                );
                 assert!(model.touch(f, p));
             }
         }

@@ -87,26 +87,26 @@ impl FileDirty {
 
 /// Per-file dirty page index.
 #[derive(Debug, Default)]
-pub struct DirtyStore {
+pub(crate) struct DirtyStore {
     files: FastMap<FileId, FileDirty>,
     total: u64,
 }
 
 impl DirtyStore {
     /// Empty store.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Total dirty pages across all files.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.total
     }
 
     /// Total dirty pages recomputed from the per-file maps, ignoring the
     /// incrementally maintained counter. Auditors cross-check this against
     /// [`DirtyStore::total`]; any divergence means a bookkeeping bug.
-    pub fn audit_sum(&self) -> u64 {
+    pub(crate) fn audit_sum(&self) -> u64 {
         self.files
             .values()
             .map(|f| {
@@ -118,31 +118,24 @@ impl DirtyStore {
     }
 
     /// Dirty pages of one file.
-    pub fn pages_of(&self, file: FileId) -> u64 {
+    pub(crate) fn pages_of(&self, file: FileId) -> u64 {
         self.files
             .get(&file)
             .map(|f| f.pages.len() as u64)
             .unwrap_or(0)
     }
 
-    /// Whether a specific page is dirty.
-    pub fn contains(&self, file: FileId, page: u64) -> bool {
-        self.files
-            .get(&file)
-            .is_some_and(|f| f.pages.contains_key(&page))
-    }
-
     /// Prefetched per-file probe: resolves the file once, then answers
     /// per-page dirtiness without re-hashing the file id (the read-miss
     /// scan asks about every page of a syscall range).
-    pub fn file_view(&self, file: FileId) -> DirtyFileView<'_> {
+    pub(crate) fn file_view(&self, file: FileId) -> DirtyFileView<'_> {
         DirtyFileView {
             file: self.files.get(&file),
         }
     }
 
     /// Mark one page dirty for `causes`.
-    pub fn dirty_page(
+    pub(crate) fn dirty_page(
         &mut self,
         file: FileId,
         page: u64,
@@ -185,7 +178,12 @@ impl DirtyStore {
 
     /// Remove up to `max` pages of `file`, lowest page first, coalesced
     /// into contiguous ranges.
-    pub fn take_ranges(&mut self, file: FileId, max: u64, tagmem: &mut TagMem) -> Vec<PageRange> {
+    pub(crate) fn take_ranges(
+        &mut self,
+        file: FileId,
+        max: u64,
+        tagmem: &mut TagMem,
+    ) -> Vec<PageRange> {
         let Some(f) = self.files.get_mut(&file) else {
             return Vec::new();
         };
@@ -217,7 +215,7 @@ impl DirtyStore {
     }
 
     /// Remove every dirty page of `file`, returning the avoided ranges.
-    pub fn free_file(&mut self, file: FileId, tagmem: &mut TagMem) -> Vec<PageRange> {
+    pub(crate) fn free_file(&mut self, file: FileId, tagmem: &mut TagMem) -> Vec<PageRange> {
         let Some(mut f) = self.files.remove(&file) else {
             return Vec::new();
         };
@@ -235,7 +233,7 @@ impl DirtyStore {
     }
 
     /// Files with dirty pages, ordered by their oldest dirty page.
-    pub fn files_oldest_first(&self) -> Vec<FileId> {
+    pub(crate) fn files_oldest_first(&self) -> Vec<FileId> {
         let mut v: Vec<(SimTime, FileId)> = self
             .files
             .iter()
@@ -255,14 +253,14 @@ impl DirtyStore {
 }
 
 /// Read-only dirtiness probe for one file (see [`DirtyStore::file_view`]).
-pub struct DirtyFileView<'a> {
+pub(crate) struct DirtyFileView<'a> {
     file: Option<&'a FileDirty>,
 }
 
 impl DirtyFileView<'_> {
     /// Whether `page` is dirty.
     #[inline]
-    pub fn contains(&self, page: u64) -> bool {
+    pub(crate) fn contains(&self, page: u64) -> bool {
         self.file.is_some_and(|f| f.pages.contains_key(&page))
     }
 
@@ -270,7 +268,7 @@ impl DirtyFileView<'_> {
     /// once to skip the per-page [`DirtyFileView::contains`] probes (a
     /// hash each) on files that are only ever read.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.file.is_none_or(|f| f.pages.is_empty())
     }
 }

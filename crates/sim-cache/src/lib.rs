@@ -7,15 +7,16 @@
 //! split mirrors Linux: the page cache knows what is dirty and who dirtied
 //! it; policy lives elsewhere.
 
-pub mod clean;
-pub mod dirty;
-pub mod tagmem;
+mod clean;
+mod dirty;
+mod tagmem;
 
 use sim_core::{CauseSet, FileId, SimTime, PAGE_SIZE};
 use sim_trace::Tracer;
 
-pub use clean::CleanCache;
-pub use dirty::{DirtyEvent, DirtyStore, PageRange};
+use clean::CleanCache;
+use dirty::DirtyStore;
+pub use dirty::{DirtyEvent, PageRange};
 pub use tagmem::TagMem;
 
 /// Page-cache configuration (the knobs of `/proc/sys/vm`).
@@ -48,7 +49,7 @@ impl CacheConfig {
     }
 
     /// Background-writeback threshold in pages.
-    pub fn background_pages(&self) -> u64 {
+    pub(crate) fn background_pages(&self) -> u64 {
         ((self.mem_bytes as f64 * self.dirty_background_ratio) / PAGE_SIZE as f64) as u64
     }
 }
@@ -83,12 +84,6 @@ impl PageCache {
     /// Configuration in effect.
     pub fn config(&self) -> &CacheConfig {
         &self.cfg
-    }
-
-    /// Change the dirty thresholds at runtime (the Figure 10 sweep).
-    pub fn set_dirty_ratios(&mut self, dirty: f64, background: f64) {
-        self.cfg.dirty_ratio = dirty;
-        self.cfg.dirty_background_ratio = background;
     }
 
     // ---- write path -----------------------------------------------------
@@ -231,11 +226,6 @@ impl PageCache {
         self.dirty.audit_sum()
     }
 
-    /// Whether writers must be throttled (`dirty_ratio` exceeded).
-    pub fn over_dirty_limit(&self) -> bool {
-        self.dirty_total() >= self.cfg.dirty_limit_pages()
-    }
-
     /// Whether background writeback should run.
     pub fn over_background(&self) -> bool {
         self.dirty_total() >= self.cfg.background_pages()
@@ -331,11 +321,12 @@ mod tests {
         assert!(!c.over_background());
         c.dirty_page(f, 9, &CauseSet::of(Pid(1)), SimTime::ZERO);
         assert!(c.over_background());
-        assert!(!c.over_dirty_limit());
+        let limit = c.config().dirty_limit_pages();
+        assert!(c.dirty_total() < limit);
         for p in 10..20 {
             c.dirty_page(f, p, &CauseSet::of(Pid(1)), SimTime::ZERO);
         }
-        assert!(c.over_dirty_limit());
+        assert!(c.dirty_total() >= limit);
     }
 
     #[test]

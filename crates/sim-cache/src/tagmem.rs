@@ -13,23 +13,23 @@ pub struct TagMem {
 
 impl TagMem {
     /// Fresh accounting.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// A tag of `bytes` heap bytes came alive.
-    pub fn alloc(&mut self, bytes: usize) {
+    pub(crate) fn alloc(&mut self, bytes: usize) {
         self.live += bytes as u64;
         self.max = self.max.max(self.live);
     }
 
     /// A tag of `bytes` heap bytes was released.
-    pub fn free(&mut self, bytes: usize) {
+    pub(crate) fn free(&mut self, bytes: usize) {
         self.live = self.live.saturating_sub(bytes as u64);
     }
 
     /// Record the current live value into the average.
-    pub fn sample(&mut self) {
+    pub(crate) fn sample(&mut self) {
         self.sample_sum += self.live;
         self.samples += 1;
     }

@@ -19,7 +19,7 @@ use crate::audit::{AuditCheckpoint, AuditEvent, Auditor};
 /// the kernel's proxy tasks). A phantom pid in a cause set means a tag was
 /// corrupted somewhere between the syscall and the device — billing work
 /// to a process that never asked for it.
-pub struct CauseTagAuditor {
+pub(crate) struct CauseTagAuditor {
     seen: HashSet<Pid>,
 }
 
@@ -31,7 +31,7 @@ const WRITEBACK_PID: Pid = Pid(2);
 
 impl CauseTagAuditor {
     /// A fresh auditor; the kernel proxy tasks start pre-registered.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         CauseTagAuditor {
             seen: [JOURNAL_PID, WRITEBACK_PID].into_iter().collect(),
         }
@@ -79,13 +79,13 @@ impl Auditor for CauseTagAuditor {
 /// counter must equal the sum over the per-file extent maps at every
 /// checkpoint. (Underflow cannot hide: `u64` wrap-around makes the two
 /// sides diverge wildly.)
-pub struct DirtyAccountingAuditor {
+pub(crate) struct DirtyAccountingAuditor {
     _priv: (),
 }
 
 impl DirtyAccountingAuditor {
     /// A fresh auditor.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         DirtyAccountingAuditor { _priv: () }
     }
 }
@@ -138,7 +138,7 @@ enum ReqRole {
 /// * `TxnCommitted` is declared only after the commit record is durable;
 /// * committed transaction IDs are strictly monotone;
 /// * a transaction commits at most once and never after aborting.
-pub struct JournalOrderAuditor {
+pub(crate) struct JournalOrderAuditor {
     txns: HashMap<TxnId, TxnState>,
     roles: HashMap<RequestId, ReqRole>,
     /// In-flight ordered-data flush writes issued by the journal task.
@@ -148,7 +148,7 @@ pub struct JournalOrderAuditor {
 
 impl JournalOrderAuditor {
     /// A fresh auditor.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         JournalOrderAuditor {
             txns: HashMap::new(),
             roles: HashMap::new(),
@@ -252,13 +252,13 @@ impl Auditor for JournalOrderAuditor {
 /// [`split_core::IoSched::audit`] reports (Split-Token charge/refund
 /// balance, CFQ slice budgets, token-bucket finiteness, the token gate's
 /// waiter set).
-pub struct SchedLedgerAuditor {
+pub(crate) struct SchedLedgerAuditor {
     _priv: (),
 }
 
 impl SchedLedgerAuditor {
     /// A fresh auditor.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SchedLedgerAuditor { _priv: () }
     }
 }
@@ -282,13 +282,13 @@ impl Auditor for SchedLedgerAuditor {
 /// Event-queue sanity: nothing is ever scheduled in the past. The queue
 /// clamps late events (and asserts in debug builds); this auditor makes
 /// the count a first-class violation in release runs too.
-pub struct EventQueueAuditor {
+pub(crate) struct EventQueueAuditor {
     reported: u64,
 }
 
 impl EventQueueAuditor {
     /// A fresh auditor.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventQueueAuditor { reported: 0 }
     }
 }
@@ -323,7 +323,7 @@ impl Auditor for EventQueueAuditor {
 /// stream. At a quiesced checkpoint the ledger must be empty — a leaked
 /// slot means a completion event was lost (or delivered twice and
 /// swallowed).
-pub struct InflightAuditor {
+pub(crate) struct InflightAuditor {
     /// Slot held by each in-flight request.
     slot_of: HashMap<RequestId, u32>,
     /// Request holding each occupied slot.
@@ -332,7 +332,7 @@ pub struct InflightAuditor {
 
 impl InflightAuditor {
     /// A fresh auditor.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         InflightAuditor {
             slot_of: HashMap::new(),
             holder_of: HashMap::new(),
@@ -435,9 +435,6 @@ impl Auditor for InflightAuditor {
         }
     }
 }
-
-/// The kernel proxy tasks [`CauseTagAuditor`] pre-registers.
-pub const PROXY_PIDS: [Pid; 2] = [JOURNAL_PID, WRITEBACK_PID];
 
 #[cfg(test)]
 mod tests {

@@ -7,21 +7,21 @@
 //! exercise the paths the figures need; this crate generates syscall
 //! programs we did not imagine ([`generate`]), audits every run against
 //! the invariants ([`AuditPlane`]), and shrinks any failure to a small
-//! replayable reproducer ([`shrink`]).
+//! replayable reproducer ([`shrink()`]).
 //!
 //! The plane mirrors sim-fault's design: it is `Option`-installed via the
 //! kernel config, and the audit-free path stays byte-identical.
 
 #![warn(missing_docs)]
 
-pub mod audit;
-pub mod auditors;
-pub mod gen;
-pub mod layer_audit;
-pub mod program;
-pub mod sabotage;
+mod audit;
+mod auditors;
+mod gen;
+mod layer_audit;
+mod program;
+mod sabotage;
 pub mod shrink;
-pub mod timing;
+mod timing;
 
 pub use audit::{AuditCheckpoint, AuditEvent, AuditPlane, Auditor, Violation};
 pub use gen::{generate, GenConfig};

@@ -31,12 +31,11 @@ impl std::fmt::Display for FileRef {
 
 impl FileRef {
     fn parse(tok: &str) -> Option<FileRef> {
-        let (kind, idx) = tok.split_at(1.min(tok.len()));
-        let idx: usize = idx.parse().ok()?;
-        match kind {
-            "s" => Some(FileRef::Shared(idx)),
-            "o" => Some(FileRef::Own(idx)),
-            _ => None,
+        if let Some(idx) = tok.strip_prefix('s') {
+            idx.parse().ok().map(FileRef::Shared)
+        } else {
+            let idx = tok.strip_prefix('o')?;
+            idx.parse().ok().map(FileRef::Own)
         }
     }
 }
@@ -92,7 +91,7 @@ pub enum OpSpec {
 
 impl OpSpec {
     /// Whether this op issues a system call (sleep/compute do not).
-    pub fn is_syscall(&self) -> bool {
+    pub(crate) fn is_syscall(&self) -> bool {
         !matches!(self, OpSpec::Sleep { .. } | OpSpec::Compute { .. })
     }
 }
@@ -131,11 +130,11 @@ pub struct ProgramSpec {
 }
 
 /// Offsets are clamped below this (keeps runs inside the simulated disk).
-pub const MAX_OFFSET: u64 = 16 * 1024 * 1024;
+pub(crate) const MAX_OFFSET: u64 = 16 * 1024 * 1024;
 /// Single-op transfer sizes are clamped to this.
-pub const MAX_LEN: u64 = 512 * 1024;
+pub(crate) const MAX_LEN: u64 = 512 * 1024;
 /// Sleeps and computes are clamped to this many microseconds.
-pub const MAX_DELAY_MICROS: u64 = 200_000;
+pub(crate) const MAX_DELAY_MICROS: u64 = 200_000;
 
 impl ProgramSpec {
     /// Total syscalls across all processes (sleep/compute excluded) —

@@ -15,7 +15,7 @@ use sim_core::{CauseSet, IoError, Pid};
 use split_core::{BufferDirtied, BufferFreed, Gate, IoSched, SchedAttr, SchedCtx, SyscallInfo};
 
 /// How far the sabotage shifts every cause pid.
-pub const PID_SHIFT: u32 = 1000;
+pub(crate) const PID_SHIFT: u32 = 1000;
 
 /// A scheduler wrapper that corrupts cause tags after `after` adds.
 pub struct Sabotaged<S> {

@@ -56,11 +56,6 @@ impl<S> TimingSabotaged<S> {
         }
     }
 
-    /// Whether the planted race has fired.
-    pub fn poisoned(&self) -> bool {
-        self.poisoned
-    }
-
     fn forget(&mut self, id: RequestId) {
         if let Some(i) = self.in_device.iter().position(|(r, _)| *r == id) {
             self.in_device.swap_remove(i);
@@ -190,7 +185,7 @@ mod tests {
         let late = SimTime::ZERO + SimDuration::from_millis(5);
         let mut ctx = SchedCtx::new(late, &dev);
         s.block_completed(&data, &mut ctx);
-        assert!(s.poisoned(), "race observed");
+        assert!(s.poisoned, "race observed");
 
         // Every add from now on carries shifted cause tags.
         s.block_add(req(2, ReqKind::Data), &mut ctx);
@@ -216,7 +211,7 @@ mod tests {
         let commit = issue(&mut s, &mut ctx);
         let mut ctx = SchedCtx::new(soon + SimDuration::from_secs(1), &dev);
         s.block_completed(&commit, &mut ctx);
-        assert!(!s.poisoned(), "dwell under the horizon");
+        assert!(!s.poisoned, "dwell under the horizon");
 
         // Journal requests are not in the handoff table: a slow commit
         // does not trip the bug either.

@@ -38,35 +38,51 @@ use crate::traffic::Traffic;
 use crate::ClusterConfig;
 
 /// Drive the fleet for `cfg.duration` on `jobs` worker threads.
-pub fn run_windows(cfg: &ClusterConfig, jobs: usize) -> Vec<ShardResult> {
-    let n = cfg.kernels.max(1);
+pub(crate) fn run_windows(cfg: &ClusterConfig, jobs: usize) -> Vec<ShardResult> {
     let la = cfg.net.lookahead().as_nanos().max(1);
     let end_ns = cfg.duration.as_nanos();
-    let rounds = end_ns.div_ceil(la);
+    let plan = WindowPlan {
+        shards: cfg.kernels.max(1),
+        la,
+        end_ns,
+        rounds: end_ns.div_ceil(la),
+    };
     let mut traffic = Traffic::new(cfg);
 
     if jobs <= 1 {
-        return run_sequential(cfg, n, la, end_ns, rounds, &mut traffic);
+        return run_sequential(cfg, plan, &mut traffic);
     }
-    run_parallel(cfg, n, la, end_ns, rounds, &mut traffic, jobs.min(n))
+    run_parallel(cfg, plan, &mut traffic, jobs.min(plan.shards))
 }
 
-fn window_end(round: u64, la: u64, end_ns: u64) -> SimTime {
-    SimTime::from_nanos(((round + 1) * la).min(end_ns))
+/// The fleet's window structure, computed once: how many shards advance
+/// through how many lookahead-wide windows up to the run's end.
+#[derive(Clone, Copy)]
+struct WindowPlan {
+    shards: usize,
+    /// Window width (one lookahead), nanoseconds.
+    la: u64,
+    end_ns: u64,
+    rounds: u64,
+}
+
+impl WindowPlan {
+    /// Where window `round` ends (the last one stops at the run's end).
+    fn window_end(&self, round: u64) -> SimTime {
+        SimTime::from_nanos(((round + 1) * self.la).min(self.end_ns))
+    }
 }
 
 fn run_sequential(
     cfg: &ClusterConfig,
-    n: usize,
-    la: u64,
-    end_ns: u64,
-    rounds: u64,
+    plan: WindowPlan,
     traffic: &mut Traffic,
 ) -> Vec<ShardResult> {
+    let n = plan.shards;
     let mut shards: Vec<Shard> = (0..n).map(|i| Shard::new(cfg, i)).collect();
     let mut mail: Vec<Vec<Envelope>> = (0..n).map(|_| Vec::new()).collect();
-    for round in 0..rounds {
-        let end = window_end(round, la, end_ns);
+    for round in 0..plan.rounds {
+        let end = plan.window_end(round);
         traffic.pull_into(end, &mut |env: Envelope| mail[env.to].push(env));
         for (i, shard) in shards.iter_mut().enumerate() {
             shard.deliver(std::mem::take(&mut mail[i]));
@@ -81,16 +97,13 @@ fn run_sequential(
     shards.into_iter().map(Shard::finish).collect()
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_parallel(
     cfg: &ClusterConfig,
-    n: usize,
-    la: u64,
-    end_ns: u64,
-    rounds: u64,
+    plan: WindowPlan,
     traffic: &mut Traffic,
     workers: usize,
 ) -> Vec<ShardResult> {
+    let n = plan.shards;
     // Per-shard slots the coordinator and the owning worker exchange
     // through. Locks are uncontended by construction: the coordinator
     // touches them only while the workers are parked at a barrier.
@@ -139,8 +152,8 @@ fn run_parallel(
             });
         }
 
-        for round in 0..rounds {
-            let end = window_end(round, la, end_ns);
+        for round in 0..plan.rounds {
+            let end = plan.window_end(round);
             // Same coordinator order as the sequential loop: previous
             // round's routed envelopes are already in the inboxes; this
             // window's arrivals are appended after them.

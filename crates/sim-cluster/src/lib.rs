@@ -10,19 +10,19 @@
 //! flash-crowd arrival processes).
 //!
 //! Shards advance in bounded time windows under a **conservative
-//! parallel-DES executor** ([`exec`]): the minimum network link latency
+//! parallel-DES executor** (`exec`): the minimum network link latency
 //! is the lookahead, cross-shard messages are routed at window barriers,
 //! and the simulated output is byte-identical at any worker count
 //! (`--jobs 1` is the proven-equal sequential fallback).
 //!
 //! Fleet-wide SLOs (per-tier and end-to-end p50/p99/p999) are computed
 //! with [`sim_core::stats::Percentiles`] and exported through the
-//! [`sim_trace::Registry`] ([`slo`]).
+//! [`sim_trace::Registry`] (`slo`).
 
-pub mod exec;
-pub mod shard;
-pub mod slo;
-pub mod traffic;
+mod exec;
+mod shard;
+mod slo;
+mod traffic;
 
 use sim_block::Cfq;
 use sim_cache::CacheConfig;
@@ -31,10 +31,10 @@ use sim_kernel::{DeviceKind, KernelConfig};
 use split_core::{BlockOnly, IoSched};
 use split_schedulers::SplitToken;
 
-pub use shard::{Envelope, ReqKind, ReqSample, ShardResult};
+pub use shard::{ReqKind, ReqSample};
 pub use sim_apps::net::NetConfig;
 pub use slo::{samples_between, SloReport, TierSlo};
-pub use traffic::{ArrivalGen, ArrivalKind};
+pub use traffic::ArrivalKind;
 
 /// Scheduler installed on every shard kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,7 +47,7 @@ pub enum ClusterSched {
 
 impl ClusterSched {
     /// Instantiate the scheduler.
-    pub fn build(self) -> Box<dyn IoSched> {
+    pub(crate) fn build(self) -> Box<dyn IoSched> {
         match self {
             ClusterSched::SplitToken => Box::new(SplitToken::new()),
             ClusterSched::Cfq => Box::new(BlockOnly::new(Cfq::new())),
@@ -60,15 +60,6 @@ impl ClusterSched {
             ClusterSched::SplitToken => "split-token",
             ClusterSched::Cfq => "cfq",
         }
-    }
-
-    /// Parse a runner `--sched` name.
-    pub fn parse(s: &str) -> Option<ClusterSched> {
-        Some(match s {
-            "split-token" => ClusterSched::SplitToken,
-            "cfq" => ClusterSched::Cfq,
-            _ => return None,
-        })
     }
 }
 
@@ -83,7 +74,7 @@ pub enum ClusterDevice {
 
 impl ClusterDevice {
     /// Instantiate the device model.
-    pub fn build(self) -> DeviceKind {
+    pub(crate) fn build(self) -> DeviceKind {
         match self {
             ClusterDevice::Hdd => DeviceKind::hdd(),
             ClusterDevice::Ssd => DeviceKind::ssd(),
@@ -91,7 +82,7 @@ impl ClusterDevice {
     }
 
     /// CLI / table name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ClusterDevice::Hdd => "hdd",
             ClusterDevice::Ssd => "ssd",
@@ -184,7 +175,7 @@ impl Default for ClusterConfig {
 
 impl ClusterConfig {
     /// The kernel configuration for shard `idx`.
-    pub fn kernel_config(&self, idx: usize) -> KernelConfig {
+    pub(crate) fn kernel_config(&self, idx: usize) -> KernelConfig {
         KernelConfig {
             cache: CacheConfig {
                 mem_bytes: self.mem_bytes,
@@ -196,24 +187,11 @@ impl ClusterConfig {
             ..Default::default()
         }
     }
-
-    /// Shape the legacy HDFS figure (`fig21`) from this fleet: worker
-    /// count and replication flow from the cluster config, making the
-    /// paper's fixed 7-node run one point on the fleet-size axis and a
-    /// 1-kernel fleet the degenerate single-shard case.
-    pub fn dfs(&self) -> sim_apps::DfsConfig {
-        sim_apps::DfsConfig {
-            workers: self.kernels.max(1),
-            replication: self.replication.clamp(1, self.kernels.max(1)),
-            seed: stream_seed(self.seed, 0xDF5),
-            ..Default::default()
-        }
-    }
 }
 
 /// How shards are grouped into replication groups.
 #[derive(Debug, Clone, Copy)]
-pub struct Topology {
+pub(crate) struct Topology {
     n: usize,
     r: usize,
     groups: usize,
@@ -222,7 +200,7 @@ pub struct Topology {
 impl Topology {
     /// Group `kernels` shards into contiguous groups of `replication`;
     /// the remainder joins the last group.
-    pub fn new(kernels: usize, replication: usize) -> Topology {
+    pub(crate) fn new(kernels: usize, replication: usize) -> Topology {
         let n = kernels.max(1);
         let r = replication.clamp(1, n);
         Topology {
@@ -233,17 +211,17 @@ impl Topology {
     }
 
     /// Number of replication groups.
-    pub fn groups(&self) -> usize {
+    pub(crate) fn groups(&self) -> usize {
         self.groups
     }
 
     /// Which group shard `i` belongs to.
-    pub fn group_of(&self, i: usize) -> usize {
+    pub(crate) fn group_of(&self, i: usize) -> usize {
         (i / self.r).min(self.groups - 1)
     }
 
     /// The shard-index range of group `g`.
-    pub fn members(&self, g: usize) -> std::ops::Range<usize> {
+    pub(crate) fn members(&self, g: usize) -> std::ops::Range<usize> {
         let start = g * self.r;
         let end = if g + 1 == self.groups {
             self.n
@@ -254,13 +232,13 @@ impl Topology {
     }
 
     /// Group `g`'s leader shard.
-    pub fn leader(&self, g: usize) -> usize {
+    pub(crate) fn leader(&self, g: usize) -> usize {
         g * self.r
     }
 
     /// Majority quorum over group `g`'s members (fsyncs that must land
     /// before a put commits).
-    pub fn quorum(&self, g: usize) -> usize {
+    pub(crate) fn quorum(&self, g: usize) -> usize {
         let m = self.members(g);
         (m.end - m.start) / 2 + 1
     }
@@ -392,22 +370,5 @@ mod tests {
         assert_eq!(t.groups(), 1);
         assert_eq!(t.members(0), 0..1);
         assert_eq!(t.quorum(0), 1, "no followers, commit on local fsync");
-    }
-
-    #[test]
-    fn fig21_routing_clamps_to_fleet() {
-        let fleet = ClusterConfig {
-            kernels: 1,
-            ..Default::default()
-        };
-        let dfs = fleet.dfs();
-        assert_eq!(dfs.workers, 1);
-        assert_eq!(dfs.replication, 1, "degenerate 1-shard case");
-        let paper = ClusterConfig {
-            kernels: 7,
-            ..Default::default()
-        };
-        assert_eq!(paper.dfs().workers, 7, "the paper's node count");
-        assert_eq!(paper.dfs().replication, 3);
     }
 }

@@ -32,7 +32,7 @@ use crate::{ClusterConfig, ClusterSched, Topology};
 
 /// Payload of a cross-shard (or client-to-shard) message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Payload {
+pub(crate) enum Payload {
     /// A client request entering the fleet.
     Request {
         /// Fleet-unique request id.
@@ -68,7 +68,7 @@ pub enum ReqKind {
 /// A message in flight between shards (plain data; the only thing that
 /// crosses threads in the parallel executor).
 #[derive(Debug, Clone, Copy)]
-pub struct Envelope {
+pub(crate) struct Envelope {
     /// Destination shard index.
     pub to: usize,
     /// Simulated delivery time (≥ send time + one network lookahead for
@@ -105,7 +105,7 @@ pub struct ReqSample {
 
 /// What a shard hands back to the coordinator when the run ends.
 #[derive(Debug, Clone)]
-pub struct ShardResult {
+pub(crate) struct ShardResult {
     /// Completed requests in completion order.
     pub samples: Vec<ReqSample>,
     /// Events processed by this shard's queue.
@@ -156,7 +156,7 @@ struct PutState {
 }
 
 /// A single shard of the fleet.
-pub struct Shard {
+pub(crate) struct Shard {
     idx: usize,
     world: World,
     k: KernelId,
@@ -186,7 +186,7 @@ impl Shard {
     /// Build shard `idx` of the fleet. Deterministic in `(cfg, idx)`
     /// alone, so a shard is identical whether it is built on the main
     /// thread (sequential mode) or a worker (parallel mode).
-    pub fn new(cfg: &ClusterConfig, idx: usize) -> Shard {
+    pub(crate) fn new(cfg: &ClusterConfig, idx: usize) -> Shard {
         let topo = Topology::new(cfg.kernels, cfg.replication);
         let g = topo.group_of(idx);
         let members = topo.members(g);
@@ -271,7 +271,7 @@ impl Shard {
     /// Accept a window's worth of envelopes: each becomes an app timer
     /// at its delivery time. The conservative executor guarantees every
     /// `deliver_at` is at or after this shard's clock.
-    pub fn deliver(&mut self, inbox: Vec<Envelope>) {
+    pub(crate) fn deliver(&mut self, inbox: Vec<Envelope>) {
         for env in inbox {
             let token = self.next_token;
             self.next_token += 1;
@@ -283,7 +283,7 @@ impl Shard {
     /// Advance this shard's clock to `end`, processing every local event
     /// and message delivery in the window. Cross-shard sends accumulate
     /// in the outbox.
-    pub fn advance(&mut self, end: SimTime) {
+    pub(crate) fn advance(&mut self, end: SimTime) {
         loop {
             let events = self.world.run_until_app_events(end);
             if events.is_empty() {
@@ -299,12 +299,12 @@ impl Shard {
     }
 
     /// Take the cross-shard messages produced this window.
-    pub fn take_outbox(&mut self) -> Vec<Envelope> {
+    pub(crate) fn take_outbox(&mut self) -> Vec<Envelope> {
         std::mem::take(&mut self.outbox)
     }
 
     /// Tear down into the plain-data result the coordinator aggregates.
-    pub fn finish(self) -> ShardResult {
+    pub(crate) fn finish(self) -> ShardResult {
         ShardResult {
             samples: self.samples,
             events: self.world.events_processed(),

@@ -92,7 +92,7 @@ impl SloReport {
     }
 
     /// The SLO table, header included.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
             "  {:<14} {:>8} {:>9} {:>9} {:>9} {:>9}\n",
@@ -117,7 +117,7 @@ impl SloReport {
 
     /// Export every sample into `reg` as latency histograms plus
     /// per-tier counters (`cluster.put_e2e_ms`, …).
-    pub fn export(samples: &[ReqSample], reg: &mut Registry) {
+    pub(crate) fn export(samples: &[ReqSample], reg: &mut Registry) {
         for s in samples {
             match s.kind {
                 ReqKind::Put => {

@@ -51,7 +51,7 @@ pub enum ArrivalKind {
 
 impl ArrivalKind {
     /// The instantaneous rate at `t`, req/s.
-    pub fn rate_at(&self, t: SimTime) -> f64 {
+    pub(crate) fn rate_at(&self, t: SimTime) -> f64 {
         match *self {
             ArrivalKind::Poisson { rate } => rate,
             ArrivalKind::Diurnal {
@@ -90,44 +90,13 @@ impl ArrivalKind {
     }
 
     /// An upper bound on `rate_at` over all time (the thinning envelope).
-    pub fn peak_rate(&self) -> f64 {
+    pub(crate) fn peak_rate(&self) -> f64 {
         match *self {
             ArrivalKind::Poisson { rate } => rate,
             ArrivalKind::Diurnal {
                 rate, amplitude, ..
             } => rate * (1.0 + amplitude.abs()),
             ArrivalKind::FlashCrowd { base, peak, .. } => base * peak.max(1.0),
-        }
-    }
-
-    /// Scale every rate by `k` (the runner's `--rate` override).
-    pub fn scaled(self, k: f64) -> ArrivalKind {
-        match self {
-            ArrivalKind::Poisson { rate } => ArrivalKind::Poisson { rate: rate * k },
-            ArrivalKind::Diurnal {
-                rate,
-                amplitude,
-                period,
-            } => ArrivalKind::Diurnal {
-                rate: rate * k,
-                amplitude,
-                period,
-            },
-            ArrivalKind::FlashCrowd {
-                base,
-                peak,
-                start,
-                ramp,
-                hold,
-                decay,
-            } => ArrivalKind::FlashCrowd {
-                base: base * k,
-                peak,
-                start,
-                ramp,
-                hold,
-                decay,
-            },
         }
     }
 
@@ -165,7 +134,7 @@ impl ArrivalKind {
 
 /// A seeded arrival stream: monotone non-decreasing arrival times.
 #[derive(Debug, Clone)]
-pub struct ArrivalGen {
+pub(crate) struct ArrivalGen {
     kind: ArrivalKind,
     rng: SimRng,
     /// Current time along the candidate process, seconds.
@@ -175,7 +144,7 @@ pub struct ArrivalGen {
 
 impl ArrivalGen {
     /// A generator fully determined by `(kind, seed)`.
-    pub fn new(kind: ArrivalKind, seed: u64) -> Self {
+    pub(crate) fn new(kind: ArrivalKind, seed: u64) -> Self {
         ArrivalGen {
             kind,
             rng: SimRng::seed_from_u64(seed),
@@ -185,7 +154,7 @@ impl ArrivalGen {
     }
 
     /// The next arrival time (Lewis–Shedler thinning).
-    pub fn next_arrival(&mut self) -> SimTime {
+    pub(crate) fn next_arrival(&mut self) -> SimTime {
         loop {
             // Exponential gap at the envelope rate. `gen_f64` is in
             // [0, 1); flip to (0, 1] so ln() never sees zero.
@@ -196,20 +165,6 @@ impl ArrivalGen {
             if accept * self.envelope <= self.kind.rate_at(candidate) {
                 return candidate;
             }
-        }
-    }
-
-    /// Every arrival in `[0, duration)` — the full open-loop schedule.
-    pub fn schedule(kind: ArrivalKind, seed: u64, duration: SimDuration) -> Vec<SimTime> {
-        let mut g = ArrivalGen::new(kind, seed);
-        let end = SimTime::ZERO + duration;
-        let mut out = Vec::new();
-        loop {
-            let t = g.next_arrival();
-            if t >= end {
-                return out;
-            }
-            out.push(t);
         }
     }
 }
@@ -306,6 +261,20 @@ impl Traffic {
 mod tests {
     use super::*;
 
+    /// Every arrival in `[0, duration)` — the full open-loop schedule.
+    fn schedule(kind: ArrivalKind, seed: u64, duration: SimDuration) -> Vec<SimTime> {
+        let mut g = ArrivalGen::new(kind, seed);
+        let end = SimTime::ZERO + duration;
+        let mut out = Vec::new();
+        loop {
+            let t = g.next_arrival();
+            if t >= end {
+                return out;
+            }
+            out.push(t);
+        }
+    }
+
     fn count_in(schedule: &[SimTime], from_s: f64, to_s: f64) -> usize {
         schedule
             .iter()
@@ -323,17 +292,17 @@ mod tests {
             ArrivalKind::parse("diurnal", 500.0).unwrap(),
             ArrivalKind::parse("flash", 200.0).unwrap(),
         ] {
-            let a = ArrivalGen::schedule(kind, 42, SimDuration::from_secs(5));
-            let b = ArrivalGen::schedule(kind, 42, SimDuration::from_secs(5));
+            let a = schedule(kind, 42, SimDuration::from_secs(5));
+            let b = schedule(kind, 42, SimDuration::from_secs(5));
             assert_eq!(a, b, "{kind:?} must be seed-deterministic");
-            let c = ArrivalGen::schedule(kind, 43, SimDuration::from_secs(5));
+            let c = schedule(kind, 43, SimDuration::from_secs(5));
             assert_ne!(a, c, "{kind:?} must vary with the seed");
         }
     }
 
     #[test]
     fn arrivals_are_monotone_nondecreasing() {
-        let s = ArrivalGen::schedule(
+        let s = schedule(
             ArrivalKind::parse("flash", 300.0).unwrap(),
             9,
             SimDuration::from_secs(10),
@@ -346,7 +315,7 @@ mod tests {
         // 2000 req/s over 10 s → 20_000 expected, σ = √20000 ≈ 141.
         // A ±4σ band (±566) makes a seed-stable test that would still
         // catch a rate bug of even a few percent.
-        let s = ArrivalGen::schedule(
+        let s = schedule(
             ArrivalKind::Poisson { rate: 2000.0 },
             7,
             SimDuration::from_secs(10),
@@ -368,7 +337,7 @@ mod tests {
             hold: SimDuration::from_secs(2),
             decay: SimDuration::from_secs(1),
         };
-        let s = ArrivalGen::schedule(kind, 11, SimDuration::from_secs(10));
+        let s = schedule(kind, 11, SimDuration::from_secs(10));
         // Before the crowd: ~1000/s over [0, 4).
         let before = count_in(&s, 0.0, 4.0) as f64 / 4.0;
         // Hold window [5, 7): ~5000/s.
@@ -397,7 +366,7 @@ mod tests {
             amplitude: 0.8,
             period: SimDuration::from_secs(8),
         };
-        let s = ArrivalGen::schedule(kind, 3, SimDuration::from_secs(8));
+        let s = schedule(kind, 3, SimDuration::from_secs(8));
         // First half-period is the positive lobe of the sine, the second
         // the negative: their counts must straddle the mean.
         let peak_half = count_in(&s, 0.0, 4.0) as f64 / 4.0;

@@ -35,12 +35,12 @@ mod imp {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-    pub static ALLOCS: AtomicU64 = AtomicU64::new(0);
-    pub static FREES: AtomicU64 = AtomicU64::new(0);
-    pub static CURRENT: AtomicU64 = AtomicU64::new(0);
-    pub static PEAK: AtomicU64 = AtomicU64::new(0);
+    pub(crate) static ALLOCS: AtomicU64 = AtomicU64::new(0);
+    pub(crate) static FREES: AtomicU64 = AtomicU64::new(0);
+    pub(crate) static CURRENT: AtomicU64 = AtomicU64::new(0);
+    pub(crate) static PEAK: AtomicU64 = AtomicU64::new(0);
 
-    pub struct CountingAlloc;
+    pub(crate) struct CountingAlloc;
 
     unsafe impl GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {

@@ -127,34 +127,6 @@ impl CauseSet {
         self.as_slice().iter().copied()
     }
 
-    /// Add one cause.
-    pub fn insert(&mut self, pid: Pid) {
-        if self.ilen == SPILLED {
-            if let Err(at) = self.spill.binary_search(&pid) {
-                self.spill.insert(at, pid);
-            }
-            return;
-        }
-        let n = self.ilen as usize;
-        match self.inline[..n].binary_search(&pid) {
-            Ok(_) => {}
-            Err(at) if n < INLINE => {
-                self.inline.copy_within(at..n, at + 1);
-                self.inline[at] = pid;
-                self.ilen += 1;
-            }
-            Err(at) => {
-                // Overflow: spill to a vector.
-                let mut v = Vec::with_capacity(INLINE + 1);
-                v.extend_from_slice(&self.inline[..at]);
-                v.push(pid);
-                v.extend_from_slice(&self.inline[at..n]);
-                self.spill = v;
-                self.ilen = SPILLED;
-            }
-        }
-    }
-
     /// Whether every pid of `other` is already in `self`.
     fn is_superset_of(&self, other: &CauseSet) -> bool {
         let a = self.as_slice();
@@ -338,29 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_keeps_sorted_dedup() {
-        let mut s = CauseSet::empty();
-        s.insert(Pid(5));
-        s.insert(Pid(1));
-        s.insert(Pid(5));
-        s.insert(Pid(3));
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![Pid(1), Pid(3), Pid(5)]);
-    }
-
-    #[test]
-    fn insert_spills_past_inline_capacity_and_back_compares_equal() {
-        let mut s = CauseSet::empty();
-        for p in [9u32, 2, 7, 4, 1, 8, 3] {
-            s.insert(Pid(p));
-        }
-        assert_eq!(
-            s.iter().map(|p| p.0).collect::<Vec<_>>(),
-            vec![1, 2, 3, 4, 7, 8, 9]
-        );
-        assert_eq!(s, CauseSet::from_pids([1, 2, 3, 4, 7, 8, 9].map(Pid)));
-    }
-
-    #[test]
     fn union_merges_without_duplicates() {
         let a = CauseSet::from_pids([Pid(1), Pid(3), Pid(5)]);
         let b = CauseSet::from_pids([Pid(2), Pid(3), Pid(6)]);
@@ -437,7 +386,7 @@ mod tests {
             h.finish()
         };
         assert_eq!(h(&inline), h(&rebuilt));
-        spilled.insert(Pid(100));
+        spilled.union_with(&CauseSet::of(Pid(100)));
         assert!(spilled.contains(Pid(100)));
     }
 }

@@ -20,19 +20,16 @@
 //!   poll interval the same way `wb` scales writeback, moving periodic
 //!   commits off their grid.
 //! * [`ChaosClass::Completion`] (`complete`) — stretches device service
-//!   times by a factor in `[1, 1 + s]` and rotates the blk-mq software
-//!   queue round-robin cursor, reordering queued-device completions
-//!   within the in-flight window.
+//!   times by a factor in `[1, 1 + s]`, reordering queued-device
+//!   completions within the in-flight window.
 //!
 //! Legality bounds, by construction:
 //!
 //! * every perturbed interval stays strictly positive, so nothing is ever
 //!   scheduled into the past (late schedules are a hard error);
 //! * CPU delays and service stretches only *add* time — no event is moved
-//!   earlier than its unperturbed cause;
-//! * queue-cursor rotation only re-picks which software queue drains
-//!   next: per-process FIFO order within each queue is untouched, and
-//!   completion reorder stays within the device's in-flight window.
+//!   earlier than its unperturbed cause, and completion reorder stays
+//!   within the device's in-flight window.
 //!
 //! The plane follows the fault/audit/profiler idiom: `Option`-installed
 //! through the kernel config, and the `None` path is byte-identical to a
@@ -50,8 +47,7 @@ pub enum ChaosClass {
     CpuSlice,
     /// Journal commit-timer jitter (`journal`).
     Journal,
-    /// Queued-device completion order: service stretch + queue rotation
-    /// (`complete`).
+    /// Queued-device completion order: service stretch (`complete`).
     Completion,
 }
 
@@ -95,12 +91,6 @@ impl ChaosClass {
         }
     }
 }
-
-/// The queue-rotation sub-stream of the completion class. Rotation and
-/// service stretch share one toggle but must not share one RNG: the
-/// stretch stream may move into the queued device while the rotation
-/// stream stays with the kernel's dispatch pump.
-const ROTATION_STREAM: u64 = 4;
 
 /// Chaos plane configuration: one root seed, per-class toggles, and the
 /// legality bounds.
@@ -147,7 +137,7 @@ impl ChaosConfig {
     }
 
     /// Whether `class` actively perturbs.
-    pub fn is_enabled(&self, class: ChaosClass) -> bool {
+    pub(crate) fn is_enabled(&self, class: ChaosClass) -> bool {
         self.enabled[class.index()]
     }
 
@@ -189,7 +179,6 @@ pub struct ChaosPlane {
     /// `None` after [`ChaosPlane::take_completion_jitter`] moved the
     /// stream into the queued device (the serial plane keeps it here).
     completion: Option<CompletionJitter>,
-    rotation: SimRng,
 }
 
 impl ChaosPlane {
@@ -204,13 +193,7 @@ impl ChaosPlane {
                 rng: SimRng::stream(cfg.seed, ChaosClass::Completion.index() as u64),
                 max_stretch: cfg.completion_stretch,
             }),
-            rotation: SimRng::stream(cfg.seed, ROTATION_STREAM),
         }
-    }
-
-    /// The configuration the plane was built from.
-    pub fn config(&self) -> &ChaosConfig {
-        &self.cfg
     }
 
     /// Scale `interval` by a factor in `[1 - j, 1 + j]`, floored at 1 ns
@@ -266,15 +249,6 @@ impl ChaosPlane {
         }
         self.completion.take()
     }
-
-    /// How far to rotate the blk-mq round-robin cursor before the next
-    /// software-queue pop; uniform in `[0, queues)`, zero when off.
-    pub fn mq_rotation(&mut self, queues: usize) -> usize {
-        if queues < 2 || !self.cfg.is_enabled(ChaosClass::Completion) {
-            return 0;
-        }
-        self.rotation.gen_range(queues as u64) as usize
-    }
 }
 
 #[cfg(test)]
@@ -298,7 +272,6 @@ mod tests {
             assert_eq!(p.cpu_delay(), SimDuration::ZERO);
             assert_eq!(p.journal_tick(base), base);
             assert_eq!(p.service_stretch(), 1.0);
-            assert_eq!(p.mq_rotation(8), 0);
         }
         assert!(p.take_completion_jitter().is_none());
     }
@@ -322,7 +295,6 @@ mod tests {
                 (1.0..=1.0 + cfg.completion_stretch).contains(&s),
                 "completions only move later: {s}"
             );
-            assert!(p.mq_rotation(5) < 5);
         }
         // A tiny base interval still never reaches zero.
         assert!(p.wb_tick(SimDuration::from_nanos(1)) >= SimDuration::from_nanos(1));
@@ -350,7 +322,6 @@ mod tests {
             assert_eq!(a.wb_tick(base), b.wb_tick(base));
             assert_eq!(a.journal_tick(base), b.journal_tick(base));
             assert_eq!(a.service_stretch(), b.service_stretch());
-            assert_eq!(a.mq_rotation(4), b.mq_rotation(4));
         }
     }
 

@@ -29,7 +29,7 @@ pub enum IoErrorKind {
 
 impl IoErrorKind {
     /// Short stable name (metrics keys, reports).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             IoErrorKind::TransientDevice => "transient-device",
             IoErrorKind::TornWrite => "torn-write",
@@ -75,9 +75,6 @@ impl fmt::Display for IoError {
 }
 
 impl std::error::Error for IoError {}
-
-/// Result alias for fallible simulation I/O.
-pub type IoResult<T> = Result<T, IoError>;
 
 #[cfg(test)]
 mod tests {

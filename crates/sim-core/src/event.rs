@@ -175,14 +175,8 @@ impl<E> EventQueue<E> {
 
     /// Number of events waiting.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.wheel_len + self.overflow.len()
-    }
-
-    /// Whether no events are pending.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Total number of events processed so far.

@@ -69,7 +69,7 @@ impl Hasher for FastHasher {
 }
 
 /// `BuildHasher` for [`FastHasher`].
-pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
+pub(crate) type FastBuildHasher = BuildHasherDefault<FastHasher>;
 
 /// Drop-in `HashMap` with the deterministic fast hasher.
 pub type FastMap<K, V> = HashMap<K, V, FastBuildHasher>;

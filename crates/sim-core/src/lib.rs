@@ -16,24 +16,22 @@
 //! pure function of config and seed with or without them.
 
 pub mod alloc_count;
-pub mod arena;
-pub mod causes;
+mod causes;
 pub mod chaos;
-pub mod error;
-pub mod event;
-pub mod hash;
-pub mod ids;
+mod error;
+mod event;
+mod hash;
+mod ids;
 pub mod prof;
 pub mod rng;
 pub mod stats;
-pub mod time;
+mod time;
 
-pub use arena::{IdWindow, Slab};
 pub use causes::CauseSet;
 pub use chaos::{ChaosClass, ChaosConfig, ChaosPlane, CompletionJitter};
-pub use error::{IoError, IoErrorKind, IoResult};
+pub use error::{IoError, IoErrorKind};
 pub use event::{EventQueue, ScheduledEvent};
-pub use hash::{FastBuildHasher, FastMap, FastSet};
+pub use hash::{FastMap, FastSet};
 pub use ids::{BlockNo, FileId, IdAlloc, KernelId, Pid, RequestId, TxnId};
 pub use prof::{Phase, ProfSnapshot, Profiler};
 pub use rng::{stream_seed, SimRng};

@@ -20,7 +20,7 @@
 //! simulation *results*, which the profiler cannot touch.
 //!
 //! Handles are `Rc`-shared (one simulation runs on one thread, like the
-//! [`Tracer`]-style planes above this crate). Installation is by thread:
+//! `Tracer`-style planes above this crate). Installation is by thread:
 //! [`install_thread`] parks a handle in a thread-local that
 //! `World::new`/`Kernel::new` consult, so experiment entry points that
 //! build their worlds internally (`run_cell`, the bench panel) can be
@@ -128,12 +128,6 @@ impl Profiler {
         self.inner.enabled.set(on);
     }
 
-    /// Whether recording is on.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.inner.enabled.get()
-    }
-
     /// Start timing a phase; `None` when disabled (and then
     /// [`Profiler::record`] is never reached).
     #[inline]
@@ -184,22 +178,6 @@ impl Profiler {
         if in_flight as u64 > self.inner.mq_inflight_max.get() {
             self.inner.mq_inflight_max.set(in_flight as u64);
         }
-    }
-
-    /// Zero every accumulator (the enabled flag is untouched). The bench
-    /// harness resets between repetitions so each sample is independent.
-    pub fn reset(&self) {
-        for c in &self.inner.calls {
-            c.set(0);
-        }
-        for n in &self.inner.nanos {
-            n.set(0);
-        }
-        self.inner.depth_max.set(0);
-        self.inner.depth_sum.set(0);
-        self.inner.depth_samples.set(0);
-        self.inner.mq_staged_max.set(0);
-        self.inner.mq_inflight_max.set(0);
     }
 
     /// Copy out the current accumulators.
@@ -345,7 +323,7 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_and_reset_clears() {
+    fn clones_share_accumulators() {
         let p = Profiler::new();
         p.set_enabled(true);
         let q = p.clone();
@@ -353,9 +331,6 @@ mod tests {
             q.record(Phase::Cache, t0);
         }
         assert_eq!(p.snapshot().phases[Phase::Cache as usize].calls, 1);
-        p.reset();
-        assert_eq!(p.snapshot().phases[Phase::Cache as usize].calls, 0);
-        assert!(p.enabled(), "reset keeps the enabled flag");
     }
 
     #[test]

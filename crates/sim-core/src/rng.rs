@@ -52,16 +52,10 @@ impl SimRng {
         SimRng { s }
     }
 
-    /// Derive an independent child generator; used to give each process its
-    /// own stream so adding a process does not perturb the others.
-    pub fn split(&mut self) -> SimRng {
-        SimRng::seed_from_u64(self.next_u64())
-    }
-
     /// A generator on the stream `(root, stream)` — see [`stream_seed`].
-    /// Unlike [`split`](Self::split), this is stateless: callers that know
-    /// their stream id get the same generator no matter how many sibling
-    /// streams were created before them.
+    /// Stateless in `(root, stream)`: callers that know their stream id
+    /// get the same generator no matter how many sibling streams were
+    /// created before them.
     pub fn stream(root: u64, stream: u64) -> SimRng {
         SimRng::seed_from_u64(stream_seed(root, stream))
     }
@@ -168,15 +162,6 @@ mod tests {
             let x = r.gen_f64();
             assert!((0.0..1.0).contains(&x));
         }
-    }
-
-    #[test]
-    fn split_streams_are_independent() {
-        let mut parent = SimRng::seed_from_u64(3);
-        let mut c1 = parent.split();
-        let mut c2 = parent.split();
-        let same = (0..100).filter(|_| c1.next_u64() == c2.next_u64()).count();
-        assert!(same < 3);
     }
 
     #[test]

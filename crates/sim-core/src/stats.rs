@@ -72,23 +72,6 @@ pub fn summarize(xs: &[f64]) -> Summary {
     }
 }
 
-/// NaN-safe arithmetic mean: non-finite samples are skipped.
-pub fn finite_mean(xs: &[f64]) -> f64 {
-    summarize(xs).mean
-}
-
-/// NaN-safe sample (n−1) standard deviation: non-finite samples are
-/// skipped. Note [`stddev`] is the *population* deviation; this variant
-/// feeds confidence intervals, which want the sample estimator.
-pub fn finite_stddev(xs: &[f64]) -> f64 {
-    summarize(xs).stddev
-}
-
-/// NaN-safe half-width of the 95% confidence interval of the mean.
-pub fn ci95(xs: &[f64]) -> f64 {
-    summarize(xs).ci95
-}
-
 /// Percentile by the nearest-rank method (`p` in `[0, 100]`). Returns zero
 /// for an empty slice.
 ///
@@ -166,44 +149,6 @@ impl Percentiles {
     }
 }
 
-/// Accumulates throughput of a flow: bytes completed over elapsed time.
-#[derive(Debug, Clone, Default)]
-pub struct ThroughputMeter {
-    bytes: u64,
-    start: Option<SimTime>,
-    end: SimTime,
-}
-
-impl ThroughputMeter {
-    /// Fresh meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record `bytes` completing at `now`.
-    pub fn record(&mut self, now: SimTime, bytes: u64) {
-        if self.start.is_none() {
-            self.start = Some(now);
-        }
-        self.bytes += bytes;
-        self.end = self.end.max(now);
-    }
-
-    /// Total bytes recorded.
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Mean throughput in MB/s over `window`, measuring from t = 0.
-    pub fn mbps_over(&self, window: SimDuration) -> f64 {
-        let secs = window.as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.bytes as f64 / 1e6 / secs
-    }
-}
-
 /// Samples a cumulative byte counter into fixed-width time buckets, giving a
 /// throughput-over-time series (used for the Figure 1 recovery plot).
 #[derive(Debug, Clone)]
@@ -238,11 +183,6 @@ impl TimeSeries {
             .iter()
             .map(|&b| b as f64 / 1e6 / secs)
             .collect()
-    }
-
-    /// Bucket width.
-    pub fn bucket_width(&self) -> SimDuration {
-        self.bucket
     }
 }
 
@@ -293,18 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn finite_helpers_agree_with_summary() {
-        let xs = [1.0, 2.0, f64::NAN, 4.0];
-        let s = summarize(&xs);
-        assert_eq!(finite_mean(&xs), s.mean);
-        assert_eq!(finite_stddev(&xs), s.stddev);
-        assert_eq!(ci95(&xs), s.ci95);
-        // And the NaN did not leak into any of them.
-        assert!(finite_mean(&xs).is_finite());
-        assert!(finite_stddev(&xs).is_finite());
-    }
-
-    #[test]
     fn percentiles_nearest_rank() {
         let xs: Vec<f64> = (1..=100).map(|i| i as f64).collect();
         assert_eq!(percentile(&xs, 50.0), 50.0);
@@ -335,16 +263,6 @@ mod tests {
         assert_eq!(ps.len(), 5);
         assert!(Percentiles::new(vec![]).is_empty());
         assert_eq!(Percentiles::new(vec![]).p(50.0), 0.0);
-    }
-
-    #[test]
-    fn throughput_meter() {
-        let mut m = ThroughputMeter::new();
-        m.record(SimTime::from_nanos(1_000_000_000), 10_000_000);
-        m.record(SimTime::from_nanos(2_000_000_000), 10_000_000);
-        assert_eq!(m.total_bytes(), 20_000_000);
-        let mbps = m.mbps_over(SimDuration::from_secs(2));
-        assert!((mbps - 10.0).abs() < 1e-9);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::{DiskModel, DiskRequestShape};
 
 /// Tunable parameters of the HDD model.
 #[derive(Debug, Clone, Copy)]
-pub struct HddConfig {
+pub(crate) struct HddConfig {
     /// Capacity in 4 KB blocks. Default: 500 GB.
     pub capacity_blocks: u64,
     /// Shortest (track-to-track) seek.
@@ -57,18 +57,13 @@ impl HddModel {
     }
 
     /// A drive with explicit parameters.
-    pub fn with_config(cfg: HddConfig) -> Self {
+    pub(crate) fn with_config(cfg: HddConfig) -> Self {
         assert!(cfg.bandwidth > 0.0, "bandwidth must be positive");
         assert!(cfg.capacity_blocks > 0, "capacity must be positive");
         HddModel {
             cfg,
             head: BlockNo(0),
         }
-    }
-
-    /// Current head position (block granularity).
-    pub fn head(&self) -> BlockNo {
-        self.head
     }
 
     fn positioning_cost(&self, start: BlockNo) -> SimDuration {
@@ -189,11 +184,11 @@ mod tests {
     fn peek_does_not_move_head() {
         let mut d = HddModel::new();
         d.service_time(&shape(500, 4));
-        let h = d.head();
+        let h = d.head;
         d.peek_service_time(&shape(90_000_000, 1));
-        assert_eq!(d.head(), h);
+        assert_eq!(d.head, h);
         d.service_time(&shape(90_000_000, 1));
-        assert_eq!(d.head(), BlockNo(90_000_001));
+        assert_eq!(d.head, BlockNo(90_000_001));
     }
 
     #[test]

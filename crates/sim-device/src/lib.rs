@@ -11,9 +11,9 @@
 //! *relative* cost structure (random ≪ sequential on disk, much flatter on
 //! flash), not nanosecond fidelity.
 
-pub mod hdd;
-pub mod queued;
-pub mod ssd;
+mod hdd;
+mod queued;
+mod ssd;
 
 use sim_core::{BlockNo, SimDuration};
 
@@ -54,7 +54,7 @@ impl DiskRequestShape {
     /// Transfer size in bytes. Saturates instead of wrapping: a deep
     /// hardware queue full of absurdly sized requests must degrade to a
     /// pinned counter, not a panic (or a silent wrap in release).
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         self.nblocks.saturating_mul(sim_core::PAGE_SIZE)
     }
 
@@ -96,27 +96,6 @@ pub trait DiskModel {
     fn is_rotational(&self) -> bool;
 }
 
-/// Running counters a device keeps about its own activity.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DeviceStats {
-    /// Requests serviced.
-    pub requests: u64,
-    /// Bytes transferred.
-    pub bytes: u64,
-    /// Total busy time.
-    pub busy: SimDuration,
-}
-
-impl DeviceStats {
-    /// Record one serviced request. Counters saturate so a long run
-    /// with huge requests cannot wrap them.
-    pub fn record(&mut self, shape: &DiskRequestShape, took: SimDuration) {
-        self.requests = self.requests.saturating_add(1);
-        self.bytes = self.bytes.saturating_add(shape.bytes());
-        self.busy += took;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,26 +122,5 @@ mod tests {
         let high = DiskRequestShape::new(IoDir::Read, BlockNo(u64::MAX - 4), 64);
         assert_eq!(high.end(), BlockNo(u64::MAX), "end offset pins at the top");
         assert_eq!(high.bytes(), 64 * sim_core::PAGE_SIZE, "normal sizes exact");
-    }
-
-    #[test]
-    fn stats_saturate_instead_of_wrapping() {
-        let mut st = DeviceStats::default();
-        let huge = DiskRequestShape::new(IoDir::Write, BlockNo(0), u64::MAX / 2);
-        st.record(&huge, SimDuration::from_millis(1));
-        st.record(&huge, SimDuration::from_millis(1));
-        assert_eq!(st.bytes, u64::MAX);
-        assert_eq!(st.requests, 2);
-    }
-
-    #[test]
-    fn stats_accumulate() {
-        let mut st = DeviceStats::default();
-        let s = DiskRequestShape::new(IoDir::Read, BlockNo(0), 2);
-        st.record(&s, SimDuration::from_millis(5));
-        st.record(&s, SimDuration::from_millis(5));
-        assert_eq!(st.requests, 2);
-        assert_eq!(st.bytes, 16384);
-        assert_eq!(st.busy, SimDuration::from_millis(10));
     }
 }

@@ -28,7 +28,7 @@
 
 use sim_core::{CompletionJitter, RequestId, SimDuration};
 
-use crate::{DeviceStats, DiskModel, DiskRequestShape};
+use crate::{DiskModel, DiskRequestShape};
 
 /// Queued-device construction parameters.
 #[derive(Debug, Clone, Copy)]
@@ -107,7 +107,6 @@ pub struct QueuedDevice {
     /// yields the smallest index (deterministic tag assignment).
     free_slots: Vec<u32>,
     seq: u64,
-    stats: DeviceStats,
     /// Chaos-plane service-time jitter; `None` keeps the device
     /// byte-identical to a build without the chaos plane.
     chaos: Option<CompletionJitter>,
@@ -126,7 +125,6 @@ impl QueuedDevice {
             active: Vec::new(),
             free_slots,
             seq: 0,
-            stats: DeviceStats::default(),
             chaos: None,
         }
     }
@@ -157,11 +155,6 @@ impl QueuedDevice {
     /// Whether another request fits in the hardware queue.
     pub fn can_accept(&self) -> bool {
         self.in_flight() < self.cfg.depth as usize
-    }
-
-    /// Cumulative service counters.
-    pub fn stats(&self) -> &DeviceStats {
-        &self.stats
     }
 
     /// Accept a request into the hardware queue. Returns the slot it
@@ -264,7 +257,6 @@ impl QueuedDevice {
         if let Some(chaos) = self.chaos.as_mut() {
             service = service.mul_f64(chaos.stretch().max(1.0));
         }
-        self.stats.record(&w.shape, service);
         self.active.push(Active {
             id: w.id,
             slot: w.slot,

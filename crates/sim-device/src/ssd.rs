@@ -11,7 +11,7 @@ use crate::{DiskModel, DiskRequestShape, IoDir};
 
 /// Tunable parameters of the SSD model.
 #[derive(Debug, Clone, Copy)]
-pub struct SsdConfig {
+pub(crate) struct SsdConfig {
     /// Capacity in 4 KB blocks. Default: 80 GB.
     pub capacity_blocks: u64,
     /// Fixed per-request read latency.
@@ -53,7 +53,7 @@ impl SsdModel {
     }
 
     /// An SSD with explicit parameters.
-    pub fn with_config(cfg: SsdConfig) -> Self {
+    pub(crate) fn with_config(cfg: SsdConfig) -> Self {
         assert!(cfg.read_bandwidth > 0.0 && cfg.write_bandwidth > 0.0);
         SsdModel {
             cfg,

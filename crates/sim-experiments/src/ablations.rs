@@ -32,7 +32,7 @@ const TAG_DURATION: SimDuration = SimDuration::from_secs(20);
 const GATE_DURATION: SimDuration = SimDuration::from_secs(15);
 
 /// Wraps a scheduler, selectively disabling hooks.
-pub struct Lobotomized<S> {
+pub(crate) struct Lobotomized<S> {
     inner: S,
     /// Forward the memory-level hooks?
     pub memory_hooks: bool,
@@ -44,7 +44,7 @@ pub struct Lobotomized<S> {
 
 impl<S: IoSched> Lobotomized<S> {
     /// Full scheduler with switches to turn parts off.
-    pub fn new(inner: S) -> Self {
+    pub(crate) fn new(inner: S) -> Self {
         Lobotomized {
             inner,
             memory_hooks: true,
@@ -54,19 +54,19 @@ impl<S: IoSched> Lobotomized<S> {
     }
 
     /// Disable the memory-level (buffer) hooks.
-    pub fn without_memory_hooks(mut self) -> Self {
+    pub(crate) fn without_memory_hooks(mut self) -> Self {
         self.memory_hooks = false;
         self
     }
 
     /// Disable the syscall-entry gate.
-    pub fn without_syscall_gate(mut self) -> Self {
+    pub(crate) fn without_syscall_gate(mut self) -> Self {
         self.syscall_gate = false;
         self
     }
 
     /// Replace each request's cause set with its submitter.
-    pub fn without_cause_tags(mut self) -> Self {
+    pub(crate) fn without_cause_tags(mut self) -> Self {
         self.strip_causes = true;
         self
     }
@@ -139,7 +139,7 @@ impl<S: IoSched> IoSched for Lobotomized<S> {
 
 /// Outcome of the burst ablation.
 #[derive(Debug, Clone, Copy)]
-pub struct BurstAblation {
+pub(crate) struct BurstAblation {
     /// A's throughput in the 10 s after the burst, full Split-Token.
     pub full_after: f64,
     /// Same, with memory hooks (prompt charging) disabled.
@@ -151,7 +151,7 @@ pub struct BurstAblation {
 /// Figure 1's burst world (under its own salt for B's write pattern)
 /// with and without prompt (memory-level) charging. `seed` varies the
 /// burst's write pattern (0 = historical run).
-pub fn burst_ablation(seed: u64) -> BurstAblation {
+pub(crate) fn burst_ablation(seed: u64) -> BurstAblation {
     let cfg = fig01_write_burst::Config {
         duration: BURST_DURATION,
         seed,
@@ -177,7 +177,7 @@ pub fn burst_ablation(seed: u64) -> BurstAblation {
 
 /// Outcome of the cause-tag ablation.
 #[derive(Debug, Clone, Copy)]
-pub struct TagAblation {
+pub(crate) struct TagAblation {
     /// Throttled B's buffered write throughput with cause tags (MB/s).
     pub with_tags_b: f64,
     /// Same with tags stripped (submitter accounting).
@@ -187,7 +187,7 @@ pub struct TagAblation {
 /// A throttled buffered writer with and without cause tags: without them,
 /// delegated writeback bills the writeback thread and B escapes its cap.
 /// `seed` varies B's write pattern (0 = historical run).
-pub fn tag_ablation(seed: u64) -> TagAblation {
+pub(crate) fn tag_ablation(seed: u64) -> TagAblation {
     let run = |sched: Lobotomized<SplitToken>| {
         let setup = Setup::new(SchedChoice::SplitToken).mem(GB).seed(seed);
         let (mut w, k) = build_world_with(setup, Box::new(sched));
@@ -209,7 +209,7 @@ pub fn tag_ablation(seed: u64) -> TagAblation {
 
 /// Outcome of the gate ablation.
 #[derive(Debug, Clone, Copy)]
-pub struct GateAblation {
+pub(crate) struct GateAblation {
     /// High/low priority share ratio with the syscall gate.
     pub with_gate_ratio: f64,
     /// Same without the gate.
@@ -218,7 +218,7 @@ pub struct GateAblation {
 
 /// AFQ's async-write fairness with and without the syscall-level gate.
 /// `seed` varies file-system layout (0 = historical run).
-pub fn gate_ablation(seed: u64) -> GateAblation {
+pub(crate) fn gate_ablation(seed: u64) -> GateAblation {
     let run = |sched: Lobotomized<Afq>| {
         let setup = Setup::new(SchedChoice::Afq).seed(seed);
         let (mut w, k) = build_world_with(setup, Box::new(sched));
@@ -239,7 +239,7 @@ pub fn gate_ablation(seed: u64) -> GateAblation {
 }
 
 /// `runner ablations`: the three blocks, each followed by a blank line.
-pub fn cell(req: &CellRequest) -> CellOutput {
+pub(crate) fn cell(req: &CellRequest) -> CellOutput {
     let b = burst_ablation(req.seed);
     let t = tag_ablation(req.seed);
     let g = gate_ablation(req.seed);

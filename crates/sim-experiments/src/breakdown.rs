@@ -34,7 +34,7 @@ pub struct Config {
 
 impl Config {
     /// 20 s quick, 60 s at paper scale, on the HDD.
-    pub fn at(profile: Profile, seed: u64) -> Self {
+    pub(crate) fn at(profile: Profile, seed: u64) -> Self {
         Config {
             duration: profile.secs(20, 60),
             device: DeviceChoice::Hdd,
@@ -45,7 +45,7 @@ impl Config {
 
 /// One scheduler's decomposition.
 #[derive(Debug, Clone)]
-pub struct SchedBreakdown {
+pub(crate) struct SchedBreakdown {
     /// Scheduler name.
     pub sched: &'static str,
     /// Aggregated fsync decomposition (all fsyncs, A and B).
@@ -56,7 +56,7 @@ pub struct SchedBreakdown {
 
 /// Full result: one decomposition per scheduler.
 #[derive(Debug, Clone)]
-pub struct BreakdownResult {
+pub(crate) struct BreakdownResult {
     /// Per-scheduler rows.
     pub rows: Vec<SchedBreakdown>,
     /// Config used.
@@ -65,7 +65,7 @@ pub struct BreakdownResult {
 
 impl BreakdownResult {
     /// The sweep metrics: mean end-to-end fsync latency per scheduler.
-    pub fn metrics(&self) -> Vec<(String, f64)> {
+    pub(crate) fn metrics(&self) -> Vec<(String, f64)> {
         let per_row = |row: &SchedBreakdown| {
             (
                 format!("{}_fsync_mean_ms", row.sched.replace('-', "_")),
@@ -95,7 +95,7 @@ fn run_one(cfg: &Config, sched: SchedChoice) -> SchedBreakdown {
 }
 
 /// Run the decomposition under Block-Deadline and Split-Deadline.
-pub fn run(cfg: &Config) -> BreakdownResult {
+pub(crate) fn run(cfg: &Config) -> BreakdownResult {
     BreakdownResult {
         rows: CONTENDERS.map(|sched| run_one(cfg, sched)).into(),
         cfg: *cfg,
@@ -103,7 +103,7 @@ pub fn run(cfg: &Config) -> BreakdownResult {
 }
 
 /// `runner breakdown`.
-pub fn cell(req: &CellRequest) -> CellOutput {
+pub(crate) fn cell(req: &CellRequest) -> CellOutput {
     let mut cfg = Config::at(req.profile, req.seed);
     cfg.device = req.device.unwrap_or(cfg.device);
     let r = run(&cfg);

@@ -43,7 +43,7 @@ pub struct Config {
 impl Config {
     /// 8 fault points of 500 ms quick, 24 of 2 s at paper scale. The
     /// sweep is exhaustive, not sampled, so it takes no seed.
-    pub fn at(profile: Profile) -> Self {
+    pub(crate) fn at(profile: Profile) -> Self {
         Config {
             fault_points: profile.pick(8, 24),
             duration: SimDuration::from_millis(profile.pick(500, 2_000)),
@@ -53,7 +53,7 @@ impl Config {
 
 /// One power-cut point of the crash sweep.
 #[derive(Debug, Clone, Copy)]
-pub struct CrashPoint {
+pub(crate) struct CrashPoint {
     /// Writes completed before the cut.
     pub completions: usize,
     /// Transactions journal replay recovered.
@@ -66,7 +66,7 @@ pub struct CrashPoint {
 
 /// One device-fault point of the full-stack sweep.
 #[derive(Debug, Clone, Copy)]
-pub struct FaultPoint {
+pub(crate) struct FaultPoint {
     /// Which device write op failed.
     pub nth_write: u64,
     /// Block requests the fault plane failed.
@@ -81,7 +81,7 @@ pub struct FaultPoint {
 
 /// Both sweeps.
 #[derive(Debug, Clone)]
-pub struct FaultSweepResult {
+pub(crate) struct FaultSweepResult {
     /// Power-cut sweep over the fsync/commit protocol (both crash modes:
     /// in-flight writes lost, and torn to a one-block prefix).
     pub crash_points: Vec<CrashPoint>,
@@ -91,7 +91,7 @@ pub struct FaultSweepResult {
 
 impl FaultSweepResult {
     /// Total ordered-mode violations across every crash point (0 = pass).
-    pub fn total_violations(&self) -> usize {
+    pub(crate) fn total_violations(&self) -> usize {
         self.crash_points.iter().map(|p| p.violations).sum()
     }
 }
@@ -147,8 +147,7 @@ impl ProtocolRun {
     fn absorb(&mut self, out: FsOutput) {
         for io in &out.ios {
             if io.dir == IoDir::Write {
-                self.image
-                    .submit(io.token.0, io.step.clone(), io.start, io.nblocks);
+                self.image.submit(io.token.0, io.step.clone(), io.nblocks);
             }
         }
         for ev in &out.events {
@@ -297,7 +296,7 @@ fn fault_point(nth: u64, duration: SimDuration) -> FaultPoint {
 }
 
 /// Run both sweeps.
-pub fn run(cfg: &Config) -> FaultSweepResult {
+pub(crate) fn run(cfg: &Config) -> FaultSweepResult {
     FaultSweepResult {
         crash_points: crash_sweep(),
         fault_points: (0..cfg.fault_points)
@@ -308,7 +307,7 @@ pub fn run(cfg: &Config) -> FaultSweepResult {
 
 /// `runner faults` / `--faults`: both sweeps; `--csv` adds the
 /// device-fault points, and any ordered-mode violation fails the run.
-pub fn cell(req: &CellRequest) -> CellOutput {
+pub(crate) fn cell(req: &CellRequest) -> CellOutput {
     let r = run(&Config::at(req.profile));
     let mut out = CellOutput::of(&r, Vec::new());
     if req.csv {

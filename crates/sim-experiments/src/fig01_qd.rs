@@ -20,14 +20,14 @@ use crate::setup::SchedChoice;
 use crate::table::{f1, Table};
 
 /// Queue depths the sweep visits.
-pub const DEPTHS: [u32; 6] = [1, 2, 4, 8, 16, 32];
+pub(crate) const DEPTHS: [u32; 6] = [1, 2, 4, 8, 16, 32];
 
 /// The fig01 workload parameters, shared by every depth.
 pub use crate::fig01_write_burst::Config;
 
 /// Both schedulers' outcomes at one queue depth.
 #[derive(Debug, Clone)]
-pub struct DepthRow {
+pub(crate) struct DepthRow {
     /// Hardware queue depth.
     pub depth: u32,
     /// CFQ with B in the idle class.
@@ -39,7 +39,7 @@ pub struct DepthRow {
 impl DepthRow {
     /// CFQ's throughput-loss factor: A's pre-burst rate over its
     /// after-burst rate (1.0 = unharmed; the paper's collapse is ≫ 4).
-    pub fn cfq_degradation(&self) -> f64 {
+    pub(crate) fn cfq_degradation(&self) -> f64 {
         if self.cfq.after <= 0.0 {
             f64::INFINITY
         } else {
@@ -50,7 +50,7 @@ impl DepthRow {
 
 /// Full sweep result.
 #[derive(Debug, Clone)]
-pub struct FigResult {
+pub(crate) struct FigResult {
     /// One row per depth, in [`DEPTHS`] order.
     pub rows: Vec<DepthRow>,
 }
@@ -58,7 +58,7 @@ pub struct FigResult {
 impl FigResult {
     /// The sweep metrics: per depth, A's after-burst rate under each
     /// system and CFQ's loss factor.
-    pub fn metrics(&self) -> Vec<(String, f64)> {
+    pub(crate) fn metrics(&self) -> Vec<(String, f64)> {
         let per_depth = |row: &DepthRow| {
             let d = row.depth;
             [
@@ -72,7 +72,7 @@ impl FigResult {
 }
 
 /// Run the sweep.
-pub fn run(cfg: &Config) -> FigResult {
+pub(crate) fn run(cfg: &Config) -> FigResult {
     let run_one = |sched, depth| fig01_write_burst::run_one_with(cfg, sched, Some(depth));
     let rows = DEPTHS
         .iter()
@@ -86,7 +86,7 @@ pub fn run(cfg: &Config) -> FigResult {
 }
 
 /// `runner fig01_qd`.
-pub fn cell(req: &CellRequest) -> CellOutput {
+pub(crate) fn cell(req: &CellRequest) -> CellOutput {
     let r = run(&Config::at(req.profile, req.seed));
     CellOutput::of(&r, r.metrics())
 }

@@ -19,9 +19,9 @@ use crate::table::{f1, Table};
 use crate::{GB, KB, MB};
 
 /// When B's burst starts.
-pub const BURST_AT: SimDuration = SimDuration::from_secs(5);
+pub(crate) const BURST_AT: SimDuration = SimDuration::from_secs(5);
 /// Burst length.
-pub const BURST_LEN: SimDuration = SimDuration::from_secs(1);
+pub(crate) const BURST_LEN: SimDuration = SimDuration::from_secs(1);
 /// Size of the file A streams.
 const A_FILE: u64 = 4 * GB;
 /// Size of the file B scribbles into.
@@ -38,7 +38,7 @@ pub type Config = Timed<30, 120>;
 
 /// One scheduler's outcome.
 #[derive(Debug, Clone)]
-pub struct Series {
+pub(crate) struct Series {
     /// Scheduler name.
     pub sched: &'static str,
     /// A's throughput per bucket (MB/s).
@@ -54,7 +54,7 @@ pub struct Series {
 
 /// Full experiment result.
 #[derive(Debug, Clone)]
-pub struct FigResult {
+pub(crate) struct FigResult {
     /// CFQ with B in the idle class (the paper's Figure 1 line).
     pub cfq_idle: Series,
     /// Split-Token with B throttled to 1 MB/s.
@@ -63,7 +63,7 @@ pub struct FigResult {
 
 impl FigResult {
     /// The sweep metrics: A's rate before and after the burst, per system.
-    pub fn metrics(&self) -> Vec<(String, f64)> {
+    pub(crate) fn metrics(&self) -> Vec<(String, f64)> {
         vec![
             ("cfq_before_mbps".into(), self.cfq_idle.before),
             ("cfq_after_mbps".into(), self.cfq_idle.after),
@@ -181,7 +181,7 @@ pub(crate) fn run_one_with(cfg: &Config, sched: SchedChoice, queue_depth: Option
 }
 
 /// Run the experiment.
-pub fn run(cfg: &Config) -> FigResult {
+pub(crate) fn run(cfg: &Config) -> FigResult {
     FigResult {
         cfq_idle: run_one_with(cfg, SchedChoice::Cfq, None),
         split_token: run_one_with(cfg, SchedChoice::SplitToken, None),
@@ -189,7 +189,7 @@ pub fn run(cfg: &Config) -> FigResult {
 }
 
 /// `runner fig01`.
-pub fn cell(req: &CellRequest) -> CellOutput {
+pub(crate) fn cell(req: &CellRequest) -> CellOutput {
     let r = run(&Config::at(req.profile, req.seed));
     let mut out = CellOutput::of(&r, r.metrics());
     if req.csv {

@@ -38,7 +38,7 @@ pub struct FigResult {
 }
 
 /// Goal share for best-effort level `p` under CFQ weights.
-pub fn goal_shares() -> [f64; 8] {
+pub(crate) fn goal_shares() -> [f64; 8] {
     let mut g = [0.0; 8];
     let total: u32 = (0..8).map(|p| IoPrio::best_effort(p).weight()).sum();
     for (p, slot) in g.iter_mut().enumerate() {
@@ -48,13 +48,13 @@ pub fn goal_shares() -> [f64; 8] {
 }
 
 /// Each count as a percentage of their total.
-pub fn shares_pct(counts: [u64; 8]) -> [f64; 8] {
+pub(crate) fn shares_pct(counts: [u64; 8]) -> [f64; 8] {
     let total = counts.iter().sum::<u64>().max(1);
     counts.map(|c| c as f64 / total as f64 * 100.0)
 }
 
 /// Mean relative deviation between achieved and goal shares.
-pub fn mean_deviation(actual: &[f64; 8], goal: &[f64; 8]) -> f64 {
+pub(crate) fn mean_deviation(actual: &[f64; 8], goal: &[f64; 8]) -> f64 {
     let mut dev = 0.0;
     for i in 0..8 {
         dev += (actual[i] - goal[i]).abs() / goal[i];
@@ -86,7 +86,7 @@ pub fn run(cfg: &Config) -> FigResult {
 impl FigResult {
     /// The sweep metrics: the deviation from the goal, and how much of
     /// the request stream CFQ saw at the writeback thread's priority 4.
-    pub fn metrics(&self) -> Vec<(String, f64)> {
+    pub(crate) fn metrics(&self) -> Vec<(String, f64)> {
         vec![
             ("deviation".into(), self.deviation),
             ("observed_prio4_pct".into(), self.observed_prio_pct[4]),
@@ -95,7 +95,7 @@ impl FigResult {
 }
 
 /// `runner fig03`.
-pub fn cell(req: &CellRequest) -> CellOutput {
+pub(crate) fn cell(req: &CellRequest) -> CellOutput {
     let r = run(&Config::at(req.profile, req.seed));
     CellOutput::of(&r, r.metrics())
 }

@@ -14,7 +14,7 @@ use crate::table::{ms, Table};
 use crate::{GB, KB};
 
 /// B's flush sizes, in 4 KB blocks (the paper sweeps 16 KB..4 MB).
-pub const B_BLOCKS: [u64; 5] = [4, 16, 64, 256, 1024];
+pub(crate) const B_BLOCKS: [u64; 5] = [4, 16, 64, 256, 1024];
 /// Block deadline applied to both threads.
 const DEADLINE: SimDuration = SimDuration::from_millis(20);
 /// File B scribbles into.
@@ -25,7 +25,7 @@ pub type Config = Timed<10, 30>;
 
 /// One point of the sweep.
 #[derive(Debug, Clone, Copy)]
-pub struct Point {
+pub(crate) struct Point {
     /// B's flush size in bytes.
     pub b_bytes: u64,
     /// A's mean fsync latency (ms).
@@ -38,13 +38,13 @@ pub struct Point {
 
 /// Full sweep result.
 #[derive(Debug, Clone)]
-pub struct FigResult {
+pub(crate) struct FigResult {
     /// One point per B size.
     pub points: Vec<Point>,
 }
 
 /// Run one point of the sweep with the given scheduler.
-pub fn run_point(cfg: &Config, nblocks: u64, sched: SchedChoice) -> Point {
+pub(crate) fn run_point(cfg: &Config, nblocks: u64, sched: SchedChoice) -> Point {
     let (mut w, k) = build_world(Setup::new(sched).seed(cfg.seed));
     let a_file = w.prealloc_file(k, 64 * crate::MB, true);
     let b_file = w.prealloc_file(k, B_FILE, true);
@@ -89,7 +89,7 @@ pub fn run_point(cfg: &Config, nblocks: u64, sched: SchedChoice) -> Point {
 }
 
 /// Run the full sweep under Block-Deadline.
-pub fn run(cfg: &Config) -> FigResult {
+pub(crate) fn run(cfg: &Config) -> FigResult {
     let points = B_BLOCKS
         .iter()
         .map(|&n| run_point(cfg, n, SchedChoice::BlockDeadlineWith(20, 20)))
@@ -99,7 +99,7 @@ pub fn run(cfg: &Config) -> FigResult {
 
 impl FigResult {
     /// The sweep metrics: A's mean and p95 fsync latency per B flush size.
-    pub fn metrics(&self) -> Vec<(String, f64)> {
+    pub(crate) fn metrics(&self) -> Vec<(String, f64)> {
         let per_point = |p: &Point| {
             let kb = p.b_bytes / KB;
             [
@@ -112,7 +112,7 @@ impl FigResult {
 }
 
 /// `runner fig05`.
-pub fn cell(req: &CellRequest) -> CellOutput {
+pub(crate) fn cell(req: &CellRequest) -> CellOutput {
     let r = run(&Config::at(req.profile, req.seed));
     CellOutput::of(&r, r.metrics())
 }

@@ -18,7 +18,7 @@ use crate::table::{f1, Table};
 use crate::{GB, KB, MB};
 
 /// Run sizes for B.
-pub const RUNS: [u64; 7] = [4 * KB, 16 * KB, 64 * KB, 256 * KB, MB, 4 * MB, 16 * MB];
+pub(crate) const RUNS: [u64; 7] = [4 * KB, 16 * KB, 64 * KB, 256 * KB, MB, 4 * MB, 16 * MB];
 /// B's throttle (bytes/second of accounted cost).
 const B_RATE: u64 = 10 * MB;
 /// A's file size (must exceed memory to keep A streaming).
@@ -31,7 +31,7 @@ pub type Config = Timed<10, 30>;
 
 /// One workload point.
 #[derive(Debug, Clone, Copy)]
-pub struct Point {
+pub(crate) struct Point {
     /// B's run size in bytes.
     pub run: u64,
     /// Whether B writes (else reads).
@@ -44,7 +44,7 @@ pub struct Point {
 
 /// Full result: 14 points plus the headline stddev.
 #[derive(Debug, Clone)]
-pub struct FigResult {
+pub(crate) struct FigResult {
     /// Scheduler used.
     pub sched: &'static str,
     /// File system used.
@@ -60,7 +60,7 @@ pub struct FigResult {
 }
 
 /// Run one point.
-pub fn run_point(
+pub(crate) fn run_point(
     cfg: &Config,
     sched: SchedChoice,
     fs: FsChoice,
@@ -106,7 +106,7 @@ pub fn run_point(
 /// Run the sweep for one scheduler/fs combination: every size in
 /// `runs`, as reads and then as writes (the figures use all of [`RUNS`],
 /// 14 workloads).
-pub fn run_with(cfg: &Config, sched: SchedChoice, fs: FsChoice, runs: &[u64]) -> FigResult {
+pub(crate) fn run_with(cfg: &Config, sched: SchedChoice, fs: FsChoice, runs: &[u64]) -> FigResult {
     let mut points = Vec::new();
     for &b_writes in &[false, true] {
         for &run in runs {
@@ -129,7 +129,7 @@ pub fn run_with(cfg: &Config, sched: SchedChoice, fs: FsChoice, runs: &[u64]) ->
 impl FigResult {
     /// The sweep metrics: mean and spread of A's throughput over the
     /// workloads (the spread is the paper's isolation metric).
-    pub fn metrics(&self) -> Vec<(String, f64)> {
+    pub(crate) fn metrics(&self) -> Vec<(String, f64)> {
         vec![
             ("a_mean_mbps".into(), self.a_mean),
             ("a_stddev_mbps".into(), self.a_stddev),
@@ -146,17 +146,17 @@ fn family_cell(req: &CellRequest, default: SchedChoice, fs: FsChoice) -> CellOut
 }
 
 /// `runner fig06`: SCS-Token on ext4.
-pub fn cell(req: &CellRequest) -> CellOutput {
+pub(crate) fn cell(req: &CellRequest) -> CellOutput {
     family_cell(req, SchedChoice::ScsToken, FsChoice::Ext4)
 }
 
 /// `runner fig13`: Split-Token on ext4.
-pub fn cell_fig13(req: &CellRequest) -> CellOutput {
+pub(crate) fn cell_fig13(req: &CellRequest) -> CellOutput {
     family_cell(req, SchedChoice::SplitToken, FsChoice::Ext4)
 }
 
 /// `runner fig16`: Split-Token on XFS.
-pub fn cell_fig16(req: &CellRequest) -> CellOutput {
+pub(crate) fn cell_fig16(req: &CellRequest) -> CellOutput {
     family_cell(req, SchedChoice::SplitToken, FsChoice::Xfs)
 }
 

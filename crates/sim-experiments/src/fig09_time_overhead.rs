@@ -22,7 +22,7 @@ pub type Config = Timed<5, 20>;
 
 /// One sweep point.
 #[derive(Debug, Clone, Copy)]
-pub struct Point {
+pub(crate) struct Point {
     /// Number of threads.
     pub threads: usize,
     /// Aggregate throughput under the block-level no-op (MB/s).
@@ -33,7 +33,7 @@ pub struct Point {
 
 /// Result.
 #[derive(Debug, Clone)]
-pub struct FigResult {
+pub(crate) struct FigResult {
     /// One point per thread count.
     pub points: Vec<Point>,
 }
@@ -55,7 +55,7 @@ fn throughput(cfg: &Config, sched: SchedChoice, threads: usize) -> f64 {
 }
 
 /// Run the sweep.
-pub fn run(cfg: &Config) -> FigResult {
+pub(crate) fn run(cfg: &Config) -> FigResult {
     let points = THREADS
         .iter()
         .map(|&n| Point {
@@ -69,7 +69,7 @@ pub fn run(cfg: &Config) -> FigResult {
 
 impl FigResult {
     /// The sweep metrics: both no-ops' aggregate throughput per thread count.
-    pub fn metrics(&self) -> Vec<(String, f64)> {
+    pub(crate) fn metrics(&self) -> Vec<(String, f64)> {
         let per_point = |p: &Point| {
             [
                 (format!("block_mbps_{}t", p.threads), p.block_mbps),
@@ -81,7 +81,7 @@ impl FigResult {
 }
 
 /// `runner fig09`.
-pub fn cell(req: &CellRequest) -> CellOutput {
+pub(crate) fn cell(req: &CellRequest) -> CellOutput {
     let r = run(&Config::at(req.profile, req.seed));
     CellOutput::of(&r, r.metrics())
 }

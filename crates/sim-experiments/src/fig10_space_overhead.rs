@@ -32,7 +32,7 @@ pub struct Config {
 impl Config {
     /// 10 s per ratio on a 512 MB machine quick; 30 s on a 2 GB machine
     /// at paper scale (the paper's worker has 8 GB).
-    pub fn at(profile: Profile, seed: u64) -> Self {
+    pub(crate) fn at(profile: Profile, seed: u64) -> Self {
         Config {
             duration: profile.secs(10, 30),
             mem: profile.pick(512 * MB, 2 * GB),
@@ -43,7 +43,7 @@ impl Config {
 
 /// One sweep point.
 #[derive(Debug, Clone, Copy)]
-pub struct Point {
+pub(crate) struct Point {
     /// Dirty ratio.
     pub ratio: f64,
     /// Average live tag bytes.
@@ -56,13 +56,13 @@ pub struct Point {
 
 /// Result.
 #[derive(Debug, Clone)]
-pub struct FigResult {
+pub(crate) struct FigResult {
     /// One point per ratio.
     pub points: Vec<Point>,
 }
 
 /// Run the sweep.
-pub fn run(cfg: &Config) -> FigResult {
+pub(crate) fn run(cfg: &Config) -> FigResult {
     let mut points = Vec::new();
     for ratio in RATIOS {
         let (mut w, k) = build_world(
@@ -89,7 +89,7 @@ pub fn run(cfg: &Config) -> FigResult {
 
 impl FigResult {
     /// The sweep metrics: peak live tag memory (KB) per dirty ratio.
-    pub fn metrics(&self) -> Vec<(String, f64)> {
+    pub(crate) fn metrics(&self) -> Vec<(String, f64)> {
         let per_point = |p: &Point| {
             (
                 format!("max_tag_kb_r{:02.0}", p.ratio * 100.0),
@@ -101,7 +101,7 @@ impl FigResult {
 }
 
 /// `runner fig10`.
-pub fn cell(req: &CellRequest) -> CellOutput {
+pub(crate) fn cell(req: &CellRequest) -> CellOutput {
     let r = run(&Config::at(req.profile, req.seed));
     CellOutput::of(&r, r.metrics())
 }

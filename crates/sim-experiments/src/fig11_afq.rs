@@ -33,7 +33,7 @@ pub enum Workload {
 
 impl Workload {
     /// Panel label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Workload::SeqRead => "(a) seq read",
             Workload::AsyncWrite => "(b) async write",
@@ -57,7 +57,7 @@ pub struct Config {
 impl Config {
     /// 15 s per panel with 2 sync threads per level quick; 60 s with
     /// the paper's 5 at paper scale.
-    pub fn at(profile: Profile, seed: u64) -> Self {
+    pub(crate) fn at(profile: Profile, seed: u64) -> Self {
         Config {
             duration: profile.secs(15, 60),
             sync_threads_per_prio: profile.pick(2, 5),
@@ -68,7 +68,7 @@ impl Config {
 
 /// One scheduler's result on one panel.
 #[derive(Debug, Clone)]
-pub struct PanelResult {
+pub(crate) struct PanelResult {
     /// Scheduler.
     pub sched: &'static str,
     /// Panel.
@@ -83,13 +83,13 @@ pub struct PanelResult {
 
 /// Full figure: every panel × {CFQ, AFQ}.
 #[derive(Debug, Clone)]
-pub struct FigResult {
+pub(crate) struct FigResult {
     /// All panels.
     pub panels: Vec<PanelResult>,
 }
 
 /// Run one panel with one scheduler.
-pub fn run_panel(cfg: &Config, sched: SchedChoice, wl: Workload) -> PanelResult {
+pub(crate) fn run_panel(cfg: &Config, sched: SchedChoice, wl: Workload) -> PanelResult {
     let (mut w, k) = build_world(Setup::new(sched).seed(cfg.seed));
     // pids[level] holds that priority level's thread(s).
     let mut pids: Vec<Vec<Pid>> = vec![Vec::new(); 8];
@@ -156,7 +156,7 @@ pub fn run_panel(cfg: &Config, sched: SchedChoice, wl: Workload) -> PanelResult 
 }
 
 /// Run all four panels for CFQ and AFQ.
-pub fn run(cfg: &Config) -> FigResult {
+pub(crate) fn run(cfg: &Config) -> FigResult {
     let mut panels = Vec::new();
     for wl in [
         Workload::SeqRead,
@@ -173,7 +173,7 @@ pub fn run(cfg: &Config) -> FigResult {
 
 impl FigResult {
     /// The sweep metrics: each panel's deviation from the goal, per scheduler.
-    pub fn metrics(&self) -> Vec<(String, f64)> {
+    pub(crate) fn metrics(&self) -> Vec<(String, f64)> {
         let per_panel = |p: &PanelResult| {
             // "(b) async write" → "async_write".
             let panel = p.workload.label()[4..].replace(' ', "_");
@@ -184,7 +184,7 @@ impl FigResult {
 }
 
 /// `runner fig11`.
-pub fn cell(req: &CellRequest) -> CellOutput {
+pub(crate) fn cell(req: &CellRequest) -> CellOutput {
     let r = run(&Config::at(req.profile, req.seed));
     CellOutput::of(&r, r.metrics())
 }

@@ -18,7 +18,7 @@ use crate::table::{ms, Table};
 use crate::{GB, KB, MB};
 
 /// Blocks per B batch (the paper's 1024 = 4 MB).
-pub const B_BLOCKS: u64 = 1024;
+pub(crate) const B_BLOCKS: u64 = 1024;
 
 /// Deadline settings (Table 3): `(A, B)` per level.
 #[derive(Debug, Clone, Copy)]
@@ -126,7 +126,7 @@ impl Contention {
 
 /// The schedulers the contention scenario compares: Block-Deadline at
 /// 20 ms expiries, then Split-Deadline.
-pub const CONTENDERS: [SchedChoice; 2] = [
+pub(crate) const CONTENDERS: [SchedChoice; 2] = [
     SchedChoice::BlockDeadlineWith(20, 20),
     SchedChoice::SplitDeadline,
 ];
@@ -144,7 +144,7 @@ pub struct Config {
 
 impl Config {
     /// The HDD run: 20 s quick, 60 s at paper scale.
-    pub fn at(profile: Profile, seed: u64) -> Self {
+    pub(crate) fn at(profile: Profile, seed: u64) -> Self {
         Config {
             duration: profile.secs(20, 60),
             device: DeviceChoice::Hdd,
@@ -153,7 +153,7 @@ impl Config {
     }
 
     /// The same run on `device`.
-    pub fn on(self, device: DeviceChoice) -> Self {
+    pub(crate) fn on(self, device: DeviceChoice) -> Self {
         Config { device, ..self }
     }
 }
@@ -177,7 +177,7 @@ impl<L: ProcessLogic> ProcessLogic for DelayedStart<L> {
 
 /// One scheduler's outcome.
 #[derive(Debug, Clone)]
-pub struct Series {
+pub(crate) struct Series {
     /// Scheduler name.
     pub sched: &'static str,
     /// A's (time, latency-ms) points.
@@ -192,7 +192,7 @@ pub struct Series {
 
 /// Full figure result.
 #[derive(Debug, Clone)]
-pub struct FigResult {
+pub(crate) struct FigResult {
     /// Block-Deadline baseline.
     pub block: Series,
     /// Split-Deadline.
@@ -247,7 +247,7 @@ fn run_one(cfg: &Config, sched: SchedChoice, trace: bool) -> (Series, Option<Str
 }
 
 /// Run the experiment on the configured device.
-pub fn run(cfg: &Config) -> FigResult {
+pub(crate) fn run(cfg: &Config) -> FigResult {
     run_traced(cfg, false).0
 }
 
@@ -266,7 +266,7 @@ fn run_traced(cfg: &Config, trace: bool) -> (FigResult, [Option<String>; 2]) {
 /// `runner fig12`: the table on the requested device. The SSD run is
 /// quick at either scale, and without a device override it follows the
 /// HDD table (the legacy composite).
-pub fn cell(req: &CellRequest) -> CellOutput {
+pub(crate) fn cell(req: &CellRequest) -> CellOutput {
     let ssd = Config::at(Profile::Quick, req.seed).on(DeviceChoice::Ssd);
     let cfg = match req.device {
         Some(DeviceChoice::Ssd) => ssd,

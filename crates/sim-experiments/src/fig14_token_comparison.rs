@@ -24,7 +24,7 @@ const A_FILE: u64 = 4 * GB;
 
 /// The six B workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BWorkload {
+pub(crate) enum BWorkload {
     /// 4 KB random reads from a big (uncached) file.
     ReadRand,
     /// Sequential reads from a big file.
@@ -51,7 +51,7 @@ impl BWorkload {
     ];
 
     /// Label used in the figure.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             BWorkload::ReadRand => "read-rand",
             BWorkload::ReadSeq => "read-seq",
@@ -63,7 +63,7 @@ impl BWorkload {
     }
 
     /// Whether B's metric is write throughput.
-    pub fn is_write(self) -> bool {
+    pub(crate) fn is_write(self) -> bool {
         matches!(
             self,
             BWorkload::WriteRand | BWorkload::WriteSeq | BWorkload::WriteMem
@@ -71,7 +71,7 @@ impl BWorkload {
     }
 
     /// B's throughput (MB/s) in the metric the workload is judged by.
-    pub fn mbps(self, stats: &KernelStats, b: Pid, window: SimDuration) -> f64 {
+    pub(crate) fn mbps(self, stats: &KernelStats, b: Pid, window: SimDuration) -> f64 {
         if self.is_write() {
             stats.write_mbps(b, window)
         } else {
@@ -81,7 +81,7 @@ impl BWorkload {
 
     /// Spawn the workload on `k`, returning B's pid. `rng_seed` seeds
     /// the random-access streams.
-    pub fn spawn(self, w: &mut World, k: sim_core::KernelId, rng_seed: u64) -> Pid {
+    pub(crate) fn spawn(self, w: &mut World, k: sim_core::KernelId, rng_seed: u64) -> Pid {
         match self {
             BWorkload::ReadRand => {
                 let f = w.prealloc_file(k, 2 * GB, false);
@@ -121,7 +121,7 @@ pub type Config = Timed<10, 30>;
 
 /// One (scheduler, workload) outcome.
 #[derive(Debug, Clone, Copy)]
-pub struct Point {
+pub(crate) struct Point {
     /// B workload.
     pub workload: BWorkload,
     /// A's throughput (MB/s).
@@ -132,7 +132,7 @@ pub struct Point {
 
 /// Full figure.
 #[derive(Debug, Clone)]
-pub struct FigResult {
+pub(crate) struct FigResult {
     /// A's solo throughput (the isolation baseline).
     pub a_alone_mbps: f64,
     /// SCS-Token points.
@@ -142,7 +142,7 @@ pub struct FigResult {
 }
 
 /// Measure A alone (no B).
-pub fn a_alone(cfg: &Config) -> f64 {
+pub(crate) fn a_alone(cfg: &Config) -> f64 {
     let (mut w, k) = build_world(Setup::new(SchedChoice::SplitToken).seed(cfg.seed));
     let a_file = w.prealloc_file(k, A_FILE, true);
     let a = w.spawn(k, Box::new(SeqReader::new(a_file, A_FILE, MB)));
@@ -151,7 +151,7 @@ pub fn a_alone(cfg: &Config) -> f64 {
 }
 
 /// Run one point.
-pub fn run_point(cfg: &Config, sched: SchedChoice, wl: BWorkload) -> Point {
+pub(crate) fn run_point(cfg: &Config, sched: SchedChoice, wl: BWorkload) -> Point {
     let (mut w, k) = build_world(Setup::new(sched).seed(cfg.seed));
     let a_file = w.prealloc_file(k, A_FILE, true);
     let a = w.spawn(k, Box::new(SeqReader::new(a_file, A_FILE, MB)));
@@ -167,7 +167,7 @@ pub fn run_point(cfg: &Config, sched: SchedChoice, wl: BWorkload) -> Point {
 }
 
 /// Run the full comparison.
-pub fn run(cfg: &Config) -> FigResult {
+pub(crate) fn run(cfg: &Config) -> FigResult {
     let sweep = |sched| BWorkload::ALL.map(|wl| run_point(cfg, sched, wl)).to_vec();
     FigResult {
         a_alone_mbps: a_alone(cfg),
@@ -179,7 +179,7 @@ pub fn run(cfg: &Config) -> FigResult {
 impl FigResult {
     /// The sweep metrics: A alone, then A's and B's throughput per
     /// system and B workload.
-    pub fn metrics(&self) -> Vec<(String, f64)> {
+    pub(crate) fn metrics(&self) -> Vec<(String, f64)> {
         let mut out = vec![("a_alone_mbps".into(), self.a_alone_mbps)];
         out.extend(point_metrics(&self.scs, &self.split));
         out
@@ -201,7 +201,7 @@ pub(crate) fn point_metrics(scs: &[Point], split: &[Point]) -> Vec<(String, f64)
 }
 
 /// `runner fig14`.
-pub fn cell(req: &CellRequest) -> CellOutput {
+pub(crate) fn cell(req: &CellRequest) -> CellOutput {
     let r = run(&Config::at(req.profile, req.seed));
     CellOutput::of(&r, r.metrics())
 }

@@ -25,7 +25,7 @@ const B_RATE: u64 = MB;
 
 /// B's activity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BActivity {
+pub(crate) enum BActivity {
     /// Sequential disk reads (throttled as a group).
     SeqRead,
     /// Cached reads.
@@ -46,7 +46,7 @@ impl BActivity {
     ];
 
     /// Label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             BActivity::SeqRead => "seq-read",
             BActivity::ReadMem => "read-mem",
@@ -61,7 +61,7 @@ pub type Config = Timed<5, 20>;
 
 /// One point: A's throughput with n B threads of one activity.
 #[derive(Debug, Clone, Copy)]
-pub struct Point {
+pub(crate) struct Point {
     /// B activity.
     pub activity: BActivity,
     /// B thread count.
@@ -72,7 +72,7 @@ pub struct Point {
 
 /// Full sweep.
 #[derive(Debug, Clone)]
-pub struct FigResult {
+pub(crate) struct FigResult {
     /// Every (activity, n) point.
     pub points: Vec<Point>,
 }
@@ -103,7 +103,7 @@ fn spawn_b(
 }
 
 /// Run one point.
-pub fn run_point(cfg: &Config, act: BActivity, threads: usize) -> Point {
+pub(crate) fn run_point(cfg: &Config, act: BActivity, threads: usize) -> Point {
     let (mut w, k) = build_world(
         Setup::new(SchedChoice::SplitToken)
             .cores(CORES)
@@ -133,7 +133,7 @@ pub fn run_point(cfg: &Config, act: BActivity, threads: usize) -> Point {
 }
 
 /// Run the full sweep.
-pub fn run(cfg: &Config) -> FigResult {
+pub(crate) fn run(cfg: &Config) -> FigResult {
     let mut points = Vec::new();
     for act in BActivity::ALL {
         for n in THREADS {
@@ -145,7 +145,7 @@ pub fn run(cfg: &Config) -> FigResult {
 
 impl FigResult {
     /// The sweep metrics: A's throughput per B activity and thread count.
-    pub fn metrics(&self) -> Vec<(String, f64)> {
+    pub(crate) fn metrics(&self) -> Vec<(String, f64)> {
         let per_point = |p: &Point| {
             let act = p.activity.label().replace('-', "_");
             (format!("a_mbps_{act}_{}t", p.threads), p.a_mbps)
@@ -155,7 +155,7 @@ impl FigResult {
 }
 
 /// `runner fig15`.
-pub fn cell(req: &CellRequest) -> CellOutput {
+pub(crate) fn cell(req: &CellRequest) -> CellOutput {
     let r = run(&Config::at(req.profile, req.seed));
     CellOutput::of(&r, r.metrics())
 }

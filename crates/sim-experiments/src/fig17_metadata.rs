@@ -28,7 +28,7 @@ pub type Config = Timed<10, 30>;
 
 /// One (fs, sleep) point.
 #[derive(Debug, Clone, Copy)]
-pub struct Point {
+pub(crate) struct Point {
     /// B's sleep between creates (ms).
     pub sleep_ms: u64,
     /// A's throughput (MB/s).
@@ -39,7 +39,7 @@ pub struct Point {
 
 /// Per-filesystem series.
 #[derive(Debug, Clone)]
-pub struct FigResult {
+pub(crate) struct FigResult {
     /// ext4 (full integration) sweep.
     pub ext4: Vec<Point>,
     /// XFS (partial integration) sweep.
@@ -47,7 +47,7 @@ pub struct FigResult {
 }
 
 /// Run one point.
-pub fn run_point(cfg: &Config, fs: FsChoice, sleep_ms: u64) -> Point {
+pub(crate) fn run_point(cfg: &Config, fs: FsChoice, sleep_ms: u64) -> Point {
     let setup = Setup {
         fs,
         ..Setup::new(SchedChoice::SplitToken)
@@ -71,7 +71,7 @@ pub fn run_point(cfg: &Config, fs: FsChoice, sleep_ms: u64) -> Point {
 }
 
 /// Run the full sweep on both file systems.
-pub fn run(cfg: &Config) -> FigResult {
+pub(crate) fn run(cfg: &Config) -> FigResult {
     let sweep = |fs| {
         SLEEPS_MS
             .iter()
@@ -87,7 +87,7 @@ pub fn run(cfg: &Config) -> FigResult {
 impl FigResult {
     /// The sweep metrics: A's throughput and B's create rate per file
     /// system and sleep time.
-    pub fn metrics(&self) -> Vec<(String, f64)> {
+    pub(crate) fn metrics(&self) -> Vec<(String, f64)> {
         let mut out = Vec::new();
         for (fs, points) in [("ext4", &self.ext4), ("xfs", &self.xfs)] {
             for p in points {
@@ -103,7 +103,7 @@ impl FigResult {
 }
 
 /// `runner fig17`.
-pub fn cell(req: &CellRequest) -> CellOutput {
+pub(crate) fn cell(req: &CellRequest) -> CellOutput {
     let r = run(&Config::at(req.profile, req.seed));
     CellOutput::of(&r, r.metrics())
 }

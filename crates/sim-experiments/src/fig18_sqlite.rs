@@ -8,6 +8,7 @@
 //! tail (the paper reports 4× at 1 K buffers).
 
 use sim_apps::minidb::{Checkpointer, MiniDbConfig, MiniDbShared, TxnWorker};
+use sim_core::stats::Percentiles;
 use sim_core::{SimDuration, SimTime};
 use split_core::SchedAttr;
 
@@ -17,7 +18,7 @@ use crate::table::{ms, Table};
 use crate::MB;
 
 /// Checkpoint thresholds to sweep (dirty buffers).
-pub const THRESHOLDS: [u64; 3] = [200, 800, 2000];
+pub(crate) const THRESHOLDS: [u64; 3] = [200, 800, 2000];
 /// Database size.
 const DB_BYTES: u64 = 256 * MB;
 
@@ -26,32 +27,27 @@ pub type Config = Timed<25, 60>;
 
 /// One (scheduler, threshold) outcome.
 #[derive(Debug, Clone, Copy)]
-pub struct Point {
+pub(crate) struct Point {
     /// Checkpoint threshold (buffers).
     pub threshold: u64,
     /// Transaction p99 latency (ms).
     pub p99_ms: f64,
     /// Transaction p99.9 latency (ms).
     pub p999_ms: f64,
-    /// Median latency (ms).
-    pub p50_ms: f64,
-    /// Transactions completed.
-    pub txns: usize,
-    /// Checkpoints completed.
-    pub checkpoints: u64,
 }
 
 /// Full figure.
 #[derive(Debug, Clone)]
-pub struct FigResult {
+pub(crate) struct FigResult {
     /// Block-Deadline sweep (panel a).
     pub block: Vec<Point>,
     /// Split-Deadline sweep (panel b).
     pub split: Vec<Point>,
 }
 
-/// Run one point.
-pub fn run_point(cfg: &Config, sched: SchedChoice, threshold: u64) -> Point {
+/// Simulate one point: the post-warm-up transaction latencies (ms) and
+/// the number of checkpoints completed.
+fn measure(cfg: &Config, sched: SchedChoice, threshold: u64) -> (Vec<f64>, u64) {
     let (mut w, k) = build_world(Setup::new(sched).seed(cfg.seed));
     let db_file = w.prealloc_file(k, DB_BYTES, true);
     let wal_file = w.prealloc_file(k, 64 * MB, true);
@@ -103,19 +99,21 @@ pub fn run_point(cfg: &Config, sched: SchedChoice, threshold: u64) -> Point {
         .filter(|(t, _)| *t > warmup)
         .map(|(_, d)| d.as_millis_f64())
         .collect();
-    let pcts = sim_core::stats::Percentiles::from_slice(&lat_ms);
+    (lat_ms, sh.checkpoints)
+}
+
+/// Run one point.
+pub(crate) fn run_point(cfg: &Config, sched: SchedChoice, threshold: u64) -> Point {
+    let pcts = Percentiles::from_slice(&measure(cfg, sched, threshold).0);
     Point {
         threshold,
         p99_ms: pcts.p99(),
         p999_ms: pcts.p(99.9),
-        p50_ms: pcts.p50(),
-        txns: lat_ms.len(),
-        checkpoints: sh.checkpoints,
     }
 }
 
 /// Run both sweeps.
-pub fn run(cfg: &Config) -> FigResult {
+pub(crate) fn run(cfg: &Config) -> FigResult {
     let sweep = |sched| {
         THRESHOLDS
             .iter()
@@ -130,7 +128,7 @@ pub fn run(cfg: &Config) -> FigResult {
 
 impl FigResult {
     /// The sweep metrics: the p99 and p99.9 per system and threshold.
-    pub fn metrics(&self) -> Vec<(String, f64)> {
+    pub(crate) fn metrics(&self) -> Vec<(String, f64)> {
         let mut out = Vec::new();
         for (sys, points) in [("block", &self.block), ("split", &self.split)] {
             for p in points {
@@ -143,7 +141,7 @@ impl FigResult {
 }
 
 /// `runner fig18`.
-pub fn cell(req: &CellRequest) -> CellOutput {
+pub(crate) fn cell(req: &CellRequest) -> CellOutput {
     let r = run(&Config::at(req.profile, req.seed));
     CellOutput::of(&r, r.metrics())
 }
@@ -176,34 +174,38 @@ mod tests {
     use super::*;
     use crate::registry::Profile;
 
+    fn p999(lat_ms: &[f64]) -> f64 {
+        Percentiles::from_slice(lat_ms).p(99.9)
+    }
+
     #[test]
     fn split_deadline_cuts_the_tail() {
         let cfg = Config::at(Profile::Quick, 0);
         let threshold = THRESHOLDS[1]; // ~1 K buffers, the paper's 4x point
-        let block = run_point(&cfg, SchedChoice::BlockDeadline, threshold);
-        let split = run_point(&cfg, SchedChoice::SplitDeadline, threshold);
-        assert!(block.txns > 100, "block txns: {}", block.txns);
-        assert!(split.txns > 100, "split txns: {}", split.txns);
+        let (block, _) = measure(&cfg, SchedChoice::BlockDeadline, threshold);
+        let (split, _) = measure(&cfg, SchedChoice::SplitDeadline, threshold);
+        assert!(block.len() > 100, "block txns: {}", block.len());
+        assert!(split.len() > 100, "split txns: {}", split.len());
         assert!(
-            block.p999_ms > 2.0 * split.p999_ms,
+            p999(&block) > 2.0 * p999(&split),
             "split p99.9 {} must beat block p99.9 {}",
-            split.p999_ms,
-            block.p999_ms
+            p999(&split),
+            p999(&block)
         );
     }
 
     #[test]
     fn bigger_thresholds_concentrate_the_tail_under_block_deadline() {
         let cfg = Config::at(Profile::Quick, 0);
-        let small = run_point(&cfg, SchedChoice::BlockDeadline, THRESHOLDS[0]);
-        let large = run_point(&cfg, SchedChoice::BlockDeadline, THRESHOLDS[2]);
+        let (small, small_cps) = measure(&cfg, SchedChoice::BlockDeadline, THRESHOLDS[0]);
+        let (large, large_cps) = measure(&cfg, SchedChoice::BlockDeadline, THRESHOLDS[2]);
         // Rarer checkpoints, worse extremes.
         assert!(
-            large.p999_ms > small.p999_ms,
+            p999(&large) > p999(&small),
             "p99.9 should rise with threshold: {} vs {}",
-            large.p999_ms,
-            small.p999_ms
+            p999(&large),
+            p999(&small)
         );
-        assert!(large.checkpoints <= small.checkpoints);
+        assert!(large_cps <= small_cps);
     }
 }

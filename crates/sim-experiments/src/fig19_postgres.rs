@@ -34,7 +34,7 @@ pub struct Config {
 impl Config {
     /// 25 s with a checkpoint every 8 s quick; 90 s with one every 30 s
     /// at paper scale.
-    pub fn at(profile: Profile, seed: u64) -> Self {
+    pub(crate) fn at(profile: Profile, seed: u64) -> Self {
         Config {
             duration: profile.secs(25, 90),
             pg: PgConfig {
@@ -48,7 +48,7 @@ impl Config {
 
 /// One system's latency distribution.
 #[derive(Debug, Clone)]
-pub struct Series {
+pub(crate) struct Series {
     /// Scheduler name.
     pub sched: &'static str,
     /// Median latency (ms).
@@ -69,7 +69,7 @@ pub struct Series {
 
 /// Full figure.
 #[derive(Debug, Clone)]
-pub struct FigResult {
+pub(crate) struct FigResult {
     /// Block-Deadline.
     pub block: Series,
     /// Split-Pdflush.
@@ -166,7 +166,7 @@ fn run_one(cfg: &Config, sched: SchedChoice) -> Series {
 }
 
 /// Run all three systems.
-pub fn run(cfg: &Config) -> FigResult {
+pub(crate) fn run(cfg: &Config) -> FigResult {
     FigResult {
         block: run_one(cfg, SchedChoice::BlockDeadline),
         split_pdflush: run_one(cfg, SchedChoice::SplitPdflush),
@@ -178,7 +178,7 @@ pub fn run(cfg: &Config) -> FigResult {
 impl FigResult {
     /// The sweep metrics: the tail, the worst transaction and the
     /// target-miss rate per system.
-    pub fn metrics(&self) -> Vec<(String, f64)> {
+    pub(crate) fn metrics(&self) -> Vec<(String, f64)> {
         let per_system = |s: &Series| {
             let sys = s.sched.replace('-', "_");
             [
@@ -195,7 +195,7 @@ impl FigResult {
 }
 
 /// `runner fig19`.
-pub fn cell(req: &CellRequest) -> CellOutput {
+pub(crate) fn cell(req: &CellRequest) -> CellOutput {
     let r = run(&Config::at(req.profile, req.seed));
     CellOutput::of(&r, r.metrics())
 }

@@ -28,7 +28,7 @@ pub type Config = Timed<10, 30>;
 
 /// Full figure.
 #[derive(Debug, Clone)]
-pub struct FigResult {
+pub(crate) struct FigResult {
     /// SCS-Token on the host; throughputs are measured inside the guests.
     pub scs: Vec<Point>,
     /// Split-Token on the host.
@@ -36,7 +36,7 @@ pub struct FigResult {
 }
 
 /// Run one point: two guests on one host, B's VMM throttled.
-pub fn run_point(cfg: &Config, host_sched: SchedChoice, wl: BWorkload) -> Point {
+pub(crate) fn run_point(cfg: &Config, host_sched: SchedChoice, wl: BWorkload) -> Point {
     let (mut w, host) = build_world(Setup::new(host_sched).seed(cfg.seed));
     let ga = launch_guest(&mut w, host, GuestConfig::default());
     let gb = launch_guest(&mut w, host, GuestConfig::default());
@@ -56,7 +56,7 @@ pub fn run_point(cfg: &Config, host_sched: SchedChoice, wl: BWorkload) -> Point 
 }
 
 /// Run the comparison.
-pub fn run(cfg: &Config) -> FigResult {
+pub(crate) fn run(cfg: &Config) -> FigResult {
     let sweep = |sched| WORKLOADS.map(|wl| run_point(cfg, sched, wl)).to_vec();
     FigResult {
         scs: sweep(SchedChoice::ScsToken),
@@ -67,13 +67,13 @@ pub fn run(cfg: &Config) -> FigResult {
 impl FigResult {
     /// The sweep metrics: both guests' throughput per host scheduler
     /// and B workload.
-    pub fn metrics(&self) -> Vec<(String, f64)> {
+    pub(crate) fn metrics(&self) -> Vec<(String, f64)> {
         point_metrics(&self.scs, &self.split)
     }
 }
 
 /// `runner fig20`.
-pub fn cell(req: &CellRequest) -> CellOutput {
+pub(crate) fn cell(req: &CellRequest) -> CellOutput {
     let r = run(&Config::at(req.profile, req.seed));
     CellOutput::of(&r, r.metrics())
 }

@@ -34,7 +34,7 @@ pub struct Config {
 impl Config {
     /// Quick: 10 s per point, 5 workers, 2+2 writers, 32 MB blocks.
     /// Paper scale: 30 s, 7 workers, 4+4 writers, 64 MB blocks.
-    pub fn at(profile: Profile, seed: u64) -> Self {
+    pub(crate) fn at(profile: Profile, seed: u64) -> Self {
         Config {
             duration: profile.secs(10, 30),
             rate_caps: profile.pick([4 * MB, 8 * MB, 16 * MB], [8 * MB, 16 * MB, 32 * MB]),
@@ -47,26 +47,11 @@ impl Config {
             seed,
         }
     }
-
-    /// Shape the cluster from a fleet configuration: node count and
-    /// replication come from [`sim_cluster::ClusterConfig`], so the
-    /// paper's fixed 7-node run is just one point on the fleet-size
-    /// axis and a 1-kernel fleet degenerates to a single local worker.
-    pub fn with_fleet(fleet: &sim_cluster::ClusterConfig) -> Self {
-        let base = Config::at(Profile::Quick, 0);
-        Config {
-            cluster: DfsConfig {
-                block_bytes: base.cluster.block_bytes,
-                ..fleet.dfs()
-            },
-            ..base
-        }
-    }
 }
 
 /// One point of the sweep.
 #[derive(Debug, Clone, Copy)]
-pub struct Point {
+pub(crate) struct Point {
     /// Local rate cap on the throttled account (MB/s per worker).
     pub cap_mbps: f64,
     /// Throttled account client-visible throughput (MB/s).
@@ -79,7 +64,7 @@ pub struct Point {
 
 /// Full figure.
 #[derive(Debug, Clone)]
-pub struct FigResult {
+pub(crate) struct FigResult {
     /// Sweep with the configured (large) block size.
     pub large_blocks: Vec<Point>,
     /// Sweep with blocks a quarter the size (panel b).
@@ -87,7 +72,7 @@ pub struct FigResult {
 }
 
 /// Run one point.
-pub fn run_point(cfg: &Config, block_bytes: u64, cap: u64) -> Point {
+pub(crate) fn run_point(cfg: &Config, block_bytes: u64, cap: u64) -> Point {
     let mut w = World::new();
     let mut cluster = DfsCluster::new(
         &mut w,
@@ -122,7 +107,7 @@ pub fn run_point(cfg: &Config, block_bytes: u64, cap: u64) -> Point {
 }
 
 /// Run both block-size sweeps.
-pub fn run(cfg: &Config) -> FigResult {
+pub(crate) fn run(cfg: &Config) -> FigResult {
     let sweep = |block| {
         cfg.rate_caps
             .iter()
@@ -137,7 +122,7 @@ pub fn run(cfg: &Config) -> FigResult {
 
 impl FigResult {
     /// The sweep metrics: both accounts' throughput per block size and cap.
-    pub fn metrics(&self) -> Vec<(String, f64)> {
+    pub(crate) fn metrics(&self) -> Vec<(String, f64)> {
         let mut out = Vec::new();
         for (blocks, points) in [("large", &self.large_blocks), ("small", &self.small_blocks)] {
             for p in points {
@@ -154,7 +139,7 @@ impl FigResult {
 }
 
 /// `runner fig21`.
-pub fn cell(req: &CellRequest) -> CellOutput {
+pub(crate) fn cell(req: &CellRequest) -> CellOutput {
     let r = run(&Config::at(req.profile, req.seed));
     CellOutput::of(&r, r.metrics())
 }
@@ -227,16 +212,11 @@ mod tests {
     }
 
     #[test]
-    fn fleet_shapes_the_cluster_and_one_kernel_degenerates() {
-        let fleet = sim_cluster::ClusterConfig {
-            kernels: 1,
-            ..Default::default()
-        };
-        let cfg = Config::with_fleet(&fleet);
-        assert_eq!(cfg.cluster.workers, 1);
-        assert_eq!(cfg.cluster.replication, 1, "1-shard fleet: no replicas");
-        // The degenerate single-worker cluster must still run and
-        // respect the cap — everything lands on one local kernel.
+    fn one_worker_cluster_still_runs_and_respects_the_cap() {
+        let mut cfg = Config::at(Profile::Quick, 0);
+        // No replicas: everything lands on one local kernel.
+        cfg.cluster.workers = 1;
+        cfg.cluster.replication = 1;
         let p = run_point(&cfg, cfg.cluster.block_bytes, cfg.rate_caps[1]);
         assert!(p.throttled_mbps > 0.0);
         assert!(
@@ -245,14 +225,6 @@ mod tests {
             p.throttled_mbps,
             p.bound_mbps
         );
-
-        let paper = sim_cluster::ClusterConfig {
-            kernels: 7,
-            ..Default::default()
-        };
-        let shaped = Config::with_fleet(&paper);
-        assert_eq!(shaped.cluster.workers, 7, "the paper's node count");
-        assert_eq!(shaped.cluster.replication, 3);
     }
 
     #[test]

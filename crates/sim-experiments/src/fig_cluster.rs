@@ -35,7 +35,7 @@ pub struct Config {
 impl Config {
     /// Quick: 6 kernels for 4 simulated seconds, the crowd arriving at
     /// 1.5 s. Paper scale: 64 kernels for 12 s, the crowd at 4 s.
-    pub fn at(profile: Profile, seed: u64) -> Self {
+    pub(crate) fn at(profile: Profile, seed: u64) -> Self {
         let ms = |quick, paper| SimDuration::from_millis(profile.pick(quick, paper));
         Config {
             fleet: ClusterConfig {
@@ -59,7 +59,7 @@ impl Config {
     /// The `[before)` / `[during)` phase windows, in seconds, derived
     /// from the flash-crowd schedule. "During" starts once the ramp
     /// completes, so it measures the held peak.
-    pub fn phases(&self) -> ((f64, f64), (f64, f64)) {
+    pub(crate) fn phases(&self) -> ((f64, f64), (f64, f64)) {
         match self.fleet.arrival {
             ArrivalKind::FlashCrowd {
                 start, ramp, hold, ..
@@ -92,7 +92,7 @@ pub struct Phase {
 
 /// One scheduler's fleet run, cut into phases.
 #[derive(Debug, Clone)]
-pub struct SchedRun {
+pub(crate) struct SchedRun {
     /// Scheduler name.
     pub sched: &'static str,
     /// Quiet phase (post-warmup, pre-crowd).
@@ -105,14 +105,14 @@ pub struct SchedRun {
 
 impl SchedRun {
     /// p99 degradation factor of the put commit path under the crowd.
-    pub fn put_p99_blowup(&self) -> f64 {
+    pub(crate) fn put_p99_blowup(&self) -> f64 {
         self.during.slo.put_e2e.p99 / self.before.slo.put_e2e.p99.max(1e-9)
     }
 }
 
 /// Full figure: the same fleet under Split-Token and CFQ.
 #[derive(Debug, Clone)]
-pub struct FigResult {
+pub(crate) struct FigResult {
     /// Split-Token fleet.
     pub split: SchedRun,
     /// CFQ fleet (batch tenant in the idle class — CFQ's best offer).
@@ -145,7 +145,7 @@ fn run_sched(cfg: &Config, sched: ClusterSched) -> SchedRun {
 }
 
 /// Run the figure.
-pub fn run(cfg: &Config) -> FigResult {
+pub(crate) fn run(cfg: &Config) -> FigResult {
     FigResult {
         split: run_sched(cfg, ClusterSched::SplitToken),
         cfq: run_sched(cfg, ClusterSched::Cfq),
@@ -155,7 +155,7 @@ pub fn run(cfg: &Config) -> FigResult {
 impl FigResult {
     /// The sweep metrics: put and get p99 per scheduler and phase, and
     /// each scheduler's put-p99 blow-up under the crowd.
-    pub fn metrics(&self) -> Vec<(String, f64)> {
+    pub(crate) fn metrics(&self) -> Vec<(String, f64)> {
         let mut out = Vec::new();
         for run in [&self.split, &self.cfq] {
             let sys = run.sched.replace('-', "_");
@@ -171,7 +171,7 @@ impl FigResult {
 }
 
 /// `runner fig_cluster`.
-pub fn cell(req: &CellRequest) -> CellOutput {
+pub(crate) fn cell(req: &CellRequest) -> CellOutput {
     let r = run(&Config::at(req.profile, req.seed));
     CellOutput::of(&r, r.metrics())
 }

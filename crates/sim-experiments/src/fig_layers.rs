@@ -62,7 +62,7 @@ pub struct Config {
 
 impl Config {
     /// The HDD run: 10 s per arm quick, 30 s at paper scale.
-    pub fn at(profile: Profile, seed: u64) -> Self {
+    pub(crate) fn at(profile: Profile, seed: u64) -> Self {
         Config {
             duration: profile.secs(10, 30),
             device: DeviceChoice::Hdd,
@@ -71,7 +71,7 @@ impl Config {
     }
 
     /// The same run on `device`.
-    pub fn on(self, device: DeviceChoice) -> Self {
+    pub(crate) fn on(self, device: DeviceChoice) -> Self {
         Config { device, ..self }
     }
 }
@@ -94,7 +94,7 @@ pub fn tenant_tree(cap: u64) -> Vec<LayerSpec> {
 
 /// One arm's measurements.
 #[derive(Debug, Clone)]
-pub struct TenantRun {
+pub(crate) struct TenantRun {
     /// Arm label ("solo", "layered", "flat cfq").
     pub label: &'static str,
     /// Latency tenant's fsync p99 (ms), after a 1 s warm-up.
@@ -111,7 +111,7 @@ pub struct TenantRun {
 
 /// One device plane (serial or queued) — all three arms plus the bounds.
 #[derive(Debug, Clone)]
-pub struct PlaneResult {
+pub(crate) struct PlaneResult {
     /// Plane label ("serial" or "qd=8").
     pub plane: String,
     /// Latency tenant alone under the layer tree (the SLO baseline).
@@ -124,26 +124,26 @@ pub struct PlaneResult {
 
 impl PlaneResult {
     /// Bound 1: layered p99 within 1.5× the solo baseline.
-    pub fn latency_ok(&self) -> bool {
+    pub(crate) fn latency_ok(&self) -> bool {
         self.layered.lat_p99_ms <= 1.5 * self.solo.lat_p99_ms
     }
 
     /// Bound 2: batch tenant inside its cap (admitted throughput within
     /// the bucket's rate + one-burst allowance) and the auditor's
     /// envelope never tripped.
-    pub fn cap_ok(&self, cap_bound_mbps: f64) -> bool {
+    pub(crate) fn cap_ok(&self, cap_bound_mbps: f64) -> bool {
         self.layered.capped_mbps <= cap_bound_mbps && self.layered.audit_violations == 0
     }
 
     /// Does the flat scheduler violate at least one bound?
-    pub fn flat_violates(&self, cap_bound_mbps: f64) -> bool {
+    pub(crate) fn flat_violates(&self, cap_bound_mbps: f64) -> bool {
         self.flat.lat_p99_ms > 1.5 * self.solo.lat_p99_ms || self.flat.capped_mbps > cap_bound_mbps
     }
 }
 
 /// Full figure result.
 #[derive(Debug, Clone)]
-pub struct FigResult {
+pub(crate) struct FigResult {
     /// Serial plane.
     pub serial: PlaneResult,
     /// Queued plane (NCQ depth 8).
@@ -160,7 +160,7 @@ impl FigResult {
     /// The admitted-throughput bound implied by the cap: sustained rate
     /// plus the bucket's one-second burst, amortized over the run, with
     /// 5% measurement slack.
-    pub fn cap_bound_mbps(&self) -> f64 {
+    pub(crate) fn cap_bound_mbps(&self) -> f64 {
         let rate = CAP as f64 / MB as f64;
         let dur = self.cfg.duration.as_secs_f64();
         rate * (1.0 + 1.0 / dur) * 1.05
@@ -276,7 +276,7 @@ fn run_plane(cfg: &Config, queued: bool) -> PlaneResult {
 }
 
 /// Run both planes on the configured device.
-pub fn run(cfg: &Config) -> FigResult {
+pub(crate) fn run(cfg: &Config) -> FigResult {
     let feas = build_layered(tenant_tree(CAP), LayeredConfig::default())
         .expect("tenant tree children resolve")
         .feasibility()
@@ -294,7 +294,7 @@ impl FigResult {
     /// The sweep metrics: the cap bound and the solver's repairs, then
     /// per plane every arm's p99, the batch tenant's throughput under
     /// both schedulers and the auditor's verdict.
-    pub fn metrics(&self) -> Vec<(String, f64)> {
+    pub(crate) fn metrics(&self) -> Vec<(String, f64)> {
         let mut out = vec![
             ("cap_bound_mbps".into(), self.cap_bound_mbps()),
             ("solver_adjustments".into(), self.solver_adjustments as f64),
@@ -322,7 +322,7 @@ impl FigResult {
 
 /// `runner fig_layers`, on the requested device (HDD by default). The
 /// SSD run is quick at either scale.
-pub fn cell(req: &CellRequest) -> CellOutput {
+pub(crate) fn cell(req: &CellRequest) -> CellOutput {
     let r = run(&match req.device {
         Some(DeviceChoice::Ssd) => Config::at(Profile::Quick, req.seed).on(DeviceChoice::Ssd),
         _ => Config::at(req.profile, req.seed),

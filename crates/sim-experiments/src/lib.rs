@@ -18,30 +18,30 @@
 //! factor, where crossovers fall) are the reproduction target; see
 //! EXPERIMENTS.md for the figure-by-figure comparison.
 
-pub mod ablations;
-pub mod breakdown;
-pub mod fault_sweep;
-pub mod fig01_qd;
+mod ablations;
+mod breakdown;
+mod fault_sweep;
+mod fig01_qd;
 pub mod fig01_write_burst;
 pub mod fig03_cfq_async_unfair;
-pub mod fig05_latency_dependency;
-pub mod fig06_scs_isolation;
-pub mod fig09_time_overhead;
-pub mod fig10_space_overhead;
-pub mod fig11_afq;
+mod fig05_latency_dependency;
+mod fig06_scs_isolation;
+mod fig09_time_overhead;
+mod fig10_space_overhead;
+mod fig11_afq;
 pub mod fig12_fsync_isolation;
-pub mod fig14_token_comparison;
-pub mod fig15_thread_scaling;
-pub mod fig17_metadata;
-pub mod fig18_sqlite;
-pub mod fig19_postgres;
-pub mod fig20_qemu;
-pub mod fig21_hdfs;
-pub mod fig_cluster;
+mod fig14_token_comparison;
+mod fig15_thread_scaling;
+mod fig17_metadata;
+mod fig18_sqlite;
+mod fig19_postgres;
+mod fig20_qemu;
+mod fig21_hdfs;
+mod fig_cluster;
 pub mod fig_layers;
 pub mod registry;
 pub mod setup;
-pub mod table;
+mod table;
 
 pub use setup::{
     build_layered, build_world, build_world_with, default_layer_tree, kernel_config,

@@ -130,7 +130,7 @@ pub enum Profile {
 
 impl Profile {
     /// The value this scale selects.
-    pub fn pick<T>(self, quick: T, paper: T) -> T {
+    pub(crate) fn pick<T>(self, quick: T, paper: T) -> T {
         match self {
             Profile::Quick => quick,
             Profile::Paper => paper,
@@ -138,7 +138,7 @@ impl Profile {
     }
 
     /// The simulated run time, in seconds, this scale selects.
-    pub fn secs(self, quick: u64, paper: u64) -> SimDuration {
+    pub(crate) fn secs(self, quick: u64, paper: u64) -> SimDuration {
         SimDuration::from_secs(self.pick(quick, paper))
     }
 }
@@ -226,7 +226,7 @@ pub struct CellOutput {
 impl CellOutput {
     /// The usual cell: the result's table followed by a blank line, its
     /// metrics, no artifacts.
-    pub fn of(result: &impl std::fmt::Display, metrics: Vec<(String, f64)>) -> Self {
+    pub(crate) fn of(result: &impl std::fmt::Display, metrics: Vec<(String, f64)>) -> Self {
         CellOutput {
             summary: format!("{result}\n\n"),
             metrics,
@@ -236,7 +236,7 @@ impl CellOutput {
     }
 
     /// Attach an artifact.
-    pub fn push_artifact(&mut self, name: impl Into<String>, content: String) {
+    pub(crate) fn push_artifact(&mut self, name: impl Into<String>, content: String) {
         self.artifacts.push(Artifact {
             name: name.into(),
             content,

@@ -90,12 +90,12 @@ impl SchedChoice {
     }
 
     /// Whether the SCS architecture (reads pass the gate).
-    pub fn gates_reads(self) -> bool {
+    pub(crate) fn gates_reads(self) -> bool {
         matches!(self, SchedChoice::ScsToken)
     }
 
     /// Whether the kernel's own pdflush should run.
-    pub fn wants_pdflush(self) -> bool {
+    pub(crate) fn wants_pdflush(self) -> bool {
         !matches!(self, SchedChoice::SplitDeadline)
     }
 
@@ -256,12 +256,6 @@ impl Setup {
     /// Run on the queued-device plane at hardware queue depth `d`.
     pub fn queue_depth(mut self, d: u32) -> Self {
         self.queue_depth = Some(d);
-        self
-    }
-
-    /// Run under the chaos plane (adversarial timing perturbation).
-    pub fn chaos(mut self, cfg: ChaosConfig) -> Self {
-        self.chaos = Some(cfg);
         self
     }
 }

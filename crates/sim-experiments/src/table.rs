@@ -4,14 +4,14 @@ use std::fmt::Write as _;
 
 /// A simple aligned text table.
 #[derive(Debug, Default)]
-pub struct Table {
+pub(crate) struct Table {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
     /// Table with the given column headers.
-    pub fn new<S: Into<String>, I: IntoIterator<Item = S>>(header: I) -> Self {
+    pub(crate) fn new<S: Into<String>, I: IntoIterator<Item = S>>(header: I) -> Self {
         Table {
             header: header.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
@@ -19,12 +19,12 @@ impl Table {
     }
 
     /// Append a row (cells are any Display).
-    pub fn row<S: Into<String>, I: IntoIterator<Item = S>>(&mut self, cells: I) {
+    pub(crate) fn row<S: Into<String>, I: IntoIterator<Item = S>>(&mut self, cells: I) {
         self.rows.push(cells.into_iter().map(Into::into).collect());
     }
 
     /// Render with aligned columns.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let ncols = self
             .rows
             .iter()
@@ -60,12 +60,12 @@ impl Table {
 }
 
 /// Format a float with 1 decimal.
-pub fn f1(x: f64) -> String {
+pub(crate) fn f1(x: f64) -> String {
     format!("{x:.1}")
 }
 
 /// Format milliseconds.
-pub fn ms(x: f64) -> String {
+pub(crate) fn ms(x: f64) -> String {
     format!("{x:.1}ms")
 }
 

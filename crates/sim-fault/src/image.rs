@@ -3,7 +3,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
-use sim_core::{BlockNo, FileId, TxnId};
+use sim_core::{FileId, TxnId};
 
 /// The journal-protocol role of one write, annotated by the file system at
 /// submission time. The crash harness uses it to replay recovery without
@@ -40,7 +40,7 @@ pub enum WriteStep {
 
 /// Durable state of one submitted write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Durability {
+enum Durability {
     /// Submitted, not yet completed; lost if power is cut now.
     InFlight,
     /// Fully on media.
@@ -56,7 +56,7 @@ pub enum Durability {
 
 impl Durability {
     /// Whether the whole write is on media.
-    pub fn fully_durable(self, nblocks: u64) -> bool {
+    fn fully_durable(self, nblocks: u64) -> bool {
         match self {
             Durability::Durable => true,
             Durability::Torn { durable_blocks } => durable_blocks >= nblocks,
@@ -67,19 +67,15 @@ impl Durability {
 
 /// One write the image is tracking.
 #[derive(Debug, Clone)]
-pub struct WriteRecord {
+struct WriteRecord {
     /// Submission order (0-based).
-    pub seq: u64,
-    /// Caller-chosen correlation key (an `IoToken` or `RequestId` raw).
-    pub key: u64,
+    seq: u64,
     /// Protocol role.
-    pub step: WriteStep,
-    /// First block written.
-    pub start: BlockNo,
+    step: WriteStep,
     /// Length in blocks.
-    pub nblocks: u64,
+    nblocks: u64,
     /// Current durable state.
-    pub state: Durability,
+    state: Durability,
 }
 
 /// What journal replay would recover after a crash.
@@ -169,15 +165,14 @@ struct TxnDigest {
 /// A shadow record of every write's durable state.
 ///
 /// The crash harness calls [`DiskImage::submit`] for each `IoReq` the file
-/// system emits, [`DiskImage::complete`] / [`DiskImage::fail`] as its fake
-/// device finishes them, and [`DiskImage::crash`] to cut power. The image
-/// never talks to the real simulation objects — it is a passive observer,
-/// which is what lets one protocol run be crashed at many points cheaply.
+/// system emits, [`DiskImage::complete`] as its fake device finishes
+/// them, and [`DiskImage::crash`] to cut power. The image never talks to
+/// the real simulation objects — it is a passive observer, which is what
+/// lets one protocol run be crashed at many points cheaply.
 #[derive(Debug, Default)]
 pub struct DiskImage {
     writes: Vec<WriteRecord>,
     by_key: HashMap<u64, usize>,
-    crashed: bool,
 }
 
 impl DiskImage {
@@ -186,15 +181,14 @@ impl DiskImage {
         Self::default()
     }
 
-    /// Record a submitted write. `key` must be unique per write.
-    pub fn submit(&mut self, key: u64, step: WriteStep, start: BlockNo, nblocks: u64) {
+    /// Record a submitted write. `key` (an `IoToken` or `RequestId` raw)
+    /// must be unique per write.
+    pub fn submit(&mut self, key: u64, step: WriteStep, nblocks: u64) {
         let seq = self.writes.len() as u64;
         let idx = self.writes.len();
         self.writes.push(WriteRecord {
             seq,
-            key,
             step,
-            start,
             nblocks,
             state: Durability::InFlight,
         });
@@ -207,15 +201,6 @@ impl DiskImage {
         self.set_state(key, Durability::Durable);
     }
 
-    /// Mark a write failed: lost entirely, or torn to a durable prefix.
-    pub fn fail(&mut self, key: u64, durable_blocks: Option<u64>) {
-        let state = match durable_blocks {
-            Some(d) => Durability::Torn { durable_blocks: d },
-            None => Durability::Lost,
-        };
-        self.set_state(key, state);
-    }
-
     fn set_state(&mut self, key: u64, state: Durability) {
         if let Some(&idx) = self.by_key.get(&key) {
             self.writes[idx].state = state;
@@ -225,7 +210,6 @@ impl DiskImage {
     /// Cut power: every in-flight write is lost, or — when `torn_prefix`
     /// is given — torn to `min(torn_prefix, nblocks)` durable blocks.
     pub fn crash(&mut self, torn_prefix: Option<u64>) {
-        self.crashed = true;
         for w in &mut self.writes {
             if w.state == Durability::InFlight {
                 w.state = match torn_prefix {
@@ -236,16 +220,6 @@ impl DiskImage {
                 };
             }
         }
-    }
-
-    /// Whether [`DiskImage::crash`] has been called.
-    pub fn crashed(&self) -> bool {
-        self.crashed
-    }
-
-    /// All tracked writes, in submission order.
-    pub fn writes(&self) -> &[WriteRecord] {
-        &self.writes
     }
 
     fn digests(&self) -> BTreeMap<TxnId, TxnDigest> {
@@ -362,23 +336,17 @@ mod tests {
 
     /// One ordered-mode protocol round: data → log → commit → checkpoint.
     fn protocol_round(img: &mut DiskImage, txn: TxnId, base_key: u64) {
-        img.submit(base_key, WriteStep::Data { file: F }, BlockNo(1000), 4);
+        img.submit(base_key, WriteStep::Data { file: F }, 4);
         img.submit(
             base_key + 1,
             WriteStep::JournalLog {
                 txn,
                 ordered: vec![F],
             },
-            BlockNo(5000),
             2,
         );
-        img.submit(
-            base_key + 2,
-            WriteStep::CommitRecord { txn },
-            BlockNo(5002),
-            1,
-        );
-        img.submit(base_key + 3, WriteStep::Checkpoint { txn }, BlockNo(200), 1);
+        img.submit(base_key + 2, WriteStep::CommitRecord { txn }, 1);
+        img.submit(base_key + 3, WriteStep::Checkpoint { txn }, 1);
     }
 
     fn complete_all(img: &mut DiskImage, keys: std::ops::Range<u64>) {
@@ -423,7 +391,7 @@ mod tests {
         let mut img = DiskImage::new();
         protocol_round(&mut img, T1, 0);
         img.complete(0);
-        img.fail(1, Some(1)); // log torn: 1 of 2 blocks durable
+        img.set_state(1, Durability::Torn { durable_blocks: 1 }); // log torn: 1 of 2 blocks durable
         img.complete(2); // commit record durable
         img.crash(None);
         let r = img.recover();
@@ -438,7 +406,7 @@ mod tests {
         // T1's commit record lost; T2 fully durable.
         img.complete(0);
         img.complete(1);
-        img.fail(2, None);
+        img.set_state(2, Durability::Lost);
         img.complete(3);
         complete_all(&mut img, 10..14);
         img.crash(None);
@@ -451,7 +419,7 @@ mod tests {
     fn lost_ordered_data_is_stale_data() {
         let mut img = DiskImage::new();
         protocol_round(&mut img, T1, 0);
-        img.fail(0, None); // data never hit the platter
+        img.set_state(0, Durability::Lost); // data never hit the platter
         complete_all(&mut img, 1..4);
         img.crash(None);
         assert_eq!(
@@ -466,7 +434,7 @@ mod tests {
         protocol_round(&mut img, T1, 0);
         img.complete(0);
         img.complete(1);
-        img.fail(2, None); // commit record lost
+        img.set_state(2, Durability::Lost); // commit record lost
         img.complete(3); // but checkpoint landed
         img.crash(None);
         assert_eq!(
@@ -478,16 +446,13 @@ mod tests {
     #[test]
     fn crash_tears_in_flight_writes_when_asked() {
         let mut img = DiskImage::new();
-        img.submit(0, WriteStep::Data { file: F }, BlockNo(0), 8);
+        img.submit(0, WriteStep::Data { file: F }, 8);
         img.crash(Some(3));
-        assert_eq!(
-            img.writes()[0].state,
-            Durability::Torn { durable_blocks: 3 }
-        );
+        assert_eq!(img.writes[0].state, Durability::Torn { durable_blocks: 3 });
         // A torn prefix longer than the write clamps to fully durable.
         let mut img = DiskImage::new();
-        img.submit(0, WriteStep::Data { file: F }, BlockNo(0), 2);
+        img.submit(0, WriteStep::Data { file: F }, 2);
         img.crash(Some(8));
-        assert!(img.writes()[0].state.fully_durable(2));
+        assert!(img.writes[0].state.fully_durable(2));
     }
 }

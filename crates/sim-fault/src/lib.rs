@@ -23,8 +23,8 @@
 //! so the harness can crash at *every* interesting point of a protocol run
 //! and check each outcome independently.
 
-pub mod image;
-pub mod plane;
+mod image;
+mod plane;
 
-pub use image::{ConsistencyViolation, DiskImage, Durability, Recovery, WriteRecord, WriteStep};
-pub use plane::{DeviceFaultPlane, Fault, InjectedFault};
+pub use image::{ConsistencyViolation, DiskImage, Recovery, WriteStep};
+pub use plane::{DeviceFaultPlane, Fault};

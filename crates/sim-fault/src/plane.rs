@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use sim_core::{RequestId, SimRng};
+use sim_core::SimRng;
 use sim_device::{DiskRequestShape, IoDir};
 
 /// One fault applied to a device write.
@@ -25,29 +25,16 @@ pub enum Fault {
     },
 }
 
-/// Record of one injected fault, for reports and assertions.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InjectedFault {
-    /// Index of the write among all writes the plane has seen (0-based).
-    pub write_op: u64,
-    /// The affected request.
-    pub req: RequestId,
-    /// What was injected.
-    pub fault: Fault,
-}
-
 /// Per-write fault probabilities for the rate-based mode.
 #[derive(Debug, Clone, Copy, Default)]
 struct Rates {
     transient: f64,
     torn: f64,
-    spike: f64,
-    spike_factor: f64,
 }
 
 impl Rates {
     fn any(&self) -> bool {
-        self.transient > 0.0 || self.torn > 0.0 || self.spike > 0.0
+        self.transient > 0.0 || self.torn > 0.0
     }
 }
 
@@ -71,7 +58,6 @@ pub struct DeviceFaultPlane {
     rates: Rates,
     rng: Option<SimRng>,
     writes_seen: u64,
-    injected: Vec<InjectedFault>,
 }
 
 impl DeviceFaultPlane {
@@ -119,37 +105,22 @@ impl DeviceFaultPlane {
         self
     }
 
-    /// Rate: each write spikes to `factor`× with probability `p`.
-    pub fn spike_rate(mut self, p: f64, factor: f64) -> Self {
-        self.rates.spike = p;
-        self.rates.spike_factor = factor;
-        self
-    }
-
     /// Consult the plane for one request at dispatch time. Advances the
     /// write-op counter (and the RNG stream, in rate mode) only for writes.
-    pub fn on_request(&mut self, req: RequestId, shape: &DiskRequestShape) -> Option<Fault> {
+    pub fn on_request(&mut self, shape: &DiskRequestShape) -> Option<Fault> {
         if shape.dir != IoDir::Write {
             return None;
         }
         let op = self.writes_seen;
         self.writes_seen += 1;
 
-        let fault = if let Some(&f) = self.plan.get(&op) {
+        if let Some(&f) = self.plan.get(&op) {
             Some(f)
         } else if self.rates.any() {
             self.draw(shape)
         } else {
             None
-        };
-        if let Some(fault) = fault {
-            self.injected.push(InjectedFault {
-                write_op: op,
-                req,
-                fault,
-            });
         }
-        fault
     }
 
     /// Rate-based draw; consumes the RNG in a fixed order per write op.
@@ -162,22 +133,7 @@ impl DeviceFaultPlane {
             let durable_blocks = rng.gen_range(shape.nblocks);
             return Some(Fault::Torn { durable_blocks });
         }
-        if self.rates.spike > 0.0 && rng.gen_bool(self.rates.spike) {
-            return Some(Fault::Spike {
-                factor: self.rates.spike_factor.max(1.0),
-            });
-        }
         None
-    }
-
-    /// Every fault injected so far, in injection order.
-    pub fn injected(&self) -> &[InjectedFault] {
-        &self.injected
-    }
-
-    /// Writes the plane has seen (= the op index the next write gets).
-    pub fn writes_seen(&self) -> u64 {
-        self.writes_seen
     }
 }
 
@@ -197,33 +153,27 @@ mod tests {
     #[test]
     fn empty_plane_never_fires() {
         let mut p = DeviceFaultPlane::new();
-        for i in 0..100 {
-            assert_eq!(p.on_request(RequestId(i), &wr(4)), None);
+        for _ in 0..100 {
+            assert_eq!(p.on_request(&wr(4)), None);
         }
-        assert!(p.injected().is_empty());
-        assert_eq!(p.writes_seen(), 100);
+        assert_eq!(p.writes_seen, 100);
     }
 
     #[test]
     fn plan_fires_on_exact_write_op_and_skips_reads() {
         let mut p = DeviceFaultPlane::new().fail_write(2).tear_write(4, 1);
-        assert_eq!(p.on_request(RequestId(0), &wr(4)), None); // write 0
-        assert_eq!(p.on_request(RequestId(1), &rd()), None); // read: not counted
-        assert_eq!(p.on_request(RequestId(2), &wr(4)), None); // write 1
+        assert_eq!(p.on_request(&wr(4)), None); // write 0
+        assert_eq!(p.on_request(&rd()), None); // read: not counted
+        assert_eq!(p.on_request(&wr(4)), None); // write 1
         assert_eq!(
-            p.on_request(RequestId(3), &wr(4)),
+            p.on_request(&wr(4)),
             Some(Fault::Transient) // write 2
         );
-        assert_eq!(p.on_request(RequestId(4), &wr(4)), None); // write 3
+        assert_eq!(p.on_request(&wr(4)), None); // write 3
         assert_eq!(
-            p.on_request(RequestId(5), &wr(4)),
+            p.on_request(&wr(4)),
             Some(Fault::Torn { durable_blocks: 1 }) // write 4
         );
-        let log = p.injected();
-        assert_eq!(log.len(), 2);
-        assert_eq!(log[0].write_op, 2);
-        assert_eq!(log[0].req, RequestId(3));
-        assert_eq!(log[1].write_op, 4);
     }
 
     #[test]
@@ -231,23 +181,20 @@ mod tests {
         let run = |seed: u64| {
             let mut p = DeviceFaultPlane::with_seed(seed)
                 .transient_rate(0.1)
-                .torn_rate(0.1)
-                .spike_rate(0.1, 10.0);
-            (0..1000)
-                .map(|i| p.on_request(RequestId(i), &wr(8)))
-                .collect::<Vec<_>>()
+                .torn_rate(0.1);
+            (0..1000).map(|_| p.on_request(&wr(8))).collect::<Vec<_>>()
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
         let fired = run(7).iter().filter(|f| f.is_some()).count();
-        assert!(fired > 100, "expected ~27% fire rate, got {fired}/1000");
+        assert!(fired > 100, "expected ~19% fire rate, got {fired}/1000");
     }
 
     #[test]
     fn torn_rate_draws_prefix_shorter_than_write() {
         let mut p = DeviceFaultPlane::with_seed(3).torn_rate(1.0);
-        for i in 0..100 {
-            match p.on_request(RequestId(i), &wr(8)) {
+        for _ in 0..100 {
+            match p.on_request(&wr(8)) {
                 Some(Fault::Torn { durable_blocks }) => assert!(durable_blocks < 8),
                 other => panic!("expected torn fault, got {other:?}"),
             }

@@ -18,13 +18,6 @@ pub struct Extent {
     pub len: u64,
 }
 
-impl Extent {
-    /// One past the last page covered.
-    pub fn page_end(&self) -> u64 {
-        self.page + self.len
-    }
-}
-
 /// Bump allocator with per-file reservations.
 #[derive(Debug)]
 pub struct Allocator {
@@ -92,7 +85,7 @@ impl Allocator {
     }
 
     /// Allocate one contiguous run (fixtures, journal area).
-    pub fn alloc_contiguous(&mut self, nblocks: u64) -> BlockNo {
+    pub(crate) fn alloc_contiguous(&mut self, nblocks: u64) -> BlockNo {
         BlockNo(self.grab(nblocks))
     }
 
@@ -104,11 +97,6 @@ impl Allocator {
         let at = self.next_free;
         self.next_free += n;
         at
-    }
-
-    /// Blocks handed out so far (diagnostics).
-    pub fn high_water(&self) -> u64 {
-        self.next_free
     }
 }
 
@@ -149,7 +137,7 @@ impl ExtentMap {
 
     /// [`ExtentMap::extents_for`] into a caller-owned buffer (cleared
     /// first), so hot flush loops can reuse one allocation.
-    pub fn extents_for_into(&self, page: u64, len: u64, out: &mut Vec<Extent>) {
+    pub(crate) fn extents_for_into(&self, page: u64, len: u64, out: &mut Vec<Extent>) {
         out.clear();
         let end = page + len;
         // Consider the run that may begin before `page` plus all runs
@@ -176,7 +164,7 @@ impl ExtentMap {
     }
 
     /// Whether every page of `[page, page+len)` is allocated.
-    pub fn fully_allocated(&self, page: u64, len: u64) -> bool {
+    pub(crate) fn fully_allocated(&self, page: u64, len: u64) -> bool {
         let end = page + len;
         let start_key = self
             .runs

@@ -80,15 +80,21 @@ struct Inode {
     extents: ExtentMap,
 }
 
+/// The flush a data token belongs to: `file`'s pages on behalf of fsync
+/// `fsync` or writeback pass `wb_pass` (never both; the ordered flush
+/// ahead of a commit has neither).
+#[derive(Debug, Clone, Copy)]
+struct DataOwner {
+    file: FileId,
+    fsync: Option<u64>,
+    wb_pass: Option<u64>,
+}
+
 /// Who owns an outstanding I/O token.
 #[derive(Debug, Clone)]
 enum TokenOwner {
     /// File data (fsync flush, writeback, or ordered flush).
-    Data {
-        file: FileId,
-        fsync: Option<u64>,
-        wb_pass: Option<u64>,
-    },
+    Data(DataOwner),
     /// The journal log body of the in-flight commit.
     JournalLog,
     /// The commit record of the in-flight commit.
@@ -224,33 +230,27 @@ impl JournaledFs {
         Self::new(FsConfig::xfs(device_blocks), journal_pid, writeback_pid)
     }
 
-    /// The proxy registry (exposed for tests and experiments that assert
-    /// on tagging behaviour).
-    pub fn proxies(&self) -> &ProxyRegistry {
-        &self.proxies
-    }
-
     fn token(&mut self, owner: TokenOwner) -> IoToken {
         let t = IoToken(self.tokens.next());
         self.owners.insert(t, owner);
         t
     }
 
-    /// Flush `file`'s dirty pages: allocate (delayed allocation happens
-    /// here) and emit data I/O. Returns the tokens created.
-    #[allow(clippy::too_many_arguments)]
+    /// Flush `owner.file`'s dirty pages: allocate (delayed allocation
+    /// happens here) and emit data I/O owned by `owner`. Returns the
+    /// tokens created.
     fn flush_file_data(
         &mut self,
-        file: FileId,
+        owner: DataOwner,
         max_pages: u64,
         submitter: Pid,
-        sync: bool,
-        fsync: Option<u64>,
-        wb_pass: Option<u64>,
         cache: &mut PageCache,
         now: SimTime,
         out: &mut FsOutput,
     ) -> Vec<IoToken> {
+        let file = owner.file;
+        // Someone waits on an fsync or ordered flush; writeback is async.
+        let sync = owner.wb_pass.is_none();
         let ranges = cache.take_dirty_ranges(file, max_pages);
         let mut tokens = Vec::new();
         // Reused across ranges (and calls) so the flush loop stays off the
@@ -312,11 +312,7 @@ impl JournaledFs {
                 let mut off = 0;
                 while off < e.len {
                     let chunk = (e.len - off).min(MAX_REQ_BLOCKS);
-                    let tok = self.token(TokenOwner::Data {
-                        file,
-                        fsync,
-                        wb_pass,
-                    });
+                    let tok = self.token(TokenOwner::Data(owner));
                     self.inflight_data.entry(file).or_default().insert(tok);
                     tokens.push(tok);
                     out.ios.push(IoReq {
@@ -381,12 +377,13 @@ impl JournaledFs {
                 .unwrap_or_default();
             let _ = causes;
             let toks = self.flush_file_data(
-                file,
+                DataOwner {
+                    file,
+                    fsync: None,
+                    wb_pass: None,
+                },
                 u64::MAX,
                 self.journal_pid,
-                true,
-                None,
-                None,
                 cache,
                 now,
                 out,
@@ -682,12 +679,13 @@ impl FileSystem for JournaledFs {
             .map(|s| s.iter().copied().collect())
             .unwrap_or_default();
         let tokens = self.flush_file_data(
-            file,
+            DataOwner {
+                file,
+                fsync: Some(id),
+                wb_pass: None,
+            },
             u64::MAX,
             pid,
-            true,
-            Some(id),
-            None,
             cache,
             now,
             &mut out,
@@ -781,12 +779,13 @@ impl FileSystem for JournaledFs {
             // demonstrates delegation for assertions/overhead accounting.
             let take = before.min(budget);
             let toks = self.flush_file_data(
-                f,
+                DataOwner {
+                    file: f,
+                    fsync: None,
+                    wb_pass: Some(pass),
+                },
                 take,
                 proxy,
-                false,
-                None,
-                Some(pass),
                 cache,
                 now,
                 &mut out,
@@ -836,11 +835,11 @@ impl FileSystem for JournaledFs {
             return out;
         };
         match owner {
-            TokenOwner::Data {
+            TokenOwner::Data(DataOwner {
                 file,
                 fsync,
                 wb_pass,
-            } => {
+            }) => {
                 if let Some(set) = self.inflight_data.get_mut(&file) {
                     set.remove(&token);
                     if set.is_empty() {
@@ -925,11 +924,11 @@ impl FileSystem for JournaledFs {
             return out;
         };
         match owner {
-            TokenOwner::Data {
+            TokenOwner::Data(DataOwner {
                 file,
                 fsync: _,
                 wb_pass,
-            } => {
+            }) => {
                 if let Some(set) = self.inflight_data.get_mut(&file) {
                     set.remove(&token);
                     if set.is_empty() {
@@ -1236,9 +1235,9 @@ mod tests {
             assert!(!io.sync);
         }
         // The writeback task is a marked proxy while the pass is in flight.
-        assert!(h.fs.proxies().is_proxy(WBPID));
+        assert!(h.fs.proxies.is_proxy(WBPID));
         h.run_to_quiescence();
-        assert!(!h.fs.proxies().is_proxy(WBPID));
+        assert!(!h.fs.proxies.is_proxy(WBPID));
         assert!(h
             .events
             .iter()

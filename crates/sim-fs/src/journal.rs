@@ -115,7 +115,7 @@ impl Journal {
     }
 
     /// Configuration.
-    pub fn config(&self) -> &JournalConfig {
+    pub(crate) fn config(&self) -> &JournalConfig {
         &self.cfg
     }
 
@@ -133,13 +133,13 @@ impl Journal {
     }
 
     /// Mark `file`'s dirty data as ordered under the running transaction.
-    pub fn mark_ordered(&mut self, file: FileId) {
+    pub(crate) fn mark_ordered(&mut self, file: FileId) {
         self.running.ordered.insert(file);
     }
 
     /// Ask for the running transaction to commit as soon as possible
     /// (fsync path).
-    pub fn request_commit(&mut self) {
+    pub(crate) fn request_commit(&mut self) {
         if !self.running.is_empty() {
             self.commit_requested = true;
         }
@@ -147,7 +147,7 @@ impl Journal {
 
     /// Whether a commit should start now (requested, too large, or the
     /// periodic interval elapsed).
-    pub fn wants_commit(&self, now: SimTime) -> bool {
+    pub(crate) fn wants_commit(&self, now: SimTime) -> bool {
         if self.running.is_empty() {
             return false;
         }
@@ -188,39 +188,34 @@ impl Journal {
     }
 
     /// Whether `txn` is durable.
-    pub fn is_committed(&self, txn: TxnId) -> bool {
+    pub(crate) fn is_committed(&self, txn: TxnId) -> bool {
         self.last_committed.is_some_and(|t| txn.raw() <= t.raw())
     }
 
     /// The transaction currently holding `file`'s metadata, if it is not
     /// yet durable.
-    pub fn txn_of(&self, file: FileId) -> Option<TxnId> {
+    pub(crate) fn txn_of(&self, file: FileId) -> Option<TxnId> {
         self.file_txn.get(&file).copied()
     }
 
     /// The running transaction's id.
-    pub fn running_id(&self) -> TxnId {
+    pub(crate) fn running_id(&self) -> TxnId {
         self.running.id
     }
 
     /// Metadata blocks joined to the running transaction.
-    pub fn running_meta_blocks(&self) -> u64 {
+    pub(crate) fn running_meta_blocks(&self) -> u64 {
         self.running.meta.len() as u64
-    }
-
-    /// Whether the running transaction is empty.
-    pub fn running_is_empty(&self) -> bool {
-        self.running.is_empty()
     }
 
     /// Number of log blocks a transaction of `meta_blocks` writes
     /// (descriptor + payload + headroom; the commit record is separate).
-    pub fn log_blocks_for(&self, meta_blocks: u64) -> u64 {
+    pub(crate) fn log_blocks_for(&self, meta_blocks: u64) -> u64 {
         1 + ((meta_blocks as f64 * self.cfg.blocks_per_meta).ceil() as u64).max(1)
     }
 
     /// Reserve `n` contiguous blocks in the log area (wrapping).
-    pub fn reserve_log(&mut self, n: u64) -> BlockNo {
+    pub(crate) fn reserve_log(&mut self, n: u64) -> BlockNo {
         let n = n.min(self.cfg.area_blocks);
         if self.log_cursor + n > self.cfg.area_blocks {
             self.log_cursor = 0;
@@ -272,7 +267,7 @@ mod tests {
         j.mark_ordered(FileId(9));
         let sealed = j.seal();
         assert_eq!(sealed.ordered, vec![FileId(5), FileId(9)]);
-        assert!(j.running_is_empty());
+        assert!(j.running.is_empty());
         assert_eq!(j.running_id().raw(), sealed.id.raw() + 1);
     }
 

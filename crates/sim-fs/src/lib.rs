@@ -23,7 +23,7 @@
 //!   writeback or fsync forces allocation.
 
 pub mod alloc;
-pub mod fs;
+mod fs;
 pub mod journal;
 
 use sim_block::ReqKind;
@@ -124,15 +124,8 @@ pub struct FsOutput {
 
 impl FsOutput {
     /// Empty output.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         Self::default()
-    }
-
-    /// Merge another output after this one.
-    pub fn merge(&mut self, other: FsOutput) {
-        self.ios.extend(other.ios);
-        self.events.extend(other.events);
-        self.freed.extend(other.freed);
     }
 }
 

@@ -77,8 +77,7 @@ impl CrashHarness {
     fn absorb(&mut self, out: FsOutput) {
         for io in &out.ios {
             if io.dir == IoDir::Write {
-                self.image
-                    .submit(io.token.0, io.step.clone(), io.start, io.nblocks);
+                self.image.submit(io.token.0, io.step.clone(), io.nblocks);
             }
         }
         for ev in &out.events {

@@ -35,14 +35,14 @@ impl Default for CpuCosts {
 
 /// Runnable-task accounting.
 #[derive(Debug, Clone)]
-pub struct CpuModel {
+pub(crate) struct CpuModel {
     cores: u32,
     runnable: u32,
 }
 
 impl CpuModel {
     /// A machine with `cores` cores.
-    pub fn new(cores: u32) -> Self {
+    pub(crate) fn new(cores: u32) -> Self {
         CpuModel {
             cores: cores.max(1),
             runnable: 0,
@@ -50,29 +50,19 @@ impl CpuModel {
     }
 
     /// A task became runnable.
-    pub fn task_runnable(&mut self) {
+    pub(crate) fn task_runnable(&mut self) {
         self.runnable += 1;
     }
 
     /// A task blocked / exited.
-    pub fn task_blocked(&mut self) {
+    pub(crate) fn task_blocked(&mut self) {
         debug_assert!(self.runnable > 0, "runnable underflow");
         self.runnable = self.runnable.saturating_sub(1);
     }
 
-    /// Currently runnable tasks.
-    pub fn runnable(&self) -> u32 {
-        self.runnable
-    }
-
-    /// Core count.
-    pub fn cores(&self) -> u32 {
-        self.cores
-    }
-
     /// Contention factor: 1.0 while the machine has spare cores, then the
     /// oversubscription ratio.
-    pub fn contention(&self) -> f64 {
+    pub(crate) fn contention(&self) -> f64 {
         if self.runnable <= self.cores {
             1.0
         } else {
@@ -81,7 +71,7 @@ impl CpuModel {
     }
 
     /// Stretch a CPU burst by the current contention.
-    pub fn stretch(&self, d: SimDuration) -> SimDuration {
+    pub(crate) fn stretch(&self, d: SimDuration) -> SimDuration {
         d.mul_f64(self.contention())
     }
 }
@@ -123,6 +113,6 @@ mod tests {
         let mut c = CpuModel::new(1);
         c.task_runnable();
         c.task_blocked();
-        assert_eq!(c.runnable(), 0);
+        assert_eq!(c.runnable, 0);
     }
 }

@@ -235,8 +235,6 @@ impl Default for KernelConfig {
 #[derive(Debug, Clone, Copy, Default)]
 struct ProcAttrs {
     ioprio: IoPrio,
-    read_deadline: Option<SimDuration>,
-    write_deadline: Option<SimDuration>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -424,7 +422,7 @@ impl Kernel {
     // ---- public API used by World and experiments -------------------------
 
     /// Spawn a workload process; its first step fires immediately.
-    pub fn spawn(&mut self, logic: Box<dyn ProcessLogic>, bus: &mut Bus) -> Pid {
+    pub(crate) fn spawn(&mut self, logic: Box<dyn ProcessLogic>, bus: &mut Bus) -> Pid {
         let pid = self.alloc_pid();
         self.procs.insert(
             pid,
@@ -443,7 +441,7 @@ impl Kernel {
 
     /// Create a process with no logic of its own; syscalls are injected
     /// into it (VMM host process, HDFS datanode handlers).
-    pub fn spawn_external(&mut self) -> Pid {
+    pub(crate) fn spawn_external(&mut self) -> Pid {
         let pid = self.alloc_pid();
         self.procs.insert(
             pid,
@@ -472,44 +470,27 @@ impl Kernel {
     /// Rejects priorities with a zero service weight here, at configure
     /// time, so the elevators can rely on `weight >= 1` instead of
     /// clamping deep inside their slice arithmetic.
-    pub fn set_ioprio(&mut self, pid: Pid, prio: IoPrio, bus: &mut Bus) {
+    pub(crate) fn set_ioprio(&mut self, pid: Pid, prio: IoPrio, bus: &mut Bus) {
         assert!(prio.weight() > 0, "I/O priority weight must be positive");
         self.attrs.entry(pid).or_default().ioprio = prio;
         self.sched_configure(pid, SchedAttr::Prio(prio), bus);
     }
 
-    /// Per-process default block-read deadline.
-    pub fn set_read_deadline(&mut self, pid: Pid, d: SimDuration, bus: &mut Bus) {
-        self.attrs.entry(pid).or_default().read_deadline = Some(d);
-        self.sched_configure(pid, SchedAttr::ReadDeadline(d), bus);
-    }
-
-    /// Per-process default block-write deadline.
-    pub fn set_write_deadline(&mut self, pid: Pid, d: SimDuration, bus: &mut Bus) {
-        self.attrs.entry(pid).or_default().write_deadline = Some(d);
-        self.sched_configure(pid, SchedAttr::WriteDeadline(d), bus);
-    }
-
     /// Forward an attribute straight to the scheduler.
-    pub fn sched_configure(&mut self, pid: Pid, attr: SchedAttr, bus: &mut Bus) {
+    pub(crate) fn sched_configure(&mut self, pid: Pid, attr: SchedAttr, bus: &mut Bus) {
         self.sched.configure(pid, attr);
         // Configuration may unblock things (e.g. a raised token rate).
         self.run_sched_maintenance(bus);
     }
 
     /// Create a preallocated file (fixture).
-    pub fn prealloc_file(&mut self, bytes: u64, contiguous: bool) -> FileId {
+    pub(crate) fn prealloc_file(&mut self, bytes: u64, contiguous: bool) -> FileId {
         self.fs.prealloc_file(bytes, contiguous)
     }
 
     /// Track a throughput time series for `pid`'s completed reads.
     pub fn track_read_ts(&mut self, pid: Pid, bucket: SimDuration) {
         self.stats.read_ts.insert(pid, TimeSeries::new(bucket));
-    }
-
-    /// Track a throughput time series for `pid`'s completed writes.
-    pub fn track_write_ts(&mut self, pid: Pid, bucket: SimDuration) {
-        self.stats.write_ts.insert(pid, TimeSeries::new(bucket));
     }
 
     /// The page cache (assertions and experiment setup).
@@ -535,7 +516,7 @@ impl Kernel {
     /// Turn on span + metrics tracing for this kernel's entire stack
     /// (syscall gate, cache, fs journal, block queue, device service).
     /// Export with [`Kernel::tracer`] (`chrome_json`, `spans_csv`, ...).
-    pub fn enable_tracing(&mut self) {
+    pub(crate) fn enable_tracing(&mut self) {
         if !self.tracer.enabled() {
             self.tracer.set_enabled(true);
             self.subscribe(Box::new(SpanProbe::new(self.tracer.clone())));
@@ -543,7 +524,7 @@ impl Kernel {
     }
 
     /// The tracing handle shared by every layer of this kernel.
-    pub fn tracer(&self) -> &Tracer {
+    pub(crate) fn tracer(&self) -> &Tracer {
         &self.tracer
     }
 
@@ -568,11 +549,6 @@ impl Kernel {
     /// own plane instead.
     pub fn install_fault_plane(&mut self, plane: DeviceFaultPlane) {
         self.fault_plane = Some(plane);
-    }
-
-    /// The installed fault plane, if any (inspect its injection log).
-    pub fn fault_plane(&self) -> Option<&DeviceFaultPlane> {
-        self.fault_plane.as_ref()
     }
 
     /// Install an auditor plane. Its auditors join whatever already
@@ -607,7 +583,7 @@ impl Kernel {
 
     /// Run the auditors' final checkpoint with the quiescence flag set;
     /// call once after the event queue drains.
-    pub fn audit_quiesce(&mut self, bus: &Bus) {
+    pub(crate) fn audit_quiesce(&mut self, bus: &Bus) {
         self.audit_checkpoint(bus, true);
     }
 
@@ -889,7 +865,6 @@ impl Kernel {
                     );
                     return;
                 }
-                let rd = self.attrs.get(&pid).and_then(|a| a.read_deadline);
                 let mut issued = false;
                 let mut extents = std::mem::take(&mut self.read_extent_scratch);
                 for &(page, plen) in &misses {
@@ -905,7 +880,7 @@ impl Kernel {
                             causes: CauseSet::of(pid),
                             sync: true,
                             ioprio: self.ioprio_of(pid),
-                            deadline: rd.map(|d| now + d),
+                            deadline: None,
                             submitted_at: now,
                             file: Some(file),
                             kind: ReqKind::Data,
@@ -1021,11 +996,6 @@ impl Kernel {
                 ts.record(now, bytes);
             }
         }
-        if let Outcome::Written { bytes } = outcome {
-            if let Some(ts) = self.stats.write_ts.get_mut(&pid) {
-                ts.record(now, bytes);
-            }
-        }
         // Exit hook.
         let cached = match outcome {
             Outcome::Read { all_cached, .. } => Some(all_cached),
@@ -1131,7 +1101,7 @@ impl Kernel {
             let fault = self
                 .fault_plane
                 .as_mut()
-                .and_then(|plane| plane.on_request(req.id, &req.shape()));
+                .and_then(|plane| plane.on_request(&req.shape()));
             let failed = match fault {
                 Some(Fault::Spike { factor }) => {
                     spike = Some(factor);
@@ -1250,11 +1220,6 @@ impl Kernel {
                 };
                 if !dev.can_accept() {
                     return;
-                }
-                if let Some(c) = self.chaos.as_mut() {
-                    // Completion-order chaos: rotate which software queue
-                    // feeds the device next. Per-pid FIFO is untouched.
-                    mq.rotate(c.mq_rotation(mq.queue_count()));
                 }
                 let Some(req) = mq.pop_next() else { return };
                 let spike = self.req_meta.get(&req.id).and_then(|m| m.spike);
@@ -1559,10 +1524,6 @@ impl Kernel {
             let step = std::mem::take(&mut io.step);
             let id = RequestId(self.req_ids.next());
             let attrs = self.attrs.get(&io.submitter).copied().unwrap_or_default();
-            let deadline = match io.dir {
-                sim_device::IoDir::Read => attrs.read_deadline.map(|d| now + d),
-                sim_device::IoDir::Write => attrs.write_deadline.map(|d| now + d),
-            };
             let dirty_pages = if io.kind == ReqKind::Data && io.dir == sim_device::IoDir::Write {
                 io.nblocks
             } else {
@@ -1586,7 +1547,7 @@ impl Kernel {
                 causes: io.causes,
                 sync: io.sync,
                 ioprio: attrs.ioprio,
-                deadline,
+                deadline: None,
                 submitted_at: now,
                 file: io.file,
                 kind: io.kind,

@@ -14,7 +14,7 @@ impl Kernel {
     /// Diagnose a stall: run the quiesce-strict checkpoint, then report
     /// each process still inside (or between) syscalls and each block
     /// request that never completed. No-op without an audit plane.
-    pub fn audit_stalled(&mut self, bus: &Bus) {
+    pub(crate) fn audit_stalled(&mut self, bus: &Bus) {
         self.audit_checkpoint(bus, true);
         // Keyed by (kind, id) so the report reads processes first, then
         // requests, each in id order whatever the maps' iteration order.

@@ -18,16 +18,16 @@
 //! * the block layer is driven by whatever [`split_core::IoSched`] the
 //!   kernel was built with.
 
-pub mod cpu;
-pub mod kernel;
-pub mod process;
-pub mod span_probe;
-pub mod stats;
-pub mod world;
+mod cpu;
+mod kernel;
+mod process;
+mod span_probe;
+mod stats;
+mod world;
 
-pub use cpu::{CpuCosts, CpuModel};
+pub use cpu::CpuCosts;
 pub use kernel::{DeviceKind, FsChoice, Kernel, KernelConfig, QueuePlane};
 pub use process::{Outcome, ProcAction, ProcessLogic};
 pub use sim_trace::{RequestTrace, TraceRecord};
 pub use stats::{KernelStats, ProcStats};
-pub use world::{AppEvent, Event, InjectTarget, World};
+pub use world::{AppEvent, InjectTarget, World};

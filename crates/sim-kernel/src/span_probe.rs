@@ -19,7 +19,7 @@ use sim_trace::{slot_name, Layer, SpanId, Tracer};
 use split_core::SyscallKind;
 
 /// Spans and metrics for the syscall, gate, block and device layers.
-pub struct SpanProbe {
+pub(crate) struct SpanProbe {
     tracer: Tracer,
     /// Live syscall per process: its span and an open gate-wait or
     /// dirty-wait child, if parked.
@@ -31,7 +31,7 @@ pub struct SpanProbe {
 
 impl SpanProbe {
     /// A probe recording into `tracer`.
-    pub fn new(tracer: Tracer) -> Self {
+    pub(crate) fn new(tracer: Tracer) -> Self {
         SpanProbe {
             tracer,
             calls: FastMap::default(),
@@ -166,13 +166,13 @@ impl Auditor for SpanProbe {
 
 /// Feeds every finished request into the tracer's flat block table
 /// (`Kernel::enable_trace`).
-pub struct BlockTraceProbe {
+pub(crate) struct BlockTraceProbe {
     tracer: Tracer,
 }
 
 impl BlockTraceProbe {
     /// A probe recording into `tracer`'s installed block table.
-    pub fn new(tracer: Tracer) -> Self {
+    pub(crate) fn new(tracer: Tracer) -> Self {
         BlockTraceProbe { tracer }
     }
 }

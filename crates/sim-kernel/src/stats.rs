@@ -42,8 +42,6 @@ pub struct KernelStats {
     pub device_bytes: u64,
     /// Optional per-pid throughput time series (read-completion bytes).
     pub read_ts: FastMap<Pid, TimeSeries>,
-    /// Optional per-pid write-syscall time series.
-    pub write_ts: FastMap<Pid, TimeSeries>,
     /// Block requests failed by the fault plane.
     pub io_errors: u64,
     /// Journal aborts observed (fault injection).
@@ -52,7 +50,7 @@ pub struct KernelStats {
 
 impl KernelStats {
     /// Stats row for `pid` (creating it if needed).
-    pub fn proc_mut(&mut self, pid: Pid) -> &mut ProcStats {
+    pub(crate) fn proc_mut(&mut self, pid: Pid) -> &mut ProcStats {
         self.procs.entry(pid).or_default()
     }
 

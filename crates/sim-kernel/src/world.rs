@@ -9,7 +9,7 @@ use crate::process::ProcessLogic;
 
 /// Everything that can happen in a world.
 #[derive(Debug, Clone, Copy)]
-pub enum Event {
+pub(crate) enum Event {
     /// A process is runnable again.
     ProcStep {
         /// Kernel.
@@ -105,7 +105,7 @@ pub(crate) enum CrossAction {
 
 /// Shared plumbing passed into kernel methods: the event queue plus the
 /// cross-kernel and application outboxes.
-pub struct Bus {
+pub(crate) struct Bus {
     /// The world's event queue.
     pub q: EventQueue<Event>,
     /// Application events awaiting [`World::drain_app_events`].
@@ -190,15 +190,15 @@ impl World {
         &mut self.kernels[k.raw() as usize]
     }
 
-    /// Run kernel `k`'s auditors with the quiescence flag set; call after
-    /// the event queue drains (see [`World::run_to_idle`]).
+    /// Run kernel `k`'s auditors with the quiescence flag set; call once
+    /// every process has exited and the block layer idles.
     pub fn audit_quiesce(&mut self, k: KernelId) {
         self.kernels[k.raw() as usize].audit_quiesce(&self.bus);
     }
 
     /// Diagnose kernel `k` when it will not quiesce: the strict checkpoint
     /// plus one violation per blocked process and outstanding request
-    /// (see [`Kernel::audit_stalled`]).
+    /// (see `Kernel::audit_stalled`).
     pub fn audit_stalled(&mut self, k: KernelId) {
         self.kernels[k.raw() as usize].audit_stalled(&self.bus);
     }
@@ -269,7 +269,7 @@ impl World {
     }
 
     /// Take the accumulated application events.
-    pub fn drain_app_events(&mut self) -> Vec<AppEvent> {
+    pub(crate) fn drain_app_events(&mut self) -> Vec<AppEvent> {
         std::mem::take(&mut self.bus.app_events)
     }
 
@@ -293,7 +293,7 @@ impl World {
     }
 
     /// Process a single event; returns false when the queue is empty.
-    pub fn step(&mut self) -> bool {
+    pub(crate) fn step(&mut self) -> bool {
         let Some(ev) = self.bus.q.pop() else {
             return false;
         };
@@ -365,12 +365,5 @@ impl World {
     pub fn run_for(&mut self, d: SimDuration) {
         let deadline = self.now() + d;
         self.run_until(deadline);
-    }
-
-    /// Run until the queue empties (every process exited, no timers).
-    /// Periodic kernel timers never stop, so this is only useful in
-    /// worlds without kernels — prefer `run_until`.
-    pub fn run_to_idle(&mut self) {
-        while self.step() {}
     }
 }

@@ -36,7 +36,7 @@ pub struct SweepReport {
 ///
 /// Input: one `(label, metrics)` pair per executed cell replicate.
 /// BTreeMap keys give the deterministic row order for free.
-pub fn aggregate(samples: &[(String, Vec<(String, f64)>)]) -> SweepReport {
+pub(crate) fn aggregate(samples: &[(String, Vec<(String, f64)>)]) -> SweepReport {
     let mut groups: BTreeMap<(String, String), Vec<f64>> = BTreeMap::new();
     for (label, metrics) in samples {
         for (key, value) in metrics {

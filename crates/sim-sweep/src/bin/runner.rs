@@ -84,7 +84,7 @@ use exp::registry::{self, Figure, Takes, FIGURES};
 use exp::setup::{DeviceChoice, SchedChoice};
 use sim_core::alloc_count;
 use sim_core::prof::{self, Phase, Profiler};
-use sim_core::{ChaosClass, ChaosConfig};
+use sim_core::{ChaosClass, ChaosConfig, SimDuration};
 use sim_sweep::{run_check, run_figures, run_replay, run_sweep, CheckConfig, SweepSpec};
 
 const SYNOPSIS: &str = "\
@@ -177,7 +177,7 @@ struct Cli {
     kernels: Option<usize>,
     arrival: Option<String>,
     rate: Option<f64>,
-    duration_s: Option<f64>,
+    duration: Option<SimDuration>,
     seed: Option<u64>,
     scheds: Vec<SchedChoice>,
     devices: Vec<DeviceChoice>,
@@ -211,6 +211,27 @@ fn at_least<T: std::str::FromStr + PartialOrd + std::fmt::Display>(
 fn positive(v: &str) -> Result<f64, String> {
     let x = v.parse().ok().filter(|x: &f64| *x > 0.0 && x.is_finite());
     x.ok_or_else(|| "expected a positive number".to_string())
+}
+
+/// Deepest hardware queue `--queue-depth` accepts: NVMe's per-queue
+/// maximum. The queued device builds one slot per entry up front, so an
+/// unbounded depth is an unbounded allocation.
+const MAX_QUEUE_DEPTH: u32 = 65_536;
+
+fn queue_depth(v: &str) -> Result<u32, String> {
+    let d = v.parse().ok().filter(|d| (1..=MAX_QUEUE_DEPTH).contains(d));
+    d.ok_or_else(|| format!("expected an integer in 1..={MAX_QUEUE_DEPTH}"))
+}
+
+/// A positive number of seconds whose nanoseconds fit simulated time with
+/// room for the arithmetic on top of it (under 2^63 ns, ~292 years).
+fn duration_secs(v: &str) -> Result<SimDuration, String> {
+    let nanos = positive(v)? * 1e9;
+    if nanos < (1u64 << 63) as f64 {
+        Ok(SimDuration::from_nanos(nanos as u64))
+    } else {
+        Err("expected fewer than 2^63 nanoseconds (~292 years)".to_string())
+    }
 }
 
 fn parse_chaos_classes(list: &str) -> Result<Vec<ChaosClass>, String> {
@@ -260,7 +281,7 @@ const FLAGS: &[Flag] = &[
         &[Sweep]),
     Flag("--programs", Value(|c, v| at_least(v, 1).map(|n| c.programs = Some(n))), &[Check]),
     Flag("--shrink", Switch(|c| c.shrink = true), &[Check]),
-    Flag("--queue-depth", Value(|c, v| at_least(v, 1).map(|n| c.queue_depth = Some(n))), &[Check]),
+    Flag("--queue-depth", Value(|c, v| queue_depth(v).map(|n| c.queue_depth = Some(n))), &[Check]),
     Flag("--chaos", Switch(|c| c.chaos = true), &[Check]),
     Flag("--chaos-seed", Value(|c, v| at_least(v, 0).map(|n| c.chaos_seed = Some(n))), &[Check]),
     Flag("--chaos-classes", Value(|c, v| parse_chaos_classes(v).map(|l| c.chaos_classes = Some(l))),
@@ -273,7 +294,7 @@ const FLAGS: &[Flag] = &[
         named(sim_cluster::ArrivalKind::parse(v, 1.0)).map(|_| c.arrival = Some(v.to_string()))
     }), &[Cluster]),
     Flag("--rate", Value(|c, v| positive(v).map(|r| c.rate = Some(r))), &[Cluster]),
-    Flag("--duration", Value(|c, v| positive(v).map(|s| c.duration_s = Some(s))), &[Cluster]),
+    Flag("--duration", Value(|c, v| duration_secs(v).map(|d| c.duration = Some(d))), &[Cluster]),
     Flag("--seed", Value(|c, v| at_least(v, 0).map(|n| c.seed = Some(n))), &[Cluster]),
 ];
 
@@ -466,8 +487,8 @@ fn cluster_main(cli: &Cli) {
         seed: cli.seed.unwrap_or(0),
         ..Default::default()
     };
-    if let Some(secs) = cli.duration_s {
-        cfg.duration = sim_core::SimDuration::from_nanos((secs * 1e9) as u64);
+    if let Some(d) = cli.duration {
+        cfg.duration = d;
     }
     let rate = cli.rate.unwrap_or(20.0);
     let arrival = cli.arrival.as_deref().unwrap_or("poisson");

@@ -176,35 +176,48 @@ impl ProcessLogic for Replayer {
 /// that has not quiesced after this much simulated time is itself a bug.
 const QUIESCE_CAP_SECS: u64 = 600;
 
-/// Everything [`run_inner`] can turn on besides the scheduler/device
-/// pair. Each public `run_one_*` wrapper sets one knob.
+/// Everything [`run_with`] can turn on besides the scheduler/device
+/// pair; `RunOpts::default()` is the plain serial-plane run.
 #[derive(Default)]
-struct RunOpts {
+pub struct RunOpts {
     /// Wrap the scheduler with the cause-corrupting shim after this many
     /// block adds (mutation testing of the audit plane).
-    sabotage: Option<u64>,
+    pub sabotage: Option<u64>,
     /// Wrap the scheduler with the timing-dependent corruption shim at
-    /// this dwell threshold (mutation testing of the chaos plane).
-    timing_sabotage: Option<SimDuration>,
-    /// Install a device fault plan.
-    faults: Option<DeviceFaultPlane>,
-    /// Queued-device plane at this hardware queue depth.
-    queue_depth: Option<u32>,
-    /// Plant one deliberately-late event after the drain.
-    inject_late: bool,
+    /// this dwell threshold (mutation testing of the chaos plane): the
+    /// planted race is unreachable without adversarial timing, so a plain
+    /// run must stay clean and a chaos run must trip the cause-tag
+    /// auditor.
+    pub timing_sabotage: Option<SimDuration>,
+    /// Install a device fault plan: faults must surface as errors (in
+    /// outcomes and `io_errors`) rather than tripping auditors or
+    /// vanishing.
+    pub faults: Option<DeviceFaultPlane>,
+    /// Queued-device plane at this hardware queue depth. Depth 1 must
+    /// produce an outcome equal to the serial plane's in every field
+    /// including `fingerprint` — `tests/queue_equivalence.rs` holds the
+    /// stack to that.
+    pub queue_depth: Option<u32>,
+    /// Plant one deliberately-late event after the drain (the `runner
+    /// check --inject-late` probe): the run must then fail through both
+    /// the event-queue auditor and the drain gate.
+    pub inject_late: bool,
     /// Install the chaos plane.
-    chaos: Option<ChaosConfig>,
+    pub chaos: Option<ChaosConfig>,
     /// Custom layer tree: replaces the scheduler under test with a
     /// layered arbiter over these specs (`runner check --layers`, the
-    /// layer mutation tests).
-    layers: Option<Vec<LayerSpec>>,
+    /// layer mutation tests). Kernel flags follow `sched`, so pass
+    /// [`SchedChoice::Layered`].
+    pub layers: Option<Vec<LayerSpec>>,
     /// Plant the cap-leak bug in the layered arbiter (mutation testing
     /// of the `LayerAuditor`): every Nth bucket charge is skipped.
     /// Meaningful only together with `layers`.
-    cap_leak: Option<u64>,
-    /// Wrap the flat scheduler in a degenerate single-layer tree — the
-    /// identity wrapper the equivalence tests prove byte-identical.
-    wrap_single_layer: bool,
+    pub cap_leak: Option<u64>,
+    /// Wrap the flat scheduler in [`Layered::single`] — a one-layer tree
+    /// with no cap and no dirty budget, which must be byte-identical to
+    /// the flat scheduler in every field including `fingerprint`
+    /// (`tests/layer_equivalence.rs`).
+    pub wrap_single_layer: bool,
 }
 
 /// Replay `spec` under one scheduler/device pair with auditors installed.
@@ -216,7 +229,7 @@ pub fn run_one(
     device: DeviceChoice,
     sabotage: Option<u64>,
 ) -> RunOutcome {
-    run_inner(
+    run_with(
         spec,
         sched,
         device,
@@ -227,104 +240,14 @@ pub fn run_one(
     )
 }
 
-/// [`run_one`] on the queued-device plane at hardware queue depth
-/// `depth`. Depth 1 must produce an outcome equal to [`run_one`] in every
-/// field including `fingerprint` — `tests/queue_equivalence.rs` holds the
-/// stack to that.
-pub fn run_one_queued(
-    spec: &ProgramSpec,
-    sched: SchedChoice,
-    device: DeviceChoice,
-    depth: u32,
-) -> RunOutcome {
-    run_inner(
-        spec,
-        sched,
-        device,
-        RunOpts {
-            queue_depth: Some(depth),
-            ..Default::default()
-        },
-    )
-}
-
-/// [`run_one`] with a device fault plan installed — composes the fuzzer
-/// with fault injection to check that faults surface as errors (in
-/// outcomes and `io_errors`) rather than tripping auditors or vanishing.
-pub fn run_one_faulted(
-    spec: &ProgramSpec,
-    sched: SchedChoice,
-    device: DeviceChoice,
-    faults: DeviceFaultPlane,
-) -> RunOutcome {
-    run_inner(
-        spec,
-        sched,
-        device,
-        RunOpts {
-            faults: Some(faults),
-            ..Default::default()
-        },
-    )
-}
-
-/// [`run_one`] under the chaos plane, optionally on the queued-device
-/// plane — the chaos test batteries' entry point.
-pub fn run_one_chaos(
-    spec: &ProgramSpec,
-    sched: SchedChoice,
-    device: DeviceChoice,
-    queue_depth: Option<u32>,
-    chaos: ChaosConfig,
-) -> RunOutcome {
-    run_inner(
-        spec,
-        sched,
-        device,
-        RunOpts {
-            queue_depth,
-            chaos: Some(chaos),
-            ..Default::default()
-        },
-    )
-}
-
-/// [`run_one`] with the timing-dependent sabotage shim armed at `dwell`,
-/// optionally under chaos and/or the queued plane. The chaos mutation
-/// test uses this for both arms: the plain arm must stay clean (the
-/// planted race is unreachable without adversarial timing) and the chaos
-/// arm must trip the cause-tag auditor.
-pub fn run_one_timing_sabotaged(
-    spec: &ProgramSpec,
-    sched: SchedChoice,
-    device: DeviceChoice,
-    queue_depth: Option<u32>,
-    chaos: Option<ChaosConfig>,
-    dwell: SimDuration,
-) -> RunOutcome {
-    run_inner(
-        spec,
-        sched,
-        device,
-        RunOpts {
-            timing_sabotage: Some(dwell),
-            queue_depth,
-            chaos,
-            ..Default::default()
-        },
-    )
-}
-
-/// [`run_one`] with the flat scheduler wrapped in [`Layered::single`] —
-/// a one-layer tree with no cap and no dirty budget. The wrapper must be
-/// byte-identical to the flat scheduler in every field including
-/// `fingerprint`; `tests/layer_equivalence.rs` holds the stack to that.
+/// [`run_one`] with the flat scheduler wrapped in a single-layer tree
+/// (see [`RunOpts::wrap_single_layer`]).
 pub fn run_one_single_layer(
     spec: &ProgramSpec,
     sched: SchedChoice,
     device: DeviceChoice,
 ) -> RunOutcome {
-    run_inner(
+    run_with(
         spec,
         sched,
         device,
@@ -335,31 +258,9 @@ pub fn run_one_single_layer(
     )
 }
 
-/// [`run_one`] with the layered arbiter over a custom tree, optionally
-/// with the planted cap-leak bug armed (`cap_leak`): the layer mutation
-/// test's entry point. Kernel flags follow [`SchedChoice::Layered`].
-pub fn run_one_layered(
-    spec: &ProgramSpec,
-    device: DeviceChoice,
-    layers: Vec<LayerSpec>,
-    cap_leak: Option<u64>,
-) -> RunOutcome {
-    run_inner(
-        spec,
-        SchedChoice::Layered,
-        device,
-        RunOpts {
-            layers: Some(layers),
-            cap_leak,
-            ..Default::default()
-        },
-    )
-}
-
-/// `opts.inject_late` plants one deliberately-late event after the drain
-/// (the `runner check --inject-late` probe): the run must then fail
-/// through both the event-queue auditor and the drain gate.
-fn run_inner(
+/// Replay `spec` under one scheduler/device pair with auditors installed,
+/// on the planes and with the planted bugs `opts` selects.
+pub fn run_with(
     spec: &ProgramSpec,
     sched: SchedChoice,
     device: DeviceChoice,
@@ -527,7 +428,7 @@ pub fn check_program(spec: &ProgramSpec, planes: &CheckConfig) -> Vec<String> {
             (SchedChoice::Layered, Some(tree)) => Some(tree.clone()),
             _ => None,
         };
-        run_inner(
+        run_with(
             spec,
             sched,
             device,
@@ -712,6 +613,47 @@ pub fn run_check(cfg: &CheckConfig) -> CheckReport {
     }
 }
 
+/// Most shared files a replay file may ask for. Each is preallocated
+/// before the first op runs; the generator never makes more than 3.
+const MAX_REPLAY_SHARED: usize = 64;
+
+/// A replay file is outside input: refuse — never repair — a program the
+/// harness cannot run as written. Valid programs (anything the generator
+/// or the shrinker printed) are fixed points of [`ProgramSpec::sanitize`];
+/// one it would alter has a file reference with nothing behind it (the
+/// replayer would index out of bounds) or an operand beyond the fuzzer's
+/// limits (a 16 PiB write). Names the first offender.
+fn refuse_invalid(spec: &ProgramSpec) -> Result<(), String> {
+    if spec.shared_files > MAX_REPLAY_SHARED {
+        return Err(format!(
+            "program header: shared={} exceeds the limit of {MAX_REPLAY_SHARED}",
+            spec.shared_files
+        ));
+    }
+    let valid = spec.sanitize();
+    if valid.shared_bytes != spec.shared_bytes {
+        return Err(format!(
+            "program header: bytes={} is out of range (nearest valid: {})",
+            spec.shared_bytes, valid.shared_bytes
+        ));
+    }
+    for (pi, (given, kept)) in spec.procs.iter().zip(&valid.procs).enumerate() {
+        // `sanitize` drops or rewrites ops but never reorders them, so the
+        // first position where the two lists part is the first bad op.
+        let mismatch = given.ops.iter().zip(&kept.ops).position(|(g, k)| g != k);
+        let oi = mismatch.unwrap_or(kept.ops.len());
+        if oi == given.ops.len() {
+            continue;
+        }
+        return Err(format!(
+            "proc {pi} op {oi}: `{}` names a file that does not exist at that point \
+             or an operand out of range",
+            given.ops[oi]
+        ));
+    }
+    Ok(())
+}
+
 /// Check one program parsed from a replay file (see [`ProgramSpec::parse`])
 /// on the planes `cfg` selects — a reproducer minted by `check --chaos`,
 /// `--queue-depth`, `--layers` or `--inject-late` needs the same planes to
@@ -719,6 +661,7 @@ pub fn run_check(cfg: &CheckConfig) -> CheckReport {
 /// do not apply; the runner refuses them beside `--replay`.
 pub fn run_replay(text: &str, cfg: &CheckConfig) -> Result<CheckReport, String> {
     let spec = ProgramSpec::parse(text)?;
+    refuse_invalid(&spec)?;
     let problems = check_program(&spec, cfg);
     let failures = if problems.is_empty() {
         Vec::new()
@@ -765,7 +708,7 @@ mod tests {
              end\n",
         )
         .unwrap();
-        let r = run_inner(
+        let r = run_with(
             &spec,
             SchedChoice::Noop,
             DeviceChoice::Ssd,

@@ -15,7 +15,7 @@ use std::sync::Mutex;
 /// Run `f` over `items` on `jobs` worker threads, preserving input
 /// order in the result. `jobs == 1` runs inline on the caller's thread
 /// (no pool, no locking) — the reference sequential path.
-pub fn run_indexed<T, R, F>(items: Vec<T>, jobs: usize, f: F) -> Vec<R>
+pub(crate) fn run_indexed<T, R, F>(items: Vec<T>, jobs: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,

@@ -10,17 +10,15 @@
 //! same bytes as `--jobs 1`, and adding a figure to a sweep does not
 //! change the numbers of the figures already in it.
 
-pub mod aggregate;
+mod aggregate;
 pub mod check;
-pub mod drive;
-pub mod executor;
-pub mod spec;
+mod drive;
+mod executor;
+mod spec;
 
-pub use aggregate::{aggregate, MetricRow, SweepReport};
+pub use aggregate::{MetricRow, SweepReport};
 pub use check::{
-    check_program, run_check, run_one, run_one_chaos, run_one_faulted, run_one_queued,
-    run_one_timing_sabotaged, run_replay, CheckConfig, CheckReport,
+    check_program, run_check, run_one, run_replay, run_with, CheckConfig, CheckReport, RunOpts,
 };
 pub use drive::{run_figures, run_sweep};
-pub use executor::run_indexed;
-pub use spec::{cell_seed, Cell, SweepSpec};
+pub use spec::{Cell, SweepSpec};

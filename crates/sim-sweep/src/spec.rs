@@ -66,7 +66,7 @@ fn sched_name(s: SchedChoice) -> String {
 /// FNV-1a over the label: cheap, stable, and good enough to key seed
 /// streams on (collisions across a sweep's handful of labels are
 /// covered by a unit test on realistic grids).
-pub fn fnv1a(s: &str) -> u64 {
+pub(crate) fn fnv1a(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in s.as_bytes() {
         h ^= *b as u64;
@@ -76,7 +76,7 @@ pub fn fnv1a(s: &str) -> u64 {
 }
 
 /// The seed for one replicate of one labelled cell.
-pub fn cell_seed(root: u64, label: &str, replicate: u32) -> u64 {
+pub(crate) fn cell_seed(root: u64, label: &str, replicate: u32) -> u64 {
     stream_seed(stream_seed(root, fnv1a(label)), replicate as u64)
 }
 

@@ -13,7 +13,28 @@
 use sim_check::{generate, GenConfig, ProgramSpec};
 use sim_core::{ChaosClass, ChaosConfig, SimRng};
 use sim_experiments::{DeviceChoice, SchedChoice};
-use sim_sweep::{check_program, run_one, run_one_chaos, run_one_queued, CheckConfig};
+use sim_sweep::check::RunOutcome;
+use sim_sweep::{check_program, run_one, run_with, CheckConfig, RunOpts};
+
+/// One run on the serial (`None`) or queued plane, under `chaos` if given.
+fn run_on(
+    spec: &ProgramSpec,
+    sched: SchedChoice,
+    device: DeviceChoice,
+    queue_depth: Option<u32>,
+    chaos: Option<ChaosConfig>,
+) -> RunOutcome {
+    run_with(
+        spec,
+        sched,
+        device,
+        RunOpts {
+            queue_depth,
+            chaos,
+            ..Default::default()
+        },
+    )
+}
 
 fn program(idx: u64) -> ProgramSpec {
     generate(&mut SimRng::stream(0xCA05, idx), &GenConfig::default())
@@ -31,13 +52,13 @@ fn chaos_config_with_no_classes_is_byte_identical_to_no_chaos() {
         for sched in [SchedChoice::Cfq, SchedChoice::SplitToken] {
             for device in [DeviceChoice::Hdd, DeviceChoice::Ssd] {
                 let plain = run_one(&spec, sched, device, None);
-                let shaken = run_one_chaos(&spec, sched, device, None, empty);
+                let shaken = run_on(&spec, sched, device, None, Some(empty));
                 assert_eq!(
                     plain.fingerprint, shaken.fingerprint,
                     "serial byte-identity, program {idx}, {sched:?}/{device:?}"
                 );
-                let plain_q = run_one_queued(&spec, sched, device, 8);
-                let shaken_q = run_one_chaos(&spec, sched, device, Some(8), empty);
+                let plain_q = run_on(&spec, sched, device, Some(8), None);
+                let shaken_q = run_on(&spec, sched, device, Some(8), Some(empty));
                 assert_eq!(
                     plain_q.fingerprint, shaken_q.fingerprint,
                     "queued byte-identity, program {idx}, {sched:?}/{device:?}"
@@ -55,20 +76,16 @@ fn same_chaos_seed_same_bytes() {
     let cfg = ChaosConfig::with_seed(42);
     for idx in 0..4u64 {
         let spec = program(idx);
-        let a = run_one_chaos(
-            &spec,
-            SchedChoice::SplitToken,
-            DeviceChoice::Ssd,
-            Some(8),
-            cfg,
-        );
-        let b = run_one_chaos(
-            &spec,
-            SchedChoice::SplitToken,
-            DeviceChoice::Ssd,
-            Some(8),
-            cfg,
-        );
+        let run = || {
+            run_on(
+                &spec,
+                SchedChoice::SplitToken,
+                DeviceChoice::Ssd,
+                Some(8),
+                Some(cfg),
+            )
+        };
+        let (a, b) = (run(), run());
         assert_eq!(a.fingerprint, b.fingerprint, "program {idx}");
         assert_eq!(a.per_proc, b.per_proc, "program {idx}");
     }
@@ -84,8 +101,14 @@ fn chaos_actually_perturbs_timing() {
     let mut diverged = false;
     for idx in 0..4u64 {
         let spec = program(idx);
-        let plain = run_one_queued(&spec, SchedChoice::Cfq, DeviceChoice::Ssd, 8);
-        let shaken = run_one_chaos(&spec, SchedChoice::Cfq, DeviceChoice::Ssd, Some(8), cfg);
+        let plain = run_on(&spec, SchedChoice::Cfq, DeviceChoice::Ssd, Some(8), None);
+        let shaken = run_on(
+            &spec,
+            SchedChoice::Cfq,
+            DeviceChoice::Ssd,
+            Some(8),
+            Some(cfg),
+        );
         if plain.fingerprint != shaken.fingerprint {
             diverged = true;
         }
@@ -108,7 +131,13 @@ fn single_class_chaos_stays_legal_everywhere() {
     for class in ChaosClass::ALL {
         let cfg = ChaosConfig::only(3, &[class]);
         for qd in [None, Some(8)] {
-            let out = run_one_chaos(&spec, SchedChoice::SplitToken, DeviceChoice::Hdd, qd, cfg);
+            let out = run_on(
+                &spec,
+                SchedChoice::SplitToken,
+                DeviceChoice::Hdd,
+                qd,
+                Some(cfg),
+            );
             assert_eq!(
                 out.violations,
                 Vec::<String>::new(),
@@ -148,7 +177,7 @@ fn fairness_holds_under_chaos_for_token_and_cfq() {
         let spec = program(idx);
         let cfg = ChaosConfig::with_seed(idx);
         for sched in [SchedChoice::SplitToken, SchedChoice::Cfq] {
-            let out = run_one_chaos(&spec, sched, DeviceChoice::Ssd, Some(8), cfg);
+            let out = run_on(&spec, sched, DeviceChoice::Ssd, Some(8), Some(cfg));
             assert_eq!(
                 out.violations,
                 Vec::<String>::new(),
@@ -156,4 +185,42 @@ fn fairness_holds_under_chaos_for_token_and_cfq() {
             );
         }
     }
+}
+
+#[test]
+fn chaos_runs_match_the_pinned_digests() {
+    // The only cross-build pin on the chaos plane (every test above
+    // compares a build with itself): each scheduler on each device, on the
+    // serial plane and at queue depth 8, under chaos seed 1, one line of
+    // event count + kernel-counter fingerprint per run.
+    // An intended change regenerates with `UPDATE_GOLDEN=1`.
+    let cfg = ChaosConfig::with_seed(1);
+    let mut got = String::new();
+    for idx in 0..20u64 {
+        let spec = program(idx);
+        let sched = SchedChoice::ALL[idx as usize % 10];
+        let device = DeviceChoice::ALL[idx as usize / 10];
+        for qd in [None, Some(8)] {
+            let out = run_on(&spec, sched, device, qd, Some(cfg));
+            got.push_str(&format!(
+                "program{idx:02} {}/{} qd={} events={} {}\n",
+                sched.name(),
+                device.name(),
+                qd.map_or("serial".into(), |d| d.to_string()),
+                out.events,
+                out.fingerprint
+            ));
+        }
+    }
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/chaos_digests.txt");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &got).expect("write golden");
+        return;
+    }
+    let want = std::fs::read_to_string(&path).expect("pinned fingerprints");
+    assert_eq!(
+        got, want,
+        "chaos runs drifted from tests/golden/chaos_digests.txt"
+    );
 }

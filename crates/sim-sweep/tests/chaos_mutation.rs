@@ -18,7 +18,8 @@
 use sim_check::{generate, shrink, GenConfig, ProgramSpec};
 use sim_core::{ChaosConfig, SimDuration, SimRng};
 use sim_experiments::{DeviceChoice, SchedChoice};
-use sim_sweep::{run_one_chaos, run_one_timing_sabotaged};
+use sim_sweep::check::RunOutcome;
+use sim_sweep::{run_with, RunOpts};
 
 /// The dwell horizon, calibrated so that over the fixed seed set below
 /// the plain arms (deterministic service times) never reach it while
@@ -34,20 +35,33 @@ fn program(idx: u64) -> ProgramSpec {
     generate(&mut SimRng::stream(0xD1CE, idx), &GenConfig::default())
 }
 
+/// One SSD run over the timing-sabotaged scheduler (armed at [`DWELL`]).
+fn run_sabotaged(
+    spec: &ProgramSpec,
+    sched: SchedChoice,
+    queue_depth: Option<u32>,
+    chaos: Option<ChaosConfig>,
+) -> RunOutcome {
+    run_with(
+        spec,
+        sched,
+        DeviceChoice::Ssd,
+        RunOpts {
+            timing_sabotage: Some(DWELL),
+            queue_depth,
+            chaos,
+            ..Default::default()
+        },
+    )
+}
+
 /// The predicate handed to the shrinker: replay under the same chaos
 /// batch shape (queue depth 8, chaos seed 1) with the timing-sabotaged
 /// scheduler, and report whether any auditor fired.
 fn chaos_catches(spec: &ProgramSpec) -> bool {
-    !run_one_timing_sabotaged(
-        spec,
-        SchedChoice::SplitToken,
-        DeviceChoice::Ssd,
-        Some(8),
-        Some(chaos()),
-        DWELL,
-    )
-    .violations
-    .is_empty()
+    !run_sabotaged(spec, SchedChoice::SplitToken, Some(8), Some(chaos()))
+        .violations
+        .is_empty()
 }
 
 #[test]
@@ -58,15 +72,13 @@ fn plain_batches_miss_the_timing_bug() {
     for idx in 0..12u64 {
         let spec = program(idx);
         for sched in [SchedChoice::Cfq, SchedChoice::SplitToken] {
-            let serial =
-                run_one_timing_sabotaged(&spec, sched, DeviceChoice::Ssd, None, None, DWELL);
+            let serial = run_sabotaged(&spec, sched, None, None);
             assert_eq!(
                 serial.violations,
                 Vec::<String>::new(),
                 "plain serial, program {idx}, {sched:?}"
             );
-            let queued =
-                run_one_timing_sabotaged(&spec, sched, DeviceChoice::Ssd, Some(8), None, DWELL);
+            let queued = run_sabotaged(&spec, sched, Some(8), None);
             assert_eq!(
                 queued.violations,
                 Vec::<String>::new(),
@@ -121,7 +133,16 @@ fn healthy_scheduler_passes_the_same_chaos_batch() {
     for idx in 0..12u64 {
         let spec = program(idx);
         for sched in [SchedChoice::Cfq, SchedChoice::SplitToken] {
-            let out = run_one_chaos(&spec, sched, DeviceChoice::Ssd, Some(8), chaos());
+            let out = run_with(
+                &spec,
+                sched,
+                DeviceChoice::Ssd,
+                RunOpts {
+                    queue_depth: Some(8),
+                    chaos: Some(chaos()),
+                    ..Default::default()
+                },
+            );
             assert_eq!(
                 out.violations,
                 Vec::<String>::new(),

@@ -10,7 +10,7 @@
 use sim_check::{generate, shrink, GenConfig, ProgramSpec};
 use sim_core::SimRng;
 use sim_experiments::{DeviceChoice, SchedChoice};
-use sim_sweep::run_one;
+use sim_sweep::{run_one, run_replay, CheckConfig};
 
 /// The predicate handed to the shrinker: replay under CFQ with the
 /// sabotage shim armed from the very first block add, and report
@@ -46,6 +46,10 @@ fn sabotaged_scheduler_is_caught_and_shrinks_small() {
         shrunk.syscall_count(),
         shrunk
     );
+    // The printed reproducer goes back in through `--replay`, which refuses
+    // invalid programs: a shrunk one must not be among them.
+    let replayed = run_replay(&shrunk.to_string(), &CheckConfig::default());
+    assert!(replayed.is_ok(), "{replayed:?}\n{shrunk}");
 }
 
 #[test]

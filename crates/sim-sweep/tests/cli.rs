@@ -214,6 +214,78 @@ fn replay_runs_on_the_planes_the_flags_select_and_refuses_generation_flags() {
     std::fs::remove_dir_all(&tmp).ok();
 }
 
+#[test]
+fn hostile_replay_files_and_flag_values_are_refused_not_run() {
+    // Every row panicked, aborted on an allocation or hung before it was
+    // refused: exit 2, one line saying what and where, nothing run.
+    let tmp = std::env::temp_dir().join(format!("sim-hostile-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&tmp).unwrap();
+    let spec = tmp.join("spec.txt");
+    let refused = |args: &[&str], needle: &str| {
+        let out = runner().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "args {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "nothing must run for {args:?}");
+        assert!(stderr.contains(needle), "args {args:?}: {stderr}");
+        assert!(
+            !stderr.contains("panicked") && !stderr.contains("allocation"),
+            "args {args:?}: {stderr}"
+        );
+    };
+    for (program, needle) in [
+        // a file-ref prefix that is not one byte long
+        (
+            "shared=1 bytes=65536\nproc\nread \u{e9}1 0 10\nend\n",
+            "line 3: bad file reference",
+        ),
+        // references with nothing behind them
+        (
+            "shared=1 bytes=65536\nproc\nread s7 0 10\nend\n",
+            "proc 0 op 0: `read s7 0 10`",
+        ),
+        (
+            "shared=1 bytes=65536\nproc\nmkdir\nread o3 0 10\nend\n",
+            "proc 0 op 1: `read o3 0 10`",
+        ),
+        (
+            "shared=0 bytes=65536\nproc\nfsync s0\nend\n",
+            "proc 0 op 0: `fsync s0`",
+        ),
+        (
+            "shared=1 bytes=65536\nproc\ncreat\nunlink o0\nunlink o0\nend\n",
+            "proc 0 op 2: `unlink o0`",
+        ),
+        // a 16 PiB write, a zero-byte file, a billion preallocations
+        (
+            "shared=1 bytes=65536\nproc\nwrite s0 18446744073709551615 18446744073709551615\nend\n",
+            "proc 0 op 0: `write s0 18446744073709551615 18446744073709551615`",
+        ),
+        ("shared=1 bytes=0\nproc\nend\n", "program header: bytes=0"),
+        (
+            "shared=1000000000 bytes=65536\nproc\nend\n",
+            "program header: shared=1000000000",
+        ),
+    ] {
+        std::fs::write(&spec, format!("program {program}")).unwrap();
+        let path = spec.to_str().unwrap();
+        refused(&["check", "--replay", path], "bad replay spec: ");
+        refused(&["check", "--replay", path], needle);
+    }
+    for depth in ["4294967295", "100000000", "65537"] {
+        refused(
+            &["check", "--queue-depth", depth],
+            "expected an integer in 1..=65536",
+        );
+    }
+    for secs in ["1e300", "9223372037"] {
+        refused(
+            &["cluster", "--duration", secs],
+            "expected fewer than 2^63 nanoseconds",
+        );
+    }
+    std::fs::remove_dir_all(&tmp).ok();
+}
+
 /// The runner's flag table restated independently: flag, a valid value
 /// if it takes one, and the subcommands that take it (`""` = plain
 /// figure targets).

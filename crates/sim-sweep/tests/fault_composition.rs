@@ -8,7 +8,14 @@ use sim_check::{generate, GenConfig, ProgramSpec};
 use sim_core::SimRng;
 use sim_experiments::{DeviceChoice, SchedChoice};
 use sim_fault::DeviceFaultPlane;
-use sim_sweep::run_one_faulted;
+use sim_sweep::{run_with, RunOpts};
+
+fn with_faults(plane: DeviceFaultPlane) -> RunOpts {
+    RunOpts {
+        faults: Some(plane),
+        ..Default::default()
+    }
+}
 
 fn write_fsync_program() -> ProgramSpec {
     ProgramSpec::parse(
@@ -27,7 +34,12 @@ fn write_fsync_program() -> ProgramSpec {
 fn a_failed_write_surfaces_as_an_error_not_silence() {
     let spec = write_fsync_program();
     let plane = DeviceFaultPlane::with_seed(11).fail_write(0);
-    let out = run_one_faulted(&spec, SchedChoice::SplitDeadline, DeviceChoice::Ssd, plane);
+    let out = run_with(
+        &spec,
+        SchedChoice::SplitDeadline,
+        DeviceChoice::Ssd,
+        with_faults(plane),
+    );
     assert_eq!(
         out.violations,
         Vec::<String>::new(),
@@ -47,7 +59,12 @@ fn a_torn_write_surfaces_as_an_error_not_silence() {
     // (journal abort or failed fsync) rather than pretending the data
     // landed.
     let plane = DeviceFaultPlane::with_seed(12).tear_write(0, 0);
-    let out = run_one_faulted(&spec, SchedChoice::Cfq, DeviceChoice::Hdd, plane);
+    let out = run_with(
+        &spec,
+        SchedChoice::Cfq,
+        DeviceChoice::Hdd,
+        with_faults(plane),
+    );
     assert_eq!(
         out.violations,
         Vec::<String>::new(),
@@ -69,7 +86,12 @@ fn random_torn_writes_never_violate_auditors_on_fuzzed_programs() {
     for idx in 0..6u64 {
         let spec = generate(&mut SimRng::stream(0xFA17, idx), &cfg);
         let plane = DeviceFaultPlane::with_seed(idx).torn_rate(0.2);
-        let out = run_one_faulted(&spec, SchedChoice::SplitToken, DeviceChoice::Ssd, plane);
+        let out = run_with(
+            &spec,
+            SchedChoice::SplitToken,
+            DeviceChoice::Ssd,
+            with_faults(plane),
+        );
         assert_eq!(out.violations, Vec::<String>::new(), "program {idx}");
         total_errors += out.io_errors;
     }

@@ -8,8 +8,8 @@
 //! without false-positives on honest throttling.
 
 use sim_check::{shrink, ProgramSpec};
-use sim_experiments::setup::DeviceChoice;
-use sim_sweep::check::run_one_layered;
+use sim_experiments::setup::{DeviceChoice, SchedChoice};
+use sim_sweep::check::{run_with, RunOpts, RunOutcome};
 use split_layered::{parse_layers, LayerSpec};
 
 /// One capped layer over noop: 256 KiB/s, so the auditor's envelope is
@@ -32,8 +32,23 @@ fn write_heavy() -> ProgramSpec {
     ProgramSpec::parse(&text).unwrap()
 }
 
+/// One SSD run under the layered arbiter over [`capped_tree`], with the
+/// planted cap-leak bug armed when `cap_leak` is set.
+fn run_capped(spec: &ProgramSpec, cap_leak: Option<u64>) -> RunOutcome {
+    run_with(
+        spec,
+        SchedChoice::Layered,
+        DeviceChoice::Ssd,
+        RunOpts {
+            layers: Some(capped_tree()),
+            cap_leak,
+            ..Default::default()
+        },
+    )
+}
+
 fn leak_violations(spec: &ProgramSpec) -> Vec<String> {
-    run_one_layered(spec, DeviceChoice::Ssd, capped_tree(), Some(2))
+    run_capped(spec, Some(2))
         .violations
         .into_iter()
         .filter(|v| v.contains("cap envelope"))
@@ -42,7 +57,7 @@ fn leak_violations(spec: &ProgramSpec) -> Vec<String> {
 
 #[test]
 fn clean_capped_run_passes_the_layer_auditor() {
-    let r = run_one_layered(&write_heavy(), DeviceChoice::Ssd, capped_tree(), None);
+    let r = run_capped(&write_heavy(), None);
     assert_eq!(
         r.violations,
         Vec::<String>::new(),

@@ -7,7 +7,14 @@
 
 use sim_check::{generate, GenConfig};
 use sim_core::SimRng;
-use sim_sweep::check::{run_one, run_one_queued, ALL_DEVICES, ALL_SCHEDS};
+use sim_sweep::check::{run_one, run_with, RunOpts, ALL_DEVICES, ALL_SCHEDS};
+
+fn at_depth(depth: u32) -> RunOpts {
+    RunOpts {
+        queue_depth: Some(depth),
+        ..Default::default()
+    }
+}
 
 /// Programs fuzzed per scheduler × device cell. Each program replays
 /// 2 × 9 × 2 = 36 times; keep the count small enough for CI.
@@ -20,7 +27,7 @@ fn depth_1_is_byte_identical_to_the_serial_device() {
         for &device in &ALL_DEVICES {
             for &sched in &ALL_SCHEDS {
                 let serial = run_one(&spec, sched, device, None);
-                let queued = run_one_queued(&spec, sched, device, 1);
+                let queued = run_with(&spec, sched, device, at_depth(1));
                 let label = format!("program {idx}, {} on {device:?}", sched.name());
                 assert_eq!(
                     serial.per_proc, queued.per_proc,
@@ -54,7 +61,7 @@ fn deep_queues_preserve_syscall_results() {
         for &device in &ALL_DEVICES {
             let reference = run_one(&spec, ALL_SCHEDS[0], device, None);
             for &sched in &ALL_SCHEDS {
-                let deep = run_one_queued(&spec, sched, device, 8);
+                let deep = run_with(&spec, sched, device, at_depth(8));
                 let label = format!("program {idx}, {} on {device:?}", sched.name());
                 assert_eq!(
                     deep.violations,

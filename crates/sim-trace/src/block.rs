@@ -64,7 +64,7 @@ impl RequestTrace {
     }
 
     /// Record one dispatched request.
-    pub fn record(&mut self, req: &Request, service: SimDuration, now: SimTime) {
+    pub(crate) fn record(&mut self, req: &Request, service: SimDuration, now: SimTime) {
         if self.records.len() >= self.cap {
             self.dropped += 1;
             return;
@@ -83,54 +83,9 @@ impl RequestTrace {
         });
     }
 
-    /// The recorded requests, in dispatch order.
-    pub fn records(&self) -> Vec<&TraceRecord> {
-        self.records.iter().collect()
-    }
-
     /// Iterate the records in dispatch order.
     pub fn iter(&self) -> impl Iterator<Item = &TraceRecord> {
         self.records.iter()
-    }
-
-    /// Number of retained records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Requests that did not fit in the capacity.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Export as CSV (header + one row per record).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "dispatched_s,submitted_s,service_ms,queue_ms,dir,kind,submitter,causes,start,nblocks,file\n",
-        );
-        for r in &self.records {
-            let causes: Vec<String> = r.causes.iter().map(|p| p.raw().to_string()).collect();
-            out.push_str(&format!(
-                "{:.6},{:.6},{:.3},{:.3},{:?},{:?},{},{},{},{},{}\n",
-                r.dispatched_at.as_secs_f64(),
-                r.submitted_at.as_secs_f64(),
-                r.service.as_millis_f64(),
-                r.queue_delay().as_millis_f64(),
-                r.dir,
-                r.kind,
-                r.submitter.raw(),
-                causes.join("|"),
-                r.start,
-                r.nblocks,
-                r.file.map(|f| f.raw().to_string()).unwrap_or_default(),
-            ));
-        }
-        out
     }
 }
 
@@ -157,20 +112,15 @@ mod tests {
     }
 
     #[test]
-    fn records_and_exports_csv() {
+    fn records_one_row_per_request() {
         let mut t = RequestTrace::with_capacity(10);
         t.record(
             &req(1, 100),
             SimDuration::from_millis(5),
             SimTime::from_nanos(3_000_000),
         );
-        assert_eq!(t.len(), 1);
-        let r = &t.records()[0];
-        assert_eq!(r.queue_delay(), SimDuration::from_millis(2));
-        let csv = t.to_csv();
-        assert!(csv.starts_with("dispatched_s,"));
-        assert!(csv.contains("1|2"), "cause list exported: {csv}");
-        assert!(csv.contains(",9\n"), "file id exported");
+        assert_eq!(t.records.len(), 1);
+        assert_eq!(t.records[0].queue_delay(), SimDuration::from_millis(2));
     }
 
     #[test]
@@ -179,10 +129,10 @@ mod tests {
         for i in 0..5 {
             t.record(&req(i, i * 10), SimDuration::ZERO, SimTime::from_nanos(i));
         }
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.dropped(), 3);
+        assert_eq!(t.records.len(), 2);
+        assert_eq!(t.dropped, 3);
         // The first two dispatches survive.
-        assert_eq!(t.records()[0].dispatched_at, SimTime::from_nanos(0));
-        assert_eq!(t.records()[1].dispatched_at, SimTime::from_nanos(1));
+        assert_eq!(t.records[0].dispatched_at, SimTime::from_nanos(0));
+        assert_eq!(t.records[1].dispatched_at, SimTime::from_nanos(1));
     }
 }

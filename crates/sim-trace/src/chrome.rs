@@ -23,7 +23,7 @@ fn causes_tag(causes: &CauseSet) -> String {
 }
 
 /// Render spans + gauges as a Chrome trace-event JSON document.
-pub fn chrome_json(
+pub(crate) fn chrome_json(
     process: u32,
     spans: &[SpanRecord],
     task_labels: &HashMap<Pid, &'static str>,
@@ -110,7 +110,7 @@ pub fn chrome_json(
 
 /// Render spans as CSV
 /// (`span,parent,layer,name,pid,start_s,end_s,dur_ms,causes,arg`).
-pub fn spans_csv(spans: &[SpanRecord]) -> String {
+pub(crate) fn spans_csv(spans: &[SpanRecord]) -> String {
     let mut out = String::from("span,parent,layer,name,pid,start_s,end_s,dur_ms,causes,arg\n");
     for s in spans {
         let (end_s, dur_ms) = match s.end {

@@ -1,10 +1,10 @@
-//! A minimal JSON well-formedness checker and value parser (RFC 8259
-//! grammar), plus the two helpers every hand-rolled emitter in the
-//! workspace writes through ([`escape`], [`num`]). Tests use
-//! [`validate`] and [`parse`] to prove each emitter's output reads back
-//! without pulling a JSON crate into the offline build. [`validate`]
-//! walks the bytes once and reports the first syntax error with its
-//! offset; [`parse`] builds a [`Value`] tree on top of the same grammar.
+//! A minimal JSON value parser (RFC 8259 grammar), plus the two helpers
+//! every hand-rolled emitter in the workspace writes through ([`escape`],
+//! [`num`]). Tests use [`validate`] and [`parse`] to prove each emitter's
+//! output reads back without pulling a JSON crate into the offline build.
+//! [`parse`] walks the bytes once, builds a [`Value`] tree and reports the
+//! first syntax error with its offset; [`validate`] is `parse` with the
+//! tree dropped.
 
 /// Escape a string for a JSON string literal (no surrounding quotes).
 pub fn escape(s: &str) -> String {
@@ -38,17 +38,7 @@ pub fn num(v: f64) -> String {
 
 /// Validate that `s` is a single well-formed JSON value.
 pub fn validate(s: &str) -> Result<(), String> {
-    let mut p = Checker {
-        b: s.as_bytes(),
-        i: 0,
-    };
-    p.ws();
-    p.value()?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(format!("trailing data at byte {}", p.i));
-    }
-    Ok(())
+    parse(s).map(drop)
 }
 
 /// A parsed JSON value. Objects keep their keys in document order;
@@ -124,30 +114,28 @@ impl Value {
 
 /// Parse `s` into a single [`Value`] tree.
 pub fn parse(s: &str) -> Result<Value, String> {
-    // Validate first: the tree builder can then assume well-formed
-    // input, keeping it simple, and callers get the checker's precise
-    // byte-offset errors.
-    validate(s)?;
-    let mut p = Checker {
-        b: s.as_bytes(),
-        i: 0,
-    };
+    let mut p = Parser { s, i: 0 };
     p.ws();
-    p.parse_value()
+    let v = p.value()?;
+    p.ws();
+    if p.i != s.len() {
+        return Err(format!("trailing data at byte {}", p.i));
+    }
+    Ok(v)
 }
 
-struct Checker<'a> {
-    b: &'a [u8],
+struct Parser<'a> {
+    s: &'a str,
     i: usize,
 }
 
-impl Checker<'_> {
+impl Parser<'_> {
     fn err(&self, what: &str) -> String {
         format!("{what} at byte {}", self.i)
     }
 
     fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
+        self.s.as_bytes().get(self.i).copied()
     }
 
     fn ws(&mut self) {
@@ -165,107 +153,150 @@ impl Checker<'_> {
         }
     }
 
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
-        if self.b[self.i..].starts_with(lit.as_bytes()) {
+    fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
+        if self.s.as_bytes()[self.i..].starts_with(lit.as_bytes()) {
             self.i += lit.len();
-            Ok(())
+            Ok(v)
         } else {
             Err(self.err(&format!("expected '{lit}'")))
         }
     }
 
-    fn value(&mut self) -> Result<(), String> {
+    fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
+            Some(b'"') => self.string().map(Value::Str),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'n') => self.literal("null", Value::Null),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
     }
 
-    fn object(&mut self) -> Result<(), String> {
+    fn object(&mut self) -> Result<Value, String> {
         self.expect(b'{')?;
+        let mut members = Vec::new();
         self.ws();
         if self.peek() == Some(b'}') {
             self.i += 1;
-            return Ok(());
+            return Ok(Value::Obj(members));
         }
         loop {
             self.ws();
-            self.string()?;
+            let key = self.string()?;
             self.ws();
             self.expect(b':')?;
             self.ws();
-            self.value()?;
+            members.push((key, self.value()?));
             self.ws();
             match self.peek() {
                 Some(b',') => self.i += 1,
                 Some(b'}') => {
                     self.i += 1;
-                    return Ok(());
+                    return Ok(Value::Obj(members));
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
             }
         }
     }
 
-    fn array(&mut self) -> Result<(), String> {
+    fn array(&mut self) -> Result<Value, String> {
         self.expect(b'[')?;
+        let mut elems = Vec::new();
         self.ws();
         if self.peek() == Some(b']') {
             self.i += 1;
-            return Ok(());
+            return Ok(Value::Arr(elems));
         }
         loop {
             self.ws();
-            self.value()?;
+            elems.push(self.value()?);
             self.ws();
             match self.peek() {
                 Some(b',') => self.i += 1,
                 Some(b']') => {
                     self.i += 1;
-                    return Ok(());
+                    return Ok(Value::Arr(elems));
                 }
                 _ => return Err(self.err("expected ',' or ']'")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<(), String> {
+    fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
+        let mut out = String::new();
         loop {
+            // Everything up to the next quote, escape or control byte is
+            // copied as one slice; those are all ASCII, so the cut falls
+            // on a char boundary and multi-byte UTF-8 passes through.
+            let run = self.i;
+            while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
+                self.i += 1;
+            }
+            out.push_str(&self.s[run..self.i]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.i += 1;
-                    return Ok(());
+                    return Ok(out);
                 }
                 Some(b'\\') => {
                     self.i += 1;
                     match self.peek() {
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
-                            self.i += 1;
-                        }
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
                         Some(b'u') => {
-                            self.i += 1;
-                            for _ in 0..4 {
-                                match self.peek() {
-                                    Some(c) if c.is_ascii_hexdigit() => self.i += 1,
-                                    _ => return Err(self.err("bad \\u escape")),
+                            let hi = self.hex4()?;
+                            let c = if (0xD800..0xDC00).contains(&hi) {
+                                // High surrogate: pair with a following
+                                // \uXXXX low surrogate if present.
+                                if self.s.as_bytes()[self.i + 1..].starts_with(b"\\u") {
+                                    self.i += 2;
+                                    let lo = self.hex4()?;
+                                    let code = 0x10000
+                                        + ((hi - 0xD800) << 10)
+                                        + (lo.wrapping_sub(0xDC00) & 0x3FF);
+                                    char::from_u32(code).unwrap_or('\u{FFFD}')
+                                } else {
+                                    '\u{FFFD}'
                                 }
-                            }
+                            } else {
+                                char::from_u32(hi).unwrap_or('\u{FFFD}')
+                            };
+                            out.push(c);
                         }
                         _ => return Err(self.err("bad escape")),
                     }
+                    self.i += 1;
                 }
-                Some(c) if c < 0x20 => return Err(self.err("raw control char in string")),
-                Some(_) => self.i += 1,
+                Some(_) => return Err(self.err("raw control char in string")),
             }
         }
+    }
+
+    /// Four hex digits after `\u`; leaves `self.i` on the last digit
+    /// (the caller's shared `+= 1` steps past it).
+    fn hex4(&mut self) -> Result<u32, String> {
+        let digits = self
+            .s
+            .as_bytes()
+            .get(self.i + 1..self.i + 5)
+            .filter(|d| d.iter().all(u8::is_ascii_hexdigit))
+            .ok_or_else(|| self.err("bad \\u escape"))?;
+        let code = digits.iter().fold(0, |n, &d| {
+            n * 16 + (d as char).to_digit(16).expect("hex digit")
+        });
+        self.i += 4;
+        Ok(code)
     }
 
     fn digits(&mut self) -> Result<(), String> {
@@ -280,7 +311,8 @@ impl Checker<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<(), String> {
+    fn number(&mut self) -> Result<Value, String> {
+        let start = self.i;
         if self.peek() == Some(b'-') {
             self.i += 1;
         }
@@ -305,160 +337,10 @@ impl Checker<'_> {
             }
             self.digits()?;
         }
-        Ok(())
-    }
-
-    // ---- value-tree building --------------------------------------------
-    // These run on input [`validate`] already accepted, so they only
-    // need to follow the grammar, not re-diagnose errors.
-
-    fn parse_value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b't') => {
-                self.literal("true")?;
-                Ok(Value::Bool(true))
-            }
-            Some(b'f') => {
-                self.literal("false")?;
-                Ok(Value::Bool(false))
-            }
-            Some(b'n') => {
-                self.literal("null")?;
-                Ok(Value::Null)
-            }
-            _ => self.parse_number(),
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Value::Obj(members));
-        }
-        loop {
-            self.ws();
-            let key = self.parse_string()?;
-            self.ws();
-            self.expect(b':')?;
-            self.ws();
-            let val = self.parse_value()?;
-            members.push((key, val));
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                _ => {
-                    self.expect(b'}')?;
-                    return Ok(Value::Obj(members));
-                }
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut elems = Vec::new();
-        self.ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Value::Arr(elems));
-        }
-        loop {
-            self.ws();
-            elems.push(self.parse_value()?);
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                _ => {
-                    self.expect(b']')?;
-                    return Ok(Value::Arr(elems));
-                }
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // High surrogate: pair with a following
-                                // \uXXXX low surrogate if present.
-                                if self.b[self.i + 1..].starts_with(b"\\u") {
-                                    self.i += 2;
-                                    let lo = self.hex4()?;
-                                    let code = 0x10000
-                                        + ((hi - 0xD800) << 10)
-                                        + (lo.wrapping_sub(0xDC00) & 0x3FF);
-                                    char::from_u32(code).unwrap_or('\u{FFFD}')
-                                } else {
-                                    '\u{FFFD}'
-                                }
-                            } else {
-                                char::from_u32(hi).unwrap_or('\u{FFFD}')
-                            };
-                            out.push(c);
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.i += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through verbatim.
-                    let rest = &self.b[self.i..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.i += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    /// Four hex digits after `\u`; leaves `self.i` on the last digit
-    /// (the caller's shared `+= 1` steps past it).
-    fn hex4(&mut self) -> Result<u32, String> {
-        let s = self
-            .b
-            .get(self.i + 1..self.i + 5)
-            .ok_or_else(|| self.err("bad \\u escape"))?;
-        let s = std::str::from_utf8(s).map_err(|_| self.err("bad \\u escape"))?;
-        let code = u32::from_str_radix(s, 16).map_err(|_| self.err("bad \\u escape"))?;
-        self.i += 4;
-        Ok(code)
-    }
-
-    fn parse_number(&mut self) -> Result<Value, String> {
-        let start = self.i;
-        self.number()?;
-        let s = std::str::from_utf8(&self.b[start..self.i]).expect("ascii number");
-        s.parse::<f64>()
+        let text = &self.s[start..self.i];
+        text.parse::<f64>()
             .map(Value::Num)
-            .map_err(|e| format!("unparseable number {s:?}: {e}"))
+            .map_err(|e| format!("unparseable number {text:?}: {e}"))
     }
 }
 
@@ -550,6 +432,8 @@ mod tests {
             "1.",
             "\"unterminated",
             "\"bad\\q\"",
+            "\"\\u12\"",
+            "\"\\u+123\"",
             "nul",
             "{} extra",
             "\"raw\tcontrol\"",

@@ -13,7 +13,7 @@
 //!   parent→child across layers.
 //! * [`Registry`] — counters, simulated-clock gauge series, and
 //!   fixed-bucket latency [`Histogram`]s.
-//! * [`chrome`] — hand-rolled Chrome trace-event JSON (loadable in
+//! * `chrome` — hand-rolled Chrome trace-event JSON (loadable in
 //!   Perfetto / `chrome://tracing`) and CSV exporters.
 //! * [`breakdown`] — per-layer fsync latency decomposition whose
 //!   components sum to the end-to-end latency by construction.
@@ -23,14 +23,14 @@
 //! Everything is timestamped on the simulated clock, so traces and
 //! metrics are deterministic outputs of a run, byte-for-byte.
 
-pub mod block;
+mod block;
 pub mod breakdown;
-pub mod chrome;
+mod chrome;
 pub mod json;
-pub mod metrics;
-pub mod prof_export;
-pub mod span;
-pub mod tracer;
+mod metrics;
+mod prof_export;
+mod span;
+mod tracer;
 
 pub use block::{RequestTrace, TraceRecord};
 pub use breakdown::{fsync_breakdown, layer_totals, FsyncBreakdown, FSYNC_COMPONENTS};

@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 
 /// Upper bounds (milliseconds) of the fixed histogram buckets; one
 /// implicit overflow bucket sits above the last bound.
-pub const LATENCY_BUCKETS_MS: [f64; 14] = [
+pub(crate) const LATENCY_BUCKETS_MS: [f64; 14] = [
     0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0,
 ];
 
@@ -38,9 +38,9 @@ impl Default for Histogram {
 impl Histogram {
     /// Record one observation. Non-finite values would poison `sum_ms`
     /// and every derived mean, so they are dropped and counted instead
-    /// (see [`Histogram::dropped`]). Counters saturate rather than
-    /// wrap: a metrics plane must never panic the run it observes.
-    pub fn observe_ms(&mut self, ms: f64) {
+    /// (in `dropped`). Counters saturate rather than wrap: a metrics
+    /// plane must never panic the run it observes.
+    pub(crate) fn observe_ms(&mut self, ms: f64) {
         if !ms.is_finite() {
             self.dropped = self.dropped.saturating_add(1);
             return;
@@ -57,23 +57,18 @@ impl Histogram {
         }
     }
 
-    /// Observations discarded for being non-finite.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Total observations.
     pub fn count(&self) -> u64 {
         self.count
     }
 
     /// Sum of all observations (ms).
-    pub fn sum_ms(&self) -> f64 {
+    pub(crate) fn sum_ms(&self) -> f64 {
         self.sum_ms
     }
 
     /// Mean observation (ms); zero when empty.
-    pub fn mean_ms(&self) -> f64 {
+    pub(crate) fn mean_ms(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -82,18 +77,13 @@ impl Histogram {
     }
 
     /// Largest observation (ms).
-    pub fn max_ms(&self) -> f64 {
+    pub(crate) fn max_ms(&self) -> f64 {
         self.max_ms
-    }
-
-    /// Per-bucket counts; the final entry is the overflow bucket.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
     }
 
     /// Approximate quantile (0..=1) as the upper bound of the bucket the
     /// rank falls into; the overflow bucket reports the observed max.
-    pub fn quantile_ms(&self, q: f64) -> f64 {
+    pub(crate) fn quantile_ms(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -145,7 +135,7 @@ impl Registry {
 
     /// Append one gauge sample. Samples past the per-gauge cap are
     /// dropped (and counted) so long runs stay bounded.
-    pub fn gauge(&mut self, name: &str, now: SimTime, value: f64) {
+    pub(crate) fn gauge(&mut self, name: &str, now: SimTime, value: f64) {
         let series = if let Some(s) = self.gauges.get_mut(name) {
             s
         } else {
@@ -175,18 +165,13 @@ impl Registry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// A gauge's sample series, oldest first.
-    pub fn gauge_series(&self, name: &str) -> &[(SimTime, f64)] {
-        self.gauges.get(name).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
     /// A histogram, if any observation was recorded under `name`.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.hists.get(name)
     }
 
     /// All counters, sorted by name.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
+    pub(crate) fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
@@ -196,13 +181,8 @@ impl Registry {
     }
 
     /// All histograms, sorted by name.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
+    pub(crate) fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
         self.hists.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Gauge samples discarded past the cap.
-    pub fn gauge_dropped(&self) -> u64 {
-        self.gauge_dropped
     }
 
     /// Counters and histogram summaries as CSV
@@ -269,7 +249,7 @@ mod tests {
 
         r.gauge("cache.dirty_pages", SimTime::from_nanos(1_000_000), 10.0);
         r.gauge("cache.dirty_pages", SimTime::from_nanos(2_000_000), 12.0);
-        assert_eq!(r.gauge_series("cache.dirty_pages").len(), 2);
+        assert_eq!(r.gauges["cache.dirty_pages"].len(), 2);
 
         r.observe_ms("syscall.fsync_ms", 3.0);
         assert_eq!(r.histogram("syscall.fsync_ms").unwrap().count(), 1);
@@ -302,7 +282,7 @@ mod tests {
         h.observe_ms(f64::NEG_INFINITY);
         h.observe_ms(1.0);
         assert_eq!(h.count(), 1);
-        assert_eq!(h.dropped(), 3);
+        assert_eq!(h.dropped, 3);
         assert!((h.mean_ms() - 1.0).abs() < 1e-12, "mean stays finite");
     }
 
@@ -322,7 +302,7 @@ mod tests {
         for i in 0..(GAUGE_SAMPLE_CAP + 5) {
             r.gauge("g", SimTime::from_nanos(i as u64), i as f64);
         }
-        assert_eq!(r.gauge_series("g").len(), GAUGE_SAMPLE_CAP);
-        assert_eq!(r.gauge_dropped(), 5);
+        assert_eq!(r.gauges["g"].len(), GAUGE_SAMPLE_CAP);
+        assert_eq!(r.gauge_dropped, 5);
     }
 }

@@ -119,7 +119,10 @@ mod tests {
         export_profile(&mut reg, &p.snapshot());
         assert_eq!(reg.counter("prof.sched.calls"), 1);
         assert_eq!(reg.counter("prof.event_push.calls"), 0);
-        let depth = reg.gauge_series("prof.queue.depth_max");
+        let (_, depth) = reg
+            .gauges()
+            .find(|(name, _)| *name == "prof.queue.depth_max")
+            .expect("depth gauge exported");
         assert_eq!(depth.len(), 1);
         assert_eq!(depth[0].1, 17.0);
     }

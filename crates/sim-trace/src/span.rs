@@ -115,7 +115,7 @@ pub struct SpanRecord {
 
 impl SpanRecord {
     /// Elapsed time, if the span closed.
-    pub fn duration(&self) -> Option<SimDuration> {
+    pub(crate) fn duration(&self) -> Option<SimDuration> {
         self.end.map(|e| e.since(self.start))
     }
 }

@@ -74,11 +74,6 @@ impl Tracer {
         self.enabled.set(on);
     }
 
-    /// Override the retained-span cap.
-    pub fn set_span_cap(&self, cap: usize) {
-        self.inner.borrow_mut().span_cap = cap.max(1);
-    }
-
     /// Name a task for exports ("journal", "writeback").
     pub fn label_task(&self, pid: Pid, label: &'static str) {
         self.inner.borrow_mut().task_labels.insert(pid, label);
@@ -293,19 +288,9 @@ impl Tracer {
         self.inner.borrow().spans.clone()
     }
 
-    /// Number of spans dropped past the cap.
-    pub fn spans_dropped(&self) -> u64 {
-        self.inner.borrow().spans_dropped
-    }
-
     /// Read the metrics registry.
     pub fn with_registry<R>(&self, f: impl FnOnce(&Registry) -> R) -> R {
         f(&self.inner.borrow().registry)
-    }
-
-    /// Snapshot the metrics registry.
-    pub fn registry(&self) -> Registry {
-        self.inner.borrow().registry.clone()
     }
 
     /// Export spans + gauges as Chrome trace-event JSON (Perfetto-loadable).
@@ -432,12 +417,12 @@ mod tests {
     fn span_cap_counts_drops() {
         let tr = Tracer::new();
         tr.set_enabled(true);
-        tr.set_span_cap(2);
+        tr.inner.borrow_mut().span_cap = 2;
         let causes = CauseSet::of(Pid(1));
         for i in 0..5 {
             tr.begin(Layer::Block, "queue", Pid(1), &causes, t(i));
         }
         assert_eq!(tr.spans().len(), 2);
-        assert_eq!(tr.spans_dropped(), 3);
+        assert_eq!(tr.inner.borrow().spans_dropped, 3);
     }
 }

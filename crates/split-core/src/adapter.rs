@@ -20,16 +20,6 @@ impl<E: Elevator> BlockOnly<E> {
     pub fn new(inner: E) -> Self {
         BlockOnly { inner }
     }
-
-    /// Access the wrapped elevator.
-    pub fn inner(&self) -> &E {
-        &self.inner
-    }
-
-    /// Mutable access to the wrapped elevator.
-    pub fn inner_mut(&mut self) -> &mut E {
-        &mut self.inner
-    }
 }
 
 impl<E: Elevator> IoSched for BlockOnly<E> {

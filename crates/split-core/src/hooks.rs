@@ -259,11 +259,6 @@ impl<'a> SchedCtx<'a> {
     pub fn drain(&mut self) -> Vec<SchedCmd> {
         std::mem::take(&mut self.commands)
     }
-
-    /// Whether any command is pending (test helper).
-    pub fn has_commands(&self) -> bool {
-        !self.commands.is_empty()
-    }
 }
 
 /// A complete I/O scheduler in the split framework.
@@ -429,7 +424,6 @@ mod tests {
         ctx.set_timer(SimTime::from_nanos(10));
         ctx.start_writeback(Some(FileId(7)), 128);
         ctx.kick_dispatch();
-        assert!(ctx.has_commands());
         let cmds = ctx.drain();
         assert_eq!(cmds.len(), 4);
         assert_eq!(cmds[0], SchedCmd::Wake(Pid(3)));
@@ -442,7 +436,7 @@ mod tests {
             }
         );
         assert_eq!(cmds[3], SchedCmd::KickDispatch);
-        assert!(!ctx.has_commands());
+        assert!(ctx.drain().is_empty());
     }
 
     #[test]

@@ -20,16 +20,14 @@
 //! any layer can map I/O back to the processes responsible.
 //!
 //! Classic single-level schedulers plug into the same interface through
-//! [`adapter::BlockOnly`], which is how the baselines run in the
+//! [`BlockOnly`], which is how the baselines run in the
 //! experiments.
 
-pub mod adapter;
-pub mod cost;
-pub mod hooks;
-pub mod proxy;
+mod adapter;
+mod hooks;
+mod proxy;
 
 pub use adapter::BlockOnly;
-pub use cost::{NormalizedCost, PrelimWriteModel, SeekCostModel};
 pub use hooks::{
     BufferDirtied, BufferFreed, Gate, IoSched, SchedAttr, SchedCmd, SchedCtx, SyscallInfo,
     SyscallKind,

@@ -50,21 +50,6 @@ impl ProxyRegistry {
             _ => CauseSet::of(task),
         }
     }
-
-    /// The raw cause set carried by `task`, if any.
-    pub fn carried(&self, task: Pid) -> Option<&CauseSet> {
-        self.acting_for.get(&task)
-    }
-
-    /// Number of live proxies (overhead accounting).
-    pub fn len(&self) -> usize {
-        self.acting_for.len()
-    }
-
-    /// Whether no proxies are active.
-    pub fn is_empty(&self) -> bool {
-        self.acting_for.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -102,7 +87,7 @@ mod tests {
         assert_eq!(r.resolve(Pid(3)).len(), 2);
         r.clear(Pid(3));
         assert_eq!(r.resolve(Pid(3)), CauseSet::of(Pid(3)));
-        assert!(r.is_empty());
+        assert!(r.acting_for.is_empty());
     }
 
     #[test]

@@ -264,11 +264,6 @@ impl Layered {
         &self.report
     }
 
-    /// Layer names in tree order (reports, tests).
-    pub fn layer_names(&self) -> Vec<&str> {
-        self.layers.iter().map(|l| l.spec.name.as_str()).collect()
-    }
-
     fn classify_pid(&mut self, pid: Pid) -> usize {
         if let Some(&i) = self.assign.get(&pid) {
             return i;
@@ -962,7 +957,8 @@ mod tests {
         .unwrap();
         let mut l = Layered::build(specs, LayeredConfig::default(), &mut resolver()).unwrap();
         assert!(!l.passthrough);
-        assert_eq!(l.layer_names(), vec!["lat", "cap", "rest"]);
+        let names: Vec<&str> = l.layers.iter().map(|l| l.spec.name.as_str()).collect();
+        assert_eq!(names, vec!["lat", "cap", "rest"]);
         assert_eq!(l.classify_pid(Pid(1)), 0);
         assert_eq!(l.classify_pid(Pid(2)), 1);
         assert_eq!(l.classify_pid(Pid(3)), 2);

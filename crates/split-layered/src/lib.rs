@@ -5,7 +5,7 @@
 //! scx_layered-style layer plane on top of `split-core`'s [`IoSched`]
 //! trait (DESIGN §4k):
 //!
-//! - **Classification** ([`spec`]): cgroup-like [`LayerSpec`] rules
+//! - **Classification** (`spec`): cgroup-like [`LayerSpec`] rules
 //!   (pid set, registered-name prefix, I/O class, pid modulus) assign
 //!   each process to a layer at admission; the mandatory trailing
 //!   default layer makes classification total.
@@ -17,7 +17,7 @@
 //!   (Split-Token, AFQ, CFQ, deadline, …) unchanged; a single-layer
 //!   default tree is a verbatim pass-through, proven byte-identical to
 //!   the flat child by the equivalence suite.
-//! - **Feasibility** ([`solver`]): a weight-redistribution solver
+//! - **Feasibility** (`solver`): a weight-redistribution solver
 //!   detects infeasible guarantee sets (sum of mins over capacity, one
 //!   huge weight stranding capacity behind its own cap) and
 //!   renormalizes with a typed [`Adjustment`] report instead of
@@ -25,10 +25,10 @@
 //!
 //! [`IoSched`]: split_core::IoSched
 
-pub mod layered;
-pub mod solver;
-pub mod spec;
+mod layered;
+mod solver;
+mod spec;
 
 pub use layered::{Layered, LayeredConfig};
-pub use solver::{solve, Adjustment, FeasibleWeights, LayerEntitlement};
+pub use solver::{Adjustment, FeasibleWeights};
 pub use spec::{classify, parse_layers, validate, LayerPolicy, LayerRule, LayerSpec, SpecError};

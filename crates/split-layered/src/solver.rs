@@ -19,7 +19,7 @@ use std::fmt;
 
 /// Solver input for one layer.
 #[derive(Debug, Clone)]
-pub struct LayerEntitlement {
+pub(crate) struct LayerEntitlement {
     /// Layer name (for the report).
     pub name: String,
     /// Relative weight (> 0).
@@ -34,7 +34,7 @@ pub struct LayerEntitlement {
 impl LayerEntitlement {
     /// Derive an entitlement from a spec, translating a byte-rate cap
     /// into a capacity share via the device-bandwidth hint.
-    pub fn from_spec(spec: &LayerSpec, bw_hint_bytes_per_sec: u64) -> Self {
+    pub(crate) fn from_spec(spec: &LayerSpec, bw_hint_bytes_per_sec: u64) -> Self {
         let (min_share, cap_share) = match spec.policy {
             LayerPolicy::MinUtil { share } => (Some(share), None),
             LayerPolicy::BandwidthCap { bytes_per_sec } => (
@@ -148,7 +148,7 @@ impl fmt::Display for FeasibleWeights {
 
 /// Solve the entitlement system. Never panics; never returns a zero
 /// share for a layer that asked for a minimum.
-pub fn solve(inputs: &[LayerEntitlement]) -> FeasibleWeights {
+pub(crate) fn solve(inputs: &[LayerEntitlement]) -> FeasibleWeights {
     let n = inputs.len();
     let mut adjustments = Vec::new();
     if n == 0 {

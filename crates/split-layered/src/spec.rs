@@ -36,7 +36,7 @@ pub enum LayerRule {
 
 impl LayerRule {
     /// Does this rule match the process?
-    pub fn matches(&self, pid: Pid, name: Option<&str>, class: Option<PrioClass>) -> bool {
+    pub(crate) fn matches(&self, pid: Pid, name: Option<&str>, class: Option<PrioClass>) -> bool {
         match self {
             LayerRule::Pids(set) => set.contains(&pid.0),
             LayerRule::NamePrefix(p) => name.is_some_and(|n| n.starts_with(p.as_str())),
@@ -106,18 +106,6 @@ impl LayerSpec {
             weight: 1.0,
             child: child.to_string(),
         }
-    }
-
-    /// Set the policy.
-    pub fn policy(mut self, p: LayerPolicy) -> Self {
-        self.policy = p;
-        self
-    }
-
-    /// Set the weight.
-    pub fn weight(mut self, w: f64) -> Self {
-        self.weight = w;
-        self
     }
 }
 

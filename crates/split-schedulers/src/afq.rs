@@ -30,7 +30,7 @@ use sim_block::sorted::SortedQueue;
 
 /// AFQ tunables.
 #[derive(Debug, Clone, Copy)]
-pub struct AfqConfig {
+pub(crate) struct AfqConfig {
     /// How far (in weighted disk-seconds) a process may run ahead of the
     /// virtual time before its write-like syscalls are held.
     pub window: f64,
@@ -98,7 +98,7 @@ impl Afq {
     }
 
     /// AFQ with explicit tunables.
-    pub fn with_config(cfg: AfqConfig) -> Self {
+    pub(crate) fn with_config(cfg: AfqConfig) -> Self {
         Afq {
             cfg,
             weights: FastMap::default(),

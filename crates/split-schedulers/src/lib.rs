@@ -12,18 +12,15 @@
 //! * [`ScsToken`] — the system-call-scheduling baseline of Craciunas et
 //!   al., which charges raw bytes at the syscall layer (§2.3.3).
 
-pub mod afq;
-pub mod scs_token;
-pub mod split_deadline;
-pub mod split_noop;
-pub mod split_token;
-pub mod stride;
-pub mod tokens;
+mod afq;
+mod scs_token;
+mod split_deadline;
+mod split_noop;
+mod split_token;
+mod tokens;
 
 pub use afq::Afq;
 pub use scs_token::ScsToken;
-pub use split_deadline::{SplitDeadline, SplitDeadlineConfig};
+pub use split_deadline::SplitDeadline;
 pub use split_noop::SplitNoop;
-pub use split_token::{AccountError, SplitToken, SplitTokenConfig};
-pub use stride::StrideSet;
-pub use tokens::{BucketId, TokenBuckets};
+pub use split_token::SplitToken;

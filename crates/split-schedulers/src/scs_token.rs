@@ -46,11 +46,6 @@ impl ScsToken {
         }
     }
 
-    /// Direct bucket access (tests and experiments).
-    pub fn buckets_mut(&mut self) -> &mut TokenBuckets {
-        &mut self.buckets
-    }
-
     fn maintenance(&mut self, ctx: &mut SchedCtx<'_>) {
         self.buckets.release_ready(ctx.now, |pid| ctx.wake(pid));
         if self.buckets.any_held() && !self.timer_armed {

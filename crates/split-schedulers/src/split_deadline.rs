@@ -28,7 +28,7 @@ use split_core::{
 
 /// Split-Deadline tunables.
 #[derive(Debug, Clone, Copy)]
-pub struct SplitDeadlineConfig {
+pub(crate) struct SplitDeadlineConfig {
     /// Default fsync deadline for unconfigured processes.
     pub default_fsync_deadline: SimDuration,
     /// An fsync is admitted when its estimated flush cost is below this
@@ -134,7 +134,7 @@ impl SplitDeadline {
     }
 
     /// Explicit tunables.
-    pub fn with_config(cfg: SplitDeadlineConfig) -> Self {
+    pub(crate) fn with_config(cfg: SplitDeadlineConfig) -> Self {
         SplitDeadline {
             cfg,
             fsync_deadlines: HashMap::new(),
@@ -153,11 +153,6 @@ impl SplitDeadline {
             timer_armed: false,
             seek_equiv_secs: 0.008,
         }
-    }
-
-    /// Whether the kernel's pdflush should run for this configuration.
-    pub fn wants_pdflush(&self) -> bool {
-        !self.cfg.manage_writeback
     }
 
     fn total_cost(&self) -> f64 {
@@ -629,7 +624,7 @@ mod tests {
     fn pdflush_variant_throttles_writers() {
         let dev = HddModel::new();
         let mut s = SplitDeadline::pdflush_variant();
-        assert!(s.wants_pdflush());
+        assert!(!s.cfg.manage_writeback);
         let mut ctx = ctx_at(&dev, 0);
         // Pid 7 exceeds its own write-throttle budget with scattered
         // dirtying (the dirty() fixture attributes to Pid 9 — use a

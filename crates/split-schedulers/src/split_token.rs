@@ -27,7 +27,7 @@ use crate::tokens::TokenBuckets;
 
 /// Typed failure from the two-phase token account.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccountError {
+pub(crate) enum AccountError {
     /// A reversal hit an account with no outstanding pages: the prompt
     /// charge it would reverse was never made (a duplicate free, or a
     /// revision racing a buffer drop). Dividing through the page count
@@ -57,7 +57,7 @@ impl std::error::Error for AccountError {}
 
 /// Split-Token tunables.
 #[derive(Debug, Clone, Copy)]
-pub struct SplitTokenConfig {
+pub(crate) struct SplitTokenConfig {
     /// Maintenance tick while calls are held.
     pub tick: SimDuration,
     /// Reads served between write batches at the block level.
@@ -128,7 +128,7 @@ impl SplitToken {
     }
 
     /// Explicit tunables.
-    pub fn with_config(cfg: SplitTokenConfig) -> Self {
+    pub(crate) fn with_config(cfg: SplitTokenConfig) -> Self {
         SplitToken {
             cfg,
             buckets: TokenBuckets::new(),
@@ -143,17 +143,6 @@ impl SplitToken {
             rr_readers: Vec::new(),
             timer_armed: false,
         }
-    }
-
-    /// Direct bucket access (tests and experiments).
-    pub fn buckets_mut(&mut self) -> &mut TokenBuckets {
-        &mut self.buckets
-    }
-
-    /// Account errors seen so far (empty-account reversals, each of which
-    /// was answered with a zero refund instead of a NaN charge).
-    pub fn account_errors(&self) -> &[AccountError] {
-        &self.account_errors
     }
 
     fn charge_causes(&mut self, req: &Request, norm: f64, now: SimTime) {
@@ -664,9 +653,9 @@ mod tests {
         let after = s.buckets.balance(Pid(1), SimTime::ZERO).unwrap();
         assert!(after.is_finite(), "NaN must never reach the bucket");
         assert!(after >= before, "the one real page was refunded");
-        assert_eq!(s.account_errors().len(), 1);
+        assert_eq!(s.account_errors.len(), 1);
         assert!(matches!(
-            s.account_errors()[0],
+            s.account_errors[0],
             AccountError::ZeroPageAccount {
                 file: FileId(1),
                 pages: 1

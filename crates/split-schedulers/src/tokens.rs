@@ -17,7 +17,7 @@ use sim_trace::Tracer;
 /// Identifies a bucket: by default each pid has its own; pids may be
 /// joined into shared group buckets (VM instances, HDFS accounts).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum BucketId {
+pub(crate) enum BucketId {
     /// A per-process bucket.
     Proc(Pid),
     /// A shared group bucket.
@@ -52,7 +52,7 @@ impl Bucket {
 
 /// All buckets, the pid → bucket mapping, and the gate's waiter set.
 #[derive(Debug, Default)]
-pub struct TokenBuckets {
+pub(crate) struct TokenBuckets {
     buckets: HashMap<BucketId, Bucket>,
     groups: HashMap<Pid, u32>,
     /// Pids held at the gate, in hold order (which is wake order).
@@ -69,18 +69,18 @@ fn bucket_in(groups: &HashMap<Pid, u32>, pid: Pid) -> BucketId {
 
 impl TokenBuckets {
     /// Empty registry; unknown pids are unthrottled.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Which bucket `pid` draws from.
-    pub fn bucket_of(&self, pid: Pid) -> BucketId {
+    pub(crate) fn bucket_of(&self, pid: Pid) -> BucketId {
         bucket_in(&self.groups, pid)
     }
 
     /// Throttle `pid` (or its group) to `rate` bytes/second. Creates the
     /// bucket if needed; the default cap is one second of rate.
-    pub fn set_rate(&mut self, pid: Pid, rate: u64, now: SimTime) {
+    pub(crate) fn set_rate(&mut self, pid: Pid, rate: u64, now: SimTime) {
         let id = self.bucket_of(pid);
         let fresh = !self.buckets.contains_key(&id);
         let b = self.buckets.entry(id).or_insert(Bucket {
@@ -101,7 +101,7 @@ impl TokenBuckets {
     }
 
     /// Set the cap on `pid`'s bucket.
-    pub fn set_cap(&mut self, pid: Pid, cap: u64, now: SimTime) {
+    pub(crate) fn set_cap(&mut self, pid: Pid, cap: u64, now: SimTime) {
         let id = self.bucket_of(pid);
         if let Some(b) = self.buckets.get_mut(&id) {
             b.refill(now);
@@ -112,13 +112,13 @@ impl TokenBuckets {
 
     /// Join `pid` to group `g`. The group bucket must then be configured
     /// via `set_rate` on any member.
-    pub fn join_group(&mut self, pid: Pid, g: u32) {
+    pub(crate) fn join_group(&mut self, pid: Pid, g: u32) {
         self.groups.insert(pid, g);
         self.rebound(pid);
     }
 
     /// Remove any throttle from `pid`'s bucket binding.
-    pub fn unthrottle(&mut self, pid: Pid) {
+    pub(crate) fn unthrottle(&mut self, pid: Pid) {
         self.buckets.remove(&self.bucket_of(pid));
         self.groups.remove(&pid);
         self.rebound(pid);
@@ -141,14 +141,9 @@ impl TokenBuckets {
         waiting
     }
 
-    /// Whether `pid` is subject to throttling at all.
-    pub fn is_throttled(&self, pid: Pid) -> bool {
-        self.buckets.contains_key(&self.bucket_of(pid))
-    }
-
     /// Charge `cost` normalized bytes to `pid`'s bucket (no-op when
     /// unthrottled). Balance may go negative.
-    pub fn charge(&mut self, pid: Pid, cost: f64, now: SimTime) {
+    pub(crate) fn charge(&mut self, pid: Pid, cost: f64, now: SimTime) {
         let id = self.bucket_of(pid);
         if let Some(b) = self.buckets.get_mut(&id) {
             b.refill(now);
@@ -157,7 +152,7 @@ impl TokenBuckets {
     }
 
     /// Refund `cost` (revision in the caller's favour).
-    pub fn refund(&mut self, pid: Pid, cost: f64, now: SimTime) {
+    pub(crate) fn refund(&mut self, pid: Pid, cost: f64, now: SimTime) {
         let id = self.bucket_of(pid);
         if let Some(b) = self.buckets.get_mut(&id) {
             b.refill(now);
@@ -166,7 +161,7 @@ impl TokenBuckets {
     }
 
     /// Current balance (after refill); `None` when unthrottled.
-    pub fn balance(&mut self, pid: Pid, now: SimTime) -> Option<f64> {
+    pub(crate) fn balance(&mut self, pid: Pid, now: SimTime) -> Option<f64> {
         let id = self.bucket_of(pid);
         let b = self.buckets.get_mut(&id)?;
         b.refill(now);
@@ -174,18 +169,18 @@ impl TokenBuckets {
     }
 
     /// Whether `pid` may proceed (unthrottled or non-negative balance).
-    pub fn may_proceed(&mut self, pid: Pid, now: SimTime) -> bool {
+    pub(crate) fn may_proceed(&mut self, pid: Pid, now: SimTime) -> bool {
         self.balance(pid, now).is_none_or(|t| t >= 0.0)
     }
 
     /// Park `pid` behind its bucket: the scheduler answered `Gate::Hold`.
-    pub fn hold(&mut self, pid: Pid) {
+    pub(crate) fn hold(&mut self, pid: Pid) {
         self.held.push(pid);
         *self.waiting.entry(self.bucket_of(pid)).or_insert(0) += 1;
     }
 
     /// Whether any pid is parked.
-    pub fn any_held(&self) -> bool {
+    pub(crate) fn any_held(&self) -> bool {
         !self.held.is_empty()
     }
 
@@ -198,7 +193,7 @@ impl TokenBuckets {
     /// per waiting bucket is what a refill per waiter amounts to (every
     /// call after the first sees `dt = 0`). The waiters are then walked in
     /// place, each tested against its own bucket.
-    pub fn release_ready(&mut self, now: SimTime, mut wake: impl FnMut(Pid)) {
+    pub(crate) fn release_ready(&mut self, now: SimTime, mut wake: impl FnMut(Pid)) {
         // A bucket removed while pids waited on it throttles nobody.
         self.waiting.retain(|id, _| {
             self.buckets.get_mut(id).is_some_and(|b| {
@@ -220,7 +215,7 @@ impl TokenBuckets {
     /// gauge: per-process buckets key by pid, group buckets by `2^32 + g`
     /// (pids are 32-bit, so the ranges can't collide). No-op when tracing
     /// is off; iteration is in sorted bucket order for determinism.
-    pub fn sample(&mut self, tracer: &Tracer, now: SimTime) {
+    pub(crate) fn sample(&mut self, tracer: &Tracer, now: SimTime) {
         if !tracer.enabled() {
             return;
         }
@@ -244,7 +239,7 @@ impl TokenBuckets {
     /// FIFO's length and every parked pid's bucket is in it).
     /// Reads the fields as-is (no refill), so `&self` suffices and the
     /// check itself cannot perturb the accounting it inspects.
-    pub fn audit(&self) -> Vec<String> {
+    pub(crate) fn audit(&self) -> Vec<String> {
         let mut bad = Vec::new();
         let mut ids: Vec<BucketId> = self.buckets.keys().copied().collect();
         ids.sort();
@@ -279,7 +274,7 @@ impl TokenBuckets {
 
     /// When `pid`'s bucket will next be non-negative (`None` if already,
     /// or if unthrottled, or if the rate is zero — then never).
-    pub fn ready_at(&mut self, pid: Pid, now: SimTime) -> Option<SimTime> {
+    pub(crate) fn ready_at(&mut self, pid: Pid, now: SimTime) -> Option<SimTime> {
         let id = self.bucket_of(pid);
         let b = self.buckets.get_mut(&id)?;
         b.refill(now);
