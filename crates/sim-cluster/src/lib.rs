@@ -3,7 +3,7 @@
 //!
 //! This crate generalizes the paper's 7-node HDFS case study (§7.3) to
 //! a sharded serving fleet: every shard is a full simulated kernel with
-//! its own calendar-wheel event queue ([`sim_kernel::World`]), running a
+//! its own event queue ([`sim_kernel::World`]), running a
 //! replicated KV/log server (leader + followers, commit-on-quorum-fsync
 //! — the `minidb` WAL discipline made distributed) next to a batch
 //! tenant, under open-loop client traffic (Poisson / diurnal /

@@ -1,6 +1,5 @@
-//! One shard: a full simulated kernel (its own calendar-wheel event
-//! queue inside a [`World`]) plus the KV/log server state machine that
-//! runs on it.
+//! One shard: a full simulated kernel (its own event queue inside a
+//! [`World`]) plus the KV/log server state machine that runs on it.
 //!
 //! A shard is deliberately **not** `Send`: worlds hold `Rc`-based app
 //! state and tracers. The parallel executor therefore constructs each
@@ -270,7 +269,8 @@ impl Shard {
 
     /// Accept a window's worth of envelopes: each becomes an app timer
     /// at its delivery time. The conservative executor guarantees every
-    /// `deliver_at` is at or after this shard's clock.
+    /// `deliver_at` is at or after this shard's clock; one that is not
+    /// counts in the shard's `late`.
     pub(crate) fn deliver(&mut self, inbox: Vec<Envelope>) {
         for env in inbox {
             let token = self.next_token;

@@ -261,11 +261,11 @@ impl World {
         self.kernels[k.raw() as usize].prealloc_file(bytes, contiguous)
     }
 
-    /// Schedule an application timer.
+    /// Schedule an application timer. A time behind the clock is a
+    /// caller bug: it fires at `now` and counts in
+    /// [`World::late_schedules`], like any other late event.
     pub fn schedule_app_timer(&mut self, at: SimTime, token: u64) {
-        self.bus
-            .q
-            .schedule(at.max(self.now()), Event::AppTimer { token });
+        self.bus.q.schedule(at, Event::AppTimer { token });
     }
 
     /// Take the accumulated application events.

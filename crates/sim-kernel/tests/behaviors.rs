@@ -7,7 +7,7 @@ use std::rc::Rc;
 use sim_block::{Dispatch, Noop, Request};
 use sim_cache::CacheConfig;
 use sim_core::{FileId, Pid, SimDuration, SimTime};
-use sim_kernel::{DeviceKind, KernelConfig, Outcome, ProcAction, World};
+use sim_kernel::{AppEvent, DeviceKind, KernelConfig, Outcome, ProcAction, World};
 use split_core::{BlockOnly, BufferFreed, Gate, IoSched, SchedCtx, SyscallInfo, SyscallKind};
 
 const KB: u64 = 1024;
@@ -403,4 +403,27 @@ fn sparse_reads_of_never_written_files_return_zeroes_without_io() {
         0,
         "hole reads cost no disk time"
     );
+}
+
+/// An app timer behind the clock is the late schedule it is: counted in
+/// `late_schedules()` (what the fleet's lookahead check reads) and fired
+/// at `now`, never silently moved.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    should_panic(expected = "scheduled an event in the past")
+)]
+fn late_app_timer_is_counted_and_fires_now() {
+    let mut w = World::new();
+    w.schedule_app_timer(SimTime::from_nanos(100), 1);
+    let fired = w.run_until_app_events(SimTime::MAX);
+    assert!(matches!(fired[..], [AppEvent::Timer { token: 1, .. }]));
+    assert_eq!(w.late_schedules(), 0);
+    w.schedule_app_timer(SimTime::from_nanos(40), 2);
+    assert_eq!(w.late_schedules(), 1);
+    let fired = w.run_until_app_events(SimTime::MAX);
+    let [AppEvent::Timer { token: 2, now }] = fired[..] else {
+        panic!("late timer did not fire: {fired:?}");
+    };
+    assert_eq!(now, SimTime::from_nanos(100), "clamped to now");
 }
