@@ -5,12 +5,17 @@
 //! Lewis–Shedler thinning: candidate arrivals are drawn from a
 //! homogeneous process at the envelope rate (the maximum of the rate
 //! function) and accepted with probability `rate(t) / envelope`. The
-//! generator is fully determined by its seed, so the coordinator can
-//! pre-schedule arrivals without any feedback from the fleet — the
-//! open-loop property that lets the parallel executor inject traffic at
-//! window barriers without causality constraints.
+//! generator is fully determined by its seed, so each replication group
+//! pre-schedules its own arrivals without any feedback from the fleet —
+//! the open-loop property that lets a group's window loop inject traffic
+//! between windows without causality constraints.
+
+use std::ops::Range;
 
 use sim_core::{SimDuration, SimRng, SimTime};
+
+use crate::shard::{Envelope, Payload, ReqKind};
+use crate::{ClusterConfig, NetConfig, Topology};
 
 /// An arrival process shape. Rates are requests per second *per
 /// replication group* (each group has one leader taking puts).
@@ -169,90 +174,79 @@ impl ArrivalGen {
     }
 }
 
-/// The coordinator-side traffic source: one arrival stream per
-/// replication group, turned into client [`Envelope`]s. Entirely
-/// open-loop — nothing the fleet does feeds back into it — which is why
-/// the parallel executor can inject arrivals at window barriers without
+/// One replication group's client traffic: its arrival stream, turned
+/// into [`Envelope`]s addressed to members of that group only. Entirely
+/// open-loop — nothing the fleet does feeds back into it — so a group's
+/// window loop can pull a window's arrivals ahead of its shards without
 /// any causality constraint.
 pub(crate) struct Traffic {
-    groups: Vec<GroupTraffic>,
-    net: sim_apps::net::NetConfig,
-    read_fraction: f64,
-    topo: crate::Topology,
-    wal_bytes: u64,
-}
-
-struct GroupTraffic {
+    /// Group index: the high bits of every request id it issues.
+    group: u64,
     gen: ArrivalGen,
     /// Request-kind and replica-choice draws, a separate stream so the
     /// arrival schedule itself stays comparable across read fractions.
     rng: SimRng,
     seq: u64,
     /// Next arrival not yet handed out.
-    pending: Option<crate::shard::Envelope>,
+    pending: Option<Envelope>,
+    members: Range<usize>,
+    leader: usize,
+    net: NetConfig,
+    read_fraction: f64,
+    wal_bytes: u64,
 }
 
 impl Traffic {
-    pub(crate) fn new(cfg: &crate::ClusterConfig) -> Traffic {
-        let topo = crate::Topology::new(cfg.kernels, cfg.replication);
-        let groups = (0..topo.groups())
-            .map(|g| GroupTraffic {
-                gen: ArrivalGen::new(cfg.arrival, sim_core::stream_seed(cfg.seed, g as u64)),
-                rng: SimRng::stream(cfg.seed, 0x7AFF_0000 + g as u64),
-                seq: 0,
-                pending: None,
-            })
-            .collect();
+    /// Group `g`'s stream, fully determined by `(cfg.seed, g)`.
+    pub(crate) fn new(cfg: &ClusterConfig, topo: &Topology, g: usize) -> Traffic {
         Traffic {
-            groups,
+            group: g as u64,
+            gen: ArrivalGen::new(cfg.arrival, sim_core::stream_seed(cfg.seed, g as u64)),
+            rng: SimRng::stream(cfg.seed, 0x7AFF_0000 + g as u64),
+            seq: 0,
+            pending: None,
+            members: topo.members(g),
+            leader: topo.leader(g),
             net: cfg.net,
             read_fraction: cfg.read_fraction,
-            topo,
             wal_bytes: cfg.wal_bytes,
         }
     }
 
-    /// Hand every envelope delivering at or before `until` to `push`,
-    /// groups in index order. Called once per window, one window ahead
-    /// of the shards.
-    pub(crate) fn pull_into(
-        &mut self,
-        until: SimTime,
-        push: &mut dyn FnMut(crate::shard::Envelope),
-    ) {
-        use crate::shard::{Envelope, Payload, ReqKind};
-        for g in 0..self.groups.len() {
-            loop {
-                if self.groups[g].pending.is_none() {
-                    let gt = &mut self.groups[g];
-                    let arrival = gt.gen.next_arrival();
-                    let req = ((g as u64) << 40) | gt.seq;
-                    gt.seq += 1;
-                    let is_get = gt.rng.gen_bool(self.read_fraction);
-                    let (kind, bytes) = if is_get {
-                        (ReqKind::Get, 64)
-                    } else {
-                        (ReqKind::Put, self.wal_bytes)
-                    };
-                    let members = self.topo.members(g);
-                    let to = if is_get {
-                        let len = (members.end - members.start) as u64;
-                        members.start + (gt.rng.next_u64() % len) as usize
-                    } else {
-                        self.topo.leader(g)
-                    };
-                    self.groups[g].pending = Some(Envelope {
-                        to,
-                        deliver_at: self.net.client_deliver_at(arrival, bytes),
-                        payload: Payload::Request { req, kind, arrival },
-                    });
-                }
-                let deliver = self.groups[g].pending.as_ref().unwrap().deliver_at;
-                if deliver > until {
-                    break;
-                }
-                push(self.groups[g].pending.take().unwrap());
+    /// Hand every envelope delivering at or before `until` to `push`, in
+    /// arrival order. Called once per window, one window ahead of the
+    /// shards.
+    pub(crate) fn pull_into(&mut self, until: SimTime, push: &mut dyn FnMut(Envelope)) {
+        loop {
+            let env = match self.pending.take() {
+                Some(env) => env,
+                None => self.next_request(),
+            };
+            if env.deliver_at > until {
+                self.pending = Some(env);
+                return;
             }
+            push(env);
+        }
+    }
+
+    /// Draw the next client request: a put goes to the leader, a get to
+    /// a uniformly chosen member.
+    fn next_request(&mut self) -> Envelope {
+        let arrival = self.gen.next_arrival();
+        let req = (self.group << 40) | self.seq;
+        self.seq += 1;
+        let (kind, bytes, to) = if self.rng.gen_bool(self.read_fraction) {
+            let len = self.members.len() as u64;
+            let to = self.members.start + (self.rng.next_u64() % len) as usize;
+            (ReqKind::Get, 64, to)
+        } else {
+            (ReqKind::Put, self.wal_bytes, self.leader)
+        };
+        Envelope {
+            to,
+            deliver_at: self.net.client_deliver_at(arrival, bytes),
+            payload: Payload::Request { req, kind, arrival },
         }
     }
 }

@@ -4,8 +4,10 @@
 //! This crate provides the deterministic substrate every other crate builds
 //! on: a virtual clock ([`SimTime`]), a generic discrete-event queue
 //! ([`EventQueue`]), strongly-typed identifiers ([`Pid`], [`FileId`],
-//! [`BlockNo`], ...), a seeded random-number wrapper ([`SimRng`]) and small
-//! statistics helpers used by the experiment harness.
+//! [`BlockNo`], ...), a seeded random-number wrapper ([`SimRng`]), small
+//! statistics helpers used by the experiment harness, and the one
+//! work-stealing executor ([`run_indexed`]) that runs independent
+//! simulations side by side.
 //!
 //! Everything here is deliberately free of real I/O and wall-clock time so
 //! that a simulation run is a pure function of its configuration and seed.
@@ -20,6 +22,7 @@ mod causes;
 pub mod chaos;
 mod error;
 mod event;
+mod executor;
 mod hash;
 mod ids;
 pub mod prof;
@@ -31,6 +34,7 @@ pub use causes::CauseSet;
 pub use chaos::{ChaosClass, ChaosConfig, ChaosPlane, CompletionJitter};
 pub use error::{IoError, IoErrorKind};
 pub use event::{EventQueue, ScheduledEvent};
+pub use executor::run_indexed;
 pub use hash::{FastMap, FastSet};
 pub use ids::{BlockNo, FileId, IdAlloc, KernelId, Pid, RequestId, TxnId};
 pub use prof::{Phase, ProfSnapshot, Profiler};

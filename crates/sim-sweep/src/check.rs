@@ -23,7 +23,7 @@ use sim_check::{
     generate, shrink, AuditPlane, FileRef, GenConfig, LayerAuditor, OpSpec, ProgramSpec, Sabotaged,
     TimingSabotaged,
 };
-use sim_core::{ChaosConfig, FileId, IoErrorKind, SimDuration, SimRng};
+use sim_core::{run_indexed, ChaosConfig, FileId, IoErrorKind, SimDuration, SimRng};
 use sim_experiments::setup::{
     build_layered, default_layer_tree, kernel_config, DeviceChoice, SchedChoice, Setup,
 };
@@ -31,8 +31,6 @@ use sim_fault::DeviceFaultPlane;
 use sim_kernel::{Outcome, ProcAction, ProcessLogic, World};
 use split_core::{IoSched, SyscallKind};
 use split_layered::{LayerRule, LayerSpec, Layered, LayeredConfig};
-
-use crate::executor::run_indexed;
 
 /// Every scheduler the matrix covers; `ALL_SCHEDS[0]` is the reference.
 pub const ALL_SCHEDS: [SchedChoice; 10] = SchedChoice::ALL;

@@ -2,10 +2,10 @@
 //! tests: run a list of figures through the executor, or expand a
 //! [`SweepSpec`], execute it, and aggregate the replicates.
 
+use sim_core::run_indexed;
 use sim_experiments::registry::{run_cell, CellOutput, CellRequest, Figure, Profile};
 
 use crate::aggregate::{aggregate, SweepReport};
-use crate::executor::run_indexed;
 use crate::spec::SweepSpec;
 
 /// Run a set of figures (one cell each) at a given width, with the

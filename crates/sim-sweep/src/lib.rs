@@ -13,7 +13,6 @@
 mod aggregate;
 pub mod check;
 mod drive;
-mod executor;
 mod spec;
 
 pub use aggregate::{MetricRow, SweepReport};
