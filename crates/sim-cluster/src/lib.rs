@@ -9,11 +9,12 @@
 //! tenant, under open-loop client traffic (Poisson / diurnal /
 //! flash-crowd arrival processes).
 //!
-//! Shards advance in bounded time windows under a **conservative
-//! parallel-DES executor** (`exec`): the minimum network link latency
-//! is the lookahead, cross-shard messages are routed at window barriers,
-//! and the simulated output is byte-identical at any worker count
-//! (`--jobs 1` is the proven-equal sequential fallback).
+//! No message ever crosses a replication group, so each group is an
+//! independent **conservative DES** (`exec`): its shards advance in
+//! windows one network link latency wide (the lookahead), messages are
+//! routed between windows, and groups run side by side on
+//! [`sim_core::run_indexed`]. The simulated output is byte-identical at
+//! any worker count (`--jobs 1` runs the groups one after another).
 //!
 //! Fleet-wide SLOs (per-tier and end-to-end p50/p99/p999) are computed
 //! with [`sim_core::stats::Percentiles`] and exported through the

@@ -67,8 +67,8 @@
 //! `--arrival poisson|diurnal|flash` traffic at `--rate R` req/s per
 //! group, for `--duration SECS` simulated seconds, under
 //! `--sched split-token|cfq`, and prints the fleet-wide SLO table.
-//! `--jobs N` drives shards on N worker threads through the
-//! conservative parallel-DES executor; the output is byte-identical to
+//! `--jobs N` runs the replication groups, each its own conservative
+//! window loop, on N worker threads; the output is byte-identical to
 //! `--jobs 1` (CI diffs the two). `--csv` writes the raw per-request
 //! samples under `results/`.
 //!
