@@ -79,7 +79,7 @@ impl CleanCache {
     }
 
     /// Resolve (or create) the slot-table handle for `file`.
-    fn handle(&mut self, file: FileId) -> u32 {
+    pub(crate) fn handle(&mut self, file: FileId) -> u32 {
         if let Some(&h) = self.handles.get(&file) {
             return h;
         }
@@ -238,22 +238,18 @@ impl CleanCache {
         self.set_slots(fh, page, 1, single);
     }
 
-    /// Insert (or refresh) a page, evicting the least-recently-used pages
-    /// if over capacity.
-    pub(crate) fn insert(&mut self, file: FileId, page: u64) {
-        let fh = self.handle(file);
-        self.insert_range_at(fh, page, 1);
-    }
-
-    /// Insert (or refresh) `len` consecutive pages in ascending order —
-    /// exactly as repeated [`CleanCache::insert`] calls would, but one
-    /// run node per stretch of non-resident pages.
+    /// Insert (or refresh) `len` consecutive pages in ascending order,
+    /// evicting the least-recently-used pages if over capacity — exactly
+    /// as one-page fills in turn would, but one run node per stretch of
+    /// non-resident pages.
     pub(crate) fn fill_range(&mut self, file: FileId, page: u64, len: u64) {
         let fh = self.handle(file);
-        self.insert_range_at(fh, page, len);
+        self.fill_at(fh, page, len);
     }
 
-    fn insert_range_at(&mut self, fh: u32, page: u64, len: u64) {
+    /// [`CleanCache::fill_range`] by slot-table handle (from
+    /// [`CleanCache::handle`]): no hashing.
+    pub(crate) fn fill_at(&mut self, fh: u32, page: u64, len: u64) {
         let end = page + len;
         let mut run_start = None;
         let mut p = page;
@@ -362,6 +358,11 @@ mod tests {
     use super::*;
     use sim_core::SimRng;
 
+    /// Insert (or refresh) one page.
+    fn insert(c: &mut CleanCache, file: FileId, page: u64) {
+        c.fill_range(file, page, 1);
+    }
+
     /// If resident, refresh recency and return true.
     fn touch(c: &mut CleanCache, file: FileId, page: u64) -> bool {
         c.file_handle(file).is_some_and(|fh| c.touch_at(fh, page))
@@ -370,7 +371,7 @@ mod tests {
     #[test]
     fn insert_and_touch() {
         let mut c = CleanCache::new(4);
-        c.insert(FileId(1), 0);
+        insert(&mut c, FileId(1), 0);
         assert!(touch(&mut c, FileId(1), 0));
         assert!(!touch(&mut c, FileId(1), 1));
     }
@@ -378,12 +379,12 @@ mod tests {
     #[test]
     fn lru_eviction_order() {
         let mut c = CleanCache::new(3);
-        c.insert(FileId(1), 0);
-        c.insert(FileId(1), 1);
-        c.insert(FileId(1), 2);
+        insert(&mut c, FileId(1), 0);
+        insert(&mut c, FileId(1), 1);
+        insert(&mut c, FileId(1), 2);
         // Touch page 0 so page 1 becomes the LRU victim.
         touch(&mut c, FileId(1), 0);
-        c.insert(FileId(1), 3);
+        insert(&mut c, FileId(1), 3);
         assert!(touch(&mut c, FileId(1), 0));
         assert!(
             !touch(&mut c, FileId(1), 1),
@@ -396,8 +397,8 @@ mod tests {
     #[test]
     fn remove_file_clears_only_that_file() {
         let mut c = CleanCache::new(10);
-        c.insert(FileId(1), 0);
-        c.insert(FileId(2), 0);
+        insert(&mut c, FileId(1), 0);
+        insert(&mut c, FileId(2), 0);
         c.remove_file(FileId(1));
         assert!(!touch(&mut c, FileId(1), 0));
         assert!(touch(&mut c, FileId(2), 0));
@@ -407,9 +408,9 @@ mod tests {
     #[test]
     fn reinsert_refreshes_rather_than_duplicates() {
         let mut c = CleanCache::new(2);
-        c.insert(FileId(1), 0);
-        c.insert(FileId(1), 0);
-        c.insert(FileId(1), 1);
+        insert(&mut c, FileId(1), 0);
+        insert(&mut c, FileId(1), 0);
+        insert(&mut c, FileId(1), 1);
         assert_eq!(c.len, 2);
     }
 
@@ -419,7 +420,7 @@ mod tests {
         let mut b = CleanCache::new(5);
         a.fill_range(FileId(1), 10, 8);
         for p in 10..18 {
-            b.insert(FileId(1), p);
+            insert(&mut b, FileId(1), p);
         }
         for p in 0..20 {
             assert_eq!(
@@ -527,7 +528,7 @@ mod tests {
                         );
                     }
                     _ => {
-                        real.insert(file, page);
+                        insert(&mut real, file, page);
                         model.insert(file, page);
                     }
                 }

@@ -21,9 +21,9 @@ struct DirtyPage {
     dirtied_at: SimTime,
 }
 
-/// Result of a `dirty_page` call, used to build the buffer-dirty hook
+/// Result of dirtying one page, used to build the buffer-dirty hook
 /// event.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DirtyEvent {
     /// Previous causes if the page was already dirty (an overwrite).
     pub prev: Option<CauseSet>,
@@ -34,7 +34,7 @@ pub struct DirtyEvent {
 }
 
 /// A contiguous run of dirty pages handed to the flush path.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageRange {
     /// First page index.
     pub start_page: u64,
@@ -134,45 +134,12 @@ impl DirtyStore {
         }
     }
 
-    /// Mark one page dirty for `causes`.
-    pub(crate) fn dirty_page(
-        &mut self,
-        file: FileId,
-        page: u64,
-        causes: &CauseSet,
-        now: SimTime,
-        tagmem: &mut TagMem,
-    ) -> DirtyEvent {
-        let f = self.files.entry(file).or_default();
-        match f.pages.get_mut(&page) {
-            Some(dp) => {
-                let prev = dp.causes.clone();
-                tagmem.free(dp.causes.heap_bytes());
-                dp.causes.union_with(causes);
-                tagmem.alloc(dp.causes.heap_bytes());
-                DirtyEvent {
-                    prev: Some(prev),
-                    new_bytes: 0,
-                    first_dirtied: dp.dirtied_at,
-                }
-            }
-            None => {
-                tagmem.alloc(causes.heap_bytes());
-                f.pages.insert(
-                    page,
-                    DirtyPage {
-                        causes: causes.clone(),
-                        dirtied_at: now,
-                    },
-                );
-                *f.chunks.entry(page >> 6).or_insert(0) |= 1u64 << (page & 63);
-                self.total += 1;
-                DirtyEvent {
-                    prev: None,
-                    new_bytes: PAGE_SIZE,
-                    first_dirtied: now,
-                }
-            }
+    /// Resolve (creating if needed) `file`'s dirty state once, for a run
+    /// of [`FileRun::dirty`] calls.
+    pub(crate) fn file_run(&mut self, file: FileId) -> FileRun<'_> {
+        FileRun {
+            file: self.files.entry(file).or_default(),
+            total: &mut self.total,
         }
     }
 
@@ -252,6 +219,60 @@ impl DirtyStore {
     }
 }
 
+/// One file's dirty state, resolved once (see [`DirtyStore::file_run`]).
+pub(crate) struct FileRun<'a> {
+    file: &'a mut FileDirty,
+    total: &'a mut u64,
+}
+
+impl FileRun<'_> {
+    /// Total dirty pages across all files.
+    pub(crate) fn total(&self) -> u64 {
+        *self.total
+    }
+
+    /// Mark one page dirty for `causes`.
+    pub(crate) fn dirty(
+        &mut self,
+        page: u64,
+        causes: &CauseSet,
+        now: SimTime,
+        tagmem: &mut TagMem,
+    ) -> DirtyEvent {
+        let f = &mut *self.file;
+        match f.pages.get_mut(&page) {
+            Some(dp) => {
+                let prev = dp.causes.clone();
+                tagmem.free(dp.causes.heap_bytes());
+                dp.causes.union_with(causes);
+                tagmem.alloc(dp.causes.heap_bytes());
+                DirtyEvent {
+                    prev: Some(prev),
+                    new_bytes: 0,
+                    first_dirtied: dp.dirtied_at,
+                }
+            }
+            None => {
+                tagmem.alloc(causes.heap_bytes());
+                f.pages.insert(
+                    page,
+                    DirtyPage {
+                        causes: causes.clone(),
+                        dirtied_at: now,
+                    },
+                );
+                *f.chunks.entry(page >> 6).or_insert(0) |= 1u64 << (page & 63);
+                *self.total += 1;
+                DirtyEvent {
+                    prev: None,
+                    new_bytes: PAGE_SIZE,
+                    first_dirtied: now,
+                }
+            }
+        }
+    }
+}
+
 /// Read-only dirtiness probe for one file (see [`DirtyStore::file_view`]).
 pub(crate) struct DirtyFileView<'a> {
     file: Option<&'a FileDirty>,
@@ -284,7 +305,8 @@ mod tests {
         let mut tm = TagMem::new();
         let f = FileId(1);
         for p in [0u64, 1, 2, 10, 11, 20] {
-            s.dirty_page(f, p, &CauseSet::of(Pid(1)), SimTime::ZERO, &mut tm);
+            s.file_run(f)
+                .dirty(p, &CauseSet::of(Pid(1)), SimTime::ZERO, &mut tm);
         }
         let ranges = s.take_ranges(f, 100, &mut tm);
         let spans: Vec<(u64, u64)> = ranges.iter().map(|r| (r.start_page, r.len)).collect();
@@ -299,7 +321,8 @@ mod tests {
         let mut tm = TagMem::new();
         let f = FileId(1);
         for p in 0..10 {
-            s.dirty_page(f, p, &CauseSet::of(Pid(1)), SimTime::ZERO, &mut tm);
+            s.file_run(f)
+                .dirty(p, &CauseSet::of(Pid(1)), SimTime::ZERO, &mut tm);
         }
         let ranges = s.take_ranges(f, 4, &mut tm);
         assert_eq!(ranges.len(), 1);
@@ -314,7 +337,8 @@ mod tests {
         let f = FileId(1);
         // A run spanning the 64-page bitmask seam must come out as one range.
         for p in 60..70 {
-            s.dirty_page(f, p, &CauseSet::of(Pid(1)), SimTime::ZERO, &mut tm);
+            s.file_run(f)
+                .dirty(p, &CauseSet::of(Pid(1)), SimTime::ZERO, &mut tm);
         }
         let ranges = s.take_ranges(f, 100, &mut tm);
         let spans: Vec<(u64, u64)> = ranges.iter().map(|r| (r.start_page, r.len)).collect();
@@ -327,8 +351,10 @@ mod tests {
         let mut s = DirtyStore::new();
         let mut tm = TagMem::new();
         let f = FileId(1);
-        s.dirty_page(f, 0, &CauseSet::of(Pid(1)), SimTime::ZERO, &mut tm);
-        s.dirty_page(f, 1, &CauseSet::of(Pid(2)), SimTime::ZERO, &mut tm);
+        s.file_run(f)
+            .dirty(0, &CauseSet::of(Pid(1)), SimTime::ZERO, &mut tm);
+        s.file_run(f)
+            .dirty(1, &CauseSet::of(Pid(2)), SimTime::ZERO, &mut tm);
         let ranges = s.take_ranges(f, 10, &mut tm);
         assert_eq!(ranges.len(), 1);
         assert!(ranges[0].causes.contains(Pid(1)));
@@ -340,20 +366,10 @@ mod tests {
         let mut s = DirtyStore::new();
         let mut tm = TagMem::new();
         let f = FileId(1);
-        s.dirty_page(
-            f,
-            0,
-            &CauseSet::of(Pid(1)),
-            SimTime::from_nanos(50),
-            &mut tm,
-        );
-        s.dirty_page(
-            f,
-            1,
-            &CauseSet::of(Pid(1)),
-            SimTime::from_nanos(10),
-            &mut tm,
-        );
+        s.file_run(f)
+            .dirty(0, &CauseSet::of(Pid(1)), SimTime::from_nanos(50), &mut tm);
+        s.file_run(f)
+            .dirty(1, &CauseSet::of(Pid(1)), SimTime::from_nanos(10), &mut tm);
         let ranges = s.take_ranges(f, 10, &mut tm);
         assert_eq!(ranges[0].oldest, SimTime::from_nanos(10));
     }

@@ -108,6 +108,98 @@ fn dirty_accounting_is_conserved() {
     }
 }
 
+/// Dirtying a write as runs is indistinguishable from dirtying it one
+/// page at a time. Twin caches follow one op stream: `runs` dirties each
+/// write through [`PageCache::dirty_run`], sometimes finishing early and
+/// taking pages (a mid-write writeback) before a fresh run does the rest;
+/// `pages` calls [`PageCache::dirty_page`] per page and takes at the same
+/// point. The cache is small, so fills and dirtying evict.
+#[test]
+fn dirty_runs_match_page_at_a_time() {
+    let mut rng = SimRng::seed_from_u64(0x2D1E7);
+    for case in 0..48 {
+        let cfg = CacheConfig {
+            mem_bytes: (8 + rng.gen_range(56)) * 4096,
+            ..Default::default()
+        };
+        let mut runs = PageCache::new(cfg);
+        let mut pages = PageCache::new(cfg);
+        for step in 0..400u64 {
+            let now = SimTime::from_nanos(step);
+            let file = FileId(rng.gen_range(3));
+            let page = rng.gen_range(96);
+            let at = format!("case {case} step {step}");
+            match rng.gen_range(8) {
+                0..=3 => {
+                    let len = 1 + rng.gen_range(24);
+                    let causes = CauseSet::of(Pid(rng.gen_range(6) as u32));
+                    // Where the first run ends, and the pages taken then.
+                    let split = page + 1 + rng.gen_range(len);
+                    let take = rng.gen_range(3) * 8;
+                    let mut run = runs.dirty_run(file, &causes, now);
+                    for p in page..page + len {
+                        if p == split {
+                            run.finish();
+                            assert_eq!(
+                                runs.take_dirty_ranges(file, take),
+                                pages.take_dirty_ranges(file, take),
+                                "{at}: mid-write take"
+                            );
+                            run = runs.dirty_run(file, &causes, now);
+                        }
+                        let ev = pages.dirty_page(file, p, &causes, now);
+                        assert_eq!(run.page(p), ev, "{at}: page {p}");
+                    }
+                    run.finish();
+                }
+                4 => {
+                    let max = 1 + rng.gen_range(40);
+                    assert_eq!(
+                        runs.take_dirty_ranges(file, max),
+                        pages.take_dirty_ranges(file, max),
+                        "{at}: take"
+                    );
+                }
+                5 => assert_eq!(runs.free_file(file), pages.free_file(file), "{at}: free"),
+                6 => {
+                    let len = 1 + rng.gen_range(32);
+                    runs.fill(file, page, len);
+                    pages.fill(file, page, len);
+                }
+                _ => {
+                    let len = 1 + rng.gen_range(32);
+                    assert_eq!(
+                        runs.read_misses(file, page, len),
+                        pages.read_misses(file, page, len),
+                        "{at}: read"
+                    );
+                }
+            }
+            assert_eq!(runs.dirty_total(), pages.dirty_total(), "{at}");
+            assert_eq!(runs.dirty_check_sum(), pages.dirty_check_sum(), "{at}");
+            assert_eq!(runs.dirty_check_sum(), runs.dirty_total(), "{at}");
+            assert_eq!(
+                runs.tagmem().live_bytes(),
+                pages.tagmem().live_bytes(),
+                "{at}"
+            );
+            assert_eq!(
+                runs.tagmem().max_bytes(),
+                pages.tagmem().max_bytes(),
+                "{at}"
+            );
+        }
+        // Every page of every file reads the same at the end.
+        for f in 0..3 {
+            assert_eq!(
+                runs.read_misses(FileId(f), 0, 128),
+                pages.read_misses(FileId(f), 0, 128),
+                "case {case}: final residency"
+            );
+        }
+    }
+}
+
 /// A dirty page is always a cache hit; a taken (cleaned) page stays
 /// resident.
 #[test]

@@ -255,6 +255,13 @@ impl<'a> SchedCtx<'a> {
         self
     }
 
+    /// Whether any command is queued (kernel side). The write path ends a
+    /// run of pages on the first hook that queues one, so the command
+    /// lands before the next page is dirtied.
+    pub fn has_commands(&self) -> bool {
+        !self.commands.is_empty()
+    }
+
     /// Take the queued commands (kernel side).
     pub fn drain(&mut self) -> Vec<SchedCmd> {
         std::mem::take(&mut self.commands)
@@ -420,7 +427,9 @@ mod tests {
     fn ctx_collects_commands_in_order() {
         let dev = HddModel::new();
         let mut ctx = SchedCtx::new(SimTime::ZERO, &dev);
+        assert!(!ctx.has_commands());
         ctx.wake(Pid(3));
+        assert!(ctx.has_commands());
         ctx.set_timer(SimTime::from_nanos(10));
         ctx.start_writeback(Some(FileId(7)), 128);
         ctx.kick_dispatch();
@@ -436,6 +445,7 @@ mod tests {
             }
         );
         assert_eq!(cmds[3], SchedCmd::KickDispatch);
+        assert!(!ctx.has_commands());
         assert!(ctx.drain().is_empty());
     }
 
