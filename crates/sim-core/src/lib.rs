@@ -51,6 +51,18 @@ pub fn pages_for_bytes(bytes: u64) -> u64 {
     bytes.div_ceil(PAGE_SIZE)
 }
 
+/// The pages the bytes `[offset, offset + len)` touch. Empty when `len`
+/// is 0; a range running past the end of the `u64` byte space ends at
+/// its last page instead of overflowing.
+#[inline]
+pub fn page_span(offset: u64, len: u64) -> std::ops::Range<u64> {
+    let first = offset / PAGE_SIZE;
+    if len == 0 {
+        return first..first;
+    }
+    first..offset.saturating_add(len - 1) / PAGE_SIZE + 1
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,5 +74,16 @@ mod tests {
         assert_eq!(pages_for_bytes(PAGE_SIZE), 1);
         assert_eq!(pages_for_bytes(PAGE_SIZE + 1), 2);
         assert_eq!(pages_for_bytes(10 * PAGE_SIZE), 10);
+    }
+
+    #[test]
+    fn page_span_covers_touched_pages_only() {
+        assert!(page_span(2 * PAGE_SIZE, 0).is_empty());
+        assert_eq!(page_span(0, PAGE_SIZE), 0..1);
+        assert_eq!(page_span(PAGE_SIZE - 1, 2), 0..2);
+        assert_eq!(page_span(3 * PAGE_SIZE, 2 * PAGE_SIZE + 1), 3..6);
+        let last = u64::MAX / PAGE_SIZE;
+        assert_eq!(page_span(u64::MAX - 10, 100), last..last + 1);
+        assert_eq!(page_span(u64::MAX, 0), last..last);
     }
 }
