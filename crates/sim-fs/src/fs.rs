@@ -1005,10 +1005,6 @@ impl FileSystem for JournaledFs {
         }
     }
 
-    fn allocated_block(&self, file: FileId, page: u64) -> Option<BlockNo> {
-        self.inodes.get(&file).and_then(|i| i.extents.lookup(page))
-    }
-
     fn file_size(&self, file: FileId) -> u64 {
         self.inodes.get(&file).map(|i| i.size).unwrap_or(0)
     }
@@ -1220,11 +1216,15 @@ mod tests {
         let (f, _) = h.fs.create_file(Pid(3), h.now);
         h.write(f, Pid(3), 0, 64 * sim_core::PAGE_SIZE);
         // Under delayed allocation nothing is allocated yet.
-        assert_eq!(h.fs.allocated_block(f, 0), None);
+        assert!(h.fs.blocks_for_read(f, 0, 1).is_empty());
         let out = h.fs.writeback(None, 1024, WBPID, &mut h.cache, h.now);
         h.absorb(out);
-        assert!(
-            h.fs.allocated_block(f, 0).is_some(),
+        assert_eq!(
+            h.fs.blocks_for_read(f, 0, 64)
+                .iter()
+                .map(|e| e.len)
+                .sum::<u64>(),
+            64,
             "allocated at writeback"
         );
         // Writeback I/O: submitted by the writeback task, caused by Pid 3.
@@ -1255,9 +1255,8 @@ mod tests {
         h.write(f, Pid(1), 4 * sim_core::PAGE_SIZE, 4 * sim_core::PAGE_SIZE);
         let out = h.fs.writeback(Some(f), 1024, WBPID, &mut h.cache, h.now);
         h.absorb(out);
-        let b0 = h.fs.allocated_block(f, 0).unwrap();
-        let b4 = h.fs.allocated_block(f, 4).unwrap();
-        assert_eq!(b4.raw(), b0.raw() + 4, "append continues the reservation");
+        let block = |page| h.fs.blocks_for_read(f, page, 1)[0].start.raw();
+        assert_eq!(block(4), block(0) + 4, "append continues the reservation");
     }
 
     #[test]

@@ -212,19 +212,18 @@ pub trait FileSystem {
     fn next_timer(&self, now: SimTime) -> SimTime;
 
     /// Disk extents backing `[page, page+len)` of `file` for reads. Holes
-    /// (never-written, never-allocated pages) are omitted.
+    /// (never-written, never-allocated pages) are omitted — under delayed
+    /// allocation a freshly written page is one, which is why the
+    /// buffer-dirty hook's `block` (read from these extents) may be `None`.
     fn blocks_for_read(&self, file: FileId, page: u64, len: u64) -> Vec<Extent>;
 
     /// [`Self::blocks_for_read`] into a caller-owned buffer (cleared
-    /// first), so the kernel's read hot path can reuse one allocation.
+    /// first), so the kernel's read and write hot paths can reuse one
+    /// allocation.
     fn blocks_for_read_into(&self, file: FileId, page: u64, len: u64, out: &mut Vec<Extent>) {
         out.clear();
         out.extend(self.blocks_for_read(file, page, len));
     }
-
-    /// Allocated location of one page, if any (`None` under delayed
-    /// allocation — feeds the buffer-dirty hook's `block` field).
-    fn allocated_block(&self, file: FileId, page: u64) -> Option<BlockNo>;
 
     /// The file's size in bytes.
     fn file_size(&self, file: FileId) -> u64;
