@@ -1,14 +1,13 @@
-//! blk-mq-style dispatch: per-process software queues feeding bounded
-//! hardware queue slots.
+//! blk-mq's hardware-queue census: how many requests each submitter
+//! holds inside the device.
 //!
 //! The elevator stays in charge of *policy* — it decides which request
-//! leaves the scheduler. This layer models the *plumbing* underneath
-//! Linux's multi-queue block layer: issued requests land in their
-//! submitter's software queue, and the queues drain round-robin into
-//! the device's hardware slots as tags free up. It also keeps the
-//! running [`QueueOccupancy`] picture that split schedulers read
-//! through their hook context to see (and cap) a tenant's share of the
-//! hardware queue.
+//! leaves the scheduler. The kernel admits a request only while the
+//! device has a free hardware tag and hands it straight to the device,
+//! so nothing ever waits in a software queue in between. What remains of
+//! Linux's multi-queue plumbing is the running [`QueueOccupancy`]
+//! picture that split schedulers read through their hook context to see
+//! (and cap) a tenant's share of the hardware queue.
 
 use std::collections::VecDeque;
 
@@ -24,9 +23,8 @@ pub struct QueueOccupancy {
     pub depth: u32,
     /// Requests inside the device (its queue or in service).
     pub in_flight: u32,
-    /// Requests staged in software queues, not yet in the device.
-    pub staged: u32,
-    /// In-flight requests per submitter, in first-seen order.
+    /// In-flight requests per submitter, one entry per submitter with a
+    /// request inside the device.
     pub per_pid: Vec<(Pid, u32)>,
 }
 
@@ -41,33 +39,24 @@ impl QueueOccupancy {
     }
 }
 
-/// Per-process software queues in front of the hardware queue.
+/// The per-submitter census of a hardware queue.
 #[derive(Debug, Default)]
 pub struct MqDispatch {
-    /// `(pid, queue)` in first-submission order; the order is part of
-    /// the deterministic round-robin.
-    queues: Vec<(Pid, VecDeque<Request>)>,
-    /// Round-robin cursor into `queues`.
-    rr: usize,
     occ: QueueOccupancy,
+    /// The [`MqDispatch::submit`] / [`MqDispatch::pop_next`] hand-off.
+    fifo: VecDeque<Request>,
 }
 
 impl MqDispatch {
-    /// A dispatch layer for a hardware queue of `depth` slots.
+    /// A census for a hardware queue of `depth` slots.
     pub fn new(depth: u32) -> Self {
         MqDispatch {
-            queues: Vec::new(),
-            rr: 0,
             occ: QueueOccupancy {
                 depth,
                 ..Default::default()
             },
+            fifo: VecDeque::new(),
         }
-    }
-
-    /// Requests staged in software queues.
-    pub fn staged(&self) -> usize {
-        self.occ.staged as usize
     }
 
     /// The live occupancy picture.
@@ -75,35 +64,16 @@ impl MqDispatch {
         &self.occ
     }
 
-    /// Stage a request in its submitter's software queue.
+    /// Hold `req` for [`MqDispatch::pop_next`]. The kernel never stages a
+    /// request; `benchmark/`'s `sim-block.mq.submit_pop_ns` drive is the
+    /// only caller.
     pub fn submit(&mut self, req: Request) {
-        let pid = req.submitter;
-        match self.queues.iter_mut().find(|(p, _)| *p == pid) {
-            Some((_, q)) => q.push_back(req),
-            None => {
-                let mut q = VecDeque::new();
-                q.push_back(req);
-                self.queues.push((pid, q));
-            }
-        }
-        self.occ.staged += 1;
+        self.fifo.push_back(req);
     }
 
-    /// Take the next staged request, round-robin across processes.
+    /// The oldest request handed to [`MqDispatch::submit`].
     pub fn pop_next(&mut self) -> Option<Request> {
-        if self.queues.is_empty() {
-            return None;
-        }
-        let n = self.queues.len();
-        for i in 0..n {
-            let idx = (self.rr + i) % n;
-            if let Some(req) = self.queues[idx].1.pop_front() {
-                self.rr = (idx + 1) % n;
-                self.occ.staged -= 1;
-                return Some(req);
-            }
-        }
-        None
+        self.fifo.pop_front()
     }
 
     /// The device accepted a request from `pid` into a hardware slot.
@@ -118,8 +88,12 @@ impl MqDispatch {
     /// A request from `pid` left the device (completed or failed).
     pub fn note_done(&mut self, pid: Pid) {
         self.occ.in_flight = self.occ.in_flight.saturating_sub(1);
-        if let Some((_, n)) = self.occ.per_pid.iter_mut().find(|(p, _)| *p == pid) {
+        if let Some(i) = self.occ.per_pid.iter().position(|(p, _)| *p == pid) {
+            let n = &mut self.occ.per_pid[i].1;
             *n = n.saturating_sub(1);
+            if *n == 0 {
+                self.occ.per_pid.swap_remove(i);
+            }
         }
     }
 }
@@ -149,31 +123,25 @@ mod tests {
     }
 
     #[test]
-    fn drains_round_robin_across_processes() {
+    fn pops_in_submission_order() {
         let mut mq = MqDispatch::new(4);
-        mq.submit(req(1, 10));
-        mq.submit(req(2, 10));
-        mq.submit(req(3, 11));
-        mq.submit(req(4, 11));
-        assert_eq!(mq.staged(), 4);
+        for (id, pid) in [(1, 10), (2, 10), (3, 11), (4, 11)] {
+            mq.submit(req(id, pid));
+        }
         let order: Vec<u64> = std::iter::from_fn(|| mq.pop_next().map(|r| r.id.raw())).collect();
-        assert_eq!(order, vec![1, 3, 2, 4], "alternates between pids");
-        assert_eq!(mq.staged(), 0);
+        assert_eq!(order, vec![1, 2, 3, 4]);
     }
 
     #[test]
     fn occupancy_tracks_per_pid_in_flight() {
         let mut mq = MqDispatch::new(8);
-        mq.submit(req(1, 10));
-        mq.submit(req(2, 11));
-        let a = mq.pop_next().unwrap();
-        mq.note_accepted(a.submitter);
-        let b = mq.pop_next().unwrap();
-        mq.note_accepted(b.submitter);
+        mq.note_accepted(Pid(10));
+        mq.note_accepted(Pid(11));
         assert_eq!(mq.occupancy().in_flight, 2);
         assert_eq!(mq.occupancy().of(Pid(10)), 1);
         mq.note_done(Pid(10));
         assert_eq!(mq.occupancy().of(Pid(10)), 0);
+        assert_eq!(mq.occupancy().per_pid, vec![(Pid(11), 1)]);
         assert_eq!(mq.occupancy().in_flight, 1);
         assert_eq!(mq.occupancy().depth, 8);
     }

@@ -92,9 +92,9 @@ pub enum AuditEvent<'a> {
         /// The dispatched request.
         req: &'a Request,
     },
-    /// The device accepted a request into a hardware-queue slot. The
-    /// single-slot serial and virtio devices report slot 0 with depth 1,
-    /// so the in-flight ledger is audited on every plane.
+    /// The device accepted a request into a hardware-queue slot. Virtio
+    /// devices report slot 0 with depth 1, so the in-flight ledger is
+    /// audited on every device.
     SlotAcquired {
         /// The accepted request.
         req: &'a Request,
@@ -104,9 +104,6 @@ pub enum AuditEvent<'a> {
         in_flight: u32,
         /// Configured hardware queue depth.
         depth: u32,
-        /// Whether `slot` is a real tag of the queued plane (at any depth)
-        /// rather than the single-slot device's implicit one.
-        queued_plane: bool,
     },
     /// A request left its hardware-queue slot (completed or failed).
     SlotReleased {
@@ -116,8 +113,8 @@ pub enum AuditEvent<'a> {
         slot: u32,
         /// Requests inside the device after this release.
         in_flight: u32,
-        /// As in [`AuditEvent::SlotAcquired`].
-        queued_plane: bool,
+        /// Configured hardware queue depth.
+        depth: u32,
     },
     /// A finished request's service time was billed to one of its causes.
     DiskCharged {

@@ -358,7 +358,6 @@ impl Auditor for InflightAuditor {
                 slot,
                 in_flight,
                 depth,
-                ..
             } => {
                 if *slot >= *depth {
                     out.push(format!(
@@ -582,7 +581,6 @@ mod tests {
                 slot: 0,
                 in_flight: 1,
                 depth: 8,
-                queued_plane: true,
             },
             &mut out,
         );
@@ -592,7 +590,7 @@ mod tests {
                 req: &r,
                 slot: 0,
                 in_flight: 0,
-                queued_plane: true,
+                depth: 8,
             },
             &mut out,
         );
@@ -603,7 +601,7 @@ mod tests {
                 req: &r,
                 slot: 0,
                 in_flight: 0,
-                queued_plane: true,
+                depth: 8,
             },
             &mut out,
         );
@@ -624,7 +622,6 @@ mod tests {
                 slot: 0,
                 in_flight: 1,
                 depth: 1,
-                queued_plane: true,
             },
             &mut out,
         );
@@ -637,7 +634,6 @@ mod tests {
                 slot: 0,
                 in_flight: 2,
                 depth: 1,
-                queued_plane: true,
             },
             &mut out,
         );
@@ -660,7 +656,6 @@ mod tests {
                 slot: 3,
                 in_flight: 1,
                 depth: 8,
-                queued_plane: true,
             },
             &mut out,
         );

@@ -20,7 +20,7 @@
 //!   poll interval the same way `wb` scales writeback, moving periodic
 //!   commits off their grid.
 //! * [`ChaosClass::Completion`] (`complete`) — stretches device service
-//!   times by a factor in `[1, 1 + s]`, reordering queued-device
+//!   times by a factor in `[1, 1 + s]`, reordering the device's
 //!   completions within the in-flight window.
 //!
 //! Legality bounds, by construction:
@@ -150,10 +150,10 @@ impl ChaosConfig {
     }
 }
 
-/// The completion class's service-stretch stream, packaged so the queued
-/// device can own it: stretches service times by a factor in
-/// `[1, 1 + max_stretch)`, exactly the mechanism of a fault-plane spike
-/// (completions only move later, never earlier).
+/// The completion class's service-stretch stream, owned by the device:
+/// stretches service times by a factor in `[1, 1 + max_stretch)`,
+/// exactly the mechanism of a fault-plane spike (completions only move
+/// later, never earlier).
 #[derive(Debug, Clone)]
 pub struct CompletionJitter {
     rng: SimRng,
@@ -161,24 +161,33 @@ pub struct CompletionJitter {
 }
 
 impl CompletionJitter {
+    /// The completion stream of `cfg`: stream `(cfg.seed, class_index)`,
+    /// like every other class. `None` when the class is off (the device
+    /// then stays chaos-free and byte-identical).
+    pub fn new(cfg: &ChaosConfig) -> Option<Self> {
+        cfg.is_enabled(ChaosClass::Completion)
+            .then(|| CompletionJitter {
+                rng: SimRng::stream(cfg.seed, ChaosClass::Completion.index() as u64),
+                max_stretch: cfg.completion_stretch,
+            })
+    }
+
     /// Draw the next service-time stretch factor, always `>= 1`.
     pub fn stretch(&mut self) -> f64 {
         1.0 + self.rng.gen_f64() * self.max_stretch.max(0.0)
     }
 }
 
-/// The runtime chaos plane built from a [`ChaosConfig`]. Lives inside
-/// the kernel (`Option`-installed); every draw method is the identity
-/// and draws nothing when its class is disabled.
+/// The kernel-side chaos plane built from a [`ChaosConfig`]: the timer
+/// and CPU classes. Lives inside the kernel (`Option`-installed); every
+/// draw method is the identity and draws nothing when its class is
+/// disabled. The completion class is the device's [`CompletionJitter`].
 #[derive(Debug)]
 pub struct ChaosPlane {
     cfg: ChaosConfig,
     wb: SimRng,
     cpu: SimRng,
     journal: SimRng,
-    /// `None` after [`ChaosPlane::take_completion_jitter`] moved the
-    /// stream into the queued device (the serial plane keeps it here).
-    completion: Option<CompletionJitter>,
 }
 
 impl ChaosPlane {
@@ -189,10 +198,6 @@ impl ChaosPlane {
             wb: SimRng::stream(cfg.seed, ChaosClass::Writeback.index() as u64),
             cpu: SimRng::stream(cfg.seed, ChaosClass::CpuSlice.index() as u64),
             journal: SimRng::stream(cfg.seed, ChaosClass::Journal.index() as u64),
-            completion: Some(CompletionJitter {
-                rng: SimRng::stream(cfg.seed, ChaosClass::Completion.index() as u64),
-                max_stretch: cfg.completion_stretch,
-            }),
         }
     }
 
@@ -228,27 +233,6 @@ impl ChaosPlane {
         }
         Self::jitter_interval(&mut self.journal, base, self.cfg.journal_jitter)
     }
-
-    /// The next serial-device service-time stretch factor (1.0 when off).
-    pub fn service_stretch(&mut self) -> f64 {
-        if !self.cfg.is_enabled(ChaosClass::Completion) {
-            return 1.0;
-        }
-        match self.completion.as_mut() {
-            Some(j) => j.stretch(),
-            None => 1.0,
-        }
-    }
-
-    /// Detach the service-stretch stream for the queued device to own.
-    /// Returns `None` when the completion class is off (the device then
-    /// stays chaos-free and byte-identical).
-    pub fn take_completion_jitter(&mut self) -> Option<CompletionJitter> {
-        if !self.cfg.is_enabled(ChaosClass::Completion) {
-            return None;
-        }
-        self.completion.take()
-    }
 }
 
 #[cfg(test)]
@@ -271,15 +255,15 @@ mod tests {
             assert_eq!(p.wb_tick(base), base);
             assert_eq!(p.cpu_delay(), SimDuration::ZERO);
             assert_eq!(p.journal_tick(base), base);
-            assert_eq!(p.service_stretch(), 1.0);
         }
-        assert!(p.take_completion_jitter().is_none());
+        assert!(CompletionJitter::new(&ChaosConfig::only(7, &[])).is_none());
     }
 
     #[test]
     fn draws_respect_the_legality_bounds() {
         let cfg = ChaosConfig::with_seed(42);
         let mut p = ChaosPlane::new(&cfg);
+        let mut j = CompletionJitter::new(&cfg).expect("class enabled");
         let base = SimDuration::from_millis(200);
         for _ in 0..10_000 {
             let wb = p.wb_tick(base);
@@ -290,7 +274,7 @@ mod tests {
             assert!(d <= cfg.cpu_delay, "cpu delay within bound");
             let jt = p.journal_tick(base);
             assert!(jt > SimDuration::ZERO);
-            let s = p.service_stretch();
+            let s = j.stretch();
             assert!(
                 (1.0..=1.0 + cfg.completion_stretch).contains(&s),
                 "completions only move later: {s}"
@@ -316,12 +300,11 @@ mod tests {
         let mut b = ChaosPlane::new(&no_cpu);
         let base = SimDuration::from_millis(200);
         for _ in 0..200 {
-            // Interleave cpu draws on `a` only; wb/journal/completion
+            // Interleave cpu draws on `a` only; the wb and journal
             // sequences must stay identical.
             let _ = a.cpu_delay();
             assert_eq!(a.wb_tick(base), b.wb_tick(base));
             assert_eq!(a.journal_tick(base), b.journal_tick(base));
-            assert_eq!(a.service_stretch(), b.service_stretch());
         }
     }
 
@@ -330,27 +313,14 @@ mod tests {
         let cfg = ChaosConfig::with_seed(3);
         let mut a = ChaosPlane::new(&cfg);
         let mut b = ChaosPlane::new(&cfg);
+        let mut ja = CompletionJitter::new(&cfg).expect("class enabled");
+        let mut jb = CompletionJitter::new(&cfg).expect("class enabled");
         let base = SimDuration::from_secs(1);
         for _ in 0..100 {
             assert_eq!(a.wb_tick(base), b.wb_tick(base));
             assert_eq!(a.cpu_delay(), b.cpu_delay());
             assert_eq!(a.journal_tick(base), b.journal_tick(base));
-            assert_eq!(a.service_stretch(), b.service_stretch());
-        }
-    }
-
-    #[test]
-    fn completion_jitter_detaches_for_the_queued_device() {
-        let mut p = ChaosPlane::new(&ChaosConfig::with_seed(5));
-        let mut j = p.take_completion_jitter().expect("class enabled");
-        // Once detached, the plane's serial-path stretch goes quiet and
-        // the detached handle keeps drawing the same stream.
-        assert_eq!(p.service_stretch(), 1.0);
-        let mut fresh = ChaosPlane::new(&ChaosConfig::with_seed(5));
-        for _ in 0..50 {
-            assert_eq!(j.stretch(), fresh.service_stretch());
-            assert!(j.stretch() >= 1.0);
-            let _ = fresh.service_stretch();
+            assert_eq!(ja.stretch(), jb.stretch());
         }
     }
 }

@@ -8,7 +8,7 @@
 //! attribution: a [`Profiler`] handle that the event queue and the
 //! kernel hot paths consult, charging wall-clock nanoseconds and call
 //! counts to a small fixed set of [`Phase`]s, plus high-watermark /
-//! occupancy gauges for the event queue and the blk-mq staging area.
+//! occupancy gauges for the event queue and the hardware queue.
 //!
 //! Contract, matching the fault/audit/chaos planes: the profiler is
 //! optional (`Option<Profiler>` at every hook site) and costs one branch
@@ -46,7 +46,7 @@ pub enum Phase {
     Writeback,
     /// Journal / filesystem protocol steps (commit timer, fsync entry).
     Journal,
-    /// The blk-mq dispatch pump (software queues → hardware slots).
+    /// Handing a dispatched request to the device's hardware queue.
     MqPump,
 }
 
@@ -90,7 +90,6 @@ struct Inner {
     depth_max: Cell<u64>,
     depth_sum: Cell<u64>,
     depth_samples: Cell<u64>,
-    mq_staged_max: Cell<u64>,
     mq_inflight_max: Cell<u64>,
 }
 
@@ -103,7 +102,6 @@ impl Default for Inner {
             depth_max: Cell::new(0),
             depth_sum: Cell::new(0),
             depth_samples: Cell::new(0),
-            mq_staged_max: Cell::new(0),
             mq_inflight_max: Cell::new(0),
         }
     }
@@ -165,15 +163,12 @@ impl Profiler {
         n.set(n.get().saturating_add(1));
     }
 
-    /// Record blk-mq occupancy (staged requests, hardware in-flight) at
-    /// a dispatch-pump pass; keeps the high watermarks.
+    /// Record the hardware queue's in-flight count after an accept;
+    /// keeps the high watermark.
     #[inline]
-    pub fn sample_mq(&self, staged: usize, in_flight: usize) {
+    pub fn sample_mq(&self, in_flight: usize) {
         if !self.inner.enabled.get() {
             return;
-        }
-        if staged as u64 > self.inner.mq_staged_max.get() {
-            self.inner.mq_staged_max.set(staged as u64);
         }
         if in_flight as u64 > self.inner.mq_inflight_max.get() {
             self.inner.mq_inflight_max.set(in_flight as u64);
@@ -199,7 +194,6 @@ impl Profiler {
             } else {
                 self.inner.depth_sum.get() as f64 / samples as f64
             },
-            mq_staged_max: self.inner.mq_staged_max.get(),
             mq_inflight_max: self.inner.mq_inflight_max.get(),
         }
     }
@@ -236,8 +230,6 @@ pub struct ProfSnapshot {
     pub depth_max: u64,
     /// Mean event-queue depth over all push/pop observations.
     pub depth_mean: f64,
-    /// Largest blk-mq software-queue staging observed.
-    pub mq_staged_max: u64,
     /// Largest blk-mq hardware in-flight count observed.
     pub mq_inflight_max: u64,
 }
@@ -296,11 +288,11 @@ mod tests {
         let p = Profiler::new();
         assert!(p.start().is_none());
         p.sample_depth(10);
-        p.sample_mq(3, 4);
+        p.sample_mq(4);
         let s = p.snapshot();
         assert_eq!(s.total_nanos(), 0);
         assert_eq!(s.depth_max, 0);
-        assert_eq!(s.mq_staged_max, 0);
+        assert_eq!(s.mq_inflight_max, 0);
         assert!(s.phases.iter().all(|ps| ps.calls == 0));
     }
 
@@ -312,7 +304,7 @@ mod tests {
         p.record(Phase::Sched, t0);
         p.sample_depth(5);
         p.sample_depth(3);
-        p.sample_mq(2, 7);
+        p.sample_mq(7);
         let s = p.snapshot();
         let sched = s.phases.iter().find(|ps| ps.phase == Phase::Sched).unwrap();
         assert_eq!(sched.calls, 1);

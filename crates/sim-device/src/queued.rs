@@ -1,6 +1,6 @@
-//! The queued-device plane: a device front-end that holds up to
-//! `depth` requests in flight concurrently, the way NCQ (SATA) and
-//! multi-queue NVMe devices do.
+//! The physical device front-end: holds up to `depth` requests in
+//! flight concurrently, the way NCQ (SATA) and multi-queue NVMe devices
+//! do. Every physical disk sits behind one; the default depth is 1.
 //!
 //! Two internal service disciplines, chosen by the wrapped model:
 //!
@@ -17,14 +17,17 @@
 //!   channels`); requests on distinct channels overlap, requests on the
 //!   same channel serialize FIFO.
 //!
-//! With `depth = 1` both disciplines degenerate to the legacy serial
-//! device: one `service_time` call at the accept instant, one
-//! completion later — byte-identical event sequences.
+//! With `depth = 1` both disciplines degenerate to a serial device: one
+//! `service_time` call at the accept instant, one completion later.
 //!
-//! The plane itself is pure bookkeeping over a [`DiskModel`]; it
+//! Storage grows with the requests actually in flight, never with the
+//! configured depth: a request's hardware tag is its index in the slot
+//! table, and the lowest free index is the next tag handed out.
+//!
+//! The front-end itself is pure bookkeeping over a [`DiskModel`]; it
 //! schedules nothing. Callers ([`sim-kernel`]'s dispatch path) feed it
 //! `accept` / `complete` calls and turn the returned [`Started`]
-//! records into DES completion events.
+//! record into a DES completion event.
 
 use sim_core::{CompletionJitter, RequestId, SimDuration};
 
@@ -75,37 +78,33 @@ pub struct Started {
     pub service: SimDuration,
 }
 
-/// One accepted-but-not-yet-serviced request.
+/// One accepted request, waiting in the device's queue or in service.
 #[derive(Debug, Clone, Copy)]
-struct Waiting {
+struct Slot {
     id: RequestId,
     shape: DiskRequestShape,
-    slot: u32,
     /// Fault-plane service-time multiplier, if one was injected.
     spike: Option<f64>,
-    /// Acceptance order; the deterministic tie-break for SPTF.
+    /// Acceptance order: the deterministic tie-break for SPTF and the
+    /// start order on flash.
     seq: u64,
-}
-
-/// One request in service.
-#[derive(Debug, Clone, Copy)]
-struct Active {
-    id: RequestId,
-    slot: u32,
-    /// Which server it occupies: the actuator (always 0) for rotational
-    /// models, the channel index for flash.
+    /// The server it needs: the actuator (always 0) for rotational
+    /// models, its channel for flash.
     server: u32,
+    /// Whether it occupies `server`, rather than waiting for it.
+    in_service: bool,
 }
 
 /// A bounded multi-request device front-end over a [`DiskModel`].
 pub struct QueuedDevice {
     model: Box<dyn DiskModel>,
+    /// `model.is_rotational()`: one actuator (SPTF) or flash channels.
+    rotational: bool,
     cfg: QueuedDeviceConfig,
-    waiting: Vec<Waiting>,
-    active: Vec<Active>,
-    /// Free hardware-queue slots, kept sorted descending so `pop`
-    /// yields the smallest index (deterministic tag assignment).
-    free_slots: Vec<u32>,
+    /// Accepted requests indexed by hardware tag, no longer than the
+    /// highest tag in use; `None` is a free tag below it.
+    slots: Vec<Option<Slot>>,
+    in_flight: usize,
     seq: u64,
     /// Chaos-plane service-time jitter; `None` keeps the device
     /// byte-identical to a build without the chaos plane.
@@ -113,17 +112,18 @@ pub struct QueuedDevice {
 }
 
 impl QueuedDevice {
-    /// Wrap `model` in a queued front-end.
+    /// Wrap `model` in a queued front-end. Allocates nothing, whatever
+    /// the depth.
     pub fn new(model: Box<dyn DiskModel>, cfg: QueuedDeviceConfig) -> Self {
-        let depth = cfg.depth.max(1);
-        let cfg = QueuedDeviceConfig { depth, ..cfg };
-        let free_slots: Vec<u32> = (0..depth).rev().collect();
         QueuedDevice {
+            rotational: model.is_rotational(),
             model,
-            cfg,
-            waiting: Vec::new(),
-            active: Vec::new(),
-            free_slots,
+            cfg: QueuedDeviceConfig {
+                depth: cfg.depth.max(1),
+                ..cfg
+            },
+            slots: Vec::new(),
+            in_flight: 0,
             seq: 0,
             chaos: None,
         }
@@ -149,17 +149,17 @@ impl QueuedDevice {
 
     /// Requests inside the device (waiting in its queue or in service).
     pub fn in_flight(&self) -> usize {
-        self.waiting.len() + self.active.len()
+        self.in_flight
     }
 
     /// Whether another request fits in the hardware queue.
     pub fn can_accept(&self) -> bool {
-        self.in_flight() < self.cfg.depth as usize
+        self.in_flight < self.cfg.depth as usize
     }
 
     /// Accept a request into the hardware queue. Returns the slot it
-    /// occupies and any requests that thereby entered service (possibly
-    /// including this one).
+    /// occupies (the lowest free tag) and the request that thereby
+    /// entered service, if any (this one, when its server was idle).
     ///
     /// # Panics
     ///
@@ -169,79 +169,84 @@ impl QueuedDevice {
         id: RequestId,
         shape: DiskRequestShape,
         spike: Option<f64>,
-    ) -> (u32, Vec<Started>) {
-        let slot = self
-            .free_slots
-            .pop()
-            .expect("queued device accept over depth");
-        let seq = self.seq;
-        self.seq += 1;
-        self.waiting.push(Waiting {
+    ) -> (u32, Option<Started>) {
+        assert!(self.can_accept(), "queued device accept over depth");
+        let slot = match self.slots.iter().position(Option::is_none) {
+            Some(free) => free,
+            None => {
+                self.slots.push(None);
+                self.slots.len() - 1
+            }
+        };
+        let server = if self.rotational {
+            0
+        } else {
+            self.channel_of(&shape)
+        };
+        self.slots[slot] = Some(Slot {
             id,
             shape,
-            slot,
             spike,
-            seq,
+            seq: self.seq,
+            server,
+            in_service: false,
         });
-        (slot, self.kick())
+        self.seq += 1;
+        self.in_flight += 1;
+        (slot as u32, self.kick(server))
     }
 
     /// Complete the in-service request `id`, freeing its slot. Returns
-    /// the slot and any requests that entered service as a result.
+    /// the slot and the request that entered service in its place, if
+    /// any.
     ///
     /// # Panics
     ///
     /// Panics if `id` is not in service (double completion).
-    pub fn complete(&mut self, id: RequestId) -> (u32, Vec<Started>) {
-        let idx = self
-            .active
+    pub fn complete(&mut self, id: RequestId) -> (u32, Option<Started>) {
+        let slot = self
+            .slots
             .iter()
-            .position(|a| a.id == id)
+            .position(|s| s.is_some_and(|s| s.id == id && s.in_service))
             .expect("completion of a request not in service");
-        let done = self.active.swap_remove(idx);
-        self.free_slots.push(done.slot);
-        // Keep the free list sorted descending so the smallest tag is
-        // always reused first, independent of completion order.
-        self.free_slots.sort_unstable_by(|a, b| b.cmp(a));
-        (done.slot, self.kick())
+        let server = self.slots[slot].take().expect("an occupied slot").server;
+        while self.slots.last().is_some_and(Option::is_none) {
+            self.slots.pop();
+        }
+        self.in_flight -= 1;
+        (slot as u32, self.kick(server))
     }
 
-    /// Move waiting requests into service wherever a server is free.
-    fn kick(&mut self) -> Vec<Started> {
-        let mut started = Vec::new();
-        if self.model.is_rotational() {
-            // One actuator; SPTF over the queued set.
-            while self.active.is_empty() && !self.waiting.is_empty() {
-                let best = self
-                    .waiting
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, a), (_, b)| {
-                        self.model
-                            .peek_service_time(&a.shape)
-                            .cmp(&self.model.peek_service_time(&b.shape))
-                            .then(a.seq.cmp(&b.seq))
-                    })
-                    .map(|(i, _)| i)
-                    .expect("non-empty");
-                let w = self.waiting.remove(best);
-                started.push(self.start(w, 0));
-            }
-        } else {
-            // Flash: start everything whose channel is idle, in
-            // acceptance order.
-            loop {
-                let next = self.waiting.iter().position(|w| {
-                    let ch = self.channel_of(&w.shape);
-                    !self.active.iter().any(|a| a.server == ch)
-                });
-                let Some(i) = next else { break };
-                let w = self.waiting.remove(i);
-                let ch = self.channel_of(&w.shape);
-                started.push(self.start(w, ch));
-            }
+    /// Start the next request on `server` if it is idle: by SPTF on the
+    /// actuator, in acceptance order on a flash channel. Every other
+    /// waiting request waits for a server that is still busy, so an
+    /// accept or a completion can start at most this one.
+    fn kick(&mut self, server: u32) -> Option<Started> {
+        let slots = &self.slots;
+        if slots
+            .iter()
+            .flatten()
+            .any(|s| s.in_service && s.server == server)
+        {
+            return None;
         }
-        started
+        let model = self.model.as_ref();
+        let rotational = self.rotational;
+        let next = slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.as_ref().map(|s| (i, s)))
+            .filter(|(_, s)| !s.in_service && s.server == server)
+            .min_by_key(|(_, s)| {
+                let cost = if rotational {
+                    model.peek_service_time(&s.shape)
+                } else {
+                    SimDuration::ZERO
+                };
+                (cost, s.seq)
+            })
+            .map(|(i, _)| i)?;
+        Some(self.start(next))
     }
 
     fn channel_of(&self, shape: &DiskRequestShape) -> u32 {
@@ -249,7 +254,9 @@ impl QueuedDevice {
         ((shape.start.raw() / stripe) % self.cfg.channels.max(1) as u64) as u32
     }
 
-    fn start(&mut self, w: Waiting, server: u32) -> Started {
+    /// Put the waiting request in `slot` into service on its server.
+    fn start(&mut self, slot: usize) -> Started {
+        let w = self.slots[slot].as_mut().expect("a waiting request");
         let mut service = self.model.service_time(&w.shape);
         if let Some(factor) = w.spike {
             service = service.mul_f64(factor.max(1.0));
@@ -257,14 +264,10 @@ impl QueuedDevice {
         if let Some(chaos) = self.chaos.as_mut() {
             service = service.mul_f64(chaos.stretch().max(1.0));
         }
-        self.active.push(Active {
-            id: w.id,
-            slot: w.slot,
-            server,
-        });
+        w.in_service = true;
         Started {
             id: w.id,
-            slot: w.slot,
+            slot: slot as u32,
             service,
         }
     }
@@ -290,12 +293,12 @@ mod tests {
             let want = serial.service_time(&shape);
             let (slot, started) = dev.accept(RequestId(i as u64), shape, None);
             assert_eq!(slot, 0, "depth 1 always uses slot 0");
-            assert_eq!(started.len(), 1, "free device starts immediately");
-            assert_eq!(started[0].service, want, "identical service times");
+            let started = started.expect("free device starts immediately");
+            assert_eq!(started.service, want, "identical service times");
             assert!(!dev.can_accept(), "single slot now occupied");
             let (freed, next) = dev.complete(RequestId(i as u64));
             assert_eq!(freed, 0);
-            assert!(next.is_empty());
+            assert!(next.is_none());
         }
     }
 
@@ -305,21 +308,24 @@ mod tests {
             QueuedDevice::new(Box::new(HddModel::new()), QueuedDeviceConfig::with_depth(8));
         // First request seizes the actuator (head starts at block 0).
         let (_, s) = dev.accept(RequestId(1), rd(0), None);
-        assert_eq!(s[0].id, RequestId(1));
+        assert_eq!(s.map(|s| s.id), Some(RequestId(1)));
         // Queue a far request, then a near one. On completion the near
         // one must win the SPTF race despite arriving later.
         let far = DiskRequestShape::new(IoDir::Read, BlockNo(80_000_000), 8);
         let near = DiskRequestShape::new(IoDir::Read, BlockNo(16), 8);
         let (_, s) = dev.accept(RequestId(2), far, None);
-        assert!(s.is_empty(), "actuator busy");
+        assert!(s.is_none(), "actuator busy");
         let (_, s) = dev.accept(RequestId(3), near, None);
-        assert!(s.is_empty());
+        assert!(s.is_none());
         assert_eq!(dev.in_flight(), 3);
         let (_, s) = dev.complete(RequestId(1));
-        assert_eq!(s.len(), 1, "one actuator: exactly one successor");
-        assert_eq!(s[0].id, RequestId(3), "near request jumps the far one");
+        assert_eq!(
+            s.map(|s| s.id),
+            Some(RequestId(3)),
+            "near request jumps the far one"
+        );
         let (_, s) = dev.complete(RequestId(3));
-        assert_eq!(s[0].id, RequestId(2));
+        assert_eq!(s.map(|s| s.id), Some(RequestId(2)));
     }
 
     #[test]
@@ -332,15 +338,83 @@ mod tests {
         let mut dev = QueuedDevice::new(Box::new(SsdModel::new()), cfg);
         // Stripes 0 and 1 → channels 0 and 1: both start at once.
         let (_, s) = dev.accept(RequestId(1), rd(0), None);
-        assert_eq!(s.len(), 1);
+        assert!(s.is_some());
         let (_, s) = dev.accept(RequestId(2), rd(64), None);
-        assert_eq!(s.len(), 1, "distinct channel overlaps");
+        assert!(s.is_some(), "distinct channel overlaps");
         // Another stripe-0 request shares channel 0: it must wait.
         let (_, s) = dev.accept(RequestId(3), rd(8), None);
-        assert!(s.is_empty(), "same channel serializes");
+        assert!(s.is_none(), "same channel serializes");
         let (_, s) = dev.complete(RequestId(1));
-        assert_eq!(s.len(), 1);
-        assert_eq!(s[0].id, RequestId(3), "channel 0 freed for its queue");
+        assert_eq!(
+            s.map(|s| s.id),
+            Some(RequestId(3)),
+            "channel 0 freed for its queue"
+        );
+    }
+
+    #[test]
+    fn each_call_starts_what_a_whole_queue_rescan_would() {
+        // Reference: after every accept or completion, keep starting any
+        // waiting request whose server is idle — SPTF on the actuator,
+        // acceptance order on flash — until none is startable. Its own
+        // model instance sees the same `service_time` calls, so the HDD
+        // head position stays in step.
+        use sim_core::SimRng;
+        for rotational in [true, false] {
+            let model = || -> Box<dyn DiskModel> {
+                if rotational {
+                    Box::new(HddModel::new())
+                } else {
+                    Box::new(SsdModel::new())
+                }
+            };
+            let cfg = QueuedDeviceConfig {
+                depth: 8,
+                channels: 4,
+                stripe_blocks: 64,
+            };
+            let mut dev = QueuedDevice::new(model(), cfg);
+            let mut ref_model = model();
+            let server = |s: &DiskRequestShape| {
+                if rotational {
+                    0
+                } else {
+                    (s.start.raw() / 64 % 4) as u32
+                }
+            };
+            let mut waiting: Vec<(RequestId, DiskRequestShape)> = Vec::new();
+            let mut busy: Vec<(RequestId, u32)> = Vec::new();
+            let mut rng = SimRng::stream(7, rotational as u64);
+            for i in 0..4_000u64 {
+                let got = if dev.can_accept() && (busy.is_empty() || rng.gen_bool(0.6)) {
+                    let shape = rd(rng.gen_range(1 << 20));
+                    waiting.push((RequestId(i), shape));
+                    dev.accept(RequestId(i), shape, None).1
+                } else {
+                    let (id, _) = busy.remove(rng.gen_range(busy.len() as u64) as usize);
+                    dev.complete(id).1
+                };
+                let mut want = Vec::new();
+                loop {
+                    let next = (0..waiting.len())
+                        .filter(|&j| !busy.iter().any(|b| b.1 == server(&waiting[j].1)))
+                        .min_by_key(|&j| {
+                            let cost = if rotational {
+                                ref_model.peek_service_time(&waiting[j].1)
+                            } else {
+                                SimDuration::ZERO
+                            };
+                            (cost, j)
+                        });
+                    let Some(j) = next else { break };
+                    let (id, shape) = waiting.remove(j);
+                    ref_model.service_time(&shape);
+                    busy.push((id, server(&shape)));
+                    want.push(id);
+                }
+                assert_eq!(got.map(|s| s.id).into_iter().collect::<Vec<_>>(), want);
+            }
+        }
     }
 
     #[test]
@@ -358,25 +432,24 @@ mod tests {
 
     #[test]
     fn installed_chaos_stretches_but_never_shrinks_service() {
-        use sim_core::{ChaosConfig, ChaosPlane};
+        use sim_core::ChaosConfig;
         let mut plain =
             QueuedDevice::new(Box::new(SsdModel::new()), QueuedDeviceConfig::with_depth(1));
         let mut shaken =
             QueuedDevice::new(Box::new(SsdModel::new()), QueuedDeviceConfig::with_depth(1));
-        let jitter = ChaosPlane::new(&ChaosConfig::with_seed(11))
-            .take_completion_jitter()
-            .unwrap();
+        let jitter = CompletionJitter::new(&ChaosConfig::with_seed(11)).unwrap();
         shaken.install_chaos(jitter);
         let mut stretched_any = false;
         for i in 0..64u64 {
             let (_, a) = plain.accept(RequestId(i), rd(i * 8), None);
             let (_, b) = shaken.accept(RequestId(i), rd(i * 8), None);
-            assert!(b[0].service >= a[0].service, "chaos only adds time");
+            let (a, b) = (a.unwrap().service, b.unwrap().service);
+            assert!(b >= a, "chaos only adds time");
             assert!(
-                b[0].service <= a[0].service.mul_f64(1.5 + 1e-9),
+                b <= a.mul_f64(1.5 + 1e-9),
                 "stretch stays within the configured bound"
             );
-            stretched_any |= b[0].service > a[0].service;
+            stretched_any |= b > a;
             plain.complete(RequestId(i));
             shaken.complete(RequestId(i));
         }
@@ -391,6 +464,6 @@ mod tests {
             QueuedDevice::new(Box::new(SsdModel::new()), QueuedDeviceConfig::with_depth(1));
         let (_, a) = plain.accept(RequestId(1), rd(0), None);
         let (_, b) = spiked.accept(RequestId(1), rd(0), Some(3.0));
-        assert_eq!(b[0].service, a[0].service.mul_f64(3.0));
+        assert_eq!(b.unwrap().service, a.unwrap().service.mul_f64(3.0));
     }
 }

@@ -159,9 +159,8 @@ pub(crate) fn burst_ablation(seed: u64) -> BurstAblation {
     let run = |sched: Lobotomized<SplitToken>| {
         let world = fig01_write_burst::build_burst_world_with(
             &cfg,
-            SchedChoice::SplitToken,
+            Setup::new(SchedChoice::SplitToken),
             Box::new(sched),
-            None,
             0xab1,
         );
         fig01_write_burst::burst_series(&cfg, "lobotomized", world)

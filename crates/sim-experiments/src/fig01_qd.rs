@@ -6,13 +6,13 @@
 //! slots, A's read loses the firmware's shortest-positioning-time race
 //! to a nearest-neighbour tour of scattered writes, and throughput
 //! collapses rather than merely halving. This sweep replays the same
-//! workload at hardware queue depths 1→32 on the queued-device plane:
+//! workload at hardware queue depths 1→32:
 //! CFQ-with-idle-B degrades monotonically deeper as the queue gives the
 //! burst more slots to pollute, while Split-Token — which charges the
 //! burst at dirty time and holds B — keeps A flat at every depth.
 //!
-//! Depth 1 reproduces the legacy serial-device numbers exactly, tying
-//! this figure back to the original `fig01` table.
+//! Depth 1 is the default device every other figure runs on, so its row
+//! is the original `fig01` table.
 
 use crate::fig01_write_burst::{self, Series, BURST_AT, BURST_LEN};
 use crate::registry::{CellOutput, CellRequest};
@@ -73,7 +73,7 @@ impl FigResult {
 
 /// Run the sweep.
 pub(crate) fn run(cfg: &Config) -> FigResult {
-    let run_one = |sched, depth| fig01_write_burst::run_one_with(cfg, sched, Some(depth));
+    let run_one = |sched, depth| fig01_write_burst::run_one_with(cfg, sched, depth);
     let rows = DEPTHS
         .iter()
         .map(|&depth| DepthRow {
@@ -125,18 +125,13 @@ impl std::fmt::Display for FigResult {
 mod tests {
     use super::*;
     use crate::registry::Profile;
+    use crate::setup::Setup;
 
     #[test]
     fn cfq_collapse_deepens_with_queue_depth_while_split_token_stays_flat() {
         let cfg = Config::at(Profile::Quick, 0);
         let r = run(&cfg);
         assert_eq!(r.rows.len(), DEPTHS.len());
-        // Depth 1 reproduces the serial fig01 numbers.
-        let serial = fig01_write_burst::run_one_with(&cfg, SchedChoice::Cfq, None);
-        assert_eq!(
-            r.rows[0].cfq.a_mbps, serial.a_mbps,
-            "depth 1 must be byte-identical to the serial device"
-        );
         // CFQ's degradation deepens monotonically toward the paper's
         // near-collapse (small wobble tolerated; the trend must hold).
         let losses: Vec<f64> = r.rows.iter().map(|row| row.cfq_degradation()).collect();
@@ -179,15 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn depth_1_replays_the_serial_event_stream_on_the_burst_world() {
-        let cfg = Config::at(Profile::Quick, 0);
-        let build = |depth| fig01_write_burst::build_burst_world(&cfg, SchedChoice::Cfq, depth);
-        let serial = burst_history(build(None));
-        assert_eq!(serial, burst_history(build(Some(1))));
-        assert!(serial.0 > 0);
-    }
-
-    #[test]
     fn a_single_catch_all_layer_replays_the_flat_event_stream_on_the_burst_world() {
         // A single-layer tree must be a pure wrapper: splitbench's
         // `split-layered.single_layer_vs_flat` is only a dispatch-cost
@@ -196,12 +182,12 @@ mod tests {
         let specs = split_layered::parse_layers("all:default:share:cfq").unwrap();
         let arbiter =
             crate::setup::build_layered(specs, split_layered::LayeredConfig::default()).unwrap();
-        let flat = fig01_write_burst::build_burst_world(&cfg, SchedChoice::Cfq, None);
+        let setup = Setup::new(SchedChoice::Cfq);
+        let flat = fig01_write_burst::build_burst_world(&cfg, setup);
         let layered = fig01_write_burst::build_burst_world_with(
             &cfg,
-            SchedChoice::Cfq,
+            setup,
             Box::new(arbiter),
-            None,
             fig01_write_burst::BURST_SALT,
         );
         assert_eq!(burst_history(flat), burst_history(layered));

@@ -89,34 +89,29 @@ impl FigResult {
 }
 
 /// Build the write-burst world: A streaming reads, B a one-second burst,
-/// B contained per the scheduler's mechanism. `queue_depth` of `None`
-/// keeps the legacy serial device; `Some(d)` runs the queued plane
-/// (shared with the fig01_qd sweep and the zero-allocation steady-state
-/// audit).
+/// B contained per the scheduler's mechanism, on the machine `setup`
+/// describes (its seed comes from `cfg`). Shared with the fig01_qd sweep
+/// and the zero-allocation steady-state audit.
 pub fn build_burst_world(
     cfg: &Config,
-    sched: SchedChoice,
-    queue_depth: Option<u32>,
+    setup: Setup,
 ) -> (sim_kernel::World, sim_core::KernelId, sim_core::Pid) {
-    build_burst_world_with(cfg, sched, sched.build(), queue_depth, BURST_SALT)
+    build_burst_world_with(cfg, setup, setup.sched.build(), BURST_SALT)
 }
 
 /// [`build_burst_world`] with an explicit scheduler instance and seed
-/// salt for B's write pattern. `base` still drives the kernel flags
-/// (pdflush, read gating) and B's containment attribute, while
+/// salt for B's write pattern. `setup.sched` still drives the kernel
+/// flags (pdflush, read gating) and B's containment attribute, while
 /// `instance` is what actually installs (fig01_qd's tests wrap CFQ in a
 /// single catch-all layer here; the burst ablation installs a
 /// lobotomized Split-Token).
 pub(crate) fn build_burst_world_with(
     cfg: &Config,
-    base: SchedChoice,
+    setup: Setup,
     instance: Box<dyn IoSched>,
-    queue_depth: Option<u32>,
     salt: u64,
 ) -> (sim_kernel::World, sim_core::KernelId, sim_core::Pid) {
-    let mut setup = Setup::new(base).seed(cfg.seed);
-    setup.queue_depth = queue_depth;
-    let (mut w, k) = build_world_with(setup, instance);
+    let (mut w, k) = build_world_with(setup.seed(cfg.seed), instance);
     let a_file = w.prealloc_file(k, A_FILE, true);
     let b_file = w.prealloc_file(k, B_FILE, true);
     let a = w.spawn(k, Box::new(SeqReader::new(a_file, A_FILE, MB)));
@@ -132,7 +127,7 @@ pub(crate) fn build_burst_world_with(
             cfg.seed ^ salt,
         )),
     );
-    match base {
+    match setup.sched {
         SchedChoice::Cfq => w.set_ioprio(k, b, IoPrio::idle()),
         SchedChoice::SplitToken => w.configure(k, b, SchedAttr::TokenRate(MB)),
         _ => {}
@@ -171,20 +166,20 @@ pub(crate) fn burst_series(
     }
 }
 
-/// One scheduler's run on the serial device or a queued plane.
-pub(crate) fn run_one_with(cfg: &Config, sched: SchedChoice, queue_depth: Option<u32>) -> Series {
+/// One scheduler's run at hardware queue depth `depth`.
+pub(crate) fn run_one_with(cfg: &Config, sched: SchedChoice, depth: u32) -> Series {
     burst_series(
         cfg,
         sched.name(),
-        build_burst_world(cfg, sched, queue_depth),
+        build_burst_world(cfg, Setup::new(sched).queue_depth(depth)),
     )
 }
 
 /// Run the experiment.
 pub(crate) fn run(cfg: &Config) -> FigResult {
     FigResult {
-        cfq_idle: run_one_with(cfg, SchedChoice::Cfq, None),
-        split_token: run_one_with(cfg, SchedChoice::SplitToken, None),
+        cfq_idle: run_one_with(cfg, SchedChoice::Cfq, 1),
+        split_token: run_one_with(cfg, SchedChoice::SplitToken, 1),
     }
 }
 

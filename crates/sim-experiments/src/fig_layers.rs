@@ -14,8 +14,9 @@
 //! while a flat scheduler given the same three tenants violates at
 //! least one of those bounds.
 //!
-//! Each run covers the serial plane and a queued (NCQ depth 8) plane on
-//! the configured device; the registry's device axis supplies hdd/ssd.
+//! Each run covers the default one-slot queue (labelled `serial`) and an
+//! NCQ depth-8 queue on the configured device; the registry's device
+//! axis supplies hdd/ssd.
 
 use sim_check::{AuditPlane, LayerAuditor};
 use sim_core::{stats::Percentiles, SimDuration};
@@ -46,7 +47,7 @@ const NOISY_REQ: u64 = 64 * KB;
 /// the noisy layer's write-behind from saturating the shared dirty
 /// pool (global threshold is ~102 MB at the default 512 MB / 0.20).
 const DIRTY_BUDGET: u64 = 48 * MB;
-/// NCQ depth for the queued plane.
+/// NCQ depth of the deep-queue run.
 const QUEUE_DEPTH: u32 = 8;
 
 /// Configuration.
@@ -109,7 +110,7 @@ pub(crate) struct TenantRun {
     pub audit_violations: usize,
 }
 
-/// One device plane (serial or queued) — all three arms plus the bounds.
+/// One queue depth (1 or 8) — all three arms plus the bounds.
 #[derive(Debug, Clone)]
 pub(crate) struct PlaneResult {
     /// Plane label ("serial" or "qd=8").
@@ -144,9 +145,9 @@ impl PlaneResult {
 /// Full figure result.
 #[derive(Debug, Clone)]
 pub(crate) struct FigResult {
-    /// Serial plane.
+    /// Queue depth 1.
     pub serial: PlaneResult,
-    /// Queued plane (NCQ depth 8).
+    /// NCQ depth 8.
     pub queued: PlaneResult,
     /// Whether the tree's guarantees were feasible as requested.
     pub solver_feasible: bool,

@@ -6,7 +6,7 @@ use sim_cache::CacheConfig;
 use sim_core::{ChaosConfig, KernelId};
 use sim_device::{HddModel, SsdModel};
 pub use sim_kernel::FsChoice;
-use sim_kernel::{DeviceKind, KernelConfig, QueuePlane, World};
+use sim_kernel::{DeviceKind, KernelConfig, World};
 use split_core::{BlockOnly, IoSched};
 use split_layered::{LayerSpec, Layered, LayeredConfig, SpecError};
 use split_schedulers::{Afq, ScsToken, SplitDeadline, SplitNoop, SplitToken};
@@ -197,10 +197,9 @@ pub struct Setup {
     /// Experiment seed. Zero (the default) reproduces the historical runs
     /// bit-for-bit; the sweep engine sets it per replicate.
     pub seed: u64,
-    /// Hardware queue depth. `None` (the default) keeps the legacy
-    /// serial device; `Some(d)` turns on the queued plane (NCQ/blk-mq),
-    /// where `Some(1)` is byte-identical to `None`.
-    pub queue_depth: Option<u32>,
+    /// Hardware queue depth (NCQ tags / NVMe slots); the default, 1, is
+    /// a serial device.
+    pub queue_depth: u32,
     /// Adversarial timing perturbation. `None` (the default) keeps runs
     /// byte-identical to a build without the chaos plane.
     pub chaos: Option<ChaosConfig>,
@@ -218,7 +217,7 @@ impl Setup {
             cores: 8,
             dirty_ratio: 0.20,
             seed: 0,
-            queue_depth: None,
+            queue_depth: 1,
             chaos: None,
         }
     }
@@ -253,9 +252,9 @@ impl Setup {
         self
     }
 
-    /// Run on the queued-device plane at hardware queue depth `d`.
+    /// Run at hardware queue depth `d`.
     pub fn queue_depth(mut self, d: u32) -> Self {
-        self.queue_depth = Some(d);
+        self.queue_depth = d;
         self
     }
 }
@@ -275,10 +274,7 @@ pub fn kernel_config(setup: Setup) -> KernelConfig {
         gate_reads: setup.sched.gates_reads(),
         fs_seed: setup.seed,
         chaos: setup.chaos,
-        queue: match setup.queue_depth {
-            Some(d) => QueuePlane::Queued { depth: d },
-            None => QueuePlane::Serial,
-        },
+        queue_depth: setup.queue_depth,
         ..Default::default()
     }
 }

@@ -1,20 +1,26 @@
 //! One machine's storage stack: processes → syscall layer → page cache →
 //! file system → block layer → device, with the scheduler's hooks woven
 //! through all of it.
+//!
+//! There is one physical device plane: every physical disk sits behind a
+//! hardware queue ([`QueuedDevice`], depth 1 unless configured deeper).
+//! The elevator dispatches only while the device has a free tag, and the
+//! dispatched request goes straight into it — nothing is staged in
+//! between.
 
 use std::collections::VecDeque;
 
-use sim_block::{Dispatch, IoPrio, MqDispatch, PrioClass, QueueOccupancy, ReqKind, Request};
+use sim_block::{Dispatch, IoPrio, MqDispatch, PrioClass, ReqKind, Request};
 use sim_cache::{CacheConfig, PageCache};
 use sim_check::{AuditCheckpoint, AuditEvent, AuditPlane, Auditor};
 use sim_core::prof::{self, Phase, Profiler};
 use sim_core::stats::TimeSeries;
 use sim_core::{
-    page_span, BlockNo, CauseSet, ChaosConfig, ChaosPlane, FileId, IdAlloc, IoError, IoErrorKind,
-    KernelId, Pid, RequestId, SimDuration, SimTime, PAGE_SIZE,
+    page_span, BlockNo, CauseSet, ChaosConfig, ChaosPlane, CompletionJitter, FileId, IdAlloc,
+    IoError, IoErrorKind, KernelId, Pid, RequestId, SimDuration, SimTime, PAGE_SIZE,
 };
 use sim_core::{FastMap, FastSet};
-use sim_device::{DiskModel, HddModel, QueuedDevice, QueuedDeviceConfig, SsdModel};
+use sim_device::{DiskModel, HddModel, QueuedDevice, QueuedDeviceConfig, SsdModel, Started};
 use sim_fault::{DeviceFaultPlane, Fault, WriteStep};
 use sim_fs::{Extent, FileSystem, FsConfig, FsEvent, FsOutput, IoToken, JournaledFs};
 use sim_trace::{RequestTrace, Tracer};
@@ -84,16 +90,13 @@ impl DeviceKind {
 }
 
 /// The device a built kernel actually drives: [`DeviceKind`] resolved
-/// against the configured [`QueuePlane`].
+/// against the configured queue depth.
 enum ActiveDevice {
-    /// Legacy single-slot physical device.
-    Serial(Box<dyn DiskModel>),
-    /// Physical device behind the queued plane: blk-mq software queues
-    /// in front of a multi-slot hardware queue.
-    Queued {
+    /// A physical disk behind its hardware queue.
+    Physical {
         /// The multi-request device front-end.
         dev: QueuedDevice,
-        /// Per-process software queues + the live occupancy picture.
+        /// Who holds how many of its hardware slots.
         mq: MqDispatch,
     },
     /// Virtual disk backed by a host file; always single-slot here (the
@@ -107,18 +110,20 @@ enum ActiveDevice {
 }
 
 impl ActiveDevice {
-    fn resolve(device: DeviceKind, queue: QueuePlane) -> Self {
+    /// A physical disk gets a hardware queue of `depth` slots, owning the
+    /// chaos plane's completion-jitter stream when that class is on.
+    fn resolve(device: DeviceKind, depth: u32, chaos: Option<&ChaosConfig>) -> Self {
         match device {
-            DeviceKind::Physical(m) => match queue {
-                QueuePlane::Serial => ActiveDevice::Serial(m),
-                QueuePlane::Queued { depth } => {
-                    let depth = depth.max(1);
-                    ActiveDevice::Queued {
-                        dev: QueuedDevice::new(m, QueuedDeviceConfig::with_depth(depth)),
-                        mq: MqDispatch::new(depth),
-                    }
+            DeviceKind::Physical(m) => {
+                let mut dev = QueuedDevice::new(m, QueuedDeviceConfig::with_depth(depth));
+                if let Some(jitter) = chaos.and_then(CompletionJitter::new) {
+                    dev.install_chaos(jitter);
                 }
-            },
+                ActiveDevice::Physical {
+                    mq: MqDispatch::new(dev.depth()),
+                    dev,
+                }
+            }
             DeviceKind::Virtual {
                 host,
                 host_file,
@@ -135,47 +140,21 @@ impl ActiveDevice {
 
     fn peek(&self) -> &dyn DiskModel {
         match self {
-            ActiveDevice::Serial(m) => m.as_ref(),
-            ActiveDevice::Queued { dev, .. } => dev.model(),
+            ActiveDevice::Physical { dev, .. } => dev.model(),
             ActiveDevice::Virtual { peek, .. } => peek,
         }
     }
 
-    /// The hardware-queue occupancy picture, on the queued plane only.
-    fn occupancy(&self) -> Option<&QueueOccupancy> {
-        match self {
-            ActiveDevice::Queued { mq, .. } => Some(mq.occupancy()),
-            _ => None,
-        }
-    }
-
     /// A hook context at `now` peeking at this device, queuing commands
-    /// into `buf` (a recycled, empty buffer).
+    /// into `buf` (a recycled, empty buffer). Hooks see a physical disk's
+    /// hardware-queue occupancy.
     fn sched_ctx(&self, now: SimTime, tracer: &Tracer, buf: Vec<SchedCmd>) -> SchedCtx<'_> {
         let ctx = SchedCtx::traced(now, self.peek(), tracer.clone()).with_commands_buf(buf);
-        match self.occupancy() {
-            Some(occ) => ctx.with_occupancy(occ),
-            None => ctx,
+        match self {
+            ActiveDevice::Physical { mq, .. } => ctx.with_occupancy(mq.occupancy()),
+            ActiveDevice::Virtual { .. } => ctx,
         }
     }
-}
-
-/// How the block layer drives a physical device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueuePlane {
-    /// The legacy single-slot path: one request on the device at a time,
-    /// submit → finish. The historical behaviour, byte for byte.
-    Serial,
-    /// The queued-device plane: per-process software queues
-    /// ([`MqDispatch`]) feeding a hardware queue of `depth` slots
-    /// ([`QueuedDevice`] — NCQ reordering on rotational models, channel
-    /// parallelism on flash). `depth = 1` is byte-identical to
-    /// [`QueuePlane::Serial`]. Virtual (host-backed) disks ignore this
-    /// setting: their queueing lives in the host's own block layer.
-    Queued {
-        /// Hardware queue depth (NCQ tags / NVMe slots), at least 1.
-        depth: u32,
-    },
 }
 
 /// Which file system to build.
@@ -216,12 +195,15 @@ pub struct KernelConfig {
     /// Adversarial timing perturbation (the chaos plane). `None` (the
     /// default) keeps every run byte-identical to a build without the
     /// plane; `Some` jitters writeback wakeups, CPU slices, journal
-    /// commit timing, and queued-device completion order within legal
-    /// bounds (see [`sim_core::chaos`]).
+    /// commit timing, and device completion order within legal bounds
+    /// (see [`sim_core::chaos`]).
     pub chaos: Option<ChaosConfig>,
-    /// How the block layer drives a physical device (serial single-slot
-    /// or the queued multi-request plane).
-    pub queue: QueuePlane,
+    /// Hardware queue depth of a physical disk (NCQ tags / NVMe slots),
+    /// at least 1: the device holds that many requests at once and may
+    /// reorder their service ([`QueuedDevice`]). The default, 1, is a
+    /// serial device. Virtual (host-backed) disks ignore it: their
+    /// queueing lives in the host's own block layer.
+    pub queue_depth: u32,
 }
 
 impl Default for KernelConfig {
@@ -237,7 +219,7 @@ impl Default for KernelConfig {
             wb_tick: SimDuration::from_millis(200),
             fs_seed: 0,
             chaos: None,
-            queue: QueuePlane::Serial,
+            queue_depth: 1,
         }
     }
 }
@@ -288,10 +270,6 @@ struct ReqMeta {
     /// Set at dispatch when the fault plane failed this request; routed to
     /// `io_failed`/`block_failed` instead of the success paths.
     failed: Option<IoError>,
-    /// Fault-plane service-time multiplier, staged at dispatch for the
-    /// queued plane (the device applies it when the request enters
-    /// service, which may be later).
-    spike: Option<f64>,
 }
 
 /// One simulated machine.
@@ -301,11 +279,10 @@ pub struct Kernel {
     cfg: KernelConfig,
     sched: Box<dyn IoSched>,
     device: ActiveDevice,
-    inflight: Option<(Request, SimDuration)>,
-    /// In-flight requests on the queued plane, keyed by id (the device
-    /// tracks ordering; this map only parks the request bodies and their
-    /// committed service times until completion).
-    q_inflight: FastMap<RequestId, (Request, SimDuration)>,
+    /// The requests inside the device, indexed by hardware tag (the
+    /// device tracks ordering; this only parks the request bodies and
+    /// their committed service times until completion).
+    inflight: Vec<Option<(Request, SimDuration)>>,
     req_meta: FastMap<RequestId, ReqMeta>,
     req_ids: IdAlloc,
     fs: JournaledFs,
@@ -334,8 +311,8 @@ pub struct Kernel {
     /// events: every site below reports through [`emit`], once.
     audit: Option<AuditPlane>,
     /// Chaos plane, if installed (same opt-in contract as the fault
-    /// plane). Its completion-jitter stream lives inside the queued
-    /// device when one exists.
+    /// plane). Its completion-jitter stream lives inside the physical
+    /// device.
     chaos: Option<ChaosPlane>,
     /// Self-profiler plane, picked up from the thread at construction
     /// (see [`sim_core::prof::install_thread`]). `None` (the default)
@@ -381,27 +358,14 @@ impl Kernel {
         let mut cache = PageCache::new(cfg.cache);
         cache.set_tracer(tracer.clone());
         let cores = cfg.cores;
-        let mut device = ActiveDevice::resolve(device, cfg.queue);
+        let device = ActiveDevice::resolve(device, cfg.queue_depth, cfg.chaos.as_ref());
         let chaos = cfg.chaos.as_ref().map(ChaosPlane::new);
-        let chaos = chaos.map(|mut plane| {
-            // On the queued plane the completion-jitter stream moves into
-            // the device, which stretches service times where it already
-            // applies fault spikes; the serial plane keeps the stream
-            // here and applies it at issue.
-            if let ActiveDevice::Queued { dev, .. } = &mut device {
-                if let Some(jitter) = plane.take_completion_jitter() {
-                    dev.install_chaos(jitter);
-                }
-            }
-            plane
-        });
         Kernel {
             id,
             cfg,
             sched,
             device,
-            inflight: None,
-            q_inflight: FastMap::default(),
+            inflight: Vec::new(),
             req_meta: FastMap::default(),
             req_ids: IdAlloc::new(),
             fs,
@@ -584,11 +548,7 @@ impl Kernel {
     /// scheduler and nothing on the device. The check harness requires
     /// this before declaring quiescence.
     pub fn block_idle(&self) -> bool {
-        let device_idle = match &self.device {
-            ActiveDevice::Queued { dev, mq } => dev.in_flight() == 0 && mq.staged() == 0,
-            _ => self.inflight.is_none(),
-        };
-        device_idle && self.sched.queued() == 0
+        self.inflight.iter().all(Option::is_none) && self.sched.queued() == 0
     }
 
     /// Run the auditors' final checkpoint with the quiescence flag set;
@@ -1130,16 +1090,13 @@ impl Kernel {
         self.dispatching = false;
     }
 
-    /// Room for another request below the elevator? The serial and
-    /// virtio planes hold one; the queued plane admits up to `depth`
-    /// counting both hardware slots and software staging, so staged
-    /// requests can never outrun the tags they will need.
+    /// Room for another request below the elevator? A physical disk
+    /// admits one per free hardware tag, so the device always takes what
+    /// the elevator dispatches; a virtual disk holds one.
     fn device_can_accept(&self) -> bool {
         match &self.device {
-            ActiveDevice::Queued { dev, mq } => {
-                dev.in_flight() + mq.staged() < dev.depth() as usize
-            }
-            _ => self.inflight.is_none(),
+            ActiveDevice::Physical { dev, .. } => dev.can_accept(),
+            ActiveDevice::Virtual { .. } => self.inflight.iter().all(Option::is_none),
         }
     }
 
@@ -1151,59 +1108,8 @@ impl Kernel {
         emit(&mut self.audit, now, || AuditEvent::BlockDispatched {
             req: &req,
         });
-        // The fault plane rolls at dispatch, in the same per-request order
-        // on both physical planes; a virtual disk's requests fail through
-        // the host's own plane instead.
-        let mut spike = None;
-        if !matches!(self.device, ActiveDevice::Virtual { .. }) {
-            let fault = self
-                .fault_plane
-                .as_mut()
-                .and_then(|plane| plane.on_request(&req.shape()));
-            let failed = match fault {
-                Some(Fault::Spike { factor }) => {
-                    spike = Some(factor);
-                    None
-                }
-                Some(Fault::Transient) => Some(IoErrorKind::TransientDevice),
-                Some(Fault::Torn { .. }) => Some(IoErrorKind::TornWrite),
-                None => None,
-            };
-            if let Some(kind) = failed {
-                self.req_meta.entry(req.id).or_default().failed =
-                    Some(IoError::for_request(kind, req.id));
-            }
-        }
-        let service = match &mut self.device {
-            ActiveDevice::Queued { mq, .. } => {
-                // A spike is staged on the request and applied when it
-                // enters service, which may be later.
-                if spike.is_some() {
-                    self.req_meta.entry(req.id).or_default().spike = spike;
-                }
-                mq.submit(req);
-                self.pump_queued(bus);
-                return;
-            }
-            ActiveDevice::Serial(model) => {
-                let mut service = model.service_time(&req.shape());
-                if let Some(factor) = spike {
-                    service = service.mul_f64(factor.max(1.0));
-                }
-                if let Some(c) = self.chaos.as_mut() {
-                    // Serial-plane completion chaos: stretch the service
-                    // time exactly like a fault spike (never shrink).
-                    service = service.mul_f64(c.service_stretch().max(1.0));
-                }
-                bus.q.schedule(
-                    now + service,
-                    Event::DeviceDone {
-                        k: self.id,
-                        req: req.id,
-                    },
-                );
-                service
-            }
+        let (dev, mq) = match &mut self.device {
+            ActiveDevice::Physical { dev, mq } => (dev, mq),
             ActiveDevice::Virtual {
                 host,
                 host_file,
@@ -1227,117 +1133,79 @@ impl Kernel {
                         req: req.id,
                     },
                 });
-                SimDuration::ZERO
+                emit(&mut self.audit, now, || AuditEvent::SlotAcquired {
+                    req: &req,
+                    slot: 0,
+                    in_flight: 1,
+                    depth: 1,
+                });
+                park(&mut self.inflight, 0, req);
+                return;
             }
         };
-        self.slot_acquired(&req, 0, 1, 1, now);
-        self.inflight = Some((req, service));
-    }
-
-    /// The device took `req` into `slot`; every device kind reports here.
-    fn slot_acquired(
-        &mut self,
-        req: &Request,
-        slot: u32,
-        in_flight: u32,
-        depth: u32,
-        now: SimTime,
-    ) {
+        // The fault plane rolls at dispatch, once per request; a virtual
+        // disk's requests fail through the host's own plane instead.
+        let fault = self
+            .fault_plane
+            .as_mut()
+            .and_then(|plane| plane.on_request(&req.shape()));
+        let (spike, failed) = match fault {
+            Some(Fault::Spike { factor }) => (Some(factor), None),
+            Some(Fault::Transient) => (None, Some(IoErrorKind::TransientDevice)),
+            Some(Fault::Torn { .. }) => (None, Some(IoErrorKind::TornWrite)),
+            None => (None, None),
+        };
+        if let Some(kind) = failed {
+            self.req_meta.entry(req.id).or_default().failed =
+                Some(IoError::for_request(kind, req.id));
+        }
+        // Admission saw a free tag, so the device takes the request now.
+        let t0 = prof::tick(&self.prof);
+        let depth = dev.depth();
+        let in_flight = dev.in_flight() as u32 + 1;
+        let (slot, started) = dev.accept(req.id, req.shape(), spike);
+        mq.note_accepted(req.submitter);
         emit(&mut self.audit, now, || AuditEvent::SlotAcquired {
-            req,
+            req: &req,
             slot,
             in_flight,
             depth,
-            queued_plane: matches!(self.device, ActiveDevice::Queued { .. }),
         });
-    }
-
-    /// Drain staged requests into free hardware-queue slots, then turn
-    /// whatever the device moved into service into DES completions.
-    fn pump_queued(&mut self, bus: &mut Bus) {
-        // Sample occupancy before (staged backlog) and after (what the
-        // pump pushed into flight), so the profiler's high watermarks
-        // see both sides of the drain.
-        if let (Some(p), ActiveDevice::Queued { dev, mq }) = (&self.prof, &self.device) {
-            p.sample_mq(mq.staged(), dev.in_flight());
-        }
-        let t0 = prof::tick(&self.prof);
-        self.pump_queued_inner(bus);
+        park(&mut self.inflight, slot, req);
+        start_service(started, &mut self.inflight, self.id, now, bus);
         prof::tock(&self.prof, Phase::MqPump, t0);
-        if let (Some(p), ActiveDevice::Queued { dev, mq }) = (&self.prof, &self.device) {
-            p.sample_mq(mq.staged(), dev.in_flight());
-        }
-    }
-
-    fn pump_queued_inner(&mut self, bus: &mut Bus) {
-        let now = bus.q.now();
-        loop {
-            let (req, slot, started, in_flight, depth) = {
-                let ActiveDevice::Queued { dev, mq } = &mut self.device else {
-                    return;
-                };
-                if !dev.can_accept() {
-                    return;
-                }
-                let Some(req) = mq.pop_next() else { return };
-                let spike = self.req_meta.get(&req.id).and_then(|m| m.spike);
-                let (slot, started) = dev.accept(req.id, req.shape(), spike);
-                mq.note_accepted(req.submitter);
-                (req, slot, started, dev.in_flight() as u32, dev.depth())
-            };
-            self.slot_acquired(&req, slot, in_flight, depth, now);
-            self.q_inflight.insert(req.id, (req, SimDuration::ZERO));
-            self.schedule_started(started, now, bus);
-        }
-    }
-
-    /// Record committed service times and schedule completion events for
-    /// requests the device just moved into service.
-    fn schedule_started(&mut self, started: Vec<sim_device::Started>, now: SimTime, bus: &mut Bus) {
-        for s in started {
-            if let Some(entry) = self.q_inflight.get_mut(&s.id) {
-                entry.1 = s.service;
-            }
-            bus.q.schedule(
-                now + s.service,
-                Event::DeviceDone {
-                    k: self.id,
-                    req: s.id,
-                },
-            );
+        if let Some(p) = &self.prof {
+            p.sample_mq(in_flight as usize);
         }
     }
 
     /// A request left the device — a physical one's `DeviceDone` fired, or
     /// the host finished the syscall backing a virtual disk's request:
-    /// free its slot, start whatever the queued device moved into service
-    /// behind it, and run the completion path.
+    /// free its slot, start the request the physical device moved into
+    /// service behind it, if any, and run the completion path.
     pub(crate) fn device_done(&mut self, req_id: RequestId, bus: &mut Bus) {
         let now = bus.q.now();
-        let (req, service, slot, in_flight, started) = match &mut self.device {
-            ActiveDevice::Queued { dev, mq } => {
-                let Some((req, service)) = self.q_inflight.remove(&req_id) else {
-                    return;
-                };
+        let (slot, in_flight, depth) = match &mut self.device {
+            ActiveDevice::Physical { dev, .. } => {
                 let (slot, started) = dev.complete(req_id);
-                mq.note_done(req.submitter);
-                (req, service, slot, dev.in_flight() as u32, started)
+                start_service(started, &mut self.inflight, self.id, now, bus);
+                (slot, dev.in_flight() as u32, dev.depth())
             }
-            _ => {
-                let Some((req, service)) = self.inflight.take() else {
-                    return;
-                };
-                debug_assert_eq!(req.id, req_id);
-                (req, service, 0, 0, Vec::new())
-            }
+            ActiveDevice::Virtual { .. } => (0, 0, 1),
         };
+        let (req, service) = self.inflight[slot as usize]
+            .take()
+            .expect("a completed request was in flight");
+        debug_assert_eq!(req.id, req_id);
+        if let ActiveDevice::Physical { mq, .. } = &mut self.device {
+            mq.note_done(req.submitter);
+        }
         emit(&mut self.audit, now, || AuditEvent::SlotReleased {
             req: &req,
             slot,
             in_flight,
-            queued_plane: matches!(self.device, ActiveDevice::Queued { .. }),
+            depth,
         });
-        self.schedule_started(started, now, bus);
         self.finish_request(req, service, bus);
     }
 
@@ -1640,6 +1508,34 @@ impl Kernel {
         }
         self.wake_dirty_waiters(bus);
         self.try_dispatch(bus);
+    }
+}
+
+/// Park `req` in its hardware tag's entry until the device is done with it.
+fn park(inflight: &mut Vec<Option<(Request, SimDuration)>>, slot: u32, req: Request) {
+    let slot = slot as usize;
+    if inflight.len() <= slot {
+        inflight.resize_with(slot + 1, || None);
+    }
+    inflight[slot] = Some((req, SimDuration::ZERO));
+}
+
+/// Record the committed service time of the request the device just
+/// moved into service, if any, and schedule its completion.
+fn start_service(
+    started: Option<Started>,
+    inflight: &mut [Option<(Request, SimDuration)>],
+    k: KernelId,
+    now: SimTime,
+    bus: &mut Bus,
+) {
+    if let Some(s) = started {
+        let (_, service) = inflight[s.slot as usize]
+            .as_mut()
+            .expect("a started request is parked");
+        *service = s.service;
+        bus.q
+            .schedule(now + s.service, Event::DeviceDone { k, req: s.id });
     }
 }
 

@@ -7,7 +7,7 @@
 //! strict-checkpoint findings of the regular auditors — a scheduler's own
 //! `audit(true)` already names what *it* is still holding.
 
-use super::{ActiveDevice, Kernel, PState};
+use super::{Kernel, PState};
 use crate::world::Bus;
 
 impl Kernel {
@@ -37,10 +37,11 @@ impl Kernel {
             report.push((0, u64::from(pid.0), line));
         }
         for (id, meta) in &self.req_meta {
-            let at_device = match &self.device {
-                ActiveDevice::Queued { .. } => self.q_inflight.get(id),
-                _ => self.inflight.as_ref().filter(|(req, _)| req.id == *id),
-            };
+            let at_device = self
+                .inflight
+                .iter()
+                .flatten()
+                .find(|(req, _)| req.id == *id);
             // Below the elevator only the bookkeeping is the kernel's:
             // syscall reads name their reader, everything else is a
             // file-system write (data, journal or checkpoint).

@@ -26,7 +26,7 @@ mod stats;
 mod world;
 
 pub use cpu::CpuCosts;
-pub use kernel::{DeviceKind, FsChoice, Kernel, KernelConfig, QueuePlane};
+pub use kernel::{DeviceKind, FsChoice, Kernel, KernelConfig};
 pub use process::{Outcome, ProcAction, ProcessLogic};
 pub use sim_trace::{RequestTrace, TraceRecord};
 pub use stats::{KernelStats, ProcStats};

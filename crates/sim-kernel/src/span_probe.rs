@@ -118,10 +118,11 @@ impl Auditor for SpanProbe {
                 req,
                 slot,
                 in_flight,
-                queued_plane,
-                ..
+                depth,
             } => {
-                let name = if queued_plane {
+                // A one-slot device's tag says nothing: its span is plain
+                // `service`, and it keeps no queue-depth gauge.
+                let name = if depth > 1 {
                     tr.gauge("device.queue_depth", now, in_flight as f64);
                     slot_name(slot)
                 } else {
@@ -138,10 +139,8 @@ impl Auditor for SpanProbe {
                 spans.1 = ds;
             }
             AuditEvent::SlotReleased {
-                in_flight,
-                queued_plane: true,
-                ..
-            } => tr.gauge("device.queue_depth", now, in_flight as f64),
+                in_flight, depth, ..
+            } if depth > 1 => tr.gauge("device.queue_depth", now, in_flight as f64),
             AuditEvent::DiskCharged { pid, total_s } => {
                 tr.gauge_key("disk.time_s", pid.raw() as u64, now, total_s);
             }

@@ -10,7 +10,7 @@ use sim_block::{Dispatch, Request};
 use sim_cache::CacheConfig;
 use sim_check::{AuditEvent, AuditPlane, Auditor};
 use sim_core::{FileId, KernelId, Pid, SimDuration, SimTime};
-use sim_kernel::{DeviceKind, KernelConfig, Outcome, ProcAction, QueuePlane, World};
+use sim_kernel::{DeviceKind, KernelConfig, Outcome, ProcAction, World};
 use split_core::{Gate, IoSched, SchedCtx, SyscallInfo, SyscallKind};
 
 const KB: u64 = 1024;
@@ -124,13 +124,13 @@ fn workload(file: FileId) -> impl FnMut(SimTime, &Outcome) -> ProcAction {
     }
 }
 
-fn small_machine(queue: QueuePlane) -> KernelConfig {
+fn small_machine(queue_depth: u32) -> KernelConfig {
     KernelConfig {
         cache: CacheConfig {
             mem_bytes: 64 * MB, // dirty limit = 12.8 MB
             ..Default::default()
         },
-        queue,
+        queue_depth,
         ..Default::default()
     }
 }
@@ -184,10 +184,10 @@ fn observe(w: &mut World, k: KernelId, physical: bool) {
 
 #[test]
 fn an_outside_observer_sees_every_transition_on_every_device_kind() {
-    for queue in [QueuePlane::Serial, QueuePlane::Queued { depth: 8 }] {
+    for depth in [1, 8] {
         let mut w = World::new();
         let k = w.add_kernel(
-            small_machine(queue),
+            small_machine(depth),
             DeviceKind::ssd(),
             Box::<TestSched>::default(),
         );
@@ -204,7 +204,7 @@ fn an_outside_observer_sees_every_transition_on_every_device_kind() {
     let image = w.prealloc_file(host, 2048 * MB, true);
     let vmm = w.spawn_external(host);
     let guest = w.add_kernel(
-        small_machine(QueuePlane::Serial),
+        small_machine(1),
         DeviceKind::virtio(host, image, vmm),
         Box::<TestSched>::default(),
     );

@@ -36,10 +36,10 @@
 //! re-checks a previously printed spec instead of generating, on the
 //! planes the other flags select (so `--programs`, `--jobs` and
 //! `--root-seed` do not combine with it).
-//! `--queue-depth N` replays the matrix on the queued-device plane at
-//! hardware queue depth N instead of the legacy serial device.
+//! `--queue-depth N` replays the matrix at hardware queue depth N
+//! instead of the default 1.
 //! `--chaos` installs the chaos plane: every run's writeback wakeups,
-//! CPU slices, journal commit timing, and queued-device completion
+//! CPU slices, journal commit timing, and device completion
 //! order are perturbed within legal bounds, seeded by `--chaos-seed N`
 //! (default 0) so a failing batch replays identically.
 //! `--chaos-classes wb,cpu,journal,complete` restricts perturbation to
@@ -214,8 +214,8 @@ fn positive(v: &str) -> Result<f64, String> {
 }
 
 /// Deepest hardware queue `--queue-depth` accepts: NVMe's per-queue
-/// maximum. The queued device builds one slot per entry up front, so an
-/// unbounded depth is an unbounded allocation.
+/// maximum. The device's storage grows only with the requests actually
+/// in flight, so any depth up to this costs the same to build.
 const MAX_QUEUE_DEPTH: u32 = 65_536;
 
 fn queue_depth(v: &str) -> Result<u32, String> {
@@ -441,7 +441,7 @@ fn check_main(cli: &Cli) {
         jobs: cli.jobs.unwrap_or(1),
         root_seed: cli.root_seed.unwrap_or(0),
         shrink: cli.shrink,
-        queue_depth: cli.queue_depth,
+        queue_depth: cli.queue_depth.unwrap_or(1),
         inject_late: cli.inject_late,
         chaos: chaos_config(cli),
         layers: cli.layers.clone(),
@@ -457,10 +457,6 @@ fn check_main(cli: &Cli) {
             run_replay(&text, &cfg).unwrap_or_else(|e| die(&format!("bad replay spec: {e}")))
         }
         None => {
-            let plane = match cfg.queue_depth {
-                Some(d) => format!("queued device, depth {d}"),
-                None => "serial device".to_string(),
-            };
             let shaken = match &cfg.chaos {
                 Some(c) => {
                     let names: Vec<&str> = c.classes().iter().map(|cl| cl.name()).collect();
@@ -469,8 +465,8 @@ fn check_main(cli: &Cli) {
                 None => String::new(),
             };
             eprintln!(
-                "check: {} program(s) on {} job(s), root seed {}, {plane}{shaken}",
-                cfg.programs, cfg.jobs, cfg.root_seed
+                "check: {} program(s) on {} job(s), root seed {}, queue depth {}{shaken}",
+                cfg.programs, cfg.jobs, cfg.root_seed, cfg.queue_depth
             );
             run_check(&cfg)
         }

@@ -68,8 +68,7 @@ pub struct RunOutcome {
     /// Deterministic digest of the kernel's end-of-run counters
     /// (dispatches, device bytes, per-pid traffic and fsync latencies).
     /// Two runs that scheduled the same events produce equal strings —
-    /// the queued-device equivalence test compares these to assert that
-    /// queue depth 1 is byte-identical to the serial device plane.
+    /// `tests/golden/check_fingerprints.txt` pins these across builds.
     pub fingerprint: String,
     /// Events the world processed (the bench harness's unit of work).
     pub events: u64,
@@ -79,8 +78,8 @@ pub struct RunOutcome {
     pub fsync_ms: Vec<f64>,
 }
 
-/// Render the counters that must match between a serial-device run and a
-/// depth-1 queued run into one comparable line.
+/// Render the counters that must match between two runs of the same
+/// simulation into one comparable line.
 fn fingerprint(stats: &sim_kernel::KernelStats) -> String {
     use std::fmt::Write as _;
     let mut out = format!(
@@ -175,8 +174,7 @@ impl ProcessLogic for Replayer {
 const QUIESCE_CAP_SECS: u64 = 600;
 
 /// Everything [`run_with`] can turn on besides the scheduler/device
-/// pair; `RunOpts::default()` is the plain serial-plane run.
-#[derive(Default)]
+/// pair; `RunOpts::default()` is the plain run at queue depth 1.
 pub struct RunOpts {
     /// Wrap the scheduler with the cause-corrupting shim after this many
     /// block adds (mutation testing of the audit plane).
@@ -191,11 +189,10 @@ pub struct RunOpts {
     /// outcomes and `io_errors`) rather than tripping auditors or
     /// vanishing.
     pub faults: Option<DeviceFaultPlane>,
-    /// Queued-device plane at this hardware queue depth. Depth 1 must
-    /// produce an outcome equal to the serial plane's in every field
-    /// including `fingerprint` — `tests/queue_equivalence.rs` holds the
-    /// stack to that.
-    pub queue_depth: Option<u32>,
+    /// Hardware queue depth (1 by default). `tests/queue_equivalence.rs`
+    /// pins the default's outcomes and holds deeper queues to the same
+    /// syscall results.
+    pub queue_depth: u32,
     /// Plant one deliberately-late event after the drain (the `runner
     /// check --inject-late` probe): the run must then fail through both
     /// the event-queue auditor and the drain gate.
@@ -216,6 +213,22 @@ pub struct RunOpts {
     /// the flat scheduler in every field including `fingerprint`
     /// (`tests/layer_equivalence.rs`).
     pub wrap_single_layer: bool,
+}
+
+impl Default for RunOpts {
+    fn default() -> Self {
+        RunOpts {
+            sabotage: None,
+            timing_sabotage: None,
+            faults: None,
+            queue_depth: 1,
+            inject_late: false,
+            chaos: None,
+            layers: None,
+            cap_leak: None,
+            wrap_single_layer: false,
+        }
+    }
 }
 
 /// Replay `spec` under one scheduler/device pair with auditors installed.
@@ -477,9 +490,8 @@ pub struct CheckConfig {
     pub root_seed: u64,
     /// Minimize failing programs before reporting.
     pub shrink: bool,
-    /// Device plane: `None` = legacy serial device, `Some(d)` = queued
-    /// device at hardware queue depth `d`.
-    pub queue_depth: Option<u32>,
+    /// Hardware queue depth of every run (`runner check --queue-depth`).
+    pub queue_depth: u32,
     /// Plant one deliberately-late event per run so the late-schedule
     /// gate can be demonstrated to fail (`runner check --inject-late`).
     pub inject_late: bool,
@@ -497,7 +509,7 @@ impl Default for CheckConfig {
             jobs: 1,
             root_seed: 0,
             shrink: false,
-            queue_depth: None,
+            queue_depth: 1,
             inject_late: false,
             chaos: None,
             layers: None,

@@ -4,7 +4,7 @@
 //! The chaos plane follows the repo's `Option<plane>` idiom — absent, it
 //! must leave every run byte-identical (the figure goldens in
 //! sim-experiments enforce that end-to-end); present, it perturbs
-//! writeback wakeups, CPU slices, journal commit timing, and queued
+//! writeback wakeups, CPU slices, journal commit timing, and device
 //! completion order *within legal bounds*, so every invariant the
 //! auditors check — cause-tag conservation, Split-Token ledger caps, CFQ
 //! weight accounting, `(time, seq)` event FIFO, the no-late-schedules
@@ -16,12 +16,12 @@ use sim_experiments::{DeviceChoice, SchedChoice};
 use sim_sweep::check::RunOutcome;
 use sim_sweep::{check_program, run_one, run_with, CheckConfig, RunOpts};
 
-/// One run on the serial (`None`) or queued plane, under `chaos` if given.
+/// One run at hardware queue depth `queue_depth`, under `chaos` if given.
 fn run_on(
     spec: &ProgramSpec,
     sched: SchedChoice,
     device: DeviceChoice,
-    queue_depth: Option<u32>,
+    queue_depth: u32,
     chaos: Option<ChaosConfig>,
 ) -> RunOutcome {
     run_with(
@@ -44,7 +44,7 @@ fn program(idx: u64) -> ProgramSpec {
 fn chaos_config_with_no_classes_is_byte_identical_to_no_chaos() {
     // Present-but-all-disabled is the sharpest byte-identity probe: the
     // plane is installed, its RNG streams exist, yet no draw may happen
-    // and no timing may move. The serial and queued planes must both
+    // and no timing may move. Queue depths 1 and 8 must both
     // fingerprint identically to a plain run.
     let empty = ChaosConfig::only(7, &[]);
     for idx in 0..4u64 {
@@ -52,16 +52,16 @@ fn chaos_config_with_no_classes_is_byte_identical_to_no_chaos() {
         for sched in [SchedChoice::Cfq, SchedChoice::SplitToken] {
             for device in [DeviceChoice::Hdd, DeviceChoice::Ssd] {
                 let plain = run_one(&spec, sched, device, None);
-                let shaken = run_on(&spec, sched, device, None, Some(empty));
+                let shaken = run_on(&spec, sched, device, 1, Some(empty));
                 assert_eq!(
                     plain.fingerprint, shaken.fingerprint,
-                    "serial byte-identity, program {idx}, {sched:?}/{device:?}"
+                    "depth-1 byte-identity, program {idx}, {sched:?}/{device:?}"
                 );
-                let plain_q = run_on(&spec, sched, device, Some(8), None);
-                let shaken_q = run_on(&spec, sched, device, Some(8), Some(empty));
+                let plain_q = run_on(&spec, sched, device, 8, None);
+                let shaken_q = run_on(&spec, sched, device, 8, Some(empty));
                 assert_eq!(
                     plain_q.fingerprint, shaken_q.fingerprint,
-                    "queued byte-identity, program {idx}, {sched:?}/{device:?}"
+                    "depth-8 byte-identity, program {idx}, {sched:?}/{device:?}"
                 );
             }
         }
@@ -81,7 +81,7 @@ fn same_chaos_seed_same_bytes() {
                 &spec,
                 SchedChoice::SplitToken,
                 DeviceChoice::Ssd,
-                Some(8),
+                8,
                 Some(cfg),
             )
         };
@@ -101,14 +101,8 @@ fn chaos_actually_perturbs_timing() {
     let mut diverged = false;
     for idx in 0..4u64 {
         let spec = program(idx);
-        let plain = run_on(&spec, SchedChoice::Cfq, DeviceChoice::Ssd, Some(8), None);
-        let shaken = run_on(
-            &spec,
-            SchedChoice::Cfq,
-            DeviceChoice::Ssd,
-            Some(8),
-            Some(cfg),
-        );
+        let plain = run_on(&spec, SchedChoice::Cfq, DeviceChoice::Ssd, 8, None);
+        let shaken = run_on(&spec, SchedChoice::Cfq, DeviceChoice::Ssd, 8, Some(cfg));
         if plain.fingerprint != shaken.fingerprint {
             diverged = true;
         }
@@ -121,8 +115,8 @@ fn chaos_actually_perturbs_timing() {
 
 #[test]
 fn single_class_chaos_stays_legal_everywhere() {
-    // Property battery per perturbation class: each class alone, on the
-    // serial and queued planes, must quiesce with zero violations —
+    // Property battery per perturbation class: each class alone, at
+    // queue depths 1 and 8, must quiesce with zero violations —
     // wakeups never schedule into the past (the event core's hard
     // late-schedule error would fail the run), `(time, seq)` FIFO holds,
     // and completion reorder stays inside the device's in-flight window
@@ -130,7 +124,7 @@ fn single_class_chaos_stays_legal_everywhere() {
     let spec = program(0);
     for class in ChaosClass::ALL {
         let cfg = ChaosConfig::only(3, &[class]);
-        for qd in [None, Some(8)] {
+        for qd in [1, 8] {
             let out = run_on(
                 &spec,
                 SchedChoice::SplitToken,
@@ -141,7 +135,7 @@ fn single_class_chaos_stays_legal_everywhere() {
             assert_eq!(
                 out.violations,
                 Vec::<String>::new(),
-                "class {:?}, qd {qd:?}",
+                "class {:?}, qd {qd}",
                 class
             );
         }
@@ -157,7 +151,7 @@ fn full_differential_matrix_holds_under_chaos() {
     for idx in 0..3u64 {
         let spec = program(idx);
         let planes = CheckConfig {
-            queue_depth: Some(8),
+            queue_depth: 8,
             chaos: Some(ChaosConfig::with_seed(idx + 1)),
             ..CheckConfig::default()
         };
@@ -169,7 +163,7 @@ fn full_differential_matrix_holds_under_chaos() {
 #[test]
 fn fairness_holds_under_chaos_for_token_and_cfq() {
     // The headline battery: 25 fuzzed programs, split-token and CFQ,
-    // full chaos on the queued plane. The auditors include the
+    // full chaos at queue depth 8. The auditors include the
     // Split-Token ledger (per-pid cap accounting) and CFQ weight
     // bookkeeping, so zero violations means the fairness machinery
     // survives adversarial timing, not just the happy path.
@@ -177,7 +171,7 @@ fn fairness_holds_under_chaos_for_token_and_cfq() {
         let spec = program(idx);
         let cfg = ChaosConfig::with_seed(idx);
         for sched in [SchedChoice::SplitToken, SchedChoice::Cfq] {
-            let out = run_on(&spec, sched, DeviceChoice::Ssd, Some(8), Some(cfg));
+            let out = run_on(&spec, sched, DeviceChoice::Ssd, 8, Some(cfg));
             assert_eq!(
                 out.violations,
                 Vec::<String>::new(),
@@ -190,9 +184,10 @@ fn fairness_holds_under_chaos_for_token_and_cfq() {
 #[test]
 fn chaos_runs_match_the_pinned_digests() {
     // The only cross-build pin on the chaos plane (every test above
-    // compares a build with itself): each scheduler on each device, on the
-    // serial plane and at queue depth 8, under chaos seed 1, one line of
-    // event count + kernel-counter fingerprint per run.
+    // compares a build with itself): each scheduler on each device, at
+    // queue depths 1 and 8, under chaos seed 1, one line of event count +
+    // kernel-counter fingerprint per run. Depth 1 keeps the `serial` label
+    // it was pinned under.
     // An intended change regenerates with `UPDATE_GOLDEN=1`.
     let cfg = ChaosConfig::with_seed(1);
     let mut got = String::new();
@@ -200,13 +195,17 @@ fn chaos_runs_match_the_pinned_digests() {
         let spec = program(idx);
         let sched = SchedChoice::ALL[idx as usize % 10];
         let device = DeviceChoice::ALL[idx as usize / 10];
-        for qd in [None, Some(8)] {
+        for qd in [1, 8] {
             let out = run_on(&spec, sched, device, qd, Some(cfg));
             got.push_str(&format!(
                 "program{idx:02} {}/{} qd={} events={} {}\n",
                 sched.name(),
                 device.name(),
-                qd.map_or("serial".into(), |d| d.to_string()),
+                if qd == 1 {
+                    "serial".into()
+                } else {
+                    qd.to_string()
+                },
                 out.events,
                 out.fingerprint
             ));

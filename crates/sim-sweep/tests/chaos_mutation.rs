@@ -1,6 +1,6 @@
 //! Mutation check for the chaos plane: a scheduler with a planted
 //! *timing-dependent* bug must sleep through plain `runner check`
-//! batches — serial and queued — and be caught (and shrunk) by a chaos
+//! batches — at queue depths 1 and 8 — and be caught (and shrunk) by a chaos
 //! batch.
 //!
 //! The planted bug ([`TimingSabotaged`]) is a latency assumption tuned
@@ -39,7 +39,7 @@ fn program(idx: u64) -> ProgramSpec {
 fn run_sabotaged(
     spec: &ProgramSpec,
     sched: SchedChoice,
-    queue_depth: Option<u32>,
+    queue_depth: u32,
     chaos: Option<ChaosConfig>,
 ) -> RunOutcome {
     run_with(
@@ -59,26 +59,26 @@ fn run_sabotaged(
 /// batch shape (queue depth 8, chaos seed 1) with the timing-sabotaged
 /// scheduler, and report whether any auditor fired.
 fn chaos_catches(spec: &ProgramSpec) -> bool {
-    !run_sabotaged(spec, SchedChoice::SplitToken, Some(8), Some(chaos()))
+    !run_sabotaged(spec, SchedChoice::SplitToken, 8, Some(chaos()))
         .violations
         .is_empty()
 }
 
 #[test]
 fn plain_batches_miss_the_timing_bug() {
-    // Both plain arms — the serial device plane and queue depth 8 —
+    // Both plain arms — the default queue depth 1 and depth 8 —
     // run the full seed set over the sabotaged scheduler without a
     // single auditor firing: deterministic timing never opens the race.
     for idx in 0..12u64 {
         let spec = program(idx);
         for sched in [SchedChoice::Cfq, SchedChoice::SplitToken] {
-            let serial = run_sabotaged(&spec, sched, None, None);
+            let shallow = run_sabotaged(&spec, sched, 1, None);
             assert_eq!(
-                serial.violations,
+                shallow.violations,
                 Vec::<String>::new(),
-                "plain serial, program {idx}, {sched:?}"
+                "plain qd1, program {idx}, {sched:?}"
             );
-            let queued = run_sabotaged(&spec, sched, Some(8), None);
+            let queued = run_sabotaged(&spec, sched, 8, None);
             assert_eq!(
                 queued.violations,
                 Vec::<String>::new(),
@@ -138,7 +138,7 @@ fn healthy_scheduler_passes_the_same_chaos_batch() {
                 sched,
                 DeviceChoice::Ssd,
                 RunOpts {
-                    queue_depth: Some(8),
+                    queue_depth: 8,
                     chaos: Some(chaos()),
                     ..Default::default()
                 },

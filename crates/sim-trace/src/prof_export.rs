@@ -26,7 +26,6 @@ pub fn export_profile(reg: &mut Registry, snap: &ProfSnapshot) {
     let t0 = SimTime::ZERO;
     reg.gauge("prof.queue.depth_max", t0, snap.depth_max as f64);
     reg.gauge("prof.queue.depth_mean", t0, snap.depth_mean);
-    reg.gauge("prof.mq.staged_max", t0, snap.mq_staged_max as f64);
     reg.gauge("prof.mq.inflight_max", t0, snap.mq_inflight_max as f64);
 }
 
@@ -49,8 +48,8 @@ pub fn render_profile(name: &str, snap: &ProfSnapshot, alloc: &AllocSnapshot) ->
         ));
     }
     out.push_str(&format!(
-        "queue depth: max {} mean {:.1}; mq staged max {} in-flight max {}\n",
-        snap.depth_max, snap.depth_mean, snap.mq_staged_max, snap.mq_inflight_max
+        "queue depth: max {} mean {:.1}; mq in-flight max {}\n",
+        snap.depth_max, snap.depth_mean, snap.mq_inflight_max
     ));
     if alloc.enabled {
         out.push_str(&format!(
@@ -90,10 +89,9 @@ pub fn profile_json(
         ));
     }
     out.push_str(&format!(
-        "}},\n  \"queue\": {{\"depth_max\": {}, \"depth_mean\": {}, \"mq_staged_max\": {}, \"mq_inflight_max\": {}}},\n",
+        "}},\n  \"queue\": {{\"depth_max\": {}, \"depth_mean\": {}, \"mq_inflight_max\": {}}},\n",
         snap.depth_max,
         num(snap.depth_mean),
-        snap.mq_staged_max,
         snap.mq_inflight_max
     ));
     out.push_str(&format!(

@@ -182,8 +182,8 @@ pub struct SchedCtx<'a> {
     pub now: SimTime,
     /// The device servicing this kernel's block layer; peek-only.
     pub device: &'a dyn DiskModel,
-    /// Hardware-queue occupancy when the queued-device plane is active;
-    /// `None` on the legacy serial device. Split schedulers use it to
+    /// Hardware-queue occupancy of a physical disk; `None` on a virtual
+    /// (host-backed) disk. Split schedulers use it to
     /// see — and cap — a tenant's share of the in-flight slots.
     occupancy: Option<&'a QueueOccupancy>,
     tracer: Tracer,
@@ -210,13 +210,13 @@ impl<'a> SchedCtx<'a> {
         }
     }
 
-    /// Attach the hardware-queue occupancy view (queued-device plane).
+    /// Attach the hardware-queue occupancy view (a physical disk).
     pub fn with_occupancy(mut self, occ: &'a QueueOccupancy) -> Self {
         self.occupancy = Some(occ);
         self
     }
 
-    /// Hardware-queue occupancy, when the queued-device plane is active.
+    /// Hardware-queue occupancy, on a physical disk.
     pub fn occupancy(&self) -> Option<&QueueOccupancy> {
         self.occupancy
     }

@@ -34,8 +34,8 @@ pub use hooks::{
 };
 pub use proxy::ProxyRegistry;
 
-// The occupancy view hooks receive when the queued-device plane is on;
-// defined in sim-block next to the mq dispatch layer that maintains it.
+// The occupancy view hooks receive on a physical disk; defined in
+// sim-block next to the hardware-queue census that maintains it.
 pub use sim_block::QueueOccupancy;
 
 // The tag type itself; defined in sim-core so the block layer can carry it,

@@ -654,14 +654,14 @@ impl IoSched for Layered {
         let depth = ctx.occupancy().map(|o| o.depth);
         let mut issued: Option<Request> = None;
         for &i in &order {
-            // Occupancy-aware slot cap on the queued plane: a
+            // Occupancy-aware slot cap on a deep hardware queue: a
             // non-latency layer may not hog the hardware queue past its
             // share of the slots. When the tree has a latency layer the
             // queue is reserved for it outright — each slot another
             // layer holds is up to one full seek of added fsync tail
             // (an issued request cannot be recalled, Figure 1) — so all
             // other layers together pipeline a single request, which
-            // restores the serial plane's one-quantum blocking bound.
+            // restores a one-slot device's one-quantum blocking bound.
             if let Some(d) = depth {
                 if !self.layers[i].latency_prio() && d > 1 {
                     if self.has_latency {

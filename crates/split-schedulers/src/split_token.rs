@@ -298,11 +298,11 @@ impl IoSched for SplitToken {
                 if !self.buckets.may_proceed(pid, now) {
                     continue; // throttled at the block level (§5.3)
                 }
-                // Queued-device plane: cap any one tenant to half the
+                // Deep hardware queue: cap any one tenant to half the
                 // hardware queue while a competitor has reads waiting, so
                 // a burst cannot seize every NCQ slot. The in-flight
-                // analogue of the token throttle; a no-op on the serial
-                // plane (no occupancy view) and at depth 1.
+                // analogue of the token throttle; a no-op at depth 1 and
+                // on a virtual disk (no occupancy view).
                 if let Some(occ) = ctx.occupancy() {
                     let cap = (occ.depth / 2).max(1);
                     if occ.depth > 1
@@ -725,7 +725,6 @@ mod tests {
         let occ = QueueOccupancy {
             depth: 8,
             in_flight: 4,
-            staged: 0,
             per_pid: vec![(Pid(1), 4)],
         };
         let mut ctx = SchedCtx::new(SimTime::ZERO, &dev).with_occupancy(&occ);
@@ -745,7 +744,6 @@ mod tests {
         let shallow = QueueOccupancy {
             depth: 1,
             in_flight: 1,
-            staged: 0,
             per_pid: vec![(Pid(1), 1)],
         };
         let mut ctx = SchedCtx::new(SimTime::ZERO, &dev).with_occupancy(&shallow);
