@@ -2,23 +2,25 @@
 //!
 //! Semantically this is an exact page-granular LRU: every resident page
 //! has a recency position, touches move a page to the MRU end, eviction
-//! removes the LRU page. The representation is extent-compressed: a run
-//! of pages filled consecutively (one streaming read) occupies a single
-//! list node covering `[start, start+len)`, because consecutive inserts
-//! are adjacent in recency order and stay adjacent until an individual
-//! page is touched — at which point the run splits. Eviction shrinks the
-//! tail run from its oldest page. Every operation therefore does exactly
-//! what the per-page LRU would do (property-tested against a naive model
-//! below), but a 256-page fill costs one node and a sequential slot-table
+//! removes the LRU page. The representation is extent-compressed (the
+//! variable-size blocks of "Modeling the Linux page cache"): a run of
+//! pages filled or touched consecutively, in ascending order, occupies a
+//! single list node covering `[start, start+len)`, because those pages
+//! are adjacent in recency order. Touching a stretch of resident pages
+//! ([`CleanCache::touch_range`]) cuts it out of the nodes that cover it
+//! and pushes it as one MRU node; eviction shrinks the tail run from its
+//! oldest page. Every operation therefore does exactly what the per-page
+//! LRU would do (property-tested against a naive model below), but a
+//! 256-page fill or re-touch costs one node and a sequential slot-table
 //! write instead of 256 list splices.
 //!
 //! Residency lookup is a direct array index: each file gets a
 //! page-indexed slot table (grown lazily to the highest page touched), so
 //! the per-page hot path does no hashing. The only hash left is one
 //! [`FastMap`] probe per *call* to resolve the file, and the range entry
-//! points ([`CleanCache::fill_range`], [`CleanCache::touch_at`]) hoist
-//! even that out of page loops. At capacity, fills recycle evicted
-//! nodes, so the streaming steady state touches the allocator not at all.
+//! points ([`CleanCache::fill_at`], [`CleanCache::touch_range`]) take a
+//! resolved handle instead. At capacity, fills recycle evicted nodes, so
+//! the streaming steady state touches the allocator not at all.
 
 use sim_core::{FastMap, FileId};
 
@@ -191,87 +193,86 @@ impl CleanCache {
         }
     }
 
-    /// Move resident page `page` (covered by node `i`) to the MRU head,
-    /// splitting its run if it sits in the middle.
-    fn touch_node(&mut self, fh: u32, i: u32, page: u64) {
-        let Node { start, len, .. } = self.nodes[i as usize];
-        debug_assert!(page >= start && page < start + len);
-        if len == 1 {
-            if self.head != i {
-                self.unlink(i);
-                self.link_front(i);
+    /// Move the resident pages `[a, b)` to the MRU head as one run, as
+    /// touching each page in ascending order would. The stretch is cut
+    /// out of the nodes covering it; only the two at its ends can keep a
+    /// remainder.
+    pub(crate) fn touch_range(&mut self, fh: u32, a: u64, b: u64) {
+        let mut p = a;
+        while p < b {
+            let i = self.node_at(fh, p);
+            debug_assert_ne!(i, NIL, "touch_range over a non-resident page");
+            let Node { start, len, .. } = self.nodes[i as usize];
+            let end = start + len;
+            if (start, end) == (a, b) {
+                // The stretch is one whole node already.
+                if self.head != i {
+                    self.unlink(i);
+                    self.link_front(i);
+                }
+                return;
             }
-            return;
+            let cut = end.min(b);
+            match (start < p, cut < end) {
+                (true, true) => {
+                    // Middle: the node keeps its older part [start, p); the
+                    // newer part [cut, end) becomes a node just MRU-ward of
+                    // it (those pages were filled later, so they are
+                    // adjacent on the recency axis).
+                    self.nodes[i as usize].len = p - start;
+                    let u = self.alloc_node(Node {
+                        fh,
+                        start: cut,
+                        len: end - cut,
+                        prev: NIL,
+                        next: NIL,
+                    });
+                    self.link_before(u, i);
+                    self.set_slots(fh, cut, end - cut, u);
+                }
+                (true, false) => self.nodes[i as usize].len = p - start,
+                (false, true) => {
+                    let n = &mut self.nodes[i as usize];
+                    n.start = cut;
+                    n.len = end - cut;
+                }
+                (false, false) => {
+                    self.unlink(i);
+                    self.free.push(i);
+                }
+            }
+            p = cut;
         }
-        if page == start {
-            // Oldest page of the run: run keeps [start+1, end).
-            self.nodes[i as usize].start += 1;
-            self.nodes[i as usize].len -= 1;
-        } else if page == start + len - 1 {
-            // Newest page: run keeps [start, end-1).
-            self.nodes[i as usize].len -= 1;
-        } else {
-            // Middle: the run keeps its older half [start, page); the
-            // newer half [page+1, end) becomes a node just MRU-ward of it
-            // (those pages were filled later, so they are adjacent on the
-            // recency axis).
-            let upper_len = start + len - page - 1;
-            self.nodes[i as usize].len = page - start;
-            let u = self.alloc_node(Node {
-                fh,
-                start: page + 1,
-                len: upper_len,
-                prev: NIL,
-                next: NIL,
-            });
-            self.link_before(u, i);
-            self.set_slots(fh, page + 1, upper_len, u);
-        }
-        let single = self.alloc_node(Node {
-            fh,
-            start: page,
-            len: 1,
-            prev: NIL,
-            next: NIL,
-        });
-        self.link_front(single);
-        self.set_slots(fh, page, 1, single);
+        self.len -= b - a;
+        self.push_run(fh, a, b - a);
     }
 
     /// Insert (or refresh) `len` consecutive pages in ascending order,
     /// evicting the least-recently-used pages if over capacity — exactly
     /// as one-page fills in turn would, but one run node per stretch of
-    /// non-resident pages.
+    /// non-resident or resident pages.
     pub(crate) fn fill_range(&mut self, file: FileId, page: u64, len: u64) {
         let fh = self.handle(file);
         self.fill_at(fh, page, len);
     }
 
     /// [`CleanCache::fill_range`] by slot-table handle (from
-    /// [`CleanCache::handle`]): no hashing.
+    /// [`CleanCache::handle`]): no hashing. Each stretch of non-resident
+    /// pages becomes one new run, each stretch of resident ones one
+    /// [`CleanCache::touch_range`].
     pub(crate) fn fill_at(&mut self, fh: u32, page: u64, len: u64) {
         let end = page + len;
-        let mut run_start = None;
         let mut p = page;
         while p < end {
-            let i = self.node_at(fh, p);
-            if i != NIL {
-                if let Some(s) = run_start.take() {
-                    self.push_run(fh, s, p - s);
-                }
-                self.touch_node(fh, i, p);
-                p += 1;
+            let missing = self.run_len(fh, p, end - p, false);
+            if missing > 0 {
+                self.push_run(fh, p, missing);
+                p += missing;
             } else {
-                if run_start.is_none() {
-                    run_start = Some(p);
-                }
-                // Cross the rest of the non-resident stretch in one slice
-                // walk (the common case: a streaming fill of fresh pages).
-                p += 1 + self.miss_run_len(fh, p + 1, end - p - 1);
+                let resident = self.run_len(fh, p, end - p, true);
+                self.touch_range(fh, p, p + resident);
+                p += resident;
             }
-        }
-        if let Some(s) = run_start {
-            self.push_run(fh, s, end - s);
         }
         if self.len > self.capacity_pages {
             self.evict_pages(self.len - self.capacity_pages);
@@ -293,41 +294,32 @@ impl CleanCache {
     }
 
     /// Slot-table handle of `file`, if it ever held pages. Lets range
-    /// scans pay the file lookup once (see [`CleanCache::touch_at`]).
+    /// scans pay the file lookup once.
     pub(crate) fn file_handle(&self, file: FileId) -> Option<u32> {
         self.handles.get(&file).copied()
     }
 
-    /// Length of the non-resident run starting at `page`, capped at `max`
-    /// pages: range scans use it to cross a miss stretch in one slice walk
-    /// instead of a probe call per page. Read-only — misses don't touch
-    /// the LRU, so skipping them wholesale is observationally identical.
-    pub(crate) fn miss_run_len(&self, fh: u32, page: u64, max: u64) -> u64 {
-        let slots = &self.files[fh as usize].slots;
-        let start = page as usize;
-        if start >= slots.len() {
-            // Past the slot table: nothing there was ever resident.
-            return max;
-        }
-        let end = slots.len().min(start + max as usize);
-        for (n, &s) in slots[start..end].iter().enumerate() {
-            if s != NIL {
-                return n as u64;
-            }
-        }
-        // Ran off the end of the table; the stretch beyond it is all miss.
-        max
+    /// Whether `page` of file `fh` is resident. Read-only.
+    #[inline]
+    pub(crate) fn is_resident(&self, fh: u32, page: u64) -> bool {
+        self.node_at(fh, page) != NIL
     }
 
-    /// If `page` is resident, refresh its recency and return true (`fh`
-    /// from [`CleanCache::file_handle`]: no hashing).
-    pub(crate) fn touch_at(&mut self, fh: u32, page: u64) -> bool {
-        let i = self.node_at(fh, page);
-        if i == NIL {
-            return false;
+    /// Length of the stretch from `page`, capped at `max` pages, whose
+    /// pages are all resident (`resident`) or all not: one slice walk.
+    fn run_len(&self, fh: u32, page: u64, max: u64, resident: bool) -> u64 {
+        let slots = &self.files[fh as usize].slots;
+        let from = (page as usize).min(slots.len());
+        let to = (page + max).min(slots.len() as u64) as usize;
+        let n = slots[from..to]
+            .iter()
+            .take_while(|&&s| (s != NIL) == resident)
+            .count();
+        if !resident && from + n == to {
+            // Ran off the table: nothing beyond it was ever resident.
+            return max;
         }
-        self.touch_node(fh, i, page);
-        true
+        n as u64
     }
 
     /// Drop all pages of `file`. The slot table is kept (cleared) so a
@@ -365,7 +357,28 @@ mod tests {
 
     /// If resident, refresh recency and return true.
     fn touch(c: &mut CleanCache, file: FileId, page: u64) -> bool {
-        c.file_handle(file).is_some_and(|fh| c.touch_at(fh, page))
+        match c.file_handle(file) {
+            Some(fh) if c.is_resident(fh, page) => {
+                c.touch_range(fh, page, page + 1);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    impl CleanCache {
+        /// Every resident page, most recently used first.
+        fn order(&self) -> Vec<(FileId, u64)> {
+            let mut out = Vec::new();
+            let mut i = self.head;
+            while i != NIL {
+                let n = self.nodes[i as usize];
+                let file = self.files[n.fh as usize].file;
+                out.extend((n.start..n.start + n.len).rev().map(|p| (file, p)));
+                i = n.next;
+            }
+            out
+        }
     }
 
     #[test]
@@ -494,7 +507,10 @@ mod tests {
     }
 
     /// The extent-compressed cache must be observationally identical to
-    /// the naive page LRU under fuzzed fills, touches, and removals.
+    /// the naive page LRU under fuzzed fills, range touches and removals:
+    /// the whole recency order agrees after every step. A range touch
+    /// covers a random stretch of resident pages, which the model touches
+    /// one page at a time.
     #[test]
     fn differential_against_naive_page_lru() {
         for seed in 0..12u64 {
@@ -515,17 +531,32 @@ mod tests {
                     }
                     1..=4 => {
                         let len = 1 + rng.gen_range(24).min(63 - page);
-                        real.fill_range(file, page, len);
+                        let fh = real.handle(file);
+                        real.fill_at(fh, page, len);
                         for p in page..page + len {
                             model.insert(file, p);
                         }
                     }
                     5..=7 => {
-                        assert_eq!(
-                            touch(&mut real, file, page),
-                            model.touch(file, page),
-                            "touch divergence (seed {seed})"
-                        );
+                        let want = 1 + rng.gen_range(24);
+                        let mut end = page;
+                        while end < page + want && model.order.contains(&(file, end)) {
+                            end += 1;
+                        }
+                        let fh = real.file_handle(file);
+                        for p in page..(end + 1).min(page + want) {
+                            assert_eq!(
+                                fh.is_some_and(|fh| real.is_resident(fh, p)),
+                                p < end,
+                                "residency of page {p} (seed {seed})"
+                            );
+                        }
+                        if end > page {
+                            real.touch_range(fh.expect("resident"), page, end);
+                            for p in page..end {
+                                assert!(model.touch(file, p));
+                            }
+                        }
                     }
                     _ => {
                         insert(&mut real, file, page);
@@ -533,16 +564,7 @@ mod tests {
                     }
                 }
                 assert_eq!(real.len, model.order.len() as u64, "len (seed {seed})");
-            }
-            // Final sweep: every key agrees. Probe in model order so the
-            // touches themselves cannot cause divergence.
-            let final_keys = model.order.clone();
-            for (f, p) in final_keys {
-                assert!(
-                    touch(&mut real, f, p),
-                    "page ({f:?},{p}) missing (seed {seed})"
-                );
-                assert!(model.touch(f, p));
+                assert_eq!(real.order(), model.order, "recency order (seed {seed})");
             }
         }
     }

@@ -7,7 +7,16 @@
 //! ordered structure down to one 16-byte word per 64-page chunk makes
 //! those inserts cheap, while `take_ranges` still walks pages in
 //! ascending order straight off the bitmasks.
+//!
+//! An overwrite costs one payload probe. When the page's tag already
+//! covers the writer's causes — every re-dirty after the first in the
+//! cached-overwrite regime — nothing changes: the event lends the stored
+//! tag as `prev`, with no clone, no union and no tag-memory traffic (a
+//! `TagMem` free/alloc of the same size is an exact no-op, since the peak
+//! is never below the live total). Otherwise the old tag is copied into
+//! the store's one scratch slot, which the event lends instead.
 
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 
 use sim_core::{CauseSet, FastMap, FileId, SimTime, PAGE_SIZE};
@@ -22,11 +31,11 @@ struct DirtyPage {
 }
 
 /// Result of dirtying one page, used to build the buffer-dirty hook
-/// event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DirtyEvent {
+/// event. It borrows the cache until the next page is dirtied.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DirtyEvent<'a> {
     /// Previous causes if the page was already dirty (an overwrite).
-    pub prev: Option<CauseSet>,
+    pub prev: Option<&'a CauseSet>,
     /// Bytes newly dirtied (0 for an overwrite).
     pub new_bytes: u64,
     /// When the page first became dirty.
@@ -61,13 +70,31 @@ struct FileDirty {
     chunks: BTreeMap<u64, u64>,
     /// Page to cause tags / dirty time.
     pages: FastMap<u64, DirtyPage>,
+    /// Earliest `dirtied_at` in `pages` when known; `None` until the next
+    /// writeback pass recomputes it (see [`FileDirty::oldest`]).
+    oldest: Option<SimTime>,
 }
 
 impl FileDirty {
+    /// Earliest dirty time of the file's pages (`SimTime::MAX` if none),
+    /// rescanning the payload only when a take may have removed it.
+    fn oldest(&mut self) -> SimTime {
+        *self.oldest.get_or_insert_with(|| {
+            self.pages
+                .values()
+                .map(|d| d.dirtied_at)
+                .min()
+                .unwrap_or(SimTime::MAX)
+        })
+    }
+
     /// Append `[page]`'s payload to `out`, coalescing with the previous
     /// range when contiguous.
     fn pull_into(&mut self, page: u64, tagmem: &mut TagMem, out: &mut Vec<PageRange>) {
         let dp = self.pages.remove(&page).expect("bitmask and payload agree");
+        if self.oldest == Some(dp.dirtied_at) {
+            self.oldest = None;
+        }
         tagmem.free(dp.causes.heap_bytes());
         match out.last_mut() {
             Some(r) if r.start_page + r.len == page => {
@@ -90,6 +117,9 @@ impl FileDirty {
 pub(crate) struct DirtyStore {
     files: FastMap<FileId, FileDirty>,
     total: u64,
+    /// Where a non-covering overwrite keeps the page's old tag for its
+    /// [`DirtyEvent::prev`].
+    prev: CauseSet,
 }
 
 impl DirtyStore {
@@ -127,10 +157,11 @@ impl DirtyStore {
 
     /// Prefetched per-file probe: resolves the file once, then answers
     /// per-page dirtiness without re-hashing the file id (the read-miss
-    /// scan asks about every page of a syscall range).
+    /// scan asks about every page of a syscall range). A file with no
+    /// dirty pages resolves to nothing, so its probes hash nothing.
     pub(crate) fn file_view(&self, file: FileId) -> DirtyFileView<'_> {
         DirtyFileView {
-            file: self.files.get(&file),
+            file: self.files.get(&file).filter(|f| !f.pages.is_empty()),
         }
     }
 
@@ -140,6 +171,7 @@ impl DirtyStore {
         FileRun {
             file: self.files.entry(file).or_default(),
             total: &mut self.total,
+            prev: &mut self.prev,
         }
     }
 
@@ -200,19 +232,11 @@ impl DirtyStore {
     }
 
     /// Files with dirty pages, ordered by their oldest dirty page.
-    pub(crate) fn files_oldest_first(&self) -> Vec<FileId> {
+    pub(crate) fn files_oldest_first(&mut self) -> Vec<FileId> {
         let mut v: Vec<(SimTime, FileId)> = self
             .files
-            .iter()
-            .map(|(id, f)| {
-                let oldest = f
-                    .pages
-                    .values()
-                    .map(|d| d.dirtied_at)
-                    .min()
-                    .unwrap_or(SimTime::MAX);
-                (oldest, *id)
-            })
+            .iter_mut()
+            .map(|(id, f)| (f.oldest(), *id))
             .collect();
         v.sort_unstable();
         v.into_iter().map(|(_, f)| f).collect()
@@ -223,46 +247,60 @@ impl DirtyStore {
 pub(crate) struct FileRun<'a> {
     file: &'a mut FileDirty,
     total: &'a mut u64,
+    prev: &'a mut CauseSet,
 }
 
-impl FileRun<'_> {
+impl<'a> FileRun<'a> {
     /// Total dirty pages across all files.
     pub(crate) fn total(&self) -> u64 {
         *self.total
     }
 
+    /// The same run, borrowed for one [`FileRun::dirty`] call.
+    pub(crate) fn reborrow(&mut self) -> FileRun<'_> {
+        FileRun {
+            file: &mut *self.file,
+            total: &mut *self.total,
+            prev: &mut *self.prev,
+        }
+    }
+
     /// Mark one page dirty for `causes`.
     pub(crate) fn dirty(
-        &mut self,
+        self,
         page: u64,
         causes: &CauseSet,
         now: SimTime,
         tagmem: &mut TagMem,
-    ) -> DirtyEvent {
-        let f = &mut *self.file;
-        match f.pages.get_mut(&page) {
-            Some(dp) => {
-                let prev = dp.causes.clone();
-                tagmem.free(dp.causes.heap_bytes());
-                dp.causes.union_with(causes);
-                tagmem.alloc(dp.causes.heap_bytes());
+    ) -> DirtyEvent<'a> {
+        let FileRun { file, total, prev } = self;
+        match file.pages.entry(page) {
+            Entry::Occupied(e) => {
+                let dp = e.into_mut();
+                let prev: &CauseSet = if dp.causes.is_superset_of(causes) {
+                    &dp.causes
+                } else {
+                    prev.clone_from(&dp.causes);
+                    tagmem.free(dp.causes.heap_bytes());
+                    dp.causes.union_with(causes);
+                    tagmem.alloc(dp.causes.heap_bytes());
+                    prev
+                };
                 DirtyEvent {
                     prev: Some(prev),
                     new_bytes: 0,
                     first_dirtied: dp.dirtied_at,
                 }
             }
-            None => {
+            Entry::Vacant(e) => {
                 tagmem.alloc(causes.heap_bytes());
-                f.pages.insert(
-                    page,
-                    DirtyPage {
-                        causes: causes.clone(),
-                        dirtied_at: now,
-                    },
-                );
-                *f.chunks.entry(page >> 6).or_insert(0) |= 1u64 << (page & 63);
-                *self.total += 1;
+                e.insert(DirtyPage {
+                    causes: causes.clone(),
+                    dirtied_at: now,
+                });
+                *file.chunks.entry(page >> 6).or_insert(0) |= 1u64 << (page & 63);
+                file.oldest = file.oldest.map(|t| t.min(now));
+                *total += 1;
                 DirtyEvent {
                     prev: None,
                     new_bytes: PAGE_SIZE,
@@ -284,20 +322,12 @@ impl DirtyFileView<'_> {
     pub(crate) fn contains(&self, page: u64) -> bool {
         self.file.is_some_and(|f| f.pages.contains_key(&page))
     }
-
-    /// Whether the file has no dirty pages at all. Range scans check this
-    /// once to skip the per-page [`DirtyFileView::contains`] probes (a
-    /// hash each) on files that are only ever read.
-    #[inline]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.file.is_none_or(|f| f.pages.is_empty())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_core::Pid;
+    use sim_core::{Pid, SimRng};
 
     #[test]
     fn take_ranges_coalesces_contiguous_pages() {
@@ -372,5 +402,51 @@ mod tests {
             .dirty(1, &CauseSet::of(Pid(1)), SimTime::from_nanos(10), &mut tm);
         let ranges = s.take_ranges(f, 10, &mut tm);
         assert_eq!(ranges[0].oldest, SimTime::from_nanos(10));
+    }
+
+    /// Writeback order from the cached per-file oldest time equals a full
+    /// rescan of every page's payload, under random dirties (at random,
+    /// not monotone, times), takes and frees.
+    #[test]
+    fn cached_oldest_matches_a_full_rescan() {
+        let rescan = |s: &DirtyStore| {
+            let mut v: Vec<(SimTime, FileId)> = s
+                .files
+                .iter()
+                .map(|(id, f)| {
+                    let oldest = f.pages.values().map(|d| d.dirtied_at).min();
+                    (oldest.unwrap_or(SimTime::MAX), *id)
+                })
+                .collect();
+            v.sort_unstable();
+            v.into_iter().map(|(_, f)| f).collect::<Vec<_>>()
+        };
+        let mut rng = SimRng::seed_from_u64(0x01de57);
+        for case in 0..32 {
+            let mut s = DirtyStore::new();
+            let mut tm = TagMem::new();
+            for step in 0..300 {
+                let file = FileId(rng.gen_range(4));
+                match rng.gen_range(6) {
+                    0..=2 => {
+                        let now = SimTime::from_nanos(rng.gen_range(1_000));
+                        let page = rng.gen_range(64);
+                        s.file_run(file)
+                            .dirty(page, &CauseSet::of(Pid(1)), now, &mut tm);
+                    }
+                    3 | 4 => {
+                        s.take_ranges(file, 1 + rng.gen_range(8), &mut tm);
+                    }
+                    _ => {
+                        s.free_file(file, &mut tm);
+                    }
+                }
+                assert_eq!(
+                    s.files_oldest_first(),
+                    rescan(&s),
+                    "case {case} step {step}"
+                );
+            }
+        }
     }
 }

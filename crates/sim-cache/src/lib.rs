@@ -14,7 +14,14 @@
 //! needs), and [`DirtyRun::finish`] makes them resident in one LRU fill.
 //! The kernel ends a run early whenever a hook queues a command, so the
 //! command can see the cache between two pages of a write.
-//! [`PageCache::dirty_page`] is a one-page run.
+//! [`PageCache::dirty_page`] has exactly the effects of a one-page run.
+//!
+//! A cached overwrite pays one payload probe per page: the event borrows
+//! the page's previous causes instead of cloning them, and a page whose
+//! tag already covers the writer is left untouched (no union, no
+//! tag-memory traffic). Re-touching resident pages — a run's fill, a
+//! read's hits — moves each maximal stretch to the LRU head as one node
+//! (the clean LRU's range touch), not one node per page.
 
 mod clean;
 mod dirty;
@@ -120,19 +127,24 @@ impl PageCache {
         }
     }
 
-    /// Dirty one page on behalf of `causes`: a one-page [`DirtyRun`].
-    /// Returns the event describing what happened (fresh dirty vs.
-    /// overwrite) so the kernel can fire the buffer-dirty hook.
+    /// Dirty one page on behalf of `causes`, with exactly the effects of
+    /// a one-page [`DirtyRun`]. Returns the event describing what happened
+    /// (fresh dirty vs. overwrite) so the kernel can fire the buffer-dirty
+    /// hook.
     pub fn dirty_page(
         &mut self,
         file: FileId,
         page: u64,
         causes: &CauseSet,
         now: SimTime,
-    ) -> DirtyEvent {
-        let mut run = self.dirty_run(file, causes, now);
-        let ev = run.page(page);
-        run.finish();
+    ) -> DirtyEvent<'_> {
+        let before = self.dirty.total();
+        let ev = self
+            .dirty
+            .file_run(file)
+            .dirty(page, causes, now, &mut self.tagmem);
+        trace_dirtied(&self.tracer, now, before, &ev, &self.tagmem);
+        self.clean.fill_range(file, page, 1);
         ev
     }
 
@@ -167,7 +179,7 @@ impl PageCache {
     // ---- read path ------------------------------------------------------
 
     /// Check residency of `[page, page+len)`; returns the sub-ranges that
-    /// MISS (must be read from disk). Hits touch the LRU.
+    /// MISS (must be read from disk). Clean hits touch the LRU.
     pub fn read_misses(&mut self, file: FileId, page: u64, len: u64) -> Vec<(u64, u64)> {
         let mut misses = Vec::new();
         self.read_misses_into(file, page, len, &mut misses);
@@ -184,43 +196,41 @@ impl PageCache {
         misses: &mut Vec<(u64, u64)>,
     ) {
         misses.clear();
-        // Resolve both per-file structures once; the page loop below then
-        // runs hash-free (dirty pages short-circuit so they do not refresh
-        // the clean LRU, exactly as before). On files with no dirty pages
-        // at all — streaming readers — miss stretches are crossed in one
-        // slice walk rather than a probe per page.
+        // Resolve both per-file structures once, then walk the range in
+        // maximal stretches of one kind: dirty pages are hits that leave
+        // the clean LRU alone, resident clean pages are hits touched as
+        // one range, and the rest are misses.
+        #[derive(PartialEq)]
+        enum Page {
+            Dirty,
+            Clean,
+            Miss,
+        }
         let dirty = self.dirty.file_view(file);
-        let dirty_empty = dirty.is_empty();
-        let clean_fh = self.clean.file_handle(file);
+        let fh = self.clean.file_handle(file);
+        let kind = |clean: &CleanCache, p: u64| {
+            if dirty.contains(p) {
+                Page::Dirty
+            } else if fh.is_some_and(|fh| clean.is_resident(fh, p)) {
+                Page::Clean
+            } else {
+                Page::Miss
+            }
+        };
         let end = page + len;
-        let mut run_start = None;
         let mut p = page;
         while p < end {
-            let hit = (!dirty_empty && dirty.contains(p))
-                || match clean_fh {
-                    Some(fh) => self.clean.touch_at(fh, p),
-                    None => false,
-                };
-            if hit {
-                if let Some(s) = run_start.take() {
-                    misses.push((s, p - s));
-                }
+            let start = p;
+            let k = kind(&self.clean, p);
+            p += 1;
+            while p < end && kind(&self.clean, p) == k {
                 p += 1;
-            } else {
-                if run_start.is_none() {
-                    run_start = Some(p);
-                }
-                p += 1;
-                if dirty_empty {
-                    p += match clean_fh {
-                        Some(fh) => self.clean.miss_run_len(fh, p, end - p),
-                        None => end - p,
-                    };
-                }
             }
-        }
-        if let Some(s) = run_start {
-            misses.push((s, end - s));
+            match (k, fh) {
+                (Page::Clean, Some(fh)) => self.clean.touch_range(fh, start, p),
+                (Page::Miss, _) => misses.push((start, p - start)),
+                _ => {}
+            }
         }
     }
 
@@ -250,7 +260,7 @@ impl PageCache {
     }
 
     /// Files with dirty pages, oldest first (writeback order).
-    pub fn dirty_files_oldest_first(&self) -> Vec<FileId> {
+    pub fn dirty_files_oldest_first(&mut self) -> Vec<FileId> {
         self.dirty.files_oldest_first()
     }
 
@@ -290,25 +300,18 @@ pub struct DirtyRun<'a> {
 impl DirtyRun<'_> {
     /// Dirty `page`, which must follow the run's previous page (if any)
     /// directly.
-    pub fn page(&mut self, page: u64) -> DirtyEvent {
+    pub fn page(&mut self, page: u64) -> DirtyEvent<'_> {
         if self.len == 0 {
             self.first = page;
         }
         debug_assert_eq!(page, self.first + self.len, "run pages are consecutive");
         self.len += 1;
-        let ev = self.dirty.dirty(page, self.causes, self.now, self.tagmem);
-        if self.tracer.enabled() {
-            let which = if ev.new_bytes > 0 {
-                "cache.pages_dirtied"
-            } else {
-                "cache.overwrites"
-            };
-            self.tracer.count(which, 1);
-            self.tracer
-                .gauge("cache.dirty_pages", self.now, self.dirty.total() as f64);
-            self.tracer
-                .gauge("cache.tag_bytes", self.now, self.tagmem.live_bytes() as f64);
-        }
+        let before = self.dirty.total();
+        let ev = self
+            .dirty
+            .reborrow()
+            .dirty(page, self.causes, self.now, self.tagmem);
+        trace_dirtied(self.tracer, self.now, before, &ev, self.tagmem);
         ev
     }
 
@@ -317,6 +320,22 @@ impl DirtyRun<'_> {
         if self.len > 0 {
             self.clean.fill_at(self.fh, self.first, self.len);
         }
+    }
+}
+
+/// Count one dirtied page (fresh or overwrite) and gauge the dirty total
+/// and tag memory after it; `before` is the dirty total before it.
+fn trace_dirtied(tracer: &Tracer, now: SimTime, before: u64, ev: &DirtyEvent, tagmem: &TagMem) {
+    if tracer.enabled() {
+        let fresh = ev.prev.is_none();
+        let which = if fresh {
+            "cache.pages_dirtied"
+        } else {
+            "cache.overwrites"
+        };
+        tracer.count(which, 1);
+        tracer.gauge("cache.dirty_pages", now, (before + u64::from(fresh)) as f64);
+        tracer.gauge("cache.tag_bytes", now, tagmem.live_bytes() as f64);
     }
 }
 

@@ -1,9 +1,11 @@
 //! Randomized tests: dirty-page conservation and residency laws, driven
 //! by `SimRng` so the case set is deterministic and dependency-free.
 
-use sim_cache::{CacheConfig, PageCache};
+use std::collections::{BTreeMap, BTreeSet};
+
+use sim_cache::{CacheConfig, PageCache, PageRange};
 use sim_core::rng::SimRng;
-use sim_core::{CauseSet, FileId, Pid, SimTime};
+use sim_core::{CauseSet, FileId, Pid, SimTime, PAGE_SIZE};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -196,6 +198,148 @@ fn dirty_runs_match_page_at_a_time() {
                 pages.read_misses(FileId(f), 0, 128),
                 "case {case}: final residency"
             );
+        }
+    }
+}
+
+/// A naive per-page reference for the dirty side: every dirty page's
+/// cause set, first-dirty time and tag bytes, kept in plain ordered
+/// collections. Tag bytes follow `CauseSet::heap_bytes`: 4 bytes a pid
+/// for a set of up to three pids, and for a larger set the capacity its
+/// allocation was made with — a clone allocates its length, a union of
+/// `a` and `b` pids allocates `a + b`.
+#[derive(Default)]
+struct NaiveDirty {
+    /// `(file, page)` to (causes, first dirtied, tag bytes).
+    pages: BTreeMap<(u64, u64), (BTreeSet<Pid>, SimTime, u64)>,
+    live: u64,
+    max: u64,
+}
+
+impl NaiveDirty {
+    /// Dirty one page; returns the expected (prev, new bytes, first
+    /// dirtied).
+    fn dirty(
+        &mut self,
+        file: u64,
+        page: u64,
+        causes: &BTreeSet<Pid>,
+        now: SimTime,
+    ) -> (Option<BTreeSet<Pid>>, u64, SimTime) {
+        let pid_bytes = std::mem::size_of::<Pid>() as u64;
+        match self.pages.get_mut(&(file, page)) {
+            None => {
+                let bytes = causes.len() as u64 * pid_bytes;
+                self.pages
+                    .insert((file, page), (causes.clone(), now, bytes));
+                self.live += bytes;
+                self.max = self.max.max(self.live);
+                (None, PAGE_SIZE, now)
+            }
+            Some((set, at, bytes)) => {
+                let prev = set.clone();
+                if !causes.is_subset(set) {
+                    let (a, b) = (set.len() as u64, causes.len() as u64);
+                    set.extend(causes.iter().copied());
+                    let n = set.len() as u64;
+                    let new = if n <= 3 { n } else { a + b } * pid_bytes;
+                    self.live = self.live - *bytes + new;
+                    self.max = self.max.max(self.live);
+                    *bytes = new;
+                }
+                (Some(prev), 0, *at)
+            }
+        }
+    }
+
+    /// Remove up to `max` of `file`'s dirty pages, lowest first, as
+    /// coalesced ranges.
+    fn take(&mut self, file: u64, max: u64) -> Vec<PageRange> {
+        let pages: Vec<u64> = self
+            .pages
+            .range((file, 0)..(file + 1, 0))
+            .map(|(&(_, p), _)| p)
+            .take(max as usize)
+            .collect();
+        let mut out: Vec<(u64, u64, BTreeSet<Pid>, SimTime)> = Vec::new();
+        for p in pages {
+            let (set, at, bytes) = self.pages.remove(&(file, p)).expect("listed");
+            self.live -= bytes;
+            match out.last_mut() {
+                Some((start, len, causes, oldest)) if *start + *len == p => {
+                    *len += 1;
+                    causes.extend(set);
+                    *oldest = (*oldest).min(at);
+                }
+                _ => out.push((p, 1, set, at)),
+            }
+        }
+        out.into_iter()
+            .map(|(start_page, len, causes, oldest)| PageRange {
+                start_page,
+                len,
+                causes: CauseSet::from_pids(causes),
+                oldest,
+            })
+            .collect()
+    }
+}
+
+/// The dirty store against [`NaiveDirty`]: every `DirtyEvent` (prev,
+/// new bytes, first-dirty time), every taken or freed `PageRange`, and
+/// tag memory's live and peak bytes after every step. Pages are few and
+/// writers are one or two of six pids, so pages are overwritten often,
+/// both by writers their tag already covers (the no-op path) and by new
+/// ones (the union path), and tags spill past three pids.
+#[test]
+fn dirty_store_matches_a_naive_per_page_model() {
+    let mut rng = SimRng::seed_from_u64(0x0DE1);
+    for case in 0..48 {
+        let mut cache = PageCache::new(CacheConfig {
+            mem_bytes: 16 << 20,
+            ..Default::default()
+        });
+        let mut model = NaiveDirty::default();
+        for step in 0..300u64 {
+            let now = SimTime::from_nanos(step);
+            let file = rng.gen_range(3);
+            let at = format!("case {case} step {step}");
+            match rng.gen_range(8) {
+                0..=5 => {
+                    let page = rng.gen_range(24);
+                    let len = 1 + rng.gen_range(8);
+                    let pids: BTreeSet<Pid> = (0..1 + rng.gen_range(2))
+                        .map(|_| Pid(rng.gen_range(6) as u32))
+                        .collect();
+                    let causes = CauseSet::from_pids(pids.iter().copied());
+                    let mut run = cache.dirty_run(FileId(file), &causes, now);
+                    for p in page..page + len {
+                        let ev = run.page(p);
+                        let (prev, new_bytes, first) = model.dirty(file, p, &pids, now);
+                        let got = ev.prev.map(|c| c.iter().collect::<BTreeSet<_>>());
+                        assert_eq!(got, prev, "{at}: page {p} prev");
+                        assert_eq!(ev.new_bytes, new_bytes, "{at}: page {p}");
+                        assert_eq!(ev.first_dirtied, first, "{at}: page {p}");
+                    }
+                    run.finish();
+                }
+                6 => {
+                    let max = 1 + rng.gen_range(16);
+                    assert_eq!(
+                        cache.take_dirty_ranges(FileId(file), max),
+                        model.take(file, max),
+                        "{at}: take"
+                    );
+                }
+                _ => assert_eq!(
+                    cache.free_file(FileId(file)),
+                    model.take(file, u64::MAX),
+                    "{at}: free"
+                ),
+            }
+            assert_eq!(cache.dirty_total(), model.pages.len() as u64, "{at}");
+            assert_eq!(cache.tagmem().live_bytes(), model.live, "{at}: live");
+            assert_eq!(cache.tagmem().max_bytes(), model.max, "{at}: max");
         }
     }
 }

@@ -53,7 +53,7 @@ impl<S: IoSched> IoSched for Sabotaged<S> {
         self.inner.syscall_exit(sc, ctx)
     }
 
-    fn buffer_dirtied(&mut self, ev: &BufferDirtied, ctx: &mut SchedCtx<'_>) {
+    fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) {
         self.inner.buffer_dirtied(ev, ctx)
     }
 

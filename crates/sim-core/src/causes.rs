@@ -127,8 +127,9 @@ impl CauseSet {
         self.as_slice().iter().copied()
     }
 
-    /// Whether every pid of `other` is already in `self`.
-    fn is_superset_of(&self, other: &CauseSet) -> bool {
+    /// Whether every pid of `other` is already in `self`, i.e. whether
+    /// `self.union_with(other)` would change nothing.
+    pub fn is_superset_of(&self, other: &CauseSet) -> bool {
         let a = self.as_slice();
         let b = other.as_slice();
         if b.len() > a.len() {

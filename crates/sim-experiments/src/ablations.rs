@@ -93,7 +93,7 @@ impl<S: IoSched> IoSched for Lobotomized<S> {
         self.inner.syscall_exit(sc, ctx);
     }
 
-    fn buffer_dirtied(&mut self, ev: &BufferDirtied, ctx: &mut SchedCtx<'_>) {
+    fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) {
         if self.memory_hooks {
             self.inner.buffer_dirtied(ev, ctx);
         }

@@ -943,7 +943,7 @@ impl Kernel {
             let bd = BufferDirtied {
                 file,
                 page,
-                causes: causes.clone(),
+                causes,
                 prev: ev.prev,
                 block,
                 new_bytes: ev.new_bytes,

@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use sim_block::{Dispatch, Noop, Request};
 use sim_cache::CacheConfig;
-use sim_core::{FileId, Pid, SimDuration, SimTime};
+use sim_core::{CauseSet, FileId, Pid, SimDuration, SimTime};
 use sim_kernel::{AppEvent, DeviceKind, KernelConfig, Outcome, ProcAction, World};
 use split_core::{
     BlockOnly, BufferDirtied, BufferFreed, Gate, IoSched, SchedCtx, SyscallInfo, SyscallKind,
@@ -429,7 +429,7 @@ impl IoSched for WriteOrderLog {
     fn name(&self) -> &'static str {
         "write-order-log"
     }
-    fn buffer_dirtied(&mut self, ev: &BufferDirtied, ctx: &mut SchedCtx<'_>) {
+    fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) {
         self.log.borrow_mut().push(Rec::Dirtied(
             ev.page,
             ev.prev.is_some(),
@@ -521,6 +521,75 @@ fn mid_write_writeback_lands_before_the_next_page() {
     assert_eq!(w.kernel(k).cache().dirty_total(), 6, "pages 10, 11, 12–15");
 }
 
+/// The buffer-dirtied hook's `causes` is the writer's own set, not the
+/// page's accumulated union, and `prev` is who was responsible before the
+/// write. A dirties page 0, B overwrites it, then A writes it again.
+#[test]
+fn overwrite_hooks_see_the_writer_and_the_previous_causes() {
+    type Seen = Vec<(CauseSet, Option<CauseSet>)>;
+    struct CauseLog {
+        fifo: std::collections::VecDeque<Request>,
+        seen: Rc<RefCell<Seen>>,
+    }
+    impl IoSched for CauseLog {
+        fn name(&self) -> &'static str {
+            "cause-log"
+        }
+        fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, _ctx: &mut SchedCtx<'_>) {
+            self.seen
+                .borrow_mut()
+                .push((ev.causes.clone(), ev.prev.cloned()));
+        }
+        fn block_add(&mut self, req: Request, ctx: &mut SchedCtx<'_>) {
+            self.fifo.push_back(req);
+            ctx.kick_dispatch();
+        }
+        fn block_dispatch(&mut self, _ctx: &mut SchedCtx<'_>) -> Dispatch {
+            match self.fifo.pop_front() {
+                Some(r) => Dispatch::Issue(r),
+                None => Dispatch::Idle,
+            }
+        }
+        fn queued(&self) -> usize {
+            self.fifo.len()
+        }
+    }
+    let seen = Rc::new(RefCell::new(Vec::new()));
+    let mut w = World::new();
+    let k = w.add_kernel(
+        KernelConfig::default(),
+        DeviceKind::ssd(),
+        Box::new(CauseLog {
+            fifo: Default::default(),
+            seen: seen.clone(),
+        }),
+    );
+    let f = w.prealloc_file(k, 64 * KB, true);
+    let write = ProcAction::Syscall(SyscallKind::Write {
+        file: f,
+        offset: 0,
+        len: 4 * KB,
+    });
+    // Each process runs its script, one action per step, then exits.
+    let script = |actions: Vec<ProcAction>| {
+        let mut actions = actions.into_iter();
+        move |_n: SimTime, _l: &Outcome| actions.next().unwrap_or(ProcAction::Exit)
+    };
+    let nap = |ms| ProcAction::Sleep(SimDuration::from_millis(ms));
+    let a = w.spawn(k, Box::new(script(vec![write, nap(2), write])));
+    let b = w.spawn(k, Box::new(script(vec![nap(1), write])));
+    w.run_for(SimDuration::from_millis(50));
+    let (a, b) = (CauseSet::of(a), CauseSet::of(b));
+    assert_eq!(
+        *seen.borrow(),
+        vec![
+            (a.clone(), None),
+            (b.clone(), Some(a.clone())),
+            (a.clone(), Some(a.union(&b))),
+        ]
+    );
+}
+
 /// A zero-length write or read touches no page: it passes the gate and
 /// the exit hook and costs one `syscall_base`, but dirties nothing,
 /// fires no buffer-dirtied hook, joins no transaction and issues no I/O
@@ -549,7 +618,7 @@ fn zero_length_calls_touch_no_page() {
         fn syscall_exit(&mut self, _sc: &SyscallInfo, _ctx: &mut SchedCtx<'_>) {
             self.counts.borrow_mut().exits += 1;
         }
-        fn buffer_dirtied(&mut self, _ev: &BufferDirtied, _ctx: &mut SchedCtx<'_>) {
+        fn buffer_dirtied(&mut self, _ev: &BufferDirtied<'_>, _ctx: &mut SchedCtx<'_>) {
             self.counts.borrow_mut().dirtied += 1;
         }
         fn block_add(&mut self, req: Request, ctx: &mut SchedCtx<'_>) {

@@ -91,18 +91,22 @@ pub enum Gate {
 }
 
 /// Memory-level notification: a buffer was dirtied, or a dirty buffer was
-/// re-dirtied (§4.2, "buffer-dirty hook").
-#[derive(Debug, Clone)]
-pub struct BufferDirtied {
+/// re-dirtied (§4.2, "buffer-dirty hook"). Borrowed from the kernel and
+/// the page cache for the length of the hook call.
+#[derive(Debug, Clone, Copy)]
+pub struct BufferDirtied<'a> {
     /// File owning the page.
     pub file: FileId,
     /// Page index within the file.
     pub page: u64,
-    /// The causes now responsible (after this write).
-    pub causes: CauseSet,
+    /// Who made this write: the writer's own set (`{pid}`), not the
+    /// page's accumulated union — on an overwrite that union is `prev`
+    /// plus these causes.
+    pub causes: &'a CauseSet,
     /// For an overwrite of an already-dirty buffer: who was responsible
-    /// before. The scheduler may shift accounting to the last writer.
-    pub prev: Option<CauseSet>,
+    /// before this write. The scheduler may shift accounting to the last
+    /// writer.
+    pub prev: Option<&'a CauseSet>,
     /// On-disk location if already allocated; `None` under delayed
     /// allocation — the reason memory-level cost estimates are guesses.
     pub block: Option<BlockNo>,
@@ -297,7 +301,7 @@ pub trait IoSched {
     }
 
     /// Memory level: a buffer was dirtied or re-dirtied.
-    fn buffer_dirtied(&mut self, ev: &BufferDirtied, ctx: &mut SchedCtx<'_>) {
+    fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) {
         let _ = (ev, ctx);
     }
 
@@ -377,7 +381,7 @@ impl IoSched for Box<dyn IoSched> {
         (**self).syscall_exit(sc, ctx)
     }
 
-    fn buffer_dirtied(&mut self, ev: &BufferDirtied, ctx: &mut SchedCtx<'_>) {
+    fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) {
         (**self).buffer_dirtied(ev, ctx)
     }
 

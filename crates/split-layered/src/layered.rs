@@ -558,11 +558,11 @@ impl IoSched for Layered {
         self.layers[i].child.syscall_exit(sc, ctx)
     }
 
-    fn buffer_dirtied(&mut self, ev: &BufferDirtied, ctx: &mut SchedCtx<'_>) {
+    fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) {
         if self.passthrough {
             return self.layers[0].child.buffer_dirtied(ev, ctx);
         }
-        let i = self.layer_of_causes(&ev.causes);
+        let i = self.layer_of_causes(ev.causes);
         self.layers[i].dirty_bytes += ev.new_bytes;
         // Entanglement control: a latency layer's fsync commit flushes
         // every ordered file's dirty data, so other layers' dirty pages

@@ -294,15 +294,14 @@ impl IoSched for Afq {
         }
     }
 
-    fn buffer_dirtied(&mut self, ev: &BufferDirtied, ctx: &mut SchedCtx<'_>) {
+    fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) {
         if ev.new_bytes == 0 {
             return; // overwrites add no flush work
         }
         // Prompt estimate: the sequential-transfer cost of the new bytes.
         // The real (seek-aware) cost is settled at dispatch.
         let secs = ev.new_bytes as f64 / ctx.device.seq_bandwidth();
-        let causes = ev.causes.clone();
-        self.charge_causes(&causes, Pid(0), secs, ctx.now);
+        self.charge_causes(ev.causes, Pid(0), secs, ctx.now);
     }
 
     fn block_add(&mut self, req: Request, ctx: &mut SchedCtx<'_>) {
@@ -509,7 +508,7 @@ mod tests {
             &BufferDirtied {
                 file: sim_core::FileId(1),
                 page: 0,
-                causes: CauseSet::of(Pid(1)),
+                causes: &CauseSet::of(Pid(1)),
                 prev: None,
                 block: None,
                 new_bytes: 1 << 20,
@@ -565,7 +564,7 @@ mod tests {
                 &BufferDirtied {
                     file: sim_core::FileId(pid as u64),
                     page: 0,
-                    causes: CauseSet::of(Pid(pid)),
+                    causes: &CauseSet::of(Pid(pid)),
                     prev: None,
                     block: None,
                     new_bytes: 8 << 20,

@@ -332,7 +332,7 @@ impl IoSched for SplitDeadline {
         }
     }
 
-    fn buffer_dirtied(&mut self, ev: &BufferDirtied, ctx: &mut SchedCtx<'_>) {
+    fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) {
         self.seek_equiv_secs = if ctx.device.is_rotational() {
             0.008
         } else {
@@ -462,11 +462,11 @@ mod tests {
         }
     }
 
-    fn dirty(file: u64, page: u64) -> BufferDirtied {
+    fn dirty(file: u64, page: u64, causes: &CauseSet) -> BufferDirtied<'_> {
         BufferDirtied {
             file: FileId(file),
             page,
-            causes: CauseSet::of(Pid(9)),
+            causes,
             prev: None,
             block: None,
             new_bytes: sim_core::PAGE_SIZE,
@@ -479,7 +479,7 @@ mod tests {
         let mut s = SplitDeadline::new();
         let mut ctx = ctx_at(&dev, 0);
         // One sequentially-appended page: tiny cost.
-        s.buffer_dirtied(&dirty(1, 0), &mut ctx);
+        s.buffer_dirtied(&dirty(1, 0, &CauseSet::of(Pid(9))), &mut ctx);
         assert_eq!(s.syscall_enter(&fsync_info(1, 1), &mut ctx), Gate::Proceed);
     }
 
@@ -494,7 +494,7 @@ mod tests {
         let mut ctx = ctx_at(&dev, 0);
         // 200 scattered pages: ~1.6 s of estimated random-write cost.
         for i in 0..200 {
-            s.buffer_dirtied(&dirty(2, i * 100), &mut ctx);
+            s.buffer_dirtied(&dirty(2, i * 100, &CauseSet::of(Pid(9))), &mut ctx);
         }
         assert!(s.cost_of(FileId(2)) > 1.0);
         let g = s.syscall_enter(&fsync_info(1, 2), &mut ctx);
@@ -519,7 +519,7 @@ mod tests {
         );
         let mut ctx = ctx_at(&dev, 0);
         for i in 0..100 {
-            s.buffer_dirtied(&dirty(3, i * 50), &mut ctx);
+            s.buffer_dirtied(&dirty(3, i * 50, &CauseSet::of(Pid(9))), &mut ctx);
         }
         assert_eq!(s.syscall_enter(&fsync_info(1, 3), &mut ctx), Gate::Hold);
         // Async writeback submits the file's data to the block level,
@@ -559,7 +559,7 @@ mod tests {
         );
         let mut ctx = ctx_at(&dev, 0);
         for i in 0..500 {
-            s.buffer_dirtied(&dirty(4, i * 100), &mut ctx);
+            s.buffer_dirtied(&dirty(4, i * 100, &CauseSet::of(Pid(9))), &mut ctx);
         }
         assert_eq!(s.syscall_enter(&fsync_info(1, 4), &mut ctx), Gate::Hold);
         // Well past the deadline, maintenance stops waiting.
@@ -627,12 +627,10 @@ mod tests {
         assert!(!s.cfg.manage_writeback);
         let mut ctx = ctx_at(&dev, 0);
         // Pid 7 exceeds its own write-throttle budget with scattered
-        // dirtying (the dirty() fixture attributes to Pid 9 — use a
-        // matching causes set here).
+        // dirtying.
+        let seven = CauseSet::of(Pid(7));
         for i in 0..1000 {
-            let mut ev = dirty(5, i * 64);
-            ev.causes = CauseSet::of(Pid(7));
-            s.buffer_dirtied(&ev, &mut ctx);
+            s.buffer_dirtied(&dirty(5, i * 64, &seven), &mut ctx);
         }
         let sc = SyscallInfo {
             pid: Pid(7),

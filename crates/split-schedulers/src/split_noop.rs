@@ -37,7 +37,7 @@ impl IoSched for SplitNoop {
         self.hook_counts[0] += 1;
     }
 
-    fn buffer_dirtied(&mut self, _ev: &BufferDirtied, _ctx: &mut SchedCtx<'_>) {
+    fn buffer_dirtied(&mut self, _ev: &BufferDirtied<'_>, _ctx: &mut SchedCtx<'_>) {
         self.hook_counts[1] += 1;
     }
 

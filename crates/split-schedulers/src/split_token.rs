@@ -214,7 +214,7 @@ impl IoSched for SplitToken {
         Gate::Hold
     }
 
-    fn buffer_dirtied(&mut self, ev: &BufferDirtied, ctx: &mut SchedCtx<'_>) {
+    fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) {
         if ev.new_bytes == 0 {
             return; // overwrite: no new flush work, no charge
         }
@@ -476,16 +476,12 @@ mod tests {
         }
     }
 
-    fn dirty(file: u64, page: u64, pid: u32, new_bytes: u64) -> BufferDirtied {
+    fn dirty(file: u64, page: u64, causes: &CauseSet, new_bytes: u64) -> BufferDirtied<'_> {
         BufferDirtied {
             file: FileId(file),
             page,
-            causes: CauseSet::of(Pid(pid)),
-            prev: if new_bytes == 0 {
-                Some(CauseSet::of(Pid(pid)))
-            } else {
-                None
-            },
+            causes,
+            prev: (new_bytes == 0).then_some(causes),
             block: None,
             new_bytes,
         }
@@ -508,7 +504,7 @@ mod tests {
         // A random page costs ~8 ms × 110 MB/s ≈ 880 KB normalized.
         // Dirty several: debt.
         for i in 0..4 {
-            s.buffer_dirtied(&dirty(1, i * 1000, 1, 4096), &mut ctx);
+            s.buffer_dirtied(&dirty(1, i * 1000, &CauseSet::of(Pid(1)), 4096), &mut ctx);
         }
         assert_eq!(s.syscall_enter(&write_info(1), &mut ctx), Gate::Hold);
     }
@@ -534,7 +530,7 @@ mod tests {
         s.configure(Pid(1), SchedAttr::TokenRate(1_000_000));
         let mut ctx = SchedCtx::new(SimTime::ZERO, &dev);
         for _ in 0..10_000 {
-            s.buffer_dirtied(&dirty(1, 0, 1, 0), &mut ctx);
+            s.buffer_dirtied(&dirty(1, 0, &CauseSet::of(Pid(1)), 0), &mut ctx);
         }
         assert_eq!(
             s.syscall_enter(&write_info(1), &mut ctx),
@@ -550,8 +546,8 @@ mod tests {
         s.configure(Pid(1), SchedAttr::TokenRate(1_000_000));
         let mut ctx = SchedCtx::new(SimTime::ZERO, &dev);
         // Two scattered pages: ~1.7 MB normalized against a 1 MB bucket.
-        s.buffer_dirtied(&dirty(1, 5000, 1, 4096), &mut ctx);
-        s.buffer_dirtied(&dirty(1, 9000, 1, 4096), &mut ctx);
+        s.buffer_dirtied(&dirty(1, 5000, &CauseSet::of(Pid(1)), 4096), &mut ctx);
+        s.buffer_dirtied(&dirty(1, 9000, &CauseSet::of(Pid(1)), 4096), &mut ctx);
         let before = s.buckets.balance(Pid(1), SimTime::ZERO).unwrap();
         assert!(before < 0.0);
         s.buffer_freed(
@@ -637,7 +633,7 @@ mod tests {
         let mut ctx = SchedCtx::new(SimTime::ZERO, &dev);
         // Dirty one page of file 1, then free *two* pages: the account
         // empties on the first and the second reversal hits zero pages.
-        s.buffer_dirtied(&dirty(1, 5000, 1, 4096), &mut ctx);
+        s.buffer_dirtied(&dirty(1, 5000, &CauseSet::of(Pid(1)), 4096), &mut ctx);
         let before = s.buckets.balance(Pid(1), SimTime::ZERO).unwrap();
         for _ in 0..2 {
             s.buffer_freed(

@@ -193,7 +193,7 @@ fn memory_hooks_report_dirtying_promptly() {
         }
         fn buffer_dirtied(
             &mut self,
-            ev: &split_level_io::framework::BufferDirtied,
+            ev: &split_level_io::framework::BufferDirtied<'_>,
             _ctx: &mut SchedCtx<'_>,
         ) {
             *self.dirtied.borrow_mut() += ev.new_bytes;
