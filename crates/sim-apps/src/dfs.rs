@@ -14,23 +14,28 @@ use sim_kernel::{AppEvent, DeviceKind, InjectTarget, KernelConfig, World};
 use split_core::{SchedAttr, SyscallKind};
 use split_schedulers::SplitToken;
 
+/// Replication factor.
+const REPLICATION: usize = 3;
+
+/// Packet size streamed through the pipeline.
+const PACKET_BYTES: u64 = 1024 * 1024;
+
+/// Worker RAM.
+const WORKER_MEM: u64 = 512 * 1024 * 1024;
+
+/// Worker cores.
+const WORKER_CORES: u32 = 32;
+
+/// Per-worker backing capacity per client.
+const BACKING_BYTES: u64 = 8 * 1024 * 1024 * 1024;
+
 /// Cluster configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct DfsConfig {
     /// Worker (datanode) count. The paper uses 7.
     pub workers: usize,
-    /// Replication factor (3).
-    pub replication: usize,
     /// HDFS block size (64 MB default; 16 MB in Figure 21b).
     pub block_bytes: u64,
-    /// Packet size streamed through the pipeline.
-    pub packet_bytes: u64,
-    /// Worker RAM.
-    pub worker_mem: u64,
-    /// Worker cores.
-    pub worker_cores: u32,
-    /// Per-worker backing capacity per client.
-    pub backing_bytes: u64,
     /// Placement seed.
     pub seed: u64,
 }
@@ -39,12 +44,7 @@ impl Default for DfsConfig {
     fn default() -> Self {
         DfsConfig {
             workers: 7,
-            replication: 3,
             block_bytes: 64 * 1024 * 1024,
-            packet_bytes: 1024 * 1024,
-            worker_mem: 512 * 1024 * 1024,
-            worker_cores: 32,
-            backing_bytes: 8 * 1024 * 1024 * 1024,
             seed: 0xd15,
         }
     }
@@ -110,10 +110,10 @@ impl DfsCluster {
             let k = world.add_kernel(
                 KernelConfig {
                     cache: CacheConfig {
-                        mem_bytes: cfg.worker_mem,
+                        mem_bytes: WORKER_MEM,
                         ..Default::default()
                     },
-                    cores: cfg.worker_cores,
+                    cores: WORKER_CORES,
                     ..Default::default()
                 },
                 DeviceKind::hdd(),
@@ -140,7 +140,7 @@ impl DfsCluster {
         let mut handlers = Vec::new();
         for &wk in &self.workers {
             let pid = world.spawn_external(wk);
-            let file = world.prealloc_file(wk, self.cfg.backing_bytes, true);
+            let file = world.prealloc_file(wk, BACKING_BYTES, true);
             world.configure(wk, pid, SchedAttr::TokenGroup(account));
             handlers.push((pid, file, 0));
         }
@@ -187,10 +187,16 @@ impl DfsCluster {
             .sum()
     }
 
+    /// Copies of each block: [`REPLICATION`], or every worker in a
+    /// smaller cluster.
+    pub fn replication(&self) -> usize {
+        REPLICATION.min(self.cfg.workers)
+    }
+
     fn place_block(&mut self, client: usize) {
         let n = self.cfg.workers;
         let mut chosen: Vec<usize> = Vec::new();
-        while chosen.len() < self.cfg.replication.min(n) {
+        while chosen.len() < self.replication() {
             let w = self.rng.gen_range(n as u64) as usize;
             if !chosen.contains(&w) {
                 chosen.push(w);
@@ -205,7 +211,7 @@ impl DfsCluster {
         if self.clients[client].block_left == 0 {
             self.place_block(client);
         }
-        let packet = self.cfg.packet_bytes.min(self.clients[client].block_left);
+        let packet = PACKET_BYTES.min(self.clients[client].block_left);
         let replicas = self.clients[client].replicas.clone();
         self.clients[client].pending = replicas.len();
         self.clients[client].block_left -= packet;
@@ -217,7 +223,7 @@ impl DfsCluster {
             let (pid, file, offset) = {
                 let h = &mut self.clients[client].handlers[wi];
                 let r = (h.0, h.1, h.2);
-                h.2 = (h.2 + packet) % self.cfg.backing_bytes.saturating_sub(packet).max(1);
+                h.2 = (h.2 + packet) % BACKING_BYTES.saturating_sub(packet).max(1);
                 r
             };
             let wk = self.workers[wi];

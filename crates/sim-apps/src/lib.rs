@@ -14,6 +14,6 @@ pub mod vmm;
 
 pub use dfs::{DfsCluster, DfsConfig, DfsError};
 pub use minidb::{Checkpointer, MiniDbConfig, MiniDbShared, TxnWorker};
-pub use net::NetConfig;
+pub use net::Net;
 pub use pgsim::{PgCheckpointer, PgConfig, PgShared, PgWorker};
-pub use vmm::{launch_guest, GuestConfig, GuestHandle};
+pub use vmm::{launch_guest, GuestHandle};

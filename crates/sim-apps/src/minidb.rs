@@ -14,19 +14,22 @@ use sim_core::{FileId, SimDuration, SimRng, SimTime, PAGE_SIZE};
 use sim_kernel::{Outcome, ProcAction, ProcessLogic};
 use split_core::SyscallKind;
 
+/// Rows (pages) updated per transaction.
+const ROWS_PER_TXN: u64 = 8;
+
+/// WAL bytes appended per transaction.
+const WAL_BYTES_PER_TXN: u64 = PAGE_SIZE;
+
+/// Think time between transactions.
+const THINK: SimDuration = SimDuration::from_millis(1);
+
 /// Database configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct MiniDbConfig {
     /// Database file size (table heap).
     pub db_bytes: u64,
-    /// Rows (pages) updated per transaction.
-    pub rows_per_txn: u64,
-    /// WAL bytes appended per transaction.
-    pub wal_bytes_per_txn: u64,
     /// Dirty-buffer count that triggers a checkpoint.
     pub checkpoint_threshold: u64,
-    /// Think time between transactions.
-    pub think: SimDuration,
     /// Seed for the checkpointer's page-selection RNG (0 = historical).
     pub seed: u64,
 }
@@ -35,10 +38,7 @@ impl Default for MiniDbConfig {
     fn default() -> Self {
         MiniDbConfig {
             db_bytes: 256 * 1024 * 1024,
-            rows_per_txn: 8,
-            wal_bytes_per_txn: PAGE_SIZE,
             checkpoint_threshold: 1000,
-            think: SimDuration::from_millis(1),
             seed: 0,
         }
     }
@@ -71,7 +71,6 @@ impl MiniDbShared {
 
 /// The transaction worker: update rows, append WAL, fsync WAL.
 pub struct TxnWorker {
-    cfg: MiniDbConfig,
     shared: Rc<RefCell<MiniDbShared>>,
     db_file: FileId,
     wal_file: FileId,
@@ -85,14 +84,12 @@ pub struct TxnWorker {
 impl TxnWorker {
     /// A worker over the given database and WAL files.
     pub fn new(
-        cfg: MiniDbConfig,
         shared: Rc<RefCell<MiniDbShared>>,
         db_file: FileId,
         wal_file: FileId,
         seed: u64,
     ) -> Self {
         TxnWorker {
-            cfg,
             shared,
             db_file,
             wal_file,
@@ -120,10 +117,9 @@ impl ProcessLogic for TxnWorker {
                 let a = ProcAction::Syscall(SyscallKind::Write {
                     file: self.wal_file,
                     offset: self.wal_offset,
-                    len: self.cfg.wal_bytes_per_txn,
+                    len: WAL_BYTES_PER_TXN,
                 });
-                self.wal_offset =
-                    (self.wal_offset + self.cfg.wal_bytes_per_txn) % (64 * 1024 * 1024);
+                self.wal_offset = (self.wal_offset + WAL_BYTES_PER_TXN) % (64 * 1024 * 1024);
                 a
             }
             // WAL appended: make it durable.
@@ -139,14 +135,10 @@ impl ProcessLogic for TxnWorker {
                 {
                     let mut sh = self.shared.borrow_mut();
                     sh.txn_latencies.push((now, latency));
-                    sh.dirty_buffers += self.cfg.rows_per_txn;
+                    sh.dirty_buffers += ROWS_PER_TXN;
                 }
                 self.stage = 0;
-                if self.cfg.think > SimDuration::ZERO {
-                    ProcAction::Sleep(self.cfg.think)
-                } else {
-                    self.next(now, _last)
-                }
+                ProcAction::Sleep(THINK)
             }
         }
     }
@@ -233,17 +225,7 @@ mod tests {
     #[test]
     fn worker_cycles_wal_append_fsync() {
         let shared = MiniDbShared::new();
-        let mut wkr = TxnWorker::new(
-            MiniDbConfig {
-                rows_per_txn: 1,
-                think: SimDuration::ZERO,
-                ..Default::default()
-            },
-            shared.clone(),
-            FileId(1),
-            FileId(2),
-            7,
-        );
+        let mut wkr = TxnWorker::new(shared.clone(), FileId(1), FileId(2), 7);
         // WAL append → fsync (no database-file writes in WAL mode).
         let b = wkr.next(SimTime::ZERO, &Outcome::None);
         assert!(matches!(
@@ -258,10 +240,12 @@ mod tests {
             c,
             ProcAction::Syscall(SyscallKind::Fsync { file: FileId(2) })
         ));
-        // Commit recorded; dirty WAL frames queue for the checkpointer.
-        let _ = wkr.next(SimTime::from_nanos(5_000_000), &Outcome::Synced);
+        // Commit recorded; dirty WAL frames queue for the checkpointer,
+        // and the worker thinks before the next transaction.
+        let d = wkr.next(SimTime::from_nanos(5_000_000), &Outcome::Synced);
+        assert!(matches!(d, ProcAction::Sleep(t) if t == THINK));
         assert_eq!(shared.borrow().txn_latencies.len(), 1);
-        assert_eq!(shared.borrow().dirty_buffers, 1);
+        assert_eq!(shared.borrow().dirty_buffers, ROWS_PER_TXN);
     }
 
     #[test]

@@ -9,56 +9,42 @@
 //! shards in windows of one lookahead and routes cross-shard messages at
 //! window barriers; see DESIGN §4i).
 //!
-//! [`NetConfig`] is that model made explicit: one-way shard-to-shard
-//! latency, client-edge latency, and an optional per-KiB serialization
-//! term. The DFS figure is the degenerate `link_latency = 0` case.
+//! [`Net`] is that model made explicit: a fixed one-way shard-to-shard
+//! latency ([`LINK_LATENCY`]) and client-edge latency
+//! ([`CLIENT_LATENCY`]), with no per-byte serialization term.
 
 use sim_core::{SimDuration, SimTime};
 
-/// Latency model for the fleet's network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NetConfig {
-    /// One-way latency between any two shards (kernel instances). The
-    /// *minimum* over all links; doubles as the parallel-DES lookahead.
-    pub link_latency: SimDuration,
-    /// One-way latency between a client and the fleet edge.
-    pub client_latency: SimDuration,
-    /// Serialization cost per KiB on top of propagation latency.
-    pub ns_per_kib: u64,
-}
+/// One-way latency between any two shards (kernel instances): the
+/// minimum over all links, doubling as the parallel-DES lookahead.
+/// Cross-rack datacenter RTT ~2 ms; one-way 1 ms.
+pub const LINK_LATENCY: SimDuration = SimDuration::from_millis(1);
 
-impl Default for NetConfig {
-    fn default() -> Self {
-        NetConfig {
-            // Cross-rack datacenter RTT ~2 ms; one-way 1 ms.
-            link_latency: SimDuration::from_millis(1),
-            // Clients sit behind the frontend: one-way 2 ms.
-            client_latency: SimDuration::from_millis(2),
-            ns_per_kib: 0,
-        }
-    }
-}
+/// One-way latency between a client and the fleet edge: clients sit
+/// behind the frontend, one-way 2 ms.
+pub const CLIENT_LATENCY: SimDuration = SimDuration::from_millis(2);
 
-impl NetConfig {
+/// The fleet's network. Zero-sized: its latencies are the constants
+/// above.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Net;
+
+impl Net {
     /// The conservative-PDES lookahead: no message sent at time `t` can
     /// be *delivered* to another shard before `t + lookahead()`, so
     /// shards may advance one lookahead window independently.
-    pub fn lookahead(&self) -> SimDuration {
-        self.link_latency
+    pub fn lookahead(self) -> SimDuration {
+        LINK_LATENCY
     }
 
-    /// When a `bytes`-sized message sent between shards at `sent` lands.
-    pub fn deliver_at(&self, sent: SimTime, bytes: u64) -> SimTime {
-        sent + self.link_latency + self.wire(bytes)
+    /// When a message sent between shards at `sent` lands.
+    pub fn deliver_at(self, sent: SimTime) -> SimTime {
+        sent + LINK_LATENCY
     }
 
     /// When a client message sent at `sent` reaches the fleet edge.
-    pub fn client_deliver_at(&self, sent: SimTime, bytes: u64) -> SimTime {
-        sent + self.client_latency + self.wire(bytes)
-    }
-
-    fn wire(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_nanos(bytes.div_ceil(1024).saturating_mul(self.ns_per_kib))
+    pub fn client_deliver_at(self, sent: SimTime) -> SimTime {
+        sent + CLIENT_LATENCY
     }
 }
 
@@ -68,25 +54,8 @@ mod tests {
 
     #[test]
     fn delivery_is_never_before_one_lookahead() {
-        let net = NetConfig::default();
         let t = SimTime::from_nanos(5_000_000);
-        assert_eq!(net.deliver_at(t, 0), t + net.lookahead());
-        assert!(net.deliver_at(t, 4096) >= t + net.lookahead());
-    }
-
-    #[test]
-    fn serialization_term_scales_with_size() {
-        let net = NetConfig {
-            ns_per_kib: 1000,
-            ..Default::default()
-        };
-        let t = SimTime::ZERO;
-        let small = net.deliver_at(t, 1024);
-        let large = net.deliver_at(t, 64 * 1024);
-        assert_eq!(
-            large.as_nanos() - small.as_nanos(),
-            63 * 1000,
-            "63 extra KiB at 1 µs each"
-        );
+        assert_eq!(Net.deliver_at(t), t + Net.lookahead());
+        assert!(Net.client_deliver_at(t) >= t + Net.lookahead());
     }
 }

@@ -13,19 +13,23 @@ use sim_core::{FileId, SimDuration, SimRng, SimTime, PAGE_SIZE};
 use sim_kernel::{Outcome, ProcAction, ProcessLogic};
 use split_core::SyscallKind;
 
+/// Table file size.
+pub const TABLE_BYTES: u64 = 512 * 1024 * 1024;
+
+/// Pages read per transaction.
+const READS_PER_TXN: u64 = 2;
+
+/// Pages updated per transaction.
+const WRITES_PER_TXN: u64 = 2;
+
+/// Think time between transactions.
+const THINK: SimDuration = SimDuration::from_millis(2);
+
 /// Workload configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct PgConfig {
-    /// Table file size.
-    pub table_bytes: u64,
-    /// Pages read per transaction.
-    pub reads_per_txn: u64,
-    /// Pages updated per transaction.
-    pub writes_per_txn: u64,
     /// Checkpoint interval (paper: 30 s).
     pub checkpoint_interval: SimDuration,
-    /// Think time between transactions.
-    pub think: SimDuration,
     /// Seed for the checkpointer's page-selection RNG (0 = historical).
     pub seed: u64,
 }
@@ -33,11 +37,7 @@ pub struct PgConfig {
 impl Default for PgConfig {
     fn default() -> Self {
         PgConfig {
-            table_bytes: 512 * 1024 * 1024,
-            reads_per_txn: 2,
-            writes_per_txn: 2,
             checkpoint_interval: SimDuration::from_secs(10),
-            think: SimDuration::from_millis(2),
             seed: 0,
         }
     }
@@ -64,7 +64,6 @@ impl PgShared {
 
 /// One pgbench-like worker.
 pub struct PgWorker {
-    cfg: PgConfig,
     shared: Rc<RefCell<PgShared>>,
     table: FileId,
     wal: FileId,
@@ -77,15 +76,8 @@ pub struct PgWorker {
 
 impl PgWorker {
     /// A worker over the given table and WAL files.
-    pub fn new(
-        cfg: PgConfig,
-        shared: Rc<RefCell<PgShared>>,
-        table: FileId,
-        wal: FileId,
-        seed: u64,
-    ) -> Self {
+    pub fn new(shared: Rc<RefCell<PgShared>>, table: FileId, wal: FileId, seed: u64) -> Self {
         PgWorker {
-            cfg,
             shared,
             table,
             wal,
@@ -98,7 +90,7 @@ impl PgWorker {
     }
 
     fn random_page_offset(&mut self) -> u64 {
-        let pages = self.cfg.table_bytes / PAGE_SIZE;
+        let pages = TABLE_BYTES / PAGE_SIZE;
         self.rng.gen_range(pages) * PAGE_SIZE
     }
 }
@@ -111,7 +103,7 @@ impl ProcessLogic for PgWorker {
                 if self.ops_done == 0 {
                     self.txn_started = now;
                 }
-                if self.ops_done < self.cfg.reads_per_txn {
+                if self.ops_done < READS_PER_TXN {
                     self.ops_done += 1;
                     let offset = self.random_page_offset();
                     return ProcAction::Syscall(SyscallKind::Read {
@@ -128,7 +120,7 @@ impl ProcessLogic for PgWorker {
             // checkpoint; PostgreSQL does not write table pages at commit
             // time), then append the WAL record.
             1 => {
-                self.shared.borrow_mut().pending_pages += self.cfg.writes_per_txn;
+                self.shared.borrow_mut().pending_pages += WRITES_PER_TXN;
                 self.stage = 2;
                 let a = ProcAction::Syscall(SyscallKind::Write {
                     file: self.wal,
@@ -148,7 +140,7 @@ impl ProcessLogic for PgWorker {
                 self.shared.borrow_mut().txn_latencies.push((now, latency));
                 self.stage = 0;
                 self.ops_done = 0;
-                ProcAction::Sleep(self.cfg.think)
+                ProcAction::Sleep(THINK)
             }
         }
     }
@@ -198,7 +190,7 @@ impl ProcessLogic for PgCheckpointer {
             2 => {
                 if self.left > 0 {
                     self.left -= 1;
-                    let pages = self.cfg.table_bytes / PAGE_SIZE;
+                    let pages = TABLE_BYTES / PAGE_SIZE;
                     let page = self.rng.gen_range(pages);
                     return ProcAction::Syscall(SyscallKind::Write {
                         file: self.table,
@@ -226,20 +218,17 @@ mod tests {
     #[test]
     fn worker_transaction_shape() {
         let shared = PgShared::new();
-        let cfg = PgConfig {
-            reads_per_txn: 1,
-            writes_per_txn: 1,
-            ..Default::default()
-        };
-        let mut wk = PgWorker::new(cfg, shared.clone(), FileId(1), FileId(2), 3);
-        let a = wk.next(SimTime::ZERO, &Outcome::None);
-        assert!(matches!(
-            a,
-            ProcAction::Syscall(SyscallKind::Read {
-                file: FileId(1),
-                ..
-            })
-        ));
+        let mut wk = PgWorker::new(shared.clone(), FileId(1), FileId(2), 3);
+        for _ in 0..READS_PER_TXN {
+            let a = wk.next(SimTime::ZERO, &Outcome::None);
+            assert!(matches!(
+                a,
+                ProcAction::Syscall(SyscallKind::Read {
+                    file: FileId(1),
+                    ..
+                })
+            ));
+        }
         // Updates dirty shared buffers; only the WAL is written at commit.
         let c = wk.next(SimTime::ZERO, &Outcome::None);
         assert!(matches!(
@@ -256,7 +245,7 @@ mod tests {
         ));
         let _ = wk.next(SimTime::from_nanos(1), &Outcome::Synced);
         assert_eq!(shared.borrow().txn_latencies.len(), 1);
-        assert_eq!(shared.borrow().pending_pages, 1);
+        assert_eq!(shared.borrow().pending_pages, WRITES_PER_TXN);
     }
 
     #[test]

@@ -12,26 +12,14 @@ use sim_core::{FileId, KernelId, Pid};
 use sim_kernel::{DeviceKind, KernelConfig, World};
 use split_core::BlockOnly;
 
-/// Guest parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct GuestConfig {
-    /// Virtual disk (host file) size.
-    pub disk_bytes: u64,
-    /// Guest RAM.
-    pub mem_bytes: u64,
-    /// Guest cores.
-    pub cores: u32,
-}
+/// Virtual disk (host file) size.
+const DISK_BYTES: u64 = 4 * 1024 * 1024 * 1024;
 
-impl Default for GuestConfig {
-    fn default() -> Self {
-        GuestConfig {
-            disk_bytes: 4 * 1024 * 1024 * 1024,
-            mem_bytes: 256 * 1024 * 1024,
-            cores: 4,
-        }
-    }
-}
+/// Guest RAM.
+const MEM_BYTES: u64 = 256 * 1024 * 1024;
+
+/// Guest cores.
+const CORES: u32 = 4;
 
 /// A running guest.
 #[derive(Debug, Clone, Copy)]
@@ -47,16 +35,16 @@ pub struct GuestHandle {
 
 /// Launch a guest on `host`. The guest runs a vanilla kernel (noop block
 /// elevator), as in the paper — scheduling happens on the host.
-pub fn launch_guest(world: &mut World, host: KernelId, cfg: GuestConfig) -> GuestHandle {
-    let image = world.prealloc_file(host, cfg.disk_bytes, true);
+pub fn launch_guest(world: &mut World, host: KernelId) -> GuestHandle {
+    let image = world.prealloc_file(host, DISK_BYTES, true);
     let vmm_pid = world.spawn_external(host);
     let guest = world.add_kernel(
         KernelConfig {
             cache: CacheConfig {
-                mem_bytes: cfg.mem_bytes,
+                mem_bytes: MEM_BYTES,
                 ..Default::default()
             },
-            cores: cfg.cores,
+            cores: CORES,
             ..Default::default()
         },
         DeviceKind::virtio(host, image, vmm_pid),
@@ -83,7 +71,7 @@ mod tests {
             DeviceKind::hdd(),
             Box::new(BlockOnly::new(Noop::new())),
         );
-        let guest = launch_guest(&mut w, host, GuestConfig::default());
+        let guest = launch_guest(&mut w, host);
         let gfile = w.prealloc_file(guest.kernel, 1024 * 1024 * 1024, true);
         let pid = w.spawn(
             guest.kernel,

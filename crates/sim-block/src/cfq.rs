@@ -23,26 +23,16 @@ use sim_device::DiskModel;
 use crate::sorted::SortedQueue;
 use crate::{Dispatch, Elevator, PrioClass, Request};
 
-/// Tunables for CFQ.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CfqConfig {
-    /// Slice length for a weight-4 (default priority) sync queue.
-    pub base_slice_sync: SimDuration,
-    /// Slice length for a weight-4 async queue.
-    pub base_slice_async: SimDuration,
-    /// How long to idle waiting for the active sync task's next request.
-    pub idle_window: SimDuration,
-}
+/// Slice length for a weight-4 (default priority) sync queue. Non-zero:
+/// a zero slice would expire the moment it starts and spin the dispatch
+/// loop.
+const BASE_SLICE_SYNC: SimDuration = SimDuration::from_millis(100);
 
-impl Default for CfqConfig {
-    fn default() -> Self {
-        CfqConfig {
-            base_slice_sync: SimDuration::from_millis(100),
-            base_slice_async: SimDuration::from_millis(40),
-            idle_window: SimDuration::from_millis(8),
-        }
-    }
-}
+/// Slice length for a weight-4 async queue (non-zero, likewise).
+const BASE_SLICE_ASYNC: SimDuration = SimDuration::from_millis(40);
+
+/// How long to idle waiting for the active sync task's next request.
+const IDLE_WINDOW: SimDuration = SimDuration::from_millis(8);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct QueueKey {
@@ -61,7 +51,6 @@ struct CfqQueue {
 
 /// The CFQ elevator.
 pub struct Cfq {
-    cfg: CfqConfig,
     queues: FastMap<QueueKey, CfqQueue>,
     /// Round-robin service order per class (RT, BE, Idle).
     rr: [VecDeque<QueueKey>; 3],
@@ -80,24 +69,9 @@ fn class_idx(c: PrioClass) -> usize {
 }
 
 impl Cfq {
-    /// CFQ with default tunables.
+    /// CFQ with the stock tunables above.
     pub fn new() -> Self {
-        Self::with_config(CfqConfig::default())
-    }
-
-    /// CFQ with explicit tunables.
-    ///
-    /// # Panics
-    ///
-    /// Rejects zero-length base slices at construction: a zero slice
-    /// would expire the moment it starts and spin the dispatch loop.
-    pub(crate) fn with_config(cfg: CfqConfig) -> Self {
-        assert!(
-            cfg.base_slice_sync > SimDuration::ZERO && cfg.base_slice_async > SimDuration::ZERO,
-            "CFQ base slices must be non-zero"
-        );
         Cfq {
-            cfg,
             queues: FastMap::default(),
             rr: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
             active: None,
@@ -108,9 +82,9 @@ impl Cfq {
 
     fn slice_len(&self, weight: u32, sync: bool) -> SimDuration {
         let base = if sync {
-            self.cfg.base_slice_sync
+            BASE_SLICE_SYNC
         } else {
-            self.cfg.base_slice_async
+            BASE_SLICE_ASYNC
         };
         // Weight 4 (the default best-effort level) is the neutral share.
         // Exact integer math — the old `weight as f64 / 4.0` detour could
@@ -230,7 +204,7 @@ impl Elevator for Cfq {
                     let until = match self.anticipating_until {
                         Some(t) => t,
                         None => {
-                            let t = (now + self.cfg.idle_window).min(self.slice_end);
+                            let t = (now + IDLE_WINDOW).min(self.slice_end);
                             self.anticipating_until = Some(t);
                             t
                         }
@@ -435,7 +409,7 @@ mod tests {
     #[test]
     fn slice_math_is_exact_integer_scaling() {
         let e = Cfq::new();
-        let base = e.cfg.base_slice_sync.as_nanos();
+        let base = BASE_SLICE_SYNC.as_nanos();
         for weight in 1..=16u32 {
             let slice = e.slice_len(weight, true);
             assert_eq!(
@@ -445,17 +419,8 @@ mod tests {
             );
         }
         // Weight 4 is the neutral share: exactly the base slice.
-        assert_eq!(e.slice_len(4, true), e.cfg.base_slice_sync);
-        assert_eq!(e.slice_len(4, false), e.cfg.base_slice_async);
-    }
-
-    #[test]
-    #[should_panic(expected = "base slices must be non-zero")]
-    fn zero_slices_are_rejected_at_config_time() {
-        let _ = Cfq::with_config(CfqConfig {
-            base_slice_sync: SimDuration::ZERO,
-            ..Default::default()
-        });
+        assert_eq!(e.slice_len(4, true), BASE_SLICE_SYNC);
+        assert_eq!(e.slice_len(4, false), BASE_SLICE_ASYNC);
     }
 
     #[test]

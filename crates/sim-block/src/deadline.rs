@@ -4,7 +4,7 @@
 //! expiry times for latency: when the earliest deadline in the preferred
 //! direction has passed, the elevator jumps to that request instead of
 //! continuing its sweep. Reads are preferred over writes until writes have
-//! been starved `writes_starved` times.
+//! been starved [`WRITES_STARVED`] times.
 //!
 //! As in the paper (§5.2), we extend the stock design with per-process
 //! deadlines: a request carrying an explicit `deadline` keeps it; others
@@ -25,10 +25,6 @@ pub struct DeadlineConfig {
     pub read_expire: SimDuration,
     /// Default expiry for writes (Linux: 5 s).
     pub write_expire: SimDuration,
-    /// Requests served from one direction before considering a switch.
-    pub fifo_batch: u32,
-    /// Read batches allowed before writes must be served.
-    pub writes_starved: u32,
 }
 
 impl Default for DeadlineConfig {
@@ -36,11 +32,15 @@ impl Default for DeadlineConfig {
         DeadlineConfig {
             read_expire: SimDuration::from_millis(500),
             write_expire: SimDuration::from_secs(5),
-            fifo_batch: 16,
-            writes_starved: 2,
         }
     }
 }
+
+/// Requests served from one direction before considering a switch.
+const FIFO_BATCH: u32 = 16;
+
+/// Read batches allowed before writes must be served.
+const WRITES_STARVED: u32 = 2;
 
 struct Dir {
     sorted: SortedQueue,
@@ -130,7 +130,7 @@ impl BlockDeadline {
             (true, false) => Some(IoDir::Read),
             (false, true) => Some(IoDir::Write),
             (true, true) => {
-                if self.starved >= self.cfg.writes_starved {
+                if self.starved >= WRITES_STARVED {
                     self.starved = 0;
                     Some(IoDir::Write)
                 } else {
@@ -196,7 +196,7 @@ impl Elevator for BlockDeadline {
             return Dispatch::Idle;
         };
         self.batch_dir = dir;
-        self.batch_left = self.cfg.fifo_batch;
+        self.batch_left = FIFO_BATCH;
         if let Some(req) = self.dir_mut(dir).pop_expired(now) {
             self.batch_left -= 1;
             return Dispatch::Issue(req);
@@ -262,23 +262,19 @@ mod tests {
 
     #[test]
     fn writes_not_starved_forever() {
-        let cfg = DeadlineConfig {
-            fifo_batch: 1,
-            writes_starved: 2,
-            ..Default::default()
-        };
-        let mut e = BlockDeadline::with_config(cfg);
-        for i in 0..10 {
+        let mut e = BlockDeadline::new();
+        for i in 0..100 {
             e.add(req(i, IoDir::Read, 100 + i, None), SimTime::ZERO);
         }
-        e.add(req(100, IoDir::Write, 50, None), SimTime::ZERO);
-        let mut served = vec![];
-        for _ in 0..4 {
-            served.push(issue(&mut e, SimTime::ZERO).unwrap());
-        }
-        assert!(
-            served.contains(&100),
-            "write should be served within a few batches: {served:?}"
+        e.add(req(1000, IoDir::Write, 50, None), SimTime::ZERO);
+        let bound = WRITES_STARVED * FIFO_BATCH + 1;
+        let served: Vec<u64> = (0..bound)
+            .map(|_| issue(&mut e, SimTime::ZERO).unwrap())
+            .collect();
+        assert_eq!(
+            served.last(),
+            Some(&1000),
+            "the write goes out right after {WRITES_STARVED} read batches: {served:?}"
         );
     }
 

@@ -21,12 +21,10 @@ mod layer_audit;
 mod program;
 mod sabotage;
 pub mod shrink;
-mod timing;
 
 pub use audit::{AuditCheckpoint, AuditEvent, AuditPlane, Auditor, Violation};
 pub use gen::{generate, GenConfig};
 pub use layer_audit::LayerAuditor;
 pub use program::{FileRef, OpSpec, ProcSpec, ProgramSpec};
-pub use sabotage::Sabotaged;
+pub use sabotage::{Sabotaged, Trigger};
 pub use shrink::shrink;
-pub use timing::TimingSabotaged;

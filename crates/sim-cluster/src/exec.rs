@@ -10,7 +10,7 @@
 //! invariant: an envelope addressed outside its group panics.
 //!
 //! **Lookahead.** Every shard-to-shard message is delivered at least one
-//! network link latency after it is sent (`NetConfig::lookahead`), so a
+//! network link latency after it is sent (`Net::lookahead`), so a
 //! group cuts time into windows of one lookahead: a message sent inside
 //! window `w` is delivered in window `w + 1` or later, and each shard
 //! advances through window `w` alone. Between windows the group routes

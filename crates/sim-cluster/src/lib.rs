@@ -28,12 +28,12 @@ mod traffic;
 use sim_block::Cfq;
 use sim_cache::CacheConfig;
 use sim_core::{stream_seed, SimDuration};
-use sim_kernel::{DeviceKind, KernelConfig};
+use sim_kernel::KernelConfig;
 use split_core::{BlockOnly, IoSched};
 use split_schedulers::SplitToken;
 
 pub use shard::{ReqKind, ReqSample};
-pub use sim_apps::net::NetConfig;
+pub use sim_apps::net::Net;
 pub use slo::{samples_between, SloReport, TierSlo};
 pub use traffic::ArrivalKind;
 
@@ -64,49 +64,11 @@ impl ClusterSched {
     }
 }
 
-/// Device model attached to every shard kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClusterDevice {
-    /// 7200 RPM rotational disk (the paper's main target).
-    Hdd,
-    /// Flash SSD.
-    Ssd,
-}
+/// Modeled RAM per shard.
+const SHARD_MEM_BYTES: u64 = 256 * 1024 * 1024;
 
-impl ClusterDevice {
-    /// Instantiate the device model.
-    pub(crate) fn build(self) -> DeviceKind {
-        match self {
-            ClusterDevice::Hdd => DeviceKind::hdd(),
-            ClusterDevice::Ssd => DeviceKind::ssd(),
-        }
-    }
-
-    /// CLI / table name.
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            ClusterDevice::Hdd => "hdd",
-            ClusterDevice::Ssd => "ssd",
-        }
-    }
-}
-
-/// The per-shard batch tenant: a buffered random writer dirtying pages
-/// continuously, competing with the latency-SLO serving tenant.
-#[derive(Debug, Clone, Copy)]
-pub struct BackgroundLoad {
-    /// Backing file size.
-    pub file_bytes: u64,
-    /// Bytes per write call.
-    pub req_bytes: u64,
-    /// The tenant's own target dirtying rate (bytes/s) — what it
-    /// attempts regardless of scheduler.
-    pub dirty_rate: u64,
-    /// Split-Token rate cap (normalized bytes/s), set below
-    /// `dirty_rate` so tokens bind. Under CFQ the tenant runs in the
-    /// idle class instead — the best CFQ can do.
-    pub rate_cap: u64,
-}
+/// Cores per shard.
+const SHARD_CORES: u32 = 8;
 
 /// Fleet configuration.
 #[derive(Debug, Clone, Copy)]
@@ -116,30 +78,16 @@ pub struct ClusterConfig {
     /// Replication group size; groups are contiguous shard ranges and
     /// the remainder joins the last group. Quorum is majority.
     pub replication: usize,
-    /// Request handlers per shard (the server's concurrency limit).
-    pub handlers_per_shard: usize,
-    /// Scheduler on every shard.
+    /// Scheduler on every shard (each on a 7200 RPM disk).
     pub sched: ClusterSched,
-    /// Device on every shard.
-    pub device: ClusterDevice,
-    /// Modeled RAM per shard.
-    pub mem_bytes: u64,
-    /// Cores per shard.
-    pub cores: u32,
-    /// Network model; its minimum link latency is the PDES lookahead.
-    pub net: NetConfig,
+    /// Network model; its link latency is the PDES lookahead.
+    pub net: Net,
     /// Arrival process, per replication group.
     pub arrival: ArrivalKind,
-    /// Fraction of requests that are gets.
-    pub read_fraction: f64,
     /// WAL append size per put.
     pub wal_bytes: u64,
     /// Read size per get.
     pub get_bytes: u64,
-    /// Per-shard DB file backing gets.
-    pub db_bytes: u64,
-    /// Batch tenant, if any.
-    pub background: Option<BackgroundLoad>,
     /// Simulated run length.
     pub duration: SimDuration,
     /// Root seed: arrival schedules, request routing, file layouts.
@@ -151,23 +99,11 @@ impl Default for ClusterConfig {
         ClusterConfig {
             kernels: 16,
             replication: 3,
-            handlers_per_shard: 8,
             sched: ClusterSched::SplitToken,
-            device: ClusterDevice::Hdd,
-            mem_bytes: 256 * 1024 * 1024,
-            cores: 8,
-            net: NetConfig::default(),
+            net: Net,
             arrival: ArrivalKind::Poisson { rate: 30.0 },
-            read_fraction: 0.5,
             wal_bytes: 4096,
             get_bytes: 16 * 1024,
-            db_bytes: 1024 * 1024 * 1024,
-            background: Some(BackgroundLoad {
-                file_bytes: 512 * 1024 * 1024,
-                req_bytes: 64 * 1024,
-                dirty_rate: 4 * 1024 * 1024,
-                rate_cap: 1024 * 1024,
-            }),
             duration: SimDuration::from_secs(10),
             seed: 0,
         }
@@ -179,10 +115,10 @@ impl ClusterConfig {
     pub(crate) fn kernel_config(&self, idx: usize) -> KernelConfig {
         KernelConfig {
             cache: CacheConfig {
-                mem_bytes: self.mem_bytes,
+                mem_bytes: SHARD_MEM_BYTES,
                 ..Default::default()
             },
-            cores: self.cores,
+            cores: SHARD_CORES,
             pdflush: true,
             fs_seed: stream_seed(self.seed, 0xF5_0000 + idx as u64),
             ..Default::default()
@@ -256,8 +192,6 @@ pub struct ClusterReport {
     pub replication: usize,
     /// Scheduler name.
     pub sched: &'static str,
-    /// Device name.
-    pub device: &'static str,
     /// Arrival process name.
     pub arrival: &'static str,
     /// Simulated seconds.
@@ -288,14 +222,8 @@ impl ClusterReport {
         let gets = self.samples.len() - puts;
         let mut out = String::new();
         out.push_str(&format!(
-            "Cluster SLO: {} kernel(s) in {} group(s) (r={}), {} on {}, {} arrivals, {:.1}s\n",
-            self.kernels,
-            self.groups,
-            self.replication,
-            self.sched,
-            self.device,
-            self.arrival,
-            self.duration_s
+            "Cluster SLO: {} kernel(s) in {} group(s) (r={}), {} on hdd, {} arrivals, {:.1}s\n",
+            self.kernels, self.groups, self.replication, self.sched, self.arrival, self.duration_s
         ));
         out.push_str(&format!(
             "  committed: {} put(s), {} get(s); {} in flight at end; {} event(s); {} late\n",
@@ -338,7 +266,6 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: usize) -> ClusterReport {
         groups: topo.groups(),
         replication: cfg.replication.clamp(1, cfg.kernels.max(1)),
         sched: cfg.sched.name(),
-        device: cfg.device.name(),
         arrival: cfg.arrival.name(),
         duration_s: cfg.duration.as_secs_f64(),
         samples,

@@ -21,14 +21,37 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use sim_apps::net::NetConfig;
+use sim_apps::net::{Net, CLIENT_LATENCY};
 use sim_block::IoPrio;
 use sim_core::{stream_seed, FileId, KernelId, Pid, SimTime, PAGE_SIZE};
-use sim_kernel::{AppEvent, InjectTarget, World};
+use sim_kernel::{AppEvent, DeviceKind, InjectTarget, World};
 use sim_workloads::PacedWriter;
 use split_core::{SchedAttr, SyscallKind};
 
 use crate::{ClusterConfig, ClusterSched, Topology};
+
+/// Request handlers per shard (the server's concurrency limit).
+const HANDLERS_PER_SHARD: usize = 8;
+
+/// Per-shard DB file backing gets.
+const DB_BYTES: u64 = 1024 * 1024 * 1024;
+
+/// The per-shard batch tenant, a buffered random writer dirtying pages
+/// continuously and competing with the latency-SLO serving tenant: its
+/// backing file size.
+const BG_FILE_BYTES: u64 = 512 * 1024 * 1024;
+
+/// Bytes per batch-tenant write call.
+const BG_REQ_BYTES: u64 = 64 * 1024;
+
+/// The batch tenant's own target dirtying rate (bytes/s) — what it
+/// attempts regardless of scheduler.
+const BG_DIRTY_RATE: u64 = 4 * 1024 * 1024;
+
+/// Split-Token rate cap on the batch tenant (normalized bytes/s), set
+/// below [`BG_DIRTY_RATE`] so tokens bind. Under CFQ the tenant runs in
+/// the idle class instead — the best CFQ can do.
+const BG_RATE_CAP: u64 = 1024 * 1024;
 
 /// Payload of a cross-shard (or client-to-shard) message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,7 +183,6 @@ pub(crate) struct Shard {
     idx: usize,
     world: World,
     k: KernelId,
-    net: NetConfig,
     followers: Vec<usize>,
     quorum: usize,
     wal_bytes: u64,
@@ -198,18 +220,14 @@ impl Shard {
         let quorum = topo.quorum(g);
 
         let mut world = World::new();
-        let k = world.add_kernel(
-            cfg.kernel_config(idx),
-            cfg.device.build(),
-            cfg.sched.build(),
-        );
+        let k = world.add_kernel(cfg.kernel_config(idx), DeviceKind::hdd(), cfg.sched.build());
 
         let wal_limit = 64 * 1024 * 1024;
         let wal_file = world.prealloc_file(k, wal_limit, true);
-        let db_file = world.prealloc_file(k, cfg.db_bytes, false);
-        let db_pages = (cfg.db_bytes / PAGE_SIZE).max(1);
+        let db_file = world.prealloc_file(k, DB_BYTES, false);
+        let db_pages = (DB_BYTES / PAGE_SIZE).max(1);
 
-        let handlers: Vec<Pid> = (0..cfg.handlers_per_shard.max(1))
+        let handlers: Vec<Pid> = (0..HANDLERS_PER_SHARD)
             .map(|_| world.spawn_external(k))
             .collect();
         let free: Vec<usize> = (0..handlers.len()).rev().collect();
@@ -219,32 +237,27 @@ impl Shard {
         // the source with tokens; CFQ can only deprioritize it at the
         // block level (idle class), which does nothing about async
         // writeback — the fig01 asymmetry, now fleet-wide.
-        if let Some(bg) = cfg.background {
-            let bg_file = world.prealloc_file(k, bg.file_bytes, false);
-            let seed = stream_seed(cfg.seed, 0xB6_0000 + idx as u64);
-            let pid = world.spawn(
-                k,
-                Box::new(PacedWriter::new(
-                    bg_file,
-                    bg.file_bytes,
-                    bg.req_bytes,
-                    bg.dirty_rate,
-                    seed,
-                )),
-            );
-            match cfg.sched {
-                ClusterSched::SplitToken => {
-                    world.configure(k, pid, SchedAttr::TokenRate(bg.rate_cap))
-                }
-                ClusterSched::Cfq => world.set_ioprio(k, pid, IoPrio::idle()),
-            }
+        let bg_file = world.prealloc_file(k, BG_FILE_BYTES, false);
+        let seed = stream_seed(cfg.seed, 0xB6_0000 + idx as u64);
+        let pid = world.spawn(
+            k,
+            Box::new(PacedWriter::new(
+                bg_file,
+                BG_FILE_BYTES,
+                BG_REQ_BYTES,
+                BG_DIRTY_RATE,
+                seed,
+            )),
+        );
+        match cfg.sched {
+            ClusterSched::SplitToken => world.configure(k, pid, SchedAttr::TokenRate(BG_RATE_CAP)),
+            ClusterSched::Cfq => world.set_ioprio(k, pid, IoPrio::idle()),
         }
 
         Shard {
             idx,
             world,
             k,
-            net: cfg.net,
             followers,
             quorum,
             wal_bytes: cfg.wal_bytes.max(1),
@@ -348,7 +361,7 @@ impl Shard {
                         acks_left: self.quorum.saturating_sub(1),
                     },
                 );
-                let deliver_at = self.net.deliver_at(now, self.wal_bytes);
+                let deliver_at = Net.deliver_at(now);
                 for &f in &self.followers {
                     self.outbox.push(Envelope {
                         to: f,
@@ -433,7 +446,7 @@ impl Shard {
                 } else if let Some(l) = follower_of {
                     self.outbox.push(Envelope {
                         to: l,
-                        deliver_at: self.net.deliver_at(now, 64),
+                        deliver_at: Net.deliver_at(now),
                         payload: Payload::RepAck { req },
                     });
                 }
@@ -446,7 +459,7 @@ impl Shard {
                 started,
             } => {
                 self.free.push(slot);
-                let e2e = now.since(arrival) + self.net.client_latency;
+                let e2e = now.since(arrival) + CLIENT_LATENCY;
                 self.samples.push(ReqSample {
                     req,
                     shard: self.idx,
@@ -471,7 +484,7 @@ impl Shard {
         let st = self.puts.remove(&req).unwrap();
         let wal_done = st.wal_done.unwrap();
         let service_start = st.service_start.unwrap_or(st.arrival);
-        let e2e = now.since(st.arrival) + self.net.client_latency;
+        let e2e = now.since(st.arrival) + CLIENT_LATENCY;
         self.samples.push(ReqSample {
             req,
             shard: self.idx,
@@ -565,7 +578,6 @@ mod tests {
     fn inflight_counts_client_requests_not_work_items() {
         let cfg = ClusterConfig {
             kernels: 3,
-            background: None,
             ..ClusterConfig::default()
         };
         let at = SimTime::from_nanos(1_000_000);

@@ -15,7 +15,7 @@ use std::ops::Range;
 use sim_core::{SimDuration, SimRng, SimTime};
 
 use crate::shard::{Envelope, Payload, ReqKind};
-use crate::{ClusterConfig, NetConfig, Topology};
+use crate::{ClusterConfig, Net, Topology};
 
 /// An arrival process shape. Rates are requests per second *per
 /// replication group* (each group has one leader taking puts).
@@ -174,6 +174,9 @@ impl ArrivalGen {
     }
 }
 
+/// Fraction of requests that are gets.
+const READ_FRACTION: f64 = 0.5;
+
 /// One replication group's client traffic: its arrival stream, turned
 /// into [`Envelope`]s addressed to members of that group only. Entirely
 /// open-loop — nothing the fleet does feeds back into it — so a group's
@@ -191,9 +194,6 @@ pub(crate) struct Traffic {
     pending: Option<Envelope>,
     members: Range<usize>,
     leader: usize,
-    net: NetConfig,
-    read_fraction: f64,
-    wal_bytes: u64,
 }
 
 impl Traffic {
@@ -207,9 +207,6 @@ impl Traffic {
             pending: None,
             members: topo.members(g),
             leader: topo.leader(g),
-            net: cfg.net,
-            read_fraction: cfg.read_fraction,
-            wal_bytes: cfg.wal_bytes,
         }
     }
 
@@ -236,16 +233,16 @@ impl Traffic {
         let arrival = self.gen.next_arrival();
         let req = (self.group << 40) | self.seq;
         self.seq += 1;
-        let (kind, bytes, to) = if self.rng.gen_bool(self.read_fraction) {
+        let (kind, to) = if self.rng.gen_bool(READ_FRACTION) {
             let len = self.members.len() as u64;
             let to = self.members.start + (self.rng.next_u64() % len) as usize;
-            (ReqKind::Get, 64, to)
+            (ReqKind::Get, to)
         } else {
-            (ReqKind::Put, self.wal_bytes, self.leader)
+            (ReqKind::Put, self.leader)
         };
         Envelope {
             to,
-            deliver_at: self.net.client_deliver_at(arrival, bytes),
+            deliver_at: Net.client_deliver_at(arrival),
             payload: Payload::Request { req, kind, arrival },
         }
     }

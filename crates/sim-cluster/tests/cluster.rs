@@ -78,7 +78,7 @@ fn replicated_puts_wait_for_quorum() {
     // Commit is max(leader fsync, quorum ack): when the leader's own
     // fsync contends with the batch tenant it can land last (repl_ms =
     // 0), but some commits must be gated by the follower round trip.
-    let rtt_ms = 2.0 * cfg.net.link_latency.as_millis_f64();
+    let rtt_ms = 2.0 * cfg.net.lookahead().as_millis_f64();
     let waited = puts.iter().filter(|p| p.repl_ms > 0.0).count();
     assert!(
         waited > 0,

@@ -92,36 +92,36 @@ impl ChaosClass {
     }
 }
 
-/// Chaos plane configuration: one root seed, per-class toggles, and the
-/// legality bounds.
+/// Writeback tick scale half-width: each poll interval is scaled by a
+/// factor in `[1 - WB_JITTER, 1 + WB_JITTER]`, floored at 1 ns.
+const WB_JITTER: f64 = 0.5;
+
+/// Maximum added CPU-slice wakeup delay.
+const CPU_DELAY: SimDuration = SimDuration::from_micros(200);
+
+/// Journal commit-timer scale half-width (same shape as [`WB_JITTER`]).
+const JOURNAL_JITTER: f64 = 0.5;
+
+/// Maximum added service-time fraction: each service time is scaled by a
+/// factor in `[1, 1 + COMPLETION_STRETCH]`.
+const COMPLETION_STRETCH: f64 = 0.5;
+
+/// Chaos plane configuration: one root seed and per-class toggles. The
+/// legality bounds are the constants above.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosConfig {
     /// Root seed; each class derives stream `(seed, class_index)`.
     pub seed: u64,
     /// Which classes actively perturb (a disabled class draws nothing).
     enabled: [bool; 4],
-    /// Writeback tick scale half-width: each poll interval is scaled by a
-    /// factor in `[1 - wb_jitter, 1 + wb_jitter]`, floored at 1 ns.
-    pub wb_jitter: f64,
-    /// Maximum added CPU-slice wakeup delay.
-    pub cpu_delay: SimDuration,
-    /// Journal commit-timer scale half-width (same shape as `wb_jitter`).
-    pub journal_jitter: f64,
-    /// Maximum added service-time fraction: each service time is scaled
-    /// by a factor in `[1, 1 + completion_stretch]`.
-    pub completion_stretch: f64,
 }
 
 impl ChaosConfig {
-    /// All four classes enabled at the default bounds.
+    /// All four classes enabled.
     pub fn with_seed(seed: u64) -> Self {
         ChaosConfig {
             seed,
             enabled: [true; 4],
-            wb_jitter: 0.5,
-            cpu_delay: SimDuration::from_micros(200),
-            journal_jitter: 0.5,
-            completion_stretch: 0.5,
         }
     }
 
@@ -151,13 +151,12 @@ impl ChaosConfig {
 }
 
 /// The completion class's service-stretch stream, owned by the device:
-/// stretches service times by a factor in `[1, 1 + max_stretch)`,
+/// stretches service times by a factor in `[1, 1 + COMPLETION_STRETCH)`,
 /// exactly the mechanism of a fault-plane spike (completions only move
 /// later, never earlier).
 #[derive(Debug, Clone)]
 pub struct CompletionJitter {
     rng: SimRng,
-    max_stretch: f64,
 }
 
 impl CompletionJitter {
@@ -168,13 +167,12 @@ impl CompletionJitter {
         cfg.is_enabled(ChaosClass::Completion)
             .then(|| CompletionJitter {
                 rng: SimRng::stream(cfg.seed, ChaosClass::Completion.index() as u64),
-                max_stretch: cfg.completion_stretch,
             })
     }
 
     /// Draw the next service-time stretch factor, always `>= 1`.
     pub fn stretch(&mut self) -> f64 {
-        1.0 + self.rng.gen_f64() * self.max_stretch.max(0.0)
+        1.0 + self.rng.gen_f64() * COMPLETION_STRETCH
     }
 }
 
@@ -204,7 +202,6 @@ impl ChaosPlane {
     /// Scale `interval` by a factor in `[1 - j, 1 + j]`, floored at 1 ns
     /// so the jittered timer always lands strictly in the future.
     fn jitter_interval(rng: &mut SimRng, interval: SimDuration, j: f64) -> SimDuration {
-        let j = j.clamp(0.0, 1.0);
         let factor = 1.0 - j + rng.gen_f64() * 2.0 * j;
         interval.mul_f64(factor).max(SimDuration::from_nanos(1))
     }
@@ -214,7 +211,7 @@ impl ChaosPlane {
         if !self.cfg.is_enabled(ChaosClass::Writeback) {
             return base;
         }
-        Self::jitter_interval(&mut self.wb, base, self.cfg.wb_jitter)
+        Self::jitter_interval(&mut self.wb, base, WB_JITTER)
     }
 
     /// Extra wakeup delay for one process CPU slice (zero when off).
@@ -222,7 +219,7 @@ impl ChaosPlane {
         if !self.cfg.is_enabled(ChaosClass::CpuSlice) {
             return SimDuration::ZERO;
         }
-        let max = self.cfg.cpu_delay.as_nanos();
+        let max = CPU_DELAY.as_nanos();
         SimDuration::from_nanos(self.cpu.gen_range(max.saturating_add(1)))
     }
 
@@ -231,7 +228,7 @@ impl ChaosPlane {
         if !self.cfg.is_enabled(ChaosClass::Journal) {
             return base;
         }
-        Self::jitter_interval(&mut self.journal, base, self.cfg.journal_jitter)
+        Self::jitter_interval(&mut self.journal, base, JOURNAL_JITTER)
     }
 }
 
@@ -268,15 +265,15 @@ mod tests {
         for _ in 0..10_000 {
             let wb = p.wb_tick(base);
             assert!(wb > SimDuration::ZERO, "never schedule into the past");
-            assert!(wb >= base.mul_f64(1.0 - cfg.wb_jitter - 1e-9));
-            assert!(wb <= base.mul_f64(1.0 + cfg.wb_jitter + 1e-9));
+            assert!(wb >= base.mul_f64(1.0 - WB_JITTER - 1e-9));
+            assert!(wb <= base.mul_f64(1.0 + WB_JITTER + 1e-9));
             let d = p.cpu_delay();
-            assert!(d <= cfg.cpu_delay, "cpu delay within bound");
+            assert!(d <= CPU_DELAY, "cpu delay within bound");
             let jt = p.journal_tick(base);
             assert!(jt > SimDuration::ZERO);
             let s = j.stretch();
             assert!(
-                (1.0..=1.0 + cfg.completion_stretch).contains(&s),
+                (1.0..=1.0 + COMPLETION_STRETCH).contains(&s),
                 "completions only move later: {s}"
             );
         }

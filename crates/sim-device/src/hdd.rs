@@ -11,59 +11,36 @@ use sim_core::{BlockNo, SimDuration};
 
 use crate::{DiskModel, DiskRequestShape};
 
-/// Tunable parameters of the HDD model.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct HddConfig {
-    /// Capacity in 4 KB blocks. Default: 500 GB.
-    pub capacity_blocks: u64,
-    /// Shortest (track-to-track) seek.
-    pub min_seek: SimDuration,
-    /// Full-stroke seek.
-    pub max_seek: SimDuration,
-    /// Time for one platter revolution (7200 RPM → 8.33 ms).
-    pub rotation: SimDuration,
-    /// Sustained sequential bandwidth in bytes/second.
-    pub bandwidth: f64,
-    /// Seeks shorter than this many blocks count as "near" and pay only the
-    /// settle cost (`min_seek`), approximating same-cylinder locality.
-    pub near_distance: u64,
-}
+/// Capacity in 4 KB blocks: 500 GB.
+const CAPACITY_BLOCKS: u64 = 500 * 1024 * 1024 * 1024 / sim_core::PAGE_SIZE;
 
-impl Default for HddConfig {
-    fn default() -> Self {
-        HddConfig {
-            capacity_blocks: 500 * 1024 * 1024 * 1024 / sim_core::PAGE_SIZE,
-            min_seek: SimDuration::from_micros(500),
-            max_seek: SimDuration::from_millis(14),
-            rotation: SimDuration::from_micros(8333),
-            bandwidth: 110.0e6,
-            near_distance: 64,
-        }
-    }
-}
+/// Shortest (track-to-track) seek.
+const MIN_SEEK: SimDuration = SimDuration::from_micros(500);
+
+/// Full-stroke seek.
+const MAX_SEEK: SimDuration = SimDuration::from_millis(14);
+
+/// Time for one platter revolution (7200 RPM → 8.33 ms).
+const ROTATION: SimDuration = SimDuration::from_micros(8333);
+
+/// Sustained sequential bandwidth in bytes/second.
+const BANDWIDTH: f64 = 110.0e6;
+
+/// Seeks shorter than this many blocks count as "near" and pay only the
+/// settle cost ([`MIN_SEEK`]), approximating same-cylinder locality.
+const NEAR_DISTANCE: u64 = 64;
 
 /// Seek + rotation + transfer hard-disk model with a persistent head
 /// position.
 #[derive(Debug, Clone)]
 pub struct HddModel {
-    cfg: HddConfig,
     head: BlockNo,
 }
 
 impl HddModel {
-    /// A drive with the default (paper-like) geometry.
+    /// A drive with the paper-like geometry above.
     pub fn new() -> Self {
-        Self::with_config(HddConfig::default())
-    }
-
-    /// A drive with explicit parameters.
-    pub(crate) fn with_config(cfg: HddConfig) -> Self {
-        assert!(cfg.bandwidth > 0.0, "bandwidth must be positive");
-        assert!(cfg.capacity_blocks > 0, "capacity must be positive");
-        HddModel {
-            cfg,
-            head: BlockNo(0),
-        }
+        HddModel { head: BlockNo(0) }
     }
 
     fn positioning_cost(&self, start: BlockNo) -> SimDuration {
@@ -72,24 +49,20 @@ impl HddModel {
             // Head is already there: streaming continuation.
             return SimDuration::ZERO;
         }
-        if dist <= self.cfg.near_distance {
+        if dist <= NEAR_DISTANCE {
             // Same-cylinder neighbourhood: settle only, no full rotation.
-            return self.cfg.min_seek;
+            return MIN_SEEK;
         }
-        let frac = (dist as f64 / self.cfg.capacity_blocks as f64).min(1.0);
-        let span = self
-            .cfg
-            .max_seek
-            .saturating_sub(self.cfg.min_seek)
-            .as_nanos() as f64;
-        let seek = self.cfg.min_seek + SimDuration::from_nanos((span * frac.sqrt()) as u64);
+        let frac = (dist as f64 / CAPACITY_BLOCKS as f64).min(1.0);
+        let span = MAX_SEEK.saturating_sub(MIN_SEEK).as_nanos() as f64;
+        let seek = MIN_SEEK + SimDuration::from_nanos((span * frac.sqrt()) as u64);
         // Average rotational latency: half a revolution.
-        let rot = self.cfg.rotation.div(2);
+        let rot = ROTATION.div(2);
         seek + rot
     }
 
     fn transfer_cost(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_secs_f64(bytes as f64 / self.cfg.bandwidth)
+        SimDuration::from_secs_f64(bytes as f64 / BANDWIDTH)
     }
 }
 
@@ -111,11 +84,11 @@ impl DiskModel for HddModel {
     }
 
     fn seq_bandwidth(&self) -> f64 {
-        self.cfg.bandwidth
+        BANDWIDTH
     }
 
     fn capacity_blocks(&self) -> u64 {
-        self.cfg.capacity_blocks
+        CAPACITY_BLOCKS
     }
 
     fn name(&self) -> &'static str {

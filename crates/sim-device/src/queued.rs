@@ -12,9 +12,9 @@
 //!   keeps losing the "who is nearest" race while a burst of scattered
 //!   requests forms a nearest-neighbour tour around it (§2 of the
 //!   paper — CFQ's Figure-1 collapse needs this).
-//! * **Flash (SSD)** — `channels` independent ways. A request maps to a
-//!   channel by its block address (`start / stripe_blocks mod
-//!   channels`); requests on distinct channels overlap, requests on the
+//! * **Flash (SSD)** — [`CHANNELS`] independent ways. A request maps to
+//!   a channel by its block address (`start / STRIPE_BLOCKS mod
+//!   CHANNELS`); requests on distinct channels overlap, requests on the
 //!   same channel serialize FIFO.
 //!
 //! With `depth = 1` both disciplines degenerate to a serial device: one
@@ -33,35 +33,26 @@ use sim_core::{CompletionJitter, RequestId, SimDuration};
 
 use crate::{DiskModel, DiskRequestShape};
 
+/// Independent flash channels (ways) for non-rotational models.
+const CHANNELS: u32 = 8;
+
+/// Blocks per channel stripe: consecutive stripes map to consecutive
+/// channels, so big sequential transfers spread across ways while small
+/// neighbours share one.
+const STRIPE_BLOCKS: u64 = 64;
+
 /// Queued-device construction parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct QueuedDeviceConfig {
     /// Hardware queue depth (NCQ tags / NVMe queue slots), at least 1.
     pub depth: u32,
-    /// Independent flash channels (ways) for non-rotational models.
-    pub channels: u32,
-    /// Blocks per channel stripe: consecutive stripes map to
-    /// consecutive channels, so big sequential transfers spread across
-    /// ways while small neighbours share one.
-    pub stripe_blocks: u64,
-}
-
-impl Default for QueuedDeviceConfig {
-    fn default() -> Self {
-        QueuedDeviceConfig {
-            depth: 32,
-            channels: 8,
-            stripe_blocks: 64,
-        }
-    }
 }
 
 impl QueuedDeviceConfig {
-    /// Default configuration at a given queue depth.
+    /// The configuration at a given queue depth.
     pub fn with_depth(depth: u32) -> Self {
         QueuedDeviceConfig {
             depth: depth.max(1),
-            ..Default::default()
         }
     }
 }
@@ -100,7 +91,8 @@ pub struct QueuedDevice {
     model: Box<dyn DiskModel>,
     /// `model.is_rotational()`: one actuator (SPTF) or flash channels.
     rotational: bool,
-    cfg: QueuedDeviceConfig,
+    /// Hardware queue depth, at least 1.
+    depth: u32,
     /// Accepted requests indexed by hardware tag, no longer than the
     /// highest tag in use; `None` is a free tag below it.
     slots: Vec<Option<Slot>>,
@@ -118,10 +110,7 @@ impl QueuedDevice {
         QueuedDevice {
             rotational: model.is_rotational(),
             model,
-            cfg: QueuedDeviceConfig {
-                depth: cfg.depth.max(1),
-                ..cfg
-            },
+            depth: cfg.depth.max(1),
             slots: Vec::new(),
             in_flight: 0,
             seq: 0,
@@ -144,7 +133,7 @@ impl QueuedDevice {
 
     /// Configured hardware queue depth.
     pub fn depth(&self) -> u32 {
-        self.cfg.depth
+        self.depth
     }
 
     /// Requests inside the device (waiting in its queue or in service).
@@ -154,7 +143,7 @@ impl QueuedDevice {
 
     /// Whether another request fits in the hardware queue.
     pub fn can_accept(&self) -> bool {
-        self.in_flight < self.cfg.depth as usize
+        self.in_flight < self.depth as usize
     }
 
     /// Accept a request into the hardware queue. Returns the slot it
@@ -181,7 +170,7 @@ impl QueuedDevice {
         let server = if self.rotational {
             0
         } else {
-            self.channel_of(&shape)
+            Self::channel_of(&shape)
         };
         self.slots[slot] = Some(Slot {
             id,
@@ -249,9 +238,8 @@ impl QueuedDevice {
         Some(self.start(next))
     }
 
-    fn channel_of(&self, shape: &DiskRequestShape) -> u32 {
-        let stripe = self.cfg.stripe_blocks.max(1);
-        ((shape.start.raw() / stripe) % self.cfg.channels.max(1) as u64) as u32
+    fn channel_of(shape: &DiskRequestShape) -> u32 {
+        ((shape.start.raw() / STRIPE_BLOCKS) % CHANNELS as u64) as u32
     }
 
     /// Put the waiting request in `slot` into service on its server.
@@ -330,12 +318,8 @@ mod tests {
 
     #[test]
     fn ssd_overlaps_distinct_channels_and_serializes_shared_ones() {
-        let cfg = QueuedDeviceConfig {
-            depth: 8,
-            channels: 4,
-            stripe_blocks: 64,
-        };
-        let mut dev = QueuedDevice::new(Box::new(SsdModel::new()), cfg);
+        let mut dev =
+            QueuedDevice::new(Box::new(SsdModel::new()), QueuedDeviceConfig::with_depth(8));
         // Stripes 0 and 1 → channels 0 and 1: both start at once.
         let (_, s) = dev.accept(RequestId(1), rd(0), None);
         assert!(s.is_some());
@@ -368,18 +352,13 @@ mod tests {
                     Box::new(SsdModel::new())
                 }
             };
-            let cfg = QueuedDeviceConfig {
-                depth: 8,
-                channels: 4,
-                stripe_blocks: 64,
-            };
-            let mut dev = QueuedDevice::new(model(), cfg);
+            let mut dev = QueuedDevice::new(model(), QueuedDeviceConfig::with_depth(8));
             let mut ref_model = model();
             let server = |s: &DiskRequestShape| {
                 if rotational {
                     0
                 } else {
-                    (s.start.raw() / 64 % 4) as u32
+                    (s.start.raw() / STRIPE_BLOCKS % CHANNELS as u64) as u32
                 }
             };
             let mut waiting: Vec<(RequestId, DiskRequestShape)> = Vec::new();

@@ -9,54 +9,34 @@ use sim_core::{BlockNo, SimDuration};
 
 use crate::{DiskModel, DiskRequestShape, IoDir};
 
-/// Tunable parameters of the SSD model.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SsdConfig {
-    /// Capacity in 4 KB blocks. Default: 80 GB.
-    pub capacity_blocks: u64,
-    /// Fixed per-request read latency.
-    pub read_latency: SimDuration,
-    /// Fixed per-request write latency (program time).
-    pub write_latency: SimDuration,
-    /// Sequential read bandwidth (bytes/second).
-    pub read_bandwidth: f64,
-    /// Sequential write bandwidth (bytes/second).
-    pub write_bandwidth: f64,
-    /// Extra latency applied to non-contiguous small writes (FTL churn).
-    pub random_write_penalty: SimDuration,
-}
+/// Capacity in 4 KB blocks: 80 GB.
+const CAPACITY_BLOCKS: u64 = 80 * 1024 * 1024 * 1024 / sim_core::PAGE_SIZE;
 
-impl Default for SsdConfig {
-    fn default() -> Self {
-        SsdConfig {
-            capacity_blocks: 80 * 1024 * 1024 * 1024 / sim_core::PAGE_SIZE,
-            read_latency: SimDuration::from_micros(65),
-            write_latency: SimDuration::from_micros(85),
-            read_bandwidth: 250.0e6,
-            write_bandwidth: 80.0e6,
-            random_write_penalty: SimDuration::from_micros(150),
-        }
-    }
-}
+/// Fixed per-request read latency.
+const READ_LATENCY: SimDuration = SimDuration::from_micros(65);
+
+/// Fixed per-request write latency (program time).
+const WRITE_LATENCY: SimDuration = SimDuration::from_micros(85);
+
+/// Sequential read bandwidth (bytes/second).
+const READ_BANDWIDTH: f64 = 250.0e6;
+
+/// Sequential write bandwidth (bytes/second).
+const WRITE_BANDWIDTH: f64 = 80.0e6;
+
+/// Extra latency applied to non-contiguous small writes (FTL churn).
+const RANDOM_WRITE_PENALTY: SimDuration = SimDuration::from_micros(150);
 
 /// Flat-latency flash model with separate read/write channels costs.
 #[derive(Debug, Clone)]
 pub struct SsdModel {
-    cfg: SsdConfig,
     last_end: BlockNo,
 }
 
 impl SsdModel {
-    /// An SSD with the default (X25-M-like) parameters.
+    /// An SSD with the X25-M-like parameters above.
     pub fn new() -> Self {
-        Self::with_config(SsdConfig::default())
-    }
-
-    /// An SSD with explicit parameters.
-    pub(crate) fn with_config(cfg: SsdConfig) -> Self {
-        assert!(cfg.read_bandwidth > 0.0 && cfg.write_bandwidth > 0.0);
         SsdModel {
-            cfg,
             last_end: BlockNo(0),
         }
     }
@@ -78,20 +58,16 @@ impl DiskModel for SsdModel {
     fn peek_service_time(&self, shape: &DiskRequestShape) -> SimDuration {
         let bytes = shape.bytes() as f64;
         match shape.dir {
-            IoDir::Read => {
-                self.cfg.read_latency + SimDuration::from_secs_f64(bytes / self.cfg.read_bandwidth)
-            }
+            IoDir::Read => READ_LATENCY + SimDuration::from_secs_f64(bytes / READ_BANDWIDTH),
             IoDir::Write => {
                 let contiguous = shape.start == self.last_end;
                 let small = shape.nblocks <= 8;
                 let penalty = if !contiguous && small {
-                    self.cfg.random_write_penalty
+                    RANDOM_WRITE_PENALTY
                 } else {
                     SimDuration::ZERO
                 };
-                self.cfg.write_latency
-                    + penalty
-                    + SimDuration::from_secs_f64(bytes / self.cfg.write_bandwidth)
+                WRITE_LATENCY + penalty + SimDuration::from_secs_f64(bytes / WRITE_BANDWIDTH)
             }
         }
     }
@@ -99,11 +75,11 @@ impl DiskModel for SsdModel {
     fn seq_bandwidth(&self) -> f64 {
         // Normalization unit: use the write bandwidth (the scarcer channel),
         // matching how the paper's token experiments cap throughput.
-        self.cfg.write_bandwidth
+        WRITE_BANDWIDTH
     }
 
     fn capacity_blocks(&self) -> u64 {
-        self.cfg.capacity_blocks
+        CAPACITY_BLOCKS
     }
 
     fn name(&self) -> &'static str {

@@ -1,11 +1,12 @@
 //! Fault-injection sweep (`runner --faults` / `faults`): the trust
 //! experiment behind every other figure. Two passes:
 //!
-//! 1. **Crash-point sweep** — drive the ordered-mode journal through a
-//!    three-transaction workload, cut power after *every* completed
-//!    write, replay the journal against a [`DiskImage`] shadow and run
-//!    the consistency checker. Every point must uphold the paper's
-//!    ordered-mode guarantees (committed-and-acked transactions durable,
+//! 1. **Crash-point sweep** — drive the ordered-mode journal through
+//!    [`CrashHarness`]'s three-transaction workload, cut power after
+//!    *every* completed write, replay the journal against its
+//!    `DiskImage` shadow and run the consistency checker. Every point
+//!    must uphold the paper's ordered-mode guarantees
+//!    (committed-and-acked transactions durable,
 //!    no metadata over stale data, torn logs never replayed).
 //! 2. **Device-fault sweep** — run the full stack (processes → cache →
 //!    fs → scheduler → device) with a [`DeviceFaultPlane`] failing the
@@ -14,16 +15,13 @@
 //!    stack must degrade (fail syscalls) rather than panic or wedge.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
 
 use sim_block::BlockDeadline;
-use sim_cache::{CacheConfig, PageCache};
-use sim_core::{CauseSet, FileId, Pid, SimDuration, SimTime, TxnId};
-use sim_device::IoDir;
-use sim_fault::{DeviceFaultPlane, DiskImage};
-use sim_fs::{FileSystem, FsEvent, FsOutput, IoReq, JournaledFs};
+use sim_core::{SimDuration, SimTime};
+use sim_fault::DeviceFaultPlane;
+use sim_fs::CrashHarness;
 use sim_kernel::{DeviceKind, KernelConfig, Outcome, ProcAction, World};
 use split_core::{BlockOnly, SyscallKind};
 
@@ -100,131 +98,9 @@ impl FaultSweepResult {
 // Pass 1: protocol crash sweep against the DiskImage shadow.
 // ---------------------------------------------------------------------
 
-const JPID: Pid = Pid(1000);
-const WBPID: Pid = Pid(1001);
-const A: Pid = Pid(1);
-const B: Pid = Pid(2);
-
-/// Minimal completer: feeds the fs FIFO completions while mirroring every
-/// write into the shadow image (same protocol driver as the sim-fs
-/// crash-consistency tests).
-struct ProtocolRun {
-    fs: JournaledFs,
-    cache: PageCache,
-    pending: VecDeque<IoReq>,
-    events: Vec<FsEvent>,
-    image: DiskImage,
-    acked: Vec<TxnId>,
-    now: SimTime,
-    fa: FileId,
-    fb: FileId,
-    phase: u8,
-}
-
-impl ProtocolRun {
-    fn new() -> Self {
-        let mut r = ProtocolRun {
-            fs: JournaledFs::new_ext4(1 << 27, JPID, WBPID),
-            cache: PageCache::new(CacheConfig::default()),
-            pending: VecDeque::new(),
-            events: Vec::new(),
-            image: DiskImage::new(),
-            acked: Vec::new(),
-            now: SimTime::ZERO,
-            fa: FileId(0),
-            fb: FileId(0),
-            phase: 0,
-        };
-        let (fa, out) = r.fs.create_file(A, r.now);
-        r.absorb(out);
-        let (fb, out) = r.fs.create_file(B, r.now);
-        r.absorb(out);
-        r.fa = fa;
-        r.fb = fb;
-        r
-    }
-
-    fn absorb(&mut self, out: FsOutput) {
-        for io in &out.ios {
-            if io.dir == IoDir::Write {
-                self.image.submit(io.token.0, io.step.clone(), io.nblocks);
-            }
-        }
-        for ev in &out.events {
-            if let FsEvent::TxnCommitted { txn } = ev {
-                self.acked.push(*txn);
-            }
-        }
-        self.pending.extend(out.ios);
-        self.events.extend(out.events);
-    }
-
-    fn write(&mut self, file: FileId, pid: Pid, offset: u64, len: u64) {
-        let causes = CauseSet::of(pid);
-        for p in offset / sim_core::PAGE_SIZE..=(offset + len - 1) / sim_core::PAGE_SIZE {
-            self.cache.dirty_page(file, p, &causes, self.now);
-        }
-        self.fs.note_write(file, &causes, offset, len, self.now);
-    }
-
-    fn fsync(&mut self, file: FileId, pid: Pid) {
-        let out = self.fs.fsync(file, pid, &mut self.cache, self.now);
-        self.absorb(out);
-    }
-
-    fn fsync_done_for(&self, pid: Pid) -> bool {
-        self.events
-            .iter()
-            .any(|e| matches!(e, FsEvent::FsyncDone { waiter, .. } if *waiter == pid))
-    }
-
-    fn advance_workload(&mut self) {
-        let page = sim_core::PAGE_SIZE;
-        match self.phase {
-            0 => {
-                self.phase = 1;
-                self.write(self.fa, A, 0, 2 * page);
-                self.write(self.fb, B, 0, 8 * page);
-                self.fsync(self.fa, A);
-            }
-            1 if self.fsync_done_for(A) => {
-                self.phase = 2;
-                self.write(self.fb, B, 8 * page, 4 * page);
-                self.fsync(self.fb, B);
-            }
-            2 if self.fsync_done_for(B) => {
-                self.phase = 3;
-                self.write(self.fa, A, 0, page);
-                self.fsync(self.fa, A);
-            }
-            _ => {}
-        }
-    }
-
-    fn run(&mut self, stop_after: Option<usize>) -> usize {
-        let mut done = 0;
-        loop {
-            self.advance_workload();
-            if Some(done) == stop_after {
-                return done;
-            }
-            let Some(io) = self.pending.pop_front() else {
-                return done;
-            };
-            self.now += SimDuration::from_micros(100);
-            if io.dir == IoDir::Write {
-                self.image.complete(io.token.0);
-            }
-            let out = self.fs.io_completed(io.token, &mut self.cache, self.now);
-            self.absorb(out);
-            done += 1;
-        }
-    }
-}
-
 fn crash_sweep() -> Vec<CrashPoint> {
     let total = {
-        let mut reference = ProtocolRun::new();
+        let mut reference = CrashHarness::ext4();
         reference.run(None)
     };
     let mut points = Vec::new();
@@ -232,7 +108,7 @@ fn crash_sweep() -> Vec<CrashPoint> {
     // torn prefix (the commit record, one block, stays atomic).
     for torn in [None, Some(1)] {
         for k in 0..=total {
-            let mut r = ProtocolRun::new();
+            let mut r = CrashHarness::ext4();
             r.run(Some(k));
             r.image.crash(torn);
             let recovery = r.image.recover();

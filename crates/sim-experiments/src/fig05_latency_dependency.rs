@@ -92,7 +92,7 @@ pub(crate) fn run_point(cfg: &Config, nblocks: u64, sched: SchedChoice) -> Point
 pub(crate) fn run(cfg: &Config) -> FigResult {
     let points = B_BLOCKS
         .iter()
-        .map(|&n| run_point(cfg, n, SchedChoice::BlockDeadlineWith(20, 20)))
+        .map(|&n| run_point(cfg, n, SchedChoice::BlockDeadline20ms))
         .collect();
     FigResult { points }
 }
@@ -144,8 +144,8 @@ mod tests {
     #[test]
     fn a_latency_grows_with_b_flush_size() {
         let cfg = Config::at(Profile::Quick, 0);
-        let small = run_point(&cfg, B_BLOCKS[0], SchedChoice::BlockDeadlineWith(20, 20));
-        let large = run_point(&cfg, B_BLOCKS[4], SchedChoice::BlockDeadlineWith(20, 20));
+        let small = run_point(&cfg, B_BLOCKS[0], SchedChoice::BlockDeadline20ms);
+        let large = run_point(&cfg, B_BLOCKS[4], SchedChoice::BlockDeadline20ms);
         assert!(small.a_count > 5, "A must make progress: {small:?}");
         assert!(large.a_count > 1, "A must make progress: {large:?}");
         assert!(

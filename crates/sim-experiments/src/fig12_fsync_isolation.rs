@@ -126,10 +126,8 @@ impl Contention {
 
 /// The schedulers the contention scenario compares: Block-Deadline at
 /// 20 ms expiries, then Split-Deadline.
-pub(crate) const CONTENDERS: [SchedChoice; 2] = [
-    SchedChoice::BlockDeadlineWith(20, 20),
-    SchedChoice::SplitDeadline,
-];
+pub(crate) const CONTENDERS: [SchedChoice; 2] =
+    [SchedChoice::BlockDeadline20ms, SchedChoice::SplitDeadline];
 
 /// Configuration.
 #[derive(Debug, Clone, Copy)]

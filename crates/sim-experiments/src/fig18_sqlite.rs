@@ -56,12 +56,10 @@ fn measure(cfg: &Config, sched: SchedChoice, threshold: u64) -> (Vec<f64>, u64) 
         db_bytes: DB_BYTES,
         checkpoint_threshold: threshold,
         seed: cfg.seed,
-        ..Default::default()
     };
     let worker = w.spawn(
         k,
         Box::new(TxnWorker::new(
-            db_cfg,
             shared.clone(),
             db_file,
             wal_file,

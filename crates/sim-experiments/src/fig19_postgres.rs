@@ -6,7 +6,7 @@
 //! its own — better, held back by untimely flusher bursts), and full
 //! Split-Deadline (scheduler-owned writeback — the tail disappears).
 
-use sim_apps::pgsim::{PgCheckpointer, PgConfig, PgShared, PgWorker};
+use sim_apps::pgsim::{PgCheckpointer, PgConfig, PgShared, PgWorker, TABLE_BYTES};
 use sim_core::{SimDuration, SimTime};
 use split_core::SchedAttr;
 
@@ -86,7 +86,7 @@ fn run_one(cfg: &Config, sched: SchedChoice) -> Series {
         seed: cfg.seed,
         ..cfg.pg
     };
-    let table_file = w.prealloc_file(k, pg.table_bytes, true);
+    let table_file = w.prealloc_file(k, TABLE_BYTES, true);
     let wal_file = w.prealloc_file(k, 128 * MB, true);
     let shared = PgShared::new();
     let mut workers = Vec::new();
@@ -94,7 +94,6 @@ fn run_one(cfg: &Config, sched: SchedChoice) -> Series {
         let pid = w.spawn(
             k,
             Box::new(PgWorker::new(
-                pg,
                 shared.clone(),
                 table_file,
                 wal_file,

@@ -7,7 +7,7 @@
 //! the host's throttle, even SCS-Token no longer penalizes memory-bound
 //! workloads — the buffering layer position is what matters (§7.2).
 
-use sim_apps::vmm::{launch_guest, GuestConfig};
+use sim_apps::vmm::launch_guest;
 use sim_workloads::SeqReader;
 use split_core::SchedAttr;
 
@@ -38,8 +38,8 @@ pub(crate) struct FigResult {
 /// Run one point: two guests on one host, B's VMM throttled.
 pub(crate) fn run_point(cfg: &Config, host_sched: SchedChoice, wl: BWorkload) -> Point {
     let (mut w, host) = build_world(Setup::new(host_sched).seed(cfg.seed));
-    let ga = launch_guest(&mut w, host, GuestConfig::default());
-    let gb = launch_guest(&mut w, host, GuestConfig::default());
+    let ga = launch_guest(&mut w, host);
+    let gb = launch_guest(&mut w, host);
     // A: sequential reader inside its VM, over a >guest-RAM file.
     let a_file = w.prealloc_file(ga.kernel, 2 * GB, true);
     let a = w.spawn(ga.kernel, Box::new(SeqReader::new(a_file, 2 * GB, MB)));

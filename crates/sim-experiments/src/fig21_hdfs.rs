@@ -97,7 +97,7 @@ pub(crate) fn run_point(cfg: &Config, block_bytes: u64, cap: u64) -> Point {
         .expect("throttled account exists and cap is nonzero");
     cluster.run(&mut w, cfg.duration);
     let secs = cfg.duration.as_secs_f64();
-    let repl = cfg.cluster.replication as f64;
+    let repl = cluster.replication() as f64;
     Point {
         cap_mbps: cap as f64 / 1e6,
         throttled_mbps: cluster.account_bytes(THROTTLED) as f64 / 1e6 / secs,
@@ -214,9 +214,8 @@ mod tests {
     #[test]
     fn one_worker_cluster_still_runs_and_respects_the_cap() {
         let mut cfg = Config::at(Profile::Quick, 0);
-        // No replicas: everything lands on one local kernel.
+        // No replicas: a one-worker cluster keeps a single copy.
         cfg.cluster.workers = 1;
-        cfg.cluster.replication = 1;
         let p = run_point(&cfg, cfg.cluster.block_bytes, cfg.rate_caps[1]);
         assert!(p.throttled_mbps > 0.0);
         assert!(

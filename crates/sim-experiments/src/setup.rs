@@ -3,7 +3,7 @@
 
 use sim_block::{BlockDeadline, Cfq, DeadlineConfig, Noop};
 use sim_cache::CacheConfig;
-use sim_core::{ChaosConfig, KernelId};
+use sim_core::{ChaosConfig, KernelId, SimDuration};
 use sim_device::{HddModel, SsdModel};
 pub use sim_kernel::FsChoice;
 use sim_kernel::{DeviceKind, KernelConfig, World};
@@ -20,8 +20,9 @@ pub enum SchedChoice {
     Cfq,
     /// Linux deadline elevator (block level), stock expiries.
     BlockDeadline,
-    /// Block-Deadline with explicit default expiries (ms): (read, write).
-    BlockDeadlineWith(u64, u64),
+    /// Block-Deadline with 20 ms default expiries for reads and writes
+    /// (Figures 5 and 12).
+    BlockDeadline20ms,
     /// The SCS-Token baseline (gates reads).
     ScsToken,
     /// AFQ (§5.1).
@@ -69,11 +70,11 @@ impl SchedChoice {
             SchedChoice::Noop => Box::new(BlockOnly::new(Noop::new())),
             SchedChoice::Cfq => Box::new(BlockOnly::new(Cfq::new())),
             SchedChoice::BlockDeadline => Box::new(BlockOnly::new(BlockDeadline::new())),
-            SchedChoice::BlockDeadlineWith(r, w) => {
+            SchedChoice::BlockDeadline20ms => {
+                let expire = SimDuration::from_millis(20);
                 Box::new(BlockOnly::new(BlockDeadline::with_config(DeadlineConfig {
-                    read_expire: sim_core::SimDuration::from_millis(r),
-                    write_expire: sim_core::SimDuration::from_millis(w),
-                    ..Default::default()
+                    read_expire: expire,
+                    write_expire: expire,
                 })))
             }
             SchedChoice::ScsToken => Box::new(ScsToken::new()),
@@ -104,7 +105,7 @@ impl SchedChoice {
         match self {
             SchedChoice::Noop => "noop",
             SchedChoice::Cfq => "cfq",
-            SchedChoice::BlockDeadline | SchedChoice::BlockDeadlineWith(..) => "block-deadline",
+            SchedChoice::BlockDeadline | SchedChoice::BlockDeadline20ms => "block-deadline",
             SchedChoice::ScsToken => "scs-token",
             SchedChoice::Afq => "afq",
             SchedChoice::SplitDeadline => "split-deadline",
@@ -275,7 +276,6 @@ pub fn kernel_config(setup: Setup) -> KernelConfig {
         fs_seed: setup.seed,
         chaos: setup.chaos,
         queue_depth: setup.queue_depth,
-        ..Default::default()
     }
 }
 
@@ -297,7 +297,6 @@ pub fn build_world_with(setup: Setup, sched: Box<dyn IoSched>) -> (World, Kernel
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_fs::FileSystem as _;
 
     #[test]
     fn builders_compose() {
@@ -312,8 +311,12 @@ mod tests {
         assert_eq!(s.device, DeviceChoice::Ssd);
         assert_eq!(s.fs, FsChoice::Xfs);
         assert_eq!(s.cores, 32);
+        let cfg = kernel_config(s);
+        assert_eq!(
+            (cfg.fs, cfg.cores, cfg.cache.mem_bytes),
+            (FsChoice::Xfs, 32, 64 << 20)
+        );
         let (w, k) = build_world(s);
-        assert_eq!(w.kernel(k).fs().name(), "xfs");
         assert_eq!(w.kernel(k).sched().name(), "split-token");
     }
 

@@ -3,10 +3,12 @@
 //!
 //! Two presets:
 //!
-//! * [`Ext4`] — physical journal, journal and writeback tasks fully proxy
-//!   tagged ("full integration", §6 part a+b).
-//! * [`Xfs`] — logical journal (smaller log writes) written by a log task
-//!   that is **not** tagged ("partial integration", part a only): data
+//! * ext4 ([`JournaledFs::new_ext4`]) — physical journal, journal and
+//!   writeback tasks fully proxy tagged ("full integration", §6 part
+//!   a+b).
+//! * XFS ([`JournaledFs::new_xfs`]) — logical journal (smaller log
+//!   writes) written by a log task that is **not** tagged ("partial
+//!   integration", part a only): data
 //!   I/O carries buffer tags, but journal and checkpoint I/O carries no
 //!   causes — so metadata-heavy workloads escape split schedulers, exactly
 //!   the Figure 17 result.
@@ -24,13 +26,11 @@ use split_core::ProxyRegistry;
 
 use crate::alloc::{Allocator, Extent, ExtentMap};
 use crate::journal::{CommitTxn, Journal, JournalConfig, MetaKey};
-use crate::{FileSystem, FsEvent, FsOutput, IoReq, IoToken};
+use crate::{FsEvent, FsOutput, IoReq, IoToken};
 
 /// File-system configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct FsConfig {
-    /// "ext4" or "xfs" (or anything else).
-    pub name: &'static str,
     /// Whether journal/checkpoint I/O carries cause tags (full
     /// integration). Data I/O is always tagged (buffer heads are generic).
     pub tag_journal: bool,
@@ -52,7 +52,6 @@ impl FsConfig {
     /// ext4-like defaults for a device of `device_blocks`.
     pub fn ext4(device_blocks: u64) -> Self {
         FsConfig {
-            name: "ext4",
             tag_journal: true,
             blocks_per_meta: 1.0,
             commit_interval: SimDuration::from_secs(5),
@@ -66,7 +65,6 @@ impl FsConfig {
     /// XFS-like defaults (partial split integration).
     pub fn xfs(device_blocks: u64) -> Self {
         FsConfig {
-            name: "xfs",
             tag_journal: false,
             blocks_per_meta: 0.25,
             ..Self::ext4(device_blocks)
@@ -168,12 +166,6 @@ pub struct JournaledFs {
     /// Reusable extent buffer for the flush hot loop.
     extent_scratch: Vec<Extent>,
 }
-
-/// ext4 preset.
-pub type Ext4 = JournaledFs;
-
-/// XFS preset (same engine, partial integration config).
-pub type Xfs = JournaledFs;
 
 impl JournaledFs {
     /// Build a file system. `journal_pid`/`writeback_pid` are the kernel
@@ -588,14 +580,10 @@ impl JournaledFs {
             });
         }
     }
-}
 
-impl FileSystem for JournaledFs {
-    fn name(&self) -> &'static str {
-        self.cfg.name
-    }
-
-    fn create_file(&mut self, pid: Pid, now: SimTime) -> (FileId, FsOutput) {
+    /// Create a file (the `creat` syscall): allocates an inode and joins
+    /// the running transaction with the (shared) directory block.
+    pub fn create_file(&mut self, pid: Pid, now: SimTime) -> (FileId, FsOutput) {
         let id = FileId(self.file_ids.next());
         self.inodes.insert(id, Inode::default());
         let causes = CauseSet::of(pid);
@@ -605,7 +593,8 @@ impl FileSystem for JournaledFs {
         (id, FsOutput::none())
     }
 
-    fn mkdir(&mut self, pid: Pid, now: SimTime) -> FsOutput {
+    /// Create a directory (the `mkdir` syscall).
+    pub fn mkdir(&mut self, pid: Pid, now: SimTime) -> FsOutput {
         let causes = CauseSet::of(pid);
         self.journal.join(MetaKey::DirBlock(0), &causes, now);
         let id = FileId(self.file_ids.next());
@@ -613,7 +602,14 @@ impl FileSystem for JournaledFs {
         FsOutput::none()
     }
 
-    fn unlink(&mut self, file: FileId, pid: Pid, cache: &mut PageCache, now: SimTime) -> FsOutput {
+    /// Remove a file: drops its pages and joins the transaction.
+    pub fn unlink(
+        &mut self,
+        file: FileId,
+        pid: Pid,
+        cache: &mut PageCache,
+        now: SimTime,
+    ) -> FsOutput {
         let mut out = FsOutput::none();
         let causes = CauseSet::of(pid);
         self.journal.join(MetaKey::DirBlock(0), &causes, now);
@@ -625,7 +621,10 @@ impl FileSystem for JournaledFs {
         out
     }
 
-    fn prealloc_file(&mut self, bytes: u64, contiguous: bool) -> FileId {
+    /// Set up a file with `bytes` of existing, allocated content — test
+    /// and experiment fixture; generates no journal activity.
+    /// `contiguous` controls layout (false = aged/fragmented).
+    pub fn prealloc_file(&mut self, bytes: u64, contiguous: bool) -> FileId {
         let id = FileId(self.file_ids.next());
         let npages = sim_core::pages_for_bytes(bytes);
         let mut inode = Inode {
@@ -649,7 +648,17 @@ impl FileSystem for JournaledFs {
         id
     }
 
-    fn note_write(&mut self, file: FileId, causes: &CauseSet, offset: u64, len: u64, now: SimTime) {
+    /// Note a buffered write (the data pages are dirtied by the kernel in
+    /// the page cache; this records the metadata consequences: inode
+    /// update joins the running transaction, file becomes "ordered").
+    pub fn note_write(
+        &mut self,
+        file: FileId,
+        causes: &CauseSet,
+        offset: u64,
+        len: u64,
+        now: SimTime,
+    ) {
         let inode = self.inodes.entry(file).or_default();
         inode.size = inode.size.max(offset + len);
         // Every write updates the inode (size/mtime) — this is what drags
@@ -658,7 +667,16 @@ impl FileSystem for JournaledFs {
         self.journal.mark_ordered(file);
     }
 
-    fn fsync(&mut self, file: FileId, pid: Pid, cache: &mut PageCache, now: SimTime) -> FsOutput {
+    /// Begin an `fsync` by `pid`: flush the file's dirty data and force
+    /// the transaction holding its metadata. `FsEvent::FsyncDone` fires
+    /// when everything is durable (possibly immediately).
+    pub fn fsync(
+        &mut self,
+        file: FileId,
+        pid: Pid,
+        cache: &mut PageCache,
+        now: SimTime,
+    ) -> FsOutput {
         let mut out = FsOutput::none();
         // After a journal abort no durability can be promised; fail fast,
         // as ext4 does once jbd2 is aborted.
@@ -749,7 +767,10 @@ impl FileSystem for JournaledFs {
         out
     }
 
-    fn writeback(
+    /// Write back dirty data: of `file`, or of the oldest files if `None`.
+    /// Runs in `proxy` context (the writeback task). Asynchronous: creates
+    /// no synchronization point.
+    pub fn writeback(
         &mut self,
         file: Option<FileId>,
         max_pages: u64,
@@ -829,7 +850,13 @@ impl FileSystem for JournaledFs {
         out
     }
 
-    fn io_completed(&mut self, token: IoToken, cache: &mut PageCache, now: SimTime) -> FsOutput {
+    /// A previously submitted [`IoReq`] completed.
+    pub fn io_completed(
+        &mut self,
+        token: IoToken,
+        cache: &mut PageCache,
+        now: SimTime,
+    ) -> FsOutput {
         let mut out = FsOutput::none();
         let Some(owner) = self.owners.remove(&token) else {
             return out;
@@ -912,7 +939,12 @@ impl FileSystem for JournaledFs {
         out
     }
 
-    fn io_failed(
+    /// A previously submitted [`IoReq`] failed at the device. Dependent
+    /// fsyncs fail ([`FsEvent::FsyncFailed`]) instead of completing; a
+    /// failed journal write aborts the journal
+    /// ([`FsEvent::JournalAborted`]). Never panics — this is the
+    /// error-propagation path.
+    pub fn io_failed(
         &mut self,
         token: IoToken,
         error: IoError,
@@ -979,7 +1011,8 @@ impl FileSystem for JournaledFs {
         out
     }
 
-    fn timer(&mut self, cache: &mut PageCache, now: SimTime) -> FsOutput {
+    /// Periodic tick (journal commit interval).
+    pub fn timer(&mut self, cache: &mut PageCache, now: SimTime) -> FsOutput {
         let mut out = FsOutput::none();
         self.last_timer = now;
         self.maybe_start_commit(cache, now, &mut out);
@@ -987,38 +1020,22 @@ impl FileSystem for JournaledFs {
         out
     }
 
-    fn next_timer(&self, now: SimTime) -> SimTime {
+    /// When the next periodic tick is due.
+    pub fn next_timer(&self, now: SimTime) -> SimTime {
         now + self.journal.config().commit_interval.div(4)
     }
 
-    fn blocks_for_read(&self, file: FileId, page: u64, len: u64) -> Vec<Extent> {
-        self.inodes
-            .get(&file)
-            .map(|i| i.extents.extents_for(page, len))
-            .unwrap_or_default()
-    }
-
-    fn blocks_for_read_into(&self, file: FileId, page: u64, len: u64, out: &mut Vec<Extent>) {
+    /// Disk extents backing `[page, page+len)` of `file` for reads, into a
+    /// caller-owned buffer (cleared first) so the kernel's read and write
+    /// hot paths can reuse one allocation. Holes (never-written,
+    /// never-allocated pages) are omitted — under delayed allocation a
+    /// freshly written page is one, which is why the buffer-dirty hook's
+    /// `block` (read from these extents) may be `None`.
+    pub fn blocks_for_read_into(&self, file: FileId, page: u64, len: u64, out: &mut Vec<Extent>) {
         match self.inodes.get(&file) {
             Some(i) => i.extents.extents_for_into(page, len, out),
             None => out.clear(),
         }
-    }
-
-    fn file_size(&self, file: FileId) -> u64 {
-        self.inodes.get(&file).map(|i| i.size).unwrap_or(0)
-    }
-
-    fn running_txn_meta_pages(&self) -> u64 {
-        self.journal.running_meta_blocks()
-    }
-
-    fn journal_task(&self) -> Pid {
-        self.journal_pid
-    }
-
-    fn writeback_task(&self) -> Pid {
-        self.writeback_pid
     }
 }
 
@@ -1041,6 +1058,13 @@ mod tests {
         events: Vec<FsEvent>,
         freed: Vec<(FileId, sim_cache::PageRange)>,
         now: SimTime,
+    }
+
+    /// Disk extents backing `[page, page+len)` of `file`.
+    fn extents(fs: &JournaledFs, file: FileId, page: u64, len: u64) -> Vec<Extent> {
+        let mut out = Vec::new();
+        fs.blocks_for_read_into(file, page, len, &mut out);
+        out
     }
 
     impl Harness {
@@ -1204,7 +1228,7 @@ mod tests {
                     io.causes.contains(Pid(7)),
                     tagged,
                     "{}: journal tagging mismatch",
-                    h.fs.name()
+                    if tagged { "ext4" } else { "xfs" }
                 );
             }
         }
@@ -1216,14 +1240,11 @@ mod tests {
         let (f, _) = h.fs.create_file(Pid(3), h.now);
         h.write(f, Pid(3), 0, 64 * sim_core::PAGE_SIZE);
         // Under delayed allocation nothing is allocated yet.
-        assert!(h.fs.blocks_for_read(f, 0, 1).is_empty());
+        assert!(extents(&h.fs, f, 0, 1).is_empty());
         let out = h.fs.writeback(None, 1024, WBPID, &mut h.cache, h.now);
         h.absorb(out);
         assert_eq!(
-            h.fs.blocks_for_read(f, 0, 64)
-                .iter()
-                .map(|e| e.len)
-                .sum::<u64>(),
+            extents(&h.fs, f, 0, 64).iter().map(|e| e.len).sum::<u64>(),
             64,
             "allocated at writeback"
         );
@@ -1255,7 +1276,7 @@ mod tests {
         h.write(f, Pid(1), 4 * sim_core::PAGE_SIZE, 4 * sim_core::PAGE_SIZE);
         let out = h.fs.writeback(Some(f), 1024, WBPID, &mut h.cache, h.now);
         h.absorb(out);
-        let block = |page| h.fs.blocks_for_read(f, page, 1)[0].start.raw();
+        let block = |page| extents(&h.fs, f, page, 1)[0].start.raw();
         assert_eq!(block(4), block(0) + 4, "append continues the reservation");
     }
 
@@ -1297,15 +1318,15 @@ mod tests {
         let mut h = Harness::ext4();
         let contig = h.fs.prealloc_file(1 << 20, true);
         let frag = h.fs.prealloc_file(1 << 20, false);
-        let ec = h.fs.blocks_for_read(contig, 0, 256);
-        let ef = h.fs.blocks_for_read(frag, 0, 256);
+        let ec = extents(&h.fs, contig, 0, 256);
+        let ef = extents(&h.fs, frag, 0, 256);
         assert_eq!(ec.len(), 1, "contiguous file is one extent");
         assert!(
             ef.len() > 2,
             "aged file is fragmented: {} extents",
             ef.len()
         );
-        assert_eq!(h.fs.file_size(contig), 1 << 20);
+        assert_eq!(h.fs.inodes[&contig].size, 1 << 20);
     }
 
     #[test]

@@ -203,11 +203,6 @@ impl Journal {
         self.running.id
     }
 
-    /// Metadata blocks joined to the running transaction.
-    pub(crate) fn running_meta_blocks(&self) -> u64 {
-        self.running.meta.len() as u64
-    }
-
     /// Number of log blocks a transaction of `meta_blocks` writes
     /// (descriptor + payload + headroom; the commit record is separate).
     pub(crate) fn log_blocks_for(&self, meta_blocks: u64) -> u64 {
@@ -244,8 +239,8 @@ mod tests {
         let mut j = jnl();
         j.join(MetaKey::DirBlock(0), &CauseSet::of(Pid(1)), SimTime::ZERO);
         j.join(MetaKey::DirBlock(0), &CauseSet::of(Pid(2)), SimTime::ZERO);
-        assert_eq!(j.running_meta_blocks(), 1, "shared block counted once");
         let sealed = j.seal();
+        assert_eq!(sealed.meta_blocks, 1, "shared block counted once");
         assert!(sealed.causes.contains(Pid(1)));
         assert!(sealed.causes.contains(Pid(2)));
     }

@@ -5,32 +5,24 @@
 
 use sim_core::SimDuration;
 
-/// Per-syscall CPU cost parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct CpuCosts {
-    /// Fixed entry/exit cost of any system call.
-    pub syscall_base: SimDuration,
-    /// Cost to copy one 4 KB page between user and kernel space (bounds
-    /// cached-read throughput).
-    pub per_page_copy: SimDuration,
-    /// Extra cost a scheduler's syscall-level bookkeeping adds per gated
-    /// call (SCS pays this on *every* call including reads; split
-    /// schedulers only on write-like calls). The default reflects the
-    /// paper's observation that SCS's per-call traffic-shaping logic is
-    /// expensive enough to cost it 2.3x on cached reads (§5.3), and that
-    /// AFQ's per-write bookkeeping makes it slightly slower than CFQ on
-    /// in-memory overwrites (Figure 11d).
-    pub sched_bookkeeping: SimDuration,
-}
+/// Fixed entry/exit cost of any system call.
+pub const SYSCALL_BASE: SimDuration = SimDuration::from_micros(2);
 
-impl Default for CpuCosts {
-    fn default() -> Self {
-        CpuCosts {
-            syscall_base: SimDuration::from_micros(2),
-            per_page_copy: SimDuration::from_micros(2),
-            sched_bookkeeping: SimDuration::from_micros(25),
-        }
-    }
+/// Cost to copy one 4 KB page between user and kernel space (bounds
+/// cached-read throughput).
+const PER_PAGE_COPY: SimDuration = SimDuration::from_micros(2);
+
+/// Extra cost a scheduler's syscall-level bookkeeping adds per gated
+/// call (SCS pays this on *every* call including reads; split schedulers
+/// only on write-like calls). It reflects the paper's observation that
+/// SCS's per-call traffic-shaping logic is expensive enough to cost it
+/// 2.3x on cached reads (§5.3), and that AFQ's per-write bookkeeping
+/// makes it slightly slower than CFQ on in-memory overwrites (Figure 11d).
+pub const SCHED_BOOKKEEPING: SimDuration = SimDuration::from_micros(25);
+
+/// CPU cost of a syscall that copies `pages` pages.
+pub(crate) fn copy_cost(pages: u64) -> SimDuration {
+    SYSCALL_BASE + SimDuration::from_nanos(PER_PAGE_COPY.as_nanos() * pages)
 }
 
 /// Runnable-task accounting.

@@ -22,14 +22,14 @@ use sim_core::{
 use sim_core::{FastMap, FastSet};
 use sim_device::{DiskModel, HddModel, QueuedDevice, QueuedDeviceConfig, SsdModel, Started};
 use sim_fault::{DeviceFaultPlane, Fault, WriteStep};
-use sim_fs::{Extent, FileSystem, FsConfig, FsEvent, FsOutput, IoToken, JournaledFs};
+use sim_fs::{Extent, FsConfig, FsEvent, FsOutput, IoToken, JournaledFs};
 use sim_trace::{RequestTrace, Tracer};
 use split_core::{
     BufferDirtied, BufferFreed, Gate, IoSched, SchedAttr, SchedCmd, SchedCtx, SyscallInfo,
     SyscallKind,
 };
 
-use crate::cpu::{CpuCosts, CpuModel};
+use crate::cpu::{copy_cost, CpuModel, SCHED_BOOKKEEPING, SYSCALL_BASE};
 use crate::process::{Outcome, ProcAction, ProcessLogic};
 use crate::span_probe::{BlockTraceProbe, SpanProbe};
 use crate::stats::KernelStats;
@@ -157,6 +157,12 @@ impl ActiveDevice {
     }
 }
 
+/// Background writeback poll interval.
+const WB_TICK: SimDuration = SimDuration::from_millis(200);
+
+/// Pages per background writeback pass.
+const WB_BATCH_PAGES: u64 = 2048;
+
 /// Which file system to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsChoice {
@@ -182,12 +188,6 @@ pub struct KernelConfig {
     /// False for block and split schedulers (the paper schedules reads
     /// below the cache); true for the SCS architecture.
     pub gate_reads: bool,
-    /// CPU cost parameters.
-    pub cpu: CpuCosts,
-    /// Pages per background writeback pass.
-    pub wb_batch_pages: u64,
-    /// Background writeback poll interval.
-    pub wb_tick: SimDuration,
     /// Extra entropy folded into the file system's layout RNG seed. Zero
     /// (the default) keeps the historical on-disk layout; sweeps set it to
     /// vary allocator and metadata placement across replicates.
@@ -214,9 +214,6 @@ impl Default for KernelConfig {
             cores: 8,
             pdflush: true,
             gate_reads: false,
-            cpu: CpuCosts::default(),
-            wb_batch_pages: 2048,
-            wb_tick: SimDuration::from_millis(200),
             fs_seed: 0,
             chaos: None,
             queue_depth: 1,
@@ -605,10 +602,11 @@ impl Kernel {
     }
 
     /// The writeback daemon's next poll interval, chaos jitter applied.
+    /// [`WB_TICK`] without chaos.
     fn next_wb_tick(&mut self) -> SimDuration {
         match self.chaos.as_mut() {
-            Some(c) => c.wb_tick(self.cfg.wb_tick),
-            None => self.cfg.wb_tick,
+            Some(c) => c.wb_tick(WB_TICK),
+            None => WB_TICK,
         }
     }
 
@@ -767,14 +765,13 @@ impl Kernel {
     fn syscall_body(&mut self, pid: Pid, bus: &mut Bus) {
         let now = bus.q.now();
         let kind = self.procs[&pid].cur.as_ref().expect("in syscall").kind;
-        let costs = self.cfg.cpu;
         match kind {
             SyscallKind::Write { file, offset, len } => {
                 let pages = page_span(offset, len);
                 if pages.is_empty() {
                     // Nothing to copy: no throttling, dirtying, journal
                     // join or writeback.
-                    let cpu = costs.syscall_base;
+                    let cpu = SYSCALL_BASE;
                     self.complete_syscall(pid, Outcome::Written { bytes: 0 }, cpu, bus);
                     return;
                 }
@@ -796,8 +793,7 @@ impl Kernel {
                     self.kick_writeback(bus);
                 }
                 let npages = pages.end - pages.start;
-                let cpu = costs.syscall_base
-                    + SimDuration::from_nanos(costs.per_page_copy.as_nanos() * npages);
+                let cpu = copy_cost(npages);
                 self.complete_syscall(pid, Outcome::Written { bytes: len }, cpu, bus);
             }
             SyscallKind::Read { file, offset, len } => {
@@ -808,8 +804,7 @@ impl Kernel {
                 self.cache
                     .read_misses_into(file, pages.start, npages, &mut misses);
                 prof::tock(&self.prof, Phase::Cache, t0);
-                let cpu = costs.syscall_base
-                    + SimDuration::from_nanos(costs.per_page_copy.as_nanos() * npages);
+                let cpu = copy_cost(npages);
                 if misses.is_empty() {
                     self.read_miss_scratch = misses;
                     self.complete_syscall(
@@ -891,17 +886,17 @@ impl Kernel {
             SyscallKind::Create => {
                 let (fid, out) = self.fs.create_file(pid, now);
                 self.absorb(out, bus);
-                self.complete_syscall(pid, Outcome::Created(fid), costs.syscall_base, bus);
+                self.complete_syscall(pid, Outcome::Created(fid), SYSCALL_BASE, bus);
             }
             SyscallKind::Mkdir => {
                 let out = self.fs.mkdir(pid, now);
                 self.absorb(out, bus);
-                self.complete_syscall(pid, Outcome::MetaDone, costs.syscall_base, bus);
+                self.complete_syscall(pid, Outcome::MetaDone, SYSCALL_BASE, bus);
             }
             SyscallKind::Unlink { file } => {
                 let out = self.fs.unlink(file, pid, &mut self.cache, now);
                 self.absorb(out, bus);
-                self.complete_syscall(pid, Outcome::MetaDone, costs.syscall_base, bus);
+                self.complete_syscall(pid, Outcome::MetaDone, SYSCALL_BASE, bus);
             }
         }
     }
@@ -983,11 +978,7 @@ impl Kernel {
         });
         // Scheduler bookkeeping runs on every gated call (SCS pays it on
         // reads too; split schedulers only on write-like calls).
-        let cpu = if gated {
-            cpu + self.cfg.cpu.sched_bookkeeping
-        } else {
-            cpu
-        };
+        let cpu = if gated { cpu + SCHED_BOOKKEEPING } else { cpu };
         // Stats.
         {
             let st = self.stats.proc_mut(pid);
@@ -1284,14 +1275,7 @@ impl Kernel {
                             _ => 0,
                         };
                         let pages = sim_core::pages_for_bytes(len);
-                        (
-                            len,
-                            self.cfg.cpu.syscall_base
-                                + SimDuration::from_nanos(
-                                    self.cfg.cpu.per_page_copy.as_nanos() * pages,
-                                ),
-                            cur.error,
-                        )
+                        (len, copy_cost(pages), cur.error)
                     };
                     let outcome = match error {
                         Some(e) => Outcome::Failed(e),
@@ -1325,7 +1309,7 @@ impl Kernel {
         let t0 = prof::tick(&self.prof);
         let out = self.fs.writeback(
             None,
-            self.cfg.wb_batch_pages,
+            WB_BATCH_PAGES,
             self.writeback_pid,
             &mut self.cache,
             now,
@@ -1502,7 +1486,7 @@ impl Kernel {
                 .map(|c| matches!(c.kind, SyscallKind::Fsync { .. }))
                 .unwrap_or(false);
             if in_fsync {
-                let cpu = self.cfg.cpu.syscall_base;
+                let cpu = SYSCALL_BASE;
                 self.complete_syscall(waiter, outcome, cpu, bus);
             }
         }

@@ -25,7 +25,7 @@ mod span_probe;
 mod stats;
 mod world;
 
-pub use cpu::CpuCosts;
+pub use cpu::{SCHED_BOOKKEEPING, SYSCALL_BASE};
 pub use kernel::{DeviceKind, FsChoice, Kernel, KernelConfig};
 pub use process::{Outcome, ProcAction, ProcessLogic};
 pub use sim_trace::{RequestTrace, TraceRecord};

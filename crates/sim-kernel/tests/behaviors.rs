@@ -7,7 +7,9 @@ use std::rc::Rc;
 use sim_block::{Dispatch, Noop, Request};
 use sim_cache::CacheConfig;
 use sim_core::{CauseSet, FileId, Pid, SimDuration, SimTime};
-use sim_kernel::{AppEvent, DeviceKind, KernelConfig, Outcome, ProcAction, World};
+use sim_kernel::{
+    AppEvent, DeviceKind, KernelConfig, Outcome, ProcAction, World, SCHED_BOOKKEEPING, SYSCALL_BASE,
+};
 use split_core::{
     BlockOnly, BufferDirtied, BufferFreed, Gate, IoSched, SchedCtx, SyscallInfo, SyscallKind,
 };
@@ -591,7 +593,7 @@ fn overwrite_hooks_see_the_writer_and_the_previous_causes() {
 }
 
 /// A zero-length write or read touches no page: it passes the gate and
-/// the exit hook and costs one `syscall_base`, but dirties nothing,
+/// the exit hook and costs one `SYSCALL_BASE`, but dirties nothing,
 /// fires no buffer-dirtied hook, joins no transaction and issues no I/O
 /// (the read is of an uncached page, which a one-page span would miss).
 #[test]
@@ -638,7 +640,6 @@ fn zero_length_calls_touch_no_page() {
     }
     let counts = Rc::new(RefCell::new(Counts::default()));
     let cfg = KernelConfig::default();
-    let cpu = cfg.cpu;
     let mut w = World::new();
     let k = w.add_kernel(
         cfg,
@@ -679,8 +680,8 @@ fn zero_length_calls_touch_no_page() {
     let st = kernel.stats.proc(pid).unwrap();
     assert_eq!((st.writes, st.reads), (1, 1));
     let t = steps.borrow();
-    assert_eq!(t[1].since(t[0]), cpu.syscall_base + cpu.sched_bookkeeping);
-    assert_eq!(t[2].since(t[1]), cpu.syscall_base);
+    assert_eq!(t[1].since(t[0]), SYSCALL_BASE + SCHED_BOOKKEEPING);
+    assert_eq!(t[2].since(t[1]), SYSCALL_BASE);
 }
 
 /// An app timer behind the clock is the late schedule it is: counted in

@@ -21,7 +21,7 @@ use std::rc::Rc;
 
 use sim_check::{
     generate, shrink, AuditPlane, FileRef, GenConfig, LayerAuditor, OpSpec, ProgramSpec, Sabotaged,
-    TimingSabotaged,
+    Trigger,
 };
 use sim_core::{run_indexed, ChaosConfig, FileId, IoErrorKind, SimDuration, SimRng};
 use sim_experiments::setup::{
@@ -176,15 +176,13 @@ const QUIESCE_CAP_SECS: u64 = 600;
 /// Everything [`run_with`] can turn on besides the scheduler/device
 /// pair; `RunOpts::default()` is the plain run at queue depth 1.
 pub struct RunOpts {
-    /// Wrap the scheduler with the cause-corrupting shim after this many
-    /// block adds (mutation testing of the audit plane).
-    pub sabotage: Option<u64>,
-    /// Wrap the scheduler with the timing-dependent corruption shim at
-    /// this dwell threshold (mutation testing of the chaos plane): the
-    /// planted race is unreachable without adversarial timing, so a plain
-    /// run must stay clean and a chaos run must trip the cause-tag
-    /// auditor.
-    pub timing_sabotage: Option<SimDuration>,
+    /// Wrap the scheduler with the cause-corrupting shim, armed by this
+    /// trigger: after N block adds (mutation testing of the audit plane),
+    /// or once a data request outlives a dwell horizon (mutation testing
+    /// of the chaos plane — that race is unreachable without adversarial
+    /// timing, so a plain run must stay clean and a chaos run must trip
+    /// the cause-tag auditor).
+    pub sabotage: Option<Trigger>,
     /// Install a device fault plan: faults must surface as errors (in
     /// outcomes and `io_errors`) rather than tripping auditors or
     /// vanishing.
@@ -219,7 +217,6 @@ impl Default for RunOpts {
     fn default() -> Self {
         RunOpts {
             sabotage: None,
-            timing_sabotage: None,
             faults: None,
             queue_depth: 1,
             inject_late: false,
@@ -245,7 +242,7 @@ pub fn run_one(
         sched,
         device,
         RunOpts {
-            sabotage,
+            sabotage: sabotage.map(Trigger::AfterAdds),
             ..Default::default()
         },
     )
@@ -312,10 +309,9 @@ pub fn run_with(
         (None, true) => Box::new(Layered::single(sched.build())),
         (None, false) => sched.build(),
     };
-    let sched_box: Box<dyn IoSched> = match (opts.sabotage, opts.timing_sabotage) {
-        (Some(after), _) => Box::new(Sabotaged::new(base, after)),
-        (None, Some(dwell)) => Box::new(TimingSabotaged::new(base, dwell)),
-        (None, None) => base,
+    let sched_box: Box<dyn IoSched> = match opts.sabotage {
+        Some(trigger) => Box::new(Sabotaged::new(base, trigger)),
+        None => base,
     };
     let mut w = World::new();
     let k = w.add_kernel(cfg, device.build(), sched_box);

@@ -50,17 +50,8 @@ pub struct Cell {
     /// Grid-cell label, e.g. `fig06/sched=cfq` — stable across spec
     /// growth, shared by all replicates of the cell.
     pub label: String,
-    /// Replicate index within the cell.
-    pub replicate: u32,
     /// The fully-resolved request to run.
     pub request: CellRequest,
-}
-
-fn sched_name(s: SchedChoice) -> String {
-    match s {
-        SchedChoice::BlockDeadlineWith(r, w) => format!("block-deadline-{r}-{w}"),
-        s => s.name().into(),
-    }
 }
 
 /// FNV-1a over the label: cheap, stable, and good enough to key seed
@@ -104,7 +95,7 @@ impl SweepSpec {
                     let mut label = fig.name.to_string();
                     if let Some(s) = sched {
                         label.push_str("/sched=");
-                        label.push_str(&sched_name(s));
+                        label.push_str(s.name());
                     }
                     if let Some(d) = device {
                         label.push_str("/device=");
@@ -117,7 +108,6 @@ impl SweepSpec {
                         request.device = device;
                         out.push(Cell {
                             label: label.clone(),
-                            replicate,
                             request,
                         });
                     }
@@ -153,10 +143,12 @@ mod tests {
     fn seeds_are_stable_under_spec_growth() {
         let small = SweepSpec::new(figs(["fig06"]));
         let big = SweepSpec::new(figs(["fig01", "fig06"]));
+        // Replicates are innermost: fig06's second cell is replicate 1.
         let seed_of = |spec: &SweepSpec| {
             spec.cells()
                 .iter()
-                .find(|c| c.label == "fig06" && c.replicate == 1)
+                .filter(|c| c.label == "fig06")
+                .nth(1)
                 .map(|c| c.request.seed)
                 .unwrap()
         };

@@ -3,7 +3,7 @@
 //! batches — at queue depths 1 and 8 — and be caught (and shrunk) by a chaos
 //! batch.
 //!
-//! The planted bug ([`TimingSabotaged`]) is a latency assumption tuned
+//! The planted bug ([`Trigger::Dwell`]) is a latency assumption tuned
 //! to the happy path: a cause-tag handoff table that loses entries when
 //! a data request dwells in the device past a fixed horizon, corrupting
 //! every cause set submitted afterwards. With chaos off, device service
@@ -15,7 +15,7 @@
 //! that the chaos plane has teeth: a bug class exists that only an
 //! adversarially-timed batch can flush out.
 
-use sim_check::{generate, shrink, GenConfig, ProgramSpec};
+use sim_check::{generate, shrink, GenConfig, ProgramSpec, Trigger};
 use sim_core::{ChaosConfig, SimDuration, SimRng};
 use sim_experiments::{DeviceChoice, SchedChoice};
 use sim_sweep::check::RunOutcome;
@@ -47,7 +47,7 @@ fn run_sabotaged(
         sched,
         DeviceChoice::Ssd,
         RunOpts {
-            timing_sabotage: Some(DWELL),
+            sabotage: Some(Trigger::Dwell(DWELL)),
             queue_depth,
             chaos,
             ..Default::default()

@@ -1,21 +1,33 @@
 //! Degenerate-layer equivalence: a single-layer tree with no cap and no
 //! dirty budget wrapping scheduler S must be *byte-identical* to flat S
 //! — same syscall outcomes, same auditor verdicts, same end-of-run
-//! kernel counters — for every scheduler on both device models. The
-//! wrapper forwards every hook verbatim in that configuration, so any
-//! drift means the layer plane changed simulation semantics rather than
-//! just adding a (disabled) policy shell around the child.
+//! kernel counters — for every scheduler on both device models, at
+//! queue depth 1 and 8. The arbiter's general path only forwards in
+//! that configuration (no bucket, no budget, no latency layer, and a
+//! slot cap of the whole queue), so any drift means the layer plane
+//! changed simulation semantics rather than just adding a (disabled)
+//! policy shell around the child.
 
 use sim_check::{generate, GenConfig, ProgramSpec};
 use sim_core::SimRng;
-use sim_sweep::check::{run_one, run_one_single_layer, ALL_DEVICES, ALL_SCHEDS};
+use sim_sweep::check::{run_with, RunOpts, ALL_DEVICES, ALL_SCHEDS};
 
-fn assert_identical(label: &str, spec: &ProgramSpec) {
+fn assert_identical(label: &str, spec: &ProgramSpec, queue_depth: u32) {
     for &device in &ALL_DEVICES {
         for &sched in &ALL_SCHEDS {
-            let flat = run_one(spec, sched, device, None);
-            let wrapped = run_one_single_layer(spec, sched, device);
-            let cell = format!("{label}, {} on {device:?}", sched.name());
+            let run = |wrap_single_layer| {
+                let opts = RunOpts {
+                    queue_depth,
+                    wrap_single_layer,
+                    ..Default::default()
+                };
+                run_with(spec, sched, device, opts)
+            };
+            let (flat, wrapped) = (run(false), run(true));
+            let cell = format!(
+                "{label}, {} on {device:?} at depth {queue_depth}",
+                sched.name()
+            );
             assert_eq!(
                 flat.per_proc, wrapped.per_proc,
                 "{cell}: syscall outcomes diverge under the single-layer wrapper"
@@ -64,7 +76,7 @@ fn golden_program_is_byte_identical_under_a_single_layer() {
          end\n",
     )
     .unwrap();
-    assert_identical("golden", &spec);
+    assert_identical("golden", &spec, 1);
 }
 
 #[test]
@@ -72,6 +84,16 @@ fn fuzzed_programs_are_byte_identical_under_a_single_layer() {
     // Each program replays 2 × |scheds| × 2 times; keep the count CI-sized.
     for idx in 0..3u64 {
         let spec = generate(&mut SimRng::stream(0x1a7e6, idx), &GenConfig::default());
-        assert_identical(&format!("program {idx}"), &spec);
+        assert_identical(&format!("program {idx}"), &spec, 1);
+    }
+}
+
+#[test]
+fn programs_are_byte_identical_under_a_single_layer_at_queue_depth_8() {
+    // A deep queue arms the arbiter's slot cap, which a single layer
+    // must size to the whole queue.
+    for idx in 0..3u64 {
+        let spec = generate(&mut SimRng::stream(0x1a7e6, idx), &GenConfig::default());
+        assert_identical(&format!("program {idx}"), &spec, 8);
     }
 }

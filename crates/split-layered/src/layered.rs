@@ -20,21 +20,20 @@ use split_core::{
 };
 use std::collections::{HashMap, VecDeque};
 
+/// Window over which per-layer utilization shares are measured for the
+/// min-utilization guarantee.
+const UTIL_WINDOW: SimDuration = SimDuration::from_millis(100);
+
+/// Re-check cadence while writers are held on a dirty budget.
+const POLL_INTERVAL: SimDuration = SimDuration::from_millis(2);
+
 /// Arbiter-level tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct LayeredConfig {
-    /// Device-bandwidth hint used to translate byte-rate caps into
-    /// capacity shares for the feasibility solver.
-    pub bw_hint: u64,
     /// Total dirty-page budget split across layers by share; a layer
     /// over its slice has write syscalls held while the arbiter kicks
     /// writeback. `None` disables per-layer dirty budgeting.
     pub dirty_budget: Option<u64>,
-    /// Window over which per-layer utilization shares are measured for
-    /// the min-utilization guarantee.
-    pub util_window: SimDuration,
-    /// Re-check cadence while writers are held on a dirty budget.
-    pub poll_interval: SimDuration,
     /// Planted cap-leak bug for mutation tests: every Nth bucket charge
     /// is skipped, letting a capped layer exceed its bandwidth. The
     /// `LayerAuditor` must catch this. Never set outside tests.
@@ -53,10 +52,7 @@ pub struct LayeredConfig {
 impl Default for LayeredConfig {
     fn default() -> Self {
         LayeredConfig {
-            bw_hint: 128 * 1024 * 1024,
             dirty_budget: None,
-            util_window: SimDuration::from_millis(100),
-            poll_interval: SimDuration::from_millis(2),
             cap_leak_every: None,
             eager_wb_bytes: Some(256 * 1024),
         }
@@ -180,8 +176,6 @@ pub struct Layered {
     /// Whether any layer has latency priority (precomputed; gates the
     /// eager-writeback and queue-reservation disciplines).
     has_latency: bool,
-    /// Single layer, no cap, no budget: forward everything verbatim.
-    passthrough: bool,
     /// Dispatch candidate ordering scratch (no per-call allocation).
     order: Vec<usize>,
     /// Cap-leak mutation counter (see `LayeredConfig::cap_leak_every`).
@@ -197,10 +191,7 @@ impl Layered {
         resolve: &mut dyn FnMut(&str) -> Option<Box<dyn IoSched>>,
     ) -> Result<Layered, SpecError> {
         validate(&specs)?;
-        let ents: Vec<LayerEntitlement> = specs
-            .iter()
-            .map(|s| LayerEntitlement::from_spec(s, cfg.bw_hint))
-            .collect();
+        let ents: Vec<LayerEntitlement> = specs.iter().map(LayerEntitlement::from_spec).collect();
         let report = solve(&ents);
         let mut layers = Vec::with_capacity(specs.len());
         for spec in specs {
@@ -222,8 +213,6 @@ impl Layered {
                 in_flight: 0,
             });
         }
-        let passthrough =
-            layers.len() == 1 && layers[0].bucket.is_none() && cfg.dirty_budget.is_none();
         let n = layers.len();
         let has_latency = layers.iter().any(|l| l.latency_prio());
         Ok(Layered {
@@ -244,14 +233,14 @@ impl Layered {
             win_total_cur: 0,
             win_total_prev: 0,
             fsync_boost: 0,
-            passthrough,
             order: Vec::with_capacity(n),
             leak_tick: 0,
         })
     }
 
-    /// A degenerate single-layer tree around one child: the identity
-    /// wrapper the equivalence tests prove byte-identical to flat.
+    /// A degenerate single-layer tree around one child. With no cap, no
+    /// budget and no latency layer the general path only forwards: the
+    /// equivalence tests prove it byte-identical to the flat child.
     pub fn single(child: Box<dyn IoSched>) -> Layered {
         let spec = LayerSpec::new("all", LayerRule::Default, child.name());
         let mut child = Some(child);
@@ -319,7 +308,7 @@ impl Layered {
     }
 
     fn roll_windows(&mut self, now: SimTime) {
-        let w = self.cfg.util_window.as_nanos().max(1);
+        let w = UTIL_WINDOW.as_nanos();
         let start = self.win_start.as_nanos();
         if now.as_nanos() >= start + w {
             let gap = (now.as_nanos() - start) / w;
@@ -429,7 +418,7 @@ impl Layered {
             self.arm_timer(at, ctx);
         }
         if !self.dirty_held.is_empty() {
-            let at = now + self.cfg.poll_interval;
+            let at = now + POLL_INTERVAL;
             self.arm_timer(at, ctx);
         }
     }
@@ -456,10 +445,6 @@ impl IoSched for Layered {
     }
 
     fn configure(&mut self, pid: Pid, attr: SchedAttr) {
-        if self.passthrough {
-            self.layers[0].child.configure(pid, attr);
-            return;
-        }
         match attr {
             SchedAttr::ProcName(n) => {
                 // Admission metadata; meaningful only before first I/O.
@@ -478,9 +463,6 @@ impl IoSched for Layered {
     }
 
     fn syscall_enter(&mut self, sc: &SyscallInfo, ctx: &mut SchedCtx<'_>) -> Gate {
-        if self.passthrough {
-            return self.layers[0].child.syscall_enter(sc, ctx);
-        }
         self.classes.entry(sc.pid).or_insert(sc.ioprio.class);
         let i = self.classify_pid(sc.pid);
         if matches!(sc.kind, SyscallKind::Fsync { .. }) && self.layers[i].latency_prio() {
@@ -513,7 +495,7 @@ impl IoSched for Layered {
                         let pages = (excess / PAGE_SIZE + 16).max(32);
                         ctx.start_writeback(None, pages);
                         self.dirty_held.push_back((sc.pid, i));
-                        let at = ctx.now + self.cfg.poll_interval;
+                        let at = ctx.now + POLL_INTERVAL;
                         self.arm_timer(at, ctx);
                         return Gate::Hold;
                     }
@@ -534,9 +516,6 @@ impl IoSched for Layered {
     }
 
     fn syscall_exit(&mut self, sc: &SyscallInfo, ctx: &mut SchedCtx<'_>) {
-        if self.passthrough {
-            return self.layers[0].child.syscall_exit(sc, ctx);
-        }
         let i = self.classify_pid(sc.pid);
         if matches!(sc.kind, SyscallKind::Fsync { .. }) && self.layers[i].latency_prio() {
             self.fsync_boost = self.fsync_boost.saturating_sub(1);
@@ -559,9 +538,6 @@ impl IoSched for Layered {
     }
 
     fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) {
-        if self.passthrough {
-            return self.layers[0].child.buffer_dirtied(ev, ctx);
-        }
         let i = self.layer_of_causes(ev.causes);
         self.layers[i].dirty_bytes += ev.new_bytes;
         // Entanglement control: a latency layer's fsync commit flushes
@@ -588,9 +564,6 @@ impl IoSched for Layered {
     }
 
     fn buffer_freed(&mut self, ev: &BufferFreed, ctx: &mut SchedCtx<'_>) {
-        if self.passthrough {
-            return self.layers[0].child.buffer_freed(ev, ctx);
-        }
         let i = self.layer_of_causes(&ev.causes);
         self.layers[i].dirty_bytes = self.layers[i].dirty_bytes.saturating_sub(ev.bytes);
         self.layers[i].child.buffer_freed(ev, ctx);
@@ -600,18 +573,12 @@ impl IoSched for Layered {
     }
 
     fn block_add(&mut self, req: Request, ctx: &mut SchedCtx<'_>) {
-        if self.passthrough {
-            return self.layers[0].child.block_add(req, ctx);
-        }
         let i = self.layer_of_req(&req);
         self.req_layer.insert(req.id, i);
         self.layers[i].child.block_add(req, ctx)
     }
 
     fn block_dispatch(&mut self, ctx: &mut SchedCtx<'_>) -> Dispatch {
-        if self.passthrough {
-            return self.layers[0].child.block_dispatch(ctx);
-        }
         let now = ctx.now;
         self.roll_windows(now);
         for l in &mut self.layers {
@@ -767,9 +734,6 @@ impl IoSched for Layered {
     }
 
     fn block_completed(&mut self, req: &Request, ctx: &mut SchedCtx<'_>) {
-        if self.passthrough {
-            return self.layers[0].child.block_completed(req, ctx);
-        }
         let i = self
             .req_layer
             .remove(&req.id)
@@ -779,9 +743,6 @@ impl IoSched for Layered {
     }
 
     fn block_failed(&mut self, req: &Request, error: sim_core::IoError, ctx: &mut SchedCtx<'_>) {
-        if self.passthrough {
-            return self.layers[0].child.block_failed(req, error, ctx);
-        }
         let i = self
             .req_layer
             .remove(&req.id)
@@ -797,9 +758,6 @@ impl IoSched for Layered {
     }
 
     fn timer_fired(&mut self, ctx: &mut SchedCtx<'_>) {
-        if self.passthrough {
-            return self.layers[0].child.timer_fired(ctx);
-        }
         if let Some(t) = self.timer_at {
             if ctx.now >= t {
                 self.timer_at = None;
@@ -817,9 +775,6 @@ impl IoSched for Layered {
     }
 
     fn pick_dirty_waiter(&mut self, waiters: &[Pid]) -> usize {
-        if self.passthrough {
-            return self.layers[0].child.pick_dirty_waiter(waiters);
-        }
         // All in one layer: that child's policy decides.
         let first = waiters.first().map(|&p| self.classify_pid(p));
         if let Some(f) = first {
@@ -848,9 +803,6 @@ impl IoSched for Layered {
     }
 
     fn queued(&self) -> usize {
-        if self.passthrough {
-            return self.layers[0].child.queued();
-        }
         self.layers
             .iter()
             .map(|l| l.child.queued() + l.parked.len())
@@ -939,10 +891,13 @@ mod tests {
     }
 
     #[test]
-    fn single_layer_is_passthrough() {
-        let l = Layered::single(Box::new(BlockOnly::new(Noop::new())));
-        assert!(l.passthrough);
+    fn single_layer_forwards_to_its_child() {
+        let mut l = Layered::single(Box::new(BlockOnly::new(Noop::new())));
         assert_eq!(l.name(), "layered");
+        assert_eq!(l.layers.len(), 1);
+        assert!(l.layers[0].bucket.is_none() && !l.has_latency);
+        assert_eq!(l.report.shares[0], 1.0, "the one layer owns every slot");
+        assert_eq!(l.classify_pid(Pid(7)), 0);
         assert_eq!(l.queued(), 0);
         assert!(l.audit(true).is_empty());
     }
@@ -956,7 +911,6 @@ mod tests {
         )
         .unwrap();
         let mut l = Layered::build(specs, LayeredConfig::default(), &mut resolver()).unwrap();
-        assert!(!l.passthrough);
         let names: Vec<&str> = l.layers.iter().map(|l| l.spec.name.as_str()).collect();
         assert_eq!(names, vec!["lat", "cap", "rest"]);
         assert_eq!(l.classify_pid(Pid(1)), 0);

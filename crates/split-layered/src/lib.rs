@@ -15,8 +15,8 @@
 //!   without holding block writes below the journal (paper §3.3).
 //! - **Nesting**: each layer hosts an existing child scheduler
 //!   (Split-Token, AFQ, CFQ, deadline, …) unchanged; a single-layer
-//!   default tree is a verbatim pass-through, proven byte-identical to
-//!   the flat child by the equivalence suite.
+//!   default tree takes the general path, which then only forwards, and
+//!   is proven byte-identical to the flat child by the equivalence suite.
 //! - **Feasibility** (`solver`): a weight-redistribution solver
 //!   detects infeasible guarantee sets (sum of mins over capacity, one
 //!   huge weight stranding capacity behind its own cap) and

@@ -12,10 +12,14 @@
 //! Inputs are abstract shares of device service: weights (relative),
 //! optional minimum shares and optional cap shares (both absolute
 //! fractions of capacity). The arbiter derives cap shares from each
-//! layer's byte-rate cap and a device-bandwidth hint.
+//! layer's byte-rate cap and a device-bandwidth hint ([`BW_HINT`]).
 
 use crate::spec::{LayerPolicy, LayerSpec};
 use std::fmt;
+
+/// Device-bandwidth hint (bytes/second) used to translate byte-rate caps
+/// into capacity shares for the solver.
+const BW_HINT: u64 = 128 * 1024 * 1024;
 
 /// Solver input for one layer.
 #[derive(Debug, Clone)]
@@ -34,13 +38,12 @@ pub(crate) struct LayerEntitlement {
 impl LayerEntitlement {
     /// Derive an entitlement from a spec, translating a byte-rate cap
     /// into a capacity share via the device-bandwidth hint.
-    pub(crate) fn from_spec(spec: &LayerSpec, bw_hint_bytes_per_sec: u64) -> Self {
+    pub(crate) fn from_spec(spec: &LayerSpec) -> Self {
         let (min_share, cap_share) = match spec.policy {
             LayerPolicy::MinUtil { share } => (Some(share), None),
-            LayerPolicy::BandwidthCap { bytes_per_sec } => (
-                None,
-                Some((bytes_per_sec as f64 / bw_hint_bytes_per_sec.max(1) as f64).min(1.0)),
-            ),
+            LayerPolicy::BandwidthCap { bytes_per_sec } => {
+                (None, Some((bytes_per_sec as f64 / BW_HINT as f64).min(1.0)))
+            }
             LayerPolicy::Share | LayerPolicy::LatencyPrio => (None, None),
         };
         LayerEntitlement {

@@ -28,37 +28,18 @@ use split_core::{BufferDirtied, Gate, IoSched, SchedAttr, SchedCtx, SyscallInfo}
 
 use sim_block::sorted::SortedQueue;
 
-/// AFQ tunables.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct AfqConfig {
-    /// How far (in weighted disk-seconds) a process may run ahead of the
-    /// virtual time before its write-like syscalls are held.
-    pub window: f64,
-    /// Disk-seconds of reads served from one process before re-picking.
-    pub read_quantum: f64,
-    /// Anticipation window on the active reader.
-    pub idle_window: SimDuration,
-    /// Gate re-check period while calls are held.
-    pub tick: SimDuration,
-    /// Fraction of real device time credited to the virtual clock. Below
-    /// 1.0, total admission runs slightly under the drain rate, so a
-    /// write-buffer backlog always shrinks and the gate — not the
-    /// kernel's FIFO dirty throttle — ends up governing fairness. The
-    /// cost is the small throughput gap the paper also observes for AFQ.
-    pub vtime_margin: f64,
-}
+/// How far (in weighted disk-seconds) a process may run ahead of the
+/// virtual time before its write-like syscalls are held.
+const WINDOW: f64 = 0.02;
 
-impl Default for AfqConfig {
-    fn default() -> Self {
-        AfqConfig {
-            window: 0.02,
-            read_quantum: 0.10,
-            idle_window: SimDuration::from_millis(4),
-            tick: SimDuration::from_millis(5),
-            vtime_margin: 1.0,
-        }
-    }
-}
+/// Disk-seconds of reads served from one process before re-picking.
+const READ_QUANTUM: f64 = 0.10;
+
+/// Anticipation window on the active reader.
+const IDLE_WINDOW: SimDuration = SimDuration::from_millis(4);
+
+/// Gate re-check period while calls are held.
+const TICK: SimDuration = SimDuration::from_millis(5);
 
 struct ReadQueue {
     requests: SortedQueue,
@@ -67,7 +48,6 @@ struct ReadQueue {
 
 /// The AFQ scheduler.
 pub struct Afq {
-    cfg: AfqConfig,
     weights: FastMap<Pid, f64>,
     passes: FastMap<Pid, f64>,
     /// Virtual time: cumulative dispatched device seconds over the active
@@ -92,15 +72,9 @@ pub struct Afq {
 const ACTIVE_WINDOW: SimDuration = SimDuration::from_millis(100);
 
 impl Afq {
-    /// AFQ with default tunables.
+    /// AFQ with the stock tunables above.
     pub fn new() -> Self {
-        Self::with_config(AfqConfig::default())
-    }
-
-    /// AFQ with explicit tunables.
-    pub(crate) fn with_config(cfg: AfqConfig) -> Self {
         Afq {
-            cfg,
             weights: FastMap::default(),
             passes: FastMap::default(),
             vtime: 0.0,
@@ -176,9 +150,10 @@ impl Afq {
         seen.iter().map(|p| self.weight(*p)).sum::<f64>().max(1.0)
     }
 
-    /// Advance the virtual time by `secs` of real device time.
+    /// Advance the virtual time by `secs` of real device time: all of it
+    /// is credited, so total admission paces at the drain rate.
     fn advance_vtime(&mut self, secs: f64, now: SimTime) {
-        self.vtime += secs * self.cfg.vtime_margin / self.active_weight(now);
+        self.vtime += secs / self.active_weight(now);
     }
 
     fn readers_with_work(&self) -> Vec<Pid> {
@@ -218,7 +193,6 @@ impl Afq {
             }
         }
         let vt = self.vtime;
-        let window = self.cfg.window;
         let mut held = std::mem::take(&mut self.held);
         // Release in pass order so the most underserved goes first.
         held.sort_by(|a, b| {
@@ -228,7 +202,7 @@ impl Afq {
         });
         let mut kept = Vec::new();
         for pid in held {
-            if self.pass(pid) <= vt + window {
+            if self.pass(pid) <= vt + WINDOW {
                 ctx.wake(pid);
             } else {
                 kept.push(pid);
@@ -237,7 +211,7 @@ impl Afq {
         self.held = kept;
         if !self.held.is_empty() && !self.timer_armed {
             self.timer_armed = true;
-            ctx.set_timer(ctx.now + self.cfg.tick);
+            ctx.set_timer(ctx.now + TICK);
         }
     }
 
@@ -282,13 +256,13 @@ impl IoSched for Afq {
         }
         // Keep the weight in sync even if configure was never called.
         self.weights.insert(sc.pid, weight_of(sc.ioprio));
-        if self.pass(sc.pid) <= self.vtime + self.cfg.window {
+        if self.pass(sc.pid) <= self.vtime + WINDOW {
             Gate::Proceed
         } else {
             self.held.push(sc.pid);
             if !self.timer_armed {
                 self.timer_armed = true;
-                ctx.set_timer(ctx.now + self.cfg.tick);
+                ctx.set_timer(ctx.now + TICK);
             }
             Gate::Hold
         }
@@ -363,7 +337,7 @@ impl IoSched for Afq {
                 let until = match anticipating {
                     Some(t) => t,
                     None => {
-                        let t = ctx.now + self.cfg.idle_window;
+                        let t = ctx.now + IDLE_WINDOW;
                         self.active = Some((pid, quantum, Some(t)));
                         t
                     }
@@ -387,7 +361,7 @@ impl IoSched for Afq {
         self.advance_vtime(secs, ctx.now);
         self.inflight += 1;
         self.last_activity = ctx.now;
-        self.active = Some((pid, self.cfg.read_quantum - secs, None));
+        self.active = Some((pid, READ_QUANTUM - secs, None));
         Dispatch::Issue(req)
     }
 
@@ -581,16 +555,14 @@ mod tests {
     #[test]
     fn stride_respects_weights_at_block_level() {
         let dev = HddModel::new();
-        let mut a = Afq::with_config(AfqConfig {
-            read_quantum: 0.0001,
-            idle_window: SimDuration::ZERO,
-            ..Default::default()
-        });
+        let mut a = Afq::new();
         a.configure(Pid(1), SchedAttr::Prio(IoPrio::best_effort(0))); // w=8
         a.configure(Pid(2), SchedAttr::Prio(IoPrio::best_effort(7))); // w=1
         let mut served: FastMap<Pid, u32> = FastMap::default();
         let mut id = 0u64;
-        for round in 0..200 {
+        // Both readers always have work, so no anticipation: each quantum
+        // (about 16 far reads) goes to the reader with the smaller pass.
+        for round in 0..2_000 {
             let mut ctx = SchedCtx::new(SimTime::from_nanos(round), &dev);
             for pid in [1u32, 2] {
                 id += 1;

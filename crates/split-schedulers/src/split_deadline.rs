@@ -26,48 +26,25 @@ use split_core::{
     BufferDirtied, BufferFreed, Gate, IoSched, SchedAttr, SchedCtx, SyscallInfo, SyscallKind,
 };
 
-/// Split-Deadline tunables.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SplitDeadlineConfig {
-    /// Default fsync deadline for unconfigured processes.
-    pub default_fsync_deadline: SimDuration,
-    /// An fsync is admitted when its estimated flush cost is below this
-    /// fraction of the smallest configured fsync deadline.
-    pub admit_fraction: f64,
-    /// Maintenance tick.
-    pub tick: SimDuration,
-    /// Whether the scheduler owns background writeback (pdflush off).
-    pub manage_writeback: bool,
-    /// When managing writeback: start flushing above this many dirty
-    /// cost-seconds.
-    pub wb_high_cost: f64,
-    /// Pages per writeback kick.
-    pub wb_batch: u64,
-    /// Hold a process's write syscalls once *its own* outstanding flush
-    /// cost (attributed through cause tags) exceeds this multiple of the
-    /// fsync admit threshold — pacing bulk writers without punishing
-    /// cheap sequential ones. The scheduler-owned-writeback mode paces
-    /// tightly (1x); the Split-Pdflush variant only bounds how much a
-    /// pdflush burst can flush at once, so it is coarser (§7.1.2).
-    pub write_throttle_mult: f64,
-    /// Reads served between async-write batches.
-    pub read_batch: u32,
-}
+/// Default fsync deadline for unconfigured processes.
+const DEFAULT_FSYNC_DEADLINE: SimDuration = SimDuration::from_secs(1);
 
-impl Default for SplitDeadlineConfig {
-    fn default() -> Self {
-        SplitDeadlineConfig {
-            default_fsync_deadline: SimDuration::from_secs(1),
-            admit_fraction: 0.5,
-            tick: SimDuration::from_millis(20),
-            manage_writeback: true,
-            wb_high_cost: 0.25,
-            wb_batch: 16,
-            write_throttle_mult: 1.0,
-            read_batch: 16,
-        }
-    }
-}
+/// An fsync is admitted when its estimated flush cost is below this
+/// fraction of the smallest configured fsync deadline.
+const ADMIT_FRACTION: f64 = 0.5;
+
+/// Maintenance tick.
+const TICK: SimDuration = SimDuration::from_millis(20);
+
+/// When managing writeback: start flushing above this many dirty
+/// cost-seconds.
+const WB_HIGH_COST: f64 = 0.25;
+
+/// Pages per writeback kick.
+const WB_BATCH: u64 = 16;
+
+/// Reads served between async-write batches.
+const READ_BATCH: u32 = 16;
 
 #[derive(Debug, Default, Clone, Copy)]
 struct FileCost {
@@ -94,7 +71,15 @@ struct HeldFsync {
 
 /// The Split-Deadline scheduler.
 pub struct SplitDeadline {
-    cfg: SplitDeadlineConfig,
+    /// Whether the scheduler owns background writeback (pdflush off).
+    manage_writeback: bool,
+    /// Hold a process's write syscalls once *its own* outstanding flush
+    /// cost (attributed through cause tags) exceeds this multiple of the
+    /// fsync admit threshold — pacing bulk writers without punishing
+    /// cheap sequential ones. The scheduler-owned-writeback mode paces
+    /// tightly (1x); the Split-Pdflush variant only bounds how much a
+    /// pdflush burst can flush at once, so it is coarser (§7.1.2).
+    write_throttle_mult: f64,
     fsync_deadlines: HashMap<Pid, SimDuration>,
     /// Estimated flush cost per file, maintained from the buffer-dirty
     /// hook and drained as data writes reach the block level.
@@ -118,25 +103,21 @@ pub struct SplitDeadline {
 }
 
 impl SplitDeadline {
-    /// Split-Deadline with default tunables (scheduler-owned writeback).
+    /// Split-Deadline with scheduler-owned writeback.
     pub fn new() -> Self {
-        Self::with_config(SplitDeadlineConfig::default())
+        Self::with_writeback(true, 1.0)
     }
 
     /// The Split-Pdflush variant of Figure 19: pdflush keeps running and
     /// the scheduler merely throttles writers.
     pub fn pdflush_variant() -> Self {
-        Self::with_config(SplitDeadlineConfig {
-            manage_writeback: false,
-            write_throttle_mult: 4.0,
-            ..Default::default()
-        })
+        Self::with_writeback(false, 4.0)
     }
 
-    /// Explicit tunables.
-    pub(crate) fn with_config(cfg: SplitDeadlineConfig) -> Self {
+    fn with_writeback(manage_writeback: bool, write_throttle_mult: f64) -> Self {
         SplitDeadline {
-            cfg,
+            manage_writeback,
+            write_throttle_mult,
             fsync_deadlines: HashMap::new(),
             file_cost: HashMap::new(),
             last_offset: HashMap::new(),
@@ -164,22 +145,22 @@ impl SplitDeadline {
             .values()
             .copied()
             .min()
-            .unwrap_or(self.cfg.default_fsync_deadline)
+            .unwrap_or(DEFAULT_FSYNC_DEADLINE)
     }
 
     fn admit_threshold(&self) -> f64 {
-        self.min_deadline().as_secs_f64() * self.cfg.admit_fraction
+        self.min_deadline().as_secs_f64() * ADMIT_FRACTION
     }
 
     /// Per-cause outstanding-cost budget above which a writer is held.
     fn write_throttle_cost(&self) -> f64 {
-        self.admit_threshold() * self.cfg.write_throttle_mult
+        self.admit_threshold() * self.write_throttle_mult
     }
 
     fn arm_timer(&mut self, ctx: &mut SchedCtx<'_>) {
         if !self.timer_armed {
             self.timer_armed = true;
-            ctx.set_timer(ctx.now + self.cfg.tick);
+            ctx.set_timer(ctx.now + TICK);
         }
     }
 
@@ -216,7 +197,7 @@ impl SplitDeadline {
     /// an async backlog larger than one kick — everything queued at the
     /// block level is data the next journal commit must wait for.
     fn wb_ready(&self) -> bool {
-        self.async_writes.len() < self.cfg.wb_batch as usize
+        self.async_writes.len() < WB_BATCH as usize
     }
 
     /// Re-examine held fsyncs and writes; admit what now fits.
@@ -234,8 +215,8 @@ impl SplitDeadline {
                 ctx.wake(h.pid);
             } else {
                 // Keep draining the file asynchronously (bounded backlog).
-                if self.async_writes.len() < self.cfg.wb_batch as usize {
-                    ctx.start_writeback(Some(h.file), self.cfg.wb_batch);
+                if self.async_writes.len() < WB_BATCH as usize {
+                    ctx.start_writeback(Some(h.file), WB_BATCH);
                 }
                 kept.push(h);
             }
@@ -254,14 +235,13 @@ impl SplitDeadline {
         self.held_writes = still_held;
 
         // Scheduler-owned background writeback, paced by the backlog.
-        if self.cfg.manage_writeback && self.total_cost() > self.cfg.wb_high_cost && self.wb_ready()
-        {
-            ctx.start_writeback(None, self.cfg.wb_batch);
+        if self.manage_writeback && self.total_cost() > WB_HIGH_COST && self.wb_ready() {
+            ctx.start_writeback(None, WB_BATCH);
         }
 
         if !self.held_fsyncs.is_empty()
             || !self.held_writes.is_empty()
-            || (self.cfg.manage_writeback && self.total_cost() > self.cfg.wb_high_cost)
+            || (self.manage_writeback && self.total_cost() > WB_HIGH_COST)
         {
             self.arm_timer(ctx);
         }
@@ -294,14 +274,14 @@ impl IoSched for SplitDeadline {
                     .fsync_deadlines
                     .get(&sc.pid)
                     .copied()
-                    .unwrap_or(self.cfg.default_fsync_deadline);
+                    .unwrap_or(DEFAULT_FSYNC_DEADLINE);
                 let cost = self.cost_of(file);
                 if cost <= self.admit_threshold() {
                     return Gate::Proceed;
                 }
                 // Too expensive: drain it asynchronously first (§5.2).
                 if self.wb_ready() {
-                    ctx.start_writeback(Some(file), self.cfg.wb_batch);
+                    ctx.start_writeback(Some(file), WB_BATCH);
                 }
                 self.held_fsyncs.push(HeldFsync {
                     pid: sc.pid,
@@ -321,7 +301,7 @@ impl IoSched for SplitDeadline {
                 if mine > self.write_throttle_cost() {
                     self.held_writes.push_back(sc.pid);
                     if self.wb_ready() {
-                        ctx.start_writeback(None, self.cfg.wb_batch);
+                        ctx.start_writeback(None, WB_BATCH);
                     }
                     self.arm_timer(ctx);
                     return Gate::Hold;
@@ -357,8 +337,8 @@ impl IoSched for SplitDeadline {
         for (pid, share) in ev.causes.shares(secs) {
             *self.pid_cost.entry(pid).or_insert(0.0) += share;
         }
-        if self.cfg.manage_writeback && self.total_cost() > self.cfg.wb_high_cost {
-            ctx.start_writeback(None, self.cfg.wb_batch);
+        if self.manage_writeback && self.total_cost() > WB_HIGH_COST {
+            ctx.start_writeback(None, WB_BATCH);
             self.arm_timer(ctx);
         }
     }
@@ -407,7 +387,7 @@ impl IoSched for SplitDeadline {
             return Dispatch::Issue(req);
         }
         // 3. Reads, with a batch cap so async writeback is not starved.
-        if self.reads_in_batch < self.cfg.read_batch || self.async_writes.is_empty() {
+        if self.reads_in_batch < READ_BATCH || self.async_writes.is_empty() {
             if let Some(req) = self.reads.pop_cscan(self.read_pos) {
                 self.read_expiry
                     .remove(&(req.deadline.unwrap_or(SimTime::MAX), req.id));
@@ -624,7 +604,7 @@ mod tests {
     fn pdflush_variant_throttles_writers() {
         let dev = HddModel::new();
         let mut s = SplitDeadline::pdflush_variant();
-        assert!(!s.cfg.manage_writeback);
+        assert!(!s.manage_writeback);
         let mut ctx = ctx_at(&dev, 0);
         // Pid 7 exceeds its own write-throttle budget with scattered
         // dirtying.

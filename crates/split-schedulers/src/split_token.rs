@@ -55,23 +55,11 @@ impl fmt::Display for AccountError {
 
 impl std::error::Error for AccountError {}
 
-/// Split-Token tunables.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SplitTokenConfig {
-    /// Maintenance tick while calls are held.
-    pub tick: SimDuration,
-    /// Reads served between write batches at the block level.
-    pub read_batch: u32,
-}
+/// Maintenance tick while calls are held.
+const TICK: SimDuration = SimDuration::from_millis(10);
 
-impl Default for SplitTokenConfig {
-    fn default() -> Self {
-        SplitTokenConfig {
-            tick: SimDuration::from_millis(10),
-            read_batch: 16,
-        }
-    }
-}
+/// Reads served between write batches at the block level.
+const READ_BATCH: u32 = 16;
 
 #[derive(Debug, Default, Clone, Copy)]
 struct PrelimOutstanding {
@@ -100,7 +88,6 @@ impl PrelimOutstanding {
 
 /// The Split-Token scheduler.
 pub struct SplitToken {
-    cfg: SplitTokenConfig,
     buckets: TokenBuckets,
     /// Per-file last write offset (randomness guess).
     last_offset: HashMap<FileId, u64>,
@@ -122,15 +109,9 @@ pub struct SplitToken {
 }
 
 impl SplitToken {
-    /// Split-Token with default tunables.
+    /// Split-Token with the stock tunables above.
     pub fn new() -> Self {
-        Self::with_config(SplitTokenConfig::default())
-    }
-
-    /// Explicit tunables.
-    pub(crate) fn with_config(cfg: SplitTokenConfig) -> Self {
         SplitToken {
-            cfg,
             buckets: TokenBuckets::new(),
             last_offset: HashMap::new(),
             prelim: HashMap::new(),
@@ -161,7 +142,7 @@ impl SplitToken {
     fn arm_timer(&mut self, ctx: &mut SchedCtx<'_>) {
         if !self.timer_armed {
             self.timer_armed = true;
-            ctx.set_timer(ctx.now + self.cfg.tick);
+            ctx.set_timer(ctx.now + TICK);
         }
     }
 
@@ -282,7 +263,7 @@ impl IoSched for SplitToken {
         let now = ctx.now;
         // Reads first (they block callers), round-robin over pids whose
         // bucket allows it.
-        if self.reads_in_batch < self.cfg.read_batch || self.writes.is_empty() {
+        if self.reads_in_batch < READ_BATCH || self.writes.is_empty() {
             let n = self.rr_readers.len();
             for _ in 0..n {
                 let pid = self.rr_readers.remove(0);

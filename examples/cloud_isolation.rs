@@ -6,7 +6,7 @@
 //! cargo run --release --example cloud_isolation
 //! ```
 
-use split_level_io::apps::vmm::{launch_guest, GuestConfig};
+use split_level_io::apps::vmm::launch_guest;
 use split_level_io::prelude::*;
 
 fn main() {
@@ -19,8 +19,8 @@ fn main() {
     );
 
     // Two guests, each with its own kernel, page cache and virtual disk.
-    let vm_a = launch_guest(&mut world, host, GuestConfig::default());
-    let vm_b = launch_guest(&mut world, host, GuestConfig::default());
+    let vm_a = launch_guest(&mut world, host);
+    let vm_b = launch_guest(&mut world, host);
 
     const GB: u64 = 1 << 30;
     // Tenant A streams inside its VM.

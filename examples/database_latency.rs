@@ -38,7 +38,7 @@ fn run_db(split: bool) -> (usize, f64, f64) {
     };
     let worker = world.spawn(
         kernel,
-        Box::new(TxnWorker::new(db_cfg, shared.clone(), db_file, wal_file, 1)),
+        Box::new(TxnWorker::new(shared.clone(), db_file, wal_file, 1)),
     );
     let cp = world.spawn(
         kernel,
