@@ -307,7 +307,7 @@ impl CleanCache {
 
     /// Length of the stretch from `page`, capped at `max` pages, whose
     /// pages are all resident (`resident`) or all not: one slice walk.
-    fn run_len(&self, fh: u32, page: u64, max: u64, resident: bool) -> u64 {
+    pub(crate) fn run_len(&self, fh: u32, page: u64, max: u64, resident: bool) -> u64 {
         let slots = &self.files[fh as usize].slots;
         let from = (page as usize).min(slots.len());
         let to = (page + max).min(slots.len() as u64) as usize;

@@ -36,7 +36,9 @@
 
 use sim_block::{Dispatch, ReqKind, Request};
 use sim_core::{CauseSet, IoError, Pid, RequestId, SimDuration, SimTime};
-use split_core::{BufferDirtied, BufferFreed, Gate, IoSched, SchedAttr, SchedCtx, SyscallInfo};
+use split_core::{
+    BufferDirtied, BufferFreed, BuffersDirtied, Gate, IoSched, SchedAttr, SchedCtx, SyscallInfo,
+};
 
 /// How far the sabotage shifts every cause pid.
 const PID_SHIFT: u32 = 1000;
@@ -103,6 +105,10 @@ impl<S: IoSched> IoSched for Sabotaged<S> {
 
     fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) {
         self.inner.buffer_dirtied(ev, ctx)
+    }
+
+    fn buffers_dirtied(&mut self, ev: &BuffersDirtied<'_>, ctx: &mut SchedCtx<'_>) -> u64 {
+        self.inner.buffers_dirtied(ev, ctx)
     }
 
     fn buffer_freed(&mut self, ev: &BufferFreed, ctx: &mut SchedCtx<'_>) {

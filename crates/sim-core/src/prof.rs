@@ -2,13 +2,13 @@
 //! path.
 //!
 //! The simulator's *output* is a pure function of config and seed; the
-//! time it takes to produce that output is not, and ROADMAP item 1 (the
-//! event-core rebuild) needs that wall-clock cost attributed to DES
-//! phases before it can be argued down. This module provides the
-//! attribution: a [`Profiler`] handle that the event queue and the
-//! kernel hot paths consult, charging wall-clock nanoseconds and call
-//! counts to a small fixed set of [`Phase`]s, plus high-watermark /
-//! occupancy gauges for the event queue and the hardware queue.
+//! time it takes to produce that output is not, and that wall-clock cost
+//! has to be attributed to DES phases before it can be argued down. This
+//! module provides the attribution: a [`Profiler`] handle that the event
+//! queue and the kernel hot paths consult, charging wall-clock
+//! nanoseconds and call counts to a small fixed set of [`Phase`]s, plus
+//! high-watermark / occupancy gauges for the event queue and the
+//! hardware queue.
 //!
 //! Contract, matching the fault/audit/chaos planes: the profiler is
 //! optional (`Option<Profiler>` at every hook site) and costs one branch

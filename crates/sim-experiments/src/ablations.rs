@@ -15,9 +15,11 @@
 //! so the deltas are attributable to exactly one mechanism.
 
 use sim_block::{Dispatch, Request};
-use sim_core::{Pid, SimDuration};
+use sim_core::{IoError, Pid, SimDuration};
 use sim_workloads::{RandWriter, SeqWriter};
-use split_core::{BufferDirtied, BufferFreed, Gate, IoSched, SchedAttr, SchedCtx, SyscallInfo};
+use split_core::{
+    BufferDirtied, BufferFreed, BuffersDirtied, Gate, IoSched, SchedAttr, SchedCtx, SyscallInfo,
+};
 use split_schedulers::{Afq, SplitToken};
 
 use crate::fig01_write_burst;
@@ -99,6 +101,14 @@ impl<S: IoSched> IoSched for Lobotomized<S> {
         }
     }
 
+    fn buffers_dirtied(&mut self, ev: &BuffersDirtied<'_>, ctx: &mut SchedCtx<'_>) -> u64 {
+        if self.memory_hooks {
+            self.inner.buffers_dirtied(ev, ctx)
+        } else {
+            ev.len
+        }
+    }
+
     fn buffer_freed(&mut self, ev: &BufferFreed, ctx: &mut SchedCtx<'_>) {
         if self.memory_hooks {
             self.inner.buffer_freed(ev, ctx);
@@ -120,6 +130,10 @@ impl<S: IoSched> IoSched for Lobotomized<S> {
         self.inner.block_completed(req, ctx);
     }
 
+    fn block_failed(&mut self, req: &Request, error: IoError, ctx: &mut SchedCtx<'_>) {
+        self.inner.block_failed(req, error, ctx);
+    }
+
     fn timer_fired(&mut self, ctx: &mut SchedCtx<'_>) {
         self.inner.timer_fired(ctx);
     }
@@ -134,6 +148,10 @@ impl<S: IoSched> IoSched for Lobotomized<S> {
 
     fn queued(&self) -> usize {
         self.inner.queued()
+    }
+
+    fn audit(&self, quiesced: bool) -> Vec<String> {
+        self.inner.audit(quiesced)
     }
 }
 
@@ -318,6 +336,7 @@ impl std::fmt::Display for GateAblation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_fault::DeviceFaultPlane;
 
     #[test]
     fn prompt_charging_is_what_contains_the_burst() {
@@ -366,5 +385,35 @@ mod tests {
             r.without_gate_ratio,
             r.with_gate_ratio
         );
+    }
+
+    /// Under device faults, a `Lobotomized` wrapper with every switch on
+    /// is the scheduler it wraps: each failed write reaches the inner
+    /// scheduler's refund path (not a plain completion), so the throttled
+    /// writer runs exactly as fast, and the inner ledger audit is the one
+    /// the kernel reads.
+    #[test]
+    fn a_full_wrapper_forwards_failures_and_the_audit() {
+        const RUN: SimDuration = SimDuration::from_secs(5);
+        let run = |sched: Box<dyn IoSched>| {
+            let setup = Setup::new(SchedChoice::SplitToken).mem(32 * MB);
+            let (mut w, k) = build_world_with(setup, sched);
+            w.kernel_mut(k)
+                .install_fault_plane(DeviceFaultPlane::with_seed(7).transient_rate(0.3));
+            let file = w.prealloc_file(k, 256 * MB, true);
+            let b = w.spawn(k, Box::new(SeqWriter::new(file, 256 * MB, 64 * KB)));
+            w.configure(k, b, SchedAttr::TokenRate(4 * MB));
+            w.run_for(RUN);
+            let kernel = w.kernel(k);
+            (
+                kernel.stats.io_errors,
+                kernel.stats.write_mbps(b, RUN),
+                kernel.sched().audit(false),
+            )
+        };
+        let bare = run(Box::new(SplitToken::new()));
+        let wrapped = run(Box::new(Lobotomized::new(SplitToken::new())));
+        assert!(bare.0 > 0, "no write failed: {bare:?}");
+        assert_eq!(wrapped, bare);
     }
 }

@@ -11,7 +11,8 @@ use sim_kernel::{
     AppEvent, DeviceKind, KernelConfig, Outcome, ProcAction, World, SCHED_BOOKKEEPING, SYSCALL_BASE,
 };
 use split_core::{
-    BlockOnly, BufferDirtied, BufferFreed, Gate, IoSched, SchedCtx, SyscallInfo, SyscallKind,
+    BlockOnly, BufferDirtied, BufferFreed, BuffersDirtied, Gate, IoSched, SchedCtx, SyscallInfo,
+    SyscallKind,
 };
 
 const KB: u64 = 1024;
@@ -588,6 +589,94 @@ fn overwrite_hooks_see_the_writer_and_the_previous_causes() {
             (a.clone(), None),
             (b.clone(), Some(a.clone())),
             (a.clone(), Some(a.union(&b))),
+        ]
+    );
+}
+
+/// The kernel hands a write's pages to the scheduler as batched stretches:
+/// one message for a 64-page cached overwrite inside one extent, and one
+/// message per extent for a write across an extent seam, fresh or
+/// overwritten.
+#[test]
+fn a_dirty_stretch_is_one_hook_message() {
+    /// Per `buffers_dirtied`: first page, pages, overwrite?, first block.
+    type Msgs = Vec<(u64, u64, bool, Option<u64>)>;
+    struct StretchLog {
+        fifo: std::collections::VecDeque<Request>,
+        log: Rc<RefCell<Msgs>>,
+    }
+    impl IoSched for StretchLog {
+        fn name(&self) -> &'static str {
+            "stretch-log"
+        }
+        fn buffers_dirtied(&mut self, ev: &BuffersDirtied<'_>, _ctx: &mut SchedCtx<'_>) -> u64 {
+            self.log.borrow_mut().push((
+                ev.page,
+                ev.len,
+                ev.prev.is_some(),
+                ev.block.map(|b| b.raw()),
+            ));
+            ev.len
+        }
+        fn block_add(&mut self, req: Request, ctx: &mut SchedCtx<'_>) {
+            self.fifo.push_back(req);
+            ctx.kick_dispatch();
+        }
+        fn block_dispatch(&mut self, _ctx: &mut SchedCtx<'_>) -> Dispatch {
+            match self.fifo.pop_front() {
+                Some(r) => Dispatch::Issue(r),
+                None => Dispatch::Idle,
+            }
+        }
+        fn queued(&self) -> usize {
+            self.fifo.len()
+        }
+    }
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let mut w = World::new();
+    let k = w.add_kernel(
+        KernelConfig::default(),
+        DeviceKind::ssd(),
+        Box::new(StretchLog {
+            fifo: Default::default(),
+            log: log.clone(),
+        }),
+    );
+    // One extent; and two extents of 64 pages with a gap between them.
+    let one = w.prealloc_file(k, 256 * KB, true);
+    let two = w.prealloc_file(k, 512 * KB, false);
+    let write = |file, offset| {
+        ProcAction::Syscall(SyscallKind::Write {
+            file,
+            offset,
+            len: 256 * KB,
+        })
+    };
+    let mut actions = vec![
+        write(one, 0),
+        write(one, 0),
+        write(two, 128 * KB),
+        write(two, 128 * KB),
+    ]
+    .into_iter();
+    w.spawn(
+        k,
+        Box::new(move |_n: SimTime, _l: &Outcome| actions.next().unwrap_or(ProcAction::Exit)),
+    );
+    w.run_for(SimDuration::from_millis(50));
+    let log = log.borrow();
+    assert_eq!(log.len(), 6, "{log:?}");
+    let b = log[0].3.expect("preallocated");
+    assert_eq!(log[..2], [(0, 64, false, Some(b)), (0, 64, true, Some(b))]);
+    let (s1, s2) = (log[2].3.expect("allocated"), log[3].3.expect("allocated"));
+    assert_ne!(s2, s1 + 32, "pages 32–95 cross a seam at page 64");
+    assert_eq!(
+        log[2..],
+        [
+            (32, 32, false, Some(s1)),
+            (64, 32, false, Some(s2)),
+            (32, 32, true, Some(s1)),
+            (64, 32, true, Some(s2)),
         ]
     );
 }

@@ -13,28 +13,7 @@
 use sim_check::{generate, GenConfig, ProgramSpec};
 use sim_core::{ChaosClass, ChaosConfig, SimRng};
 use sim_experiments::{DeviceChoice, SchedChoice};
-use sim_sweep::check::RunOutcome;
 use sim_sweep::{check_program, run_one, run_with, CheckConfig, RunOpts};
-
-/// One run at hardware queue depth `queue_depth`, under `chaos` if given.
-fn run_on(
-    spec: &ProgramSpec,
-    sched: SchedChoice,
-    device: DeviceChoice,
-    queue_depth: u32,
-    chaos: Option<ChaosConfig>,
-) -> RunOutcome {
-    run_with(
-        spec,
-        sched,
-        device,
-        RunOpts {
-            queue_depth,
-            chaos,
-            ..Default::default()
-        },
-    )
-}
 
 fn program(idx: u64) -> ProgramSpec {
     generate(&mut SimRng::stream(0xCA05, idx), &GenConfig::default())
@@ -52,13 +31,39 @@ fn chaos_config_with_no_classes_is_byte_identical_to_no_chaos() {
         for sched in [SchedChoice::Cfq, SchedChoice::SplitToken] {
             for device in [DeviceChoice::Hdd, DeviceChoice::Ssd] {
                 let plain = run_one(&spec, sched, device, None);
-                let shaken = run_on(&spec, sched, device, 1, Some(empty));
+                let shaken = run_with(
+                    &spec,
+                    sched,
+                    device,
+                    RunOpts {
+                        queue_depth: 1,
+                        chaos: Some(empty),
+                        ..Default::default()
+                    },
+                );
                 assert_eq!(
                     plain.fingerprint, shaken.fingerprint,
                     "depth-1 byte-identity, program {idx}, {sched:?}/{device:?}"
                 );
-                let plain_q = run_on(&spec, sched, device, 8, None);
-                let shaken_q = run_on(&spec, sched, device, 8, Some(empty));
+                let plain_q = run_with(
+                    &spec,
+                    sched,
+                    device,
+                    RunOpts {
+                        queue_depth: 8,
+                        ..Default::default()
+                    },
+                );
+                let shaken_q = run_with(
+                    &spec,
+                    sched,
+                    device,
+                    RunOpts {
+                        queue_depth: 8,
+                        chaos: Some(empty),
+                        ..Default::default()
+                    },
+                );
                 assert_eq!(
                     plain_q.fingerprint, shaken_q.fingerprint,
                     "depth-8 byte-identity, program {idx}, {sched:?}/{device:?}"
@@ -77,12 +82,15 @@ fn same_chaos_seed_same_bytes() {
     for idx in 0..4u64 {
         let spec = program(idx);
         let run = || {
-            run_on(
+            run_with(
                 &spec,
                 SchedChoice::SplitToken,
                 DeviceChoice::Ssd,
-                8,
-                Some(cfg),
+                RunOpts {
+                    queue_depth: 8,
+                    chaos: Some(cfg),
+                    ..Default::default()
+                },
             )
         };
         let (a, b) = (run(), run());
@@ -101,8 +109,25 @@ fn chaos_actually_perturbs_timing() {
     let mut diverged = false;
     for idx in 0..4u64 {
         let spec = program(idx);
-        let plain = run_on(&spec, SchedChoice::Cfq, DeviceChoice::Ssd, 8, None);
-        let shaken = run_on(&spec, SchedChoice::Cfq, DeviceChoice::Ssd, 8, Some(cfg));
+        let plain = run_with(
+            &spec,
+            SchedChoice::Cfq,
+            DeviceChoice::Ssd,
+            RunOpts {
+                queue_depth: 8,
+                ..Default::default()
+            },
+        );
+        let shaken = run_with(
+            &spec,
+            SchedChoice::Cfq,
+            DeviceChoice::Ssd,
+            RunOpts {
+                queue_depth: 8,
+                chaos: Some(cfg),
+                ..Default::default()
+            },
+        );
         if plain.fingerprint != shaken.fingerprint {
             diverged = true;
         }
@@ -125,12 +150,15 @@ fn single_class_chaos_stays_legal_everywhere() {
     for class in ChaosClass::ALL {
         let cfg = ChaosConfig::only(3, &[class]);
         for qd in [1, 8] {
-            let out = run_on(
+            let out = run_with(
                 &spec,
                 SchedChoice::SplitToken,
                 DeviceChoice::Hdd,
-                qd,
-                Some(cfg),
+                RunOpts {
+                    queue_depth: qd,
+                    chaos: Some(cfg),
+                    ..Default::default()
+                },
             );
             assert_eq!(
                 out.violations,
@@ -171,7 +199,16 @@ fn fairness_holds_under_chaos_for_token_and_cfq() {
         let spec = program(idx);
         let cfg = ChaosConfig::with_seed(idx);
         for sched in [SchedChoice::SplitToken, SchedChoice::Cfq] {
-            let out = run_on(&spec, sched, DeviceChoice::Ssd, 8, Some(cfg));
+            let out = run_with(
+                &spec,
+                sched,
+                DeviceChoice::Ssd,
+                RunOpts {
+                    queue_depth: 8,
+                    chaos: Some(cfg),
+                    ..Default::default()
+                },
+            );
             assert_eq!(
                 out.violations,
                 Vec::<String>::new(),
@@ -196,7 +233,16 @@ fn chaos_runs_match_the_pinned_digests() {
         let sched = SchedChoice::ALL[idx as usize % 10];
         let device = DeviceChoice::ALL[idx as usize / 10];
         for qd in [1, 8] {
-            let out = run_on(&spec, sched, device, qd, Some(cfg));
+            let out = run_with(
+                &spec,
+                sched,
+                device,
+                RunOpts {
+                    queue_depth: qd,
+                    chaos: Some(cfg),
+                    ..Default::default()
+                },
+            );
             got.push_str(&format!(
                 "program{idx:02} {}/{} qd={} events={} {}\n",
                 sched.name(),

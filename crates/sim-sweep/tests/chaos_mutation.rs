@@ -18,7 +18,6 @@
 use sim_check::{generate, shrink, GenConfig, ProgramSpec, Trigger};
 use sim_core::{ChaosConfig, SimDuration, SimRng};
 use sim_experiments::{DeviceChoice, SchedChoice};
-use sim_sweep::check::RunOutcome;
 use sim_sweep::{run_with, RunOpts};
 
 /// The dwell horizon, calibrated so that over the fixed seed set below
@@ -35,31 +34,18 @@ fn program(idx: u64) -> ProgramSpec {
     generate(&mut SimRng::stream(0xD1CE, idx), &GenConfig::default())
 }
 
-/// One SSD run over the timing-sabotaged scheduler (armed at [`DWELL`]).
-fn run_sabotaged(
-    spec: &ProgramSpec,
-    sched: SchedChoice,
-    queue_depth: u32,
-    chaos: Option<ChaosConfig>,
-) -> RunOutcome {
-    run_with(
-        spec,
-        sched,
-        DeviceChoice::Ssd,
-        RunOpts {
-            sabotage: Some(Trigger::Dwell(DWELL)),
-            queue_depth,
-            chaos,
-            ..Default::default()
-        },
-    )
-}
-
-/// The predicate handed to the shrinker: replay under the same chaos
-/// batch shape (queue depth 8, chaos seed 1) with the timing-sabotaged
-/// scheduler, and report whether any auditor fired.
+/// The predicate handed to the shrinker: replay on the SSD under the
+/// same chaos batch shape (queue depth 8, chaos seed 1) with the
+/// timing-sabotaged scheduler (armed at [`DWELL`]), and report whether
+/// any auditor fired.
 fn chaos_catches(spec: &ProgramSpec) -> bool {
-    !run_sabotaged(spec, SchedChoice::SplitToken, 8, Some(chaos()))
+    let opts = RunOpts {
+        sabotage: Some(Trigger::Dwell(DWELL)),
+        queue_depth: 8,
+        chaos: Some(chaos()),
+        ..Default::default()
+    };
+    !run_with(spec, SchedChoice::SplitToken, DeviceChoice::Ssd, opts)
         .violations
         .is_empty()
 }
@@ -72,18 +58,19 @@ fn plain_batches_miss_the_timing_bug() {
     for idx in 0..12u64 {
         let spec = program(idx);
         for sched in [SchedChoice::Cfq, SchedChoice::SplitToken] {
-            let shallow = run_sabotaged(&spec, sched, 1, None);
-            assert_eq!(
-                shallow.violations,
-                Vec::<String>::new(),
-                "plain qd1, program {idx}, {sched:?}"
-            );
-            let queued = run_sabotaged(&spec, sched, 8, None);
-            assert_eq!(
-                queued.violations,
-                Vec::<String>::new(),
-                "plain qd8, program {idx}, {sched:?}"
-            );
+            for queue_depth in [1, 8] {
+                let opts = RunOpts {
+                    sabotage: Some(Trigger::Dwell(DWELL)),
+                    queue_depth,
+                    ..Default::default()
+                };
+                let out = run_with(&spec, sched, DeviceChoice::Ssd, opts);
+                assert_eq!(
+                    out.violations,
+                    Vec::<String>::new(),
+                    "plain qd{queue_depth}, program {idx}, {sched:?}"
+                );
+            }
         }
     }
 }

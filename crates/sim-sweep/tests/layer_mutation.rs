@@ -9,7 +9,7 @@
 
 use sim_check::{shrink, ProgramSpec};
 use sim_experiments::setup::{DeviceChoice, SchedChoice};
-use sim_sweep::check::{run_with, RunOpts, RunOutcome};
+use sim_sweep::check::{run_with, RunOpts};
 use split_layered::{parse_layers, LayerSpec};
 
 /// One capped layer over noop: 256 KiB/s, so the auditor's envelope is
@@ -32,23 +32,15 @@ fn write_heavy() -> ProgramSpec {
     ProgramSpec::parse(&text).unwrap()
 }
 
-/// One SSD run under the layered arbiter over [`capped_tree`], with the
-/// planted cap-leak bug armed when `cap_leak` is set.
-fn run_capped(spec: &ProgramSpec, cap_leak: Option<u64>) -> RunOutcome {
-    run_with(
-        spec,
-        SchedChoice::Layered,
-        DeviceChoice::Ssd,
-        RunOpts {
-            layers: Some(capped_tree()),
-            cap_leak,
-            ..Default::default()
-        },
-    )
-}
-
+/// The cap-envelope violations of one SSD run under the layered arbiter
+/// over [`capped_tree`], with the planted cap-leak bug armed.
 fn leak_violations(spec: &ProgramSpec) -> Vec<String> {
-    run_capped(spec, Some(2))
+    let opts = RunOpts {
+        layers: Some(capped_tree()),
+        cap_leak: Some(2),
+        ..Default::default()
+    };
+    run_with(spec, SchedChoice::Layered, DeviceChoice::Ssd, opts)
         .violations
         .into_iter()
         .filter(|v| v.contains("cap envelope"))
@@ -57,7 +49,16 @@ fn leak_violations(spec: &ProgramSpec) -> Vec<String> {
 
 #[test]
 fn clean_capped_run_passes_the_layer_auditor() {
-    let r = run_capped(&write_heavy(), None);
+    let opts = RunOpts {
+        layers: Some(capped_tree()),
+        ..Default::default()
+    };
+    let r = run_with(
+        &write_heavy(),
+        SchedChoice::Layered,
+        DeviceChoice::Ssd,
+        opts,
+    );
     assert_eq!(
         r.violations,
         Vec::<String>::new(),

@@ -10,9 +10,12 @@
 //! several more simulated seconds of the steady mixed read/writeback
 //! phase, and require the counter not to move. It does so on the default
 //! one-slot HDD and on an SSD with eight hardware slots, where several
-//! requests are in service at once. An empty event queue and a device of
-//! any depth must cost nothing to build either: the check fuzzer and the
-//! fleet build thousands of worlds.
+//! requests are in service at once. It holds the cached-overwrite regime
+//! (Figure 11d's write-mem arm) to the same: once each writer's region is
+//! dirty, re-dirtying it splits, joins and re-tags dirty spans without
+//! touching the allocator. An empty event queue and a device of any depth
+//! must cost nothing to build either: the check fuzzer and the fleet
+//! build thousands of worlds.
 //!
 //! The file contains exactly one test on purpose: the counters are
 //! process-wide, so a concurrently running test in the same binary
@@ -20,11 +23,14 @@
 
 #![cfg(feature = "alloc-count")]
 
+use sim_block::IoPrio;
 use sim_core::{alloc_count, EventQueue, SimDuration, SimTime};
 use sim_device::{DiskModel, QueuedDevice, QueuedDeviceConfig, SsdModel};
 use sim_experiments::fig01_write_burst::{build_burst_world, Config};
 use sim_experiments::registry::Profile;
-use sim_experiments::setup::{SchedChoice, Setup};
+use sim_experiments::setup::{build_world, SchedChoice, Setup};
+use sim_experiments::{KB, MB};
+use sim_workloads::MemOverwriter;
 
 /// Allocations `f` makes.
 fn allocs_in(f: impl FnOnce()) -> u64 {
@@ -76,4 +82,16 @@ fn fig01_steady_state_allocates_nothing() {
             after.frees
         );
     }
+
+    // Eight cached overwriters at eight priorities, 256 KB writes over a
+    // 4 MB region each, under AFQ.
+    let (mut w, k) = build_world(Setup::new(SchedChoice::Afq));
+    for level in 0..8 {
+        let file = w.prealloc_file(k, 8 * MB, true);
+        let pid = w.spawn(k, Box::new(MemOverwriter::new(file, 4 * MB, 256 * KB)));
+        w.set_ioprio(k, pid, IoPrio::best_effort(level));
+    }
+    w.run_until(SimTime::ZERO + SimDuration::from_secs(1));
+    let allocs = allocs_in(|| w.run_until(SimTime::ZERO + SimDuration::from_secs(2)));
+    assert_eq!(allocs, 0, "the warm cached-overwrite world allocated");
 }

@@ -2,13 +2,14 @@
 //! framework (Figure 2a inside Figure 2c, so to speak).
 //!
 //! `BlockOnly` ignores the syscall- and memory-level hooks — exactly the
-//! information a block-only scheduler does not have — and forwards the
-//! block hooks to the wrapped [`Elevator`]. This is how CFQ, Block-Deadline
-//! and Noop run in every experiment.
+//! information a block-only scheduler does not have (so it takes a stretch
+//! of dirtied buffers whole) — and forwards the block hooks to the wrapped
+//! [`Elevator`]. This is how CFQ, Block-Deadline and Noop run in every
+//! experiment.
 
 use sim_block::{Dispatch, Elevator, Request};
 
-use crate::hooks::{IoSched, SchedAttr, SchedCtx};
+use crate::hooks::{BuffersDirtied, IoSched, SchedAttr, SchedCtx};
 
 /// A classic elevator adapted to the [`IoSched`] interface.
 pub struct BlockOnly<E: Elevator> {
@@ -31,6 +32,10 @@ impl<E: Elevator> IoSched for BlockOnly<E> {
         // A block-only scheduler keys on whatever the request carries
         // (submitter prio, deadline); per-pid attributes are applied by the
         // kernel when building requests, not here.
+    }
+
+    fn buffers_dirtied(&mut self, ev: &BuffersDirtied<'_>, _ctx: &mut SchedCtx<'_>) -> u64 {
+        ev.len
     }
 
     fn block_add(&mut self, req: Request, ctx: &mut SchedCtx<'_>) {

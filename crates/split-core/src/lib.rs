@@ -29,8 +29,8 @@ mod proxy;
 
 pub use adapter::BlockOnly;
 pub use hooks::{
-    BufferDirtied, BufferFreed, Gate, IoSched, SchedAttr, SchedCmd, SchedCtx, SyscallInfo,
-    SyscallKind,
+    each_buffer_dirtied, BufferDirtied, BufferFreed, BuffersDirtied, Gate, IoSched, SchedAttr,
+    SchedCmd, SchedCtx, SyscallInfo, SyscallKind,
 };
 pub use proxy::ProxyRegistry;
 

@@ -24,7 +24,10 @@ use std::collections::VecDeque;
 use sim_block::{Dispatch, IoPrio, ReqKind, Request};
 use sim_core::{BlockNo, FastMap, Pid, SimDuration, SimTime};
 use sim_device::IoDir;
-use split_core::{BufferDirtied, Gate, IoSched, SchedAttr, SchedCtx, SyscallInfo};
+use split_core::{
+    each_buffer_dirtied, BufferDirtied, BuffersDirtied, Gate, IoSched, SchedAttr, SchedCtx,
+    SyscallInfo,
+};
 
 use sim_block::sorted::SortedQueue;
 
@@ -276,6 +279,13 @@ impl IoSched for Afq {
         // The real (seek-aware) cost is settled at dispatch.
         let secs = ev.new_bytes as f64 / ctx.device.seq_bandwidth();
         self.charge_causes(ev.causes, Pid(0), secs, ctx.now);
+    }
+
+    fn buffers_dirtied(&mut self, ev: &BuffersDirtied<'_>, ctx: &mut SchedCtx<'_>) -> u64 {
+        if ev.new_bytes == 0 {
+            return ev.len; // overwrites: no flush work, whatever the length
+        }
+        each_buffer_dirtied(self, ev, ctx)
     }
 
     fn block_add(&mut self, req: Request, ctx: &mut SchedCtx<'_>) {

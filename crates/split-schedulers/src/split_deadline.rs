@@ -23,7 +23,8 @@ use sim_block::{Dispatch, ReqKind, Request};
 use sim_core::{BlockNo, FileId, Pid, RequestId, SimDuration, SimTime};
 use sim_device::IoDir;
 use split_core::{
-    BufferDirtied, BufferFreed, Gate, IoSched, SchedAttr, SchedCtx, SyscallInfo, SyscallKind,
+    each_buffer_dirtied, BufferDirtied, BufferFreed, BuffersDirtied, Gate, IoSched, SchedAttr,
+    SchedCtx, SyscallInfo, SyscallKind,
 };
 
 /// Default fsync deadline for unconfigured processes.
@@ -155,6 +156,15 @@ impl SplitDeadline {
     /// Per-cause outstanding-cost budget above which a writer is held.
     fn write_throttle_cost(&self) -> f64 {
         self.admit_threshold() * self.write_throttle_mult
+    }
+
+    /// Price a seek for the device the buffers will be flushed to.
+    fn note_device(&mut self, ctx: &SchedCtx<'_>) {
+        self.seek_equiv_secs = if ctx.device.is_rotational() {
+            0.008
+        } else {
+            0.0002
+        };
     }
 
     fn arm_timer(&mut self, ctx: &mut SchedCtx<'_>) {
@@ -313,11 +323,7 @@ impl IoSched for SplitDeadline {
     }
 
     fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) {
-        self.seek_equiv_secs = if ctx.device.is_rotational() {
-            0.008
-        } else {
-            0.0002
-        };
+        self.note_device(ctx);
         if ev.new_bytes == 0 {
             return; // overwrite: flush work unchanged
         }
@@ -341,6 +347,15 @@ impl IoSched for SplitDeadline {
             ctx.start_writeback(None, WB_BATCH);
             self.arm_timer(ctx);
         }
+    }
+
+    fn buffers_dirtied(&mut self, ev: &BuffersDirtied<'_>, ctx: &mut SchedCtx<'_>) -> u64 {
+        if ev.new_bytes == 0 {
+            // Overwrites: flush work unchanged, whatever the length.
+            self.note_device(ctx);
+            return ev.len;
+        }
+        each_buffer_dirtied(self, ev, ctx)
     }
 
     fn buffer_freed(&mut self, ev: &BufferFreed, _ctx: &mut SchedCtx<'_>) {

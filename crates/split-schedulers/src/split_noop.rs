@@ -6,7 +6,9 @@
 use std::collections::VecDeque;
 
 use sim_block::{Dispatch, Request};
-use split_core::{BufferDirtied, BufferFreed, Gate, IoSched, SchedCtx, SyscallInfo};
+use split_core::{
+    BufferDirtied, BufferFreed, BuffersDirtied, Gate, IoSched, SchedCtx, SyscallInfo,
+};
 
 /// Split-framework no-op scheduler.
 #[derive(Debug, Default)]
@@ -39,6 +41,11 @@ impl IoSched for SplitNoop {
 
     fn buffer_dirtied(&mut self, _ev: &BufferDirtied<'_>, _ctx: &mut SchedCtx<'_>) {
         self.hook_counts[1] += 1;
+    }
+
+    fn buffers_dirtied(&mut self, ev: &BuffersDirtied<'_>, _ctx: &mut SchedCtx<'_>) -> u64 {
+        self.hook_counts[1] += ev.len;
+        ev.len
     }
 
     fn buffer_freed(&mut self, _ev: &BufferFreed, _ctx: &mut SchedCtx<'_>) {

@@ -21,7 +21,10 @@ use sim_block::sorted::SortedQueue;
 use sim_block::{Dispatch, ReqKind, Request};
 use sim_core::{BlockNo, FileId, IoError, Pid, RequestId, SimDuration, SimTime};
 use sim_device::IoDir;
-use split_core::{BufferDirtied, BufferFreed, Gate, IoSched, SchedAttr, SchedCtx, SyscallInfo};
+use split_core::{
+    each_buffer_dirtied, BufferDirtied, BufferFreed, BuffersDirtied, Gate, IoSched, SchedAttr,
+    SchedCtx, SyscallInfo,
+};
 
 use crate::tokens::TokenBuckets;
 
@@ -219,6 +222,13 @@ impl IoSched for SplitToken {
         let p = self.prelim.entry(ev.file).or_default();
         p.norm_bytes += norm;
         p.pages += 1;
+    }
+
+    fn buffers_dirtied(&mut self, ev: &BuffersDirtied<'_>, ctx: &mut SchedCtx<'_>) -> u64 {
+        if ev.new_bytes == 0 {
+            return ev.len; // overwrites: no charge, whatever the length
+        }
+        each_buffer_dirtied(self, ev, ctx)
     }
 
     fn buffer_freed(&mut self, ev: &BufferFreed, ctx: &mut SchedCtx<'_>) {
