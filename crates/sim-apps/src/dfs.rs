@@ -187,8 +187,8 @@ impl DfsCluster {
             .sum()
     }
 
-    /// Copies of each block: [`REPLICATION`], or every worker in a
-    /// smaller cluster.
+    /// Copies of each block: three, or every worker in a smaller
+    /// cluster.
     pub fn replication(&self) -> usize {
         REPLICATION.min(self.cfg.workers)
     }

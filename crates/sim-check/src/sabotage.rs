@@ -1,7 +1,7 @@
 //! A deliberately broken scheduler wrapper for mutation-testing the
 //! auditor plane and the chaos plane.
 //!
-//! [`Sabotaged`] delegates every hook to the wrapped scheduler, except
+//! [`Sabotaged`] forwards every message to the wrapped scheduler, except
 //! that once its [`Trigger`] fires it rewrites each later request's cause
 //! set with an off-by-1000 pid — the classic transposed-arithmetic slip in
 //! tag bookkeeping. The corruption happens *inside* the scheduler, after
@@ -34,11 +34,9 @@
 //!   asserts the plain batches miss this bug and a chaos batch catches
 //!   and shrinks it.
 
-use sim_block::{Dispatch, ReqKind, Request};
-use sim_core::{CauseSet, IoError, Pid, RequestId, SimDuration, SimTime};
-use split_core::{
-    BufferDirtied, BufferFreed, BuffersDirtied, Gate, IoSched, SchedAttr, SchedCtx, SyscallInfo,
-};
+use sim_block::{Dispatch, ReqKind};
+use sim_core::{CauseSet, Pid, RequestId, SimDuration, SimTime};
+use split_core::{Hook, IoSched, SchedCtx};
 
 /// How far the sabotage shifts every cause pid.
 const PID_SHIFT: u32 = 1000;
@@ -55,8 +53,8 @@ pub enum Trigger {
 }
 
 /// A scheduler wrapper that corrupts cause tags once its trigger fires.
-pub struct Sabotaged<S> {
-    inner: S,
+pub struct Sabotaged {
+    inner: Box<dyn IoSched>,
     trigger: Trigger,
     /// Block adds seen so far.
     adds: u64,
@@ -67,9 +65,9 @@ pub struct Sabotaged<S> {
     poisoned: bool,
 }
 
-impl<S> Sabotaged<S> {
+impl Sabotaged {
     /// Wrap `inner`, corrupting every request added after `trigger` fires.
-    pub fn new(inner: S, trigger: Trigger) -> Self {
+    pub fn new(inner: Box<dyn IoSched>, trigger: Trigger) -> Self {
         Sabotaged {
             inner,
             trigger,
@@ -86,74 +84,44 @@ impl<S> Sabotaged<S> {
     }
 }
 
-impl<S: IoSched> IoSched for Sabotaged<S> {
+impl IoSched for Sabotaged {
     fn name(&self) -> &'static str {
         self.inner.name()
     }
 
-    fn configure(&mut self, pid: Pid, attr: SchedAttr) {
-        self.inner.configure(pid, attr);
-    }
-
-    fn syscall_enter(&mut self, sc: &SyscallInfo, ctx: &mut SchedCtx<'_>) -> Gate {
-        self.inner.syscall_enter(sc, ctx)
-    }
-
-    fn syscall_exit(&mut self, sc: &SyscallInfo, ctx: &mut SchedCtx<'_>) {
-        self.inner.syscall_exit(sc, ctx)
-    }
-
-    fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) {
-        self.inner.buffer_dirtied(ev, ctx)
-    }
-
-    fn buffers_dirtied(&mut self, ev: &BuffersDirtied<'_>, ctx: &mut SchedCtx<'_>) -> u64 {
-        self.inner.buffers_dirtied(ev, ctx)
-    }
-
-    fn buffer_freed(&mut self, ev: &BufferFreed, ctx: &mut SchedCtx<'_>) {
-        self.inner.buffer_freed(ev, ctx)
-    }
-
-    fn block_add(&mut self, mut req: Request, ctx: &mut SchedCtx<'_>) {
-        self.adds += 1;
-        if let Trigger::AfterAdds(after) = self.trigger {
-            self.poisoned |= self.adds > after;
-        }
-        if self.poisoned && !req.causes.is_empty() {
-            req.causes = CauseSet::from_pids(req.causes.iter().map(|p| Pid(p.raw() + PID_SHIFT)));
-        }
-        self.inner.block_add(req, ctx)
-    }
-
-    fn block_dispatch(&mut self, ctx: &mut SchedCtx<'_>) -> Dispatch {
-        let d = self.inner.block_dispatch(ctx);
-        if let (Trigger::Dwell(_), Dispatch::Issue(req)) = (self.trigger, &d) {
-            if req.kind == ReqKind::Data {
-                self.in_device.push((req.id, ctx.now));
+    fn on(&mut self, hook: Hook<'_>, ctx: &mut SchedCtx<'_>) {
+        match hook {
+            Hook::BlockAdd(mut req) => {
+                self.adds += 1;
+                if let Trigger::AfterAdds(after) = self.trigger {
+                    self.poisoned |= self.adds > after;
+                }
+                if self.poisoned && !req.causes.is_empty() {
+                    req.causes =
+                        CauseSet::from_pids(req.causes.iter().map(|p| Pid(p.raw() + PID_SHIFT)));
+                }
+                self.inner.on(Hook::BlockAdd(req), ctx)
             }
+            Hook::BlockDispatch(d) => {
+                self.inner.on(Hook::BlockDispatch(&mut *d), ctx);
+                if let (Trigger::Dwell(_), Dispatch::Issue(req)) = (self.trigger, &*d) {
+                    if req.kind == ReqKind::Data {
+                        self.in_device.push((req.id, ctx.now));
+                    }
+                }
+            }
+            Hook::BlockCompleted(req) => {
+                if let (Some(at), Trigger::Dwell(dwell)) = (self.forget(req.id), self.trigger) {
+                    self.poisoned |= ctx.now.since(at) > dwell;
+                }
+                self.inner.on(Hook::BlockCompleted(req), ctx)
+            }
+            Hook::BlockFailed { req, error } => {
+                self.forget(req.id);
+                self.inner.on(Hook::BlockFailed { req, error }, ctx)
+            }
+            other => self.inner.on(other, ctx),
         }
-        d
-    }
-
-    fn block_completed(&mut self, req: &Request, ctx: &mut SchedCtx<'_>) {
-        if let (Some(at), Trigger::Dwell(dwell)) = (self.forget(req.id), self.trigger) {
-            self.poisoned |= ctx.now.since(at) > dwell;
-        }
-        self.inner.block_completed(req, ctx)
-    }
-
-    fn block_failed(&mut self, req: &Request, error: IoError, ctx: &mut SchedCtx<'_>) {
-        self.forget(req.id);
-        self.inner.block_failed(req, error, ctx)
-    }
-
-    fn timer_fired(&mut self, ctx: &mut SchedCtx<'_>) {
-        self.inner.timer_fired(ctx)
-    }
-
-    fn pick_dirty_waiter(&mut self, waiters: &[Pid]) -> usize {
-        self.inner.pick_dirty_waiter(waiters)
     }
 
     fn queued(&self) -> usize {
@@ -168,7 +136,7 @@ impl<S: IoSched> IoSched for Sabotaged<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_block::Noop;
+    use sim_block::{Noop, Request};
     use sim_core::{BlockNo, FileId};
     use sim_device::{HddModel, IoDir};
     use split_core::BlockOnly;
@@ -190,8 +158,14 @@ mod tests {
         }
     }
 
-    fn issue(s: &mut Sabotaged<BlockOnly<Noop>>, ctx: &mut SchedCtx<'_>) -> Request {
-        match s.block_dispatch(ctx) {
+    fn noop(trigger: Trigger) -> Sabotaged {
+        Sabotaged::new(Box::new(BlockOnly::new(Noop::new())), trigger)
+    }
+
+    fn issue(s: &mut Sabotaged, ctx: &mut SchedCtx<'_>) -> Request {
+        let mut d = Dispatch::Idle;
+        s.on(Hook::BlockDispatch(&mut d), ctx);
+        match d {
             Dispatch::Issue(r) => r,
             other => panic!("expected an issue, got {other:?}"),
         }
@@ -200,10 +174,10 @@ mod tests {
     #[test]
     fn corrupts_causes_only_after_threshold() {
         let dev = HddModel::new();
-        let mut s = Sabotaged::new(BlockOnly::new(Noop::new()), Trigger::AfterAdds(1));
+        let mut s = noop(Trigger::AfterAdds(1));
         let mut ctx = SchedCtx::new(SimTime::ZERO, &dev);
-        s.block_add(req(1, ReqKind::Data), &mut ctx);
-        s.block_add(req(2, ReqKind::Data), &mut ctx);
+        s.on(Hook::BlockAdd(req(1, ReqKind::Data)), &mut ctx);
+        s.on(Hook::BlockAdd(req(2, ReqKind::Data)), &mut ctx);
         let first = issue(&mut s, &mut ctx);
         let second = issue(&mut s, &mut ctx);
         assert!(first.causes.contains(Pid(10)), "first add untouched");
@@ -217,22 +191,22 @@ mod tests {
     fn a_data_request_outliving_the_horizon_poisons_later_adds() {
         let dev = HddModel::new();
         let dwell = SimDuration::from_millis(1);
-        let mut s = Sabotaged::new(BlockOnly::new(Noop::new()), Trigger::Dwell(dwell));
+        let mut s = noop(Trigger::Dwell(dwell));
 
         // Dispatch a data request at t=0.
         let mut ctx = SchedCtx::new(SimTime::ZERO, &dev);
-        s.block_add(req(1, ReqKind::Data), &mut ctx);
+        s.on(Hook::BlockAdd(req(1, ReqKind::Data)), &mut ctx);
         let data = issue(&mut s, &mut ctx);
 
         // It completes past the dwell horizon: the handoff table has
         // already lost its entry, the race fires.
         let late = SimTime::ZERO + SimDuration::from_millis(5);
         let mut ctx = SchedCtx::new(late, &dev);
-        s.block_completed(&data, &mut ctx);
+        s.on(Hook::BlockCompleted(&data), &mut ctx);
         assert!(s.poisoned, "race observed");
 
         // Every add from now on carries shifted cause tags.
-        s.block_add(req(2, ReqKind::Data), &mut ctx);
+        s.on(Hook::BlockAdd(req(2, ReqKind::Data)), &mut ctx);
         let corrupted = issue(&mut s, &mut ctx);
         assert!(corrupted.causes.contains(Pid(10 + PID_SHIFT)));
     }
@@ -241,25 +215,25 @@ mod tests {
     fn dwell_under_the_horizon_stays_healthy() {
         let dev = HddModel::new();
         let dwell = SimDuration::from_millis(1);
-        let mut s = Sabotaged::new(BlockOnly::new(Noop::new()), Trigger::Dwell(dwell));
+        let mut s = noop(Trigger::Dwell(dwell));
 
         // Data completes inside the horizon — no poison, even when a
         // journal commit runs right after it.
         let mut ctx = SchedCtx::new(SimTime::ZERO, &dev);
-        s.block_add(req(1, ReqKind::Data), &mut ctx);
+        s.on(Hook::BlockAdd(req(1, ReqKind::Data)), &mut ctx);
         let data = issue(&mut s, &mut ctx);
         let soon = SimTime::ZERO + SimDuration::from_micros(10);
         let mut ctx = SchedCtx::new(soon, &dev);
-        s.block_completed(&data, &mut ctx);
-        s.block_add(req(2, ReqKind::Journal), &mut ctx);
+        s.on(Hook::BlockCompleted(&data), &mut ctx);
+        s.on(Hook::BlockAdd(req(2, ReqKind::Journal)), &mut ctx);
         let commit = issue(&mut s, &mut ctx);
         let mut ctx = SchedCtx::new(soon + SimDuration::from_secs(1), &dev);
-        s.block_completed(&commit, &mut ctx);
+        s.on(Hook::BlockCompleted(&commit), &mut ctx);
         assert!(!s.poisoned, "dwell under the horizon");
 
         // Journal requests are not in the handoff table: a slow commit
         // does not trip the bug either.
-        s.block_add(req(3, ReqKind::Data), &mut ctx);
+        s.on(Hook::BlockAdd(req(3, ReqKind::Data)), &mut ctx);
         let clean = issue(&mut s, &mut ctx);
         assert!(clean.causes.contains(Pid(10)), "tags untouched");
     }

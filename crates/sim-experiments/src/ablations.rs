@@ -14,12 +14,9 @@
 //! Each ablation reuses a production scheduler with one switch flipped,
 //! so the deltas are attributable to exactly one mechanism.
 
-use sim_block::{Dispatch, Request};
-use sim_core::{IoError, Pid, SimDuration};
+use sim_core::{CauseSet, SimDuration};
 use sim_workloads::{RandWriter, SeqWriter};
-use split_core::{
-    BufferDirtied, BufferFreed, BuffersDirtied, Gate, IoSched, SchedAttr, SchedCtx, SyscallInfo,
-};
+use split_core::{Hook, IoSched, SchedAttr, SchedCtx};
 use split_schedulers::{Afq, SplitToken};
 
 use crate::fig01_write_burst;
@@ -33,22 +30,24 @@ const BURST_DURATION: SimDuration = SimDuration::from_secs(20);
 const TAG_DURATION: SimDuration = SimDuration::from_secs(20);
 const GATE_DURATION: SimDuration = SimDuration::from_secs(15);
 
-/// Wraps a scheduler, selectively disabling hooks.
-pub(crate) struct Lobotomized<S> {
-    inner: S,
+/// Wraps a scheduler, selectively disabling hooks. A swallowed message
+/// keeps the default answer the kernel filled in: `Proceed`, the whole
+/// stretch, the first waiter.
+pub(crate) struct Lobotomized {
+    inner: Box<dyn IoSched>,
     /// Forward the memory-level hooks?
     pub memory_hooks: bool,
-    /// Forward the syscall gate?
+    /// Forward the syscall gate and the dirty-waiter pick?
     pub syscall_gate: bool,
     /// Strip cause tags from block requests (submitter-only accounting)?
     pub strip_causes: bool,
 }
 
-impl<S: IoSched> Lobotomized<S> {
+impl Lobotomized {
     /// Full scheduler with switches to turn parts off.
-    pub(crate) fn new(inner: S) -> Self {
+    pub(crate) fn new(inner: impl IoSched + 'static) -> Self {
         Lobotomized {
-            inner,
+            inner: Box::new(inner),
             memory_hooks: true,
             syscall_gate: true,
             strip_causes: false,
@@ -74,75 +73,20 @@ impl<S: IoSched> Lobotomized<S> {
     }
 }
 
-impl<S: IoSched> IoSched for Lobotomized<S> {
+impl IoSched for Lobotomized {
     fn name(&self) -> &'static str {
         "lobotomized"
     }
 
-    fn configure(&mut self, pid: Pid, attr: SchedAttr) {
-        self.inner.configure(pid, attr);
-    }
-
-    fn syscall_enter(&mut self, sc: &SyscallInfo, ctx: &mut SchedCtx<'_>) -> Gate {
-        if self.syscall_gate {
-            self.inner.syscall_enter(sc, ctx)
-        } else {
-            Gate::Proceed
-        }
-    }
-
-    fn syscall_exit(&mut self, sc: &SyscallInfo, ctx: &mut SchedCtx<'_>) {
-        self.inner.syscall_exit(sc, ctx);
-    }
-
-    fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) {
-        if self.memory_hooks {
-            self.inner.buffer_dirtied(ev, ctx);
-        }
-    }
-
-    fn buffers_dirtied(&mut self, ev: &BuffersDirtied<'_>, ctx: &mut SchedCtx<'_>) -> u64 {
-        if self.memory_hooks {
-            self.inner.buffers_dirtied(ev, ctx)
-        } else {
-            ev.len
-        }
-    }
-
-    fn buffer_freed(&mut self, ev: &BufferFreed, ctx: &mut SchedCtx<'_>) {
-        if self.memory_hooks {
-            self.inner.buffer_freed(ev, ctx);
-        }
-    }
-
-    fn block_add(&mut self, mut req: Request, ctx: &mut SchedCtx<'_>) {
-        if self.strip_causes {
-            req.causes = sim_core::CauseSet::of(req.submitter);
-        }
-        self.inner.block_add(req, ctx);
-    }
-
-    fn block_dispatch(&mut self, ctx: &mut SchedCtx<'_>) -> Dispatch {
-        self.inner.block_dispatch(ctx)
-    }
-
-    fn block_completed(&mut self, req: &Request, ctx: &mut SchedCtx<'_>) {
-        self.inner.block_completed(req, ctx);
-    }
-
-    fn block_failed(&mut self, req: &Request, error: IoError, ctx: &mut SchedCtx<'_>) {
-        self.inner.block_failed(req, error, ctx);
-    }
-
-    fn timer_fired(&mut self, ctx: &mut SchedCtx<'_>) {
-        self.inner.timer_fired(ctx);
-    }
-
-    fn pick_dirty_waiter(&mut self, waiters: &[Pid]) -> usize {
-        if self.syscall_gate {
-            self.inner.pick_dirty_waiter(waiters)
-        } else {
-            0
+    fn on(&mut self, hook: Hook<'_>, ctx: &mut SchedCtx<'_>) {
+        match hook {
+            Hook::SyscallEnter { .. } | Hook::PickDirtyWaiter { .. } if !self.syscall_gate => {}
+            Hook::BufferDirtied { .. } | Hook::BufferFreed(_) if !self.memory_hooks => {}
+            Hook::BlockAdd(mut req) if self.strip_causes => {
+                req.causes = CauseSet::of(req.submitter);
+                self.inner.on(Hook::BlockAdd(req), ctx)
+            }
+            other => self.inner.on(other, ctx),
         }
     }
 
@@ -174,7 +118,7 @@ pub(crate) fn burst_ablation(seed: u64) -> BurstAblation {
         duration: BURST_DURATION,
         seed,
     };
-    let run = |sched: Lobotomized<SplitToken>| {
+    let run = |sched: Lobotomized| {
         let world = fig01_write_burst::build_burst_world_with(
             &cfg,
             Setup::new(SchedChoice::SplitToken),
@@ -205,7 +149,7 @@ pub(crate) struct TagAblation {
 /// delegated writeback bills the writeback thread and B escapes its cap.
 /// `seed` varies B's write pattern (0 = historical run).
 pub(crate) fn tag_ablation(seed: u64) -> TagAblation {
-    let run = |sched: Lobotomized<SplitToken>| {
+    let run = |sched: Lobotomized| {
         let setup = Setup::new(SchedChoice::SplitToken).mem(GB).seed(seed);
         let (mut w, k) = build_world_with(setup, Box::new(sched));
         let b_file = w.prealloc_file(k, 2 * GB, false);
@@ -236,7 +180,7 @@ pub(crate) struct GateAblation {
 /// AFQ's async-write fairness with and without the syscall-level gate.
 /// `seed` varies file-system layout (0 = historical run).
 pub(crate) fn gate_ablation(seed: u64) -> GateAblation {
-    let run = |sched: Lobotomized<Afq>| {
+    let run = |sched: Lobotomized| {
         let setup = Setup::new(SchedChoice::Afq).seed(seed);
         let (mut w, k) = build_world_with(setup, Box::new(sched));
         let [hi, lo] = [0u8, 7].map(|level| {

@@ -25,7 +25,7 @@ use sim_fault::{DeviceFaultPlane, Fault, WriteStep};
 use sim_fs::{Extent, FsConfig, FsEvent, FsOutput, IoToken, JournaledFs};
 use sim_trace::{RequestTrace, Tracer};
 use split_core::{
-    BufferFreed, BuffersDirtied, Gate, IoSched, SchedAttr, SchedCmd, SchedCtx, SyscallInfo,
+    BufferDirtied, BufferFreed, Gate, Hook, IoSched, SchedAttr, SchedCmd, SchedCtx, SyscallInfo,
     SyscallKind,
 };
 
@@ -447,11 +447,15 @@ impl Kernel {
         self.sched_configure(pid, SchedAttr::Prio(prio), bus);
     }
 
-    /// Forward an attribute straight to the scheduler.
+    /// Forward an attribute straight to the scheduler, then run its
+    /// maintenance in the same context: configuration may unblock things
+    /// (e.g. a raised token rate).
     pub(crate) fn sched_configure(&mut self, pid: Pid, attr: SchedAttr, bus: &mut Bus) {
-        self.sched.configure(pid, attr);
-        // Configuration may unblock things (e.g. a raised token rate).
-        self.run_sched_maintenance(bus);
+        self.with_sched(bus, |s, ctx| {
+            s.on(Hook::Configure { pid, attr }, ctx);
+            s.on(Hook::Timer, ctx);
+        });
+        self.try_dispatch(bus);
     }
 
     /// Create a preallocated file (fixture).
@@ -644,7 +648,7 @@ impl Kernel {
             Event::DeviceDone { req, .. } => self.device_done(req, bus),
             Event::DispatchRetry { .. } => self.try_dispatch(bus),
             Event::SchedTimer { .. } => {
-                self.with_sched(bus, |s, ctx| s.timer_fired(ctx));
+                self.with_sched(bus, |s, ctx| s.on(Hook::Timer, ctx));
                 self.try_dispatch(bus);
             }
             Event::FsTimer { .. } => {
@@ -745,7 +749,12 @@ impl Kernel {
             let (gate, cmds) = {
                 let buf = self.sched_cmd_pool.pop().unwrap_or_default();
                 let mut ctx = self.device.sched_ctx(now, &self.tracer, buf);
-                let gate = self.sched.syscall_enter(&info, &mut ctx);
+                let mut gate = Gate::Proceed;
+                let hook = Hook::SyscallEnter {
+                    sc: &info,
+                    gate: &mut gate,
+                };
+                self.sched.on(hook, &mut ctx);
                 (gate, ctx.drain())
             };
             if gate == Gate::Hold {
@@ -905,7 +914,7 @@ impl Kernel {
     /// stretch is the longest run of pages inside one extent (or hole)
     /// whose buffer-dirty events are identical — all fresh, or all
     /// overwrites of one dirty span: the cache classifies it with one
-    /// lookup, the scheduler gets it as one batched hook message, and the
+    /// lookup, the scheduler gets it as one dirty message, and the
     /// pages the scheduler took are committed as one range update. The
     /// hook context, the dirty-file and clean-slot lookups and the extent
     /// walk are paid once per run. The run ends early after the first
@@ -943,7 +952,7 @@ impl Kernel {
             let t0 = prof::tick(&self.prof);
             let (len, ev) = run.stretch(page, seam.min(pages.end) - page);
             prof::tock(&self.prof, Phase::Cache, t0);
-            let stretch = BuffersDirtied {
+            let ev = BufferDirtied {
                 file,
                 page,
                 len,
@@ -952,8 +961,15 @@ impl Kernel {
                 block,
                 new_bytes: ev.new_bytes,
             };
+            let mut taken = len;
             let t0 = prof::tick(&self.prof);
-            let taken = self.sched.buffers_dirtied(&stretch, &mut ctx);
+            self.sched.on(
+                Hook::BufferDirtied {
+                    ev,
+                    taken: &mut taken,
+                },
+                &mut ctx,
+            );
             prof::tock(&self.prof, Phase::Sched, t0);
             // A reply of 0 would never advance and one past `len` would
             // commit pages the stretch did not classify: checked in release
@@ -1035,7 +1051,7 @@ impl Kernel {
             ioprio: self.ioprio_of(pid),
             cached,
         };
-        self.with_sched(bus, |s, ctx| s.syscall_exit(&info, ctx));
+        self.with_sched(bus, |s, ctx| s.on(Hook::SyscallExit(&info), ctx));
         self.audit_checkpoint(bus, false);
 
         let proc = self.procs.get_mut(&pid).expect("proc exists");
@@ -1072,7 +1088,7 @@ impl Kernel {
         if req.ioprio.class == PrioClass::BestEffort {
             self.stats.req_prio_hist[req.ioprio.level.min(7) as usize] += 1;
         }
-        self.with_sched(bus, |s, ctx| s.block_add(req, ctx));
+        self.with_sched(bus, |s, ctx| s.on(Hook::BlockAdd(req), ctx));
     }
 
     fn try_dispatch(&mut self, bus: &mut Bus) {
@@ -1084,7 +1100,8 @@ impl Kernel {
             if !self.device_can_accept() {
                 break;
             }
-            let d = self.with_sched(bus, |s, ctx| s.block_dispatch(ctx));
+            let mut d = Dispatch::Idle;
+            self.with_sched(bus, |s, ctx| s.on(Hook::BlockDispatch(&mut d), ctx));
             match d {
                 Dispatch::Issue(req) => self.issue(req, bus),
                 Dispatch::WaitUntil(t) => {
@@ -1249,12 +1266,14 @@ impl Kernel {
             service,
             sched_queued: self.sched.queued(),
         });
-        if let Some(err) = failed {
-            self.stats.io_errors += 1;
-            self.with_sched(bus, |s, ctx| s.block_failed(&req, err, ctx));
-        } else {
-            self.with_sched(bus, |s, ctx| s.block_completed(&req, ctx));
-        }
+        let hook = match failed {
+            Some(error) => {
+                self.stats.io_errors += 1;
+                Hook::BlockFailed { req: &req, error }
+            }
+            None => Hook::BlockCompleted(&req),
+        };
+        self.with_sched(bus, |s, ctx| s.on(hook, ctx));
         if let Some(meta) = self.req_meta.remove(&req.id) {
             if meta.dirty_pages > 0 {
                 self.wb_inflight_pages = self.wb_inflight_pages.saturating_sub(meta.dirty_pages);
@@ -1353,12 +1372,28 @@ impl Kernel {
             && self.effective_dirty() < self.cache.config().dirty_limit_pages()
         {
             // The scheduler chooses the admission order (default: FIFO).
-            let waiters: Vec<Pid> = self.dirty_waiters.iter().copied().collect();
-            let idx = self
-                .sched
-                .pick_dirty_waiter(&waiters)
-                .min(waiters.len() - 1);
-            let pid = self.dirty_waiters.remove(idx).expect("bounded index");
+            let mut pick = 0;
+            let t0 = prof::tick(&self.prof);
+            let buf = self.sched_cmd_pool.pop().unwrap_or_default();
+            let mut ctx = self.device.sched_ctx(bus.q.now(), &self.tracer, buf);
+            let waiters = self.dirty_waiters.make_contiguous();
+            let len = waiters.len();
+            let hook = Hook::PickDirtyWaiter {
+                waiters,
+                pick: &mut pick,
+            };
+            self.sched.on(hook, &mut ctx);
+            let cmds = ctx.drain();
+            drop(ctx);
+            prof::tock(&self.prof, Phase::Sched, t0);
+            // Past the last waiter there is nobody to admit: checked in
+            // release too, since any `IoSched` may answer.
+            assert!(
+                pick < len,
+                "a scheduler picked dirty waiter {pick} of {len}"
+            );
+            let pid = self.dirty_waiters.remove(pick).expect("checked index");
+            self.apply_cmds(cmds, bus);
             if self
                 .procs
                 .get(&pid)
@@ -1376,27 +1411,19 @@ impl Kernel {
 
     // ---- scheduler plumbing -------------------------------------------------
 
-    fn with_sched<R>(
-        &mut self,
-        bus: &mut Bus,
-        f: impl FnOnce(&mut dyn IoSched, &mut SchedCtx<'_>) -> R,
-    ) -> R {
+    /// Send the scheduler messages through `f` in one fresh context, then
+    /// apply the commands they queued.
+    fn with_sched(&mut self, bus: &mut Bus, f: impl FnOnce(&mut dyn IoSched, &mut SchedCtx<'_>)) {
         let now = bus.q.now();
         let t0 = prof::tick(&self.prof);
-        let (r, cmds) = {
+        let cmds = {
             let buf = self.sched_cmd_pool.pop().unwrap_or_default();
             let mut ctx = self.device.sched_ctx(now, &self.tracer, buf);
-            let r = f(self.sched.as_mut(), &mut ctx);
-            (r, ctx.drain())
+            f(self.sched.as_mut(), &mut ctx);
+            ctx.drain()
         };
         prof::tock(&self.prof, Phase::Sched, t0);
         self.apply_cmds(cmds, bus);
-        r
-    }
-
-    fn run_sched_maintenance(&mut self, bus: &mut Bus) {
-        self.with_sched(bus, |s, ctx| s.timer_fired(ctx));
-        self.try_dispatch(bus);
     }
 
     fn apply_cmds(&mut self, mut cmds: Vec<SchedCmd>, bus: &mut Bus) {
@@ -1441,7 +1468,7 @@ impl Kernel {
                 causes: range.causes.clone(),
                 bytes: range.bytes(),
             };
-            self.with_sched(bus, |s, ctx| s.buffer_freed(&bf, ctx));
+            self.with_sched(bus, |s, ctx| s.on(Hook::BufferFreed(&bf), ctx));
         }
         for mut io in out.ios {
             let step = std::mem::take(&mut io.step);

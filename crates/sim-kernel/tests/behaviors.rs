@@ -11,8 +11,7 @@ use sim_kernel::{
     AppEvent, DeviceKind, KernelConfig, Outcome, ProcAction, World, SCHED_BOOKKEEPING, SYSCALL_BASE,
 };
 use split_core::{
-    BlockOnly, BufferDirtied, BufferFreed, BuffersDirtied, Gate, IoSched, SchedCtx, SyscallInfo,
-    SyscallKind,
+    BlockOnly, BufferDirtied, BufferFreed, Gate, SchedCtx, Scheduler, SyscallInfo, SyscallKind,
 };
 
 const KB: u64 = 1024;
@@ -27,7 +26,7 @@ struct HoldEveryN {
     hold_for: SimDuration,
 }
 
-impl IoSched for HoldEveryN {
+impl Scheduler for HoldEveryN {
     fn name(&self) -> &'static str {
         "hold-every-n"
     }
@@ -104,7 +103,7 @@ fn unlink_fires_buffer_free_hooks_with_the_dirty_causes() {
         fifo: std::collections::VecDeque<Request>,
         freed: Rc<RefCell<Vec<BufferFreed>>>,
     }
-    impl IoSched for FreeLog {
+    impl Scheduler for FreeLog {
         fn name(&self) -> &'static str {
             "free-log"
         }
@@ -200,7 +199,7 @@ fn scs_style_gating_applies_to_reads_when_configured() {
         fifo: std::collections::VecDeque<Request>,
         held_reads: Rc<RefCell<u64>>,
     }
-    impl IoSched for HoldReads {
+    impl Scheduler for HoldReads {
         fn name(&self) -> &'static str {
             "hold-reads"
         }
@@ -268,7 +267,7 @@ fn reads_bypass_the_gate_in_the_split_architecture() {
     struct PanicOnRead {
         fifo: std::collections::VecDeque<Request>,
     }
-    impl IoSched for PanicOnRead {
+    impl Scheduler for PanicOnRead {
         fn name(&self) -> &'static str {
             "panic-on-read-gate"
         }
@@ -428,21 +427,23 @@ struct WriteOrderLog {
     flushed: bool,
 }
 
-impl IoSched for WriteOrderLog {
+impl Scheduler for WriteOrderLog {
     fn name(&self) -> &'static str {
         "write-order-log"
     }
-    fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) {
-        self.log.borrow_mut().push(Rec::Dirtied(
-            ev.page,
-            ev.prev.is_some(),
-            ev.new_bytes,
-            ev.block.map(|b| b.raw()),
-        ));
-        if ev.page == self.flush_on && !self.flushed {
-            self.flushed = true;
-            ctx.start_writeback(Some(ev.file), u64::MAX);
-        }
+    fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) -> u64 {
+        ev.each_page(ctx, |ev, ctx| {
+            self.log.borrow_mut().push(Rec::Dirtied(
+                ev.page,
+                ev.prev.is_some(),
+                ev.new_bytes,
+                ev.block.map(|b| b.raw()),
+            ));
+            if ev.page == self.flush_on && !self.flushed {
+                self.flushed = true;
+                ctx.start_writeback(Some(ev.file), u64::MAX);
+            }
+        })
     }
     fn block_add(&mut self, req: Request, ctx: &mut SchedCtx<'_>) {
         self.log
@@ -534,14 +535,15 @@ fn overwrite_hooks_see_the_writer_and_the_previous_causes() {
         fifo: std::collections::VecDeque<Request>,
         seen: Rc<RefCell<Seen>>,
     }
-    impl IoSched for CauseLog {
+    impl Scheduler for CauseLog {
         fn name(&self) -> &'static str {
             "cause-log"
         }
-        fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, _ctx: &mut SchedCtx<'_>) {
+        fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, _ctx: &mut SchedCtx<'_>) -> u64 {
             self.seen
                 .borrow_mut()
                 .push((ev.causes.clone(), ev.prev.cloned()));
+            ev.len
         }
         fn block_add(&mut self, req: Request, ctx: &mut SchedCtx<'_>) {
             self.fifo.push_back(req);
@@ -599,17 +601,17 @@ fn overwrite_hooks_see_the_writer_and_the_previous_causes() {
 /// overwritten.
 #[test]
 fn a_dirty_stretch_is_one_hook_message() {
-    /// Per `buffers_dirtied`: first page, pages, overwrite?, first block.
+    /// Per dirty message: first page, pages, overwrite?, first block.
     type Msgs = Vec<(u64, u64, bool, Option<u64>)>;
     struct StretchLog {
         fifo: std::collections::VecDeque<Request>,
         log: Rc<RefCell<Msgs>>,
     }
-    impl IoSched for StretchLog {
+    impl Scheduler for StretchLog {
         fn name(&self) -> &'static str {
             "stretch-log"
         }
-        fn buffers_dirtied(&mut self, ev: &BuffersDirtied<'_>, _ctx: &mut SchedCtx<'_>) -> u64 {
+        fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, _ctx: &mut SchedCtx<'_>) -> u64 {
             self.log.borrow_mut().push((
                 ev.page,
                 ev.len,
@@ -698,7 +700,7 @@ fn zero_length_calls_touch_no_page() {
         fifo: std::collections::VecDeque<Request>,
         counts: Rc<RefCell<Counts>>,
     }
-    impl IoSched for CountHooks {
+    impl Scheduler for CountHooks {
         fn name(&self) -> &'static str {
             "count-hooks"
         }
@@ -709,8 +711,9 @@ fn zero_length_calls_touch_no_page() {
         fn syscall_exit(&mut self, _sc: &SyscallInfo, _ctx: &mut SchedCtx<'_>) {
             self.counts.borrow_mut().exits += 1;
         }
-        fn buffer_dirtied(&mut self, _ev: &BufferDirtied<'_>, _ctx: &mut SchedCtx<'_>) {
+        fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, _ctx: &mut SchedCtx<'_>) -> u64 {
             self.counts.borrow_mut().dirtied += 1;
+            ev.len
         }
         fn block_add(&mut self, req: Request, ctx: &mut SchedCtx<'_>) {
             self.counts.borrow_mut().blocks += 1;
@@ -794,4 +797,83 @@ fn late_app_timer_is_counted_and_fires_now() {
         panic!("late timer did not fire: {fired:?}");
     };
     assert_eq!(now, SimTime::from_nanos(100), "clamped to now");
+}
+
+/// A FIFO scheduler with one reply out of range: a dirty stretch answered
+/// with 0 pages taken, or else a dirty-waiter pick past the last waiter.
+struct BadReply {
+    fifo: std::collections::VecDeque<Request>,
+    zero_pages: bool,
+}
+
+impl Scheduler for BadReply {
+    fn name(&self) -> &'static str {
+        "bad-reply"
+    }
+    fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, _ctx: &mut SchedCtx<'_>) -> u64 {
+        if self.zero_pages {
+            0
+        } else {
+            ev.len
+        }
+    }
+    fn pick_dirty_waiter(&mut self, waiters: &[Pid], _ctx: &mut SchedCtx<'_>) -> usize {
+        waiters.len()
+    }
+    fn block_add(&mut self, req: Request, ctx: &mut SchedCtx<'_>) {
+        self.fifo.push_back(req);
+        ctx.kick_dispatch();
+    }
+    fn block_dispatch(&mut self, _ctx: &mut SchedCtx<'_>) -> Dispatch {
+        match self.fifo.pop_front() {
+            Some(r) => Dispatch::Issue(r),
+            None => Dispatch::Idle,
+        }
+    }
+    fn queued(&self) -> usize {
+        self.fifo.len()
+    }
+}
+
+/// One writer of 1 MB calls on a 64 MB machine (a 12.8 MB dirty limit),
+/// so it is throttled and, once writeback lands, admitted again.
+fn throttled_writer_under(zero_pages: bool) {
+    let mut w = World::new();
+    let cfg = KernelConfig {
+        cache: CacheConfig {
+            mem_bytes: 64 * MB,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let sched = BadReply {
+        fifo: Default::default(),
+        zero_pages,
+    };
+    let k = w.add_kernel(cfg, DeviceKind::hdd(), Box::new(sched));
+    let f = w.prealloc_file(k, 1 << 30, true);
+    let mut offset = 0;
+    let writer = move |_n: SimTime, _l: &Outcome| {
+        let a = ProcAction::Syscall(SyscallKind::Write {
+            file: f,
+            offset,
+            len: MB,
+        });
+        offset += MB;
+        a
+    };
+    w.spawn(k, Box::new(writer));
+    w.run_for(SimDuration::from_secs(2));
+}
+
+#[test]
+#[should_panic(expected = "a scheduler took 0 of 256 pages")]
+fn a_dirty_reply_of_no_pages_panics() {
+    throttled_writer_under(true);
+}
+
+#[test]
+#[should_panic(expected = "a scheduler picked dirty waiter 1 of 1")]
+fn a_dirty_waiter_pick_past_the_last_panics() {
+    throttled_writer_under(false);
 }

@@ -11,7 +11,7 @@ use sim_cache::CacheConfig;
 use sim_check::{AuditEvent, AuditPlane, Auditor};
 use sim_core::{FileId, KernelId, Pid, SimDuration, SimTime};
 use sim_kernel::{DeviceKind, KernelConfig, Outcome, ProcAction, World};
-use split_core::{Gate, IoSched, SchedCtx, SyscallInfo, SyscallKind};
+use split_core::{Gate, SchedCtx, Scheduler, SyscallInfo, SyscallKind};
 
 const KB: u64 = 1024;
 const MB: u64 = 1024 * 1024;
@@ -63,7 +63,7 @@ struct TestSched {
     withheld: Rc<RefCell<Option<Request>>>,
 }
 
-impl IoSched for TestSched {
+impl Scheduler for TestSched {
     fn name(&self) -> &'static str {
         "test-sched"
     }

@@ -6,48 +6,71 @@
 //! that configuration (no bucket, no budget, no latency layer, and a
 //! slot cap of the whole queue), so any drift means the layer plane
 //! changed simulation semantics rather than just adding a (disabled)
-//! policy shell around the child.
+//! policy shell around the child. A disarmed `Sabotaged` wrapper, which
+//! changes four messages and forwards the rest, must be identical too.
 
-use sim_check::{generate, GenConfig, ProgramSpec};
+use sim_check::{generate, GenConfig, ProgramSpec, Trigger};
 use sim_core::SimRng;
 use sim_sweep::check::{run_with, RunOpts, ALL_DEVICES, ALL_SCHEDS};
 
 fn assert_identical(label: &str, spec: &ProgramSpec, queue_depth: u32) {
     for &device in &ALL_DEVICES {
         for &sched in &ALL_SCHEDS {
-            let run = |wrap_single_layer| {
-                let opts = RunOpts {
-                    queue_depth,
-                    wrap_single_layer,
-                    ..Default::default()
-                };
-                run_with(spec, sched, device, opts)
+            let run = |opts| {
+                run_with(
+                    spec,
+                    sched,
+                    device,
+                    RunOpts {
+                        queue_depth,
+                        ..opts
+                    },
+                )
             };
-            let (flat, wrapped) = (run(false), run(true));
-            let cell = format!(
-                "{label}, {} on {device:?} at depth {queue_depth}",
-                sched.name()
-            );
-            assert_eq!(
-                flat.per_proc, wrapped.per_proc,
-                "{cell}: syscall outcomes diverge under the single-layer wrapper"
-            );
-            assert_eq!(
-                flat.violations, wrapped.violations,
-                "{cell}: auditor verdicts diverge under the single-layer wrapper"
-            );
-            assert_eq!(
-                flat.io_errors, wrapped.io_errors,
-                "{cell}: io_errors diverge under the single-layer wrapper"
-            );
-            assert_eq!(
-                flat.fingerprint, wrapped.fingerprint,
-                "{cell}: kernel counters diverge under the single-layer wrapper"
-            );
-            assert_eq!(
-                flat.fsync_ms, wrapped.fsync_ms,
-                "{cell}: fsync latencies diverge under the single-layer wrapper"
-            );
+            let flat = run(RunOpts::default());
+            let arms = [
+                (
+                    "the single-layer wrapper",
+                    RunOpts {
+                        wrap_single_layer: true,
+                        ..Default::default()
+                    },
+                ),
+                (
+                    "a disarmed sabotage wrapper",
+                    RunOpts {
+                        sabotage: Some(Trigger::AfterAdds(u64::MAX)),
+                        ..Default::default()
+                    },
+                ),
+            ];
+            for (arm, opts) in arms {
+                let wrapped = run(opts);
+                let cell = format!(
+                    "{label}, {} on {device:?} at depth {queue_depth}, under {arm}",
+                    sched.name()
+                );
+                assert_eq!(
+                    flat.per_proc, wrapped.per_proc,
+                    "{cell}: syscall outcomes diverge"
+                );
+                assert_eq!(
+                    flat.violations, wrapped.violations,
+                    "{cell}: auditor verdicts diverge"
+                );
+                assert_eq!(
+                    flat.io_errors, wrapped.io_errors,
+                    "{cell}: io_errors diverge"
+                );
+                assert_eq!(
+                    flat.fingerprint, wrapped.fingerprint,
+                    "{cell}: kernel counters diverge"
+                );
+                assert_eq!(
+                    flat.fsync_ms, wrapped.fsync_ms,
+                    "{cell}: fsync latencies diverge"
+                );
+            }
         }
     }
 }

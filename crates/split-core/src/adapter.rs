@@ -1,17 +1,17 @@
 //! Adapter running a classic block-level elevator inside the split
 //! framework (Figure 2a inside Figure 2c, so to speak).
 //!
-//! `BlockOnly` ignores the syscall- and memory-level hooks — exactly the
-//! information a block-only scheduler does not have (so it takes a stretch
-//! of dirtied buffers whole) — and forwards the block hooks to the wrapped
-//! [`Elevator`]. This is how CFQ, Block-Deadline and Noop run in every
-//! experiment.
+//! `BlockOnly` ignores the syscall- and memory-level hooks and per-pid
+//! attributes — exactly the information a block-only scheduler does not
+//! have (it keys on what each request carries: submitter prio, deadline)
+//! — and forwards the block hooks to the wrapped [`Elevator`]. This is how
+//! CFQ, Block-Deadline and Noop run in every experiment.
 
 use sim_block::{Dispatch, Elevator, Request};
 
-use crate::hooks::{BuffersDirtied, IoSched, SchedAttr, SchedCtx};
+use crate::hooks::{SchedCtx, Scheduler};
 
-/// A classic elevator adapted to the [`IoSched`] interface.
+/// A classic elevator adapted to the [`Scheduler`] interface.
 pub struct BlockOnly<E: Elevator> {
     inner: E,
 }
@@ -23,19 +23,9 @@ impl<E: Elevator> BlockOnly<E> {
     }
 }
 
-impl<E: Elevator> IoSched for BlockOnly<E> {
+impl<E: Elevator> Scheduler for BlockOnly<E> {
     fn name(&self) -> &'static str {
         self.inner.name()
-    }
-
-    fn configure(&mut self, _pid: sim_core::Pid, _attr: SchedAttr) {
-        // A block-only scheduler keys on whatever the request carries
-        // (submitter prio, deadline); per-pid attributes are applied by the
-        // kernel when building requests, not here.
-    }
-
-    fn buffers_dirtied(&mut self, ev: &BuffersDirtied<'_>, _ctx: &mut SchedCtx<'_>) -> u64 {
-        ev.len
     }
 
     fn block_add(&mut self, req: Request, ctx: &mut SchedCtx<'_>) {

@@ -1,4 +1,4 @@
-//! The hook interface between the kernel and a split scheduler.
+//! The message interface between the kernel and a split scheduler.
 
 use sim_block::{Dispatch, IoPrio, QueueOccupancy, Request};
 use sim_core::{BlockNo, CauseSet, FileId, IoError, Pid, SimDuration, SimTime};
@@ -90,86 +90,61 @@ pub enum Gate {
     Hold,
 }
 
-/// Memory-level notification: a buffer was dirtied, or a dirty buffer was
-/// re-dirtied (§4.2, "buffer-dirty hook"). Borrowed from the kernel and
-/// the page cache for the length of the hook call.
+/// Memory-level notification (§4.2, "buffer-dirty hook") for a
+/// *stretch*: `len ≥ 1` consecutive pages of one file, dirtied by one
+/// write, whose buffer-dirty events are identical — all fresh, or all
+/// overwrites of one previous tag — and which lie in one extent (or one
+/// hole). A single page is a stretch of one. Borrowed from the kernel and
+/// the page cache for the length of the message.
 #[derive(Debug, Clone, Copy)]
 pub struct BufferDirtied<'a> {
-    /// File owning the page.
-    pub file: FileId,
-    /// Page index within the file.
-    pub page: u64,
-    /// Who made this write: the writer's own set (`{pid}`), not the
-    /// page's accumulated union — on an overwrite that union is `prev`
-    /// plus these causes.
-    pub causes: &'a CauseSet,
-    /// For an overwrite of an already-dirty buffer: who was responsible
-    /// before this write. The scheduler may shift accounting to the last
-    /// writer.
-    pub prev: Option<&'a CauseSet>,
-    /// On-disk location if already allocated; `None` under delayed
-    /// allocation — the reason memory-level cost estimates are guesses.
-    pub block: Option<BlockNo>,
-    /// Bytes newly dirtied by this event (0 for a pure overwrite).
-    pub new_bytes: u64,
-}
-
-/// Memory-level notification for a *stretch*: `len` consecutive pages of
-/// one file, dirtied by one write, whose buffer-dirty events are
-/// identical — all fresh, or all overwrites of one previous tag — and
-/// which lie in one extent (or one hole). Page `page + i` gets exactly the
-/// [`BufferDirtied`] that [`BuffersDirtied::page`] builds for `i`; the
-/// batch lets a scheduler take them in one call.
-#[derive(Debug, Clone, Copy)]
-pub struct BuffersDirtied<'a> {
     /// File owning the pages.
     pub file: FileId,
     /// First page index within the file.
     pub page: u64,
     /// Number of pages (at least one).
     pub len: u64,
-    /// Who made this write (see [`BufferDirtied::causes`]).
+    /// Who made this write: the writer's own set (`{pid}`), not the
+    /// pages' accumulated union — on an overwrite that union is `prev`
+    /// plus these causes.
     pub causes: &'a CauseSet,
-    /// For overwrites: who was responsible for every one of the pages
-    /// before this write.
+    /// For an overwrite of already-dirty buffers: who was responsible for
+    /// every one of the pages before this write. The scheduler may shift
+    /// accounting to the last writer.
     pub prev: Option<&'a CauseSet>,
     /// On-disk location of the first page, the rest following it; `None`
-    /// under delayed allocation.
+    /// under delayed allocation — the reason memory-level cost estimates
+    /// are guesses.
     pub block: Option<BlockNo>,
-    /// Bytes newly dirtied per page (0 for overwrites).
+    /// Bytes newly dirtied per page (0 for a pure overwrite).
     pub new_bytes: u64,
 }
 
-impl<'a> BuffersDirtied<'a> {
-    /// The event of page `page + i`.
-    pub fn page(&self, i: u64) -> BufferDirtied<'a> {
-        BufferDirtied {
-            file: self.file,
-            page: self.page + i,
-            causes: self.causes,
-            prev: self.prev,
-            block: self.block.map(|b| BlockNo(b.raw() + i)),
-            new_bytes: self.new_bytes,
+impl<'a> BufferDirtied<'a> {
+    /// Take the stretch page by page, for a scheduler whose charge is per
+    /// page: run `f` on each page's own one-page event in order, stopping
+    /// after the first page whose `f` queues a command, so the kernel
+    /// applies it before the next page is dirtied. Returns the pages
+    /// taken.
+    pub fn each_page(
+        &self,
+        ctx: &mut SchedCtx<'_>,
+        mut f: impl FnMut(&BufferDirtied<'a>, &mut SchedCtx<'_>),
+    ) -> u64 {
+        for i in 0..self.len {
+            let page = BufferDirtied {
+                page: self.page + i,
+                len: 1,
+                block: self.block.map(|b| BlockNo(b.raw() + i)),
+                ..*self
+            };
+            f(&page, ctx);
+            if ctx.has_commands() {
+                return i + 1;
+            }
         }
+        self.len
     }
-}
-
-/// Deliver a stretch page by page through [`IoSched::buffer_dirtied`],
-/// stopping after the first page whose hook queues a command; returns the
-/// pages delivered. The default [`IoSched::buffers_dirtied`], and the
-/// fallback of every override for the stretches it cannot take whole.
-pub fn each_buffer_dirtied<S: IoSched + ?Sized>(
-    sched: &mut S,
-    ev: &BuffersDirtied<'_>,
-    ctx: &mut SchedCtx<'_>,
-) -> u64 {
-    for i in 0..ev.len {
-        sched.buffer_dirtied(&ev.page(i), ctx);
-        if ctx.has_commands() {
-            return i + 1;
-        }
-    }
-    ev.len
 }
 
 /// Memory-level notification: a buffer left the cache before writeback
@@ -330,24 +305,116 @@ impl<'a> SchedCtx<'a> {
     }
 }
 
-/// A complete I/O scheduler in the split framework.
+/// One message from the kernel to a scheduler: the split framework's
+/// hooks at three levels (Table 2 of the paper), plus configuration, the
+/// scheduler's timer and the dirty-waiter pick.
 ///
-/// Every method has a default no-op implementation, so a scheduler
-/// implements exactly the levels it cares about — a block-only scheduler
-/// overrides the block hooks, SCS overrides the syscall hooks, and a true
-/// split scheduler uses all three (§3).
+/// A message that wants an answer carries a `&mut` slot that the sender
+/// has already filled with the default answer — `Proceed`, `Idle`, the
+/// whole stretch, the first waiter — and the receiver overwrites. A
+/// message nobody answers therefore gets the default.
+#[derive(Debug)]
+pub enum Hook<'a> {
+    /// Set a per-process attribute (the kernel's `sched_configure`).
+    Configure {
+        /// The process.
+        pid: Pid,
+        /// The attribute.
+        attr: SchedAttr,
+    },
+    /// A gated system call is entering (write/fsync/creat/mkdir/unlink;
+    /// reads only when the kernel gates them). Answer [`Gate::Hold`] to
+    /// park the caller until a later `ctx.wake(pid)`.
+    SyscallEnter {
+        /// The call.
+        sc: &'a SyscallInfo,
+        /// The verdict; starts as [`Gate::Proceed`].
+        gate: &'a mut Gate,
+    },
+    /// A system call finished executing (all kinds, including reads).
+    SyscallExit(&'a SyscallInfo),
+    /// Memory level: a stretch of buffers was dirtied or re-dirtied.
+    BufferDirtied {
+        /// The stretch.
+        ev: BufferDirtied<'a>,
+        /// How many of its pages the scheduler took; starts as `len`.
+        /// Fewer only when a page's work queued a command: the kernel
+        /// applies it before it dirties the rest. The kernel panics on a
+        /// reply outside `1..=len`.
+        taken: &'a mut u64,
+    },
+    /// Memory level: a dirty buffer was dropped before writeback.
+    BufferFreed(&'a BufferFreed),
+    /// Block level: a request entered the block layer. The scheduler owns
+    /// the queue; it holds the request until a dispatch answers with it.
+    BlockAdd(Request),
+    /// Block level: the device can take a request; answer the next one.
+    /// Starts as [`Dispatch::Idle`].
+    BlockDispatch(&'a mut Dispatch),
+    /// Block level: a request completed at the device.
+    BlockCompleted(&'a Request),
+    /// Block level: a request *failed* at the device (fault injection).
+    BlockFailed {
+        /// The request.
+        req: &'a Request,
+        /// Why it failed.
+        error: IoError,
+    },
+    /// A timer armed via `ctx.set_timer` fired.
+    Timer,
+    /// The kernel is about to admit one writer blocked on the dirty
+    /// threshold. Answer the index of the waiter to wake; the kernel
+    /// panics on an index past the last waiter.
+    PickDirtyWaiter {
+        /// The blocked writers, in arrival order.
+        waiters: &'a [Pid],
+        /// The index to wake; starts as 0 (FIFO, Linux's behaviour).
+        pick: &'a mut usize,
+    },
+}
+
+/// The kernel's view of a scheduler: one entry point for every message,
+/// plus three queries.
+///
+/// Write a scheduler against [`Scheduler`]; its blanket impl turns each
+/// message into a hook call. Implement `IoSched` directly only to wrap
+/// another scheduler: match the messages the wrapper changes and forward
+/// the rest with `other => self.inner.on(other, ctx)`.
 pub trait IoSched {
     /// Scheduler name for reports.
     fn name(&self) -> &'static str;
 
+    /// Handle one message, answering in its slot if it has one.
+    fn on(&mut self, hook: Hook<'_>, ctx: &mut SchedCtx<'_>);
+
+    /// Requests currently held at the block level.
+    fn queued(&self) -> usize;
+
+    /// Self-audit the scheduler's internal ledgers, returning one message
+    /// per violated invariant. `quiesced` is true when the caller knows no
+    /// request is queued or in flight — accounting schedulers then check
+    /// that every dispatch-time charge has been settled by a completion or
+    /// refund.
+    fn audit(&self, quiesced: bool) -> Vec<String>;
+}
+
+/// A complete I/O scheduler in the split framework, written hook by hook.
+///
+/// Every hook but the two block-queue ones has a default, so a scheduler
+/// implements exactly the levels it cares about — a block-only scheduler
+/// overrides the block hooks, SCS overrides the syscall hooks, and a true
+/// split scheduler uses all three (§3). Each hook answers the [`Hook`]
+/// message of the same name.
+pub trait Scheduler {
+    /// Scheduler name for reports.
+    fn name(&self) -> &'static str;
+
     /// Set a per-process attribute. Unsupported attributes are ignored.
-    fn configure(&mut self, pid: Pid, attr: SchedAttr) {
-        let _ = (pid, attr);
+    fn configure(&mut self, pid: Pid, attr: SchedAttr, ctx: &mut SchedCtx<'_>) {
+        let _ = (pid, attr, ctx);
     }
 
-    /// A gated system call is entering (write/fsync/creat/mkdir/unlink —
-    /// reads are not gated, see module docs). Return [`Gate::Hold`] to park
-    /// the caller until a later `ctx.wake(pid)`.
+    /// A gated system call is entering ([`Hook::SyscallEnter`]).
     fn syscall_enter(&mut self, sc: &SyscallInfo, ctx: &mut SchedCtx<'_>) -> Gate {
         let _ = (sc, ctx);
         Gate::Proceed
@@ -358,21 +425,14 @@ pub trait IoSched {
         let _ = (sc, ctx);
     }
 
-    /// Memory level: a buffer was dirtied or re-dirtied.
-    fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) {
-        let _ = (ev, ctx);
-    }
-
-    /// Memory level: a stretch of buffers was dirtied or re-dirtied (see
-    /// [`BuffersDirtied`]). Returns how many of its pages the scheduler
-    /// took: all of them, unless a hook queued a command, in which case
-    /// the kernel applies the command before it dirties the rest. The
-    /// reply must lie in `1..=len`; the kernel panics on any other. The
-    /// default is [`each_buffer_dirtied`], one [`IoSched::buffer_dirtied`]
-    /// per page; override it only where one call has exactly the effect
-    /// of those.
-    fn buffers_dirtied(&mut self, ev: &BuffersDirtied<'_>, ctx: &mut SchedCtx<'_>) -> u64 {
-        each_buffer_dirtied(self, ev, ctx)
+    /// Memory level: a stretch of buffers was dirtied or re-dirtied.
+    /// Returns how many of its pages the scheduler took (see
+    /// [`Hook::BufferDirtied`]); the default takes the whole stretch. A
+    /// scheduler whose charge is per page takes it through
+    /// [`BufferDirtied::each_page`].
+    fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) -> u64 {
+        let _ = ctx;
+        ev.len
     }
 
     /// Memory level: a dirty buffer was dropped before writeback.
@@ -380,9 +440,7 @@ pub trait IoSched {
         let _ = (ev, ctx);
     }
 
-    /// Block level: a request entered the block layer. The scheduler owns
-    /// the queue; it must hold the request until a `block_dispatch` returns
-    /// it.
+    /// Block level: a request entered the block layer.
     fn block_add(&mut self, req: Request, ctx: &mut SchedCtx<'_>);
 
     /// Block level: the device is idle; pick the next request.
@@ -393,10 +451,10 @@ pub trait IoSched {
         let _ = (req, ctx);
     }
 
-    /// Block level: a request *failed* at the device (fault injection).
-    /// The default treats it like a completion so queue accounting stays
-    /// balanced; schedulers with cost accounting override this to refund
-    /// what the failed request was charged.
+    /// Block level: a request failed at the device. The default treats it
+    /// like a completion so queue accounting stays balanced; schedulers
+    /// with cost accounting override this to refund what the failed
+    /// request was charged.
     fn block_failed(&mut self, req: &Request, error: IoError, ctx: &mut SchedCtx<'_>) {
         let _ = error;
         self.block_completed(req, ctx);
@@ -407,92 +465,53 @@ pub trait IoSched {
         let _ = ctx;
     }
 
-    /// The kernel is about to admit one writer blocked on the dirty
-    /// threshold; return the index of the waiter to wake. The default is
+    /// Pick which dirty-throttled writer to admit next. The default is
     /// FIFO (Linux's behaviour). Split schedulers use this to make the
     /// write-buffer admission order follow their policy — controlling
     /// "when writes become visible to the file system" (§3.3).
-    fn pick_dirty_waiter(&mut self, waiters: &[Pid]) -> usize {
-        let _ = waiters;
+    fn pick_dirty_waiter(&mut self, waiters: &[Pid], ctx: &mut SchedCtx<'_>) -> usize {
+        let _ = (waiters, ctx);
         0
     }
 
     /// Requests currently held at the block level.
     fn queued(&self) -> usize;
 
-    /// Self-audit the scheduler's internal ledgers, returning one message
-    /// per violated invariant. `quiesced` is true when the caller knows no
-    /// request is queued or in flight — accounting schedulers then check
-    /// that every dispatch-time charge has been settled by a completion or
-    /// refund. The default implementation reports nothing.
+    /// Self-audit (see [`IoSched::audit`]). The default reports nothing.
     fn audit(&self, quiesced: bool) -> Vec<String> {
         let _ = quiesced;
         Vec::new()
     }
 }
 
-/// Boxed schedulers forward every hook, so wrappers generic over
-/// `S: IoSched` (the check harness's sabotage shim, for one) compose with
-/// the `Box<dyn IoSched>` the experiment builders hand out.
-impl IoSched for Box<dyn IoSched> {
+/// The one place a message becomes a hook call.
+impl<S: Scheduler> IoSched for S {
     fn name(&self) -> &'static str {
-        (**self).name()
+        Scheduler::name(self)
     }
 
-    fn configure(&mut self, pid: Pid, attr: SchedAttr) {
-        (**self).configure(pid, attr)
-    }
-
-    fn syscall_enter(&mut self, sc: &SyscallInfo, ctx: &mut SchedCtx<'_>) -> Gate {
-        (**self).syscall_enter(sc, ctx)
-    }
-
-    fn syscall_exit(&mut self, sc: &SyscallInfo, ctx: &mut SchedCtx<'_>) {
-        (**self).syscall_exit(sc, ctx)
-    }
-
-    fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) {
-        (**self).buffer_dirtied(ev, ctx)
-    }
-
-    fn buffers_dirtied(&mut self, ev: &BuffersDirtied<'_>, ctx: &mut SchedCtx<'_>) -> u64 {
-        (**self).buffers_dirtied(ev, ctx)
-    }
-
-    fn buffer_freed(&mut self, ev: &BufferFreed, ctx: &mut SchedCtx<'_>) {
-        (**self).buffer_freed(ev, ctx)
-    }
-
-    fn block_add(&mut self, req: Request, ctx: &mut SchedCtx<'_>) {
-        (**self).block_add(req, ctx)
-    }
-
-    fn block_dispatch(&mut self, ctx: &mut SchedCtx<'_>) -> Dispatch {
-        (**self).block_dispatch(ctx)
-    }
-
-    fn block_completed(&mut self, req: &Request, ctx: &mut SchedCtx<'_>) {
-        (**self).block_completed(req, ctx)
-    }
-
-    fn block_failed(&mut self, req: &Request, error: IoError, ctx: &mut SchedCtx<'_>) {
-        (**self).block_failed(req, error, ctx)
-    }
-
-    fn timer_fired(&mut self, ctx: &mut SchedCtx<'_>) {
-        (**self).timer_fired(ctx)
-    }
-
-    fn pick_dirty_waiter(&mut self, waiters: &[Pid]) -> usize {
-        (**self).pick_dirty_waiter(waiters)
+    fn on(&mut self, hook: Hook<'_>, ctx: &mut SchedCtx<'_>) {
+        match hook {
+            Hook::Configure { pid, attr } => self.configure(pid, attr, ctx),
+            Hook::SyscallEnter { sc, gate } => *gate = self.syscall_enter(sc, ctx),
+            Hook::SyscallExit(sc) => self.syscall_exit(sc, ctx),
+            Hook::BufferDirtied { ev, taken } => *taken = self.buffer_dirtied(&ev, ctx),
+            Hook::BufferFreed(ev) => self.buffer_freed(ev, ctx),
+            Hook::BlockAdd(req) => self.block_add(req, ctx),
+            Hook::BlockDispatch(d) => *d = self.block_dispatch(ctx),
+            Hook::BlockCompleted(req) => self.block_completed(req, ctx),
+            Hook::BlockFailed { req, error } => self.block_failed(req, error, ctx),
+            Hook::Timer => self.timer_fired(ctx),
+            Hook::PickDirtyWaiter { waiters, pick } => *pick = self.pick_dirty_waiter(waiters, ctx),
+        }
     }
 
     fn queued(&self) -> usize {
-        (**self).queued()
+        Scheduler::queued(self)
     }
 
     fn audit(&self, quiesced: bool) -> Vec<String> {
-        (**self).audit(quiesced)
+        Scheduler::audit(self, quiesced)
     }
 }
 
@@ -527,22 +546,24 @@ mod tests {
         assert!(ctx.drain().is_empty());
     }
 
-    /// The default delivers a stretch page by page, each page with its
-    /// own block, and stops after the page whose hook queues a command.
+    /// Taken page by page, each page of a stretch gets its own block, and
+    /// the reply stops after the page whose work queues a command.
     #[test]
-    fn default_stretch_delivery_stops_at_the_first_command() {
-        struct Log(Vec<(u64, Option<u64>)>);
-        impl IoSched for Log {
+    fn each_page_stops_at_the_first_command() {
+        struct Log(Vec<(u64, u64, Option<u64>)>);
+        impl Scheduler for Log {
             fn name(&self) -> &'static str {
                 "log"
             }
-            fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) {
-                self.0.push((ev.page, ev.block.map(|b| b.raw())));
-                if ev.page == 12 {
-                    ctx.kick_dispatch();
-                }
+            fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) -> u64 {
+                ev.each_page(ctx, |p, ctx| {
+                    self.0.push((p.page, p.len, p.block.map(|b| b.raw())));
+                    if p.page == 12 {
+                        ctx.kick_dispatch();
+                    }
+                })
             }
-            fn block_add(&mut self, _req: sim_block::Request, _ctx: &mut SchedCtx<'_>) {}
+            fn block_add(&mut self, _req: Request, _ctx: &mut SchedCtx<'_>) {}
             fn block_dispatch(&mut self, _ctx: &mut SchedCtx<'_>) -> Dispatch {
                 Dispatch::Idle
             }
@@ -552,28 +573,39 @@ mod tests {
         }
         let dev = HddModel::new();
         let causes = CauseSet::of(Pid(1));
-        let stretch = |page, len| BuffersDirtied {
-            file: FileId(1),
-            page,
-            len,
-            causes: &causes,
-            prev: None,
-            block: Some(BlockNo(100)),
-            new_bytes: 4096,
-        };
         let mut s = Log(Vec::new());
         let mut ctx = SchedCtx::new(SimTime::ZERO, &dev);
-        assert_eq!(s.buffers_dirtied(&stretch(0, 3), &mut ctx), 3);
-        assert_eq!(s.buffers_dirtied(&stretch(10, 5), &mut ctx), 3);
+        let mut send = |page, len| {
+            let ev = BufferDirtied {
+                file: FileId(1),
+                page,
+                len,
+                causes: &causes,
+                prev: None,
+                block: Some(BlockNo(100)),
+                new_bytes: 4096,
+            };
+            let mut taken = len;
+            s.on(
+                Hook::BufferDirtied {
+                    ev,
+                    taken: &mut taken,
+                },
+                &mut ctx,
+            );
+            taken
+        };
+        assert_eq!(send(0, 3), 3);
+        assert_eq!(send(10, 5), 3);
         assert_eq!(
             s.0,
             vec![
-                (0, Some(100)),
-                (1, Some(101)),
-                (2, Some(102)),
-                (10, Some(100)),
-                (11, Some(101)),
-                (12, Some(102))
+                (0, 1, Some(100)),
+                (1, 1, Some(101)),
+                (2, 1, Some(102)),
+                (10, 1, Some(100)),
+                (11, 1, Some(101)),
+                (12, 1, Some(102))
             ]
         );
         assert!(ctx.has_commands());

@@ -2,8 +2,8 @@
 //! The split-level scheduling framework — the paper's primary
 //! contribution (§3, §4).
 //!
-//! A split scheduler is one object implementing [`IoSched`], with hooks at
-//! three layers of the storage stack (Table 2 of the paper):
+//! A split scheduler is one object implementing [`Scheduler`], with hooks
+//! at three layers of the storage stack (Table 2 of the paper):
 //!
 //! | Level | Hooks | Origin |
 //! |---|---|---|
@@ -11,8 +11,12 @@
 //! | memory | `buffer_dirtied` / `buffer_freed` | **new** |
 //! | block | `block_add` / `block_dispatch` / `block_completed` | block |
 //!
-//! The kernel invokes the hooks; the scheduler responds either by returning
-//! a value (gating a syscall, issuing a request) or by queuing commands on
+//! The kernel sends each hook as one [`Hook`] message through
+//! [`IoSched::on`], the one entry point it knows; `Scheduler`'s blanket
+//! impl turns the message back into the hook call, and a wrapper matches
+//! only the messages it changes. The scheduler responds either by
+//! answering in the message's reply slot (gating a syscall, issuing a
+//! request) or by queuing commands on
 //! the [`SchedCtx`] (waking a parked task, arming a timer, kicking
 //! writeback). Cross-layer *cause tags* ([`CauseSet`], re-exported from
 //! `sim-core`) flow from the dirtying syscall through the page cache and
@@ -29,8 +33,8 @@ mod proxy;
 
 pub use adapter::BlockOnly;
 pub use hooks::{
-    each_buffer_dirtied, BufferDirtied, BufferFreed, BuffersDirtied, Gate, IoSched, SchedAttr,
-    SchedCmd, SchedCtx, SyscallInfo, SyscallKind,
+    BufferDirtied, BufferFreed, Gate, Hook, IoSched, SchedAttr, SchedCmd, SchedCtx, Scheduler,
+    SyscallInfo, SyscallKind,
 };
 pub use proxy::ProxyRegistry;
 

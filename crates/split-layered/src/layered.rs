@@ -16,7 +16,8 @@ use crate::spec::{validate, LayerPolicy, LayerRule, LayerSpec, SpecError};
 use sim_block::{Dispatch, PrioClass, ReqKind, Request};
 use sim_core::{FileId, Pid, RequestId, SimDuration, SimTime, PAGE_SIZE};
 use split_core::{
-    BufferDirtied, BufferFreed, Gate, IoSched, SchedAttr, SchedCtx, SyscallInfo, SyscallKind,
+    BufferDirtied, BufferFreed, Gate, Hook, IoSched, SchedAttr, SchedCtx, Scheduler, SyscallInfo,
+    SyscallKind,
 };
 use std::collections::{HashMap, VecDeque};
 
@@ -439,27 +440,22 @@ impl Layered {
     }
 }
 
-impl IoSched for Layered {
+impl Scheduler for Layered {
     fn name(&self) -> &'static str {
         "layered"
     }
 
-    fn configure(&mut self, pid: Pid, attr: SchedAttr) {
-        match attr {
-            SchedAttr::ProcName(n) => {
-                // Admission metadata; meaningful only before first I/O.
-                self.names.insert(pid, n);
-            }
-            SchedAttr::Prio(p) => {
-                self.classes.entry(pid).or_insert(p.class);
-                let i = self.classify_pid(pid);
-                self.layers[i].child.configure(pid, attr);
-            }
-            _ => {
-                let i = self.classify_pid(pid);
-                self.layers[i].child.configure(pid, attr);
-            }
+    fn configure(&mut self, pid: Pid, attr: SchedAttr, ctx: &mut SchedCtx<'_>) {
+        if let SchedAttr::ProcName(n) = attr {
+            // Admission metadata; meaningful only before first I/O.
+            self.names.insert(pid, n);
+            return;
         }
+        if let SchedAttr::Prio(p) = attr {
+            self.classes.entry(pid).or_insert(p.class);
+        }
+        let i = self.classify_pid(pid);
+        self.layers[i].child.on(Hook::Configure { pid, attr }, ctx);
     }
 
     fn syscall_enter(&mut self, sc: &SyscallInfo, ctx: &mut SchedCtx<'_>) -> Gate {
@@ -512,7 +508,15 @@ impl IoSched for Layered {
                 }
             }
         }
-        self.layers[i].child.syscall_enter(sc, ctx)
+        let mut gate = Gate::Proceed;
+        self.layers[i].child.on(
+            Hook::SyscallEnter {
+                sc,
+                gate: &mut gate,
+            },
+            ctx,
+        );
+        gate
     }
 
     fn syscall_exit(&mut self, sc: &SyscallInfo, ctx: &mut SchedCtx<'_>) {
@@ -534,39 +538,46 @@ impl IoSched for Layered {
                 }
             }
         }
-        self.layers[i].child.syscall_exit(sc, ctx)
+        self.layers[i].child.on(Hook::SyscallExit(sc), ctx)
     }
 
-    fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) {
+    fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) -> u64 {
         let i = self.layer_of_causes(ev.causes);
-        self.layers[i].dirty_bytes += ev.new_bytes;
-        // Entanglement control: a latency layer's fsync commit flushes
-        // every ordered file's dirty data, so other layers' dirty pages
-        // are latent commit work. Write them back eagerly.
-        if let Some(threshold) = self.cfg.eager_wb_bytes {
-            if self.has_latency
-                && !self.layers[i].latency_prio()
-                && self.layers[i].dirty_bytes >= threshold
-            {
-                if self.fsync_boost > 0 {
-                    // Mid-commit flush traffic would interleave with the
-                    // journal writes; kick it when the boost closes.
-                    if !self.wb_deferred.iter().any(|(f, _)| *f == ev.file) {
-                        self.wb_deferred.push((ev.file, i));
+        // Page by page: the eager-writeback check below can fire on any
+        // page, and the child sees each page as its own stretch.
+        ev.each_page(ctx, |ev, ctx| {
+            self.layers[i].dirty_bytes += ev.new_bytes;
+            // Entanglement control: a latency layer's fsync commit flushes
+            // every ordered file's dirty data, so other layers' dirty pages
+            // are latent commit work. Write them back eagerly.
+            if let Some(threshold) = self.cfg.eager_wb_bytes {
+                if self.has_latency
+                    && !self.layers[i].latency_prio()
+                    && self.layers[i].dirty_bytes >= threshold
+                {
+                    if self.fsync_boost > 0 {
+                        // Mid-commit flush traffic would interleave with the
+                        // journal writes; kick it when the boost closes.
+                        if !self.wb_deferred.iter().any(|(f, _)| *f == ev.file) {
+                            self.wb_deferred.push((ev.file, i));
+                        }
+                    } else {
+                        let pages = self.layers[i].dirty_bytes / PAGE_SIZE + 1;
+                        ctx.start_writeback(Some(ev.file), pages);
                     }
-                } else {
-                    let pages = self.layers[i].dirty_bytes / PAGE_SIZE + 1;
-                    ctx.start_writeback(Some(ev.file), pages);
                 }
             }
-        }
-        self.layers[i].child.buffer_dirtied(ev, ctx)
+            let taken = &mut 1;
+            self.layers[i]
+                .child
+                .on(Hook::BufferDirtied { ev: *ev, taken }, ctx)
+        })
     }
 
     fn buffer_freed(&mut self, ev: &BufferFreed, ctx: &mut SchedCtx<'_>) {
         let i = self.layer_of_causes(&ev.causes);
         self.layers[i].dirty_bytes = self.layers[i].dirty_bytes.saturating_sub(ev.bytes);
-        self.layers[i].child.buffer_freed(ev, ctx);
+        self.layers[i].child.on(Hook::BufferFreed(ev), ctx);
         if !self.dirty_held.is_empty() {
             self.release_held(ctx);
         }
@@ -575,7 +586,7 @@ impl IoSched for Layered {
     fn block_add(&mut self, req: Request, ctx: &mut SchedCtx<'_>) {
         let i = self.layer_of_req(&req);
         self.req_layer.insert(req.id, i);
-        self.layers[i].child.block_add(req, ctx)
+        self.layers[i].child.on(Hook::BlockAdd(req), ctx)
     }
 
     fn block_dispatch(&mut self, ctx: &mut SchedCtx<'_>) -> Dispatch {
@@ -670,7 +681,9 @@ impl IoSched for Layered {
                 issued = self.layers[i].parked.pop_front();
                 break;
             }
-            match self.layers[i].child.block_dispatch(ctx) {
+            let mut d = Dispatch::Idle;
+            self.layers[i].child.on(Hook::BlockDispatch(&mut d), ctx);
+            match d {
                 Dispatch::Issue(req) => {
                     // Cap discipline: reads are throttled here; writes
                     // are never held below the journal (they were
@@ -739,7 +752,7 @@ impl IoSched for Layered {
             .remove(&req.id)
             .unwrap_or(self.layers.len() - 1);
         self.layers[i].in_flight = self.layers[i].in_flight.saturating_sub(1);
-        self.layers[i].child.block_completed(req, ctx)
+        self.layers[i].child.on(Hook::BlockCompleted(req), ctx)
     }
 
     fn block_failed(&mut self, req: &Request, error: sim_core::IoError, ctx: &mut SchedCtx<'_>) {
@@ -754,7 +767,9 @@ impl IoSched for Layered {
                 b.refund(req.bytes());
             }
         }
-        self.layers[i].child.block_failed(req, error, ctx)
+        self.layers[i]
+            .child
+            .on(Hook::BlockFailed { req, error }, ctx)
     }
 
     fn timer_fired(&mut self, ctx: &mut SchedCtx<'_>) {
@@ -770,36 +785,38 @@ impl IoSched for Layered {
         // Children share the kernel's timer plumbing; each tolerates
         // spurious maintenance fires.
         for l in &mut self.layers {
-            l.child.timer_fired(ctx);
+            l.child.on(Hook::Timer, ctx);
         }
     }
 
-    fn pick_dirty_waiter(&mut self, waiters: &[Pid]) -> usize {
+    fn pick_dirty_waiter(&mut self, waiters: &[Pid], ctx: &mut SchedCtx<'_>) -> usize {
+        let Some(&first) = waiters.first() else {
+            return 0;
+        };
         // All in one layer: that child's policy decides.
-        let first = waiters.first().map(|&p| self.classify_pid(p));
-        if let Some(f) = first {
-            let layers: Vec<usize> = waiters.iter().map(|&p| self.classify_pid(p)).collect();
-            if layers.iter().all(|&l| l == f) {
-                return self.layers[f].child.pick_dirty_waiter(waiters);
-            }
-            // Cross-layer: admit the highest-ranked layer's writer first
-            // (latency layers, then tree order), FIFO within a layer.
-            let rank = |l: usize| -> usize {
-                if self.layers[l].latency_prio() {
-                    0
-                } else {
-                    l + 1
-                }
+        let f = self.classify_pid(first);
+        if waiters.iter().all(|&p| self.classify_pid(p) == f) {
+            let mut pick = 0;
+            let hook = Hook::PickDirtyWaiter {
+                waiters,
+                pick: &mut pick,
             };
-            let mut best = 0;
-            for (k, &l) in layers.iter().enumerate() {
-                if rank(l) < rank(layers[best]) {
-                    best = k;
-                }
-            }
-            return best;
+            self.layers[f].child.on(hook, ctx);
+            return pick;
         }
-        0
+        // Cross-layer: admit the highest-ranked layer's writer first
+        // (latency layers, then tree order), FIFO within a layer.
+        let rank = |s: &mut Self, p| {
+            let l = s.classify_pid(p);
+            if s.layers[l].latency_prio() {
+                0
+            } else {
+                l + 1
+            }
+        };
+        (0..waiters.len())
+            .min_by_key(|&k| rank(self, waiters[k]))
+            .unwrap_or(0)
     }
 
     fn queued(&self) -> usize {
@@ -893,13 +910,13 @@ mod tests {
     #[test]
     fn single_layer_forwards_to_its_child() {
         let mut l = Layered::single(Box::new(BlockOnly::new(Noop::new())));
-        assert_eq!(l.name(), "layered");
+        assert_eq!(Scheduler::name(&l), "layered");
         assert_eq!(l.layers.len(), 1);
         assert!(l.layers[0].bucket.is_none() && !l.has_latency);
         assert_eq!(l.report.shares[0], 1.0, "the one layer owns every slot");
         assert_eq!(l.classify_pid(Pid(7)), 0);
-        assert_eq!(l.queued(), 0);
-        assert!(l.audit(true).is_empty());
+        assert_eq!(Scheduler::queued(&l), 0);
+        assert!(Scheduler::audit(&l, true).is_empty());
     }
 
     #[test]

@@ -24,10 +24,7 @@ use std::collections::VecDeque;
 use sim_block::{Dispatch, IoPrio, ReqKind, Request};
 use sim_core::{BlockNo, FastMap, Pid, SimDuration, SimTime};
 use sim_device::IoDir;
-use split_core::{
-    each_buffer_dirtied, BufferDirtied, BuffersDirtied, Gate, IoSched, SchedAttr, SchedCtx,
-    SyscallInfo,
-};
+use split_core::{BufferDirtied, Gate, SchedAttr, SchedCtx, Scheduler, SyscallInfo};
 
 use sim_block::sorted::SortedQueue;
 
@@ -242,12 +239,12 @@ impl Default for Afq {
     }
 }
 
-impl IoSched for Afq {
+impl Scheduler for Afq {
     fn name(&self) -> &'static str {
         "afq"
     }
 
-    fn configure(&mut self, pid: Pid, attr: SchedAttr) {
+    fn configure(&mut self, pid: Pid, attr: SchedAttr, _ctx: &mut SchedCtx<'_>) {
         if let SchedAttr::Prio(p) = attr {
             self.weights.insert(pid, weight_of(p));
         }
@@ -271,21 +268,17 @@ impl IoSched for Afq {
         }
     }
 
-    fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) {
+    fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) -> u64 {
         if ev.new_bytes == 0 {
-            return; // overwrites add no flush work
+            return ev.len; // overwrites add no flush work
         }
-        // Prompt estimate: the sequential-transfer cost of the new bytes.
-        // The real (seek-aware) cost is settled at dispatch.
+        // Prompt estimate: the sequential-transfer cost of the new bytes,
+        // charged per page (each `f64` charge is part of the result). The
+        // real (seek-aware) cost is settled at dispatch.
         let secs = ev.new_bytes as f64 / ctx.device.seq_bandwidth();
-        self.charge_causes(ev.causes, Pid(0), secs, ctx.now);
-    }
-
-    fn buffers_dirtied(&mut self, ev: &BuffersDirtied<'_>, ctx: &mut SchedCtx<'_>) -> u64 {
-        if ev.new_bytes == 0 {
-            return ev.len; // overwrites: no flush work, whatever the length
-        }
-        each_buffer_dirtied(self, ev, ctx)
+        ev.each_page(ctx, |ev, ctx| {
+            self.charge_causes(ev.causes, Pid(0), secs, ctx.now)
+        })
     }
 
     fn block_add(&mut self, req: Request, ctx: &mut SchedCtx<'_>) {
@@ -387,7 +380,7 @@ impl IoSched for Afq {
         ctx.kick_dispatch();
     }
 
-    fn pick_dirty_waiter(&mut self, waiters: &[Pid]) -> usize {
+    fn pick_dirty_waiter(&mut self, waiters: &[Pid], _ctx: &mut SchedCtx<'_>) -> usize {
         let mut best = 0;
         let mut best_pass = f64::INFINITY;
         for (i, &pid) in waiters.iter().enumerate() {
@@ -472,7 +465,7 @@ mod tests {
         let dev = HddModel::new();
         let mut a = Afq::new();
         let mut ctx = SchedCtx::new(SimTime::ZERO, &dev);
-        a.configure(Pid(1), SchedAttr::Prio(IoPrio::best_effort(0)));
+        a.configure(Pid(1), SchedAttr::Prio(IoPrio::best_effort(0)), &mut ctx);
         a.charge(Pid(1), 10.0, SimTime::ZERO);
         assert_eq!(
             a.syscall_enter(&write_info(1, IoPrio::best_effort(0)), &mut ctx),
@@ -492,6 +485,7 @@ mod tests {
             &BufferDirtied {
                 file: sim_core::FileId(1),
                 page: 0,
+                len: 1,
                 causes: &CauseSet::of(Pid(1)),
                 prev: None,
                 block: None,
@@ -541,13 +535,14 @@ mod tests {
         let dev = HddModel::new();
         let mut a = Afq::new();
         let mut ctx = SchedCtx::new(SimTime::ZERO, &dev);
-        a.configure(Pid(1), SchedAttr::Prio(IoPrio::best_effort(0))); // w=8
-        a.configure(Pid(2), SchedAttr::Prio(IoPrio::best_effort(7))); // w=1
+        a.configure(Pid(1), SchedAttr::Prio(IoPrio::best_effort(0)), &mut ctx); // w=8
+        a.configure(Pid(2), SchedAttr::Prio(IoPrio::best_effort(7)), &mut ctx); // w=1
         for pid in [1u32, 2] {
             a.buffer_dirtied(
                 &BufferDirtied {
                     file: sim_core::FileId(pid as u64),
                     page: 0,
+                    len: 1,
                     causes: &CauseSet::of(Pid(pid)),
                     prev: None,
                     block: None,
@@ -566,8 +561,9 @@ mod tests {
     fn stride_respects_weights_at_block_level() {
         let dev = HddModel::new();
         let mut a = Afq::new();
-        a.configure(Pid(1), SchedAttr::Prio(IoPrio::best_effort(0))); // w=8
-        a.configure(Pid(2), SchedAttr::Prio(IoPrio::best_effort(7))); // w=1
+        let mut ctx = SchedCtx::new(SimTime::ZERO, &dev);
+        a.configure(Pid(1), SchedAttr::Prio(IoPrio::best_effort(0)), &mut ctx); // w=8
+        a.configure(Pid(2), SchedAttr::Prio(IoPrio::best_effort(7)), &mut ctx); // w=1
         let mut served: FastMap<Pid, u32> = FastMap::default();
         let mut id = 0u64;
         // Both readers always have work, so no anticipation: each quantum

@@ -20,7 +20,7 @@
 
 use sim_block::{Dispatch, Request};
 use sim_core::{Pid, SimDuration, SimTime};
-use split_core::{Gate, IoSched, SchedAttr, SchedCtx, SyscallInfo, SyscallKind};
+use split_core::{Gate, SchedAttr, SchedCtx, Scheduler, SyscallInfo, SyscallKind};
 
 use crate::tokens::TokenBuckets;
 
@@ -61,12 +61,12 @@ impl Default for ScsToken {
     }
 }
 
-impl IoSched for ScsToken {
+impl Scheduler for ScsToken {
     fn name(&self) -> &'static str {
         "scs-token"
     }
 
-    fn configure(&mut self, pid: Pid, attr: SchedAttr) {
+    fn configure(&mut self, pid: Pid, attr: SchedAttr, _ctx: &mut SchedCtx<'_>) {
         let now = SimTime::ZERO;
         match attr {
             SchedAttr::TokenRate(rate) => self.buckets.set_rate(pid, rate, now),
@@ -168,8 +168,8 @@ mod tests {
     fn writes_charged_raw_bytes_even_for_overwrites() {
         let dev = HddModel::new();
         let mut s = ScsToken::new();
-        s.configure(Pid(1), SchedAttr::TokenRate(1_000_000));
         let mut ctx = SchedCtx::new(SimTime::ZERO, &dev);
+        s.configure(Pid(1), SchedAttr::TokenRate(1_000_000), &mut ctx);
         let w = SyscallKind::Write {
             file: FileId(1),
             offset: 0,
@@ -188,8 +188,8 @@ mod tests {
     fn audit_surfaces_the_waiter_set_check() {
         let dev = HddModel::new();
         let mut s = ScsToken::new();
-        s.configure(Pid(1), SchedAttr::TokenRate(1000));
         let mut ctx = SchedCtx::new(SimTime::ZERO, &dev);
+        s.configure(Pid(1), SchedAttr::TokenRate(1000), &mut ctx);
         let w = SyscallKind::Write {
             file: FileId(1),
             offset: 0,
@@ -206,8 +206,8 @@ mod tests {
     fn cached_reads_are_not_charged() {
         let dev = HddModel::new();
         let mut s = ScsToken::new();
-        s.configure(Pid(1), SchedAttr::TokenRate(1000));
         let mut ctx = SchedCtx::new(SimTime::ZERO, &dev);
+        s.configure(Pid(1), SchedAttr::TokenRate(1000), &mut ctx);
         let r = SyscallKind::Read {
             file: FileId(1),
             offset: 0,
@@ -226,8 +226,8 @@ mod tests {
     fn fsync_costs_nothing_at_the_gate() {
         let dev = HddModel::new();
         let mut s = ScsToken::new();
-        s.configure(Pid(1), SchedAttr::TokenRate(1000));
         let mut ctx = SchedCtx::new(SimTime::ZERO, &dev);
+        s.configure(Pid(1), SchedAttr::TokenRate(1000), &mut ctx);
         let f = SyscallKind::Fsync { file: FileId(1) };
         assert_eq!(s.syscall_enter(&info(1, f, None), &mut ctx), Gate::Proceed);
         assert!(s.buckets.may_proceed(Pid(1), SimTime::ZERO));

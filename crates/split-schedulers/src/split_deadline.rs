@@ -23,8 +23,7 @@ use sim_block::{Dispatch, ReqKind, Request};
 use sim_core::{BlockNo, FileId, Pid, RequestId, SimDuration, SimTime};
 use sim_device::IoDir;
 use split_core::{
-    each_buffer_dirtied, BufferDirtied, BufferFreed, BuffersDirtied, Gate, IoSched, SchedAttr,
-    SchedCtx, SyscallInfo, SyscallKind,
+    BufferDirtied, BufferFreed, Gate, SchedAttr, SchedCtx, Scheduler, SyscallInfo, SyscallKind,
 };
 
 /// Default fsync deadline for unconfigured processes.
@@ -264,12 +263,12 @@ impl Default for SplitDeadline {
     }
 }
 
-impl IoSched for SplitDeadline {
+impl Scheduler for SplitDeadline {
     fn name(&self) -> &'static str {
         "split-deadline"
     }
 
-    fn configure(&mut self, pid: Pid, attr: SchedAttr) {
+    fn configure(&mut self, pid: Pid, attr: SchedAttr, _ctx: &mut SchedCtx<'_>) {
         if let SchedAttr::FsyncDeadline(d) = attr {
             self.fsync_deadlines.insert(pid, d);
         }
@@ -322,40 +321,35 @@ impl IoSched for SplitDeadline {
         }
     }
 
-    fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) {
-        self.note_device(ctx);
+    fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) -> u64 {
         if ev.new_bytes == 0 {
-            return; // overwrite: flush work unchanged
-        }
-        self.arm_timer(ctx);
-        let offset = ev.page * sim_core::PAGE_SIZE;
-        let sequential = self.last_offset.get(&ev.file) == Some(&offset);
-        self.last_offset.insert(ev.file, offset + ev.new_bytes);
-        let transfer = ev.new_bytes as f64 / ctx.device.seq_bandwidth();
-        let secs = if sequential {
-            transfer
-        } else {
-            transfer + self.seek_equiv_secs
-        };
-        let c = self.file_cost.entry(ev.file).or_default();
-        c.secs += secs;
-        c.pages += 1;
-        for (pid, share) in ev.causes.shares(secs) {
-            *self.pid_cost.entry(pid).or_insert(0.0) += share;
-        }
-        if self.manage_writeback && self.total_cost() > WB_HIGH_COST {
-            ctx.start_writeback(None, WB_BATCH);
-            self.arm_timer(ctx);
-        }
-    }
-
-    fn buffers_dirtied(&mut self, ev: &BuffersDirtied<'_>, ctx: &mut SchedCtx<'_>) -> u64 {
-        if ev.new_bytes == 0 {
-            // Overwrites: flush work unchanged, whatever the length.
             self.note_device(ctx);
-            return ev.len;
+            return ev.len; // overwrites: flush work unchanged
         }
-        each_buffer_dirtied(self, ev, ctx)
+        // Each page's `f64` cost is part of the result: charge per page.
+        ev.each_page(ctx, |ev, ctx| {
+            self.note_device(ctx);
+            self.arm_timer(ctx);
+            let offset = ev.page * sim_core::PAGE_SIZE;
+            let sequential = self.last_offset.get(&ev.file) == Some(&offset);
+            self.last_offset.insert(ev.file, offset + ev.new_bytes);
+            let transfer = ev.new_bytes as f64 / ctx.device.seq_bandwidth();
+            let secs = if sequential {
+                transfer
+            } else {
+                transfer + self.seek_equiv_secs
+            };
+            let c = self.file_cost.entry(ev.file).or_default();
+            c.secs += secs;
+            c.pages += 1;
+            for (pid, share) in ev.causes.shares(secs) {
+                *self.pid_cost.entry(pid).or_insert(0.0) += share;
+            }
+            if self.manage_writeback && self.total_cost() > WB_HIGH_COST {
+                ctx.start_writeback(None, WB_BATCH);
+                self.arm_timer(ctx);
+            }
+        })
     }
 
     fn buffer_freed(&mut self, ev: &BufferFreed, _ctx: &mut SchedCtx<'_>) {
@@ -461,6 +455,7 @@ mod tests {
         BufferDirtied {
             file: FileId(file),
             page,
+            len: 1,
             causes,
             prev: None,
             block: None,
@@ -482,11 +477,12 @@ mod tests {
     fn expensive_fsyncs_are_held_and_drained() {
         let dev = HddModel::new();
         let mut s = SplitDeadline::new();
+        let mut ctx = ctx_at(&dev, 0);
         s.configure(
             Pid(1),
             SchedAttr::FsyncDeadline(SimDuration::from_millis(100)),
+            &mut ctx,
         );
-        let mut ctx = ctx_at(&dev, 0);
         // 200 scattered pages: ~1.6 s of estimated random-write cost.
         for i in 0..200 {
             s.buffer_dirtied(&dirty(2, i * 100, &CauseSet::of(Pid(9))), &mut ctx);
@@ -508,11 +504,12 @@ mod tests {
     fn draining_the_file_admits_the_fsync() {
         let dev = HddModel::new();
         let mut s = SplitDeadline::new();
+        let mut ctx = ctx_at(&dev, 0);
         s.configure(
             Pid(1),
             SchedAttr::FsyncDeadline(SimDuration::from_millis(500)),
+            &mut ctx,
         );
-        let mut ctx = ctx_at(&dev, 0);
         for i in 0..100 {
             s.buffer_dirtied(&dirty(3, i * 50, &CauseSet::of(Pid(9))), &mut ctx);
         }
@@ -548,11 +545,12 @@ mod tests {
     fn deadline_pressure_forces_admission() {
         let dev = HddModel::new();
         let mut s = SplitDeadline::new();
+        let mut ctx = ctx_at(&dev, 0);
         s.configure(
             Pid(1),
             SchedAttr::FsyncDeadline(SimDuration::from_millis(50)),
+            &mut ctx,
         );
-        let mut ctx = ctx_at(&dev, 0);
         for i in 0..500 {
             s.buffer_dirtied(&dirty(4, i * 100, &CauseSet::of(Pid(9))), &mut ctx);
         }

@@ -6,9 +6,7 @@
 use std::collections::VecDeque;
 
 use sim_block::{Dispatch, Request};
-use split_core::{
-    BufferDirtied, BufferFreed, BuffersDirtied, Gate, IoSched, SchedCtx, SyscallInfo,
-};
+use split_core::{BufferDirtied, BufferFreed, Gate, SchedCtx, Scheduler, SyscallInfo};
 
 /// Split-framework no-op scheduler.
 #[derive(Debug, Default)]
@@ -25,7 +23,7 @@ impl SplitNoop {
     }
 }
 
-impl IoSched for SplitNoop {
+impl Scheduler for SplitNoop {
     fn name(&self) -> &'static str {
         "split-noop"
     }
@@ -39,11 +37,7 @@ impl IoSched for SplitNoop {
         self.hook_counts[0] += 1;
     }
 
-    fn buffer_dirtied(&mut self, _ev: &BufferDirtied<'_>, _ctx: &mut SchedCtx<'_>) {
-        self.hook_counts[1] += 1;
-    }
-
-    fn buffers_dirtied(&mut self, ev: &BuffersDirtied<'_>, _ctx: &mut SchedCtx<'_>) -> u64 {
+    fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, _ctx: &mut SchedCtx<'_>) -> u64 {
         self.hook_counts[1] += ev.len;
         ev.len
     }

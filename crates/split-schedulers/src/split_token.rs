@@ -21,10 +21,7 @@ use sim_block::sorted::SortedQueue;
 use sim_block::{Dispatch, ReqKind, Request};
 use sim_core::{BlockNo, FileId, IoError, Pid, RequestId, SimDuration, SimTime};
 use sim_device::IoDir;
-use split_core::{
-    each_buffer_dirtied, BufferDirtied, BufferFreed, BuffersDirtied, Gate, IoSched, SchedAttr,
-    SchedCtx, SyscallInfo,
-};
+use split_core::{BufferDirtied, BufferFreed, Gate, SchedAttr, SchedCtx, Scheduler, SyscallInfo};
 
 use crate::tokens::TokenBuckets;
 
@@ -164,12 +161,12 @@ impl Default for SplitToken {
     }
 }
 
-impl IoSched for SplitToken {
+impl Scheduler for SplitToken {
     fn name(&self) -> &'static str {
         "split-token"
     }
 
-    fn configure(&mut self, pid: Pid, attr: SchedAttr) {
+    fn configure(&mut self, pid: Pid, attr: SchedAttr, _ctx: &mut SchedCtx<'_>) {
         // Timers/wakes run via the maintenance pass after configure.
         let now = SimTime::ZERO;
         match attr {
@@ -198,37 +195,33 @@ impl IoSched for SplitToken {
         Gate::Hold
     }
 
-    fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) {
+    fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) -> u64 {
         if ev.new_bytes == 0 {
-            return; // overwrite: no new flush work, no charge
+            return ev.len; // overwrites: no new flush work, no charge
         }
-        let offset = ev.page * sim_core::PAGE_SIZE;
-        let sequential = self.last_offset.get(&ev.file) == Some(&offset);
-        self.last_offset.insert(ev.file, offset + ev.new_bytes);
-        let seek_equiv = if ctx.device.is_rotational() {
-            0.008 * ctx.device.seq_bandwidth()
-        } else {
-            0.0002 * ctx.device.seq_bandwidth()
-        };
-        let norm = if sequential {
-            ev.new_bytes as f64
-        } else {
-            ev.new_bytes as f64 + seek_equiv
-        };
-        for (pid, share) in ev.causes.shares(norm) {
-            self.buckets.charge(pid, share, ctx.now);
-        }
-        self.buckets.sample(ctx.tracer(), ctx.now);
-        let p = self.prelim.entry(ev.file).or_default();
-        p.norm_bytes += norm;
-        p.pages += 1;
-    }
-
-    fn buffers_dirtied(&mut self, ev: &BuffersDirtied<'_>, ctx: &mut SchedCtx<'_>) -> u64 {
-        if ev.new_bytes == 0 {
-            return ev.len; // overwrites: no charge, whatever the length
-        }
-        each_buffer_dirtied(self, ev, ctx)
+        // Each page's `f64` charge is part of the result: charge per page.
+        ev.each_page(ctx, |ev, ctx| {
+            let offset = ev.page * sim_core::PAGE_SIZE;
+            let sequential = self.last_offset.get(&ev.file) == Some(&offset);
+            self.last_offset.insert(ev.file, offset + ev.new_bytes);
+            let seek_equiv = if ctx.device.is_rotational() {
+                0.008 * ctx.device.seq_bandwidth()
+            } else {
+                0.0002 * ctx.device.seq_bandwidth()
+            };
+            let norm = if sequential {
+                ev.new_bytes as f64
+            } else {
+                ev.new_bytes as f64 + seek_equiv
+            };
+            for (pid, share) in ev.causes.shares(norm) {
+                self.buckets.charge(pid, share, ctx.now);
+            }
+            self.buckets.sample(ctx.tracer(), ctx.now);
+            let p = self.prelim.entry(ev.file).or_default();
+            p.norm_bytes += norm;
+            p.pages += 1;
+        })
     }
 
     fn buffer_freed(&mut self, ev: &BufferFreed, ctx: &mut SchedCtx<'_>) {
@@ -471,6 +464,7 @@ mod tests {
         BufferDirtied {
             file: FileId(file),
             page,
+            len: 1,
             causes,
             prev: (new_bytes == 0).then_some(causes),
             block: None,
@@ -490,10 +484,10 @@ mod tests {
     fn prompt_charge_gates_the_next_write() {
         let dev = HddModel::new();
         let mut s = SplitToken::new();
-        s.configure(Pid(1), SchedAttr::TokenRate(1_000_000)); // 1 MB/s
         let mut ctx = SchedCtx::new(SimTime::ZERO, &dev);
-        // A random page costs ~8 ms × 110 MB/s ≈ 880 KB normalized.
-        // Dirty several: debt.
+        s.configure(Pid(1), SchedAttr::TokenRate(1_000_000), &mut ctx); // 1 MB/s
+                                                                        // A random page costs ~8 ms × 110 MB/s ≈ 880 KB normalized.
+                                                                        // Dirty several: debt.
         for i in 0..4 {
             s.buffer_dirtied(&dirty(1, i * 1000, &CauseSet::of(Pid(1)), 4096), &mut ctx);
         }
@@ -504,8 +498,8 @@ mod tests {
     fn audit_surfaces_the_waiter_set_check() {
         let dev = HddModel::new();
         let mut s = SplitToken::new();
-        s.configure(Pid(1), SchedAttr::TokenRate(1_000_000));
         let mut ctx = SchedCtx::new(SimTime::ZERO, &dev);
+        s.configure(Pid(1), SchedAttr::TokenRate(1_000_000), &mut ctx);
         s.buckets.charge(Pid(1), 5e6, SimTime::ZERO);
         assert_eq!(s.syscall_enter(&write_info(1), &mut ctx), Gate::Hold);
         assert_eq!(s.audit(false), Vec::<String>::new());
@@ -518,8 +512,8 @@ mod tests {
     fn overwrites_are_free() {
         let dev = HddModel::new();
         let mut s = SplitToken::new();
-        s.configure(Pid(1), SchedAttr::TokenRate(1_000_000));
         let mut ctx = SchedCtx::new(SimTime::ZERO, &dev);
+        s.configure(Pid(1), SchedAttr::TokenRate(1_000_000), &mut ctx);
         for _ in 0..10_000 {
             s.buffer_dirtied(&dirty(1, 0, &CauseSet::of(Pid(1)), 0), &mut ctx);
         }
@@ -534,8 +528,8 @@ mod tests {
     fn buffer_free_refunds() {
         let dev = HddModel::new();
         let mut s = SplitToken::new();
-        s.configure(Pid(1), SchedAttr::TokenRate(1_000_000));
         let mut ctx = SchedCtx::new(SimTime::ZERO, &dev);
+        s.configure(Pid(1), SchedAttr::TokenRate(1_000_000), &mut ctx);
         // Two scattered pages: ~1.7 MB normalized against a 1 MB bucket.
         s.buffer_dirtied(&dirty(1, 5000, &CauseSet::of(Pid(1)), 4096), &mut ctx);
         s.buffer_dirtied(&dirty(1, 9000, &CauseSet::of(Pid(1)), 4096), &mut ctx);
@@ -558,8 +552,8 @@ mod tests {
     fn throttled_reads_skipped_at_block_level_but_writes_flow() {
         let dev = HddModel::new();
         let mut s = SplitToken::new();
-        s.configure(Pid(1), SchedAttr::TokenRate(1000));
         let mut ctx = SchedCtx::new(SimTime::ZERO, &dev);
+        s.configure(Pid(1), SchedAttr::TokenRate(1000), &mut ctx);
         // Deep debt.
         s.buckets.charge(Pid(1), 1e9, SimTime::ZERO);
         let r = Request {
@@ -620,8 +614,8 @@ mod tests {
     fn freeing_never_charged_buffers_records_error_and_refunds_nothing() {
         let dev = HddModel::new();
         let mut s = SplitToken::new();
-        s.configure(Pid(1), SchedAttr::TokenRate(1_000_000));
         let mut ctx = SchedCtx::new(SimTime::ZERO, &dev);
+        s.configure(Pid(1), SchedAttr::TokenRate(1_000_000), &mut ctx);
         // Dirty one page of file 1, then free *two* pages: the account
         // empties on the first and the second reversal hits zero pages.
         s.buffer_dirtied(&dirty(1, 5000, &CauseSet::of(Pid(1)), 4096), &mut ctx);
@@ -654,8 +648,8 @@ mod tests {
     fn failed_requests_refund_the_dispatch_charge() {
         let dev = HddModel::new();
         let mut s = SplitToken::new();
-        s.configure(Pid(1), SchedAttr::TokenRate(1_000_000));
         let mut ctx = SchedCtx::new(SimTime::ZERO, &dev);
+        s.configure(Pid(1), SchedAttr::TokenRate(1_000_000), &mut ctx);
         let r = Request {
             id: RequestId(1),
             dir: IoDir::Read,
@@ -747,8 +741,8 @@ mod tests {
     fn untagged_journal_io_charges_nobody() {
         let dev = HddModel::new();
         let mut s = SplitToken::new();
-        s.configure(Pid(1), SchedAttr::TokenRate(1_000_000));
         let mut ctx = SchedCtx::new(SimTime::ZERO, &dev);
+        s.configure(Pid(1), SchedAttr::TokenRate(1_000_000), &mut ctx);
         let w = Request {
             id: RequestId(1),
             dir: IoDir::Write,

@@ -37,7 +37,7 @@ impl Bucket {
         #[cfg(test)]
         tests::REFILLS.with(|n| n.set(n.get() + 1));
         let dt = now.since(self.last_refill).as_secs_f64();
-        // Never backwards: `IoSched::configure` has no clock and passes
+        // Never backwards: the token schedulers' `configure` passes
         // `SimTime::ZERO`, which must not make the next refill credit the
         // whole elapsed run a second time.
         self.last_refill = self.last_refill.max(now);
@@ -373,7 +373,7 @@ mod tests {
         b.set_rate(Pid(1), 1_000_000, t(0));
         b.charge(Pid(1), 21e6, t(0)); // full 1 MB bucket → 20 MB of debt
         assert_eq!(b.balance(Pid(1), t(10)), Some(-10e6));
-        // `IoSched::configure` has no clock and passes ZERO. That used to
+        // The token schedulers' `configure` passes ZERO. That used to
         // reset `last_refill` to 0, so the next refill paid the ten
         // elapsed seconds a second time and the debt vanished.
         b.set_rate(Pid(1), 1_000_000, SimTime::ZERO);

@@ -11,7 +11,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use split_level_io::block::{Dispatch, Request};
-use split_level_io::framework::{IoSched, SchedCtx};
+use split_level_io::framework::{IoSched, SchedCtx, Scheduler};
 use split_level_io::prelude::*;
 
 const MB: u64 = 1 << 20;
@@ -22,7 +22,7 @@ struct Probe {
     log: Rc<RefCell<Vec<Request>>>,
 }
 
-impl IoSched for Probe {
+impl Scheduler for Probe {
     fn name(&self) -> &'static str {
         "probe"
     }
@@ -187,7 +187,7 @@ fn memory_hooks_report_dirtying_promptly() {
         fifo: std::collections::VecDeque<Request>,
         dirtied: Rc<RefCell<u64>>,
     }
-    impl IoSched for DirtyCounter {
+    impl Scheduler for DirtyCounter {
         fn name(&self) -> &'static str {
             "dirty-counter"
         }
@@ -195,8 +195,9 @@ fn memory_hooks_report_dirtying_promptly() {
             &mut self,
             ev: &split_level_io::framework::BufferDirtied<'_>,
             _ctx: &mut SchedCtx<'_>,
-        ) {
-            *self.dirtied.borrow_mut() += ev.new_bytes;
+        ) -> u64 {
+            *self.dirtied.borrow_mut() += ev.new_bytes * ev.len;
+            ev.len
         }
         fn block_add(&mut self, req: Request, ctx: &mut SchedCtx<'_>) {
             self.fifo.push_back(req);
