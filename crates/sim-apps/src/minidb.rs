@@ -72,31 +72,20 @@ impl MiniDbShared {
 /// The transaction worker: update rows, append WAL, fsync WAL.
 pub struct TxnWorker {
     shared: Rc<RefCell<MiniDbShared>>,
-    db_file: FileId,
     wal_file: FileId,
-    rng: SimRng,
     wal_offset: u64,
     stage: u8,
-    rows_done: u64,
     txn_started: SimTime,
 }
 
 impl TxnWorker {
-    /// A worker over the given database and WAL files.
-    pub fn new(
-        shared: Rc<RefCell<MiniDbShared>>,
-        db_file: FileId,
-        wal_file: FileId,
-        seed: u64,
-    ) -> Self {
+    /// A worker over the given WAL file.
+    pub fn new(shared: Rc<RefCell<MiniDbShared>>, wal_file: FileId) -> Self {
         TxnWorker {
             shared,
-            db_file,
             wal_file,
-            rng: SimRng::seed_from_u64(seed),
             wal_offset: 0,
             stage: 0,
-            rows_done: 0,
             txn_started: SimTime::ZERO,
         }
     }
@@ -107,9 +96,6 @@ impl ProcessLogic for TxnWorker {
         // WAL mode: a transaction touches ONLY the log — the row updates
         // live in the WAL until the checkpointer copies them into the
         // database file. (This is why the checkpoint threshold matters.)
-        let _ = &self.db_file;
-        let _ = &mut self.rng;
-        let _ = &mut self.rows_done;
         match self.stage {
             0 => {
                 self.txn_started = now;
@@ -225,7 +211,7 @@ mod tests {
     #[test]
     fn worker_cycles_wal_append_fsync() {
         let shared = MiniDbShared::new();
-        let mut wkr = TxnWorker::new(shared.clone(), FileId(1), FileId(2), 7);
+        let mut wkr = TxnWorker::new(shared.clone(), FileId(2));
         // WAL append → fsync (no database-file writes in WAL mode).
         let b = wkr.next(SimTime::ZERO, &Outcome::None);
         assert!(matches!(

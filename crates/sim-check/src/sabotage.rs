@@ -110,15 +110,12 @@ impl IoSched for Sabotaged {
                     }
                 }
             }
-            Hook::BlockCompleted(req) => {
+            Hook::BlockCompleted { req, failed } => {
+                // Only a request that completes late trips the race.
                 if let (Some(at), Trigger::Dwell(dwell)) = (self.forget(req.id), self.trigger) {
-                    self.poisoned |= ctx.now.since(at) > dwell;
+                    self.poisoned |= !failed && ctx.now.since(at) > dwell;
                 }
-                self.inner.on(Hook::BlockCompleted(req), ctx)
-            }
-            Hook::BlockFailed { req, error } => {
-                self.forget(req.id);
-                self.inner.on(Hook::BlockFailed { req, error }, ctx)
+                self.inner.on(Hook::BlockCompleted { req, failed }, ctx)
             }
             other => self.inner.on(other, ctx),
         }
@@ -202,13 +199,47 @@ mod tests {
         // already lost its entry, the race fires.
         let late = SimTime::ZERO + SimDuration::from_millis(5);
         let mut ctx = SchedCtx::new(late, &dev);
-        s.on(Hook::BlockCompleted(&data), &mut ctx);
+        s.on(
+            Hook::BlockCompleted {
+                req: &data,
+                failed: false,
+            },
+            &mut ctx,
+        );
         assert!(s.poisoned, "race observed");
 
         // Every add from now on carries shifted cause tags.
         s.on(Hook::BlockAdd(req(2, ReqKind::Data)), &mut ctx);
         let corrupted = issue(&mut s, &mut ctx);
         assert!(corrupted.causes.contains(Pid(10 + PID_SHIFT)));
+    }
+
+    #[test]
+    fn a_data_request_failing_past_the_horizon_leaves_later_adds_alone() {
+        let dev = HddModel::new();
+        let dwell = SimDuration::from_millis(1);
+        let mut s = noop(Trigger::Dwell(dwell));
+
+        let mut ctx = SchedCtx::new(SimTime::ZERO, &dev);
+        s.on(Hook::BlockAdd(req(1, ReqKind::Data)), &mut ctx);
+        let data = issue(&mut s, &mut ctx);
+
+        // It fails past the dwell horizon: a failure carries no handoff,
+        // so the race does not fire.
+        let late = SimTime::ZERO + SimDuration::from_millis(5);
+        let mut ctx = SchedCtx::new(late, &dev);
+        s.on(
+            Hook::BlockCompleted {
+                req: &data,
+                failed: true,
+            },
+            &mut ctx,
+        );
+        assert!(!s.poisoned, "a failed request never trips the race");
+
+        s.on(Hook::BlockAdd(req(2, ReqKind::Data)), &mut ctx);
+        let clean = issue(&mut s, &mut ctx);
+        assert!(clean.causes.contains(Pid(10)), "tags untouched");
     }
 
     #[test]
@@ -224,11 +255,23 @@ mod tests {
         let data = issue(&mut s, &mut ctx);
         let soon = SimTime::ZERO + SimDuration::from_micros(10);
         let mut ctx = SchedCtx::new(soon, &dev);
-        s.on(Hook::BlockCompleted(&data), &mut ctx);
+        s.on(
+            Hook::BlockCompleted {
+                req: &data,
+                failed: false,
+            },
+            &mut ctx,
+        );
         s.on(Hook::BlockAdd(req(2, ReqKind::Journal)), &mut ctx);
         let commit = issue(&mut s, &mut ctx);
         let mut ctx = SchedCtx::new(soon + SimDuration::from_secs(1), &dev);
-        s.on(Hook::BlockCompleted(&commit), &mut ctx);
+        s.on(
+            Hook::BlockCompleted {
+                req: &commit,
+                failed: false,
+            },
+            &mut ctx,
+        );
         assert!(!s.poisoned, "dwell under the horizon");
 
         // Journal requests are not in the handoff table: a slow commit

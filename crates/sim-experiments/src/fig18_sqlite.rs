@@ -57,15 +57,7 @@ fn measure(cfg: &Config, sched: SchedChoice, threshold: u64) -> (Vec<f64>, u64) 
         checkpoint_threshold: threshold,
         seed: cfg.seed,
     };
-    let worker = w.spawn(
-        k,
-        Box::new(TxnWorker::new(
-            shared.clone(),
-            db_file,
-            wal_file,
-            cfg.seed ^ 0x51,
-        )),
-    );
+    let worker = w.spawn(k, Box::new(TxnWorker::new(shared.clone(), wal_file)));
     let cp = w.spawn(
         k,
         Box::new(Checkpointer::new(db_cfg, shared.clone(), db_file)),

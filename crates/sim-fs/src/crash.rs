@@ -105,7 +105,7 @@ impl CrashHarness {
     fn fsync_done_for(&self, pid: Pid) -> bool {
         self.events
             .iter()
-            .any(|e| matches!(e, FsEvent::FsyncDone { waiter, .. } if *waiter == pid))
+            .any(|e| matches!(e, FsEvent::FsyncDone { waiter, result: Ok(()) } if *waiter == pid))
     }
 
     /// Issue the next workload step once its precondition holds. Three
@@ -154,7 +154,7 @@ impl CrashHarness {
             if io.dir == IoDir::Write {
                 self.image.complete(io.token.0);
             }
-            let out = self.fs.io_completed(io.token, &mut self.cache, self.now);
+            let out = self.fs.io_done(io.token, None, &mut self.cache, self.now);
             self.absorb(out);
             done += 1;
         }

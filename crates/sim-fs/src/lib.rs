@@ -7,9 +7,10 @@
 //! The file system is a passive state machine: every entry point returns an
 //! [`FsOutput`] describing block I/O to submit and events that became true
 //! (an fsync finished, a transaction committed). The kernel routes the I/O
-//! through the scheduler and calls [`JournaledFs::io_completed`] as the
-//! device finishes requests. This inversion keeps the file system free of
-//! event-loop plumbing while still letting fsyncs span simulated time.
+//! through the scheduler and calls [`JournaledFs::io_done`] as the
+//! device finishes (or fails) requests. This inversion keeps the file
+//! system free of event-loop plumbing while still letting fsyncs span
+//! simulated time.
 //!
 //! The behaviours the paper's experiments rest on all live here:
 //!
@@ -38,7 +39,7 @@ pub use journal::{Journal, JournalConfig};
 pub use sim_fault::WriteStep;
 
 /// Correlation token for I/O the file system submits; handed back in
-/// [`JournaledFs::io_completed`].
+/// [`JournaledFs::io_done`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct IoToken(pub u64);
 
@@ -74,12 +75,14 @@ pub struct IoReq {
 /// Something that became true during a file-system call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FsEvent {
-    /// An `fsync` previously started by `waiter` on `file` is durable.
+    /// An `fsync` previously started by `waiter` finished: its file is
+    /// durable, or some write it depended on was lost and the fsync fails
+    /// with the error, as `fsync(2)` returns `EIO`.
     FsyncDone {
-        /// File synced.
-        file: FileId,
         /// Process to wake.
         waiter: Pid,
+        /// Durable, or why not.
+        result: Result<(), IoError>,
     },
     /// A writeback pass finished (all its I/O completed).
     WritebackDone {
@@ -91,24 +94,12 @@ pub enum FsEvent {
         /// The transaction.
         txn: TxnId,
     },
-    /// An `fsync` previously started by `waiter` on `file` failed: some
-    /// write it depended on was lost. Mirrors `fsync(2)` returning `EIO`.
-    FsyncFailed {
-        /// File whose sync failed.
-        file: FileId,
-        /// Process to wake (with an error).
-        waiter: Pid,
-        /// Why.
-        error: IoError,
-    },
     /// A journal write (log body or commit record) failed; the journal is
     /// aborted and every subsequent synchronizing operation fails, as
     /// after a jbd2 abort.
     JournalAborted {
         /// The transaction whose commit failed.
         txn: TxnId,
-        /// The underlying device error.
-        error: IoError,
     },
 }
 

@@ -264,8 +264,8 @@ struct ReqMeta {
     reader: Option<Pid>,
     fill: Option<(FileId, u64, u64)>,
     dirty_pages: u64,
-    /// Set at dispatch when the fault plane failed this request; routed to
-    /// `io_failed`/`block_failed` instead of the success paths.
+    /// Set at dispatch when the fault plane failed this request; the
+    /// scheduler and the file system hear the completion as failed.
     failed: Option<IoError>,
 }
 
@@ -685,16 +685,15 @@ impl Kernel {
             // A stale step for a process that moved into a wait.
             _ => return,
         }
-        let (action, last) = {
+        let action = {
             let proc = self.procs.get_mut(&pid).expect("checked");
             let last = std::mem::replace(&mut proc.last, Outcome::None);
             let Some(logic) = proc.logic.as_mut() else {
                 proc.state = PState::ExternalIdle;
                 return;
             };
-            (logic.next(bus.q.now(), &last), last)
+            logic.next(bus.q.now(), &last)
         };
-        let _ = last;
         match action {
             ProcAction::Exit => {
                 self.procs.get_mut(&pid).expect("checked").state = PState::Exited;
@@ -1266,12 +1265,10 @@ impl Kernel {
             service,
             sched_queued: self.sched.queued(),
         });
-        let hook = match failed {
-            Some(error) => {
-                self.stats.io_errors += 1;
-                Hook::BlockFailed { req: &req, error }
-            }
-            None => Hook::BlockCompleted(&req),
+        self.stats.io_errors += u64::from(failed.is_some());
+        let hook = Hook::BlockCompleted {
+            req: &req,
+            failed: failed.is_some(),
         };
         self.with_sched(bus, |s, ctx| s.on(hook, ctx));
         if let Some(meta) = self.req_meta.remove(&req.id) {
@@ -1279,11 +1276,7 @@ impl Kernel {
                 self.wb_inflight_pages = self.wb_inflight_pages.saturating_sub(meta.dirty_pages);
             }
             if let Some(tok) = meta.fs_token {
-                let now = bus.q.now();
-                let out = match failed {
-                    Some(err) => self.fs.io_failed(tok, err, &mut self.cache, now),
-                    None => self.fs.io_completed(tok, &mut self.cache, now),
-                };
+                let out = self.fs.io_done(tok, failed, &mut self.cache, bus.q.now());
                 self.absorb(out, bus);
             }
             if let Some((file, page, len)) = meta.fill {
@@ -1339,21 +1332,10 @@ impl Kernel {
     }
 
     fn kick_writeback(&mut self, bus: &mut Bus) {
-        if self.wb_active {
-            return;
+        if !self.wb_active {
+            self.wb_active = true;
+            self.scheduled_writeback(None, WB_BATCH_PAGES, bus);
         }
-        self.wb_active = true;
-        let now = bus.q.now();
-        let t0 = prof::tick(&self.prof);
-        let out = self.fs.writeback(
-            None,
-            WB_BATCH_PAGES,
-            self.writeback_pid,
-            &mut self.cache,
-            now,
-        );
-        prof::tock(&self.prof, Phase::Writeback, t0);
-        self.absorb(out, bus);
     }
 
     /// Explicit writeback trigger (scheduler `StartWriteback` command).
@@ -1506,8 +1488,10 @@ impl Kernel {
         }
         for ev in out.events {
             let (waiter, outcome) = match ev {
-                FsEvent::FsyncDone { waiter, .. } => (waiter, Outcome::Synced),
-                FsEvent::FsyncFailed { waiter, error, .. } => (waiter, Outcome::Failed(error)),
+                FsEvent::FsyncDone { waiter, result } => (
+                    waiter,
+                    result.map_or_else(Outcome::Failed, |()| Outcome::Synced),
+                ),
                 FsEvent::WritebackDone { .. } => {
                     self.wb_active = false;
                     if self.cfg.pdflush && self.cache.over_background() {
@@ -1519,7 +1503,7 @@ impl Kernel {
                     emit(&mut self.audit, now, || AuditEvent::TxnCommitted { txn });
                     continue;
                 }
-                FsEvent::JournalAborted { txn, .. } => {
+                FsEvent::JournalAborted { txn } => {
                     self.stats.journal_aborts += 1;
                     emit(&mut self.audit, now, || AuditEvent::JournalAborted { txn });
                     continue;

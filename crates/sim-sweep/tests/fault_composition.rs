@@ -78,25 +78,34 @@ fn a_torn_write_surfaces_as_an_error_not_silence() {
 
 #[test]
 fn random_torn_writes_never_violate_auditors_on_fuzzed_programs() {
-    // Fuzzed programs under a 20% torn-write rate: whatever the fault
-    // plane does, the auditors must stay quiet. Across the batch at
-    // least one fault should land and be visible as an error.
+    // Fuzzed programs under a 20% torn-write rate, through every
+    // scheduler on both devices: whatever the fault plane does, the
+    // auditors must stay quiet, so every scheduler's failed-request path
+    // runs here. Across each pair's batch at least one fault should land
+    // and be visible as an error.
     let cfg = GenConfig::default();
-    let mut total_errors = 0u64;
-    for idx in 0..6u64 {
-        let spec = generate(&mut SimRng::stream(0xFA17, idx), &cfg);
-        let plane = DeviceFaultPlane::with_seed(idx).torn_rate(0.2);
-        let out = run_with(
-            &spec,
-            SchedChoice::SplitToken,
-            DeviceChoice::Ssd,
-            with_faults(plane),
-        );
-        assert_eq!(out.violations, Vec::<String>::new(), "program {idx}");
-        total_errors += out.io_errors;
+    for sched in SchedChoice::ALL {
+        for device in DeviceChoice::ALL {
+            let mut total_errors = 0u64;
+            for idx in 0..6u64 {
+                let spec = generate(&mut SimRng::stream(0xFA17, idx), &cfg);
+                let plane = DeviceFaultPlane::with_seed(idx).torn_rate(0.2);
+                let out = run_with(&spec, sched, device, with_faults(plane));
+                assert_eq!(
+                    out.violations,
+                    Vec::<String>::new(),
+                    "{} on {}, program {idx}",
+                    sched.name(),
+                    device.name()
+                );
+                total_errors += out.io_errors;
+            }
+            assert!(
+                total_errors >= 1,
+                "{} on {}: 20% torn-write rate over 6 programs injected nothing visible",
+                sched.name(),
+                device.name()
+            );
+        }
     }
-    assert!(
-        total_errors >= 1,
-        "20% torn-write rate over 6 programs injected nothing visible"
-    );
 }

@@ -37,7 +37,7 @@ impl<E: Elevator> Scheduler for BlockOnly<E> {
         self.inner.dispatch(ctx.now, ctx.device)
     }
 
-    fn block_completed(&mut self, req: &Request, ctx: &mut SchedCtx<'_>) {
+    fn block_completed(&mut self, req: &Request, _failed: bool, ctx: &mut SchedCtx<'_>) {
         self.inner.completed(req, ctx.now);
     }
 

@@ -1,7 +1,7 @@
 //! The message interface between the kernel and a split scheduler.
 
 use sim_block::{Dispatch, IoPrio, QueueOccupancy, Request};
-use sim_core::{BlockNo, CauseSet, FileId, IoError, Pid, SimDuration, SimTime};
+use sim_core::{BlockNo, CauseSet, FileId, Pid, SimDuration, SimTime};
 use sim_device::DiskModel;
 use sim_trace::Tracer;
 
@@ -351,14 +351,12 @@ pub enum Hook<'a> {
     /// Block level: the device can take a request; answer the next one.
     /// Starts as [`Dispatch::Idle`].
     BlockDispatch(&'a mut Dispatch),
-    /// Block level: a request completed at the device.
-    BlockCompleted(&'a Request),
-    /// Block level: a request *failed* at the device (fault injection).
-    BlockFailed {
+    /// Block level: a request finished at the device.
+    BlockCompleted {
         /// The request.
         req: &'a Request,
-        /// Why it failed.
-        error: IoError,
+        /// Whether the device failed it (fault injection).
+        failed: bool,
     },
     /// A timer armed via `ctx.set_timer` fired.
     Timer,
@@ -446,18 +444,11 @@ pub trait Scheduler {
     /// Block level: the device is idle; pick the next request.
     fn block_dispatch(&mut self, ctx: &mut SchedCtx<'_>) -> Dispatch;
 
-    /// Block level: a request completed at the device.
-    fn block_completed(&mut self, req: &Request, ctx: &mut SchedCtx<'_>) {
-        let _ = (req, ctx);
-    }
-
-    /// Block level: a request failed at the device. The default treats it
-    /// like a completion so queue accounting stays balanced; schedulers
-    /// with cost accounting override this to refund what the failed
-    /// request was charged.
-    fn block_failed(&mut self, req: &Request, error: IoError, ctx: &mut SchedCtx<'_>) {
-        let _ = error;
-        self.block_completed(req, ctx);
+    /// Block level: a request finished at the device, or `failed` there.
+    /// A scheduler with cost accounting refunds what a failed request was
+    /// charged; the rest treat both outcomes alike.
+    fn block_completed(&mut self, req: &Request, failed: bool, ctx: &mut SchedCtx<'_>) {
+        let _ = (req, failed, ctx);
     }
 
     /// A timer armed via `ctx.set_timer` fired.
@@ -499,8 +490,7 @@ impl<S: Scheduler> IoSched for S {
             Hook::BufferFreed(ev) => self.buffer_freed(ev, ctx),
             Hook::BlockAdd(req) => self.block_add(req, ctx),
             Hook::BlockDispatch(d) => *d = self.block_dispatch(ctx),
-            Hook::BlockCompleted(req) => self.block_completed(req, ctx),
-            Hook::BlockFailed { req, error } => self.block_failed(req, error, ctx),
+            Hook::BlockCompleted { req, failed } => self.block_completed(req, failed, ctx),
             Hook::Timer => self.timer_fired(ctx),
             Hook::PickDirtyWaiter { waiters, pick } => *pick = self.pick_dirty_waiter(waiters, ctx),
         }

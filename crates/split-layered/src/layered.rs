@@ -746,30 +746,21 @@ impl Scheduler for Layered {
         }
     }
 
-    fn block_completed(&mut self, req: &Request, ctx: &mut SchedCtx<'_>) {
+    fn block_completed(&mut self, req: &Request, failed: bool, ctx: &mut SchedCtx<'_>) {
         let i = self
             .req_layer
             .remove(&req.id)
             .unwrap_or(self.layers.len() - 1);
         self.layers[i].in_flight = self.layers[i].in_flight.saturating_sub(1);
-        self.layers[i].child.on(Hook::BlockCompleted(req), ctx)
-    }
-
-    fn block_failed(&mut self, req: &Request, error: sim_core::IoError, ctx: &mut SchedCtx<'_>) {
-        let i = self
-            .req_layer
-            .remove(&req.id)
-            .unwrap_or(self.layers.len() - 1);
-        self.layers[i].in_flight = self.layers[i].in_flight.saturating_sub(1);
-        // Reads were charged at dispatch; the transfer never happened.
-        if req.is_read() {
+        // Reads were charged at dispatch; a failed one never transferred.
+        if failed && req.is_read() {
             if let Some(b) = self.layers[i].bucket.as_mut() {
                 b.refund(req.bytes());
             }
         }
         self.layers[i]
             .child
-            .on(Hook::BlockFailed { req, error }, ctx)
+            .on(Hook::BlockCompleted { req, failed }, ctx)
     }
 
     fn timer_fired(&mut self, ctx: &mut SchedCtx<'_>) {

@@ -368,7 +368,7 @@ impl Scheduler for Afq {
         Dispatch::Issue(req)
     }
 
-    fn block_completed(&mut self, _req: &Request, ctx: &mut SchedCtx<'_>) {
+    fn block_completed(&mut self, _req: &Request, _failed: bool, ctx: &mut SchedCtx<'_>) {
         self.inflight = self.inflight.saturating_sub(1);
         self.last_activity = ctx.now;
         self.release_holds(ctx);

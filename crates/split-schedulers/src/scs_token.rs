@@ -123,7 +123,7 @@ impl Scheduler for ScsToken {
         }
     }
 
-    fn block_completed(&mut self, _req: &Request, ctx: &mut SchedCtx<'_>) {
+    fn block_completed(&mut self, _req: &Request, _failed: bool, ctx: &mut SchedCtx<'_>) {
         self.maintenance(ctx);
     }
 

@@ -416,7 +416,7 @@ impl Scheduler for SplitDeadline {
         }
     }
 
-    fn block_completed(&mut self, _req: &Request, ctx: &mut SchedCtx<'_>) {
+    fn block_completed(&mut self, _req: &Request, _failed: bool, ctx: &mut SchedCtx<'_>) {
         self.maintenance(ctx);
     }
 
@@ -532,7 +532,7 @@ mod tests {
         };
         let mut ctx2 = ctx_at(&dev, 1000);
         s.block_add(req.clone(), &mut ctx2);
-        s.block_completed(&req, &mut ctx2);
+        s.block_completed(&req, false, &mut ctx2);
         let cmds = ctx2.drain();
         assert!(
             cmds.iter()

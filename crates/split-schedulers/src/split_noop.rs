@@ -59,7 +59,7 @@ impl Scheduler for SplitNoop {
         }
     }
 
-    fn block_completed(&mut self, _req: &Request, _ctx: &mut SchedCtx<'_>) {
+    fn block_completed(&mut self, _req: &Request, _failed: bool, _ctx: &mut SchedCtx<'_>) {
         self.hook_counts[2] += 1;
     }
 

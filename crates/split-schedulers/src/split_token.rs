@@ -19,7 +19,7 @@ use std::fmt;
 
 use sim_block::sorted::SortedQueue;
 use sim_block::{Dispatch, ReqKind, Request};
-use sim_core::{BlockNo, FileId, IoError, Pid, RequestId, SimDuration, SimTime};
+use sim_core::{BlockNo, FileId, Pid, RequestId, SimDuration, SimTime};
 use sim_device::IoDir;
 use split_core::{BufferDirtied, BufferFreed, Gate, SchedAttr, SchedCtx, Scheduler, SyscallInfo};
 
@@ -363,16 +363,11 @@ impl Scheduler for SplitToken {
         }
     }
 
-    fn block_completed(&mut self, req: &Request, ctx: &mut SchedCtx<'_>) {
-        self.charged.remove(&req.id);
-        self.maintenance(ctx);
-    }
-
-    fn block_failed(&mut self, req: &Request, _error: IoError, ctx: &mut SchedCtx<'_>) {
-        // The device never did the work: reverse whatever dispatch-time
-        // accounting charged (or re-collect a dispatch-time refund), so a
-        // failing workload is not also billed for it.
-        if let Some(net) = self.charged.remove(&req.id) {
+    fn block_completed(&mut self, req: &Request, failed: bool, ctx: &mut SchedCtx<'_>) {
+        // A failed request never did the work: reverse whatever
+        // dispatch-time accounting charged (or re-collect a dispatch-time
+        // refund), so a failing workload is not also billed for it.
+        if let Some(net) = self.charged.remove(&req.id).filter(|_| failed) {
             if net > 0.0 {
                 for (pid, share) in req.causes.shares(net) {
                     self.buckets.refund(pid, share, ctx.now);
@@ -425,8 +420,8 @@ impl Scheduler for SplitToken {
             }
         }
         // At quiescence every dispatch-time charge must have been settled
-        // by block_completed or refunded by block_failed — a leftover entry
-        // means charges minus refunds no longer equals dispatched cost.
+        // or refunded by block_completed — a leftover entry means charges
+        // minus refunds no longer equals dispatched cost.
         if quiesced && !self.charged.is_empty() {
             bad.push(format!(
                 "split-token: {} unsettled dispatch charge(s) at quiescence",
@@ -670,11 +665,7 @@ mod tests {
             other => panic!("{other:?}"),
         };
         let charged = s.buckets.balance(Pid(1), SimTime::ZERO).unwrap();
-        s.block_failed(
-            &req,
-            sim_core::IoError::new(sim_core::IoErrorKind::TransientDevice),
-            &mut ctx,
-        );
+        s.block_completed(&req, true, &mut ctx);
         let refunded = s.buckets.balance(Pid(1), SimTime::ZERO).unwrap();
         assert!(
             refunded > charged,

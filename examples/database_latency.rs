@@ -36,10 +36,7 @@ fn run_db(split: bool) -> (usize, f64, f64) {
         checkpoint_threshold: 500,
         ..Default::default()
     };
-    let worker = world.spawn(
-        kernel,
-        Box::new(TxnWorker::new(shared.clone(), db_file, wal_file, 1)),
-    );
+    let worker = world.spawn(kernel, Box::new(TxnWorker::new(shared.clone(), wal_file)));
     let cp = world.spawn(
         kernel,
         Box::new(Checkpointer::new(db_cfg, shared.clone(), db_file)),
