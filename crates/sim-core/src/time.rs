@@ -49,6 +49,13 @@ impl SimTime {
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
+
+    /// `self + d`, saturating to [`SimTime::MAX`] ("never") instead of
+    /// overflowing.
+    #[inline]
+    pub fn saturating_add(self, d: SimDuration) -> SimTime {
+        SimTime(self.0.saturating_add(d.0))
+    }
 }
 
 impl SimDuration {
@@ -190,6 +197,8 @@ mod tests {
         assert_eq!((t + d).as_nanos(), 750);
         assert_eq!((t + d) - t, d);
         assert_eq!(t.since(t + d), SimDuration::ZERO);
+        assert_eq!(t.saturating_add(d), t + d);
+        assert_eq!(SimTime::MAX.saturating_add(d), SimTime::MAX);
     }
 
     #[test]

@@ -76,9 +76,10 @@ fn digest(s: &str) -> String {
 /// replicate-style seed (so the seed plumbing is pinned too).
 const SEEDS: [u64; 2] = [0, 7];
 
-/// Rows too slow for a debug `cargo test`: fig15 (~80 s in release),
-/// fig11 (~7 s) and fig21 (~2.5 s). They are pinned by the `#[ignore]`d
-/// test, which the `figures-golden` CI job runs with `--include-ignored`.
+/// Rows too slow for a debug `cargo test`: fig15 (~9 s per seed in
+/// release on a 2-vCPU host), fig11 and fig21 (~1 s each). They are
+/// pinned by the `#[ignore]`d test (~22 s in release), which the
+/// `figures-golden` CI job runs with `--include-ignored`.
 const SLOW: [&str; 3] = ["fig11", "fig15", "fig21"];
 
 /// Digest every fast (or every slow) row with all artifact flags on
@@ -137,7 +138,7 @@ fn every_fast_row_matches_its_pinned_digests() {
 }
 
 #[test]
-#[ignore = "fig15 alone is ~80 s in release; the figures-golden CI job runs it"]
+#[ignore = "fig15 alone is ~18 s in release over both seeds; the figures-golden CI job runs it"]
 fn every_slow_row_matches_its_pinned_digests() {
     pin_rows(true);
 }

@@ -31,10 +31,11 @@ fn parallel_figures_match_sequential_bytes() {
     assert_eq!(seq, par, "jobs=4 must reproduce jobs=1 byte-for-byte");
 }
 
-/// The full `runner all` equivalence. Multiple minutes of simulation —
-/// run explicitly with `cargo test -p sim-sweep -- --ignored`.
+/// The full `runner all` equivalence: every figure simulated twice,
+/// ~28 s in release on a 2-vCPU host. CI's `test` job runs it with
+/// `--include-ignored`.
 #[test]
-#[ignore = "minutes-long; the 4-figure subset covers tier-1"]
+#[ignore = "every figure twice; the 4-figure subset covers tier-1"]
 fn parallel_all_matches_sequential_bytes() {
     let all: Vec<_> = registry::all().collect();
     let seq = concat_summaries(&all, 1);

@@ -476,6 +476,43 @@ mod tests {
     }
 
     #[test]
+    fn a_timer_while_every_held_pid_is_in_debt_wakes_nobody() {
+        use split_core::SchedCmd;
+        let dev = HddModel::new();
+        let mut s = SplitToken::new();
+        let mut ctx = SchedCtx::new(SimTime::ZERO, &dev);
+        for pid in 1..=4 {
+            s.configure(Pid(pid), SchedAttr::TokenGroup(3), &mut ctx);
+        }
+        s.configure(Pid(1), SchedAttr::TokenRate(1_000_000), &mut ctx);
+        s.buckets.charge(Pid(1), 3e6, SimTime::ZERO); // 2 s of debt
+        for pid in 1..=4 {
+            assert_eq!(s.syscall_enter(&write_info(pid), &mut ctx), Gate::Hold);
+        }
+        let wakes = |cmds: &[SchedCmd]| -> Vec<Pid> {
+            cmds.iter()
+                .filter_map(|c| match c {
+                    SchedCmd::Wake(p) => Some(*p),
+                    _ => None,
+                })
+                .collect()
+        };
+        let mut ctx = SchedCtx::new(SimTime::from_nanos(1_000_000_000), &dev);
+        s.timer_fired(&mut ctx);
+        let cmds = ctx.drain();
+        assert_eq!(wakes(&cmds), []);
+        assert!(
+            cmds.iter().any(|c| matches!(c, SchedCmd::Timer(_))),
+            "re-armed"
+        );
+        // Once the group is out of debt, the next timer wakes all four.
+        let mut ctx = SchedCtx::new(SimTime::from_nanos(2_000_000_000), &dev);
+        s.timer_fired(&mut ctx);
+        assert_eq!(wakes(&ctx.drain()), (1..=4).map(Pid).collect::<Vec<_>>());
+        assert_eq!(s.audit(false), Vec::<String>::new());
+    }
+
+    #[test]
     fn prompt_charge_gates_the_next_write() {
         let dev = HddModel::new();
         let mut s = SplitToken::new();

@@ -117,9 +117,11 @@ impl TokenBuckets {
         self.rebound(pid);
     }
 
-    /// Remove any throttle from `pid`'s bucket binding.
+    /// Detach `pid` from every bucket: it leaves its group, if any, and
+    /// its own bucket is dropped. A group bucket stays, still throttling
+    /// the other members.
     pub(crate) fn unthrottle(&mut self, pid: Pid) {
-        self.buckets.remove(&self.bucket_of(pid));
+        self.buckets.remove(&BucketId::Proc(pid));
         self.groups.remove(&pid);
         self.rebound(pid);
     }
@@ -191,9 +193,13 @@ impl TokenBuckets {
     /// `now`, whether or not anyone wakes: refill accumulates in `f64`, so
     /// *when* it is called is part of the simulated result, and one call
     /// per waiting bucket is what a refill per waiter amounts to (every
-    /// call after the first sees `dt = 0`). The waiters are then walked in
-    /// place, each tested against its own bucket.
+    /// call after the first sees `dt = 0`). Only when some waiting bucket
+    /// left debt (or was removed) are the waiters walked, in place, each
+    /// tested against its own bucket; every held pid's bucket is in the
+    /// summary, so a pass in which none left wakes nobody and costs
+    /// O(buckets with waiters), not O(held pids).
     pub(crate) fn release_ready(&mut self, now: SimTime, mut wake: impl FnMut(Pid)) {
+        let waiting = self.waiting.len();
         // A bucket removed while pids waited on it throttles nobody.
         self.waiting.retain(|id, _| {
             self.buckets.get_mut(id).is_some_and(|b| {
@@ -201,7 +207,12 @@ impl TokenBuckets {
                 !b.ready()
             })
         });
+        if self.waiting.len() == waiting {
+            return;
+        }
         self.held.retain(|&pid| {
+            #[cfg(test)]
+            tests::VISITS.with(|n| n.set(n.get() + 1));
             let bucket = self.buckets.get(&bucket_in(&self.groups, pid));
             let stays = bucket.is_some_and(|b| !b.ready());
             if !stays {
@@ -273,7 +284,8 @@ impl TokenBuckets {
     }
 
     /// When `pid`'s bucket will next be non-negative (`None` if already,
-    /// or if unthrottled, or if the rate is zero — then never).
+    /// or if unthrottled; `SimTime::MAX`, never, if the rate is zero or
+    /// the debt outlasts the clock).
     pub(crate) fn ready_at(&mut self, pid: Pid, now: SimTime) -> Option<SimTime> {
         let id = self.bucket_of(pid);
         let b = self.buckets.get_mut(&id)?;
@@ -289,7 +301,7 @@ impl TokenBuckets {
         // (possible when the balance is an infinitesimal negative) would
         // let a dispatch loop retry at the same instant forever.
         let wait = SimDuration::from_secs_f64(secs).max(SimDuration::from_micros(1));
-        Some(now + wait)
+        Some(now.saturating_add(wait))
     }
 }
 
@@ -353,6 +365,34 @@ mod tests {
     }
 
     #[test]
+    fn unthrottling_a_group_member_leaves_the_group_throttled() {
+        let mut b = TokenBuckets::new();
+        b.join_group(Pid(1), 7);
+        b.join_group(Pid(2), 7);
+        b.set_rate(Pid(1), 1_000_000, t(0));
+        b.charge(Pid(1), 5e6, t(0));
+        b.unthrottle(Pid(1));
+        assert!(b.may_proceed(Pid(1), t(0)));
+        assert_eq!(b.bucket_of(Pid(1)), BucketId::Proc(Pid(1)));
+        assert!(!b.may_proceed(Pid(2), t(0)), "the group keeps its debt");
+        assert_eq!(b.ready_at(Pid(2), t(0)), Some(t(4)));
+    }
+
+    #[test]
+    fn debt_outlasting_the_clock_saturates_to_never() {
+        let mut b = TokenBuckets::new();
+        b.set_rate(Pid(1), 1, t(0)); // 1 B/s
+        b.charge(Pid(1), 1e12, t(0)); // ~31 700 years: past any `SimDuration`
+        assert_eq!(b.ready_at(Pid(1), t(1)), Some(SimTime::MAX));
+        // A wait that fits a `SimDuration` but, added to `now`, would run
+        // past the end of the clock.
+        let mut b = TokenBuckets::new();
+        b.set_rate(Pid(1), 1, t(0));
+        b.charge(Pid(1), 1.9e10, t(0)); // ready at t+1.9e10 s: past `SimTime::MAX`
+        assert_eq!(b.ready_at(Pid(1), t(1_000_000_000)), Some(SimTime::MAX));
+    }
+
+    #[test]
     fn zero_rate_debt_never_clears() {
         let mut b = TokenBuckets::new();
         b.set_rate(Pid(1), 0, t(0));
@@ -384,10 +424,17 @@ mod tests {
     thread_local! {
         /// `Bucket::refill` calls made on this thread.
         pub(super) static REFILLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+        /// Held pids `release_ready` tested against their bucket on this
+        /// thread.
+        pub(super) static VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     }
 
     fn refills() -> u64 {
         REFILLS.with(|n| n.get())
+    }
+
+    fn visits() -> u64 {
+        VISITS.with(|n| n.get())
     }
 
     fn release(b: &mut TokenBuckets, now: SimTime) -> Vec<Pid> {
@@ -408,15 +455,17 @@ mod tests {
         for i in 0..N {
             b.hold(Pid(i));
         }
-        let before = refills();
+        let (before, seen) = (refills(), visits());
         assert_eq!(release(&mut b, t(1)), []);
         assert_eq!(refills() - before, 1, "one bucket has waiters");
+        assert_eq!(visits() - seen, 0, "no bucket left debt: no walk");
         assert!(b.any_held());
 
         b.refund(Pid(0), 600e6, t(1));
-        let before = refills();
+        let (before, seen) = (refills(), visits());
         let woke = release(&mut b, t(1));
         assert_eq!(refills() - before, 1);
+        assert_eq!(visits() - seen, N as u64);
         assert_eq!(woke, (0..N).map(Pid).collect::<Vec<_>>(), "hold order");
         assert!(!b.any_held());
         assert_eq!(b.audit(), Vec::<String>::new());
