@@ -5,11 +5,10 @@
 //! which joins the per-worker datanode handler into the account's shared
 //! token bucket (the paper's modified HDFS protocol).
 
-use std::collections::HashMap;
 use std::fmt;
 
 use sim_cache::CacheConfig;
-use sim_core::{FileId, KernelId, Pid, SimDuration, SimRng};
+use sim_core::{FastMap, FileId, KernelId, Pid, SimDuration, SimRng};
 use sim_kernel::{AppEvent, DeviceKind, InjectTarget, KernelConfig, World};
 use split_core::{SchedAttr, SyscallKind};
 use split_schedulers::SplitToken;
@@ -98,7 +97,7 @@ pub struct DfsCluster {
     clients: Vec<Client>,
     rng: SimRng,
     /// token -> (client, replica slot)
-    inflight: HashMap<u64, usize>,
+    inflight: FastMap<u64, usize>,
     next_token: u64,
 }
 
@@ -126,7 +125,7 @@ impl DfsCluster {
             workers,
             clients: Vec::new(),
             rng: SimRng::seed_from_u64(cfg.seed),
-            inflight: HashMap::new(),
+            inflight: FastMap::default(),
             next_token: 1,
         }
     }

@@ -52,7 +52,7 @@ fn dirty_accounting_is_conserved() {
             mem_bytes: 16 << 20,
             ..Default::default()
         });
-        let mut model: std::collections::HashSet<(u8, u16)> = Default::default();
+        let mut model: sim_core::FastSet<(u8, u16)> = Default::default();
         let mut t = 0u64;
         for op in &ops {
             t += 1;

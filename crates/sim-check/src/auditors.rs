@@ -7,9 +7,7 @@
 //! violation always means the *kernel's* redundant books disagree, not
 //! that the auditor lost track.
 
-use std::collections::{HashMap, HashSet};
-
-use sim_core::{Pid, RequestId, SimTime, TxnId};
+use sim_core::{FastMap, FastSet, Pid, RequestId, SimTime, TxnId};
 use sim_fault::WriteStep;
 
 use crate::audit::{AuditCheckpoint, AuditEvent, Auditor};
@@ -20,7 +18,7 @@ use crate::audit::{AuditCheckpoint, AuditEvent, Auditor};
 /// corrupted somewhere between the syscall and the device — billing work
 /// to a process that never asked for it.
 pub(crate) struct CauseTagAuditor {
-    seen: HashSet<Pid>,
+    seen: FastSet<Pid>,
 }
 
 /// The journal task's proxy pid (it submits commits on behalf of the
@@ -139,10 +137,10 @@ enum ReqRole {
 /// * committed transaction IDs are strictly monotone;
 /// * a transaction commits at most once and never after aborting.
 pub(crate) struct JournalOrderAuditor {
-    txns: HashMap<TxnId, TxnState>,
-    roles: HashMap<RequestId, ReqRole>,
+    txns: FastMap<TxnId, TxnState>,
+    roles: FastMap<RequestId, ReqRole>,
     /// In-flight ordered-data flush writes issued by the journal task.
-    inflight_journal_data: HashSet<RequestId>,
+    inflight_journal_data: FastSet<RequestId>,
     last_committed: Option<TxnId>,
 }
 
@@ -150,9 +148,9 @@ impl JournalOrderAuditor {
     /// A fresh auditor.
     pub(crate) fn new() -> Self {
         JournalOrderAuditor {
-            txns: HashMap::new(),
-            roles: HashMap::new(),
-            inflight_journal_data: HashSet::new(),
+            txns: FastMap::default(),
+            roles: FastMap::default(),
+            inflight_journal_data: FastSet::default(),
             last_committed: None,
         }
     }
@@ -325,17 +323,17 @@ impl Auditor for EventQueueAuditor {
 /// swallowed).
 pub(crate) struct InflightAuditor {
     /// Slot held by each in-flight request.
-    slot_of: HashMap<RequestId, u32>,
+    slot_of: FastMap<RequestId, u32>,
     /// Request holding each occupied slot.
-    holder_of: HashMap<u32, RequestId>,
+    holder_of: FastMap<u32, RequestId>,
 }
 
 impl InflightAuditor {
     /// A fresh auditor.
     pub(crate) fn new() -> Self {
         InflightAuditor {
-            slot_of: HashMap::new(),
-            holder_of: HashMap::new(),
+            slot_of: FastMap::default(),
+            holder_of: FastMap::default(),
         }
     }
 }

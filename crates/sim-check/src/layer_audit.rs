@@ -25,10 +25,8 @@
 //! classes) is not in the audit stream. The default tree and the check
 //! harness's trees qualify.
 
-use std::collections::HashMap;
-
 use sim_block::{ReqKind, Request};
-use sim_core::{Pid, SimTime};
+use sim_core::{FastMap, Pid, SimTime};
 use split_core::SyscallKind;
 use split_layered::{classify, LayerPolicy, LayerSpec};
 
@@ -59,9 +57,9 @@ pub struct LayerAuditor {
     /// Which layers dispatch with latency priority (routing mirror).
     latency_prio: Vec<bool>,
     /// Layer assignment replayed at first syscall; checked stable.
-    assign: HashMap<Pid, usize>,
+    assign: FastMap<Pid, usize>,
     /// Live syscall per process: (layer, write payload bytes).
-    pending: HashMap<Pid, (usize, u64)>,
+    pending: FastMap<Pid, (usize, u64)>,
 }
 
 impl LayerAuditor {
@@ -94,8 +92,8 @@ impl LayerAuditor {
             specs,
             layers,
             latency_prio,
-            assign: HashMap::new(),
-            pending: HashMap::new(),
+            assign: FastMap::default(),
+            pending: FastMap::default(),
         }
     }
 

@@ -19,11 +19,11 @@
 //! the server's concurrency limit — so a flash crowd queues requests
 //! exactly like a saturated thread pool would.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use sim_apps::net::{Net, CLIENT_LATENCY};
 use sim_block::IoPrio;
-use sim_core::{stream_seed, FileId, KernelId, Pid, SimTime, PAGE_SIZE};
+use sim_core::{stream_seed, FastMap, FileId, KernelId, Pid, SimTime, PAGE_SIZE};
 use sim_kernel::{AppEvent, DeviceKind, InjectTarget, World};
 use sim_workloads::PacedWriter;
 use split_core::{SchedAttr, SyscallKind};
@@ -196,9 +196,9 @@ pub(crate) struct Shard {
     handlers: Vec<Pid>,
     free: Vec<usize>,
     queue: VecDeque<Job>,
-    io: HashMap<u64, Io>,
-    msgs: HashMap<u64, Payload>,
-    puts: HashMap<u64, PutState>,
+    io: FastMap<u64, Io>,
+    msgs: FastMap<u64, Payload>,
+    puts: FastMap<u64, PutState>,
     next_token: u64,
     outbox: Vec<Envelope>,
     samples: Vec<ReqSample>,
@@ -271,9 +271,9 @@ impl Shard {
             handlers,
             free,
             queue: VecDeque::new(),
-            io: HashMap::new(),
-            msgs: HashMap::new(),
-            puts: HashMap::new(),
+            io: FastMap::default(),
+            msgs: FastMap::default(),
+            puts: FastMap::default(),
             next_token: 1,
             outbox: Vec::new(),
             samples: Vec::new(),

@@ -221,12 +221,17 @@ impl CauseSet {
         }
     }
 
+    /// One cause's even share of `cost`.
+    pub fn share(&self, cost: f64) -> f64 {
+        cost / self.len().max(1) as f64
+    }
+
     /// Split a unit of cost evenly among the causes; returns
-    /// `(pid, share)` pairs. An empty set yields nothing.
+    /// `(pid, share)` pairs, each share [`CauseSet::share`]. An empty set
+    /// yields nothing.
     pub fn shares(&self, cost: f64) -> impl Iterator<Item = (Pid, f64)> + '_ {
-        let s = self.as_slice();
-        let n = s.len().max(1) as f64;
-        s.iter().map(move |&p| (p, cost / n))
+        let share = self.share(cost);
+        self.as_slice().iter().map(move |&p| (p, share))
     }
 }
 

@@ -11,6 +11,13 @@
 //!
 //! This is an *internal* hash: keys are trusted simulator state, never
 //! adversarial input, so HashDoS resistance is irrelevant.
+//!
+//! Every simulator map and set is a [`FastMap`]/[`FastSet`]. Clippy
+//! enforces it: the workspace's `clippy.toml` disallows `std`'s
+//! `HashMap` and `HashSet`, and this module, which defines the aliases,
+//! is the only place allowed to name them.
+
+#![allow(clippy::disallowed_types)]
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -182,7 +182,7 @@ mod tests {
 
     #[test]
     fn stream_seeds_do_not_collide_over_a_small_grid() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = crate::FastSet::default();
         for root in 0..8u64 {
             for stream in 0..64u64 {
                 assert!(seen.insert(stream_seed(root, stream)));

@@ -40,7 +40,7 @@ fn cause_set_union_laws() {
             u.len(),
             a.iter()
                 .chain(b.iter())
-                .collect::<std::collections::HashSet<_>>()
+                .collect::<sim_core::FastSet<_>>()
                 .len()
         );
     }

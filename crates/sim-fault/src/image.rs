@@ -1,9 +1,9 @@
 //! Shadow disk image, journal replay and ordered-mode invariant checks.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
-use sim_core::{FileId, TxnId};
+use sim_core::{FastMap, FileId, TxnId};
 
 /// The journal-protocol role of one write, annotated by the file system at
 /// submission time. The crash harness uses it to replay recovery without
@@ -172,7 +172,7 @@ struct TxnDigest {
 #[derive(Debug, Default)]
 pub struct DiskImage {
     writes: Vec<WriteRecord>,
-    by_key: HashMap<u64, usize>,
+    by_key: FastMap<u64, usize>,
 }
 
 impl DiskImage {

@@ -118,6 +118,22 @@ impl ExtentMap {
         self.runs.insert(page, (start, len));
     }
 
+    /// A file's map with `runs` backing its pages in order from page 0,
+    /// built in one pass: the runs arrive sorted by page, so the tree is
+    /// bulk-built rather than grown one insert per run.
+    pub fn from_runs(runs: impl IntoIterator<Item = (BlockNo, u64)>) -> Self {
+        let mut page = 0;
+        let runs = runs
+            .into_iter()
+            .map(|(start, len)| {
+                let at = page;
+                page += len;
+                (at, (start, len))
+            })
+            .collect();
+        ExtentMap { runs }
+    }
+
     /// Location of one page, if allocated.
     pub fn lookup(&self, page: u64) -> Option<BlockNo> {
         let (&p0, &(start, len)) = self.runs.range(..=page).next_back()?;
@@ -226,6 +242,28 @@ mod tests {
             .filter(|w| w[0].0.raw() + w[0].1 == w[1].0.raw())
             .count();
         assert!(contiguous < runs.len() / 2);
+    }
+
+    #[test]
+    fn bulk_built_map_answers_like_the_insert_built_one() {
+        let mut a = Allocator::new(0, 100_000_000, 256, 7);
+        let runs = a.alloc_scattered(6144, 64);
+        let bulk = ExtentMap::from_runs(runs.iter().copied());
+        let mut inserted = ExtentMap::new();
+        let mut page = 0;
+        for &(start, len) in &runs {
+            inserted.insert(page, start, len);
+            page += len;
+        }
+        assert_eq!(page, 6144);
+        for p in 0..=page {
+            assert_eq!(bulk.lookup(p), inserted.lookup(p), "page {p}");
+            assert_eq!(
+                bulk.extents_for(p, 97),
+                inserted.extents_for(p, 97),
+                "page {p}"
+            );
+        }
     }
 
     #[test]

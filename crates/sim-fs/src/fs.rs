@@ -590,24 +590,23 @@ impl JournaledFs {
     pub fn prealloc_file(&mut self, bytes: u64, contiguous: bool) -> FileId {
         let id = FileId(self.file_ids.next());
         let npages = sim_core::pages_for_bytes(bytes);
-        let mut inode = Inode {
-            size: bytes,
-            extents: ExtentMap::new(),
-        };
-        if contiguous {
-            let start = self.allocator.alloc_contiguous(npages);
-            inode.extents.insert(0, start, npages);
+        let extents = if contiguous {
+            let mut one = ExtentMap::new();
+            one.insert(0, self.allocator.alloc_contiguous(npages), npages);
+            one
         } else {
-            let mut page = 0;
-            for (start, len) in self
-                .allocator
-                .alloc_scattered(npages, self.cfg.scatter_chunk)
-            {
-                inode.extents.insert(page, start, len);
-                page += len;
-            }
-        }
-        self.inodes.insert(id, inode);
+            ExtentMap::from_runs(
+                self.allocator
+                    .alloc_scattered(npages, self.cfg.scatter_chunk),
+            )
+        };
+        self.inodes.insert(
+            id,
+            Inode {
+                size: bytes,
+                extents,
+            },
+        );
         id
     }
 

@@ -17,7 +17,7 @@ fn allocator_never_overlaps() {
             .map(|_| (rng.gen_range(8), 1 + rng.gen_range(499)))
             .collect();
         let mut a = Allocator::new(0, 1 << 24, 256, 42);
-        let mut used: std::collections::HashSet<u64> = Default::default();
+        let mut used: sim_core::FastSet<u64> = Default::default();
         for (file, n) in grants {
             for (start, len) in a.alloc(FileId(file), n) {
                 for b in start.raw()..start.raw() + len {
@@ -36,7 +36,7 @@ fn scattered_allocation_is_exact() {
         let n = 1 + rng.gen_range(19) as usize;
         let sizes: Vec<u64> = (0..n).map(|_| 1 + rng.gen_range(1999)).collect();
         let mut a = Allocator::new(0, 1 << 26, 256, 7);
-        let mut used: std::collections::HashSet<u64> = Default::default();
+        let mut used: sim_core::FastSet<u64> = Default::default();
         for n in sizes {
             let runs = a.alloc_scattered(n, 64);
             let total: u64 = runs.iter().map(|r| r.1).sum();

@@ -10,8 +10,7 @@
 use crate::json::{escape, num};
 use crate::metrics::Registry;
 use crate::span::SpanRecord;
-use sim_core::{CauseSet, Pid, SimTime};
-use std::collections::HashMap;
+use sim_core::{CauseSet, FastMap, Pid, SimTime};
 
 fn micros(t: SimTime) -> f64 {
     t.as_nanos() as f64 / 1000.0
@@ -26,7 +25,7 @@ fn causes_tag(causes: &CauseSet) -> String {
 pub(crate) fn chrome_json(
     process: u32,
     spans: &[SpanRecord],
-    task_labels: &HashMap<Pid, &'static str>,
+    task_labels: &FastMap<Pid, &'static str>,
     registry: &Registry,
 ) -> String {
     // (sort key in ns, rendered event) — metadata first (key 0).
@@ -161,7 +160,7 @@ mod tests {
         let spans = vec![span(1, 0, 1000, 5000), span(2, 1, 2000, 3000)];
         let mut reg = Registry::new();
         reg.gauge("cache.dirty_pages", SimTime::from_nanos(1500), 42.0);
-        let json = chrome_json(0, &spans, &HashMap::new(), &reg);
+        let json = chrome_json(0, &spans, &FastMap::default(), &reg);
         crate::json::validate(&json).expect("exporter must emit well-formed JSON");
         assert!(json.contains(r#""causes":"4|5""#));
         assert!(json.contains(r#""cat":"syscall""#));
@@ -179,7 +178,7 @@ mod tests {
         reg.gauge(hostile, SimTime::from_nanos(1_000), f64::NAN);
         reg.gauge(hostile, SimTime::from_nanos(2_000), f64::INFINITY);
         reg.gauge(hostile, SimTime::from_nanos(3_000), -2.5);
-        let json = chrome_json(7, &[], &HashMap::new(), &reg);
+        let json = chrome_json(7, &[], &FastMap::default(), &reg);
         let doc = crate::json::parse(&json).expect("exporter emits parseable JSON");
         let events = doc.get("traceEvents").and_then(|v| v.as_arr()).unwrap();
         let counters: Vec<_> = events

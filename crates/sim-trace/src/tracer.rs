@@ -11,9 +11,8 @@ use crate::block::RequestTrace;
 use crate::metrics::Registry;
 use crate::span::{Layer, SpanId, SpanRecord};
 use sim_block::Request;
-use sim_core::{CauseSet, Pid, SimDuration, SimTime};
+use sim_core::{CauseSet, FastMap, Pid, SimDuration, SimTime};
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Retained-span cap; past it new spans are counted as dropped.
@@ -23,8 +22,8 @@ const DEFAULT_SPAN_CAP: usize = 1 << 20;
 struct Inner {
     process: u32,
     spans: Vec<SpanRecord>,
-    current: HashMap<Pid, SpanId>,
-    task_labels: HashMap<Pid, &'static str>,
+    current: FastMap<Pid, SpanId>,
+    task_labels: FastMap<Pid, &'static str>,
     registry: Registry,
     block: Option<RequestTrace>,
     span_cap: usize,

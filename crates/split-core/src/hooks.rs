@@ -121,24 +121,34 @@ pub struct BufferDirtied<'a> {
 }
 
 impl<'a> BufferDirtied<'a> {
-    /// Take the stretch page by page, for a scheduler whose charge is per
-    /// page: run `f` on each page's own one-page event in order, stopping
-    /// after the first page whose `f` queues a command, so the kernel
-    /// applies it before the next page is dirtied. Returns the pages
-    /// taken.
+    /// Pages `[from, from + len)` of the stretch, as a stretch of its own.
+    pub fn sub(&self, from: u64, len: u64) -> BufferDirtied<'a> {
+        debug_assert!(
+            len >= 1 && from + len <= self.len,
+            "{from}+{len} of {}",
+            self.len
+        );
+        BufferDirtied {
+            page: self.page + from,
+            len,
+            block: self.block.map(|b| BlockNo(b.raw() + from)),
+            ..*self
+        }
+    }
+
+    /// Take the stretch page by page, for a scheduler whose per-page
+    /// work can queue a command (Split-Deadline's timer and writeback
+    /// kicks): run `f` on each page's own one-page event in order,
+    /// stopping after the first page whose `f` queues a command, so the
+    /// kernel applies it before the next page is dirtied. Returns the
+    /// pages taken.
     pub fn each_page(
         &self,
         ctx: &mut SchedCtx<'_>,
         mut f: impl FnMut(&BufferDirtied<'a>, &mut SchedCtx<'_>),
     ) -> u64 {
         for i in 0..self.len {
-            let page = BufferDirtied {
-                page: self.page + i,
-                len: 1,
-                block: self.block.map(|b| BlockNo(b.raw() + i)),
-                ..*self
-            };
-            f(&page, ctx);
+            f(&self.sub(i, 1), ctx);
             if ctx.has_commands() {
                 return i + 1;
             }
@@ -426,8 +436,8 @@ pub trait Scheduler {
     /// Memory level: a stretch of buffers was dirtied or re-dirtied.
     /// Returns how many of its pages the scheduler took (see
     /// [`Hook::BufferDirtied`]); the default takes the whole stretch. A
-    /// scheduler whose charge is per page takes it through
-    /// [`BufferDirtied::each_page`].
+    /// scheduler that must stop mid-stretch when a page queues a command
+    /// takes it through [`BufferDirtied::each_page`].
     fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) -> u64 {
         let _ = ctx;
         ev.len

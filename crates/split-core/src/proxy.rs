@@ -6,14 +6,12 @@
 //! task is marked as a proxy, any work it produces is attributed to the
 //! cause set it carries, not to the task itself.
 
-use std::collections::HashMap;
-
-use sim_core::{CauseSet, Pid};
+use sim_core::{CauseSet, FastMap, Pid};
 
 /// Tracks which tasks are currently acting as proxies and for whom.
 #[derive(Debug, Default)]
 pub struct ProxyRegistry {
-    acting_for: HashMap<Pid, CauseSet>,
+    acting_for: FastMap<Pid, CauseSet>,
 }
 
 impl ProxyRegistry {

@@ -14,12 +14,12 @@
 use crate::solver::{solve, FeasibleWeights, LayerEntitlement};
 use crate::spec::{validate, LayerPolicy, LayerRule, LayerSpec, SpecError};
 use sim_block::{Dispatch, PrioClass, ReqKind, Request};
-use sim_core::{FileId, Pid, RequestId, SimDuration, SimTime, PAGE_SIZE};
+use sim_core::{FastMap, FileId, Pid, RequestId, SimDuration, SimTime, PAGE_SIZE};
 use split_core::{
     BufferDirtied, BufferFreed, Gate, Hook, IoSched, SchedAttr, SchedCtx, Scheduler, SyscallInfo,
     SyscallKind,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Window over which per-layer utilization shares are measured for the
 /// min-utilization guarantee.
@@ -136,6 +136,19 @@ impl Layer {
     }
 }
 
+/// The first page (counting from 0) of a stretch of pages dirtying
+/// `new_bytes` each whose bytes bring a layer holding `dirty` bytes to
+/// `threshold`; `u64::MAX` if no page ever does.
+fn crossing_page(dirty: u64, new_bytes: u64, threshold: u64) -> u64 {
+    if dirty >= threshold {
+        0
+    } else if new_bytes == 0 {
+        u64::MAX
+    } else {
+        (threshold - dirty).div_ceil(new_bytes) - 1
+    }
+}
+
 /// The hierarchical layer plane: one `IoSched` wrapping a tree of child
 /// schedulers, one per layer.
 pub struct Layered {
@@ -144,13 +157,13 @@ pub struct Layered {
     /// Solver output: effective share and min per layer, plus report.
     report: FeasibleWeights,
     /// Process → layer, fixed at admission.
-    assign: HashMap<Pid, usize>,
+    assign: FastMap<Pid, usize>,
     /// Names registered via `SchedAttr::ProcName` before admission.
-    names: HashMap<Pid, &'static str>,
+    names: FastMap<Pid, &'static str>,
     /// I/O classes seen via `SchedAttr::Prio` before admission.
-    classes: HashMap<Pid, PrioClass>,
+    classes: FastMap<Pid, PrioClass>,
     /// In-flight request → layer, for completion routing.
-    req_layer: HashMap<RequestId, usize>,
+    req_layer: FastMap<RequestId, usize>,
     /// Writers held at the gate by a bandwidth cap: (pid, bytes, layer).
     cap_held: VecDeque<(Pid, u64, usize)>,
     /// Writers held at the gate by the dirty budget: (pid, layer).
@@ -221,10 +234,10 @@ impl Layered {
             layers,
             has_latency,
             report,
-            assign: HashMap::new(),
-            names: HashMap::new(),
-            classes: HashMap::new(),
-            req_layer: HashMap::new(),
+            assign: FastMap::default(),
+            names: FastMap::default(),
+            classes: FastMap::default(),
+            req_layer: FastMap::default(),
             cap_held: VecDeque::new(),
             dirty_held: VecDeque::new(),
             boost_held: VecDeque::new(),
@@ -424,6 +437,21 @@ impl Layered {
         }
     }
 
+    /// Hand layer `i`'s child a dirtied stretch and count the pages it
+    /// took as the layer's dirty bytes. Returns the pages taken.
+    fn dirty_child(&mut self, i: usize, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) -> u64 {
+        let mut taken = ev.len;
+        self.layers[i].child.on(
+            Hook::BufferDirtied {
+                ev: *ev,
+                taken: &mut taken,
+            },
+            ctx,
+        );
+        self.layers[i].dirty_bytes += taken * ev.new_bytes;
+        taken
+    }
+
     fn sample_gauges(&self, ctx: &SchedCtx<'_>) {
         let tr = ctx.tracer();
         if !tr.enabled() {
@@ -543,35 +571,42 @@ impl Scheduler for Layered {
 
     fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) -> u64 {
         let i = self.layer_of_causes(ev.causes);
-        // Page by page: the eager-writeback check below can fire on any
-        // page, and the child sees each page as its own stretch.
-        ev.each_page(ctx, |ev, ctx| {
-            self.layers[i].dirty_bytes += ev.new_bytes;
-            // Entanglement control: a latency layer's fsync commit flushes
-            // every ordered file's dirty data, so other layers' dirty pages
-            // are latent commit work. Write them back eagerly.
-            if let Some(threshold) = self.cfg.eager_wb_bytes {
-                if self.has_latency
-                    && !self.layers[i].latency_prio()
-                    && self.layers[i].dirty_bytes >= threshold
-                {
-                    if self.fsync_boost > 0 {
-                        // Mid-commit flush traffic would interleave with the
-                        // journal writes; kick it when the boost closes.
-                        if !self.wb_deferred.iter().any(|(f, _)| *f == ev.file) {
-                            self.wb_deferred.push((ev.file, i));
-                        }
-                    } else {
-                        let pages = self.layers[i].dirty_bytes / PAGE_SIZE + 1;
-                        ctx.start_writeback(Some(ev.file), pages);
-                    }
-                }
+        // Entanglement control: a latency layer's fsync commit flushes
+        // every ordered file's dirty data, so other layers' dirty pages
+        // are latent commit work. Write them back eagerly, from the page
+        // whose bytes bring the layer to the threshold: the pages before
+        // it go to the child as one stretch, and it starts another.
+        let crossing = self
+            .cfg
+            .eager_wb_bytes
+            .filter(|_| self.has_latency && !self.layers[i].latency_prio())
+            .map(|threshold| crossing_page(self.layers[i].dirty_bytes, ev.new_bytes, threshold))
+            .filter(|&k| k < ev.len);
+        let Some(k) = crossing else {
+            return self.dirty_child(i, ev, ctx);
+        };
+        if k > 0 {
+            let taken = self.dirty_child(i, &ev.sub(0, k), ctx);
+            if taken < k || ctx.has_commands() {
+                return taken;
             }
-            let taken = &mut 1;
-            self.layers[i]
-                .child
-                .on(Hook::BufferDirtied { ev: *ev, taken }, ctx)
-        })
+        }
+        let rest = if self.fsync_boost > 0 {
+            // Mid-commit flush traffic would interleave with the journal
+            // writes; kick it when the boost closes. Every later page is
+            // over the threshold too and finds the file deferred already.
+            if !self.wb_deferred.iter().any(|(f, _)| *f == ev.file) {
+                self.wb_deferred.push((ev.file, i));
+            }
+            ev.len - k
+        } else {
+            // Queued before the child sees the page; the kernel applies
+            // it before it dirties the next one.
+            let dirty = self.layers[i].dirty_bytes + ev.new_bytes;
+            ctx.start_writeback(Some(ev.file), dirty / PAGE_SIZE + 1);
+            1
+        };
+        k + self.dirty_child(i, &ev.sub(k, rest), ctx)
     }
 
     fn buffer_freed(&mut self, ev: &BufferFreed, ctx: &mut SchedCtx<'_>) {
@@ -878,7 +913,7 @@ mod tests {
     use super::*;
     use crate::spec::parse_layers;
     use sim_block::{BlockDeadline, Cfq, Noop};
-    use split_core::BlockOnly;
+    use split_core::{BlockOnly, SchedCmd};
 
     fn resolver() -> impl FnMut(&str) -> Option<Box<dyn IoSched>> {
         |name: &str| -> Option<Box<dyn IoSched>> {
@@ -944,5 +979,246 @@ mod tests {
         assert!(at > SimTime::from_nanos(500_000_000));
         b.refill(SimTime::from_nanos(10_000_000_000));
         assert!((b.balance - b.burst).abs() < 1.0);
+    }
+
+    /// One page a child took: file, page, block, new bytes, and whether
+    /// a command was already queued when the child saw it.
+    type Seen = (FileId, u64, Option<u64>, u64, bool);
+
+    /// A child that logs the pages it takes and, like Split-Deadline,
+    /// ends a stretch early on a page that queues a command (here every
+    /// page whose number ends in 999 arms a timer).
+    struct Recorder(std::rc::Rc<std::cell::RefCell<Vec<Seen>>>);
+
+    impl Scheduler for Recorder {
+        fn name(&self) -> &'static str {
+            "recorder"
+        }
+        fn buffer_dirtied(&mut self, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) -> u64 {
+            ev.each_page(ctx, |p, ctx| {
+                let block = p.block.map(|b| b.raw());
+                let seen = (p.file, p.page, block, p.new_bytes, ctx.has_commands());
+                self.0.borrow_mut().push(seen);
+                if p.page % 1000 == 999 {
+                    ctx.set_timer(SimTime::from_nanos(p.page));
+                }
+            })
+        }
+        fn block_add(&mut self, _req: Request, _ctx: &mut SchedCtx<'_>) {}
+        fn block_dispatch(&mut self, _ctx: &mut SchedCtx<'_>) -> Dispatch {
+            Dispatch::Idle
+        }
+        fn queued(&self) -> usize {
+            0
+        }
+    }
+
+    /// A latency layer (pids ≡ 1 mod 3) over a bulk one, both recorders
+    /// logging into the returned log.
+    fn recorded_tree() -> (Layered, std::rc::Rc<std::cell::RefCell<Vec<Seen>>>) {
+        let log = std::rc::Rc::default();
+        let specs = parse_layers("lat:pidmod=3,1:latency:rec;bulk:default:share:rec").unwrap();
+        let mut resolve = |_: &str| -> Option<Box<dyn IoSched>> {
+            Some(Box::new(Recorder(std::rc::Rc::clone(&log))))
+        };
+        let l = Layered::build(specs, LayeredConfig::default(), &mut resolve).unwrap();
+        (l, log)
+    }
+
+    /// How the arbiter took a dirty message before it took stretches
+    /// whole, kept as the reference: page by page, each page's bytes
+    /// counted and the threshold checked before the child sees it.
+    fn dirty_page_by_page(l: &mut Layered, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) -> u64 {
+        let i = l.layer_of_causes(ev.causes);
+        ev.each_page(ctx, |ev, ctx| {
+            l.layers[i].dirty_bytes += ev.new_bytes;
+            if let Some(threshold) = l.cfg.eager_wb_bytes {
+                if l.has_latency
+                    && !l.layers[i].latency_prio()
+                    && l.layers[i].dirty_bytes >= threshold
+                {
+                    if l.fsync_boost > 0 {
+                        if !l.wb_deferred.iter().any(|(f, _)| *f == ev.file) {
+                            l.wb_deferred.push((ev.file, i));
+                        }
+                    } else {
+                        let pages = l.layers[i].dirty_bytes / PAGE_SIZE + 1;
+                        ctx.start_writeback(Some(ev.file), pages);
+                    }
+                }
+            }
+            let taken = &mut 1;
+            l.layers[i]
+                .child
+                .on(Hook::BufferDirtied { ev: *ev, taken }, ctx)
+        })
+    }
+
+    /// The arbiter's dirty message as the kernel sends it.
+    fn dirty_whole(l: &mut Layered, ev: &BufferDirtied<'_>, ctx: &mut SchedCtx<'_>) -> u64 {
+        let mut taken = ev.len;
+        let msg = Hook::BufferDirtied {
+            ev: *ev,
+            taken: &mut taken,
+        };
+        IoSched::on(l, msg, ctx);
+        taken
+    }
+
+    /// Dirty `ev` as the kernel does, through `dirty`: message after
+    /// message until every page is taken. Returns, for each message that
+    /// queued commands, the pages taken so far and the commands.
+    fn drive(
+        l: &mut Layered,
+        ev: &BufferDirtied<'_>,
+        dirty: fn(&mut Layered, &BufferDirtied<'_>, &mut SchedCtx<'_>) -> u64,
+        dev: &dyn sim_device::DiskModel,
+    ) -> Vec<(u64, Vec<SchedCmd>)> {
+        let mut out = Vec::new();
+        let mut ctx = SchedCtx::new(SimTime::ZERO, dev);
+        let mut page = 0;
+        while page < ev.len {
+            let len = ev.len - page;
+            let taken = dirty(l, &ev.sub(page, len), &mut ctx);
+            assert!((1..=len).contains(&taken), "took {taken} of {len}");
+            page += taken;
+            if ctx.has_commands() {
+                out.push((page, ctx.drain()));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn eager_writeback_cuts_a_stretch_at_the_crossing_page() {
+        let dev = sim_device::HddModel::new();
+        let causes = sim_core::CauseSet::of(Pid(2));
+        let stretch = |page| BufferDirtied {
+            file: FileId(5),
+            page,
+            len: 100,
+            causes: &causes,
+            prev: None,
+            block: None,
+            new_bytes: PAGE_SIZE,
+        };
+        let kick = |max_pages| SchedCmd::StartWriteback {
+            file: Some(FileId(5)),
+            max_pages,
+        };
+        // The default threshold is 64 pages: the 64th page crosses it.
+        // The child takes the 63 pages before it as one stretch, then
+        // sees the crossing page with the kick already queued.
+        let (mut l, log) = recorded_tree();
+        let mut ctx = SchedCtx::new(SimTime::ZERO, &dev);
+        assert_eq!(dirty_whole(&mut l, &stretch(1000), &mut ctx), 64);
+        assert_eq!(ctx.drain(), [kick(65)]);
+        let pending: Vec<bool> = log.borrow().iter().map(|s| s.4).collect();
+        assert_eq!(pending, [vec![false; 63], vec![true]].concat());
+        assert_eq!(log.borrow()[63], (FileId(5), 1063, None, PAGE_SIZE, true));
+        assert_eq!(l.layers[1].dirty_bytes, 64 * PAGE_SIZE);
+
+        // When the child's own command lands on the page before the
+        // crossing (page 999 arms its timer), the message ends there and
+        // the kick waits for the next one.
+        let (mut l, log) = recorded_tree();
+        let mut ctx = SchedCtx::new(SimTime::ZERO, &dev);
+        assert_eq!(dirty_whole(&mut l, &stretch(937), &mut ctx), 63);
+        assert_eq!(ctx.drain(), [SchedCmd::Timer(SimTime::from_nanos(999))]);
+        assert_eq!(dirty_whole(&mut l, &stretch(1000), &mut ctx), 1);
+        assert_eq!(ctx.drain(), [kick(65)]);
+        assert_eq!(log.borrow().len(), 64);
+    }
+
+    #[test]
+    fn whole_stretches_cross_the_threshold_exactly_as_their_pages() {
+        use sim_core::{CauseSet, SimRng};
+        let dev = sim_device::HddModel::new();
+        let fsync = |pid| SyscallInfo {
+            pid: Pid(pid),
+            kind: SyscallKind::Fsync { file: FileId(9) },
+            ioprio: Default::default(),
+            cached: None,
+        };
+        let (mut mid_kicks, mut mid_deferrals) = (0, 0);
+        for seed in 0..6 {
+            let (mut whole, whole_log) = recorded_tree();
+            let (mut paged, paged_log) = recorded_tree();
+            let mut rng = SimRng::seed_from_u64(seed);
+            for step in 0..300 {
+                let at = format!("seed {seed} step {step}");
+                let mut both = |f: &mut dyn FnMut(&mut Layered) -> Vec<SchedCmd>| {
+                    assert_eq!(f(&mut whole), f(&mut paged), "{at}");
+                };
+                match rng.gen_range(10) {
+                    // A latency-layer fsync opens or closes the boost window.
+                    0 => both(&mut |l| {
+                        let mut ctx = SchedCtx::new(SimTime::ZERO, &dev);
+                        if l.fsync_boost == 0 {
+                            let mut gate = Gate::Proceed;
+                            let sc = fsync(1);
+                            IoSched::on(
+                                l,
+                                Hook::SyscallEnter {
+                                    sc: &sc,
+                                    gate: &mut gate,
+                                },
+                                &mut ctx,
+                            );
+                        } else {
+                            IoSched::on(l, Hook::SyscallExit(&fsync(1)), &mut ctx);
+                        }
+                        ctx.drain()
+                    }),
+                    // Writeback cleans some or all of the bulk layer's pages.
+                    1..=3 => {
+                        let ev = BufferFreed {
+                            file: FileId(1),
+                            page: 0,
+                            causes: CauseSet::of(Pid(2)),
+                            bytes: rng.gen_range(2000) * PAGE_SIZE,
+                        };
+                        both(&mut |l| {
+                            let mut ctx = SchedCtx::new(SimTime::ZERO, &dev);
+                            IoSched::on(l, Hook::BufferFreed(&ev), &mut ctx);
+                            ctx.drain()
+                        });
+                    }
+                    _ => {
+                        let pid = [1, 2, 3][rng.gen_range(3) as usize];
+                        let causes = CauseSet::of(Pid(pid));
+                        let new_bytes = match rng.gen_range(4) {
+                            0 => 0,
+                            1 => 1 + rng.gen_range(PAGE_SIZE - 1),
+                            _ => PAGE_SIZE,
+                        };
+                        let ev = BufferDirtied {
+                            file: FileId(1 + rng.gen_range(3)),
+                            page: rng.gen_range(10_000),
+                            len: 1 + rng.gen_range(512),
+                            causes: &causes,
+                            prev: (new_bytes == 0).then_some(&causes),
+                            block: rng.gen_bool(0.5).then_some(sim_core::BlockNo(77)),
+                            new_bytes,
+                        };
+                        let deferred = whole.wb_deferred.len();
+                        let kicks = drive(&mut whole, &ev, dirty_whole, &dev);
+                        let reference = drive(&mut paged, &ev, dirty_page_by_page, &dev);
+                        assert_eq!(kicks, reference, "{at}");
+                        mid_kicks += kicks.first().is_some_and(|&(p, _)| p > 1) as u32;
+                        mid_deferrals += (whole.wb_deferred.len() > deferred && ev.len > 1) as u32;
+                    }
+                }
+                assert_eq!(*whole_log.borrow(), *paged_log.borrow(), "{at}");
+                let dirty =
+                    |l: &Layered| l.layers.iter().map(|l| l.dirty_bytes).collect::<Vec<_>>();
+                assert_eq!(dirty(&whole), dirty(&paged), "{at}");
+                assert_eq!(whole.wb_deferred, paged.wb_deferred, "{at}");
+            }
+        }
+        assert!(
+            mid_kicks > 50 && mid_deferrals > 50,
+            "{mid_kicks} {mid_deferrals}"
+        );
     }
 }

@@ -102,29 +102,51 @@ impl Afq {
         *self.passes.entry(pid).or_insert(vt)
     }
 
-    fn charge(&mut self, pid: Pid, secs: f64, now: SimTime) {
-        let w = self.weight(pid);
+    /// Add `secs` to `pid`'s pass `times` times, each addition first
+    /// catching an idle pass up to the virtual time.
+    fn charge(&mut self, pid: Pid, secs: f64, times: u64, now: SimTime) {
+        let step = secs / self.weight(pid);
         let vt = self.vtime;
         let p = self.passes.entry(pid).or_insert(vt);
-        *p = p.max(vt) + secs / w;
+        for _ in 0..times {
+            *p = p.max(vt) + step;
+        }
         self.last_charge.insert(pid, now);
     }
 
+    /// Charge `secs` to `causes` (evenly), or to `submitter` when nobody
+    /// is tagged, `times` times over: a stretch of `times` pages costs
+    /// the map probes of one page, and the same `f64` additions in each
+    /// pass as charging it page by page (the virtual time does not move
+    /// between the pages).
     fn charge_causes(
         &mut self,
         causes: &sim_core::CauseSet,
         submitter: Pid,
         secs: f64,
+        times: u64,
         now: SimTime,
     ) {
         if causes.is_empty() {
-            self.charge(submitter, secs, now);
+            self.charge(submitter, secs, times, now);
         } else {
-            let shares: Vec<(Pid, f64)> = causes.shares(secs).collect();
-            for (pid, share) in shares {
-                self.charge(pid, share, now);
+            let share = causes.share(secs);
+            for pid in causes.iter() {
+                self.charge(pid, share, times, now);
             }
         }
+    }
+
+    /// Every pass as bits, with its last charge time, in pid order.
+    #[cfg(test)]
+    pub(crate) fn pass_ledger(&self) -> Vec<(Pid, u64, Option<SimTime>)> {
+        let mut v: Vec<_> = self
+            .passes
+            .iter()
+            .map(|(&pid, p)| (pid, p.to_bits(), self.last_charge.get(&pid).copied()))
+            .collect();
+        v.sort();
+        v
     }
 
     /// Total weight of clients currently competing for the disk: held
@@ -273,12 +295,10 @@ impl Scheduler for Afq {
             return ev.len; // overwrites add no flush work
         }
         // Prompt estimate: the sequential-transfer cost of the new bytes,
-        // charged per page (each `f64` charge is part of the result). The
-        // real (seek-aware) cost is settled at dispatch.
+        // once per page. The real (seek-aware) cost is settled at dispatch.
         let secs = ev.new_bytes as f64 / ctx.device.seq_bandwidth();
-        ev.each_page(ctx, |ev, ctx| {
-            self.charge_causes(ev.causes, Pid(0), secs, ctx.now)
-        })
+        self.charge_causes(ev.causes, Pid(0), secs, ev.len, ctx.now);
+        ev.len
     }
 
     fn block_add(&mut self, req: Request, ctx: &mut SchedCtx<'_>) {
@@ -308,9 +328,7 @@ impl Scheduler for Afq {
             } else {
                 0.0
             };
-            let causes = req.causes.clone();
-            let submitter = req.submitter;
-            self.charge_causes(&causes, submitter, real - prompt, ctx.now);
+            self.charge_causes(&req.causes, req.submitter, real - prompt, 1, ctx.now);
             self.advance_vtime(real, ctx.now);
             self.inflight += 1;
             self.last_activity = ctx.now;
@@ -329,8 +347,7 @@ impl Scheduler for Afq {
                     let req = q.requests.pop_cscan(q.pos).expect("non-empty");
                     q.pos = req.shape().end();
                     let secs = ctx.device.peek_service_time(&req.shape()).as_secs_f64();
-                    let causes = req.causes.clone();
-                    self.charge_causes(&causes, req.submitter, secs, ctx.now);
+                    self.charge_causes(&req.causes, req.submitter, secs, 1, ctx.now);
                     self.advance_vtime(secs, ctx.now);
                     self.inflight += 1;
                     self.last_activity = ctx.now;
@@ -359,8 +376,7 @@ impl Scheduler for Afq {
         let req = q.requests.pop_cscan(q.pos).expect("non-empty");
         q.pos = req.shape().end();
         let secs = ctx.device.peek_service_time(&req.shape()).as_secs_f64();
-        let causes = req.causes.clone();
-        self.charge_causes(&causes, req.submitter, secs, ctx.now);
+        self.charge_causes(&req.causes, req.submitter, secs, 1, ctx.now);
         self.advance_vtime(secs, ctx.now);
         self.inflight += 1;
         self.last_activity = ctx.now;
@@ -466,7 +482,7 @@ mod tests {
         let mut a = Afq::new();
         let mut ctx = SchedCtx::new(SimTime::ZERO, &dev);
         a.configure(Pid(1), SchedAttr::Prio(IoPrio::best_effort(0)), &mut ctx);
-        a.charge(Pid(1), 10.0, SimTime::ZERO);
+        a.charge(Pid(1), 10.0, 1, SimTime::ZERO);
         assert_eq!(
             a.syscall_enter(&write_info(1, IoPrio::best_effort(0)), &mut ctx),
             Gate::Hold
@@ -505,8 +521,8 @@ mod tests {
         let dev = HddModel::new();
         let mut a = Afq::new();
         let mut ctx = SchedCtx::new(SimTime::ZERO, &dev);
-        a.charge(Pid(1), 0.5, SimTime::ZERO);
-        a.charge(Pid(2), 0.1, SimTime::ZERO);
+        a.charge(Pid(1), 0.5, 1, SimTime::ZERO);
+        a.charge(Pid(2), 0.1, 1, SimTime::ZERO);
         assert_eq!(
             a.syscall_enter(&write_info(1, IoPrio::DEFAULT), &mut ctx),
             Gate::Hold

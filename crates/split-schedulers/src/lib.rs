@@ -17,6 +17,8 @@ mod scs_token;
 mod split_deadline;
 mod split_noop;
 mod split_token;
+#[cfg(test)]
+mod stretch_equivalence;
 mod tokens;
 
 pub use afq::Afq;

@@ -16,11 +16,11 @@
 //! latencies the paper attributes to untimely pdflush bursts (§7.1.2,
 //! Figure 19).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use sim_block::sorted::SortedQueue;
 use sim_block::{Dispatch, ReqKind, Request};
-use sim_core::{BlockNo, FileId, Pid, RequestId, SimDuration, SimTime};
+use sim_core::{BlockNo, FastMap, FileId, Pid, RequestId, SimDuration, SimTime};
 use sim_device::IoDir;
 use split_core::{
     BufferDirtied, BufferFreed, Gate, SchedAttr, SchedCtx, Scheduler, SyscallInfo, SyscallKind,
@@ -80,14 +80,14 @@ pub struct SplitDeadline {
     /// tightly (1x); the Split-Pdflush variant only bounds how much a
     /// pdflush burst can flush at once, so it is coarser (§7.1.2).
     write_throttle_mult: f64,
-    fsync_deadlines: HashMap<Pid, SimDuration>,
+    fsync_deadlines: FastMap<Pid, SimDuration>,
     /// Estimated flush cost per file, maintained from the buffer-dirty
     /// hook and drained as data writes reach the block level.
-    file_cost: HashMap<FileId, FileCost>,
+    file_cost: FastMap<FileId, FileCost>,
     /// Last written offset per file (randomness detection).
-    last_offset: HashMap<FileId, u64>,
+    last_offset: FastMap<FileId, u64>,
     /// Outstanding flush cost per cause (who put the backlog there).
-    pid_cost: HashMap<Pid, f64>,
+    pid_cost: FastMap<Pid, f64>,
     held_fsyncs: Vec<HeldFsync>,
     held_writes: VecDeque<Pid>,
     // Block level.
@@ -118,10 +118,10 @@ impl SplitDeadline {
         SplitDeadline {
             manage_writeback,
             write_throttle_mult,
-            fsync_deadlines: HashMap::new(),
-            file_cost: HashMap::new(),
-            last_offset: HashMap::new(),
-            pid_cost: HashMap::new(),
+            fsync_deadlines: FastMap::default(),
+            file_cost: FastMap::default(),
+            last_offset: FastMap::default(),
+            pid_cost: FastMap::default(),
             held_fsyncs: Vec::new(),
             held_writes: VecDeque::new(),
             reads: SortedQueue::new(),
@@ -326,7 +326,8 @@ impl Scheduler for SplitDeadline {
             self.note_device(ctx);
             return ev.len; // overwrites: flush work unchanged
         }
-        // Each page's `f64` cost is part of the result: charge per page.
+        // Page by page: a page can arm the timer or kick writeback, and
+        // the kernel must apply that command before the next page.
         ev.each_page(ctx, |ev, ctx| {
             self.note_device(ctx);
             self.arm_timer(ctx);
@@ -636,5 +637,32 @@ mod tests {
             cached: None,
         };
         assert_eq!(s.syscall_enter(&sc, &mut ctx), Gate::Hold);
+    }
+
+    #[test]
+    fn total_cost_is_the_same_bits_in_every_instance() {
+        let dev = HddModel::new();
+        // Scattered pages of many files, each with its own odd cost.
+        let run = || {
+            let mut s = SplitDeadline::pdflush_variant();
+            let causes = CauseSet::of(Pid(3));
+            for f in 0..300 {
+                let ev = BufferDirtied {
+                    new_bytes: 1 + f * 2477 % sim_core::PAGE_SIZE,
+                    ..dirty(f, f * 17, &causes)
+                };
+                s.buffer_dirtied(&ev, &mut ctx_at(&dev, f * 1000));
+            }
+            s
+        };
+        let (a, b) = (run(), run());
+        assert_eq!(a.total_cost().to_bits(), b.total_cost().to_bits());
+        // The sum depends on the order the map yields the files in, so
+        // the map's order must depend on the run alone.
+        let mut secs: Vec<f64> = a.file_cost.values().map(|c| c.secs).collect();
+        secs.sort_by(f64::total_cmp);
+        let up: f64 = secs.iter().sum();
+        let down: f64 = secs.iter().rev().sum();
+        assert_ne!(up.to_bits(), down.to_bits());
     }
 }

@@ -14,12 +14,11 @@
 //!   stay free) and block writes are never gated (journal entanglement,
 //!   §3.3).
 
-use std::collections::HashMap;
 use std::fmt;
 
 use sim_block::sorted::SortedQueue;
 use sim_block::{Dispatch, ReqKind, Request};
-use sim_core::{BlockNo, FileId, Pid, RequestId, SimDuration, SimTime};
+use sim_core::{BlockNo, FastMap, FileId, Pid, RequestId, SimDuration, SimTime};
 use sim_device::IoDir;
 use split_core::{BufferDirtied, BufferFreed, Gate, SchedAttr, SchedCtx, Scheduler, SyscallInfo};
 
@@ -90,17 +89,17 @@ impl PrelimOutstanding {
 pub struct SplitToken {
     buckets: TokenBuckets,
     /// Per-file last write offset (randomness guess).
-    last_offset: HashMap<FileId, u64>,
+    last_offset: FastMap<FileId, u64>,
     /// Outstanding preliminary charges per file, reversed at revision.
-    prelim: HashMap<FileId, PrelimOutstanding>,
+    prelim: FastMap<FileId, PrelimOutstanding>,
     /// Net tokens charged per in-flight request, reversed if it fails.
-    charged: HashMap<RequestId, f64>,
+    charged: FastMap<RequestId, f64>,
     /// Account errors observed (reversals against empty accounts that
     /// would previously have produced NaN balances).
     account_errors: Vec<AccountError>,
     // Block level: per-pid read queues (throttled pids are skipped),
     // one write queue (never throttled).
-    reads: HashMap<Pid, (SortedQueue, BlockNo)>,
+    reads: FastMap<Pid, (SortedQueue, BlockNo)>,
     writes: SortedQueue,
     write_pos: BlockNo,
     reads_in_batch: u32,
@@ -113,11 +112,11 @@ impl SplitToken {
     pub fn new() -> Self {
         SplitToken {
             buckets: TokenBuckets::new(),
-            last_offset: HashMap::new(),
-            prelim: HashMap::new(),
-            charged: HashMap::new(),
+            last_offset: FastMap::default(),
+            prelim: FastMap::default(),
+            charged: FastMap::default(),
             account_errors: Vec::new(),
-            reads: HashMap::new(),
+            reads: FastMap::default(),
             writes: SortedQueue::new(),
             write_pos: BlockNo(0),
             reads_in_batch: 0,
@@ -137,6 +136,19 @@ impl SplitToken {
         for (pid, share) in causes.shares(norm) {
             self.buckets.charge(pid, share, now);
         }
+    }
+
+    /// The prompt-charge state, every `f64` as bits: the buckets, then
+    /// each file's outstanding estimate and last write offset.
+    #[cfg(test)]
+    pub(crate) fn prompt_ledger(&self) -> String {
+        let mut files: Vec<_> = self
+            .prelim
+            .iter()
+            .map(|(f, p)| (*f, p.norm_bytes.to_bits(), p.pages, self.last_offset.get(f)))
+            .collect();
+        files.sort();
+        format!("{:?} {files:?}", self.buckets.ledger())
     }
 
     fn arm_timer(&mut self, ctx: &mut SchedCtx<'_>) {
@@ -199,29 +211,35 @@ impl Scheduler for SplitToken {
         if ev.new_bytes == 0 {
             return ev.len; // overwrites: no new flush work, no charge
         }
-        // Each page's `f64` charge is part of the result: charge per page.
-        ev.each_page(ctx, |ev, ctx| {
-            let offset = ev.page * sim_core::PAGE_SIZE;
-            let sequential = self.last_offset.get(&ev.file) == Some(&offset);
-            self.last_offset.insert(ev.file, offset + ev.new_bytes);
-            let seek_equiv = if ctx.device.is_rotational() {
-                0.008 * ctx.device.seq_bandwidth()
-            } else {
-                0.0002 * ctx.device.seq_bandwidth()
-            };
-            let norm = if sequential {
+        // The whole stretch at once, byte-identical to pricing it page by
+        // page: the first page is sequential only if it continues the
+        // file's last write, and each later page continues the page
+        // before it, so it is sequential exactly when pages are full.
+        let offset = ev.page * sim_core::PAGE_SIZE;
+        let end = (ev.page + ev.len - 1) * sim_core::PAGE_SIZE + ev.new_bytes;
+        let continues = self.last_offset.insert(ev.file, end) == Some(offset);
+        let seek_equiv = if ctx.device.is_rotational() {
+            0.008 * ctx.device.seq_bandwidth()
+        } else {
+            0.0002 * ctx.device.seq_bandwidth()
+        };
+        let price = |sequential: bool| {
+            if sequential {
                 ev.new_bytes as f64
             } else {
                 ev.new_bytes as f64 + seek_equiv
-            };
-            for (pid, share) in ev.causes.shares(norm) {
-                self.buckets.charge(pid, share, ctx.now);
             }
-            self.buckets.sample(ctx.tracer(), ctx.now);
-            let p = self.prelim.entry(ev.file).or_default();
-            p.norm_bytes += norm;
-            p.pages += 1;
-        })
+        };
+        let (first, rest) = (price(continues), price(ev.new_bytes == sim_core::PAGE_SIZE));
+        self.buckets
+            .charge_stretch(ev.causes, first, rest, ev.len, ctx.now, ctx.tracer());
+        let p = self.prelim.entry(ev.file).or_default();
+        p.norm_bytes += first;
+        for _ in 1..ev.len {
+            p.norm_bytes += rest;
+        }
+        p.pages += ev.len;
+        ev.len
     }
 
     fn buffer_freed(&mut self, ev: &BufferFreed, ctx: &mut SchedCtx<'_>) {
@@ -392,32 +410,43 @@ impl Scheduler for SplitToken {
 
     fn audit(&self, quiesced: bool) -> Vec<String> {
         let mut bad = self.buckets.audit();
-        let mut files: Vec<&FileId> = self.prelim.keys().collect();
-        files.sort();
-        for f in files {
-            let p = &self.prelim[f];
+        // Unsorted scans; only the offenders are sorted, stably, so each
+        // account's messages keep their check order.
+        let mut files: Vec<(FileId, String)> = Vec::new();
+        for (&f, p) in &self.prelim {
             if !p.norm_bytes.is_finite() || p.norm_bytes < 0.0 {
-                bad.push(format!(
-                    "split-token: prelim account {f:?} holds {} normalized bytes",
-                    p.norm_bytes
+                files.push((
+                    f,
+                    format!(
+                        "split-token: prelim account {f:?} holds {} normalized bytes",
+                        p.norm_bytes
+                    ),
                 ));
             }
             // An account with no pages left cannot carry a material charge:
             // its entire balance was priced per page.
             if p.pages == 0 && p.norm_bytes > 1e-6 {
-                bad.push(format!(
-                    "split-token: prelim account {f:?} has 0 pages but {} normalized bytes",
-                    p.norm_bytes
+                files.push((
+                    f,
+                    format!(
+                        "split-token: prelim account {f:?} has 0 pages but {} normalized bytes",
+                        p.norm_bytes
+                    ),
                 ));
             }
         }
-        let mut ids: Vec<&RequestId> = self.charged.keys().collect();
+        files.sort_by_key(|&(f, _)| f);
+        bad.extend(files.into_iter().map(|(_, msg)| msg));
+        let mut ids: Vec<RequestId> = self
+            .charged
+            .iter()
+            .filter(|(_, net)| !net.is_finite())
+            .map(|(&id, _)| id)
+            .collect();
         ids.sort();
         for id in ids {
-            let net = self.charged[id];
-            if !net.is_finite() {
-                bad.push(format!("split-token: request {id:?} carries charge {net}"));
-            }
+            let net = self.charged[&id];
+            bad.push(format!("split-token: request {id:?} carries charge {net}"));
         }
         // At quiescence every dispatch-time charge must have been settled
         // or refunded by block_completed — a leftover entry means charges

@@ -9,9 +9,9 @@
 //! distinct bucket. A wake-up pass refills each bucket that has waiters
 //! once, not once per waiter — see [`TokenBuckets::release_ready`].
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-use sim_core::{Pid, SimDuration, SimTime};
+use sim_core::{CauseSet, FastMap, Pid, SimDuration, SimTime};
 use sim_trace::Tracer;
 
 /// Identifies a bucket: by default each pid has its own; pids may be
@@ -53,15 +53,15 @@ impl Bucket {
 /// All buckets, the pid → bucket mapping, and the gate's waiter set.
 #[derive(Debug, Default)]
 pub(crate) struct TokenBuckets {
-    buckets: HashMap<BucketId, Bucket>,
-    groups: HashMap<Pid, u32>,
+    buckets: FastMap<BucketId, Bucket>,
+    groups: FastMap<Pid, u32>,
     /// Pids held at the gate, in hold order (which is wake order).
     held: Vec<Pid>,
     /// How many entries of `held` draw from each bucket; no zero counts.
     waiting: BTreeMap<BucketId, usize>,
 }
 
-fn bucket_in(groups: &HashMap<Pid, u32>, pid: Pid) -> BucketId {
+fn bucket_in(groups: &FastMap<Pid, u32>, pid: Pid) -> BucketId {
     groups
         .get(&pid)
         .map_or(BucketId::Proc(pid), |&g| BucketId::Group(g))
@@ -150,6 +150,60 @@ impl TokenBuckets {
         if let Some(b) = self.buckets.get_mut(&id) {
             b.refill(now);
             b.tokens -= cost;
+        }
+    }
+
+    /// Charge a stretch of `pages ≥ 1` freshly dirtied pages, costing
+    /// `first` normalized bytes for its first page and `rest` for each
+    /// later one, each page split evenly among `causes`.
+    ///
+    /// Byte-identical to charging the pages one by one, cause by cause:
+    /// a bucket that `m` of the causes draw on (group members share one)
+    /// is refilled once, then takes `m` subtractions of the first page's
+    /// share and `m × (pages − 1)` of the rest's, in that order; further
+    /// refills at the same `now` would add nothing. The map probes do not
+    /// grow with the stretch: finding which causes share a bucket is
+    /// quadratic in the causes (the writer's own set, usually one pid)
+    /// and allocates nothing. With tracing on, every bucket is sampled
+    /// after each page, as the page-by-page charge did.
+    pub(crate) fn charge_stretch(
+        &mut self,
+        causes: &CauseSet,
+        first: f64,
+        rest: f64,
+        pages: u64,
+        now: SimTime,
+        tracer: &Tracer,
+    ) {
+        let (first, rest) = (causes.share(first), causes.share(rest));
+        if tracer.enabled() {
+            for page in 0..pages {
+                let share = if page == 0 { first } else { rest };
+                for pid in causes.iter() {
+                    self.charge(pid, share, now);
+                }
+                self.sample(tracer, now);
+            }
+            return;
+        }
+        let pids = causes.as_slice();
+        for (j, &pid) in pids.iter().enumerate() {
+            let id = self.bucket_of(pid);
+            // A bucket's first cause takes the charges of all its causes.
+            let draws_on = |&p: &Pid| self.bucket_of(p) == id;
+            if pids[..j].iter().any(draws_on) {
+                continue;
+            }
+            let m = 1 + pids[j + 1..].iter().filter(|p| draws_on(p)).count() as u64;
+            if let Some(b) = self.buckets.get_mut(&id) {
+                b.refill(now);
+                for _ in 0..m {
+                    b.tokens -= first;
+                }
+                for _ in 0..m * (pages - 1) {
+                    b.tokens -= rest;
+                }
+            }
         }
     }
 
@@ -249,29 +303,35 @@ impl TokenBuckets {
     /// exactly the parked pids of each bucket (so its counts sum to the
     /// FIFO's length and every parked pid's bucket is in it).
     /// Reads the fields as-is (no refill), so `&self` suffices and the
-    /// check itself cannot perturb the accounting it inspects.
+    /// check itself cannot perturb the accounting it inspects. It scans
+    /// unsorted and sorts only the offenders, so a clean ledger costs no
+    /// allocation unless pids are held (the waiter summary is recounted).
     pub(crate) fn audit(&self) -> Vec<String> {
-        let mut bad = Vec::new();
-        let mut ids: Vec<BucketId> = self.buckets.keys().copied().collect();
-        ids.sort();
-        for id in ids {
-            let b = &self.buckets[&id];
+        // Unsorted scan; the stable sort then orders the offenders by
+        // bucket and keeps each bucket's messages in check order.
+        let mut found: Vec<(BucketId, String)> = Vec::new();
+        for (&id, b) in &self.buckets {
             if !b.tokens.is_finite() {
-                bad.push(format!("tokens: bucket {id:?} balance is {}", b.tokens));
+                found.push((id, format!("tokens: bucket {id:?} balance is {}", b.tokens)));
             }
             if !b.rate.is_finite() || b.rate < 0.0 {
-                bad.push(format!("tokens: bucket {id:?} rate is {}", b.rate));
+                found.push((id, format!("tokens: bucket {id:?} rate is {}", b.rate)));
             }
             if !b.cap.is_finite() || b.cap < 0.0 {
-                bad.push(format!("tokens: bucket {id:?} cap is {}", b.cap));
+                found.push((id, format!("tokens: bucket {id:?} cap is {}", b.cap)));
             }
         }
-        let mut pids = self.held.clone();
-        pids.sort();
-        for w in pids.windows(2) {
-            if w[0] == w[1] {
-                bad.push(format!("tokens: {:?} is held twice", w[0]));
-            }
+        found.sort_by_key(|&(id, _)| id);
+        let mut bad: Vec<String> = found.into_iter().map(|(_, msg)| msg).collect();
+        // Each repeat of a pid parked earlier in `held`: quadratic in the
+        // parked pids but allocation-free, and audited worlds park few.
+        let mut twice: Vec<Pid> = (1..self.held.len())
+            .filter(|&i| self.held[..i].contains(&self.held[i]))
+            .map(|i| self.held[i])
+            .collect();
+        twice.sort();
+        for pid in twice {
+            bad.push(format!("tokens: {pid:?} is held twice"));
         }
         let counted = self.count_waiters();
         if self.waiting != counted {
@@ -281,6 +341,21 @@ impl TokenBuckets {
             ));
         }
         bad
+    }
+
+    /// Every bucket's fields, unrefilled, as bits, in bucket order.
+    #[cfg(test)]
+    pub(crate) fn ledger(&self) -> Vec<(BucketId, [u64; 3], SimTime)> {
+        let mut v: Vec<_> = self
+            .buckets
+            .iter()
+            .map(|(&id, b)| {
+                let bits = [b.tokens, b.rate, b.cap].map(f64::to_bits);
+                (id, bits, b.last_refill)
+            })
+            .collect();
+        v.sort();
+        v
     }
 
     /// When `pid`'s bucket will next be non-negative (`None` if already,
@@ -531,23 +606,6 @@ mod tests {
         }
     }
 
-    /// Every bucket's fields, unrefilled, as bits.
-    fn raw(b: &TokenBuckets) -> Vec<(BucketId, [u64; 3], SimTime)> {
-        let mut v: Vec<_> = b
-            .buckets
-            .iter()
-            .map(|(&id, k)| {
-                (
-                    id,
-                    [k.tokens, k.rate, k.cap].map(f64::to_bits),
-                    k.last_refill,
-                )
-            })
-            .collect();
-        v.sort();
-        v
-    }
-
     #[test]
     fn waiter_set_wakes_exactly_what_the_per_pid_loop_woke() {
         use sim_core::SimRng;
@@ -610,12 +668,16 @@ mod tests {
                     }
                 }
                 assert_eq!(new.held, old.held, "seed {seed} step {step}");
-                assert_eq!(raw(&new), raw(&old.buckets), "seed {seed} step {step}");
+                assert_eq!(
+                    new.ledger(),
+                    old.buckets.ledger(),
+                    "seed {seed} step {step}"
+                );
                 assert_eq!(new.audit(), Vec::<String>::new(), "seed {seed} step {step}");
             }
             // The run must have exercised what it claims to compare.
             assert!(wakes > 500 && rebound_while_held > 100, "seed {seed}");
-            assert!(raw(&new).len() >= 3, "seed {seed}");
+            assert!(new.ledger().len() >= 3, "seed {seed}");
         }
     }
 }
