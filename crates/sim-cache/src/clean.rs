@@ -11,20 +11,28 @@
 //! and pushes it as one MRU node; eviction shrinks the tail run from its
 //! oldest page. Every operation therefore does exactly what the per-page
 //! LRU would do (property-tested against a naive model below), but a
-//! 256-page fill or re-touch costs one node and a sequential slot-table
-//! write instead of 256 list splices.
+//! 256-page fill or re-touch costs one node instead of 256 list splices.
 //!
-//! Residency lookup is a direct array index: each file gets a
-//! page-indexed slot table (grown lazily to the highest page touched), so
-//! the per-page hot path does no hashing. The only hash left is one
-//! [`FastMap`] probe per *call* to resolve the file, and the range entry
-//! points ([`CleanCache::fill_at`], [`CleanCache::touch_range`]) take a
-//! resolved handle instead. At capacity, fills recycle evicted nodes, so
-//! the streaming steady state touches the allocator not at all.
+//! Each file's runs are indexed the way the dirty store indexes its
+//! spans: two bitmaps with one bit per page mark which pages are
+//! resident and where runs start, and a [`FastMap`] takes a run's first
+//! page to its node. Whether a page is resident and where a resident or
+//! missing stretch ends are word scans of the first bitmap; the run
+//! covering a resident page begins at the nearest start bit at or below
+//! it. A fill, touch or eviction changes one map entry per run it
+//! creates, cuts or drops and the bits of its pages a word at a time, so
+//! a file costs two bits per page of its extent plus one entry per
+//! resident run. Resolving the file is one [`FastMap`] probe per *call*,
+//! and the range entry points ([`CleanCache::fill_at`],
+//! [`CleanCache::touch_range`]) take a resolved handle instead. At
+//! capacity, fills recycle evicted nodes, so the streaming steady state
+//! touches the allocator not at all.
 
 use sim_core::{FastMap, FileId};
 
-/// Sentinel "null" link / empty slot.
+use crate::pagebits::PageBits;
+
+/// Sentinel "null" link.
 const NIL: u32 = u32::MAX;
 
 /// One run of consecutively-filled pages `[start, start+len)` of one
@@ -32,7 +40,7 @@ const NIL: u32 = u32::MAX;
 /// ascending fills); `prev` points toward MRU, `next` toward LRU.
 #[derive(Debug, Clone, Copy)]
 struct Node {
-    /// Handle into `files` (index of the owning file's slot table).
+    /// Handle into `files` (index of the owning file's run index).
     fh: u32,
     start: u64,
     len: u64,
@@ -40,11 +48,28 @@ struct Node {
     next: u32,
 }
 
-/// Per-file residency table: `slots[page]` holds the covering node.
+/// One file's resident pages: which are resident, where runs start, and
+/// each run's node by its first page.
 #[derive(Debug, Default)]
-struct FileSlots {
+struct FileRuns {
     file: FileId,
-    slots: Vec<u32>,
+    resident: PageBits,
+    starts: PageBits,
+    runs: FastMap<u64, u32>,
+}
+
+impl FileRuns {
+    /// Record node `i` as the run starting at `start`.
+    fn put(&mut self, start: u64, i: u32) {
+        self.starts.set(start, true);
+        self.runs.insert(start, i);
+    }
+
+    /// Forget the run starting at `start` (its pages stay resident).
+    fn drop_start(&mut self, start: u64) {
+        self.starts.set(start, false);
+        self.runs.remove(&start);
+    }
 }
 
 /// LRU-managed set of resident clean pages.
@@ -53,7 +78,7 @@ pub(crate) struct CleanCache {
     capacity_pages: u64,
     /// File -> handle into `files`.
     handles: FastMap<FileId, u32>,
-    files: Vec<FileSlots>,
+    files: Vec<FileRuns>,
     /// Run-node storage; `free` recycles vacated nodes.
     nodes: Vec<Node>,
     free: Vec<u32>,
@@ -80,38 +105,34 @@ impl CleanCache {
         }
     }
 
-    /// Resolve (or create) the slot-table handle for `file`.
+    /// Resolve (or create) the run-index handle for `file`.
     pub(crate) fn handle(&mut self, file: FileId) -> u32 {
         if let Some(&h) = self.handles.get(&file) {
             return h;
         }
         let h = self.files.len() as u32;
-        self.files.push(FileSlots {
+        self.files.push(FileRuns {
             file,
-            slots: Vec::new(),
+            ..FileRuns::default()
         });
         self.handles.insert(file, h);
         h
     }
 
-    /// Node covering `page`, or `NIL`.
-    #[inline]
+    /// Node of the run covering resident `page` of file `fh`.
     fn node_at(&self, fh: u32, page: u64) -> u32 {
-        self.files[fh as usize]
-            .slots
-            .get(page as usize)
-            .copied()
-            .unwrap_or(NIL)
-    }
-
-    /// Point `[start, start+len)` of file `fh` at node `i`.
-    fn set_slots(&mut self, fh: u32, start: u64, len: u64, i: u32) {
-        let slots = &mut self.files[fh as usize].slots;
-        let end = (start + len) as usize;
-        if slots.len() < end {
-            slots.resize(end, NIL);
-        }
-        slots[start as usize..end].fill(i);
+        let f = &self.files[fh as usize];
+        debug_assert!(f.resident.get(page), "touch_range over a non-resident page");
+        let start = f
+            .starts
+            .last_at_or_below(page, 0)
+            .expect("a resident page lies in a run");
+        let i = f.runs[&start];
+        debug_assert!(
+            page < start + self.nodes[i as usize].len,
+            "the run at {start} does not cover page {page}"
+        );
+        i
     }
 
     /// Unlink node `i` from the recency list.
@@ -176,20 +197,21 @@ impl CleanCache {
             let t = self.tail;
             debug_assert_ne!(t, NIL);
             let Node { fh, start, len, .. } = self.nodes[t as usize];
-            if len <= k {
-                self.set_slots(fh, start, len, NIL);
+            let n = len.min(k);
+            let f = &mut self.files[fh as usize];
+            f.resident.fill(start, start + n, false);
+            f.drop_start(start);
+            if n == len {
                 self.unlink(t);
                 self.free.push(t);
-                self.len -= len;
-                k -= len;
             } else {
-                self.set_slots(fh, start, k, NIL);
-                let n = &mut self.nodes[t as usize];
-                n.start += k;
-                n.len -= k;
-                self.len -= k;
-                k = 0;
+                f.put(start + n, t);
+                let node = &mut self.nodes[t as usize];
+                node.start += n;
+                node.len -= n;
             }
+            self.len -= n;
+            k -= n;
         }
     }
 
@@ -201,7 +223,6 @@ impl CleanCache {
         let mut p = a;
         while p < b {
             let i = self.node_at(fh, p);
-            debug_assert_ne!(i, NIL, "touch_range over a non-resident page");
             let Node { start, len, .. } = self.nodes[i as usize];
             let end = start + len;
             if (start, end) == (a, b) {
@@ -213,6 +234,10 @@ impl CleanCache {
                 return;
             }
             let cut = end.min(b);
+            let f = &mut self.files[fh as usize];
+            if start == p {
+                f.drop_start(p);
+            }
             match (start < p, cut < end) {
                 (true, true) => {
                     // Middle: the node keeps its older part [start, p); the
@@ -228,10 +253,11 @@ impl CleanCache {
                         next: NIL,
                     });
                     self.link_before(u, i);
-                    self.set_slots(fh, cut, end - cut, u);
+                    self.files[fh as usize].put(cut, u);
                 }
                 (true, false) => self.nodes[i as usize].len = p - start,
                 (false, true) => {
+                    f.put(cut, i);
                     let n = &mut self.nodes[i as usize];
                     n.start = cut;
                     n.len = end - cut;
@@ -256,10 +282,10 @@ impl CleanCache {
         self.fill_at(fh, page, len);
     }
 
-    /// [`CleanCache::fill_range`] by slot-table handle (from
-    /// [`CleanCache::handle`]): no hashing. Each stretch of non-resident
-    /// pages becomes one new run, each stretch of resident ones one
-    /// [`CleanCache::touch_range`].
+    /// [`CleanCache::fill_range`] by run-index handle (from
+    /// [`CleanCache::handle`]): no hashing of the file. Each stretch of
+    /// non-resident pages becomes one new run, each stretch of resident
+    /// ones one [`CleanCache::touch_range`].
     pub(crate) fn fill_at(&mut self, fh: u32, page: u64, len: u64) {
         let end = page + len;
         let mut p = page;
@@ -289,11 +315,13 @@ impl CleanCache {
             next: NIL,
         });
         self.link_front(i);
-        self.set_slots(fh, start, len, i);
+        let f = &mut self.files[fh as usize];
+        f.resident.fill(start, start + len, true);
+        f.put(start, i);
         self.len += len;
     }
 
-    /// Slot-table handle of `file`, if it ever held pages. Lets range
+    /// Run-index handle of `file`, if it ever held pages. Lets range
     /// scans pay the file lookup once.
     pub(crate) fn file_handle(&self, file: FileId) -> Option<u32> {
         self.handles.get(&file).copied()
@@ -302,46 +330,35 @@ impl CleanCache {
     /// Whether `page` of file `fh` is resident. Read-only.
     #[inline]
     pub(crate) fn is_resident(&self, fh: u32, page: u64) -> bool {
-        self.node_at(fh, page) != NIL
+        self.files[fh as usize].resident.get(page)
     }
 
     /// Length of the stretch from `page`, capped at `max` pages, whose
-    /// pages are all resident (`resident`) or all not: one slice walk.
+    /// pages are all resident (`resident`) or all not: one bitmap scan.
     pub(crate) fn run_len(&self, fh: u32, page: u64, max: u64, resident: bool) -> u64 {
-        let slots = &self.files[fh as usize].slots;
-        let from = (page as usize).min(slots.len());
-        let to = (page + max).min(slots.len() as u64) as usize;
-        let n = slots[from..to]
-            .iter()
-            .take_while(|&&s| (s != NIL) == resident)
-            .count();
-        if !resident && from + n == to {
-            // Ran off the table: nothing beyond it was ever resident.
-            return max;
-        }
-        n as u64
+        self.files[fh as usize]
+            .resident
+            .first_from(page, page + max, !resident)
+            - page
     }
 
-    /// Drop all pages of `file`. The slot table is kept (cleared) so a
-    /// later re-fill reuses its capacity.
+    /// Drop all pages of `file`. Its index is kept (emptied) so a later
+    /// re-fill reuses its capacity.
     pub(crate) fn remove_file(&mut self, file: FileId) {
         let Some(&fh) = self.handles.get(&file) else {
             return;
         };
-        // Walk the recency list collecting this file's runs (the list has
-        // one entry per run, not per page).
-        let mut i = self.head;
-        while i != NIL {
-            let next = self.nodes[i as usize].next;
-            if self.nodes[i as usize].fh == fh {
-                self.len -= self.nodes[i as usize].len;
-                self.unlink(i);
-                self.free.push(i);
-            }
-            i = next;
+        let f = &mut self.files[fh as usize];
+        debug_assert_eq!(f.file, file);
+        f.resident.0.clear();
+        f.starts.0.clear();
+        let mut runs = std::mem::take(&mut f.runs);
+        for (_, i) in runs.drain() {
+            self.len -= self.nodes[i as usize].len;
+            self.unlink(i);
+            self.free.push(i);
         }
-        self.files[fh as usize].slots.fill(NIL);
-        debug_assert_eq!(self.files[fh as usize].file, file);
+        self.files[fh as usize].runs = runs;
     }
 }
 
@@ -378,6 +395,47 @@ mod tests {
                 i = n.next;
             }
             out
+        }
+
+        /// Every run node of file `fh`, most recently used first.
+        fn nodes_of(&self, fh: u32) -> Vec<u32> {
+            let mut out = Vec::new();
+            let mut i = self.head;
+            while i != NIL {
+                if self.nodes[i as usize].fh == fh {
+                    out.push(i);
+                }
+                i = self.nodes[i as usize].next;
+            }
+            out
+        }
+
+        /// Check every file's run index against the recency list: one map
+        /// entry per resident node, keyed by its first page; start bits
+        /// exactly at the map's keys; resident bits exactly the nodes'
+        /// pages.
+        fn check_index(&self) {
+            for (fh, f) in self.files.iter().enumerate() {
+                let nodes = self.nodes_of(fh as u32);
+                assert_eq!(f.runs.len(), nodes.len(), "one map entry per node");
+                let mut pages = 0;
+                for &i in &nodes {
+                    let n = self.nodes[i as usize];
+                    assert_eq!(f.runs.get(&n.start), Some(&i), "run at {}", n.start);
+                    assert_eq!(
+                        f.resident.first_from(n.start, n.start + n.len, false),
+                        n.start + n.len,
+                        "pages of the run at {} resident",
+                        n.start
+                    );
+                    pages += n.len;
+                }
+                assert_eq!(f.starts.count(), f.runs.len() as u64, "start bits");
+                for &start in f.runs.keys() {
+                    assert!(f.starts.get(start), "start bit of {start}");
+                }
+                assert_eq!(f.resident.count(), pages, "resident popcount");
+            }
         }
     }
 
@@ -473,6 +531,72 @@ mod tests {
         assert!(!touch(&mut c, FileId(1), 197 * 256));
     }
 
+    /// A file streamed through at 16 times the capacity keeps no more
+    /// index entries than it has resident runs, and two bits per page of
+    /// its extent.
+    #[test]
+    fn stream_index_holds_one_entry_per_resident_run() {
+        let cap = 512;
+        let mut c = CleanCache::new(cap);
+        let fh = c.handle(FileId(1));
+        let mut page = 0;
+        while page < 16 * cap {
+            let len = 1 + (page * 7 + 3) % 64;
+            c.fill_at(fh, page, len);
+            page += len;
+            let runs = c.nodes_of(fh).len();
+            assert!(c.files[fh as usize].runs.len() <= runs);
+            assert!(runs as u64 <= cap, "{runs} runs for {cap} pages");
+            c.check_index();
+        }
+        assert_eq!(c.len, cap);
+        let f = &c.files[fh as usize];
+        assert!(f.resident.0.len() as u64 <= page / 64 + 1);
+        assert!(f.starts.0.len() as u64 <= page / 64 + 1);
+    }
+
+    /// After `remove_file`, re-filling the file behaves as if it had
+    /// never held a page: the same recency order, residency answers and
+    /// index as a cache that never saw it.
+    #[test]
+    fn refill_after_remove_file_matches_a_fresh_file() {
+        let mut used = CleanCache::new(1_000);
+        let mut fresh = CleanCache::new(1_000);
+        for p in (0..200).step_by(3) {
+            used.fill_range(FileId(1), p, 2);
+        }
+        let fh = used.handle(FileId(1));
+        used.touch_range(fh, 30, 32);
+        used.remove_file(FileId(1));
+        for c in [&mut used, &mut fresh] {
+            c.fill_range(FileId(2), 0, 50);
+        }
+        let mut rng = SimRng::seed_from_u64(0x5e_f111);
+        for _ in 0..300 {
+            let page = rng.gen_range(256);
+            let len = 1 + rng.gen_range(32);
+            for c in [&mut used, &mut fresh] {
+                c.fill_range(FileId(1), page, len);
+            }
+            assert_eq!(used.order(), fresh.order());
+            let (a, b) = (used.handle(FileId(1)), fresh.handle(FileId(1)));
+            for p in 0..300 {
+                assert_eq!(used.is_resident(a, p), fresh.is_resident(b, p), "page {p}");
+                assert_eq!(used.run_len(a, p, 40, true), fresh.run_len(b, p, 40, true));
+                assert_eq!(
+                    used.run_len(a, p, 40, false),
+                    fresh.run_len(b, p, 40, false)
+                );
+            }
+            assert_eq!(
+                used.files[a as usize].runs.len(),
+                fresh.files[b as usize].runs.len()
+            );
+            used.check_index();
+            fresh.check_index();
+        }
+    }
+
     /// Exact-LRU reference model: a vector ordered MRU-first.
     #[derive(Default)]
     struct ModelLru {
@@ -508,7 +632,8 @@ mod tests {
 
     /// The extent-compressed cache must be observationally identical to
     /// the naive page LRU under fuzzed fills, range touches and removals:
-    /// the whole recency order agrees after every step. A range touch
+    /// the whole recency order agrees after every step, and the run index
+    /// agrees with the recency list. A range touch
     /// covers a random stretch of resident pages, which the model touches
     /// one page at a time.
     #[test]
@@ -565,6 +690,7 @@ mod tests {
                 }
                 assert_eq!(real.len, model.order.len() as u64, "len (seed {seed})");
                 assert_eq!(real.order(), model.order, "recency order (seed {seed})");
+                real.check_index();
             }
         }
     }

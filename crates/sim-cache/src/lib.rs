@@ -8,7 +8,7 @@
 //! it; policy lives elsewhere.
 //!
 //! Writes dirty pages through a [`DirtyRun`]: [`PageCache::dirty_run`]
-//! resolves the file's dirty entry and clean slot table once, then the
+//! resolves the file's dirty entry and clean run index once, then the
 //! write goes by *stretches*. [`DirtyRun::stretch`] classifies the longest
 //! run of pages whose buffer-dirty events are identical (all fresh, or
 //! all overwrites of one dirty span) and returns the [`DirtyEvent`] they
@@ -25,12 +25,15 @@
 //! stretch, not one per page, and a page whose tag already covers the
 //! writer is left untouched. Reads classify a range as dirty, clean or
 //! missing one stretch at a time: dirty stretches come from the dirty
-//! store's page bitmap, the rest from the clean slot table. Re-touching resident pages — a
-//! run's fill, a read's hits — moves each maximal stretch to the LRU head
-//! as one node (the clean LRU's range touch), not one node per page.
+//! store's page bitmap, the rest from the clean LRU's residency bitmap
+//! (see the `clean` module, indexed by run as the dirty store is by span).
+//! Re-touching resident pages — a run's fill, a read's hits — moves each
+//! maximal stretch to the LRU head as one node (the clean LRU's range
+//! touch), not one node per page.
 
 mod clean;
 mod dirty;
+mod pagebits;
 mod tagmem;
 
 use sim_core::{CauseSet, FileId, SimTime, PAGE_SIZE};
@@ -111,7 +114,7 @@ impl PageCache {
     // ---- write path -----------------------------------------------------
 
     /// Start dirtying a run of consecutive pages of `file` on behalf of
-    /// `causes`: the file's dirty entry and clean slot table are resolved
+    /// `causes`: the file's dirty entry and clean run index are resolved
     /// here, once, instead of once per page. See [`DirtyRun`].
     pub fn dirty_run<'a>(
         &'a mut self,

@@ -183,12 +183,39 @@ pub trait Auditor {
         let _ = (cp, out);
     }
 
-    /// Whether this subscriber reads checkpoints. Event-only probes (span
-    /// tracing, the block trace) say no, so a kernel that is traced but
-    /// not audited never builds the snapshot — the scheduler's self-audit
-    /// and the dirty-extent re-sum are the expensive part of auditing.
-    fn wants_checkpoints(&self) -> bool {
-        true
+    /// Which checkpoints this subscriber reads. Event-only probes (span
+    /// tracing, the block trace) read none, and an auditor that checks
+    /// only the final books reads the quiescent one, so the kernel builds
+    /// a snapshot only when some subscriber reads it — the scheduler's
+    /// self-audit and the dirty-extent re-sum are the expensive part of
+    /// auditing. A subscriber still sees every checkpoint the plane
+    /// builds for another.
+    fn checkpoints(&self) -> Checkpoints {
+        Checkpoints::Always
+    }
+}
+
+/// Which [`AuditCheckpoint`]s a subscriber reads ([`Auditor::checkpoints`]),
+/// in increasing demand: a plane reads what its most demanding
+/// subscriber reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Checkpoints {
+    /// None: an event-only probe.
+    Never,
+    /// Only the final one, taken with [`AuditCheckpoint::quiesced`] set.
+    AtQuiescence,
+    /// Every one: at each syscall exit and request completion too.
+    Always,
+}
+
+impl Checkpoints {
+    /// Whether a checkpoint taken with `quiesced` is read.
+    fn reads(self, quiesced: bool) -> bool {
+        match self {
+            Checkpoints::Never => false,
+            Checkpoints::AtQuiescence => quiesced,
+            Checkpoints::Always => true,
+        }
     }
 }
 
@@ -200,8 +227,8 @@ const MAX_VIOLATIONS: usize = 256;
 pub struct AuditPlane {
     /// Subscribers, run in registration order.
     auditors: Vec<Box<dyn Auditor>>,
-    /// Whether any of them [`Auditor::wants_checkpoints`].
-    checkpoints: bool,
+    /// The most any of them reads ([`Auditor::checkpoints`]).
+    checkpoints: Checkpoints,
     violations: Vec<Violation>,
     /// Total violations observed, including those dropped past the cap.
     total: u64,
@@ -222,7 +249,11 @@ impl AuditPlane {
     /// A plane running the given auditors.
     pub fn new(auditors: Vec<Box<dyn Auditor>>) -> Self {
         AuditPlane {
-            checkpoints: auditors.iter().any(|a| a.wants_checkpoints()),
+            checkpoints: auditors
+                .iter()
+                .map(|a| a.checkpoints())
+                .max()
+                .unwrap_or(Checkpoints::Never),
             auditors,
             violations: Vec::new(),
             total: 0,
@@ -248,7 +279,7 @@ impl AuditPlane {
     /// check harness adds scheduler-specific batteries (e.g. the
     /// [`crate::LayerAuditor`]) to [`AuditPlane::standard`].
     pub fn push(&mut self, auditor: Box<dyn Auditor>) {
-        self.checkpoints |= auditor.wants_checkpoints();
+        self.checkpoints = self.checkpoints.max(auditor.checkpoints());
         self.auditors.push(auditor);
     }
 
@@ -256,14 +287,14 @@ impl AuditPlane {
     /// anything yet, behind this plane's own — installing a second plane
     /// on a kernel adds subscribers, it does not replace the first.
     pub fn merge(&mut self, other: AuditPlane) {
-        self.checkpoints |= other.checkpoints;
+        self.checkpoints = self.checkpoints.max(other.checkpoints);
         self.auditors.extend(other.auditors);
     }
 
-    /// Whether any subscriber reads checkpoints (see
-    /// [`Auditor::wants_checkpoints`]).
-    pub fn wants_checkpoints(&self) -> bool {
-        self.checkpoints
+    /// Whether any subscriber reads a checkpoint taken with `quiesced`
+    /// (see [`Auditor::checkpoints`]).
+    pub fn wants_checkpoint(&self, quiesced: bool) -> bool {
+        self.checkpoints.reads(quiesced)
     }
 
     /// Record a violation found outside the auditors — the kernel's stall

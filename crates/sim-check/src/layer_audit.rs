@@ -30,7 +30,7 @@ use sim_core::{FastMap, Pid, SimTime};
 use split_core::SyscallKind;
 use split_layered::{classify, LayerPolicy, LayerSpec};
 
-use crate::audit::{AuditCheckpoint, AuditEvent, Auditor};
+use crate::audit::{AuditCheckpoint, AuditEvent, Auditor, Checkpoints};
 
 /// Float/ordering slack on the cap envelope: charges happen at
 /// admission, strictly before the syscall exit where the auditor
@@ -201,6 +201,10 @@ impl Auditor for LayerAuditor {
             }
             _ => {}
         }
+    }
+
+    fn checkpoints(&self) -> Checkpoints {
+        Checkpoints::AtQuiescence
     }
 
     fn on_checkpoint(&mut self, cp: &AuditCheckpoint<'_>, out: &mut Vec<String>) {

@@ -22,7 +22,7 @@ mod program;
 mod sabotage;
 pub mod shrink;
 
-pub use audit::{AuditCheckpoint, AuditEvent, AuditPlane, Auditor, Violation};
+pub use audit::{AuditCheckpoint, AuditEvent, AuditPlane, Auditor, Checkpoints, Violation};
 pub use gen::{generate, GenConfig};
 pub use layer_audit::LayerAuditor;
 pub use program::{FileRef, OpSpec, ProcSpec, ProgramSpec};

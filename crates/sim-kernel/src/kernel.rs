@@ -558,9 +558,10 @@ impl Kernel {
         self.audit_checkpoint(bus, true);
     }
 
-    /// Snapshot cross-layer counters for the plane's checkpoint auditors.
+    /// Snapshot cross-layer counters for the plane's checkpoint auditors,
+    /// if any of them reads this one.
     fn audit_checkpoint(&mut self, bus: &Bus, quiesced: bool) {
-        let Some(plane) = self.audit.as_mut().filter(|p| p.wants_checkpoints()) else {
+        let Some(plane) = self.audit.as_mut().filter(|p| p.wants_checkpoint(quiesced)) else {
             return;
         };
         let sched_errors = self.sched.audit(quiesced);

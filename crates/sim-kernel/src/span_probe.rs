@@ -13,7 +13,7 @@
 //! ordered, so the *order* of calls below is part of every traced
 //! export; `tracing_integration.rs` pins it against digests.
 
-use sim_check::{AuditEvent, Auditor};
+use sim_check::{AuditEvent, Auditor, Checkpoints};
 use sim_core::{CauseSet, FastMap, Pid, RequestId, SimTime};
 use sim_trace::{slot_name, Layer, SpanId, Tracer};
 use split_core::SyscallKind;
@@ -60,8 +60,8 @@ impl Auditor for SpanProbe {
         "span-probe"
     }
 
-    fn wants_checkpoints(&self) -> bool {
-        false
+    fn checkpoints(&self) -> Checkpoints {
+        Checkpoints::Never
     }
 
     fn on_event(&mut self, now: SimTime, ev: &AuditEvent<'_>, _out: &mut Vec<String>) {
@@ -181,8 +181,8 @@ impl Auditor for BlockTraceProbe {
         "block-trace"
     }
 
-    fn wants_checkpoints(&self) -> bool {
-        false
+    fn checkpoints(&self) -> Checkpoints {
+        Checkpoints::Never
     }
 
     fn on_event(&mut self, now: SimTime, ev: &AuditEvent<'_>, _out: &mut Vec<String>) {

@@ -8,10 +8,11 @@ use std::rc::Rc;
 
 use sim_block::{Dispatch, Request};
 use sim_cache::CacheConfig;
-use sim_check::{AuditEvent, AuditPlane, Auditor};
+use sim_check::{AuditEvent, AuditPlane, Auditor, LayerAuditor};
 use sim_core::{FileId, KernelId, Pid, SimDuration, SimTime};
 use sim_kernel::{DeviceKind, KernelConfig, Outcome, ProcAction, World};
 use split_core::{Gate, SchedCtx, Scheduler, SyscallInfo, SyscallKind};
+use split_layered::parse_layers;
 
 const KB: u64 = 1024;
 const MB: u64 = 1024 * 1024;
@@ -61,6 +62,8 @@ struct TestSched {
     held: Vec<Pid>,
     withhold_first_read: bool,
     withheld: Rc<RefCell<Option<Request>>>,
+    /// The `quiesced` flag of every self-audit the kernel asked for.
+    audits: Rc<RefCell<Vec<bool>>>,
 }
 
 impl Scheduler for TestSched {
@@ -98,6 +101,10 @@ impl Scheduler for TestSched {
     }
     fn queued(&self) -> usize {
         self.fifo.len() + usize::from(self.withheld.borrow().is_some())
+    }
+    fn audit(&self, quiesced: bool) -> Vec<String> {
+        self.audits.borrow_mut().push(quiesced);
+        Vec::new()
     }
 }
 
@@ -209,6 +216,51 @@ fn an_outside_observer_sees_every_transition_on_every_device_kind() {
         Box::<TestSched>::default(),
     );
     observe(&mut w, guest, false);
+}
+
+/// The kernel builds a checkpoint only when an installed subscriber
+/// reads it. Under `LayerAuditor` alone, which reads the quiescent one,
+/// the scheduler's self-audit runs once, at quiesce; a traced kernel with
+/// no auditor runs none; the standard battery still gets one at every
+/// syscall exit and request completion.
+#[test]
+fn checkpoints_are_built_only_for_subscribers_that_read_them() {
+    let run = |plane: Option<AuditPlane>| {
+        let audits = Rc::new(RefCell::new(Vec::new()));
+        let mut w = World::new();
+        let k = w.add_kernel(
+            small_machine(1),
+            DeviceKind::ssd(),
+            Box::new(TestSched {
+                audits: Rc::clone(&audits),
+                ..Default::default()
+            }),
+        );
+        match plane {
+            Some(plane) => w.kernel_mut(k).install_audit_plane(plane),
+            None => w.enable_tracing(k),
+        }
+        let file = w.prealloc_file(k, 1024 * MB, true);
+        w.spawn(k, Box::new(workload(file)));
+        w.run_for(SimDuration::from_secs(60));
+        assert!(w.kernel(k).block_idle(), "the workload drains");
+        w.audit_quiesce(k);
+        audits.take()
+    };
+    let layers = parse_layers("rest:default:share:noop").unwrap();
+    let only_layer = AuditPlane::new(vec![Box::new(LayerAuditor::new(layers))]);
+    assert_eq!(run(Some(only_layer)), [true], "one self-audit, at quiesce");
+    assert_eq!(run(None), [], "probes read no checkpoint");
+
+    let tally = Tally::default();
+    let mut standard = AuditPlane::standard();
+    standard.push(Box::new(tally.clone()));
+    let audits = run(Some(standard));
+    let mid = tally.get("SyscallExit") + tally.get("BlockFinished");
+    assert!(mid > 73, "73 syscalls and their requests");
+    assert_eq!(audits.len() as u64, mid + 1);
+    assert_eq!(audits.iter().filter(|&&q| q).count(), 1);
+    assert_eq!(audits.last(), Some(&true));
 }
 
 #[test]

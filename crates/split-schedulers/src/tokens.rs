@@ -9,8 +9,6 @@
 //! distinct bucket. A wake-up pass refills each bucket that has waiters
 //! once, not once per waiter — see [`TokenBuckets::release_ready`].
 
-use std::collections::BTreeMap;
-
 use sim_core::{CauseSet, FastMap, Pid, SimDuration, SimTime};
 use sim_trace::Tracer;
 
@@ -57,8 +55,17 @@ pub(crate) struct TokenBuckets {
     groups: FastMap<Pid, u32>,
     /// Pids held at the gate, in hold order (which is wake order).
     held: Vec<Pid>,
-    /// How many entries of `held` draw from each bucket; no zero counts.
-    waiting: BTreeMap<BucketId, usize>,
+    /// How many entries of `held` draw from each bucket, sorted by
+    /// bucket; no zero counts.
+    waiting: Vec<(BucketId, usize)>,
+}
+
+/// Count one more waiter on bucket `id` in the sorted summary `waiting`.
+fn count_in(waiting: &mut Vec<(BucketId, usize)>, id: BucketId) {
+    match waiting.binary_search_by_key(&id, |&(b, _)| b) {
+        Ok(i) => waiting[i].1 += 1,
+        Err(i) => waiting.insert(i, (id, 1)),
+    }
 }
 
 fn bucket_in(groups: &FastMap<Pid, u32>, pid: Pid) -> BucketId {
@@ -135,10 +142,10 @@ impl TokenBuckets {
     }
 
     /// The waiter summary `held` implies.
-    fn count_waiters(&self) -> BTreeMap<BucketId, usize> {
-        let mut waiting = BTreeMap::new();
+    fn count_waiters(&self) -> Vec<(BucketId, usize)> {
+        let mut waiting = Vec::new();
         for &pid in &self.held {
-            *waiting.entry(self.bucket_of(pid)).or_insert(0) += 1;
+            count_in(&mut waiting, self.bucket_of(pid));
         }
         waiting
     }
@@ -232,7 +239,8 @@ impl TokenBuckets {
     /// Park `pid` behind its bucket: the scheduler answered `Gate::Hold`.
     pub(crate) fn hold(&mut self, pid: Pid) {
         self.held.push(pid);
-        *self.waiting.entry(self.bucket_of(pid)).or_insert(0) += 1;
+        let id = self.bucket_of(pid);
+        count_in(&mut self.waiting, id);
     }
 
     /// Whether any pid is parked.
@@ -255,7 +263,7 @@ impl TokenBuckets {
     pub(crate) fn release_ready(&mut self, now: SimTime, mut wake: impl FnMut(Pid)) {
         let waiting = self.waiting.len();
         // A bucket removed while pids waited on it throttles nobody.
-        self.waiting.retain(|id, _| {
+        self.waiting.retain(|(id, _)| {
             self.buckets.get_mut(id).is_some_and(|b| {
                 b.refill(now);
                 !b.ready()
@@ -565,16 +573,17 @@ mod tests {
         assert_eq!(b.audit(), Vec::<String>::new());
 
         // Counts that do not sum to the FIFO's length.
-        *b.waiting.get_mut(&BucketId::Group(7)).unwrap() += 1;
+        assert_eq!(b.waiting[1].0, BucketId::Group(7));
+        b.waiting[1].1 += 1;
         assert_eq!(
             b.audit(),
-            ["tokens: waiter summary {Proc(Pid(1)): 1, Group(7): 3} \
-              but the held pids are {Proc(Pid(1)): 1, Group(7): 2}"]
+            ["tokens: waiter summary [(Proc(Pid(1)), 1), (Group(7), 3)] \
+              but the held pids are [(Proc(Pid(1)), 1), (Group(7), 2)]"]
         );
         // A held pid whose bucket the summary does not list: `release_ready`
         // would never refill that bucket again.
-        b.waiting.remove(&BucketId::Group(7));
-        assert!(b.audit()[0].starts_with("tokens: waiter summary {Proc(Pid(1)): 1} but"));
+        b.waiting.remove(1);
+        assert!(b.audit()[0].starts_with("tokens: waiter summary [(Proc(Pid(1)), 1)] but"));
         b.waiting = b.count_waiters();
         b.hold(Pid(2));
         assert_eq!(b.audit(), ["tokens: Pid(2) is held twice"]);
