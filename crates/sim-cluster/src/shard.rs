@@ -104,6 +104,7 @@ pub(crate) struct Envelope {
 
 /// One completed request, as recorded at the shard that finished it.
 #[derive(Debug, Clone, Copy)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct ReqSample {
     /// Fleet-unique request id.
     pub req: u64,
@@ -128,6 +129,7 @@ pub struct ReqSample {
 
 /// What a shard hands back when the run ends.
 #[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq))]
 pub(crate) struct ShardResult {
     /// Completed requests in completion order.
     pub samples: Vec<ReqSample>,
@@ -309,6 +311,11 @@ impl Shard {
                 }
             }
         }
+    }
+
+    /// When this shard's next event fires, if it has one queued.
+    pub(crate) fn next_event_at(&self) -> Option<SimTime> {
+        self.world.next_event_at()
     }
 
     /// Take the cross-shard messages produced this window.

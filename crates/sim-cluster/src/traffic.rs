@@ -214,17 +214,18 @@ impl Traffic {
     /// arrival order. Called once per window, one window ahead of the
     /// shards.
     pub(crate) fn pull_into(&mut self, until: SimTime, push: &mut dyn FnMut(Envelope)) {
-        loop {
-            let env = match self.pending.take() {
-                Some(env) => env,
-                None => self.next_request(),
-            };
-            if env.deliver_at > until {
-                self.pending = Some(env);
-                return;
-            }
-            push(env);
+        while self.next_at() <= until {
+            push(self.pending.take().expect("`next_at` left it pending"));
         }
+    }
+
+    /// When the next envelope not yet handed out is delivered. Draws it
+    /// if it is not pending yet; the draws come in the same order either
+    /// way.
+    pub(crate) fn next_at(&mut self) -> SimTime {
+        let env = self.pending.unwrap_or_else(|| self.next_request());
+        self.pending = Some(env);
+        env.deliver_at
     }
 
     /// Draw the next client request: a put goes to the leader, a get to

@@ -1,9 +1,14 @@
-//! Block allocation with per-file reservations.
+//! Block allocation with per-file reservations, and per-file extent maps.
 //!
 //! Files get contiguous reservations so their own writeback is sequential;
 //! distinct files land in distinct regions, so interleaved flushes seek.
-//! A `spread` knob scatters the extents of preallocated files to model an
-//! aged disk.
+//! `alloc_scattered` scatters the extents of preallocated files to model
+//! an aged disk.
+//!
+//! An [`ExtentMap`] is one `Vec` of runs sorted by first page: a lookup,
+//! a range's extents and a range's holes are each a binary search plus a
+//! walk over the runs that overlap the range, and a scattered file's map
+//! is written in one pass at its exact size.
 
 use sim_core::{BlockNo, FastMap, FileId, SimRng};
 
@@ -16,6 +21,13 @@ pub struct Extent {
     pub start: BlockNo,
     /// Length in blocks (= pages).
     pub len: u64,
+}
+
+impl Extent {
+    /// One past the last file page covered.
+    fn end(&self) -> u64 {
+        self.page + self.len
+    }
 }
 
 /// Bump allocator with per-file reservations.
@@ -67,21 +79,23 @@ impl Allocator {
     }
 
     /// Allocate a scattered layout for a preallocated (aged) file: extents
-    /// of ~`chunk` blocks at pseudo-random positions.
-    pub fn alloc_scattered(&mut self, nblocks: u64, chunk: u64) -> Vec<(BlockNo, u64)> {
+    /// of `chunk` blocks (the last one shorter) at pseudo-random positions.
+    /// Lazy: each run's blocks and random gap are drawn as it is consumed,
+    /// and the iterator's length is exact, so collecting it allocates once.
+    pub fn alloc_scattered(
+        &mut self,
+        nblocks: u64,
+        chunk: u64,
+    ) -> impl Iterator<Item = (BlockNo, u64)> + '_ {
         let chunk = chunk.max(1);
-        let mut out = Vec::new();
-        let mut left = nblocks;
-        while left > 0 {
-            let take = left.min(chunk);
-            // Jump the bump pointer by a random gap to fragment.
+        (0..nblocks.div_ceil(chunk)).map(move |i| {
+            let take = (nblocks - i * chunk).min(chunk);
+            // Jump the bump pointer by a random gap to fragment; the gap
+            // wraps at the end of the device like any other grab.
             let gap = self.rng.gen_range(self.reservation_blocks * 4) + 1;
-            self.next_free = (self.next_free + gap).min(self.capacity - take);
-            let start = self.grab(take);
-            out.push((BlockNo(start), take));
-            left -= take;
-        }
-        out
+            self.grab(gap);
+            (BlockNo(self.grab(take)), take)
+        })
     }
 
     /// Allocate one contiguous run (fixtures, journal area).
@@ -100,11 +114,12 @@ impl Allocator {
     }
 }
 
-/// Per-file extent map.
+/// Per-file extent map: the file's runs in one `Vec`, sorted by first
+/// page, no two sharing a page. Every query is a binary search for the
+/// first run it touches, then a walk forward over contiguous memory.
 #[derive(Debug, Default, Clone)]
 pub struct ExtentMap {
-    // page -> (start block, len); non-overlapping, keyed by first page.
-    runs: std::collections::BTreeMap<u64, (BlockNo, u64)>,
+    runs: Vec<Extent>,
 }
 
 impl ExtentMap {
@@ -113,22 +128,34 @@ impl ExtentMap {
         Self::default()
     }
 
-    /// Record that pages `[page, page+len)` live at `start`.
+    /// Record that pages `[page, page+len)` live at `start`. A run with
+    /// the same first page as an existing one replaces it; any other
+    /// overlap is a caller bug (debug-asserted).
     pub fn insert(&mut self, page: u64, start: BlockNo, len: u64) {
-        self.runs.insert(page, (start, len));
+        let run = Extent { page, start, len };
+        let i = self.runs.partition_point(|e| e.page < page);
+        match self.runs.get_mut(i) {
+            Some(e) if e.page == page => *e = run,
+            _ => self.runs.insert(i, run),
+        }
+        debug_assert!(
+            i.checked_sub(1).is_none_or(|p| self.runs[p].end() <= page)
+                && self.runs.get(i + 1).is_none_or(|n| run.end() <= n.page),
+            "run of {len} pages at page {page} overlaps another run"
+        );
     }
 
     /// A file's map with `runs` backing its pages in order from page 0,
-    /// built in one pass: the runs arrive sorted by page, so the tree is
-    /// bulk-built rather than grown one insert per run.
+    /// written straight into the map in one pass (with the exact capacity
+    /// when the iterator knows its length, as `alloc_scattered`'s does).
     pub fn from_runs(runs: impl IntoIterator<Item = (BlockNo, u64)>) -> Self {
         let mut page = 0;
         let runs = runs
             .into_iter()
             .map(|(start, len)| {
-                let at = page;
+                let run = Extent { page, start, len };
                 page += len;
-                (at, (start, len))
+                run
             })
             .collect();
         ExtentMap { runs }
@@ -136,12 +163,17 @@ impl ExtentMap {
 
     /// Location of one page, if allocated.
     pub fn lookup(&self, page: u64) -> Option<BlockNo> {
-        let (&p0, &(start, len)) = self.runs.range(..=page).next_back()?;
-        if page < p0 + len {
-            Some(BlockNo(start.raw() + (page - p0)))
-        } else {
-            None
-        }
+        let i = self.runs.partition_point(|e| e.page <= page);
+        let e = self.runs[..i].last()?;
+        (page < e.end()).then(|| BlockNo(e.start.raw() + (page - e.page)))
+    }
+
+    /// The runs that overlap `[page, end)`, in page order: from the first
+    /// run ending after `page` (runs are disjoint, so their ends are
+    /// sorted too) to the last starting before `end`.
+    fn overlapping(&self, page: u64, end: u64) -> impl Iterator<Item = &Extent> {
+        let first = self.runs.partition_point(|e| e.end() <= page);
+        self.runs[first..].iter().take_while(move |e| e.page < end)
     }
 
     /// Extents covering `[page, page+len)`, clipped; holes omitted.
@@ -156,47 +188,34 @@ impl ExtentMap {
     pub(crate) fn extents_for_into(&self, page: u64, len: u64, out: &mut Vec<Extent>) {
         out.clear();
         let end = page + len;
-        // Consider the run that may begin before `page` plus all runs
-        // starting inside the window.
-        let start_key = self
-            .runs
-            .range(..=page)
-            .next_back()
-            .map(|(&k, _)| k)
-            .unwrap_or(page);
-        for (&p0, &(b0, l0)) in self.runs.range(start_key..end) {
-            let run_end = p0 + l0;
-            if run_end <= page || p0 >= end {
-                continue;
-            }
-            let from = page.max(p0);
-            let to = end.min(run_end);
-            out.push(Extent {
+        out.extend(self.overlapping(page, end).map(|e| {
+            let from = page.max(e.page);
+            Extent {
                 page: from,
-                start: BlockNo(b0.raw() + (from - p0)),
-                len: to - from,
-            });
-        }
+                start: BlockNo(e.start.raw() + (from - e.page)),
+                len: end.min(e.end()) - from,
+            }
+        }));
     }
 
-    /// Whether every page of `[page, page+len)` is allocated.
-    pub(crate) fn fully_allocated(&self, page: u64, len: u64) -> bool {
+    /// The holes of `[page, page+len)` as `(first page, len)`: the
+    /// maximal runs of unallocated pages, in page order, found in one
+    /// walk over the runs that overlap the range.
+    pub(crate) fn holes(&self, page: u64, len: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
         let end = page + len;
-        let start_key = self
-            .runs
-            .range(..=page)
-            .next_back()
-            .map(|(&k, _)| k)
-            .unwrap_or(page);
-        let mut covered = 0;
-        for (&p0, &(_, l0)) in self.runs.range(start_key..end) {
-            let run_end = p0 + l0;
-            if run_end <= page || p0 >= end {
-                continue;
+        let mut runs = self.overlapping(page, end);
+        let mut at = page;
+        std::iter::from_fn(move || {
+            while at < end {
+                let (from, run) = (at, runs.next());
+                let hole_end = run.map_or(end, |e| e.page);
+                at = run.map_or(end, Extent::end);
+                if from < hole_end {
+                    return Some((from, hole_end - from));
+                }
             }
-            covered += end.min(run_end) - page.max(p0);
-        }
-        covered == len
+            None
+        })
     }
 }
 
@@ -233,7 +252,7 @@ mod tests {
     #[test]
     fn scattered_layout_fragments() {
         let mut a = Allocator::new(0, 100_000_000, 256, 7);
-        let runs = a.alloc_scattered(1024, 64);
+        let runs: Vec<_> = a.alloc_scattered(1024, 64).collect();
         assert_eq!(runs.iter().map(|r| r.1).sum::<u64>(), 1024);
         assert!(runs.len() >= 16, "got {} runs", runs.len());
         // Runs are not contiguous.
@@ -247,8 +266,13 @@ mod tests {
     #[test]
     fn bulk_built_map_answers_like_the_insert_built_one() {
         let mut a = Allocator::new(0, 100_000_000, 256, 7);
-        let runs = a.alloc_scattered(6144, 64);
+        let runs: Vec<_> = a.alloc_scattered(6144, 64).collect();
         let bulk = ExtentMap::from_runs(runs.iter().copied());
+        // Straight from the allocator, the map is written at its exact size.
+        let direct =
+            ExtentMap::from_runs(Allocator::new(0, 100_000_000, 256, 7).alloc_scattered(6144, 64));
+        assert_eq!(direct.runs, bulk.runs);
+        assert_eq!(direct.runs.capacity(), 6144 / 64);
         let mut inserted = ExtentMap::new();
         let mut page = 0;
         for &(start, len) in &runs {
@@ -291,7 +315,156 @@ mod tests {
                 },
             ]
         );
-        assert!(m.fully_allocated(0, 10));
-        assert!(!m.fully_allocated(0, 11));
+        assert_eq!(m.holes(0, 10).count(), 0);
+        assert_eq!(m.holes(0, 11).collect::<Vec<_>>(), [(10, 1)]);
+        assert_eq!(m.holes(8, 30).collect::<Vec<_>>(), [(10, 10), (25, 13)]);
+    }
+
+    #[test]
+    fn scattered_runs_near_the_end_of_the_device_stay_distinct() {
+        // The bump pointer reaches the end of a 700-block device; the gap
+        // used to be clamped there, handing consecutive runs the same
+        // blocks.
+        for seed in 0..32 {
+            let mut a = Allocator::new(0, 700, 16, seed);
+            let runs: Vec<_> = a.alloc_scattered(600, 64).collect();
+            assert_eq!(runs.iter().map(|r| r.1).sum::<u64>(), 600);
+            for &(start, len) in &runs {
+                assert!(start.raw() + len <= 700, "seed {seed}: {runs:?}");
+            }
+            for w in runs.windows(2) {
+                let ((a0, al), (b0, bl)) = (w[0], w[1]);
+                let apart = a0.raw() + al <= b0.raw() || b0.raw() + bl <= a0.raw();
+                assert!(apart, "seed {seed}: {w:?} share blocks");
+            }
+        }
+        // A chunk larger than the device used to underflow.
+        let mut a = Allocator::new(0, 100, 16, 1);
+        let lens: Vec<u64> = a.alloc_scattered(300, 200).map(|r| r.1).collect();
+        assert_eq!(lens, [200, 100]);
+    }
+
+    /// Hold `m` to a naive `page -> block` table: every page's lookup,
+    /// and the extents and holes of random windows.
+    fn check_against_model(m: &ExtentMap, model: &[Option<u64>], rng: &mut SimRng) {
+        let at = |p: u64| model.get(p as usize).copied().flatten();
+        for p in 0..model.len() as u64 + 8 {
+            assert_eq!(m.lookup(p), at(p).map(BlockNo), "page {p}");
+        }
+        for _ in 0..24 {
+            let page = rng.gen_range(model.len() as u64 + 8);
+            let len = 1 + rng.gen_range(96);
+            // Runs never touch on disk (see the generator), so an extent
+            // is a maximal stretch of pages whose blocks count up by one,
+            // and a hole a maximal stretch of unmapped pages.
+            let (mut extents, mut holes) = (Vec::<Extent>::new(), Vec::<(u64, u64)>::new());
+            for p in page..page + len {
+                match (at(p), extents.last_mut(), holes.last_mut()) {
+                    (Some(b), Some(e), _) if e.page + e.len == p && e.start.raw() + e.len == b => {
+                        e.len += 1
+                    }
+                    (Some(b), ..) => extents.push(Extent {
+                        page: p,
+                        start: BlockNo(b),
+                        len: 1,
+                    }),
+                    (None, _, Some(h)) if h.0 + h.1 == p => h.1 += 1,
+                    (None, ..) => holes.push((p, 1)),
+                }
+            }
+            assert_eq!(m.extents_for(page, len), extents, "[{page}, +{len})");
+            assert_eq!(
+                m.holes(page, len).collect::<Vec<_>>(),
+                holes,
+                "[{page}, +{len})"
+            );
+        }
+    }
+
+    /// The naive model: each page's block, and every run's first page
+    /// and length.
+    struct PageTable {
+        blocks: Vec<Option<u64>>,
+        runs: Vec<(u64, u64)>,
+        next_block: u64,
+    }
+
+    impl PageTable {
+        /// Map `[page, page+len)` to fresh blocks, at least one past any
+        /// handed out, so no two runs are ever contiguous on disk.
+        fn put(&mut self, page: u64, len: u64, rng: &mut SimRng) -> BlockNo {
+            let b = self.next_block + 1 + rng.gen_range(4);
+            self.next_block = b + len;
+            for p in page..page + len {
+                self.blocks[p as usize] = Some(b + (p - page));
+            }
+            BlockNo(b)
+        }
+    }
+
+    #[test]
+    fn extent_map_answers_like_a_page_table() {
+        const PAGES: u64 = 512;
+        for seed in 0..8 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let mut m = ExtentMap::new();
+            let mut t = PageTable {
+                blocks: vec![None; PAGES as usize],
+                runs: Vec::new(),
+                next_block: 1_000,
+            };
+            for step in 0..300 {
+                match rng.gen_range(8) {
+                    // Append past the last run, maybe leaving a hole.
+                    0..=2 => {
+                        let end = t.runs.iter().map(|&(p, l)| p + l).max().unwrap_or(0);
+                        let page = end + rng.gen_range(4);
+                        let len = (1 + rng.gen_range(32)).min(PAGES.saturating_sub(page));
+                        if len > 0 {
+                            m.insert(page, t.put(page, len, &mut rng), len);
+                            t.runs.push((page, len));
+                        }
+                    }
+                    // Fill part of a hole, out of order.
+                    3..=5 => {
+                        let page = rng.gen_range(PAGES);
+                        let room = (page..PAGES).take_while(|&p| t.blocks[p as usize].is_none());
+                        let room = room.count() as u64;
+                        if room > 0 {
+                            let len = 1 + rng.gen_range(room);
+                            m.insert(page, t.put(page, len, &mut rng), len);
+                            t.runs.push((page, len));
+                        }
+                    }
+                    // Replace a run by one with the same first page.
+                    6 if !t.runs.is_empty() => {
+                        let i = rng.gen_range(t.runs.len() as u64) as usize;
+                        let (page, old) = t.runs[i];
+                        let next = t.runs.iter().map(|&(p, _)| p).filter(|&p| p > page).min();
+                        let len = 1 + rng.gen_range(next.unwrap_or(PAGES) - page);
+                        t.blocks[page as usize..(page + old) as usize].fill(None);
+                        m.insert(page, t.put(page, len, &mut rng), len);
+                        t.runs[i] = (page, len);
+                    }
+                    // Start over from a bulk-built file.
+                    _ => {
+                        let total = rng.gen_range(PAGES);
+                        t.blocks.fill(None);
+                        t.runs.clear();
+                        let mut built = Vec::new();
+                        let mut page = 0;
+                        while page < total {
+                            let len = (1 + rng.gen_range(48)).min(total - page);
+                            built.push((t.put(page, len, &mut rng), len));
+                            t.runs.push((page, len));
+                            page += len;
+                        }
+                        m = ExtentMap::from_runs(built);
+                    }
+                }
+                check_against_model(&m, &t.blocks, &mut rng);
+                assert_eq!(m.runs.len(), t.runs.len(), "seed {seed} step {step}");
+            }
+        }
     }
 }

@@ -256,39 +256,18 @@ impl JournaledFs {
         let mut extents = std::mem::take(&mut self.extent_scratch);
         self.inodes.entry(file).or_default();
         for range in ranges {
-            // Delayed allocation: assign blocks now if the range is new.
+            // Delayed allocation: give the range's holes blocks now.
             // Allocation dirties shared metadata (bitmap + inode), joining
             // the running transaction on behalf of the range's causes.
-            if !self.inodes[&file]
+            let holes: Vec<(u64, u64)> = self.inodes[&file]
                 .extents
-                .fully_allocated(range.start_page, range.len)
-            {
-                // Find the unallocated runs first, then allocate them.
-                let mut unalloc_runs: Vec<(u64, u64)> = Vec::new();
-                {
-                    let inode = &self.inodes[&file];
-                    let mut page = range.start_page;
-                    let end = range.start_page + range.len;
-                    while page < end {
-                        if inode.extents.lookup(page).is_some() {
-                            page += 1;
-                            continue;
-                        }
-                        let mut run = 1;
-                        while page + run < end && inode.extents.lookup(page + run).is_none() {
-                            run += 1;
-                        }
-                        unalloc_runs.push((page, run));
-                        page += run;
-                    }
-                }
-                for (mut page, run) in unalloc_runs {
+                .holes(range.start_page, range.len)
+                .collect();
+            if !holes.is_empty() {
+                let inode = self.inodes.get_mut(&file).expect("inode exists");
+                for (mut page, run) in holes {
                     for (start, len) in self.allocator.alloc(file, run) {
-                        self.inodes
-                            .get_mut(&file)
-                            .expect("inode exists")
-                            .extents
-                            .insert(page, start, len);
+                        inode.extents.insert(page, start, len);
                         page += len;
                     }
                 }
@@ -591,9 +570,7 @@ impl JournaledFs {
         let id = FileId(self.file_ids.next());
         let npages = sim_core::pages_for_bytes(bytes);
         let extents = if contiguous {
-            let mut one = ExtentMap::new();
-            one.insert(0, self.allocator.alloc_contiguous(npages), npages);
-            one
+            ExtentMap::from_runs([(self.allocator.alloc_contiguous(npages), npages)])
         } else {
             ExtentMap::from_runs(
                 self.allocator

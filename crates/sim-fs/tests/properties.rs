@@ -38,7 +38,7 @@ fn scattered_allocation_is_exact() {
         let mut a = Allocator::new(0, 1 << 26, 256, 7);
         let mut used: sim_core::FastSet<u64> = Default::default();
         for n in sizes {
-            let runs = a.alloc_scattered(n, 64);
+            let runs: Vec<_> = a.alloc_scattered(n, 64).collect();
             let total: u64 = runs.iter().map(|r| r.1).sum();
             assert_eq!(total, n);
             for (start, len) in runs {
@@ -62,7 +62,7 @@ fn extent_map_lookup_matches_ranges() {
         let query = (rng.gen_range(150), 1 + rng.gen_range(39));
         let mut m = ExtentMap::new();
         let mut next_block = 1000u64;
-        let mut covered: std::collections::BTreeMap<u64, u64> = Default::default();
+        let mut covered: sim_core::FastMap<u64, u64> = Default::default();
         for (page, len) in inserts {
             // Skip overlapping inserts (the fs never produces them).
             if (page..page + len).any(|p| covered.contains_key(&p)) {
@@ -78,7 +78,7 @@ fn extent_map_lookup_matches_ranges() {
         let extents = m.extents_for(qp, ql);
         // Every page the range query covers must match lookup, and
         // vice versa.
-        let mut from_ranges: std::collections::BTreeMap<u64, u64> = Default::default();
+        let mut from_ranges: sim_core::FastMap<u64, u64> = Default::default();
         for e in &extents {
             for i in 0..e.len {
                 from_ranges.insert(e.page + i, e.start.raw() + i);

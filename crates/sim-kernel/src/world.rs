@@ -156,6 +156,11 @@ impl World {
         self.bus.q.events_processed()
     }
 
+    /// When the next queued event fires, if any event is queued.
+    pub fn next_event_at(&self) -> Option<SimTime> {
+        self.bus.q.peek_time()
+    }
+
     /// Add a machine; returns its id.
     pub fn add_kernel(
         &mut self,
