@@ -14,7 +14,9 @@
 //! all overwrites of one dirty span) and returns the [`DirtyEvent`] they
 //! share; the kernel hands it to the scheduler as one batched hook
 //! message; [`DirtyRun::commit`] dirties as many of those pages as the
-//! scheduler consumed, as one range update of the run-length dirty store.
+//! scheduler consumed, as one range update of the run-length dirty store,
+//! and returns a [`DirtiedStretch`] saying what that did, for the
+//! kernel's observers.
 //! The scheduler consumes fewer only when its hook queues a command,
 //! which the kernel then applies before the next page is dirtied.
 //! [`DirtyRun::finish`] makes the run's pages resident in one LRU fill.
@@ -37,7 +39,6 @@ mod pagebits;
 mod tagmem;
 
 use sim_core::{CauseSet, FileId, SimTime, PAGE_SIZE};
-use sim_trace::Tracer;
 
 use clean::CleanCache;
 pub use dirty::{DirtyEvent, PageRange};
@@ -85,7 +86,6 @@ pub struct PageCache {
     dirty: DirtyStore,
     clean: CleanCache,
     tagmem: TagMem,
-    tracer: Tracer,
 }
 
 impl PageCache {
@@ -96,14 +96,7 @@ impl PageCache {
             dirty: DirtyStore::new(),
             clean: CleanCache::new(cfg.mem_bytes / PAGE_SIZE),
             tagmem: TagMem::new(),
-            tracer: Tracer::new(),
         }
-    }
-
-    /// Share the kernel's tracing handle, so cache activity (dirty
-    /// counts, tag-memory footprint) lands in the common registry.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
     }
 
     /// Configuration in effect.
@@ -127,7 +120,6 @@ impl PageCache {
             dirty: self.dirty.file_run(file),
             clean: &mut self.clean,
             tagmem: &mut self.tagmem,
-            tracer: &self.tracer,
             fh,
             causes,
             now,
@@ -149,19 +141,8 @@ impl PageCache {
         now: SimTime,
     ) -> DirtyEvent<'_> {
         let mut run = self.dirty.file_run(file);
-        let before = run.total();
-        let live = self.tagmem.live_bytes();
         let (st, _) = run.stretch(page, 1, now);
         let ev = run.commit(st, 1, causes, now, &mut self.tagmem);
-        trace_dirtied(
-            &self.tracer,
-            now,
-            before,
-            ev.prev.is_none(),
-            live,
-            &self.tagmem,
-            1,
-        );
         self.clean.fill_range(file, page, 1);
         ev
     }
@@ -171,10 +152,7 @@ impl PageCache {
     /// Called by the writeback/fsync path as pages are submitted to the
     /// block layer; the pages stay readable (clean) afterwards.
     pub fn take_dirty_ranges(&mut self, file: FileId, max: u64) -> Vec<PageRange> {
-        let ranges = self.dirty.take_ranges(file, max, &mut self.tagmem);
-        self.tracer
-            .count("cache.pages_cleaned", ranges.iter().map(|r| r.len).sum());
-        ranges
+        self.dirty.take_ranges(file, max, &mut self.tagmem)
     }
 
     /// All dirty pages of `file` (for fsync cost estimation).
@@ -186,12 +164,7 @@ impl PageCache {
     /// ranges whose writeback was avoided, for the buffer-free hooks.
     pub fn free_file(&mut self, file: FileId) -> Vec<PageRange> {
         self.clean.remove_file(file);
-        let ranges = self.dirty.free_file(file, &mut self.tagmem);
-        self.tracer.count(
-            "cache.pages_freed_dirty",
-            ranges.iter().map(|r| r.len).sum(),
-        );
-        ranges
+        self.dirty.free_file(file, &mut self.tagmem)
     }
 
     // ---- read path ------------------------------------------------------
@@ -246,7 +219,6 @@ impl PageCache {
     /// Install pages after a read completes.
     pub fn fill(&mut self, file: FileId, page: u64, len: u64) {
         self.clean.fill_range(file, page, len);
-        self.tracer.count("cache.pages_filled", len);
     }
 
     // ---- thresholds & accounting -----------------------------------------
@@ -287,8 +259,8 @@ impl PageCache {
 /// A write's pages being dirtied stretch by stretch, in ascending order,
 /// with the per-file lookups paid once (from [`PageCache::dirty_run`]).
 ///
-/// Committing `n` pages has exactly the dirty-store, tag-memory and
-/// tracer effects of `n` lone [`PageCache::dirty_page`] calls. The pages
+/// Committing `n` pages has exactly the dirty-store and tag-memory
+/// effects of `n` lone [`PageCache::dirty_page`] calls. The pages
 /// become resident in the clean LRU at [`DirtyRun::finish`], in one
 /// ascending fill, which leaves the LRU exactly as per-page inserts would
 /// have: nothing reads the LRU between the pages of a run.
@@ -297,7 +269,6 @@ pub struct DirtyRun<'a> {
     dirty: FileRun<'a>,
     clean: &'a mut CleanCache,
     tagmem: &'a mut TagMem,
-    tracer: &'a Tracer,
     fh: u32,
     causes: &'a CauseSet,
     now: SimTime,
@@ -325,22 +296,29 @@ impl DirtyRun<'_> {
         (st.len, ev)
     }
 
-    /// Dirty the first `n` pages of the stretch classified last.
-    pub fn commit(&mut self, n: u64) {
+    /// Dirty the first `n` pages of the stretch classified last, and say
+    /// what that did.
+    pub fn commit(&mut self, n: u64) -> DirtiedStretch {
         let st = self.next.take().expect("commit follows stretch");
         if self.len == 0 {
             self.first = st.page;
         }
         self.len += n;
-        let before = self.dirty.total();
-        let live = self.tagmem.live_bytes();
+        let dirty_before = self.dirty.total();
+        let tag_bytes_before = self.tagmem.live_bytes();
         let fresh = self
             .dirty
             .reborrow()
             .commit(st, n, self.causes, self.now, self.tagmem)
             .prev
             .is_none();
-        trace_dirtied(self.tracer, self.now, before, fresh, live, self.tagmem, n);
+        DirtiedStretch {
+            len: n,
+            fresh,
+            dirty_before,
+            tag_bytes_before,
+            tag_bytes_after: self.tagmem.live_bytes(),
+        }
     }
 
     /// End the run: its pages become resident for reads.
@@ -351,35 +329,21 @@ impl DirtyRun<'_> {
     }
 }
 
-/// For each of `n` pages just dirtied (fresh or overwrite), count it and
-/// gauge the dirty total and tag memory after it, so the registry shows
-/// what `n` single-page dirties would. `before` and `live` are the dirty
-/// total and live tag bytes before the first page; tag memory moved by
-/// the same amount for each page.
-fn trace_dirtied(
-    tracer: &Tracer,
-    now: SimTime,
-    before: u64,
-    fresh: bool,
-    live: u64,
-    tagmem: &TagMem,
-    n: u64,
-) {
-    if tracer.enabled() {
-        let which = if fresh {
-            "cache.pages_dirtied"
-        } else {
-            "cache.overwrites"
-        };
-        let per_page = (tagmem.live_bytes() as i64 - live as i64) / n as i64;
-        for k in 1..=n {
-            tracer.count(which, 1);
-            let dirty = before + if fresh { k } else { 0 };
-            tracer.gauge("cache.dirty_pages", now, dirty as f64);
-            let tag_bytes = live as i64 + per_page * k as i64;
-            tracer.gauge("cache.tag_bytes", now, tag_bytes as f64);
-        }
-    }
+/// What [`DirtyRun::commit`] did to the cache's books: `len` pages, all
+/// freshly dirtied or all overwrites, with the dirty-page total and live
+/// tag bytes around them. Tag memory moves by the same amount per page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DirtiedStretch {
+    /// Pages committed.
+    pub len: u64,
+    /// Whether the pages were clean before (else overwrites).
+    pub fresh: bool,
+    /// Dirty pages in the cache before the stretch.
+    pub dirty_before: u64,
+    /// Live tag bytes before the stretch.
+    pub tag_bytes_before: u64,
+    /// Live tag bytes after it.
+    pub tag_bytes_after: u64,
 }
 
 #[cfg(test)]

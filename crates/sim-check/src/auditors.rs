@@ -9,6 +9,7 @@
 
 use sim_core::{FastMap, FastSet, Pid, RequestId, SimTime, TxnId};
 use sim_fault::WriteStep;
+use sim_fs::FsEvent;
 
 use crate::audit::{AuditCheckpoint, AuditEvent, Auditor};
 
@@ -219,7 +220,7 @@ impl Auditor for JournalOrderAuditor {
                 }
                 Some(ReqRole::Log(_) | ReqRole::Commit(_)) | None => {}
             },
-            AuditEvent::TxnCommitted { txn } => {
+            AuditEvent::Fs(FsEvent::TxnCommitted { txn }) => {
                 let st = self.txns.entry(*txn).or_default();
                 if !st.commit_ok {
                     out.push(format!(
@@ -238,7 +239,7 @@ impl Auditor for JournalOrderAuditor {
                 }
                 self.last_committed = Some(*txn);
             }
-            AuditEvent::JournalAborted { txn } => {
+            AuditEvent::Fs(FsEvent::JournalAborted { txn }) => {
                 self.txns.entry(*txn).or_default().aborted = true;
             }
             _ => {}
@@ -558,7 +559,7 @@ mod tests {
         );
         a.on_event(
             SimTime::ZERO,
-            &AuditEvent::TxnCommitted { txn: t },
+            &AuditEvent::Fs(&FsEvent::TxnCommitted { txn: t }),
             &mut out,
         );
         assert!(out.is_empty(), "{out:?}");
@@ -688,12 +689,12 @@ mod tests {
         }
         a.on_event(
             SimTime::ZERO,
-            &AuditEvent::TxnCommitted { txn: TxnId(2) },
+            &AuditEvent::Fs(&FsEvent::TxnCommitted { txn: TxnId(2) }),
             &mut out,
         );
         a.on_event(
             SimTime::ZERO,
-            &AuditEvent::TxnCommitted { txn: TxnId(1) },
+            &AuditEvent::Fs(&FsEvent::TxnCommitted { txn: TxnId(1) }),
             &mut out,
         );
         assert_eq!(out.len(), 1, "{out:?}");

@@ -103,9 +103,9 @@ impl CrashHarness {
     }
 
     fn fsync_done_for(&self, pid: Pid) -> bool {
-        self.events
-            .iter()
-            .any(|e| matches!(e, FsEvent::FsyncDone { waiter, result: Ok(()) } if *waiter == pid))
+        self.events.iter().any(
+            |e| matches!(e, FsEvent::FsyncDone { waiter, result: Ok(()), .. } if *waiter == pid),
+        )
     }
 
     /// Issue the next workload step once its precondition holds. Three

@@ -21,7 +21,6 @@ use sim_core::{
 };
 use sim_device::IoDir;
 use sim_fault::WriteStep;
-use sim_trace::{Layer, SpanId, Tracer};
 use split_core::ProxyRegistry;
 
 use crate::alloc::{Allocator, Extent, ExtentMap};
@@ -105,10 +104,6 @@ struct FsyncState {
     waiter: Pid,
     pending_data: FastSet<IoToken>,
     wait_txn: Option<TxnId>,
-    /// Span covering the data flush this fsync waits for.
-    data_span: SpanId,
-    /// Span covering the wait for the journal commit.
-    txn_span: SpanId,
 }
 
 /// Which fsyncs [`JournaledFs::finish_fsyncs`] ends, and with what result.
@@ -134,14 +129,12 @@ struct Commit {
     txn: CommitTxn,
     phase: CommitPhase,
     pending: FastSet<IoToken>,
-    span: SpanId,
 }
 
 #[derive(Debug)]
 struct WbPass {
     pending: FastSet<IoToken>,
     pages: u64,
-    span: SpanId,
 }
 
 /// The journaling file system.
@@ -165,13 +158,14 @@ pub struct JournaledFs {
     journal_pid: Pid,
     writeback_pid: Pid,
     meta_zone_rng: SimRng,
-    tracer: Tracer,
     /// Set when a journal write failed; the file system then refuses to
     /// start commits and fails every fsync, as ext4 does after a jbd2
     /// abort. `None` on the (infallible) happy path.
     aborted: Option<IoError>,
     /// Reusable extent buffer for the flush hot loop.
     extent_scratch: Vec<Extent>,
+    /// The last output handed back, emptied: the next call's buffers.
+    spare: FsOutput,
 }
 
 impl JournaledFs {
@@ -206,16 +200,18 @@ impl JournaledFs {
             journal_pid,
             writeback_pid,
             meta_zone_rng: SimRng::seed_from_u64(cfg.seed ^ 0x6d65_7461),
-            tracer: Tracer::new(),
             aborted: None,
             extent_scratch: Vec::new(),
+            spare: FsOutput::default(),
         }
     }
 
-    /// Share the kernel's tracer so journal/writeback activity lands in
-    /// the same span tree as the syscalls that caused it.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+    /// Take back an absorbed output, so the next call fills its buffers
+    /// instead of allocating new ones.
+    pub fn recycle(&mut self, mut out: FsOutput) {
+        out.ios.clear();
+        out.events.clear();
+        self.spare = out;
     }
 
     /// ext4 with full split integration.
@@ -250,6 +246,10 @@ impl JournaledFs {
         // Someone waits on an fsync or ordered flush; writeback is async.
         let sync = owner.wb_pass.is_none();
         let ranges = cache.take_dirty_ranges(file, max_pages);
+        out.events.push(FsEvent::DataFlushed {
+            file,
+            pages: ranges.iter().map(|r| r.len).sum(),
+        });
         let mut tokens = Vec::new();
         // Reused across ranges (and calls) so the flush loop stays off the
         // allocator; taken out of `self` to free the borrow.
@@ -320,16 +320,13 @@ impl JournaledFs {
         let txn = self.journal.seal();
         // The journal task acts as a proxy for everyone in the txn.
         self.proxies.mark(self.journal_pid, &txn.causes);
-        // The commit span belongs to the journal task but carries the
-        // entangled causes — that is the Figure 4/5 story in one span.
-        let commit_span = self.tracer.begin_current(
-            Layer::Journal,
-            "journal_commit",
-            self.journal_pid,
-            &txn.causes,
-            now,
-        );
-        self.tracer.set_arg(commit_span, txn.id.raw());
+        // The commit belongs to the journal task but carries the
+        // entangled causes — that is the Figure 4/5 story in one event.
+        out.events.push(FsEvent::CommitStarted {
+            txn: txn.id,
+            task: self.journal_pid,
+            causes: txn.causes.clone(),
+        });
         let mut pending: FastSet<IoToken> = FastSet::default();
         // Ordered mode: flush dirty data of every file in the transaction,
         // and also wait for that data's already-in-flight writes.
@@ -351,7 +348,6 @@ impl JournaledFs {
             txn,
             phase: CommitPhase::FlushingData,
             pending,
-            span: commit_span,
         });
         if flushed {
             self.write_log(out);
@@ -430,8 +426,6 @@ impl JournaledFs {
         let commit = self.commit.take().expect("commit in flight");
         self.journal.mark_committed(commit.txn.id);
         self.proxies.clear(self.journal_pid);
-        self.tracer.end_current(self.journal_pid, commit.span, now);
-        self.tracer.count("journal.commits", 1);
         out.events
             .push(FsEvent::TxnCommitted { txn: commit.txn.id });
         // Checkpoint: write the metadata in place, lazily (async). One
@@ -459,7 +453,7 @@ impl JournaledFs {
             });
         }
         // Wake fsyncs that were waiting on this transaction.
-        self.finish_fsyncs(FsyncEnd::Durable, now, out);
+        self.finish_fsyncs(FsyncEnd::Durable, out);
         // Chain the next commit if someone already asked for it.
         self.maybe_start_commit(cache, now, out);
     }
@@ -473,7 +467,7 @@ impl JournaledFs {
     /// in-flight commit is dropped, every outstanding fsync fails, and
     /// [`JournaledFs::maybe_start_commit`] refuses new commits from here
     /// on — modeled on jbd2's abort semantics.
-    fn abort_journal(&mut self, cause: IoError, now: SimTime, out: &mut FsOutput) {
+    fn abort_journal(&mut self, cause: IoError, out: &mut FsOutput) {
         if self.aborted.is_some() {
             return;
         }
@@ -483,17 +477,16 @@ impl JournaledFs {
         };
         self.aborted = Some(error);
         if let Some(commit) = self.commit.take() {
-            self.tracer.end_current(self.journal_pid, commit.span, now);
             out.events
                 .push(FsEvent::JournalAborted { txn: commit.txn.id });
         }
         self.proxies.clear(self.journal_pid);
-        self.finish_fsyncs(FsyncEnd::All(error), now, out);
+        self.finish_fsyncs(FsyncEnd::All(error), out);
     }
 
-    /// Remove every fsync `end` picks, in id order, ending its spans and
-    /// firing `FsyncDone` with `end`'s result.
-    fn finish_fsyncs(&mut self, end: FsyncEnd, now: SimTime, out: &mut FsOutput) {
+    /// Remove every fsync `end` picks, in id order, firing `FsyncDone`
+    /// with `end`'s result.
+    fn finish_fsyncs(&mut self, end: FsyncEnd, out: &mut FsOutput) {
         let result = match end {
             FsyncEnd::Durable => Ok(()),
             FsyncEnd::WaitingOn(_, error) | FsyncEnd::All(error) => Err(error),
@@ -514,10 +507,9 @@ impl JournaledFs {
         ids.sort_unstable();
         for id in ids {
             let st = self.fsyncs.remove(&id).expect("present");
-            self.tracer.end(st.data_span, now);
-            self.tracer.end(st.txn_span, now);
             out.events.push(FsEvent::FsyncDone {
                 waiter: st.waiter,
+                fsync: id,
                 result,
             });
         }
@@ -532,7 +524,7 @@ impl JournaledFs {
         // A creat dirties the shared directory block and the new inode.
         self.journal.join(MetaKey::DirBlock(0), &causes, now);
         self.journal.join(MetaKey::Inode(id), &causes, now);
-        (id, FsOutput::none())
+        (id, FsOutput::default())
     }
 
     /// Create a directory (the `mkdir` syscall).
@@ -541,7 +533,7 @@ impl JournaledFs {
         self.journal.join(MetaKey::DirBlock(0), &causes, now);
         let id = FileId(self.file_ids.next());
         self.journal.join(MetaKey::Inode(id), &causes, now);
-        FsOutput::none()
+        FsOutput::default()
     }
 
     /// Remove a file: drops its pages and joins the transaction.
@@ -552,13 +544,14 @@ impl JournaledFs {
         cache: &mut PageCache,
         now: SimTime,
     ) -> FsOutput {
-        let mut out = FsOutput::none();
+        let mut out = std::mem::take(&mut self.spare);
         let causes = CauseSet::of(pid);
         self.journal.join(MetaKey::DirBlock(0), &causes, now);
         self.journal.join(MetaKey::Inode(file), &causes, now);
-        for range in cache.free_file(file) {
-            out.freed.push((file, range));
-        }
+        out.events.push(FsEvent::Unlinked {
+            file,
+            dirty: cache.free_file(file),
+        });
         self.inodes.remove(&file);
         out
     }
@@ -616,17 +609,18 @@ impl JournaledFs {
         cache: &mut PageCache,
         now: SimTime,
     ) -> FsOutput {
-        let mut out = FsOutput::none();
+        let mut out = std::mem::take(&mut self.spare);
+        let id = self.fsync_ids.next();
         // After a journal abort no durability can be promised; fail fast,
         // as ext4 does once jbd2 is aborted.
         if let Some(error) = self.aborted {
             out.events.push(FsEvent::FsyncDone {
                 waiter: pid,
+                fsync: id,
                 result: Err(error),
             });
             return out;
         }
-        let id = self.fsync_ids.next();
         // fsync must wait for data writes already in flight (e.g. an
         // earlier writeback pass) as well as the ones it issues itself.
         let mut pending: FastSet<IoToken> = self
@@ -656,49 +650,22 @@ impl JournaledFs {
         if wait_txn == Some(self.journal.running_id()) {
             self.journal.request_commit();
         }
-        // Decompose the fsync under its syscall span: one child for the
-        // data flush, one for the journal-commit wait (entanglement shows
-        // up as foreign causes on the commit's own spans).
-        let mut data_span = SpanId::NONE;
-        let mut txn_span = SpanId::NONE;
-        if self.tracer.enabled() {
-            self.tracer.count("fs.fsyncs", 1);
-            let parent = self.tracer.current(pid);
-            let causes = CauseSet::of(pid);
-            if !pending.is_empty() {
-                data_span = self.tracer.begin_child(
-                    parent,
-                    Layer::Writeback,
-                    "fsync_data",
-                    pid,
-                    &causes,
-                    now,
-                );
-            }
-            if let Some(txn) = wait_txn {
-                txn_span = self.tracer.begin_child(
-                    parent,
-                    Layer::Journal,
-                    "journal_wait",
-                    pid,
-                    &causes,
-                    now,
-                );
-                self.tracer.set_arg(txn_span, txn.raw());
-            }
-        }
+        out.events.push(FsEvent::FsyncStarted {
+            fsync: id,
+            pid,
+            data: !pending.is_empty(),
+            txn: wait_txn,
+        });
         self.fsyncs.insert(
             id,
             FsyncState {
                 waiter: pid,
                 pending_data: pending,
                 wait_txn,
-                data_span,
-                txn_span,
             },
         );
         self.maybe_start_commit(cache, now, &mut out);
-        self.finish_fsyncs(FsyncEnd::Durable, now, &mut out);
+        self.finish_fsyncs(FsyncEnd::Durable, &mut out);
         out
     }
 
@@ -713,7 +680,7 @@ impl JournaledFs {
         cache: &mut PageCache,
         now: SimTime,
     ) -> FsOutput {
-        let mut out = FsOutput::none();
+        let mut out = std::mem::take(&mut self.spare);
         let pass = self.wb_ids.next();
         let files: Vec<FileId> = match file {
             Some(f) => vec![f],
@@ -755,29 +722,21 @@ impl JournaledFs {
         }
         if tokens.is_empty() {
             self.proxies.clear(proxy);
-            out.events.push(FsEvent::WritebackDone { pages: 0 });
+            out.events.push(FsEvent::WritebackDone { pass, pages: 0 });
         } else {
-            let mut span = SpanId::NONE;
-            if self.tracer.enabled() {
-                // The pass span carries the flushed pages' causes (the
-                // proxy registry already resolved them) — delegation made
-                // visible.
-                let causes = self.proxies.resolve(proxy);
-                span = self.tracer.begin_current(
-                    Layer::Writeback,
-                    "writeback_pass",
-                    proxy,
-                    &causes,
-                    now,
-                );
-                self.tracer.set_arg(span, pages);
-            }
+            // The pass carries the flushed pages' causes (the proxy
+            // registry already resolved them) — delegation made visible.
+            out.events.push(FsEvent::WritebackStarted {
+                pass,
+                task: proxy,
+                causes: self.proxies.resolve(proxy),
+                pages,
+            });
             self.wb_passes.insert(
                 pass,
                 WbPass {
                     pending: tokens.into_iter().collect(),
                     pages,
-                    span,
                 },
             );
         }
@@ -799,7 +758,7 @@ impl JournaledFs {
         cache: &mut PageCache,
         now: SimTime,
     ) -> FsOutput {
-        let mut out = FsOutput::none();
+        let mut out = std::mem::take(&mut self.spare);
         let Some(owner) = self.owners.remove(&token) else {
             return out;
         };
@@ -814,19 +773,12 @@ impl JournaledFs {
                 // Any fsync may be waiting on this token (its own flush or
                 // a pre-existing in-flight write of the same file).
                 if let Some(error) = error {
-                    self.finish_fsyncs(FsyncEnd::WaitingOn(token, error), now, &mut out);
+                    self.finish_fsyncs(FsyncEnd::WaitingOn(token, error), &mut out);
                 } else {
-                    let mut drained = Vec::new();
-                    for st in self.fsyncs.values_mut() {
+                    for (&fsync, st) in self.fsyncs.iter_mut() {
                         if st.pending_data.remove(&token) && st.pending_data.is_empty() {
-                            let span = std::mem::take(&mut st.data_span);
-                            if !span.is_none() {
-                                drained.push(span);
-                            }
+                            out.events.push(FsEvent::FsyncDataDrained { fsync });
                         }
-                    }
-                    for span in drained {
-                        self.tracer.end(span, now);
                     }
                 }
                 if let Some(pass) = wb_pass {
@@ -839,8 +791,10 @@ impl JournaledFs {
                     if done {
                         let wb = self.wb_passes.remove(&pass).expect("present");
                         self.proxies.clear(self.writeback_pid);
-                        self.tracer.end_current(self.writeback_pid, wb.span, now);
-                        out.events.push(FsEvent::WritebackDone { pages: wb.pages });
+                        out.events.push(FsEvent::WritebackDone {
+                            pass,
+                            pages: wb.pages,
+                        });
                     }
                 }
                 // A commit in FlushingData may be waiting on this token.
@@ -852,10 +806,10 @@ impl JournaledFs {
                         }
                     }
                 }
-                self.finish_fsyncs(FsyncEnd::Durable, now, &mut out);
+                self.finish_fsyncs(FsyncEnd::Durable, &mut out);
             }
             (TokenOwner::JournalLog | TokenOwner::CommitRecord, Some(error)) => {
-                self.abort_journal(error, now, &mut out);
+                self.abort_journal(error, &mut out);
             }
             (TokenOwner::JournalLog, None) => {
                 if let Some(c) = self.commit.as_mut() {
@@ -887,9 +841,9 @@ impl JournaledFs {
 
     /// Periodic tick (journal commit interval).
     pub fn timer(&mut self, cache: &mut PageCache, now: SimTime) -> FsOutput {
-        let mut out = FsOutput::none();
+        let mut out = std::mem::take(&mut self.spare);
         self.maybe_start_commit(cache, now, &mut out);
-        self.finish_fsyncs(FsyncEnd::Durable, now, &mut out);
+        self.finish_fsyncs(FsyncEnd::Durable, &mut out);
         out
     }
 
@@ -929,7 +883,6 @@ mod tests {
         pending: VecDeque<IoReq>,
         completed: Vec<IoReq>,
         events: Vec<FsEvent>,
-        freed: Vec<(FileId, sim_cache::PageRange)>,
         now: SimTime,
     }
 
@@ -956,7 +909,6 @@ mod tests {
                 pending: VecDeque::new(),
                 completed: Vec::new(),
                 events: Vec::new(),
-                freed: Vec::new(),
                 now: SimTime::ZERO,
             }
         }
@@ -964,7 +916,6 @@ mod tests {
         fn absorb(&mut self, out: FsOutput) {
             self.pending.extend(out.ios);
             self.events.extend(out.events);
-            self.freed.extend(out.freed);
         }
 
         fn write(&mut self, file: FileId, pid: Pid, offset: u64, len: u64) {
@@ -1011,7 +962,7 @@ mod tests {
 
         fn fsync_done_for(&self, pid: Pid) -> bool {
             self.events.iter().any(
-                |e| matches!(e, FsEvent::FsyncDone { waiter, result: Ok(()) } if *waiter == pid),
+                |e| matches!(e, FsEvent::FsyncDone { waiter, result: Ok(()), .. } if *waiter == pid),
             )
         }
     }
@@ -1137,7 +1088,7 @@ mod tests {
         assert!(h
             .events
             .iter()
-            .any(|e| matches!(e, FsEvent::WritebackDone { pages: 64 })));
+            .any(|e| matches!(e, FsEvent::WritebackDone { pages: 64, .. })));
     }
 
     #[test]
@@ -1183,7 +1134,16 @@ mod tests {
         h.write(f, Pid(1), 0, 8 * sim_core::PAGE_SIZE);
         let out = h.fs.unlink(f, Pid(1), &mut h.cache, h.now);
         h.absorb(out);
-        let freed_pages: u64 = h.freed.iter().map(|(_, r)| r.len).sum();
+        let freed_pages: u64 = h
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                FsEvent::Unlinked { file, dirty } if *file == f => {
+                    Some(dirty.iter().map(|r| r.len).sum::<u64>())
+                }
+                _ => None,
+            })
+            .sum();
         assert_eq!(freed_pages, 8);
         assert_eq!(h.cache.dirty_total(), 0);
     }
@@ -1240,7 +1200,7 @@ mod tests {
         assert!(!h.fsync_done_for(Pid(1)));
         assert!(h.events.iter().any(|e| matches!(
             e,
-            FsEvent::FsyncDone { waiter, result: Err(error) }
+            FsEvent::FsyncDone { waiter, result: Err(error), .. }
                 if *waiter == Pid(1) && error.kind == IoErrorKind::TransientDevice
         )));
         // Ordered mode: a data error surfaces via fsync, the journal
@@ -1274,7 +1234,7 @@ mod tests {
             .any(|e| matches!(e, FsEvent::JournalAborted { .. })));
         assert!(h.events.iter().any(|e| matches!(
             e,
-            FsEvent::FsyncDone { waiter, result: Err(error) }
+            FsEvent::FsyncDone { waiter, result: Err(error), .. }
                 if *waiter == Pid(1) && error.kind == IoErrorKind::JournalAborted
         )));
         assert!(h.fs.journal_aborted().is_some());
@@ -1284,7 +1244,7 @@ mod tests {
         h.fsync(f, Pid(2));
         assert!(h.events.iter().any(|e| matches!(
             e,
-            FsEvent::FsyncDone { waiter, result: Err(_) } if *waiter == Pid(2)
+            FsEvent::FsyncDone { waiter, result: Err(_), .. } if *waiter == Pid(2)
         )));
     }
 

@@ -6,11 +6,15 @@
 //!
 //! The file system is a passive state machine: every entry point returns an
 //! [`FsOutput`] describing block I/O to submit and events that became true
-//! (an fsync finished, a transaction committed). The kernel routes the I/O
-//! through the scheduler and calls [`JournaledFs::io_done`] as the
-//! device finishes (or fails) requests. This inversion keeps the file
-//! system free of event-loop plumbing while still letting fsyncs span
-//! simulated time.
+//! (an fsync finished, a transaction committed, a commit or writeback pass
+//! started). The kernel routes the I/O through the scheduler and calls
+//! [`JournaledFs::io_done`] as the device finishes (or fails) requests.
+//! This inversion keeps the file system free of event-loop plumbing while
+//! still letting fsyncs span simulated time. Every event is also an
+//! observation: the kernel reports a call's events, in order, to its
+//! subscribers before it submits the call's I/O, which is how commits,
+//! fsync phases and writeback passes reach the span tracer and the
+//! auditors without the file system holding either.
 //!
 //! The behaviours the paper's experiments rest on all live here:
 //!
@@ -29,6 +33,7 @@ mod fs;
 pub mod journal;
 
 use sim_block::ReqKind;
+use sim_cache::PageRange;
 use sim_core::{BlockNo, CauseSet, FileId, IoError, Pid, TxnId};
 use sim_device::IoDir;
 
@@ -72,52 +77,104 @@ pub struct IoReq {
     pub step: WriteStep,
 }
 
-/// Something that became true during a file-system call.
+/// Something that became true during a file-system call, in the order it
+/// happened. Commits are keyed by transaction, fsyncs by the file system's
+/// own fsync id and writeback passes by pass id, so an observer can pair
+/// each start with its end.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FsEvent {
-    /// An `fsync` previously started by `waiter` finished: its file is
+    /// The journal task sealed a transaction and began committing it.
+    CommitStarted {
+        /// The transaction.
+        txn: TxnId,
+        /// The committing task.
+        task: Pid,
+        /// Everyone whose metadata or ordered data the commit carries.
+        causes: CauseSet,
+    },
+    /// `pid` began an fsync.
+    FsyncStarted {
+        /// The fsync.
+        fsync: u64,
+        /// The calling process.
+        pid: Pid,
+        /// Whether it waits for data writes (its own flush or ones in
+        /// flight).
+        data: bool,
+        /// The transaction it waits to see committed, if any.
+        txn: Option<TxnId>,
+    },
+    /// The data writes an fsync waited for all completed.
+    FsyncDataDrained {
+        /// The fsync.
+        fsync: u64,
+    },
+    /// An fsync previously started by `waiter` finished: its file is
     /// durable, or some write it depended on was lost and the fsync fails
     /// with the error, as `fsync(2)` returns `EIO`.
     FsyncDone {
         /// Process to wake.
         waiter: Pid,
+        /// The fsync.
+        fsync: u64,
         /// Durable, or why not.
         result: Result<(), IoError>,
     },
-    /// A writeback pass finished (all its I/O completed).
+    /// A flush took `pages` dirty pages of `file` to write them out.
+    DataFlushed {
+        /// The file.
+        file: FileId,
+        /// Pages taken from the page cache.
+        pages: u64,
+    },
+    /// A writeback pass submitted its writes.
+    WritebackStarted {
+        /// The pass.
+        pass: u64,
+        /// The writeback task.
+        task: Pid,
+        /// The flushed pages' causes.
+        causes: CauseSet,
+        /// Pages submitted.
+        pages: u64,
+    },
+    /// A writeback pass finished (all its I/O completed), or found
+    /// nothing to write.
     WritebackDone {
+        /// The pass.
+        pass: u64,
         /// Pages written.
         pages: u64,
     },
-    /// A journal transaction became durable.
+    /// A journal transaction became durable; its commit is over.
     TxnCommitted {
         /// The transaction.
         txn: TxnId,
     },
     /// A journal write (log body or commit record) failed; the journal is
-    /// aborted and every subsequent synchronizing operation fails, as
-    /// after a jbd2 abort.
+    /// aborted, the commit is over, and every subsequent synchronizing
+    /// operation fails, as after a jbd2 abort.
     JournalAborted {
         /// The transaction whose commit failed.
         txn: TxnId,
     },
+    /// A file was removed; its dirty buffers were dropped without
+    /// writeback (the kernel fires buffer-free hooks for them).
+    Unlinked {
+        /// The file.
+        file: FileId,
+        /// The dirty ranges dropped.
+        dirty: Vec<PageRange>,
+    },
 }
 
-/// Result of a file-system entry point.
+/// Result of a file-system entry point. Hand it back with
+/// [`JournaledFs::recycle`] once absorbed, and the next call reuses its
+/// buffers.
 #[derive(Debug, Default)]
 pub struct FsOutput {
     /// Block I/O to submit, in order.
     pub ios: Vec<IoReq>,
-    /// Events that became true.
+    /// Events that became true, in order.
     pub events: Vec<FsEvent>,
-    /// Dirty buffers dropped without writeback (unlink/truncate) — the
-    /// kernel fires buffer-free hooks for these.
-    pub freed: Vec<(FileId, sim_cache::PageRange)>,
-}
-
-impl FsOutput {
-    /// Empty output.
-    pub(crate) fn none() -> Self {
-        Self::default()
-    }
 }

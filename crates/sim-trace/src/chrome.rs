@@ -2,7 +2,9 @@
 //! (the container builds offline; no serde) and targets the subset of
 //! the trace-event format that Perfetto and `chrome://tracing` load:
 //! complete ("X") events for spans, counter ("C") events for gauges,
-//! and metadata ("M") events naming the process and task tracks.
+//! and metadata ("M") events naming the process and task tracks (and
+//! labelling the process with the count of spans dropped past the cap,
+//! if any were).
 //!
 //! Events are emitted sorted by timestamp so consumers that stream the
 //! array (and our own tests) see monotone time.
@@ -37,6 +39,15 @@ pub(crate) fn chrome_json(
             r#"{{"ph":"M","name":"process_name","pid":{process},"tid":0,"args":{{"name":"kernel{process}"}}}}"#
         ),
     ));
+    let dropped = registry.counter("trace.spans_dropped");
+    if dropped > 0 {
+        events.push((
+            0,
+            format!(
+                r#"{{"ph":"M","name":"process_labels","pid":{process},"tid":0,"args":{{"labels":"{dropped} spans dropped"}}}}"#
+            ),
+        ));
+    }
     let mut named: Vec<Pid> = Vec::new();
     for s in spans {
         if !named.contains(&s.pid) {

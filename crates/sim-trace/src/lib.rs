@@ -6,7 +6,8 @@
 //! which layer its fsync latency came from. This crate is the
 //! explanation side of that story for the simulator:
 //!
-//! * [`Tracer`] — a cheap-to-clone handle every layer shares. Each
+//! * [`Tracer`] — a cheap-to-clone handle onto one kernel's trace,
+//!   written by the kernel's probes from its event stream. Each
 //!   logical I/O (syscall, writeback pass, journal commit, block
 //!   queue, device service) opens a timed [`SpanRecord`] tagged with
 //!   pid, [`CauseSet`](sim_core::CauseSet), and [`Layer`], linked

@@ -65,13 +65,13 @@ pub fn slot_name(slot: u32) -> &'static str {
     NAMES.get(slot as usize).copied().unwrap_or("slot")
 }
 
-/// A stable span identifier. Zero is the reserved "no span" value so a
-/// disabled tracer can hand out ids without allocating.
+/// A stable span identifier. Zero is the reserved "no span" value, for a
+/// span never opened or dropped past the tracer's cap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct SpanId(pub(crate) u64);
 
 impl SpanId {
-    /// The absent span (disabled tracer, or no parent).
+    /// The absent span (never opened, dropped past the cap, or no parent).
     pub const NONE: SpanId = SpanId(0);
 
     /// True for [`SpanId::NONE`].

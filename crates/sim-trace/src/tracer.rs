@@ -1,21 +1,22 @@
-//! The shared tracing handle. One [`Tracer`] is created per kernel and
-//! cloned into every layer (page cache, filesystem, scheduler context);
-//! all clones share one span store and metrics registry, so a request
-//! crossing layers stays one connected tree.
+//! The tracing handle. One [`Tracer`] is created per kernel; the kernel's
+//! span probe records into it everything the stack reports through the
+//! kernel's event stream, and exporters read it back. Clones share one
+//! span store and metrics registry, so a request crossing layers stays
+//! one connected tree.
 //!
-//! The handle is built to cost nothing when tracing is off: every entry
-//! point first reads a shared `Cell<bool>` and returns before touching
-//! the `RefCell` state, formatting a key, or cloning a cause set.
+//! Only the probes write into it, and the span probe is subscribed only
+//! when tracing is on, so the handle records whatever it is given.
 
 use crate::block::RequestTrace;
 use crate::metrics::Registry;
 use crate::span::{Layer, SpanId, SpanRecord};
 use sim_block::Request;
 use sim_core::{CauseSet, FastMap, Pid, SimDuration, SimTime};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Retained-span cap; past it new spans are counted as dropped.
+/// Retained-span cap; past it new spans are counted as dropped, in the
+/// `trace.spans_dropped` counter.
 const DEFAULT_SPAN_CAP: usize = 1 << 20;
 
 #[derive(Debug, Default)]
@@ -27,50 +28,25 @@ struct Inner {
     registry: Registry,
     block: Option<RequestTrace>,
     span_cap: usize,
-    spans_dropped: u64,
 }
 
 /// Cheap-to-clone handle onto one kernel's trace state.
 #[derive(Debug, Clone)]
 pub struct Tracer {
-    enabled: Rc<Cell<bool>>,
     inner: Rc<RefCell<Inner>>,
 }
 
-impl Default for Tracer {
-    fn default() -> Self {
-        Tracer::new()
-    }
-}
-
 impl Tracer {
-    /// A disabled tracer for process (kernel) 0.
-    pub fn new() -> Self {
-        Tracer::for_kernel(0)
-    }
-
-    /// A disabled tracer whose Chrome-trace `pid` field is `process`
+    /// An empty tracer whose Chrome-trace `pid` field is `process`
     /// (one track group per kernel instance in multi-machine worlds).
     pub fn for_kernel(process: u32) -> Self {
         Tracer {
-            enabled: Rc::new(Cell::new(false)),
             inner: Rc::new(RefCell::new(Inner {
                 process,
                 span_cap: DEFAULT_SPAN_CAP,
                 ..Default::default()
             })),
         }
-    }
-
-    /// Is span/metric recording on? All clones observe the same flag.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled.get()
-    }
-
-    /// Turn span/metric recording on or off (for every clone).
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.set(on);
     }
 
     /// Name a task for exports ("journal", "writeback").
@@ -81,7 +57,6 @@ impl Tracer {
     // ---- spans -----------------------------------------------------
 
     /// Open a span whose parent is `pid`'s current span (if any).
-    #[inline]
     pub fn begin(
         &self,
         layer: Layer,
@@ -90,16 +65,12 @@ impl Tracer {
         causes: &CauseSet,
         now: SimTime,
     ) -> SpanId {
-        if !self.enabled.get() {
-            return SpanId::NONE;
-        }
         let mut inner = self.inner.borrow_mut();
         let parent = inner.current.get(&pid).copied().unwrap_or(SpanId::NONE);
         inner.push_span(layer, name, pid, causes, now, parent)
     }
 
     /// Open a span with an explicit parent.
-    #[inline]
     pub fn begin_child(
         &self,
         parent: SpanId,
@@ -109,9 +80,6 @@ impl Tracer {
         causes: &CauseSet,
         now: SimTime,
     ) -> SpanId {
-        if !self.enabled.get() {
-            return SpanId::NONE;
-        }
         self.inner
             .borrow_mut()
             .push_span(layer, name, pid, causes, now, parent)
@@ -119,7 +87,6 @@ impl Tracer {
 
     /// Open a span and make it `pid`'s current span, so lower layers
     /// instrumented later in the same logical operation parent to it.
-    #[inline]
     pub fn begin_current(
         &self,
         layer: Layer,
@@ -128,9 +95,6 @@ impl Tracer {
         causes: &CauseSet,
         now: SimTime,
     ) -> SpanId {
-        if !self.enabled.get() {
-            return SpanId::NONE;
-        }
         let mut inner = self.inner.borrow_mut();
         let parent = inner.current.get(&pid).copied().unwrap_or(SpanId::NONE);
         let id = inner.push_span(layer, name, pid, causes, now, parent);
@@ -141,8 +105,7 @@ impl Tracer {
     }
 
     /// Close a span. No-op for [`SpanId::NONE`] or unknown ids, so
-    /// callers never need to re-check whether tracing was on at open.
-    #[inline]
+    /// callers need not check whether the span was ever opened.
     pub fn end(&self, id: SpanId, now: SimTime) {
         if id.is_none() {
             return;
@@ -155,7 +118,6 @@ impl Tracer {
 
     /// Close a span opened with [`Tracer::begin_current`], restoring
     /// `pid`'s current span to the closed span's parent.
-    #[inline]
     pub fn end_current(&self, pid: Pid, id: SpanId, now: SimTime) {
         if id.is_none() {
             return;
@@ -177,13 +139,8 @@ impl Tracer {
         }
     }
 
-    /// `pid`'s current span ([`SpanId::NONE`] when tracing is off or no
-    /// span is open).
-    #[inline]
+    /// `pid`'s current span ([`SpanId::NONE`] when no span is open).
     pub fn current(&self, pid: Pid) -> SpanId {
-        if !self.enabled.get() {
-            return SpanId::NONE;
-        }
         self.inner
             .borrow()
             .current
@@ -217,29 +174,17 @@ impl Tracer {
     // ---- metrics ---------------------------------------------------
 
     /// Bump a counter.
-    #[inline]
     pub fn count(&self, name: &'static str, delta: u64) {
-        if !self.enabled.get() {
-            return;
-        }
         self.inner.borrow_mut().registry.add(name, delta);
     }
 
     /// Sample a gauge on the simulated clock.
-    #[inline]
     pub fn gauge(&self, name: &'static str, now: SimTime, value: f64) {
-        if !self.enabled.get() {
-            return;
-        }
         self.inner.borrow_mut().registry.gauge(name, now, value);
     }
 
     /// Sample a per-key gauge (`name/key`), e.g. per-pid token levels.
-    #[inline]
     pub fn gauge_key(&self, name: &'static str, key: u64, now: SimTime, value: f64) {
-        if !self.enabled.get() {
-            return;
-        }
         self.inner
             .borrow_mut()
             .registry
@@ -247,11 +192,7 @@ impl Tracer {
     }
 
     /// Record a latency observation in a fixed-bucket histogram.
-    #[inline]
     pub fn observe(&self, name: &'static str, d: SimDuration) {
-        if !self.enabled.get() {
-            return;
-        }
         self.inner
             .borrow_mut()
             .registry
@@ -262,7 +203,7 @@ impl Tracer {
 
     /// Install a flat block-request table (see [`RequestTrace`]),
     /// replacing any earlier one; it records independently of the
-    /// span/metric flag. Returns whether one was already installed.
+    /// spans and metrics. Returns whether one was already installed.
     pub fn install_block_trace(&self, trace: RequestTrace) -> bool {
         self.inner.borrow_mut().block.replace(trace).is_some()
     }
@@ -320,7 +261,7 @@ impl Inner {
         parent: SpanId,
     ) -> SpanId {
         if self.spans.len() >= self.span_cap {
-            self.spans_dropped += 1;
+            self.registry.add("trace.spans_dropped", 1);
             return SpanId::NONE;
         }
         let id = SpanId(self.spans.len() as u64 + 1);
@@ -356,22 +297,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_tracer_records_nothing() {
-        let tr = Tracer::new();
-        let id = tr.begin_current(Layer::Syscall, "write", Pid(1), &CauseSet::of(Pid(1)), t(0));
-        assert!(id.is_none());
-        tr.end_current(Pid(1), id, t(5));
-        tr.count("x", 1);
-        tr.gauge("g", t(1), 1.0);
-        tr.observe("h", SimDuration::from_millis(1));
-        assert!(tr.spans().is_empty());
-        assert_eq!(tr.with_registry(|r| r.counter("x")), 0);
-    }
-
-    #[test]
     fn current_span_parents_nested_work() {
-        let tr = Tracer::new();
-        tr.set_enabled(true);
+        let tr = Tracer::for_kernel(0);
         let causes = CauseSet::of(Pid(1));
         let sys = tr.begin_current(Layer::Syscall, "fsync", Pid(1), &causes, t(0));
         let child = tr.begin(Layer::Journal, "journal_wait", Pid(1), &causes, t(10));
@@ -387,8 +314,7 @@ mod tests {
 
     #[test]
     fn end_current_restores_parent() {
-        let tr = Tracer::new();
-        tr.set_enabled(true);
+        let tr = Tracer::for_kernel(0);
         let causes = CauseSet::of(Pid(2));
         let outer = tr.begin_current(Layer::Journal, "journal_commit", Pid(2), &causes, t(0));
         let inner = tr.begin_current(Layer::Journal, "write_log", Pid(2), &causes, t(1));
@@ -401,10 +327,8 @@ mod tests {
 
     #[test]
     fn clones_share_state() {
-        let a = Tracer::new();
+        let a = Tracer::for_kernel(0);
         let b = a.clone();
-        b.set_enabled(true);
-        assert!(a.enabled());
         let id = a.begin(Layer::Block, "queue", Pid(3), &CauseSet::of(Pid(3)), t(0));
         b.end(id, t(7));
         let spans = b.spans();
@@ -414,14 +338,17 @@ mod tests {
 
     #[test]
     fn span_cap_counts_drops() {
-        let tr = Tracer::new();
-        tr.set_enabled(true);
+        let tr = Tracer::for_kernel(0);
         tr.inner.borrow_mut().span_cap = 2;
         let causes = CauseSet::of(Pid(1));
         for i in 0..5 {
             tr.begin(Layer::Block, "queue", Pid(1), &causes, t(i));
         }
         assert_eq!(tr.spans().len(), 2);
-        assert_eq!(tr.inner.borrow().spans_dropped, 3);
+        assert_eq!(tr.with_registry(|r| r.counter("trace.spans_dropped")), 3);
+        let json = tr.chrome_json();
+        let note = r#"{"ph":"M","name":"process_labels","pid":0,"tid":0,"args":{"labels":"3 spans dropped"}}"#;
+        assert!(json.contains(note), "{json}");
+        crate::json::validate(&json).expect("well-formed");
     }
 }

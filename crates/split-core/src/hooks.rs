@@ -3,7 +3,6 @@
 use sim_block::{Dispatch, IoPrio, QueueOccupancy, Request};
 use sim_core::{BlockNo, CauseSet, FileId, Pid, SimDuration, SimTime};
 use sim_device::DiskModel;
-use sim_trace::Tracer;
 
 /// Identifies an I/O-related system call as seen by the syscall-level
 /// hooks. Reads are *not* gated at entry (the paper schedules reads below
@@ -221,9 +220,17 @@ pub enum SchedCmd {
     KickDispatch,
 }
 
+/// Where the observations a scheduler reports through [`SchedCtx`] go:
+/// the kernel's event stream, when a subscriber reads them.
+pub trait SchedObserver {
+    /// Take one sample of a scheduler's internal state — a token balance,
+    /// a layer's share — as the `name/key` gauge at `now`.
+    fn gauge(&mut self, now: SimTime, name: &'static str, key: u64, value: f64);
+}
+
 /// Context handed to every hook: the current time, a read-only view of the
-/// device model for cost peeking, a tracer for scheduler-side metrics, and
-/// a command buffer.
+/// device model for cost peeking, a command buffer, and the outlet for
+/// the scheduler's own observations ([`SchedCtx::gauges`]).
 pub struct SchedCtx<'a> {
     /// Current simulated time.
     pub now: SimTime,
@@ -233,26 +240,19 @@ pub struct SchedCtx<'a> {
     /// (host-backed) disk. Split schedulers use it to
     /// see — and cap — a tenant's share of the in-flight slots.
     occupancy: Option<&'a QueueOccupancy>,
-    tracer: Tracer,
+    observer: Option<&'a mut dyn SchedObserver>,
     commands: Vec<SchedCmd>,
 }
 
 impl<'a> SchedCtx<'a> {
-    /// Build a context (called by the kernel before invoking a hook).
-    /// Carries a disabled tracer; use [`SchedCtx::traced`] to attach one.
+    /// Build a context (called by the kernel before invoking a hook),
+    /// with no observer attached.
     pub fn new(now: SimTime, device: &'a dyn DiskModel) -> Self {
-        Self::traced(now, device, Tracer::new())
-    }
-
-    /// Build a context that shares the kernel's tracer, so schedulers can
-    /// publish their internal state (token levels, queue depths) into the
-    /// same metrics registry as the rest of the stack.
-    pub fn traced(now: SimTime, device: &'a dyn DiskModel, tracer: Tracer) -> Self {
         SchedCtx {
             now,
             device,
             occupancy: None,
-            tracer,
+            observer: None,
             commands: Vec::new(),
         }
     }
@@ -263,14 +263,26 @@ impl<'a> SchedCtx<'a> {
         self
     }
 
+    /// Attach the outlet for [`SchedCtx::gauges`].
+    pub fn with_observer(mut self, observer: Option<&'a mut dyn SchedObserver>) -> Self {
+        self.observer = observer;
+        self
+    }
+
     /// Hardware-queue occupancy, on a physical disk.
     pub fn occupancy(&self) -> Option<&QueueOccupancy> {
         self.occupancy
     }
 
-    /// The kernel's tracing handle (disabled unless the kernel enabled it).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
+    /// Report gauge samples: `sample` runs only when an observer is
+    /// attached, and hands each `(name, key, value)` sample to the
+    /// function it is given. So an unobserved hook pays one branch, and
+    /// sampling must only read.
+    pub fn gauges(&mut self, sample: impl FnOnce(&mut dyn FnMut(&'static str, u64, f64))) {
+        if let Some(observer) = self.observer.as_deref_mut() {
+            let now = self.now;
+            sample(&mut |name, key, value| observer.gauge(now, name, key, value));
+        }
     }
 
     /// Unpark a held task.

@@ -33,8 +33,8 @@ mod proxy;
 
 pub use adapter::BlockOnly;
 pub use hooks::{
-    BufferDirtied, BufferFreed, Gate, Hook, IoSched, SchedAttr, SchedCmd, SchedCtx, Scheduler,
-    SyscallInfo, SyscallKind,
+    BufferDirtied, BufferFreed, Gate, Hook, IoSched, SchedAttr, SchedCmd, SchedCtx, SchedObserver,
+    Scheduler, SyscallInfo, SyscallKind,
 };
 pub use proxy::ProxyRegistry;
 

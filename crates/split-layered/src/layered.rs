@@ -452,19 +452,17 @@ impl Layered {
         taken
     }
 
-    fn sample_gauges(&self, ctx: &SchedCtx<'_>) {
-        let tr = ctx.tracer();
-        if !tr.enabled() {
-            return;
-        }
-        let now = ctx.now;
-        for (i, l) in self.layers.iter().enumerate() {
-            tr.gauge_key("layered.util_share", i as u64, now, self.util_share(i));
-            tr.gauge_key("layered.dirty_bytes", i as u64, now, l.dirty_bytes as f64);
-            if let Some(b) = l.bucket.as_ref() {
-                tr.gauge_key("layered.cap_balance", i as u64, now, b.balance);
+    fn sample_gauges(&self, ctx: &mut SchedCtx<'_>) {
+        ctx.gauges(|emit| {
+            for (i, l) in self.layers.iter().enumerate() {
+                let key = i as u64;
+                emit("layered.util_share", key, self.util_share(i));
+                emit("layered.dirty_bytes", key, l.dirty_bytes as f64);
+                if let Some(b) = l.bucket.as_ref() {
+                    emit("layered.cap_balance", key, b.balance);
+                }
             }
-        }
+        });
     }
 }
 

@@ -90,7 +90,7 @@ impl Scheduler for ScsToken {
             // billed nothing — SCS cannot estimate its cost.
             SyscallKind::Read { .. } | SyscallKind::Fsync { .. } => {}
         }
-        self.buckets.sample(ctx.tracer(), ctx.now);
+        self.buckets.sample(ctx);
         if self.buckets.may_proceed(sc.pid, ctx.now) {
             return Gate::Proceed;
         }

@@ -232,7 +232,8 @@ impl Scheduler for SplitToken {
         };
         let (first, rest) = (price(continues), price(ev.new_bytes == sim_core::PAGE_SIZE));
         self.buckets
-            .charge_stretch(ev.causes, first, rest, ev.len, ctx.now, ctx.tracer());
+            .charge_stretch(ev.causes, first, rest, ev.len, ctx.now);
+        self.buckets.sample(ctx);
         let p = self.prelim.entry(ev.file).or_default();
         p.norm_bytes += first;
         for _ in 1..ev.len {

@@ -10,7 +10,7 @@
 //! once, not once per waiter — see [`TokenBuckets::release_ready`].
 
 use sim_core::{CauseSet, FastMap, Pid, SimDuration, SimTime};
-use sim_trace::Tracer;
+use split_core::SchedCtx;
 
 /// Identifies a bucket: by default each pid has its own; pids may be
 /// joined into shared group buckets (VM instances, HDFS accounts).
@@ -34,12 +34,17 @@ impl Bucket {
     fn refill(&mut self, now: SimTime) {
         #[cfg(test)]
         tests::REFILLS.with(|n| n.set(n.get() + 1));
-        let dt = now.since(self.last_refill).as_secs_f64();
+        self.tokens = self.level(now);
         // Never backwards: the token schedulers' `configure` passes
         // `SimTime::ZERO`, which must not make the next refill credit the
         // whole elapsed run a second time.
         self.last_refill = self.last_refill.max(now);
-        self.tokens = (self.tokens + dt * self.rate).min(self.cap);
+    }
+
+    /// The balance a refill at `now` would leave, without refilling.
+    fn level(&self, now: SimTime) -> f64 {
+        let dt = now.since(self.last_refill).as_secs_f64();
+        (self.tokens + dt * self.rate).min(self.cap)
     }
 
     /// Out of debt: gated work charged to this bucket may proceed.
@@ -171,8 +176,7 @@ impl TokenBuckets {
     /// refills at the same `now` would add nothing. The map probes do not
     /// grow with the stretch: finding which causes share a bucket is
     /// quadratic in the causes (the writer's own set, usually one pid)
-    /// and allocates nothing. With tracing on, every bucket is sampled
-    /// after each page, as the page-by-page charge did.
+    /// and allocates nothing.
     pub(crate) fn charge_stretch(
         &mut self,
         causes: &CauseSet,
@@ -180,19 +184,8 @@ impl TokenBuckets {
         rest: f64,
         pages: u64,
         now: SimTime,
-        tracer: &Tracer,
     ) {
         let (first, rest) = (causes.share(first), causes.share(rest));
-        if tracer.enabled() {
-            for page in 0..pages {
-                let share = if page == 0 { first } else { rest };
-                for pid in causes.iter() {
-                    self.charge(pid, share, now);
-                }
-                self.sample(tracer, now);
-            }
-            return;
-        }
         let pids = causes.as_slice();
         for (j, &pid) in pids.iter().enumerate() {
             let id = self.bucket_of(pid);
@@ -284,25 +277,24 @@ impl TokenBuckets {
         });
     }
 
-    /// Sample every bucket's balance into `tracer` as a `sched.tokens/<key>`
+    /// Report every bucket's balance at `ctx.now` as a `sched.tokens/<key>`
     /// gauge: per-process buckets key by pid, group buckets by `2^32 + g`
-    /// (pids are 32-bit, so the ranges can't collide). No-op when tracing
-    /// is off; iteration is in sorted bucket order for determinism.
-    pub(crate) fn sample(&mut self, tracer: &Tracer, now: SimTime) {
-        if !tracer.enabled() {
-            return;
-        }
-        let mut ids: Vec<BucketId> = self.buckets.keys().copied().collect();
-        ids.sort();
-        for id in ids {
-            let key = match id {
-                BucketId::Proc(p) => p.raw() as u64,
-                BucketId::Group(g) => (1u64 << 32) + g as u64,
-            };
-            let b = self.buckets.get_mut(&id).expect("bucket just listed");
-            b.refill(now);
-            tracer.gauge_key("sched.tokens", key, now, b.tokens);
-        }
+    /// (pids are 32-bit, so the ranges can't collide). A pure read: the
+    /// balance is what a refill would leave, and no bucket is refilled.
+    /// Iteration is in sorted bucket order for determinism.
+    pub(crate) fn sample(&self, ctx: &mut SchedCtx<'_>) {
+        let now = ctx.now;
+        ctx.gauges(|emit| {
+            let mut buckets: Vec<(&BucketId, &Bucket)> = self.buckets.iter().collect();
+            buckets.sort_unstable_by_key(|&(id, _)| id);
+            for (id, b) in buckets {
+                let key = match *id {
+                    BucketId::Proc(p) => p.raw() as u64,
+                    BucketId::Group(g) => (1u64 << 32) + g as u64,
+                };
+                emit("sched.tokens", key, b.level(now));
+            }
+        });
     }
 
     /// Check every bucket's raw ledger fields for corruption: balances,
