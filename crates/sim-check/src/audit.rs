@@ -46,8 +46,8 @@ impl std::fmt::Display for Violation {
 /// from the kernel's own state. This is the only outlet for simulated
 /// events, the kernel's own and those of the layers below it: the file
 /// system's events, the page cache's dirtied stretches and the
-/// scheduler's gauges reach the invariant auditors, the span tracer and
-/// the block trace through it too.
+/// scheduler's gauges reach the invariant auditors and the span tracer
+/// through it too.
 #[derive(Debug)]
 pub enum AuditEvent<'a> {
     /// A process entered a system call.
@@ -194,9 +194,9 @@ pub trait Auditor {
     }
 
     /// Which checkpoints this subscriber reads. Event-only probes (span
-    /// tracing, the block trace) read none, and an auditor that checks
-    /// only the final books reads the quiescent one, so the kernel builds
-    /// a snapshot only when some subscriber reads it — the scheduler's
+    /// tracing) read none, and an auditor that checks only the final
+    /// books reads the quiescent one, so the kernel builds a snapshot
+    /// only when some subscriber reads it — the scheduler's
     /// self-audit and the dirty-extent re-sum are the expensive part of
     /// auditing. A subscriber still sees every checkpoint the plane
     /// builds for another.

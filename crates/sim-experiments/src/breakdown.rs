@@ -86,7 +86,7 @@ fn run_one(cfg: &Config, sched: SchedChoice) -> SchedBreakdown {
     let scenario = Contention::fig12(DeviceChoice::Hdd);
     let (mut w, k, _, _) = scenario.world(setup, |w, k| w.enable_tracing(k));
     w.run_for(cfg.duration);
-    let spans = w.tracer(k).spans();
+    let spans = w.tracer(k).expect("traced").spans();
     SchedBreakdown {
         sched: sched.name(),
         fsync: fsync_breakdown(&spans),

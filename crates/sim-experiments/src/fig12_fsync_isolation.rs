@@ -240,7 +240,7 @@ fn run_one(cfg: &Config, sched: SchedChoice, trace: bool) -> (Series, Option<Str
         a_latencies,
         b_fsyncs: b_st.map(|s| s.fsyncs.len()).unwrap_or(0),
     };
-    let json = trace.then(|| w.tracer(k).chrome_json());
+    let json = trace.then(|| w.tracer(k).expect("traced").chrome_json());
     (series, json)
 }
 

@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 
 use sim_block::{Dispatch, IoPrio, MqDispatch, PrioClass, ReqKind, Request};
 use sim_cache::{CacheConfig, PageCache};
-use sim_check::{AuditCheckpoint, AuditEvent, AuditPlane, Auditor};
+use sim_check::{AuditCheckpoint, AuditEvent, AuditPlane};
 use sim_core::prof::{self, Phase, Profiler};
 use sim_core::stats::TimeSeries;
 use sim_core::{
@@ -23,7 +23,7 @@ use sim_core::{FastMap, FastSet};
 use sim_device::{DiskModel, HddModel, QueuedDevice, QueuedDeviceConfig, SsdModel, Started};
 use sim_fault::{DeviceFaultPlane, Fault, WriteStep};
 use sim_fs::{Extent, FsConfig, FsEvent, FsOutput, IoToken, JournaledFs};
-use sim_trace::{RequestTrace, Tracer};
+use sim_trace::Tracer;
 use split_core::{
     BufferDirtied, BufferFreed, Gate, Hook, IoSched, SchedAttr, SchedCmd, SchedCtx, SchedObserver,
     SyscallInfo, SyscallKind,
@@ -31,7 +31,7 @@ use split_core::{
 
 use crate::cpu::{copy_cost, CpuModel, SCHED_BOOKKEEPING, SYSCALL_BASE};
 use crate::process::{Outcome, ProcAction, ProcessLogic};
-use crate::span_probe::{BlockTraceProbe, SpanProbe};
+use crate::span_probe::SpanProbe;
 use crate::stats::KernelStats;
 use crate::world::{AppEvent, Bus, CrossAction, Event, InjectTarget};
 
@@ -313,16 +313,16 @@ pub struct Kernel {
     writeback_pid: Pid,
     /// Measurements.
     pub stats: KernelStats,
-    tracer: Tracer,
-    /// Whether the span probe is subscribed (`enable_tracing`).
-    traced: bool,
+    /// The span probe's tracer, built by `enable_tracing`; `None` while
+    /// the kernel is untraced.
+    tracer: Option<Tracer>,
     /// Fault-injection plan, if installed. `None` (the default) keeps the
     /// dispatch path byte-for-byte identical to the fault-free build.
     fault_plane: Option<DeviceFaultPlane>,
-    /// Subscribers to the kernel's event stream — invariant auditors,
-    /// the span tracer, the block trace — if any are installed (same
-    /// opt-in contract as the fault plane). The only outlet for simulated
-    /// events: every site below reports through [`emit`], once.
+    /// Subscribers to the kernel's event stream — invariant auditors, the
+    /// span probe — if any are installed (same opt-in contract as the
+    /// fault plane). The only outlet for simulated events: every site
+    /// below reports through [`emit`], once.
     audit: Option<AuditPlane>,
     /// Chaos plane, if installed (same opt-in contract as the fault
     /// plane). Its completion-jitter stream lives inside the physical
@@ -357,11 +357,6 @@ impl Kernel {
         let journal_pid = Pid(1);
         let writeback_pid = Pid(2);
         let blocks = device.capacity_blocks();
-        // One tracer per kernel, fed only by the span probe that
-        // `enable_tracing` subscribes to the kernel's event stream.
-        let tracer = Tracer::for_kernel(id.raw());
-        tracer.label_task(journal_pid, "journal");
-        tracer.label_task(writeback_pid, "writeback");
         let mut fs_cfg = match cfg.fs {
             FsChoice::Ext4 => FsConfig::ext4(blocks),
             FsChoice::Xfs => FsConfig::xfs(blocks),
@@ -393,8 +388,7 @@ impl Kernel {
             journal_pid,
             writeback_pid,
             stats: KernelStats::default(),
-            tracer,
-            traced: false,
+            tracer: None,
             fault_plane: None,
             audit: None,
             chaos,
@@ -508,31 +502,20 @@ impl Kernel {
     /// (syscall gate, cache, fs journal, block queue, device service).
     /// Export with [`Kernel::tracer`] (`chrome_json`, `spans_csv`, ...).
     pub(crate) fn enable_tracing(&mut self) {
-        if !self.traced {
-            self.traced = true;
-            self.subscribe(Box::new(SpanProbe::new(self.tracer.clone())));
+        if self.tracer.is_none() {
+            let tracer = Tracer::for_kernel(self.id.raw());
+            tracer.label_task(self.journal_pid, "journal");
+            tracer.label_task(self.writeback_pid, "writeback");
+            let probe = SpanProbe::new(tracer.clone());
+            self.install_audit_plane(AuditPlane::new(vec![Box::new(probe)]));
+            self.tracer = Some(tracer);
         }
     }
 
-    /// This kernel's tracing handle: what its span probe recorded.
-    pub(crate) fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Record every dispatched request into an in-memory trace
-    /// (capacity-bounded, oldest kept); retrieve it with
-    /// [`Kernel::trace_records`].
-    pub fn enable_trace(&mut self, capacity: usize) {
-        let table = RequestTrace::with_capacity(capacity);
-        if !self.tracer.install_block_trace(table) {
-            self.subscribe(Box::new(BlockTraceProbe::new(self.tracer.clone())));
-        }
-    }
-
-    /// Snapshot of the recorded block dispatches, if tracing was enabled.
-    pub fn trace_records(&self) -> Option<Vec<sim_trace::TraceRecord>> {
-        self.tracer
-            .with_block_trace(|t| t.iter().cloned().collect())
+    /// This kernel's tracing handle, what its span probe recorded; `None`
+    /// unless tracing was enabled.
+    pub(crate) fn tracer(&self) -> Option<&Tracer> {
+        self.tracer.as_ref()
     }
 
     /// Install a device fault plan. Only physical devices are affected;
@@ -550,10 +533,6 @@ impl Kernel {
             Some(installed) => installed.merge(plane),
             None => self.audit = Some(plane),
         }
-    }
-
-    fn subscribe(&mut self, subscriber: Box<dyn Auditor>) {
-        self.install_audit_plane(AuditPlane::new(vec![subscriber]));
     }
 
     /// The installed auditor plane, if any (inspect its violations).
@@ -764,9 +743,8 @@ impl Kernel {
             // find the task already parked.
             let (gate, cmds) = {
                 let buf = self.sched_cmd_pool.pop().unwrap_or_default();
-                let mut ctx = self
-                    .device
-                    .sched_ctx(now, &mut self.audit, self.traced, buf);
+                let traced = self.tracer.is_some();
+                let mut ctx = self.device.sched_ctx(now, &mut self.audit, traced, buf);
                 let mut gate = Gate::Proceed;
                 let hook = Hook::SyscallEnter {
                     sc: &info,
@@ -982,7 +960,7 @@ impl Kernel {
             let t0 = prof::tick(&self.prof);
             let mut ctx = self
                 .device
-                .sched_ctx(now, &mut self.audit, self.traced, cmds);
+                .sched_ctx(now, &mut self.audit, self.tracer.is_some(), cmds);
             self.sched.on(
                 Hook::BufferDirtied {
                     ev,
@@ -1378,9 +1356,10 @@ impl Kernel {
             let mut pick = 0;
             let t0 = prof::tick(&self.prof);
             let buf = self.sched_cmd_pool.pop().unwrap_or_default();
+            let traced = self.tracer.is_some();
             let mut ctx = self
                 .device
-                .sched_ctx(bus.q.now(), &mut self.audit, self.traced, buf);
+                .sched_ctx(bus.q.now(), &mut self.audit, traced, buf);
             let waiters = self.dirty_waiters.make_contiguous();
             let len = waiters.len();
             let hook = Hook::PickDirtyWaiter {
@@ -1425,7 +1404,7 @@ impl Kernel {
             let buf = self.sched_cmd_pool.pop().unwrap_or_default();
             let mut ctx = self
                 .device
-                .sched_ctx(now, &mut self.audit, self.traced, buf);
+                .sched_ctx(now, &mut self.audit, self.tracer.is_some(), buf);
             f(self.sched.as_mut(), &mut ctx);
             ctx.drain()
         };

@@ -28,6 +28,5 @@ mod world;
 pub use cpu::{SCHED_BOOKKEEPING, SYSCALL_BASE};
 pub use kernel::{DeviceKind, FsChoice, Kernel, KernelConfig};
 pub use process::{Outcome, ProcAction, ProcessLogic};
-pub use sim_trace::{RequestTrace, TraceRecord};
 pub use stats::{KernelStats, ProcStats};
 pub use world::{AppEvent, InjectTarget, World};

@@ -6,8 +6,8 @@
 //! the scheduler its gauges. No layer holds a tracer. [`SpanProbe`] turns
 //! the stream into the syscall / gate / cache-wait / journal-commit /
 //! fsync / writeback-pass / block-queue / device spans, one tree across
-//! the layers, and into the counters, gauges and histograms;
-//! [`BlockTraceProbe`] feeds the flat block-request table.
+//! the layers, and into the counters, gauges and histograms. Any other
+//! per-request table is a plain [`Auditor`] on the same stream.
 //!
 //! Span ids are allocation-ordered and histogram sums are float-add
 //! ordered, so the *order* of calls below is part of every traced
@@ -268,35 +268,6 @@ impl Auditor for SpanProbe {
             AuditEvent::SchedGauge { name, key, value } => tr.gauge_key(name, key, now, value),
             AuditEvent::Fs(ev) => self.on_fs(now, ev),
             AuditEvent::SlotReleased { .. } => {}
-        }
-    }
-}
-
-/// Feeds every finished request into the tracer's flat block table
-/// (`Kernel::enable_trace`).
-pub(crate) struct BlockTraceProbe {
-    tracer: Tracer,
-}
-
-impl BlockTraceProbe {
-    /// A probe recording into `tracer`'s installed block table.
-    pub(crate) fn new(tracer: Tracer) -> Self {
-        BlockTraceProbe { tracer }
-    }
-}
-
-impl Auditor for BlockTraceProbe {
-    fn name(&self) -> &'static str {
-        "block-trace"
-    }
-
-    fn checkpoints(&self) -> Checkpoints {
-        Checkpoints::Never
-    }
-
-    fn on_event(&mut self, now: SimTime, ev: &AuditEvent<'_>, _out: &mut Vec<String>) {
-        if let AuditEvent::BlockFinished { req, service, .. } = *ev {
-            self.tracer.record_block(req, service, now);
         }
     }
 }

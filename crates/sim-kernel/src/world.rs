@@ -185,8 +185,9 @@ impl World {
         self.kernels[k.raw() as usize].enable_tracing();
     }
 
-    /// Kernel `k`'s tracer (spans, counters, gauges, histograms).
-    pub fn tracer(&self, k: KernelId) -> &sim_trace::Tracer {
+    /// Kernel `k`'s tracer (spans, counters, gauges, histograms); `None`
+    /// unless [`World::enable_tracing`] was called for it.
+    pub fn tracer(&self, k: KernelId) -> Option<&sim_trace::Tracer> {
         self.kernels[k.raw() as usize].tracer()
     }
 

@@ -6,8 +6,8 @@
 //! which layer its fsync latency came from. This crate is the
 //! explanation side of that story for the simulator:
 //!
-//! * [`Tracer`] — a cheap-to-clone handle onto one kernel's trace,
-//!   written by the kernel's probes from its event stream. Each
+//! * [`Tracer`] — a cheap-to-clone handle onto one traced kernel's
+//!   trace, written by the kernel's span probe from its event stream. Each
 //!   logical I/O (syscall, writeback pass, journal commit, block
 //!   queue, device service) opens a timed [`SpanRecord`] tagged with
 //!   pid, [`CauseSet`](sim_core::CauseSet), and [`Layer`], linked
@@ -18,13 +18,10 @@
 //!   Perfetto / `chrome://tracing`) and CSV exporters.
 //! * [`breakdown`] — per-layer fsync latency decomposition whose
 //!   components sum to the end-to-end latency by construction.
-//! * [`RequestTrace`] — the flat per-request block trace, carried by the
-//!   same handle.
 //!
 //! Everything is timestamped on the simulated clock, so traces and
 //! metrics are deterministic outputs of a run, byte-for-byte.
 
-mod block;
 pub mod breakdown;
 mod chrome;
 pub mod json;
@@ -33,7 +30,6 @@ mod prof_export;
 mod span;
 mod tracer;
 
-pub use block::{RequestTrace, TraceRecord};
 pub use breakdown::{fsync_breakdown, layer_totals, FsyncBreakdown, FSYNC_COMPONENTS};
 pub use metrics::{Histogram, Registry};
 pub use prof_export::{export_profile, profile_json, render_profile};

@@ -1,16 +1,14 @@
-//! The tracing handle. One [`Tracer`] is created per kernel; the kernel's
-//! span probe records into it everything the stack reports through the
-//! kernel's event stream, and exporters read it back. Clones share one
-//! span store and metrics registry, so a request crossing layers stays
-//! one connected tree.
+//! The tracing handle. One [`Tracer`] is created per *traced* kernel,
+//! when tracing is turned on; the kernel's span probe records into it
+//! everything the stack reports through the kernel's event stream, and
+//! exporters read it back. Clones share one span store and metrics
+//! registry, so a request crossing layers stays one connected tree.
 //!
-//! Only the probes write into it, and the span probe is subscribed only
-//! when tracing is on, so the handle records whatever it is given.
+//! Only the span probe writes into it, so the handle records whatever it
+//! is given.
 
-use crate::block::RequestTrace;
 use crate::metrics::Registry;
 use crate::span::{Layer, SpanId, SpanRecord};
-use sim_block::Request;
 use sim_core::{CauseSet, FastMap, Pid, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -26,11 +24,10 @@ struct Inner {
     current: FastMap<Pid, SpanId>,
     task_labels: FastMap<Pid, &'static str>,
     registry: Registry,
-    block: Option<RequestTrace>,
     span_cap: usize,
 }
 
-/// Cheap-to-clone handle onto one kernel's trace state.
+/// Cheap-to-clone handle onto the trace state of one *traced* kernel.
 #[derive(Debug, Clone)]
 pub struct Tracer {
     inner: Rc<RefCell<Inner>>,
@@ -197,28 +194,6 @@ impl Tracer {
             .borrow_mut()
             .registry
             .observe_ms(name, d.as_millis_f64());
-    }
-
-    // ---- block-request trace --------------------------------------
-
-    /// Install a flat block-request table (see [`RequestTrace`]),
-    /// replacing any earlier one; it records independently of the
-    /// spans and metrics. Returns whether one was already installed.
-    pub fn install_block_trace(&self, trace: RequestTrace) -> bool {
-        self.inner.borrow_mut().block.replace(trace).is_some()
-    }
-
-    /// Record one finished block request into the flat table, if
-    /// installed (`Kernel::enable_trace` subscribes the caller).
-    pub fn record_block(&self, req: &Request, service: SimDuration, now: SimTime) {
-        if let Some(t) = self.inner.borrow_mut().block.as_mut() {
-            t.record(req, service, now);
-        }
-    }
-
-    /// Read the flat block table, if installed.
-    pub fn with_block_trace<R>(&self, f: impl FnOnce(&RequestTrace) -> R) -> Option<R> {
-        self.inner.borrow().block.as_ref().map(f)
     }
 
     // ---- export / inspection --------------------------------------

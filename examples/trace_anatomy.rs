@@ -3,11 +3,58 @@
 //! ordered data first, then the log, then the commit record, then the
 //! checkpoint. This is Figure 4 of the paper, live.
 //!
+//! The per-request table is a plain subscriber to the kernel's event
+//! stream: it opens a row when the scheduler dispatches a request and
+//! fills in the service time when the request finishes.
+//!
 //! ```sh
 //! cargo run --release --example trace_anatomy
 //! ```
 
+use sim_block::Request;
+use sim_check::{AuditEvent, AuditPlane, Auditor, Checkpoints};
 use split_level_io::prelude::*;
+use std::cell::RefCell;
+use std::rc::Rc;
+
+/// One block request: when it was dispatched and, once it finished, how
+/// long the device served it.
+struct Row {
+    req: Request,
+    dispatched: SimTime,
+    service: Option<SimDuration>,
+}
+
+/// Every dispatched request, in dispatch order; shared with the plane.
+#[derive(Clone, Default)]
+struct RequestTable(Rc<RefCell<Vec<Row>>>);
+
+impl Auditor for RequestTable {
+    fn name(&self) -> &'static str {
+        "request-table"
+    }
+
+    fn checkpoints(&self) -> Checkpoints {
+        Checkpoints::Never
+    }
+
+    fn on_event(&mut self, now: SimTime, ev: &AuditEvent<'_>, _out: &mut Vec<String>) {
+        let mut rows = self.0.borrow_mut();
+        match *ev {
+            AuditEvent::BlockDispatched { req } => rows.push(Row {
+                req: req.clone(),
+                dispatched: now,
+                service: None,
+            }),
+            AuditEvent::BlockFinished { req, service, .. } => {
+                if let Some(row) = rows.iter_mut().rev().find(|r| r.req.id == req.id) {
+                    row.service = Some(service);
+                }
+            }
+            _ => {}
+        }
+    }
+}
 
 fn main() {
     let mut world = World::new();
@@ -16,7 +63,10 @@ fn main() {
         DeviceKind::hdd(),
         Box::new(BlockOnly::new(Noop::new())),
     );
-    world.kernel_mut(k).enable_trace(1024);
+    let table = RequestTable::default();
+    world
+        .kernel_mut(k)
+        .install_audit_plane(AuditPlane::new(vec![Box::new(table.clone())]));
 
     // Two processes write to different files; one fsyncs.
     let fa = world.prealloc_file(k, 16 << 20, true);
@@ -56,21 +106,28 @@ fn main() {
     world.run_for(SimDuration::from_secs(1));
 
     let kernel = world.kernel(k);
-    let records = kernel.trace_records().expect("tracing enabled");
     println!("block requests for A's fsync (A wrote 4 KB; B wrote 64 KB, no fsync):\n");
     println!(
-        "{:>10}  {:>9}  {:<8} {:<9} {:>9}  causes",
-        "t (ms)", "queue ms", "dir", "kind", "submitter"
+        "{:>13}  {:>8}  {:>10}  {:<8} {:<9} {:>9}  causes",
+        "dispatch (ms)", "queue ms", "service ms", "dir", "kind", "submitter"
     );
-    for r in &records {
-        let causes: Vec<String> = r.causes.iter().map(|p| p.raw().to_string()).collect();
+    for Row {
+        req,
+        dispatched,
+        service,
+    } in table.0.borrow().iter()
+    {
+        let causes: Vec<String> = req.causes.iter().map(|p| p.raw().to_string()).collect();
+        let service = service.map_or("-".into(), |d| format!("{:.3}", d.as_millis_f64()));
         println!(
-            "{:>10.3}  {:>9.3}  {:<8?} {:<9?} {:>9}  {{{}}}",
-            r.dispatched_at.as_millis_f64(),
-            r.queue_delay().as_millis_f64(),
-            r.dir,
-            r.kind,
-            r.submitter.raw(),
+            "{:>13.3}  {:>8.3}  {:>10}  {:<8} {:<9} {:>9}  {{{}}}",
+            dispatched.as_millis_f64(),
+            dispatched.since(req.submitted_at).as_millis_f64(),
+            service,
+            // Derived `Debug` ignores width, so pad the rendered names.
+            format!("{:?}", req.dir),
+            format!("{:?}", req.kind),
+            req.submitter.raw(),
             causes.join(",")
         );
     }
