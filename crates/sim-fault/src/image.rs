@@ -1,4 +1,6 @@
-//! Shadow disk image, journal replay and ordered-mode invariant checks.
+//! Shadow disk image: one recorded run's writes, and the power cuts
+//! replayed from it — journal recovery and the ordered-mode invariant
+//! checks.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -6,7 +8,7 @@ use std::fmt;
 use sim_core::{FastMap, FileId, TxnId};
 
 /// The journal-protocol role of one write, annotated by the file system at
-/// submission time. The crash harness uses it to replay recovery without
+/// submission time. A [`DiskImage`] uses it to replay recovery without
 /// parsing on-disk state.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum WriteStep {
@@ -38,64 +40,6 @@ pub enum WriteStep {
     },
 }
 
-/// Durable state of one submitted write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Durability {
-    /// Submitted, not yet completed; lost if power is cut now.
-    InFlight,
-    /// Fully on media.
-    Durable,
-    /// Nothing reached media.
-    Lost,
-    /// Only the first `durable_blocks` blocks reached media.
-    Torn {
-        /// Blocks (from the write's start) that became durable.
-        durable_blocks: u64,
-    },
-}
-
-impl Durability {
-    /// Whether the whole write is on media.
-    fn fully_durable(self, nblocks: u64) -> bool {
-        match self {
-            Durability::Durable => true,
-            Durability::Torn { durable_blocks } => durable_blocks >= nblocks,
-            _ => false,
-        }
-    }
-}
-
-/// One write the image is tracking.
-#[derive(Debug, Clone)]
-struct WriteRecord {
-    /// Submission order (0-based).
-    seq: u64,
-    /// Protocol role.
-    step: WriteStep,
-    /// Length in blocks.
-    nblocks: u64,
-    /// Current durable state.
-    state: Durability,
-}
-
-/// What journal replay would recover after a crash.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Recovery {
-    /// Transactions recovered, in id order. Replay stops at the first
-    /// transaction whose log or commit record is not fully durable, so
-    /// this is always a prefix of the committed sequence.
-    pub recovered: Vec<TxnId>,
-    /// The transaction replay stopped at, if any.
-    pub first_gap: Option<TxnId>,
-}
-
-impl Recovery {
-    /// Whether `txn` survived the crash.
-    pub fn contains(&self, txn: TxnId) -> bool {
-        self.recovered.contains(&txn)
-    }
-}
-
 /// A broken ordered-mode guarantee found after replay.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConsistencyViolation {
@@ -115,12 +59,6 @@ pub enum ConsistencyViolation {
         /// The file whose data is missing.
         file: FileId,
     },
-    /// A transaction was recovered from a torn log — replay accepted a
-    /// partial log body.
-    TornJournalRecovered {
-        /// The transaction.
-        txn: TxnId,
-    },
     /// A checkpoint write reached media for a transaction that was never
     /// durably committed — home metadata was overwritten ahead of the
     /// commit record.
@@ -139,9 +77,6 @@ impl fmt::Display for ConsistencyViolation {
             ConsistencyViolation::StaleData { txn, file } => {
                 write!(f, "recovered txn {txn} points at stale data of file {file}")
             }
-            ConsistencyViolation::TornJournalRecovered { txn } => {
-                write!(f, "txn {txn} recovered from a torn log")
-            }
             ConsistencyViolation::CheckpointWithoutCommit { txn } => {
                 write!(f, "txn {txn} checkpointed without a durable commit")
             }
@@ -149,30 +84,60 @@ impl fmt::Display for ConsistencyViolation {
     }
 }
 
-/// Per-transaction digest built from the write records.
+/// One transition of the recorded run, in the order it happened.
+#[derive(Debug, Clone, Copy)]
+enum Rec {
+    /// The next write, in submission order, went out.
+    Submit,
+    /// The write at this submission index reached media.
+    Complete(usize),
+    /// The stack acknowledged this transaction's commit.
+    Ack(TxnId),
+}
+
+/// One submitted write.
+#[derive(Debug)]
+struct WriteRecord {
+    step: WriteStep,
+    nblocks: u64,
+}
+
+/// What a power cut leaves behind ([`DiskImage::cut`]).
+#[derive(Debug, Clone)]
+pub struct Cut {
+    /// Transactions journal replay recovers, in id order. Replay stops at
+    /// the first transaction whose log or commit record is not fully
+    /// durable, so this is always a prefix of the committed sequence.
+    pub recovered: Vec<TxnId>,
+    /// Transactions whose commit the stack acknowledged before the cut
+    /// (durability promises made to applications).
+    pub acked: Vec<TxnId>,
+    /// Ordered-mode guarantees the recovered image breaks (empty = pass).
+    pub violations: Vec<ConsistencyViolation>,
+}
+
+/// Per-transaction digest of the writes that survived a cut.
 #[derive(Debug, Default)]
 struct TxnDigest {
-    log_seqs: Vec<u64>,
-    log_fully_durable: bool,
+    /// Submission index of the first log-body write.
+    log_first: Option<usize>,
+    /// Some log-body write is not fully durable.
     log_torn: bool,
-    has_log: bool,
     commit_durable: bool,
-    has_commit: bool,
     checkpoint_durable: bool,
     ordered: Vec<FileId>,
 }
 
-/// A shadow record of every write's durable state.
-///
-/// The crash harness calls [`DiskImage::submit`] for each `IoReq` the file
-/// system emits, [`DiskImage::complete`] as its fake device finishes
-/// them, and [`DiskImage::crash`] to cut power. The image never talks to
-/// the real simulation objects — it is a passive observer, which is what
-/// lets one protocol run be crashed at many points cheaply.
+/// A recording of one run's write protocol: every write submitted with
+/// its protocol role, every completion and every acknowledged commit, in
+/// order. The image never talks to the simulation — a subscriber feeds it
+/// — and it holds no durable state of its own: [`DiskImage::cut`] replays
+/// a prefix of the recording, so one run gives every cut point.
 #[derive(Debug, Default)]
 pub struct DiskImage {
     writes: Vec<WriteRecord>,
     by_key: FastMap<u64, usize>,
+    tape: Vec<Rec>,
 }
 
 impl DiskImage {
@@ -184,57 +149,83 @@ impl DiskImage {
     /// Record a submitted write. `key` (an `IoToken` or `RequestId` raw)
     /// must be unique per write.
     pub fn submit(&mut self, key: u64, step: WriteStep, nblocks: u64) {
-        let seq = self.writes.len() as u64;
-        let idx = self.writes.len();
-        self.writes.push(WriteRecord {
-            seq,
-            step,
-            nblocks,
-            state: Durability::InFlight,
-        });
-        let prev = self.by_key.insert(key, idx);
+        let prev = self.by_key.insert(key, self.writes.len());
         debug_assert!(prev.is_none(), "duplicate disk-image key {key}");
+        self.writes.push(WriteRecord { step, nblocks });
+        self.tape.push(Rec::Submit);
     }
 
-    /// Mark a write fully durable.
+    /// Record that write `key` fully reached media. A key never submitted
+    /// (a read) is ignored.
     pub fn complete(&mut self, key: u64) {
-        self.set_state(key, Durability::Durable);
-    }
-
-    fn set_state(&mut self, key: u64, state: Durability) {
         if let Some(&idx) = self.by_key.get(&key) {
-            self.writes[idx].state = state;
+            self.tape.push(Rec::Complete(idx));
         }
     }
 
-    /// Cut power: every in-flight write is lost, or — when `torn_prefix`
-    /// is given — torn to `min(torn_prefix, nblocks)` durable blocks.
-    pub fn crash(&mut self, torn_prefix: Option<u64>) {
-        for w in &mut self.writes {
-            if w.state == Durability::InFlight {
-                w.state = match torn_prefix {
-                    Some(p) => Durability::Torn {
-                        durable_blocks: p.min(w.nblocks),
-                    },
-                    None => Durability::Lost,
-                };
+    /// Record that the stack reported `txn` committed.
+    pub fn ack(&mut self, txn: TxnId) {
+        self.tape.push(Rec::Ack(txn));
+    }
+
+    /// Completions recorded; the cut points are `0..=completions()`.
+    pub fn completions(&self) -> usize {
+        self.tape
+            .iter()
+            .filter(|r| matches!(r, Rec::Complete(_)))
+            .count()
+    }
+
+    /// Durable blocks of every write submitted before a power cut just
+    /// ahead of completion `k + 1`, and the acks made by then. A write in
+    /// flight at the cut is lost, or — when `torn_prefix` is given — torn
+    /// to `min(torn_prefix, nblocks)` durable blocks.
+    fn replay(&self, k: usize, torn_prefix: Option<u64>) -> (Vec<u64>, Vec<TxnId>) {
+        let mut landed: Vec<bool> = Vec::new();
+        let mut acked = Vec::new();
+        let mut done = 0;
+        for &rec in &self.tape {
+            match rec {
+                Rec::Submit => landed.push(false),
+                Rec::Complete(_) if done == k => break,
+                Rec::Complete(idx) => {
+                    landed[idx] = true;
+                    done += 1;
+                }
+                Rec::Ack(txn) => acked.push(txn),
             }
         }
+        let durable = landed
+            .iter()
+            .zip(&self.writes)
+            .map(|(&landed, w)| match (landed, torn_prefix) {
+                (true, _) => w.nblocks,
+                (false, Some(p)) => p.min(w.nblocks),
+                (false, None) => 0,
+            })
+            .collect();
+        (durable, acked)
     }
 
-    fn digests(&self) -> BTreeMap<TxnId, TxnDigest> {
+    /// Cut power just before completion `k + 1` (so `cut(0, ..)` is a cut
+    /// before anything landed), replay the journal as a jbd2-style mount
+    /// would and check the ordered-mode guarantees against the commits
+    /// acknowledged by then.
+    ///
+    /// Replay walks transactions in id order, recovers each whose log
+    /// body is fully durable (never a torn one) and whose commit record
+    /// is durable, and stops at the first gap — later transactions are
+    /// unreachable behind it even if their own blocks survived.
+    pub fn cut(&self, k: usize, torn_prefix: Option<u64>) -> Cut {
+        let (durable, acked) = self.replay(k, torn_prefix);
+        let landed = |i: usize| durable[i] >= self.writes[i].nblocks;
         let mut txns: BTreeMap<TxnId, TxnDigest> = BTreeMap::new();
-        for w in &self.writes {
+        for (i, w) in self.writes[..durable.len()].iter().enumerate() {
             match &w.step {
                 WriteStep::JournalLog { txn, ordered } => {
                     let d = txns.entry(*txn).or_default();
-                    if !d.has_log {
-                        d.log_fully_durable = true;
-                    }
-                    d.has_log = true;
-                    d.log_seqs.push(w.seq);
-                    d.log_fully_durable &= w.state.fully_durable(w.nblocks);
-                    d.log_torn |= matches!(w.state, Durability::Torn { durable_blocks } if durable_blocks < w.nblocks);
+                    d.log_first.get_or_insert(i);
+                    d.log_torn |= !landed(i);
                     for f in ordered {
                         if !d.ordered.contains(f) {
                             d.ordered.push(*f);
@@ -242,87 +233,50 @@ impl DiskImage {
                     }
                 }
                 WriteStep::CommitRecord { txn } => {
-                    let d = txns.entry(*txn).or_default();
-                    d.has_commit = true;
-                    d.commit_durable |= w.state.fully_durable(w.nblocks);
+                    txns.entry(*txn).or_default().commit_durable |= landed(i);
                 }
                 WriteStep::Checkpoint { txn } => {
-                    let d = txns.entry(*txn).or_default();
-                    d.checkpoint_durable |= w.state.fully_durable(w.nblocks);
+                    txns.entry(*txn).or_default().checkpoint_durable |= landed(i);
                 }
                 WriteStep::Data { .. } | WriteStep::Untracked => {}
             }
         }
-        txns
-    }
+        let recovered: Vec<TxnId> = txns
+            .iter()
+            .take_while(|(_, d)| d.log_first.is_some() && !d.log_torn && d.commit_durable)
+            .map(|(&txn, _)| txn)
+            .collect();
 
-    /// Replay the journal as a jbd2-style mount would: walk transactions in
-    /// id order, recover each whose log body is fully durable (not torn)
-    /// and whose commit record is durable, and stop at the first gap —
-    /// later transactions are unreachable behind it even if their own
-    /// blocks survived.
-    pub fn recover(&self) -> Recovery {
-        let mut recovered = Vec::new();
-        let mut first_gap = None;
-        for (txn, d) in self.digests() {
-            let ok = d.has_log && d.log_fully_durable && !d.log_torn && d.commit_durable;
-            if ok {
-                recovered.push(txn);
-            } else {
-                first_gap = Some(txn);
-                break;
-            }
-        }
-        Recovery {
-            recovered,
-            first_gap,
-        }
-    }
-
-    /// Check the ordered-mode guarantees after a crash. `acked` lists the
-    /// transactions whose `TxnCommitted` event the stack delivered before
-    /// the crash (durability promises made to applications).
-    pub fn check(&self, acked: &[TxnId]) -> Vec<ConsistencyViolation> {
-        let recovery = self.recover();
-        let digests = self.digests();
-        let mut violations = Vec::new();
-
-        for &txn in acked {
-            if !recovery.contains(txn) {
-                violations.push(ConsistencyViolation::AckedTxnLost { txn });
-            }
-        }
-
-        for (&txn, d) in &digests {
-            if recovery.contains(txn) && d.log_torn {
-                violations.push(ConsistencyViolation::TornJournalRecovered { txn });
-            }
-            if !recovery.contains(txn) && d.checkpoint_durable {
-                violations.push(ConsistencyViolation::CheckpointWithoutCommit { txn });
-            }
-        }
-
-        // Ordered-data rule: for every recovered transaction, all data
-        // writes of its ordered files submitted before the transaction's
-        // log went out must be durable — otherwise replayed metadata
-        // describes blocks that never hit the platter.
-        for &txn in &recovery.recovered {
-            let d = &digests[&txn];
-            let Some(&log_seq) = d.log_seqs.iter().min() else {
+        let mut violations: Vec<ConsistencyViolation> = acked
+            .iter()
+            .filter(|txn| !recovered.contains(txn))
+            .map(|&txn| ConsistencyViolation::AckedTxnLost { txn })
+            .collect();
+        for (&txn, d) in &txns {
+            if !recovered.contains(&txn) {
+                if d.checkpoint_durable {
+                    violations.push(ConsistencyViolation::CheckpointWithoutCommit { txn });
+                }
                 continue;
-            };
+            }
+            // Ordered-data rule: every data write of an ordered file
+            // submitted before the transaction's log went out must be
+            // durable — otherwise replayed metadata describes blocks that
+            // never hit the platter.
+            let log_first = d.log_first.unwrap_or(0);
             for &file in &d.ordered {
-                let stale = self.writes.iter().any(|w| {
-                    w.seq < log_seq
-                        && w.step == (WriteStep::Data { file })
-                        && !w.state.fully_durable(w.nblocks)
-                });
+                let stale = (0..log_first)
+                    .any(|i| self.writes[i].step == (WriteStep::Data { file }) && !landed(i));
                 if stale {
                     violations.push(ConsistencyViolation::StaleData { txn, file });
                 }
             }
         }
-        violations
+        Cut {
+            recovered,
+            acked,
+            violations,
+        }
     }
 }
 
@@ -334,7 +288,8 @@ mod tests {
     const T1: TxnId = TxnId(1);
     const T2: TxnId = TxnId(2);
 
-    /// One ordered-mode protocol round: data → log → commit → checkpoint.
+    /// Submit one ordered-mode protocol round: data → log → commit →
+    /// checkpoint, keyed `base_key..base_key + 4`.
     fn protocol_round(img: &mut DiskImage, txn: TxnId, base_key: u64) {
         img.submit(base_key, WriteStep::Data { file: F }, 4);
         img.submit(
@@ -349,7 +304,8 @@ mod tests {
         img.submit(base_key + 3, WriteStep::Checkpoint { txn }, 1);
     }
 
-    fn complete_all(img: &mut DiskImage, keys: std::ops::Range<u64>) {
+    /// Record completions of `keys`, in order.
+    fn complete(img: &mut DiskImage, keys: impl IntoIterator<Item = u64>) {
         for k in keys {
             img.complete(k);
         }
@@ -359,43 +315,54 @@ mod tests {
     fn full_round_recovers_cleanly() {
         let mut img = DiskImage::new();
         protocol_round(&mut img, T1, 0);
-        complete_all(&mut img, 0..4);
-        img.crash(None);
-        let r = img.recover();
-        assert_eq!(r.recovered, vec![T1]);
-        assert_eq!(r.first_gap, None);
-        assert!(img.check(&[T1]).is_empty());
+        complete(&mut img, 0..4);
+        img.ack(T1);
+        assert_eq!(img.completions(), 4);
+        let cut = img.cut(4, None);
+        assert_eq!(cut.recovered, vec![T1]);
+        assert_eq!(cut.acked, vec![T1]);
+        assert!(cut.violations.is_empty());
     }
 
     #[test]
     fn crash_before_commit_record_loses_unacked_txn() {
         let mut img = DiskImage::new();
         protocol_round(&mut img, T1, 0);
-        img.complete(0); // data
-        img.complete(1); // log
-        img.crash(None); // commit record + checkpoint in flight -> lost
-        let r = img.recover();
-        assert!(r.recovered.is_empty());
-        assert_eq!(r.first_gap, Some(T1));
-        // Not acked, so losing it is allowed...
-        assert!(img.check(&[]).is_empty());
-        // ...but losing an *acknowledged* txn is a violation.
+        complete(&mut img, [0, 1]); // data, log
+        img.ack(T1); // a (wrongly) early ack, before the commit record lands
+        complete(&mut img, [2, 3]);
+        // Cut before the commit record: it and the checkpoint are lost.
+        let cut = img.cut(2, None);
+        assert!(cut.recovered.is_empty());
+        // Losing an *acknowledged* txn is a violation...
         assert_eq!(
-            img.check(&[T1]),
+            cut.violations,
             vec![ConsistencyViolation::AckedTxnLost { txn: T1 }]
         );
+        // ...but a cut before the ack, losing it, is allowed.
+        let cut = img.cut(1, None);
+        assert!(cut.recovered.is_empty() && cut.acked.is_empty());
+        assert!(cut.violations.is_empty());
     }
 
     #[test]
     fn torn_log_is_not_recovered() {
         let mut img = DiskImage::new();
-        protocol_round(&mut img, T1, 0);
-        img.complete(0);
-        img.set_state(1, Durability::Torn { durable_blocks: 1 }); // log torn: 1 of 2 blocks durable
-        img.complete(2); // commit record durable
-        img.crash(None);
-        let r = img.recover();
-        assert!(r.recovered.is_empty(), "torn log must not replay");
+        img.submit(0, WriteStep::Data { file: F }, 4);
+        img.submit(
+            1,
+            WriteStep::JournalLog {
+                txn: T1,
+                ordered: vec![F],
+            },
+            2,
+        );
+        img.submit(2, WriteStep::CommitRecord { txn: T1 }, 1);
+        complete(&mut img, [0, 2, 1]); // data, commit record, then the log
+                                       // Cut with the log in flight, torn to 1 of its 2 blocks.
+        let cut = img.cut(2, Some(1));
+        assert!(cut.recovered.is_empty(), "torn log must not replay");
+        assert_eq!(img.cut(3, Some(1)).recovered, vec![T1]);
     }
 
     #[test]
@@ -403,27 +370,26 @@ mod tests {
         let mut img = DiskImage::new();
         protocol_round(&mut img, T1, 0);
         protocol_round(&mut img, T2, 10);
-        // T1's commit record lost; T2 fully durable.
-        img.complete(0);
-        img.complete(1);
-        img.set_state(2, Durability::Lost);
-        img.complete(3);
-        complete_all(&mut img, 10..14);
-        img.crash(None);
-        let r = img.recover();
-        assert!(r.recovered.is_empty(), "T2 is unreachable behind T1's gap");
-        assert_eq!(r.first_gap, Some(T1));
+        // T2 lands fully; T1's commit record is still in flight.
+        complete(&mut img, [0, 1, 3]);
+        complete(&mut img, 10..14);
+        complete(&mut img, [2]);
+        let cut = img.cut(7, None);
+        assert!(
+            cut.recovered.is_empty(),
+            "T2 is unreachable behind T1's gap"
+        );
+        assert_eq!(img.cut(8, None).recovered, vec![T1, T2]);
     }
 
     #[test]
     fn lost_ordered_data_is_stale_data() {
         let mut img = DiskImage::new();
         protocol_round(&mut img, T1, 0);
-        img.set_state(0, Durability::Lost); // data never hit the platter
-        complete_all(&mut img, 1..4);
-        img.crash(None);
+        complete(&mut img, 1..4);
+        // Cut with the data still in flight: it never hits the platter.
         assert_eq!(
-            img.check(&[]),
+            img.cut(3, None).violations,
             vec![ConsistencyViolation::StaleData { txn: T1, file: F }]
         );
     }
@@ -432,27 +398,36 @@ mod tests {
     fn durable_checkpoint_without_commit_is_flagged() {
         let mut img = DiskImage::new();
         protocol_round(&mut img, T1, 0);
-        img.complete(0);
-        img.complete(1);
-        img.set_state(2, Durability::Lost); // commit record lost
-        img.complete(3); // but checkpoint landed
-        img.crash(None);
+        complete(&mut img, [0, 1, 3]); // the checkpoint lands...
+        complete(&mut img, [2]); // ...before the commit record
         assert_eq!(
-            img.check(&[]),
+            img.cut(3, None).violations,
             vec![ConsistencyViolation::CheckpointWithoutCommit { txn: T1 }]
         );
     }
 
     #[test]
-    fn crash_tears_in_flight_writes_when_asked() {
+    fn cut_tears_in_flight_writes_when_asked() {
         let mut img = DiskImage::new();
         img.submit(0, WriteStep::Data { file: F }, 8);
-        img.crash(Some(3));
-        assert_eq!(img.writes[0].state, Durability::Torn { durable_blocks: 3 });
+        img.submit(1, WriteStep::Data { file: F }, 2);
+        assert_eq!(img.replay(0, None).0, vec![0, 0]);
         // A torn prefix longer than the write clamps to fully durable.
+        assert_eq!(img.replay(0, Some(3)).0, vec![3, 2]);
+    }
+
+    #[test]
+    fn cut_sees_only_what_was_recorded_before_it() {
         let mut img = DiskImage::new();
-        img.submit(0, WriteStep::Data { file: F }, 2);
-        img.crash(Some(8));
-        assert!(img.writes[0].state.fully_durable(2));
+        img.submit(0, WriteStep::Data { file: F }, 4);
+        img.complete(0);
+        img.complete(99); // a read: not a write the image tracks
+        img.submit(1, WriteStep::Data { file: F }, 4);
+        img.ack(T1);
+        assert_eq!(img.completions(), 1);
+        let (durable, acked) = img.replay(0, None);
+        assert_eq!((durable, acked), (vec![0], vec![]));
+        let (durable, acked) = img.replay(1, None);
+        assert_eq!((durable, acked), (vec![4, 0], vec![T1]));
     }
 }

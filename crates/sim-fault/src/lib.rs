@@ -10,21 +10,21 @@
 //!   (transient errors, torn writes, latency spikes) the kernel consults at
 //!   dispatch time. With no plane installed the stack is bit-identical to
 //!   the fault-free build.
-//! * [`DiskImage`] — a shadow record of every write's durable state, fed by
-//!   the crash harness as the file system submits and the "device"
-//!   completes I/O. [`DiskImage::crash`] models a power cut (in-flight
-//!   writes lost, or torn to a prefix), [`DiskImage::recover`] replays the
-//!   journal exactly as a jbd2-style mount would, and [`DiskImage::check`]
-//!   asserts the ordered-mode invariants: committed-and-acknowledged
-//!   transactions are durable, uncommitted ones are absent, and no
-//!   recovered metadata points at data that never reached the platter.
+//! * [`DiskImage`] — a recording of one run's write protocol, fed by an
+//!   event-stream subscriber as the file system submits and the device
+//!   completes writes. [`DiskImage::cut`] models a power cut just before
+//!   any completion (in-flight writes lost, or torn to a prefix), replays
+//!   the journal exactly as a jbd2-style mount would, and checks the
+//!   ordered-mode invariants: acknowledged transactions are durable, no
+//!   recovered metadata points at data that never reached the platter and
+//!   no checkpoint lands ahead of its commit.
 //!
 //! Everything here is passive bookkeeping — no clocks, no event queues —
-//! so the harness can crash at *every* interesting point of a protocol run
-//! and check each outcome independently.
+//! and a cut replays a prefix of the recording, so one simulated run is
+//! crashed at *every* completion and each outcome checked independently.
 
 mod image;
 mod plane;
 
-pub use image::{ConsistencyViolation, DiskImage, Recovery, WriteStep};
+pub use image::{ConsistencyViolation, Cut, DiskImage, WriteStep};
 pub use plane::{DeviceFaultPlane, Fault};

@@ -1033,6 +1033,34 @@ mod tests {
     }
 
     #[test]
+    fn commit_waits_for_ordered_data_already_in_flight() {
+        // B's data is on its way to disk when A's fsync seals the
+        // transaction B's allocation joined: the log must wait for it.
+        let mut h = Harness::ext4();
+        let (fb, out) = h.fs.create_file(Pid(2), h.now);
+        h.absorb(out);
+        h.write(fb, Pid(2), 0, 4 * sim_core::PAGE_SIZE);
+        let out = h.fs.writeback(Some(fb), 1024, WBPID, &mut h.cache, h.now);
+        h.absorb(out);
+        assert!(h.pending.iter().all(|io| io.file == Some(fb)));
+        let (fa, out) = h.fs.create_file(Pid(1), h.now);
+        h.absorb(out);
+        h.fsync(fa, Pid(1));
+        let log_pending = |h: &Harness| {
+            h.pending
+                .iter()
+                .any(|io| matches!(io.step, WriteStep::JournalLog { .. }))
+        };
+        assert!(
+            !log_pending(&h),
+            "log submitted over in-flight ordered data"
+        );
+        let b_write = h.complete_one().expect("B's writeback is pending");
+        assert_eq!(b_write.file, Some(fb));
+        assert!(log_pending(&h), "the log goes out once B's data landed");
+    }
+
+    #[test]
     fn ext4_tags_journal_io_but_xfs_does_not() {
         for (mk, tagged) in [
             (Harness::ext4 as fn() -> Harness, true),

@@ -28,7 +28,6 @@
 //!   writeback or fsync forces allocation.
 
 pub mod alloc;
-mod crash;
 mod fs;
 pub mod journal;
 
@@ -38,7 +37,6 @@ use sim_core::{BlockNo, CauseSet, FileId, IoError, Pid, TxnId};
 use sim_device::IoDir;
 
 pub use alloc::{Allocator, Extent};
-pub use crash::CrashHarness;
 pub use fs::{FsConfig, JournaledFs};
 pub use journal::{Journal, JournalConfig};
 pub use sim_fault::WriteStep;
@@ -72,7 +70,8 @@ pub struct IoReq {
     pub file: Option<FileId>,
     /// Data / journal / metadata.
     pub kind: ReqKind,
-    /// Journal-protocol role of this write; lets the crash harness replay
+    /// Journal-protocol role of this write; the kernel reports it with the
+    /// request (`BlockSubmitted`), so a subscriber's shadow disk can replay
     /// recovery without parsing on-disk state. `Untracked` for reads.
     pub step: WriteStep,
 }

@@ -1,7 +1,8 @@
 //! CI's `runner --faults` smoke, in-process, so the tier-1 command
 //! (`cargo test -q` at the root) sees a crash-consistency or device-fault
-//! regression: the power-cut replay sweep and the single-device-write
-//! failure sweep at the quick profile, with no ordered-mode violation.
+//! regression: the power-cut replay sweep over 80 real-kernel stacks and
+//! the single-device-write failure sweep at the quick profile, with no
+//! ordered-mode or auditor violation.
 //! See `.github/workflows/ci.yml`.
 
 use sim_experiments::registry::{parse, run_cell, CellRequest, Profile};
