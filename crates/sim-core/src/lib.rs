@@ -19,7 +19,6 @@
 
 pub mod alloc_count;
 mod causes;
-pub mod chaos;
 mod error;
 mod event;
 mod executor;
@@ -31,7 +30,6 @@ pub mod stats;
 mod time;
 
 pub use causes::CauseSet;
-pub use chaos::{ChaosClass, ChaosConfig, ChaosPlane, CompletionJitter};
 pub use error::{IoError, IoErrorKind};
 pub use event::{EventQueue, ScheduledEvent};
 pub use executor::run_indexed;

@@ -29,7 +29,7 @@
 //! `accept` / `complete` calls and turn the returned [`Started`]
 //! record into a DES completion event.
 
-use sim_core::{CompletionJitter, RequestId, SimDuration};
+use sim_core::{RequestId, SimDuration};
 
 use crate::{DiskModel, DiskRequestShape};
 
@@ -98,9 +98,6 @@ pub struct QueuedDevice {
     slots: Vec<Option<Slot>>,
     in_flight: usize,
     seq: u64,
-    /// Chaos-plane service-time jitter; `None` keeps the device
-    /// byte-identical to a build without the chaos plane.
-    chaos: Option<CompletionJitter>,
 }
 
 impl QueuedDevice {
@@ -114,16 +111,7 @@ impl QueuedDevice {
             slots: Vec::new(),
             in_flight: 0,
             seq: 0,
-            chaos: None,
         }
-    }
-
-    /// Install the chaos plane's completion-jitter stream: every service
-    /// time from here on is stretched by a seeded factor `>= 1`, the
-    /// same legal mechanism as a fault-plane spike, so completions
-    /// reorder within the in-flight window but never move earlier.
-    pub fn install_chaos(&mut self, jitter: CompletionJitter) {
-        self.chaos = Some(jitter);
     }
 
     /// The wrapped cost model (peek-only; scheduler cost estimates).
@@ -248,9 +236,6 @@ impl QueuedDevice {
         let mut service = self.model.service_time(&w.shape);
         if let Some(factor) = w.spike {
             service = service.mul_f64(factor.max(1.0));
-        }
-        if let Some(chaos) = self.chaos.as_mut() {
-            service = service.mul_f64(chaos.stretch().max(1.0));
         }
         w.in_service = true;
         Started {
@@ -407,32 +392,6 @@ mod tests {
         dev.complete(RequestId(1));
         let (s3, _) = dev.accept(RequestId(4), rd(24), None);
         assert_eq!(s3, 0, "freed tag 0 reused before tag 3");
-    }
-
-    #[test]
-    fn installed_chaos_stretches_but_never_shrinks_service() {
-        use sim_core::ChaosConfig;
-        let mut plain =
-            QueuedDevice::new(Box::new(SsdModel::new()), QueuedDeviceConfig::with_depth(1));
-        let mut shaken =
-            QueuedDevice::new(Box::new(SsdModel::new()), QueuedDeviceConfig::with_depth(1));
-        let jitter = CompletionJitter::new(&ChaosConfig::with_seed(11)).unwrap();
-        shaken.install_chaos(jitter);
-        let mut stretched_any = false;
-        for i in 0..64u64 {
-            let (_, a) = plain.accept(RequestId(i), rd(i * 8), None);
-            let (_, b) = shaken.accept(RequestId(i), rd(i * 8), None);
-            let (a, b) = (a.unwrap().service, b.unwrap().service);
-            assert!(b >= a, "chaos only adds time");
-            assert!(
-                b <= a.mul_f64(1.5 + 1e-9),
-                "stretch stays within the configured bound"
-            );
-            stretched_any |= b > a;
-            plain.complete(RequestId(i));
-            shaken.complete(RequestId(i));
-        }
-        assert!(stretched_any, "the jitter stream must actually perturb");
     }
 
     #[test]

@@ -3,8 +3,9 @@
 
 use sim_block::{BlockDeadline, Cfq, DeadlineConfig, Noop};
 use sim_cache::CacheConfig;
-use sim_core::{ChaosConfig, KernelId, SimDuration};
+use sim_core::{KernelId, SimDuration};
 use sim_device::{HddModel, SsdModel};
+use sim_fault::ChaosConfig;
 pub use sim_kernel::FsChoice;
 use sim_kernel::{DeviceKind, KernelConfig, World};
 use split_core::{BlockOnly, IoSched};

@@ -7,16 +7,13 @@ use sim_device::{DiskRequestShape, IoDir};
 
 /// One fault applied to a device write.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Fault {
+pub(crate) enum Fault {
     /// The device reports failure; nothing reaches media.
     Transient,
-    /// The write tears: only the first `durable_blocks` blocks reach media
-    /// and the device reports failure. `durable_blocks` may equal the write
-    /// length — the "succeeded but the completion was lost" case.
-    Torn {
-        /// Blocks (from the start of the write) that became durable.
-        durable_blocks: u64,
-    },
+    /// The write tears: the device reports failure after some prefix of
+    /// it, possibly all of it, reached media. Which prefix is the crash
+    /// checker's to choose ([`DiskImage::cut`](crate::DiskImage::cut)).
+    Torn,
     /// The request completes normally but takes `factor`× its modeled
     /// service time (firmware stall, internal GC pause).
     Spike {
@@ -25,52 +22,51 @@ pub enum Fault {
     },
 }
 
-/// Per-write fault probabilities for the rate-based mode.
-#[derive(Debug, Clone, Copy, Default)]
-struct Rates {
-    transient: f64,
-    torn: f64,
-}
-
-impl Rates {
-    fn any(&self) -> bool {
-        self.transient > 0.0 || self.torn > 0.0
-    }
-}
-
 /// A deterministic fault plan for one device.
 ///
 /// Faults come from two sources, both pure functions of the configuration:
 ///
 /// * a **plan** — explicit "fault the Nth write" entries, which is what the
 ///   crash-point sweep uses to hit every step of the journal protocol, and
-/// * **rates** — per-write probabilities drawn from a dedicated seeded
-///   [`SimRng`]. Draws happen in a fixed order once per write op, so a run
+/// * **rates** — per-write probabilities drawn from the plane's seeded
+///   [`SimRng`] (seed 0 unless given). Draws happen in a fixed order once per write op, so a run
 ///   is a pure function of (workload, seed).
 ///
 /// The plane only ever fires on writes; reads pass through untouched. With
 /// an empty plan and zero rates it never fires — and the kernel skips fault
 /// handling entirely when no plane is installed, keeping the happy path
 /// bit-identical to the fault-free build.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct DeviceFaultPlane {
     plan: BTreeMap<u64, Fault>,
-    rates: Rates,
-    rng: Option<SimRng>,
+    /// Per-write probabilities of the rate-based mode.
+    transient: f64,
+    torn: f64,
+    rng: SimRng,
     writes_seen: u64,
 }
 
+impl Default for DeviceFaultPlane {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl DeviceFaultPlane {
-    /// A plane that never fires until plan entries or rates are added.
+    /// A plane that never fires until plan entries or rates are added;
+    /// its rates draw from seed 0.
     pub fn new() -> Self {
-        Self::default()
+        Self::with_seed(0)
     }
 
-    /// A plane with a seeded RNG for the rate-based mode.
+    /// A plane whose rates draw from `seed`.
     pub fn with_seed(seed: u64) -> Self {
         DeviceFaultPlane {
-            rng: Some(SimRng::seed_from_u64(seed)),
-            ..Self::default()
+            plan: BTreeMap::new(),
+            transient: 0.0,
+            torn: 0.0,
+            rng: SimRng::seed_from_u64(seed),
+            writes_seen: 0,
         }
     }
 
@@ -80,9 +76,9 @@ impl DeviceFaultPlane {
         self
     }
 
-    /// Plan: the `nth` write tears after `durable_blocks` blocks.
-    pub fn tear_write(mut self, nth: u64, durable_blocks: u64) -> Self {
-        self.plan.insert(nth, Fault::Torn { durable_blocks });
+    /// Plan: the `nth` write tears.
+    pub fn tear_write(mut self, nth: u64) -> Self {
+        self.plan.insert(nth, Fault::Torn);
         self
     }
 
@@ -94,46 +90,34 @@ impl DeviceFaultPlane {
 
     /// Rate: each write fails transiently with probability `p`.
     pub fn transient_rate(mut self, p: f64) -> Self {
-        self.rates.transient = p;
+        self.transient = p;
         self
     }
 
-    /// Rate: each write tears with probability `p` (durable prefix drawn
-    /// uniformly from `0..nblocks`).
+    /// Rate: each write tears with probability `p`.
     pub fn torn_rate(mut self, p: f64) -> Self {
-        self.rates.torn = p;
+        self.torn = p;
         self
     }
 
     /// Consult the plane for one request at dispatch time. Advances the
-    /// write-op counter (and the RNG stream, in rate mode) only for writes.
-    pub fn on_request(&mut self, shape: &DiskRequestShape) -> Option<Fault> {
+    /// write-op counter (and the RNG stream, in rate mode) only for
+    /// writes; a rate draws only when set, transient before torn.
+    pub(crate) fn on_request(&mut self, shape: &DiskRequestShape) -> Option<Fault> {
         if shape.dir != IoDir::Write {
             return None;
         }
         let op = self.writes_seen;
         self.writes_seen += 1;
-
         if let Some(&f) = self.plan.get(&op) {
             Some(f)
-        } else if self.rates.any() {
-            self.draw(shape)
+        } else if self.transient > 0.0 && self.rng.gen_bool(self.transient) {
+            Some(Fault::Transient)
+        } else if self.torn > 0.0 && self.rng.gen_bool(self.torn) {
+            Some(Fault::Torn)
         } else {
             None
         }
-    }
-
-    /// Rate-based draw; consumes the RNG in a fixed order per write op.
-    fn draw(&mut self, shape: &DiskRequestShape) -> Option<Fault> {
-        let rng = self.rng.as_mut()?;
-        if self.rates.transient > 0.0 && rng.gen_bool(self.rates.transient) {
-            return Some(Fault::Transient);
-        }
-        if self.rates.torn > 0.0 && rng.gen_bool(self.rates.torn) {
-            let durable_blocks = rng.gen_range(shape.nblocks);
-            return Some(Fault::Torn { durable_blocks });
-        }
-        None
     }
 }
 
@@ -161,7 +145,7 @@ mod tests {
 
     #[test]
     fn plan_fires_on_exact_write_op_and_skips_reads() {
-        let mut p = DeviceFaultPlane::new().fail_write(2).tear_write(4, 1);
+        let mut p = DeviceFaultPlane::new().fail_write(2).tear_write(4);
         assert_eq!(p.on_request(&wr(4)), None); // write 0
         assert_eq!(p.on_request(&rd()), None); // read: not counted
         assert_eq!(p.on_request(&wr(4)), None); // write 1
@@ -172,7 +156,7 @@ mod tests {
         assert_eq!(p.on_request(&wr(4)), None); // write 3
         assert_eq!(
             p.on_request(&wr(4)),
-            Some(Fault::Torn { durable_blocks: 1 }) // write 4
+            Some(Fault::Torn) // write 4
         );
     }
 
@@ -191,13 +175,16 @@ mod tests {
     }
 
     #[test]
-    fn torn_rate_draws_prefix_shorter_than_write() {
+    fn torn_rate_one_tears_every_write() {
         let mut p = DeviceFaultPlane::with_seed(3).torn_rate(1.0);
         for _ in 0..100 {
-            match p.on_request(&wr(8)) {
-                Some(Fault::Torn { durable_blocks }) => assert!(durable_blocks < 8),
-                other => panic!("expected torn fault, got {other:?}"),
-            }
+            assert_eq!(p.on_request(&wr(8)), Some(Fault::Torn));
         }
+    }
+
+    #[test]
+    fn rates_fire_on_an_unseeded_plane() {
+        let mut p = DeviceFaultPlane::new().transient_rate(1.0);
+        assert_eq!(p.on_request(&wr(4)), Some(Fault::Transient));
     }
 }

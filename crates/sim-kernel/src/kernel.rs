@@ -16,12 +16,12 @@ use sim_check::{AuditCheckpoint, AuditEvent, AuditPlane};
 use sim_core::prof::{self, Phase, Profiler};
 use sim_core::stats::TimeSeries;
 use sim_core::{
-    page_span, BlockNo, CauseSet, ChaosConfig, ChaosPlane, CompletionJitter, FileId, IdAlloc,
-    IoError, IoErrorKind, KernelId, Pid, RequestId, SimDuration, SimTime, PAGE_SIZE,
+    page_span, BlockNo, CauseSet, FileId, IdAlloc, IoError, KernelId, Pid, RequestId, SimDuration,
+    SimTime, PAGE_SIZE,
 };
 use sim_core::{FastMap, FastSet};
 use sim_device::{DiskModel, HddModel, QueuedDevice, QueuedDeviceConfig, SsdModel, Started};
-use sim_fault::{DeviceFaultPlane, Fault, WriteStep};
+use sim_fault::{ChaosConfig, DeviceFaultPlane, Perturb, WriteStep};
 use sim_fs::{Extent, FsConfig, FsEvent, FsOutput, IoToken, JournaledFs};
 use sim_trace::Tracer;
 use split_core::{
@@ -110,15 +110,11 @@ enum ActiveDevice {
 }
 
 impl ActiveDevice {
-    /// A physical disk gets a hardware queue of `depth` slots, owning the
-    /// chaos plane's completion-jitter stream when that class is on.
-    fn resolve(device: DeviceKind, depth: u32, chaos: Option<&ChaosConfig>) -> Self {
+    /// A physical disk gets a hardware queue of `depth` slots.
+    fn resolve(device: DeviceKind, depth: u32) -> Self {
         match device {
             DeviceKind::Physical(m) => {
-                let mut dev = QueuedDevice::new(m, QueuedDeviceConfig::with_depth(depth));
-                if let Some(jitter) = chaos.and_then(CompletionJitter::new) {
-                    dev.install_chaos(jitter);
-                }
+                let dev = QueuedDevice::new(m, QueuedDeviceConfig::with_depth(depth));
                 ActiveDevice::Physical {
                     mq: MqDispatch::new(dev.depth()),
                     dev,
@@ -211,7 +207,7 @@ pub struct KernelConfig {
     /// default) keeps every run byte-identical to a build without the
     /// plane; `Some` jitters writeback wakeups, CPU slices, journal
     /// commit timing, and device completion order within legal bounds
-    /// (see [`sim_core::chaos`]).
+    /// (see [`sim_fault::chaos`]).
     pub chaos: Option<ChaosConfig>,
     /// Hardware queue depth of a physical disk (NCQ tags / NVMe slots),
     /// at least 1: the device holds that many requests at once and may
@@ -316,18 +312,15 @@ pub struct Kernel {
     /// The span probe's tracer, built by `enable_tracing`; `None` while
     /// the kernel is untraced.
     tracer: Option<Tracer>,
-    /// Fault-injection plan, if installed. `None` (the default) keeps the
-    /// dispatch path byte-for-byte identical to the fault-free build.
-    fault_plane: Option<DeviceFaultPlane>,
+    /// The one perturbation seam: chaos streams from `cfg.chaos` and the
+    /// fault plan from [`Kernel::install_fault_plane`]. Empty (the
+    /// default) it leaves every run byte-identical to an unperturbed one.
+    perturb: Perturb,
     /// Subscribers to the kernel's event stream — invariant auditors, the
-    /// span probe — if any are installed (same opt-in contract as the
-    /// fault plane). The only outlet for simulated events: every site
-    /// below reports through [`emit`], once.
+    /// span probe — if any are installed; `None` costs one branch per
+    /// site. The only outlet for simulated events: every site below
+    /// reports through [`emit`], once.
     audit: Option<AuditPlane>,
-    /// Chaos plane, if installed (same opt-in contract as the fault
-    /// plane). Its completion-jitter stream lives inside the physical
-    /// device.
-    chaos: Option<ChaosPlane>,
     /// Self-profiler plane, picked up from the thread at construction
     /// (see [`sim_core::prof::install_thread`]). `None` (the default)
     /// keeps hot paths free of profiling beyond one `Option` check;
@@ -365,8 +358,8 @@ impl Kernel {
         let fs = JournaledFs::new(fs_cfg, journal_pid, writeback_pid);
         let cache = PageCache::new(cfg.cache);
         let cores = cfg.cores;
-        let device = ActiveDevice::resolve(device, cfg.queue_depth, cfg.chaos.as_ref());
-        let chaos = cfg.chaos.as_ref().map(ChaosPlane::new);
+        let device = ActiveDevice::resolve(device, cfg.queue_depth);
+        let perturb = Perturb::new(cfg.chaos);
         Kernel {
             id,
             cfg,
@@ -389,9 +382,8 @@ impl Kernel {
             writeback_pid,
             stats: KernelStats::default(),
             tracer: None,
-            fault_plane: None,
+            perturb,
             audit: None,
-            chaos,
             prof: prof::thread_profiler(),
             read_miss_scratch: Vec::new(),
             extent_scratch: Vec::new(),
@@ -522,7 +514,7 @@ impl Kernel {
     /// requests on a virtual (host-backed) disk fail through the host's
     /// own plane instead.
     pub fn install_fault_plane(&mut self, plane: DeviceFaultPlane) {
-        self.fault_plane = Some(plane);
+        self.perturb.install_faults(plane);
     }
 
     /// Install an auditor plane. Its auditors join whatever already
@@ -584,39 +576,11 @@ impl Kernel {
     /// Arm the kernel's periodic timers; called once by the world.
     pub(crate) fn start_timers(&mut self, bus: &mut Bus) {
         let now = bus.q.now();
-        let fs_at = self.next_fs_timer(now);
+        let fs_at = self.perturb.journal_timer(now, self.fs.next_timer(now));
         bus.q.schedule(fs_at, Event::FsTimer { k: self.id });
-        let wb = self.next_wb_tick();
+        let wb = self.perturb.wb_tick(WB_TICK);
         bus.q
             .schedule(now + wb, Event::WritebackTick { k: self.id });
-    }
-
-    /// When the journal timer fires next, chaos jitter applied. The
-    /// perturbed instant is always strictly after `now`.
-    fn next_fs_timer(&mut self, now: SimTime) -> SimTime {
-        let at = self.fs.next_timer(now);
-        match self.chaos.as_mut() {
-            Some(c) => now + c.journal_tick(at.since(now)),
-            None => at,
-        }
-    }
-
-    /// The writeback daemon's next poll interval, chaos jitter applied.
-    /// [`WB_TICK`] without chaos.
-    fn next_wb_tick(&mut self) -> SimDuration {
-        match self.chaos.as_mut() {
-            Some(c) => c.wb_tick(WB_TICK),
-            None => WB_TICK,
-        }
-    }
-
-    /// Extra chaos wakeup delay for one CPU slice (zero without chaos):
-    /// the analogue of scx_chaos stretching scheduling latency.
-    fn chaos_cpu_delay(&mut self) -> SimDuration {
-        match self.chaos.as_mut() {
-            Some(c) => c.cpu_delay(),
-            None => SimDuration::ZERO,
-        }
     }
 
     /// Begin an injected syscall on an external process.
@@ -653,14 +617,14 @@ impl Kernel {
                 let out = self.fs.timer(&mut self.cache, now);
                 prof::tock(&self.prof, Phase::Journal, t0);
                 self.absorb(out, bus);
-                let at = self.next_fs_timer(now);
+                let at = self.perturb.journal_timer(now, self.fs.next_timer(now));
                 bus.q.schedule(at, Event::FsTimer { k: self.id });
             }
             Event::WritebackTick { .. } => {
                 if self.cfg.pdflush && self.cache.over_background() {
                     self.kick_writeback(bus);
                 }
-                let tick = self.next_wb_tick();
+                let tick = self.perturb.wb_tick(WB_TICK);
                 bus.q
                     .schedule(bus.q.now() + tick, Event::WritebackTick { k: self.id });
             }
@@ -696,7 +660,7 @@ impl Kernel {
             }
             ProcAction::Compute(d) => {
                 self.cpu.task_runnable();
-                let stretched = self.cpu.stretch(d) + self.chaos_cpu_delay();
+                let stretched = self.cpu.stretch(d) + self.perturb.cpu_delay();
                 self.procs.get_mut(&pid).expect("checked").state = PState::Computing;
                 bus.q
                     .schedule(bus.q.now() + stretched, Event::ProcStep { k: self.id, pid });
@@ -1067,7 +1031,7 @@ impl Kernel {
         } else {
             proc.state = PState::PostCpu;
             self.cpu.task_runnable();
-            let stretched = self.cpu.stretch(cpu) + self.chaos_cpu_delay();
+            let stretched = self.cpu.stretch(cpu) + self.perturb.cpu_delay();
             bus.q
                 .schedule(now + stretched, Event::ProcStep { k: self.id, pid });
         }
@@ -1168,18 +1132,7 @@ impl Kernel {
                 return;
             }
         };
-        // The fault plane rolls at dispatch, once per request; a virtual
-        // disk's requests fail through the host's own plane instead.
-        let fault = self
-            .fault_plane
-            .as_mut()
-            .and_then(|plane| plane.on_request(&req.shape()));
-        let (spike, failed) = match fault {
-            Some(Fault::Spike { factor }) => (Some(factor), None),
-            Some(Fault::Transient) => (None, Some(IoErrorKind::TransientDevice)),
-            Some(Fault::Torn { .. }) => (None, Some(IoErrorKind::TornWrite)),
-            None => (None, None),
-        };
+        let (spike, failed) = self.perturb.dispatch(&req.shape());
         if let Some(kind) = failed {
             self.req_meta.entry(req.id).or_default().failed =
                 Some(IoError::for_request(kind, req.id));
@@ -1197,7 +1150,14 @@ impl Kernel {
             depth,
         });
         park(&mut self.inflight, slot, req);
-        start_service(started, &mut self.inflight, self.id, now, bus);
+        start_service(
+            started,
+            &mut self.inflight,
+            &mut self.perturb,
+            self.id,
+            now,
+            bus,
+        );
         prof::tock(&self.prof, Phase::MqPump, t0);
         if let Some(p) = &self.prof {
             p.sample_mq(in_flight as usize);
@@ -1213,7 +1173,14 @@ impl Kernel {
         let (slot, in_flight, depth) = match &mut self.device {
             ActiveDevice::Physical { dev, .. } => {
                 let (slot, started) = dev.complete(req_id);
-                start_service(started, &mut self.inflight, self.id, now, bus);
+                start_service(
+                    started,
+                    &mut self.inflight,
+                    &mut self.perturb,
+                    self.id,
+                    now,
+                    bus,
+                );
                 (slot, dev.in_flight() as u32, dev.depth())
             }
             ActiveDevice::Virtual { .. } => (0, 0, 1),
@@ -1540,15 +1507,16 @@ fn park(inflight: &mut Vec<Option<(Request, SimDuration)>>, slot: u32, req: Requ
 }
 
 /// Record the committed service time of the request the device just
-/// moved into service, if any, and schedule its completion.
+/// moved into service, if any, perturbed, and schedule its completion.
 fn start_service(
     started: Option<Started>,
     inflight: &mut [Option<(Request, SimDuration)>],
+    perturb: &mut Perturb,
     k: KernelId,
     now: SimTime,
     bus: &mut Bus,
 ) {
-    if let Some(s) = started {
+    if let Some(s) = started.map(|s| perturb.service(s)) {
         let (_, service) = inflight[s.slot as usize]
             .as_mut()
             .expect("a started request is parked");

@@ -84,7 +84,8 @@ use exp::registry::{self, Figure, Takes, FIGURES};
 use exp::setup::{DeviceChoice, SchedChoice};
 use sim_core::alloc_count;
 use sim_core::prof::{self, Phase, Profiler};
-use sim_core::{ChaosClass, ChaosConfig, SimDuration};
+use sim_core::SimDuration;
+use sim_fault::{ChaosClass, ChaosConfig};
 use sim_sweep::{run_check, run_figures, run_replay, run_sweep, CheckConfig, SweepSpec};
 
 const SYNOPSIS: &str = "\

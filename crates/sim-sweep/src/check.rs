@@ -23,11 +23,11 @@ use sim_check::{
     generate, shrink, AuditPlane, FileRef, GenConfig, LayerAuditor, OpSpec, ProgramSpec, Sabotaged,
     Trigger,
 };
-use sim_core::{run_indexed, ChaosConfig, FileId, IoErrorKind, SimDuration, SimRng};
+use sim_core::{run_indexed, FileId, IoErrorKind, SimDuration, SimRng};
 use sim_experiments::setup::{
     build_layered, default_layer_tree, kernel_config, DeviceChoice, SchedChoice, Setup,
 };
-use sim_fault::DeviceFaultPlane;
+use sim_fault::{ChaosConfig, DeviceFaultPlane};
 use sim_kernel::{Outcome, ProcAction, ProcessLogic, World};
 use split_core::{IoSched, SyscallKind};
 use split_layered::{LayerRule, LayerSpec, Layered, LayeredConfig};

@@ -11,8 +11,9 @@
 //! drain gate — must keep holding no matter the seed.
 
 use sim_check::{generate, GenConfig, ProgramSpec};
-use sim_core::{ChaosClass, ChaosConfig, SimRng};
+use sim_core::SimRng;
 use sim_experiments::{DeviceChoice, SchedChoice};
+use sim_fault::{ChaosClass, ChaosConfig};
 use sim_sweep::{check_program, run_one, run_with, CheckConfig, RunOpts};
 
 fn program(idx: u64) -> ProgramSpec {

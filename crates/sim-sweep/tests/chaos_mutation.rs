@@ -16,8 +16,9 @@
 //! adversarially-timed batch can flush out.
 
 use sim_check::{generate, shrink, GenConfig, ProgramSpec, Trigger};
-use sim_core::{ChaosConfig, SimDuration, SimRng};
+use sim_core::{SimDuration, SimRng};
 use sim_experiments::{DeviceChoice, SchedChoice};
+use sim_fault::ChaosConfig;
 use sim_sweep::{run_with, RunOpts};
 
 /// The dwell horizon, calibrated so that over the fixed seed set below

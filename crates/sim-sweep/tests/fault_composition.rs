@@ -58,7 +58,7 @@ fn a_torn_write_surfaces_as_an_error_not_silence() {
     // reports failure. The kernel must propagate that as an I/O error
     // (journal abort or failed fsync) rather than pretending the data
     // landed.
-    let plane = DeviceFaultPlane::with_seed(12).tear_write(0, 0);
+    let plane = DeviceFaultPlane::with_seed(12).tear_write(0);
     let out = run_with(
         &spec,
         SchedChoice::Cfq,

@@ -4,7 +4,7 @@
 //! devices, at the default queue depth 1 and at depth 8, each plain and
 //! under the chaos plane (seed 1). See `.github/workflows/ci.yml`.
 
-use sim_core::ChaosConfig;
+use sim_fault::ChaosConfig;
 use sim_sweep::{run_check, CheckConfig};
 
 fn assert_clean(cfg: CheckConfig) {
